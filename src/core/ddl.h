@@ -189,7 +189,7 @@ class MembershipTable {
   uint64_t epoch_ = 0;
 };
 
-// Epoch-invalidated cache of hot *remote* DDL lookups (--cap-batching).
+// Epoch-invalidated cache of hot *remote* DDL lookups.
 //
 // Resolving a remote key costs a full decode + membership walk
 // (TimingModel::ddl_decode) every time, even though the answer only

@@ -111,8 +111,6 @@ const char* IkcOpName(IkcOp op) {
       return "suspect_kernel";
     case IkcOp::kFailoverDecree:
       return "failover_decree";
-    case IkcOp::kCapBatch:
-      return "cap_batch";
     case IkcOp::kRelayNotice:
       return "relay_notice";
   }
@@ -645,8 +643,7 @@ void Kernel::SysObtain(SyscallCtx ctx, const SyscallMsg& req) {
   op.spanning = true;
   uint64_t token = op.token;
   obtains_[token] = op;
-  Charge(t_.syscall_dispatch + DdlDecodeCostVpe(req.peer) +
-         IkcSendCost(KernelOfVpe(req.peer), IkcOp::kObtainReq));
+  Charge(t_.syscall_dispatch + DdlDecodeCostVpe(req.peer) + t_.ikc_send);
   auto msg = NewMsg<IkcMsg>();
   msg->op = IkcOp::kObtainReq;
   msg->vpe = req.vpe;
@@ -732,8 +729,7 @@ void Kernel::SysOpenSession(SyscallCtx ctx, const SyscallMsg& req) {
   op.spanning = true;
   uint64_t token = op.token;
   obtains_[token] = op;
-  Charge(t_.syscall_dispatch + DdlDecodeCost(svc->cap) +
-         IkcSendCost(svc->kernel, IkcOp::kOpenSessionReq));
+  Charge(t_.syscall_dispatch + DdlDecodeCost(svc->cap) + t_.ikc_send);
   auto msg = NewMsg<IkcMsg>();
   msg->op = IkcOp::kOpenSessionReq;
   msg->vpe = req.vpe;
@@ -796,8 +792,7 @@ void Kernel::SysExchange(SyscallCtx ctx, const SyscallMsg& req) {
   op.spanning = true;
   uint64_t token = op.token;
   obtains_[token] = op;
-  Charge(t_.syscall_dispatch + DdlDecodeCost(service_cap) +
-         IkcSendCost(owner_kernel, IkcOp::kObtainReq));
+  Charge(t_.syscall_dispatch + DdlDecodeCost(service_cap) + t_.ikc_send);
   auto msg = NewMsg<IkcMsg>();
   msg->op = IkcOp::kObtainReq;
   msg->vpe = req.vpe;
@@ -891,7 +886,7 @@ void Kernel::SysDelegate(SyscallCtx ctx, const SyscallMsg& req) {
   uint64_t token = op.token;
   delegates_[token] = op;
   Charge(t_.syscall_dispatch + t_.exchange_validate + DdlDecodeCostVpe(req.peer) +
-         IkcSendCost(KernelOfVpe(req.peer), IkcOp::kDelegateReq));
+         t_.ikc_send);
   auto msg = NewMsg<IkcMsg>();
   msg->op = IkcOp::kDelegateReq;
   msg->vpe = req.vpe;
@@ -927,10 +922,10 @@ void Kernel::FinishDelegate(DelegateOp op, ErrCode err, DdlKey child_key) {
   if (ok) {
     parent->AddChild(child_key);
     stats_.delegates++;
-    Charge(t_.tree_insert + t_.ddl_decode + IkcSendCost(peer_kernel, IkcOp::kDelegateAck));
+    Charge(t_.tree_insert + t_.ddl_decode + t_.ikc_send);
   } else {
     stats_.invalid_prevented++;
-    Charge(IkcSendCost(peer_kernel, IkcOp::kDelegateAck));
+    Charge(t_.ikc_send);
   }
   ack->payload.session = ok ? 0 : 1;  // non-zero session field = abort
   if (peer_kernel == config_.id) {
@@ -1093,8 +1088,9 @@ Cycles Kernel::FlushRevokeRequests(RevokeTask* task) {
       // One message per peer kernel carrying every child key (§5.2 future
       // work); the peer replies once when its whole share is gone.
       task->outstanding++;
-      cost += IkcSendCost(peer, IkcOp::kRevokeBatchReq) +
-              static_cast<Cycles>(keys.size()) * 30;
+      stats_.ikc_batches_sent++;
+      stats_.ikc_batched_ops += keys.size();
+      cost += t_.ikc_send + static_cast<Cycles>(keys.size()) * 30;
       auto msg = NewMsg<IkcMsg>();
       msg->op = IkcOp::kRevokeBatchReq;
       msg->caps = keys;
@@ -1107,7 +1103,7 @@ Cycles Kernel::FlushRevokeRequests(RevokeTask* task) {
       // each child capability" (paper §5.2).
       for (DdlKey key : keys) {
         task->outstanding++;
-        cost += IkcSendCost(peer, IkcOp::kRevokeReq);
+        cost += t_.ikc_send;
         auto msg = NewMsg<IkcMsg>();
         msg->op = IkcOp::kRevokeReq;
         msg->cap = key;
@@ -1376,7 +1372,7 @@ void Kernel::ProcessRevokeBatch(EpId ep, Message msg, const IkcMsg& req) {
         auto fwd = NewMsg<IkcMsg>();
         fwd->op = IkcOp::kRevokeReq;
         fwd->cap = key;
-        cost += DdlDecodeCost(key) + IkcSendCost(owner, IkcOp::kRevokeReq);
+        cost += DdlDecodeCost(key) + t_.ikc_send;
         SendIkc(owner, fwd, [maybe_reply](const IkcReply&) { maybe_reply(); });
         continue;
       }
@@ -1515,25 +1511,11 @@ bool Kernel::MaybeForwardIkc(EpId ep, const Message& msg, const IkcMsg& req) {
   // reach the partition's current owner, so stale lookups stay correct for
   // the settle round.
   stats_.ikc_forwarded++;
-  if (!config_.cap_batching) {
-    // Legacy proxy: forward with a fresh token and relay the reply back
-    // hop by hop.
-    auto fwd = NewMsg<IkcMsg>(req);
-    fwd->token = 0;  // fresh token for the forward leg
-    uint64_t orig_token = req.token;
-    Charge(t_.ddl_decode + t_.ikc_send);
-    SendIkc(owner, fwd, [this, ep, msg, orig_token](const IkcReply& r) {
-      auto reply = NewMsg<IkcReply>(r);
-      reply->token = orig_token;
-      Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
-    });
-    return true;
-  }
-  // Pipelined ancestry walk (--cap-batching): relay the request onward with
-  // the origin's token and reply address intact — the final owner answers
-  // the origin directly, cutting one NoC round trip per stale hop. A
-  // fire-and-forget kRelayNotice tells the origin where its request went,
-  // so fault tolerance still covers the re-keyed hop.
+  // Pipelined ancestry walk: relay the request onward with the origin's
+  // token and reply address intact — the final owner answers the origin
+  // directly, cutting one NoC round trip per stale hop. A fire-and-forget
+  // kRelayNotice tells the origin where its request went, so fault
+  // tolerance still covers the re-keyed hop.
   if (peer_failed_.at(owner) != 0) {
     // The current owner is quorum-confirmed dead: short-circuit with the
     // same kUnreachable a recovery abort at the origin would produce.
@@ -1561,9 +1543,9 @@ bool Kernel::MaybeForwardIkc(EpId ep, const Message& msg, const IkcMsg& req) {
   notice->relay_token = req.token;
   notice->relay_hops = fwd->relay_hops;
   bool self_notice = req.src_kernel == config_.id;
-  Cycles cost = DdlDecodeCostVpe(part) + IkcSendCost(owner, req.op);
+  Cycles cost = DdlDecodeCostVpe(part) + t_.ikc_send;
   if (!self_notice && peer_failed_.at(req.src_kernel) == 0) {
-    cost += IkcSendCost(req.src_kernel, IkcOp::kRelayNotice);
+    cost += t_.ikc_send;
   }
   Charge(cost);
   SendIkcRelay(owner, fwd);
@@ -2363,12 +2345,11 @@ void Kernel::AdoptPe(NodeId pe) {
 }
 
 void Kernel::AbortPendingIkcsTo(KernelId dead) {
-  // Flow-queued and batch-buffered requests that never left: their tokens
-  // are pending too, so dropping both stages first keeps the abort loop
-  // the single completion point. (A relay buffered for the dead kernel has
-  // no pending here; its origin aborts via its own re-keyed entry.)
+  // Flow-queued requests that never left: their tokens are pending too, so
+  // dropping the queue first keeps the abort loop the single completion
+  // point. (A relay queued for the dead kernel has no pending here; its
+  // origin aborts via its own re-keyed entry.)
   peers_.at(dead).queue.clear();
-  peers_.at(dead).batch.clear();
   std::vector<uint64_t> tokens;
   for (const auto& [token, pending] : ikcs_) {
     if (pending.peer == dead) {
@@ -2569,110 +2550,15 @@ void Kernel::SendIkc(KernelId peer, std::shared_ptr<IkcMsg> msg,
   EnqueueIkc(peer, std::move(msg));
 }
 
-bool Kernel::IsBatchableOp(IkcOp op) {
-  switch (op) {
-    case IkcOp::kObtainReq:
-    case IkcOp::kOpenSessionReq:
-    case IkcOp::kDelegateReq:
-    case IkcOp::kDelegateAck:
-    case IkcOp::kRevokeReq:
-    case IkcOp::kRevokeBatchReq:
-    case IkcOp::kOrphanNotify:
-    case IkcOp::kChildDrop:
-    case IkcOp::kRelayNotice:
-      return true;
-    default:
-      // Control traffic (hello, shutdown, announce, migration, epoch,
-      // fault tolerance) and the container itself always travel solo: their
-      // ordering relative to buffered capability requests is what the FIFO
-      // flush below preserves.
-      return false;
-  }
-}
-
 void Kernel::EnqueueIkc(KernelId peer, std::shared_ptr<IkcMsg> msg) {
   stats_.ikc_op_sent[static_cast<size_t>(msg->op)]++;
   PeerState& state = peers_[peer];
-  if (config_.cap_batching && IsBatchableOp(msg->op)) {
-    // Buffer in the peer's open batch. The epoch stamp lets the receiver
-    // spot containers whose entries straddle a membership change — routing
-    // is per-op there, so a mixed batch is observable but harmless.
-    msg->batch_epoch = config_.membership.Epoch();
-    if (state.batch.empty()) {
-      state.batch_opened = pe_->sim()->Now();
-    }
-    state.batch.push_back(std::move(msg));
-    if (state.batch.size() >= config_.batch_max_ops) {
-      FlushBatch(peer);
-    } else if (!state.batch_timer_armed) {
-      state.batch_timer_armed = true;
-      pe_->sim()->Schedule(config_.batch_window, [this, peer] {
-        peers_[peer].batch_timer_armed = false;
-        if (dead_) {
-          return;
-        }
-        FlushBatch(peer);
-      });
-    }
-    return;
-  }
-  // Non-batchable (or batching off): anything buffered for this peer must
-  // leave first — pairwise FIFO between operations is a correctness
-  // precondition (§4.3.1), and messages like kMigrateVpe rely on every
-  // earlier capability request reaching the peer ahead of them.
-  FlushBatch(peer);
   if (state.credits == 0) {
     // All four in-flight slots at the peer are taken (paper §4.1); the
     // request waits here instead of overflowing the peer's receive EP.
     stats_.ikc_flow_queued++;
   }
   state.queue.push_back(std::move(msg));
-  DispatchIkc(peer);
-}
-
-void Kernel::FlushBatch(KernelId peer) {
-  PeerState& state = peers_[peer];
-  if (state.batch.empty()) {
-    return;
-  }
-  std::vector<std::shared_ptr<IkcMsg>> ops = std::move(state.batch);
-  state.batch.clear();
-  std::shared_ptr<IkcMsg> wire;
-  if (ops.size() == 1) {
-    // A batch of one leaves as the bare request: no container overhead on
-    // the wire, and the receiver needs no special casing.
-    wire = std::move(ops.front());
-  } else {
-    wire = NewMsg<IkcMsg>();
-    wire->op = IkcOp::kCapBatch;
-    wire->src_kernel = config_.id;
-    wire->batch = std::move(ops);
-    stats_.ikc_op_sent[static_cast<size_t>(IkcOp::kCapBatch)]++;
-    stats_.ikc_batches_sent++;
-    stats_.ikc_batched_ops += wire->batch.size();
-    stats_.ikc_batch_ops_max =
-        std::max<uint64_t>(stats_.ikc_batch_ops_max, wire->batch.size());
-    // The container inherits the first traced sub-request's context (one
-    // wire message, one transit span); each sub keeps its own context, so
-    // every tree stays connected through the coalescing. The kBatch span
-    // makes the flush-window wait visible, sized by the batch.
-    for (const std::shared_ptr<IkcMsg>& sub : wire->batch) {
-      if (sub->trace_id != 0) {
-        wire->trace_id = sub->trace_id;
-        wire->trace_parent = sub->trace_parent;
-        break;
-      }
-    }
-    if (obs::Tracer* tr = tracer(); tr != nullptr && wire->trace_id != 0) {
-      RecordSpan(tr, wire->trace_id, tr->NextSpanId(pe_->node()), wire->trace_parent,
-                 state.batch_opened, pe_->sim()->Now(), pe_->node(), obs::SpanKind::kBatch,
-                 static_cast<uint16_t>(wire->batch.size()));
-    }
-  }
-  if (state.credits == 0) {
-    stats_.ikc_flow_queued++;
-  }
-  state.queue.push_back(std::move(wire));
   DispatchIkc(peer);
 }
 
@@ -2692,18 +2578,8 @@ void Kernel::SendIkcRelay(KernelId peer, std::shared_ptr<IkcMsg> msg) {
   EnqueueIkc(peer, std::move(msg));
 }
 
-Cycles Kernel::IkcSendCost(KernelId peer, IkcOp op) const {
-  if (!config_.cap_batching || !IsBatchableOp(op) || peer == config_.id ||
-      peer >= peers_.size()) {
-    return t_.ikc_send;
-  }
-  // Opening a batch pays the full send (the flush window starts here);
-  // appending to an open one only pays the marshalling.
-  return peers_[peer].batch.empty() ? t_.ikc_send : t_.ikc_batch_op;
-}
-
 Cycles Kernel::DdlDecodeCost(DdlKey key) {
-  if (!config_.cap_batching || key.IsNull() || KernelOf(key) == config_.id) {
+  if (key.IsNull() || KernelOf(key) == config_.id) {
     return t_.ddl_decode;
   }
   if (ddl_cache_.Lookup(key, config_.membership.Epoch())) {
@@ -2770,12 +2646,11 @@ void Kernel::OnIkc(EpId ep, const Message& msg) {
     CHECK(reply != nullptr);
     auto it = ikcs_.find(reply->token);
     if (it == ikcs_.end()) {
-      // Pipelined relays (--cap-batching) make this reachable: a pending
-      // re-keyed onto a kernel that then failed was aborted with
-      // kUnreachable, yet the request had in fact been dispatched before
-      // the crash and its direct reply lands here afterwards. Without
-      // relays an unknown token is a protocol bug — keep that loud.
-      CHECK(config_.cap_batching) << "IKC reply for unknown token";
+      // A late or duplicated reply: e.g. a pending re-keyed onto a kernel
+      // that then failed was aborted with kUnreachable, yet the relayed
+      // request had been dispatched before the crash and its direct reply
+      // lands here afterwards. Peers are trusted but can be late, so count
+      // it and carry on.
       stats_.ikc_late_replies++;
       return;
     }
@@ -2804,49 +2679,37 @@ void Kernel::OnIkc(EpId ep, const Message& msg) {
   // revocations possibly for a long time — without blocking the channel,
   // which keeps deep alternating revocation chains deadlock-free (§4.3.3).
   // The credit routes by the *wire* message — a relayed request's rewritten
-  // reply address (see RouteIkcRequest) must never redirect it.
+  // reply address (below) must never redirect it.
   pe_->dtu().Ack(ep, msg);
   auto credit = NewMsg<IkcCredit>();
   credit->from = config_.id;
   Emit(pe_->sim()->Now(), [this, msg, credit] { pe_->dtu().SendDeferredReply(msg, credit); });
 
-  if (req->op == IkcOp::kCapBatch) {
-    // The container shell is not itself routable — each sub-request routes
-    // (parks, forwards, dispatches) individually below.
-    DispatchIkcRequest(ep, msg, *req);
-    return;
-  }
-  RouteIkcRequest(ep, msg, *req);
-}
-
-void Kernel::RouteIkcRequest(EpId ep, const Message& msg, const IkcMsg& req) {
-  if (config_.cap_batching && req.relay_node != kInvalidNode) {
+  if (req->relay_node != kInvalidNode) {
     // Relayed request: every deferred reply must reach the walk's origin,
     // not the previous hop. SendDeferredReply routes purely by the
     // Message's src_node/reply_ep, so a rewritten copy redirects all of
     // them — including a further forward's kUnreachable short-circuit and
     // replies sent after parking.
     Message dmsg = msg;
-    dmsg.src_node = req.relay_node;
-    dmsg.reply_ep = req.relay_ep;
-    if (!MaybeForwardIkc(ep, dmsg, req)) {
-      DispatchIkcRequest(ep, dmsg, req);
+    dmsg.src_node = req->relay_node;
+    dmsg.reply_ep = req->relay_ep;
+    if (!MaybeForwardIkc(ep, dmsg, *req)) {
+      DispatchIkcRequest(ep, dmsg, *req);
     }
     return;
   }
-  if (!MaybeForwardIkc(ep, msg, req)) {
-    DispatchIkcRequest(ep, msg, req);
+  if (!MaybeForwardIkc(ep, msg, *req)) {
+    DispatchIkcRequest(ep, msg, *req);
   }
 }
 
 void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& request) {
   const IkcMsg* req = &request;
   // Open the handler span; ReplyIkc closes it by (requester node, token).
-  // The container itself never replies — its sub-requests open their own
-  // entries when the loop below re-enters here per sub.
   TraceCtx saved_trace = cur_trace_;
   obs::Tracer* tr = tracer();
-  if (tr != nullptr && req->trace_id != 0 && req->op != IkcOp::kCapBatch) {
+  if (tr != nullptr && req->trace_id != 0) {
     IkcHandling h;
     h.trace = req->trace_id;
     h.parent = req->trace_parent;
@@ -3008,27 +2871,6 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
       auto reply = NewMsg<IkcReply>();
       reply->token = req->token;
       Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
-      break;
-    }
-    case IkcOp::kCapBatch: {
-      // Container (--cap-batching): one wire message, one credit, one
-      // dispatch — then every sub-request routes individually. Per-op
-      // routing is load-bearing: a batch racing an epoch update may mix
-      // entries enqueued under different epochs, and settle-round
-      // forwarding must apply to exactly the stale ones, never to the
-      // whole container.
-      Charge(t_.ikc_dispatch);
-      uint64_t first_epoch = req->batch.empty() ? 0 : req->batch.front()->batch_epoch;
-      for (const std::shared_ptr<IkcMsg>& sub : req->batch) {
-        if (sub->batch_epoch != first_epoch) {
-          stats_.ikc_batch_mixed_epoch++;
-          break;
-        }
-      }
-      for (const std::shared_ptr<IkcMsg>& sub : req->batch) {
-        stats_.ikc_op_received[static_cast<size_t>(sub->op)]++;
-        RouteIkcRequest(ep, msg, *sub);
-      }
       break;
     }
     case IkcOp::kRelayNotice: {

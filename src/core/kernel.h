@@ -99,17 +99,14 @@ struct KernelStats {
   uint64_t ft_orphan_roots = 0;     // orphaned subtrees revoked at recovery
   uint64_t ft_edges_pruned = 0;     // tree edges into the dead range dropped
   uint64_t ft_ikcs_aborted = 0;     // pending IKCs to a dead kernel unwedged
-  // Cross-kernel chatter optimisation (--cap-batching).
-  uint64_t ikc_batches_sent = 0;      // kCapBatch containers put on the wire
-  uint64_t ikc_batched_ops = 0;       // requests that rode inside a container
-  uint64_t ikc_batch_ops_max = 0;     // largest container (sub-requests)
-  uint64_t ikc_batch_mixed_epoch = 0; // containers whose entries straddle an epoch
-  uint64_t ikc_relays_pipelined = 0;  // stale requests forwarded without proxying
-  uint64_t ikc_late_replies = 0;      // direct replies landing after a spurious abort
+  // Multi-op IKCs, pipelined stale-epoch relays and the remote-DDL cache.
+  uint64_t ikc_batches_sent = 0;      // kRevokeBatchReq requests sent
+  uint64_t ikc_batched_ops = 0;       // child keys those requests carried
+  uint64_t ikc_relays_pipelined = 0;  // stale requests relayed onward to the owner
+  uint64_t ikc_late_replies = 0;      // replies whose token matched no pending IKC
   uint64_t ddl_cache_hits = 0;        // remote-DDL lookups served by the cache
   uint64_t ddl_cache_misses = 0;      // remote-DDL lookups that paid the full decode
-  // Per-IKC-type logical send/receive counts (containers count as kCapBatch;
-  // their sub-requests count individually under their own op).
+  // Per-IKC-type logical send/receive counts.
   uint64_t ikc_op_sent[kNumIkcOps] = {};
   uint64_t ikc_op_received[kNumIkcOps] = {};
   uint32_t threads_in_use = 0;
@@ -221,18 +218,6 @@ class Kernel : public Program {
     // Extension (paper §5.2 future work): batch all REVOKE_REQs to the
     // same peer kernel into one message instead of one per child.
     bool revoke_batching = false;
-    // Cross-kernel chatter optimisation (--cap-batching, default on):
-    // transport-level coalescing of same-destination capability requests
-    // into kCapBatch containers, pipelined stale-epoch forwarding (the
-    // final owner replies to the origin directly), and the
-    // epoch-invalidated remote-DDL cache. Off reproduces the legacy
-    // modeled results bit for bit.
-    bool cap_batching = true;
-    // Flush window: an open per-peer batch flushes when this many cycles
-    // elapsed since it opened, or when it holds batch_max_ops requests,
-    // or when a non-batchable message must go to the same peer (FIFO).
-    Cycles batch_window = 200;
-    uint32_t batch_max_ops = 8;
     // Fault tolerance (src/ft). `ft` only stores the detector parameters;
     // heartbeats start when the platform arms the detector via
     // AdminStartFailureDetector. `pe_types` lets adopters rebuild VPE state
@@ -417,10 +402,10 @@ class Kernel : public Program {
 
   // IKC request awaiting its reply. Carries the addressed peer so a failure
   // recovery can complete every call wedged on a dead kernel. When the
-  // request was relayed onward by a stale-epoch forwarder (--cap-batching),
-  // kRelayNotice re-keys `peer` to the hop's destination; `relay_hops`
-  // orders those re-keys (notices from different forwarders are not FIFO
-  // relative to each other — the latest hop must win).
+  // request was relayed onward by a stale-epoch forwarder, kRelayNotice
+  // re-keys `peer` to the hop's destination; `relay_hops` orders those
+  // re-keys (notices from different forwarders are not FIFO relative to
+  // each other — the latest hop must win).
   struct PendingIkc {
     uint64_t token = 0;
     KernelId peer = kInvalidKernel;
@@ -436,15 +421,10 @@ class Kernel : public Program {
     uint16_t trace_op = 0;
   };
 
-  // Per-peer-kernel flow control state (§4.1) plus the open request batch
-  // (--cap-batching): batchable requests buffer in `batch` until a flush
-  // trigger fires, then leave as one kCapBatch container through `queue`.
+  // Per-peer-kernel flow control state (§4.1).
   struct PeerState {
     uint32_t credits = 0;
     std::deque<std::shared_ptr<IkcMsg>> queue;
-    std::vector<std::shared_ptr<IkcMsg>> batch;
-    bool batch_timer_armed = false;
-    Cycles batch_opened = 0;  // obs: when the open batch started buffering
   };
 
   // ===== Observability (src/obs) =====
@@ -594,36 +574,21 @@ class Kernel : public Program {
   void DispatchIkc(KernelId peer);
   void ReplyIkc(EpId recv_ep, const Message& msg, std::shared_ptr<IkcReply> reply);
   void BroadcastHello();
-  // --- Cross-kernel chatter optimisation (--cap-batching) ---
-  // Ops eligible for kCapBatch coalescing: per-capability request traffic.
-  // Control messages (hello/shutdown/migrate/epoch/ft) always go solo.
-  static bool IsBatchableOp(IkcOp op);
-  // Puts `msg` on the wire path to `peer`: batchable ops buffer in the
-  // peer's open batch (flush window / size cap / FIFO triggers), everything
-  // else flushes the batch first and enqueues directly.
+  // Puts `msg` in the peer's flow-controlled FIFO and dispatches what the
+  // peer's credits allow.
   void EnqueueIkc(KernelId peer, std::shared_ptr<IkcMsg> msg);
-  // Closes the peer's open batch into one kCapBatch container (or the bare
-  // message for a batch of one) and hands it to flow control.
-  void FlushBatch(KernelId peer);
   // Relayed forward of a stale-epoch request: preserves the origin's
   // src_kernel/token and registers no pending entry (the final owner
   // replies to the origin directly).
   void SendIkcRelay(KernelId peer, std::shared_ptr<IkcMsg> msg);
-  // Shared tail of OnIkc's request path, re-used for each sub-request of a
-  // kCapBatch container: park/forward via MaybeForwardIkc, else dispatch.
-  void RouteIkcRequest(EpId ep, const Message& msg, const IkcMsg& req);
   // Applies a kRelayNotice at the origin: learned-owner membership hint and
   // the hop-ordered re-key of the pending request's addressed peer (aborts
   // it if the new hop's kernel already failed). Also called directly when a
   // walk loops back through its own origin (a kernel cannot IKC itself).
   void ApplyRelayNotice(const IkcMsg& notice);
-  // Modeled cost of sending `op` to `peer` right now: appending to an open
-  // batch is cheap (t_.ikc_batch_op); opening one, a non-batchable op, or
-  // cap_batching=off pays the full t_.ikc_send.
-  Cycles IkcSendCost(KernelId peer, IkcOp op) const;
   // Modeled cost of decoding `key`: remote keys probe the epoch-validated
-  // DDL cache (hit: t_.ddl_cache_hit); local keys and cap_batching=off pay
-  // the full t_.ddl_decode.
+  // DDL cache (hit: t_.ddl_cache_hit); local keys pay the full
+  // t_.ddl_decode.
   Cycles DdlDecodeCost(DdlKey key);
   // Same, for paths that route by a peer VPE rather than a concrete key:
   // probes with the partition's canonical VPE key.
@@ -719,7 +684,7 @@ class Kernel : public Program {
   // Indexed by kernel id (the self entry is unused) — SendIkc/DispatchIkc
   // touch this on every kernel-to-kernel message.
   std::vector<PeerState> peers_;
-  // Epoch-invalidated cache of hot remote-DDL lookups (--cap-batching).
+  // Epoch-invalidated cache of hot remote-DDL lookups.
   DdlCache ddl_cache_;
   std::map<std::string, std::vector<ServiceEntry>> services_;
 

@@ -218,13 +218,6 @@ enum class IkcOp : uint8_t {
   // plan (DDL re-partitioning, orphan revocation, pending-IKC aborts).
   kSuspectKernel,
   kFailoverDecree,
-  // Cross-kernel chatter optimisation (--cap-batching, default on).
-  // kCapBatch is a container: it carries several independent capability
-  // requests for the same destination kernel in one wire message (one
-  // flow-control credit, one dispatch). Each sub-request keeps its own
-  // token and sender epoch; the receiver routes every sub-request
-  // individually (stale-epoch forwarding is per-op, never per-batch).
-  kCapBatch,
   // Sent by a kernel that forwarded a stale-epoch request onward instead
   // of proxying the reply (pipelined ancestry walk): tells the origin
   // which kernel now owns the partition, so the origin re-keys its
@@ -262,31 +255,19 @@ struct IkcMsg : MsgBody {
   // Fault tolerance (kSuspectKernel / kFailoverDecree).
   KernelId suspect = kInvalidKernel;    // kernel the vote / decree is about
   std::shared_ptr<MigratePayload> migrate;  // kMigrateVpe: the moved state
-  // Pipelined forwarding (--cap-batching): the first forwarder records the
-  // origin kernel's reply address so the final owner answers the origin
-  // directly instead of proxying back hop by hop. relay_hops orders the
-  // kRelayNotice stream (notices from different forwarders are not FIFO
-  // relative to each other; the latest hop must win at the origin).
+  // Pipelined forwarding: the first forwarder records the origin kernel's
+  // reply address so the final owner answers the origin directly instead
+  // of proxying back hop by hop. relay_hops orders the kRelayNotice stream
+  // (notices from different forwarders are not FIFO relative to each
+  // other; the latest hop must win at the origin).
   NodeId relay_node = kInvalidNode;  // origin kernel's node (set once)
   EpId relay_ep = 0;                 // origin kernel's reply endpoint
   uint64_t relay_token = 0;          // kRelayNotice: origin's request token
   uint32_t relay_hops = 0;           // forwards this request survived
-  // kCapBatch: coalesced same-destination sub-requests. Each sub-request
-  // stamps `batch_epoch` with the sender's membership epoch at enqueue
-  // time (distinct from `epoch`, which kEpochUpdate/kRelayNotice use for
-  // protocol payloads), so the receiver can spot batches whose entries
-  // straddle an epoch bump.
-  uint64_t batch_epoch = 0;
-  std::vector<std::shared_ptr<IkcMsg>> batch;
 
   uint32_t WireSize() const override {
     size_t migrate_bytes = migrate == nullptr ? 0 : 48 + migrate->caps.size() * 64;
-    size_t batch_bytes = 0;
-    for (const auto& sub : batch) {
-      batch_bytes += sub->WireSize();
-    }
-    return static_cast<uint32_t>(112 + caps.size() * sizeof(uint64_t) + migrate_bytes +
-                                 batch_bytes);
+    return static_cast<uint32_t>(112 + caps.size() * sizeof(uint64_t) + migrate_bytes);
   }
 };
 

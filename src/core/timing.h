@@ -47,10 +47,9 @@ struct TimingModel {
   // 2-capability revoke decodes 5, which yields the paper's +10.7% / +40.3%
   // overheads over M3 (Table 3).
   Cycles ddl_decode = 115;
-  // Remote-DDL cache hit (--cap-batching): re-resolving a hot remote
-  // partition from the epoch-validated cache instead of a full decode +
-  // membership walk. Only remote keys are cached; local decodes and the
-  // cap-batching=off path always pay ddl_decode.
+  // Remote-DDL cache hit: re-resolving a hot remote partition from the
+  // epoch-validated cache instead of a full decode + membership walk. Only
+  // remote keys are cached; local decodes always pay ddl_decode.
   Cycles ddl_cache_hit = 10;
 
   // --- Revocation ---
@@ -67,10 +66,6 @@ struct TimingModel {
 
   // --- Inter-kernel calls ---
   Cycles ikc_send = 500;            // marshal, flow-control check, DTU command
-  // Appending one request to an already-open per-peer batch (--cap-batching):
-  // marshal into the container, no flow-control check, no DTU command —
-  // those are paid once when the container flushes.
-  Cycles ikc_batch_op = 80;
   Cycles ikc_dispatch = 850;        // receive-side decode, thread handoff
   Cycles ikc_reply_handle = 150;    // correlate reply, update counters
   Cycles ikc_exchange_extra = 1723;  // payload (un)marshalling for exchanges

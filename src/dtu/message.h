@@ -55,9 +55,9 @@ class MsgBody {
   // Observability (src/obs): causal trace context. The sender stamps both
   // before handing the body to the DTU; 0 means untraced. Carried by every
   // protocol — this is how parent links cross kernels inside the existing
-  // payloads (syscalls, IKCs and their batch containers, asks, service
-  // requests). Not part of the modeled wire size: tracing is observational
-  // and must not change modeled results.
+  // payloads (syscalls, IKCs, asks, service requests). Not part of the
+  // modeled wire size: tracing is observational and must not change
+  // modeled results.
   uint64_t trace_id = 0;
   uint64_t trace_parent = 0;
 

@@ -59,8 +59,6 @@ constexpr KernelField kKernelFields[] = {
     {"ft_ikcs_aborted", MetricKind::kCounter, &KernelStats::ft_ikcs_aborted},
     {"ikc_batches_sent", MetricKind::kCounter, &KernelStats::ikc_batches_sent},
     {"ikc_batched_ops", MetricKind::kCounter, &KernelStats::ikc_batched_ops},
-    {"ikc_batch_ops_max", MetricKind::kGauge, &KernelStats::ikc_batch_ops_max},
-    {"ikc_batch_mixed_epoch", MetricKind::kCounter, &KernelStats::ikc_batch_mixed_epoch},
     {"ikc_relays_pipelined", MetricKind::kCounter, &KernelStats::ikc_relays_pipelined},
     {"ikc_late_replies", MetricKind::kCounter, &KernelStats::ikc_late_replies},
     {"ddl_cache_hits", MetricKind::kCounter, &KernelStats::ddl_cache_hits},
@@ -69,7 +67,7 @@ constexpr KernelField kKernelFields[] = {
 
 constexpr size_t kScalarFields = sizeof(kKernelFields) / sizeof(kKernelFields[0]);
 
-// Completeness pin: 42 scalar uint64 counters + the two per-IKC-op arrays +
+// Completeness pin: 40 scalar uint64 counters + the two per-IKC-op arrays +
 // the two uint32 thread gauges (handled explicitly below). If this fires,
 // a KernelStats field was added or removed — extend kKernelFields (or the
 // explicit entries in ForEachKernelMetric/AccumulateKernelStats) to match.

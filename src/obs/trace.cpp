@@ -18,7 +18,6 @@ const char* SpanKindName(SpanKind kind) {
     case SpanKind::kIkc:       return "ikc";
     case SpanKind::kIkcRtt:    return "ikc_rtt";
     case SpanKind::kAsk:       return "ask";
-    case SpanKind::kBatch:     return "batch";
     case SpanKind::kRelay:     return "relay";
     case SpanKind::kServe:     return "serve";
     case SpanKind::kMigration: return "migration";

@@ -2,14 +2,13 @@
 // operation (ISSUE 9 tentpole, pillar 1).
 //
 // Every traced step of a request — syscall service, IKC round trip, relay
-// hop, batch container, exchange ask, DTU transit, migration, failover —
-// records a Span. Spans form trees: the trace id names the request (derived
-// from the originating entity and a per-entity sequence number, never wall
-// clock) and the parent id links a span to the step that caused it. Parent
-// links travel inside the existing message payloads (MsgBody::trace_id /
+// hop, exchange ask, DTU transit, migration, failover — records a Span.
+// Spans form trees: the trace id names the request (derived from the
+// originating entity and a per-entity sequence number, never wall clock)
+// and the parent id links a span to the step that caused it. Parent links
+// travel inside the existing message payloads (MsgBody::trace_id /
 // trace_parent), so a spanning obtain's full cross-kernel tree — including
-// pipelined relays and kCapBatch containers — is reconstructable from the
-// flat span list.
+// pipelined relays — is reconstructable from the flat span list.
 //
 // Determinism contract: tracing is observational only. It never schedules
 // events, charges cycles, or touches modeled state, so modeled results are
@@ -52,7 +51,6 @@ enum class SpanKind : uint8_t {
   kIkc,          // IKC request service at the receiving kernel
   kIkcRtt,       // sender-side IKC wait (request out -> reply callback)
   kAsk,          // kernel -> party exchange-ask round trip
-  kBatch,        // kCapBatch container dispatch
   kRelay,        // pipelined stale-epoch forward hop
   kServe,        // server program request service (recv -> response)
   kMigration,    // VPE migration (task opened -> settled), source kernel

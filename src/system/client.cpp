@@ -8,11 +8,6 @@ DriverRig MakeDriverRig(uint32_t kernels, uint32_t users, KernelMode mode) {
   pc.users = users;
   pc.mode = mode;
   pc.timing = TimingModel::For(mode);
-  // The simple rig is the paper-calibration fixture: Table 3 / Figures 4-5
-  // pin single-operation latencies of the *unbatched* protocol, and the
-  // flush-window delay of --cap-batching would shift them. Rigs that want
-  // batching set PlatformConfig::cap_batching through the full overload.
-  pc.cap_batching = 0;
   return MakeDriverRig(pc);
 }
 

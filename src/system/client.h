@@ -79,8 +79,8 @@ struct DriverRig {
   CapSel BuildTree(uint32_t children);
 };
 
-// Calibration rig: runs the unbatched legacy IKC protocol (cap_batching
-// off), because its users pin the paper's single-operation latencies.
+// Calibration rig: `users` clients on `kernels` kernels with the mode's
+// timing model; its users pin the paper's single-operation latencies.
 DriverRig MakeDriverRig(uint32_t kernels, uint32_t users,
                         KernelMode mode = KernelMode::kSemperOSMulti);
 

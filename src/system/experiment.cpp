@@ -35,7 +35,6 @@ AppRunResult RunApp(const AppRunConfig& config) {
   pc.mode = config.mode;
   pc.timing = timing;
   pc.threads = config.threads;
-  pc.cap_batching = config.cap_batching;
   pc.trace = config.trace;
   if (!config.trace_out.empty()) {
     pc.trace.enabled = true;  // asking for a trace file implies tracing
@@ -122,14 +121,13 @@ AppRunResult RunApp(const AppRunConfig& config) {
 }
 
 double SoloRuntimeUs(const std::string& app, uint32_t kernels, uint32_t services,
-                     KernelMode mode, int cap_batching) {
+                     KernelMode mode) {
   AppRunConfig config;
   config.app = app;
   config.kernels = kernels;
   config.services = services;
   config.instances = 1;
   config.mode = mode;
-  config.cap_batching = cap_batching;
   return RunApp(config).mean_runtime_us;
 }
 
@@ -144,7 +142,6 @@ NginxRunResult RunNginx(const NginxRunConfig& config) {
   pc.mem_tiles = 1;
   pc.timing = timing;
   pc.threads = config.threads;
-  pc.cap_batching = config.cap_batching;
   pc.trace = config.trace;
   if (!config.trace_out.empty()) {
     pc.trace.enabled = true;

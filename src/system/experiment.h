@@ -41,7 +41,6 @@ struct AppRunConfig {
   uint32_t instances = 512;
   KernelMode mode = KernelMode::kSemperOSMulti;
   uint32_t threads = 1;  // engine threads (PlatformConfig::threads)
-  int cap_batching = -1;  // tri-state ablation knob (PlatformConfig::cap_batching)
   // Observability (src/obs): forwarded to PlatformConfig. The tracer and
   // timeline die with the platform inside RunApp, so file emission happens
   // there too when these paths are set.
@@ -84,7 +83,7 @@ AppRunResult RunApp(const AppRunConfig& config);
 
 // Solo baseline: one instance on the same system configuration.
 double SoloRuntimeUs(const std::string& app, uint32_t kernels, uint32_t services,
-                     KernelMode mode = KernelMode::kSemperOSMulti, int cap_batching = -1);
+                     KernelMode mode = KernelMode::kSemperOSMulti);
 
 // T_solo / T_parallel (paper §5.3.1): 1.0 = perfect scaling.
 inline double ParallelEfficiency(double solo_us, double parallel_mean_us) {
@@ -106,7 +105,6 @@ struct NginxRunConfig {
   Cycles warmup = 600'000;    // boot + cache settle
   Cycles window = 2'000'000;  // measurement window (1 ms at 2 GHz)
   uint32_t threads = 1;       // engine threads (PlatformConfig::threads)
-  int cap_batching = -1;      // tri-state ablation knob (PlatformConfig::cap_batching)
   // Observability (src/obs): same contract as AppRunConfig.
   obs::TraceConfig trace;
   obs::TimelineConfig timeline;

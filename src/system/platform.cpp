@@ -63,32 +63,13 @@ uint32_t ResolveThreads(uint32_t requested) {
   return hw == 0 ? 1 : hw;
 }
 
-bool ResolveCapBatching(int requested) {
-  if (requested >= 0) {
-    return requested != 0;  // explicit on/off: env-immune (pinned tests)
-  }
-  // SEMPEROS_CAP_BATCHING=0|1 switches any platform whose config left the
-  // knob at "auto" — the off-mode CI job and the bench binaries' ablation
-  // plumbing, mirroring SEMPEROS_THREADS above.
-  if (const char* env = std::getenv("SEMPEROS_CAP_BATCHING")) {
-    if (*env != '\0') {
-      char* end = nullptr;
-      unsigned long parsed = std::strtoul(env, &end, 10);
-      CHECK(end != env && *end == '\0' && parsed <= 1)
-          << "SEMPEROS_CAP_BATCHING must be 0 or 1, got '" << env << "'";
-      return parsed != 0;
-    }
-  }
-  return true;
-}
-
 obs::TraceConfig ResolveTraceConfig(obs::TraceConfig requested) {
   if (requested.enabled) {
     return requested;  // explicit on: env-immune
   }
   // SEMPEROS_TRACE=0|1 switches any platform whose config left tracing
   // off — the CI bit-identity job's plumbing, mirroring SEMPEROS_THREADS
-  // and SEMPEROS_CAP_BATCHING above.
+  // above.
   if (const char* env = std::getenv("SEMPEROS_TRACE")) {
     if (*env != '\0') {
       char* end = nullptr;
@@ -244,9 +225,6 @@ Platform::Platform(PlatformConfig config) : config_(std::move(config)) {
     kc.kernel_nodes = kernel_nodes_;
     kc.max_inflight = config_.max_inflight;
     kc.revoke_batching = config_.revoke_batching;
-    kc.cap_batching = ResolveCapBatching(config_.cap_batching);
-    kc.batch_window = config_.batch_window;
-    kc.batch_max_ops = config_.batch_max_ops;
     kc.pe_types = pe_types_;
     // Quorum leaders report decreed takeovers so the platform's own
     // membership copy (and kernel_of()) mirrors exactly what the kernels

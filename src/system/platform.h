@@ -46,12 +46,6 @@ uint32_t ResolveThreads(uint32_t requested);
 
 inline constexpr uint32_t kForceSerialThreads = UINT32_MAX;
 
-// Resolves a --cap-batching=auto|on|off style request: -1 means "auto"
-// (on, unless SEMPEROS_CAP_BATCHING=0 in the environment overrides it —
-// the off-mode CI job's plumbing), 0 forces off, 1 forces on. Explicit
-// values are env-immune, so pinned legacy-mode tests stay pinned.
-bool ResolveCapBatching(int requested);
-
 // Resolves the tracing knob: an explicitly enabled TraceConfig always wins;
 // otherwise SEMPEROS_TRACE=1 in the environment turns tracing on (the CI
 // proof that gated benchmarks are bit-identical with the flight recorder
@@ -68,18 +62,6 @@ struct PlatformConfig {
   TimingModel timing = TimingModel::SemperOs();
   uint32_t max_inflight = 4;     // M_inflight (paper §5.1)
   bool revoke_batching = false;  // extension: batch REVOKE_REQs per peer
-  // Capability-IKC batching + pipelined ancestry walks + remote-DDL cache
-  // (the --cap-batching ablation). Tri-state: -1 = auto (on, unless
-  // SEMPEROS_CAP_BATCHING=0 overrides), 0 = off (the exact legacy IKC
-  // path; committed legacy baselines are produced this way), 1 = on.
-  int cap_batching = -1;
-  // Flush-window tuning (only meaningful with cap_batching on): a per-peer
-  // batch flushes when it reaches batch_max_ops, when the window timer
-  // armed at its first op fires, or when a non-batchable op to the same
-  // peer needs the FIFO. Tests widen the window to force multi-op and
-  // mixed-epoch containers deterministically.
-  Cycles batch_window = 200;
-  uint32_t batch_max_ops = 8;
   NocConfig noc;                 // width/height are computed from the PE count
   // Engine parallelism: 1 = the exact legacy single-queue path (default;
   // committed modeled baselines are produced this way), 0 = auto (host

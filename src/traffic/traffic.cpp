@@ -157,7 +157,6 @@ TrafficResult RunTraffic(const TrafficConfig& config) {
   pc.mem_tiles = 1;
   pc.timing = timing;
   pc.threads = config.threads;
-  pc.cap_batching = config.cap_batching;
   pc.trace = config.trace;
   pc.timeline = config.timeline;
   Platform platform(pc);
@@ -346,19 +345,9 @@ SaturationResult FindSaturation(const SaturationConfig& config) {
       }
     }
   }
-  if (lo == 0) {
-    // Never sustained anywhere in the bracket: report zero, with probes as
-    // evidence.
-    result.saturation_rps = 0;
-    return result;
-  }
-  if (hi == 0) {
-    // Sustained everywhere probed: the search starting rate was far below
-    // the knee; report the highest sustained probe.
-    result.saturation_rps = lo;
-    return result;
-  }
-  for (uint32_t i = 0; i < config.refine_steps; ++i) {
+  // Refine only a real bracket: with lo == 0 nothing was sustained, with
+  // hi == 0 everything probed was.
+  for (uint32_t i = 0; lo != 0 && hi != 0 && i < config.refine_steps; ++i) {
     double mid = (lo + hi) * 0.5;
     if (probe_at(mid)) {
       lo = mid;
@@ -366,7 +355,13 @@ SaturationResult FindSaturation(const SaturationConfig& config) {
       hi = mid;
     }
   }
-  result.saturation_rps = lo;
+  // Report the measured rate, not the nominal search rate: a probe's
+  // realized offered rate sits below its nominal one (docs/benchmarks.md).
+  for (const SaturationProbe& probe : result.probes) {
+    if (probe.sustained) {
+      result.saturation_rps = std::max(result.saturation_rps, probe.offered_rps);
+    }
+  }
   return result;
 }
 

@@ -106,7 +106,6 @@ struct TrafficConfig {
   uint64_t seed = 1;
   uint32_t pipeline = 8;          // per-generator transport credits
   uint32_t threads = 1;           // engine threads (PlatformConfig::threads)
-  int cap_batching = -1;          // tri-state ablation knob (PlatformConfig::cap_batching)
   // Observability (src/obs): span tracing + counter timeline, forwarded to
   // PlatformConfig. With tracing on, every request gets a root span, the
   // measured tail is retained as exemplars, and the merged-span fingerprint
@@ -161,9 +160,10 @@ TrafficResult RunTraffic(const TrafficConfig& config);
 
 // Saturation-throughput search: brackets the highest offered rate the system
 // sustains (throughput >= 95% of offered and p99 within the SLA) by doubling
-// or halving from config.arrivals.rate_rps, then bisects. Every probe is an
-// independent deterministic RunTraffic, so the search path — and therefore
-// the reported saturation rate — is a pure function of the config.
+// or halving the nominal rate from config.arrivals.rate_rps, then bisects.
+// Every probe is an independent deterministic RunTraffic, so the search
+// path — and therefore the reported saturation rate — is a pure function of
+// the config.
 struct SaturationProbe {
   double offered_rps = 0;
   double throughput_rps = 0;
@@ -180,7 +180,7 @@ struct SaturationConfig {
 };
 
 struct SaturationResult {
-  double saturation_rps = 0;    // highest sustained offered rate probed
+  double saturation_rps = 0;    // highest measured offered_rps of a sustained probe
   std::vector<SaturationProbe> probes;
 };
 

@@ -88,17 +88,14 @@ WorkloadResult RunAppDriver(const std::string& app, const WorkloadParams& p) {
     config.kernels = 1;  // the M3 baseline is a single-kernel system
   }
   config.threads = p.Threads();
-  config.cap_batching = p.CapBatching();
   ApplyObsParams(p, &config);
-  double solo =
-      SoloRuntimeUs(app, config.kernels, config.services, config.mode, config.cap_batching);
+  double solo = SoloRuntimeUs(app, config.kernels, config.services, config.mode);
   AppRunResult r = RunApp(config);
 
   WorkloadResult out;
-  out.Note(Fmt("%s: %u instances on %u kernels + %u services (%s%s)", app.c_str(),
+  out.Note(Fmt("%s: %u instances on %u kernels + %u services (%s)", app.c_str(),
                config.instances, config.kernels, config.services,
-               config.mode == KernelMode::kM3SingleKernel ? "M3 baseline" : "SemperOS",
-               p.Bool("batching") ? ", batching" : ""));
+               config.mode == KernelMode::kM3SingleKernel ? "M3 baseline" : "SemperOS"));
   double parallel_eff = ParallelEfficiency(solo, r.mean_runtime_us);
   out.Add("solo_runtime", solo, "us");
   out.Add("mean_runtime", r.mean_runtime_us, "us");
@@ -129,8 +126,7 @@ void RegisterApps() {
     spec.supports_strict = true;
     spec.params = {Kernels("8"), Services("8"),
                    {"instances", ParamType::kU32, "64", "parallel app instances", {}},
-                   {"mode", ParamType::kString, "semperos", "kernel mode", {"semperos", "m3"}},
-                   {"batching", ParamType::kBool, "0", "revocation batching (annotation)", {}}};
+                   {"mode", ParamType::kString, "semperos", "kernel mode", {"semperos", "m3"}}};
     spec.run = [app](const WorkloadParams& p) { return RunAppDriver(app, p); };
     WorkloadRegistry::Global().Register(std::move(spec));
   }
@@ -151,7 +147,6 @@ void RegisterNginx() {
     config.services = p.U32("services");
     config.servers = p.U32("servers");
     config.threads = p.Threads();
-    config.cap_batching = p.CapBatching();
     ApplyObsParams(p, &config);
     NginxRunResult r = RunNginx(config);
     WorkloadResult out;
@@ -245,7 +240,6 @@ void RegisterFailover() {
     config.kernels = p.U32("kernels");
     config.users_per_kernel = std::max(1u, p.U32("instances") / std::max(1u, config.kernels));
     config.threads = p.Threads();
-    config.cap_batching = p.CapBatching();
     const std::string& fk = p.Str("fail-kernel");
     size_t at = fk.find('@');
     config.victim = static_cast<KernelId>(std::stoul(fk.substr(0, at)));
@@ -325,7 +319,6 @@ void RegisterRebalance() {
     config.migrate_pes = p.U32("migrate-pes");
     config.migrate_at = p.U64("migrate-at");
     config.threads = p.Threads();
-    config.cap_batching = p.CapBatching();
     RebalanceResult r = RunRebalance(config);
     WorkloadResult out;
     out.Note(Fmt("rebalance: %u kernels x %u clients, %u PEs migrated at %llu cycles",
@@ -391,7 +384,6 @@ void RegisterTrace() {
     pc.services = p.U32("services");
     pc.users = 1;
     pc.threads = p.Threads();
-    pc.cap_batching = p.CapBatching();
     Platform platform(pc);
     uint32_t index = 0;
     for (NodeId node : platform.service_nodes()) {
@@ -557,7 +549,6 @@ TrafficConfig TrafficConfigFrom(const WorkloadParams& p) {
   config.seed = p.U64("seed");
   config.pipeline = p.U32("pipeline");
   config.threads = p.Threads();
-  config.cap_batching = p.CapBatching();
   ApplyObsParams(p, &config);
   config.tail_exemplars = p.U32("tail-exemplars");
   return config;

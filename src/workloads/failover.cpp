@@ -165,7 +165,6 @@ FailoverResult RunFailover(const FailoverConfig& config) {
   pc.users = config.kernels * config.users_per_kernel;
   pc.timing = timing;
   pc.threads = config.threads;
-  pc.cap_batching = config.cap_batching;
   Platform platform(pc);
 
   std::vector<FailoverClient*> clients;

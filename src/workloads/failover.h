@@ -47,7 +47,6 @@ struct FailoverConfig {
   Cycles retry_timeout = 150'000;
   uint32_t retry_max = 32;
   uint32_t threads = 1;            // engine threads (PlatformConfig::threads)
-  int cap_batching = -1;           // tri-state ablation knob (PlatformConfig::cap_batching)
 };
 
 struct FailoverResult {

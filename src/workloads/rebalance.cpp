@@ -117,7 +117,6 @@ RebalanceResult RunRebalance(const RebalanceConfig& config) {
   pc.users = config.kernels * config.users_per_kernel;
   pc.timing = timing;
   pc.threads = config.threads;
-  pc.cap_batching = config.cap_batching;
   Platform platform(pc);
 
   std::vector<RebalanceClient*> clients;

@@ -29,7 +29,6 @@ struct RebalanceConfig {
   uint32_t migrate_pes = 2;      // hot PEs drained from kernel 0
   Cycles migrate_at = 300'000;   // when the rebalancer kicks in
   uint32_t threads = 1;          // engine threads (PlatformConfig::threads)
-  int cap_batching = -1;         // tri-state ablation knob (PlatformConfig::cap_batching)
 };
 
 struct RebalanceResult {

@@ -165,19 +165,6 @@ uint32_t WorkloadParams::Threads() const {
   return static_cast<uint32_t>(v);
 }
 
-int WorkloadParams::CapBatching() const {
-  const std::string& text = Str("cap-batching");
-  if (text == "auto") {
-    return -1;
-  }
-  if (text == "on" || text == "1") {
-    return 1;
-  }
-  CHECK(text == "off" || text == "0")
-      << "--cap-batching=" << text << ": expected auto, on or off";
-  return 0;
-}
-
 double WorkloadResult::Value(const std::string& name) const {
   for (const WorkloadMetric& metric : metrics) {
     if (metric.name == name) {
@@ -279,7 +266,6 @@ WorkloadInvocation ParseWorkloadCli(const std::vector<std::string>& args) {
     invocation.params.Set(param.name, param.default_value);
   }
   invocation.params.Set("threads", "1");
-  invocation.params.Set("cap-batching", "auto");
   invocation.params.Set("trace-out", "");
   invocation.params.Set("metrics-out", "");
   invocation.params.Set("metrics-interval", "0");
@@ -302,14 +288,6 @@ WorkloadInvocation ParseWorkloadCli(const std::vector<std::string>& args) {
         return Fail(Fmt("--threads=%s: expected a count or 'auto'", value.c_str()));
       }
       invocation.params.Set("threads", value == "auto" ? "0" : value);
-      continue;
-    }
-    if (arg.rfind("--cap-batching=", 0) == 0) {
-      std::string value = arg.substr(15);
-      if (value != "auto" && value != "on" && value != "off" && value != "0" && value != "1") {
-        return Fail(Fmt("--cap-batching=%s: expected auto, on or off", value.c_str()));
-      }
-      invocation.params.Set("cap-batching", value);
       continue;
     }
     if (arg.rfind("--trace-out=", 0) == 0) {
@@ -410,10 +388,6 @@ std::string FormatWorkloadList() {
   os << "                    bit-identical at any thread count)\n";
   os << "  --stats           print engine windows/handoffs/imbalance after the run\n";
   os << "  --strict          run serial AND parallel, abort on any modeled mismatch\n";
-  os << "  --cap-batching=auto|on|off\n";
-  os << "                    IKC batching + pipelined walks + remote-DDL cache\n";
-  os << "                    ablation (auto = on unless SEMPEROS_CAP_BATCHING=0;\n";
-  os << "                    off = the exact legacy IKC path)\n";
   os << "  --trace-out=FILE  record causal spans and write a Chrome/Perfetto\n";
   os << "                    trace_event JSON (also enables tracing; tracing is\n";
   os << "                    observational only — modeled cycles never change;\n";

@@ -59,10 +59,6 @@ class WorkloadParams {
   bool Bool(const std::string& name) const;
   // Engine-thread count: "auto" parses as 0 (ResolveThreads picks cores).
   uint32_t Threads() const;
-  // Capability-IKC batching tri-state: "auto" parses as -1 (ResolveCapBatching
-  // consults SEMPEROS_CAP_BATCHING, defaulting on), "off"/"0" as 0, "on"/"1"
-  // as 1 (PlatformConfig::cap_batching).
-  int CapBatching() const;
 
  private:
   std::map<std::string, std::string> values_;

@@ -15,10 +15,6 @@ DriverRig BatchRig(uint32_t kernels, uint32_t users, bool batching) {
   pc.kernels = kernels;
   pc.users = users;
   pc.revoke_batching = batching;
-  // These tests isolate *revoke* batching's message-count effect; the
-  // cap-batching IKC container would fold the per-child REVOKE_REQs too
-  // and wash out the comparison (tests/cap_batching_test.cpp covers it).
-  pc.cap_batching = 0;
   return MakeDriverRig(pc);
 }
 
@@ -73,8 +69,12 @@ TEST(BatchingBehaviour, FewerMessagesThanPerChild) {
       ASSERT_EQ(r.err, ErrCode::kOk);
     });
     rig.p().RunToCompletion();
-    uint64_t sent = rig.p().TotalKernelStats().ikc_sent - before;
-    (batching ? ikc_batched : ikc_plain) = sent;
+    KernelStats after = rig.p().TotalKernelStats();
+    (batching ? ikc_batched : ikc_plain) = after.ikc_sent - before;
+    // The multi-op counters track kRevokeBatchReq: one request per remote
+    // peer, carrying every remote child key.
+    EXPECT_EQ(after.ikc_batches_sent, batching ? 4u : 0u);
+    EXPECT_EQ(after.ikc_batched_ops, batching ? after.spanning_revokes : 0u);
   }
   // 32 children over 4 remote kernels: ~32 requests unbatched vs ~4 batched.
   EXPECT_LT(ikc_batched * 4, ikc_plain);

@@ -197,13 +197,9 @@ TEST(FailoverTest, TwoKernelSystemRefusesRecovery) {
 TEST(FailoverTest, RecoveryInvalidatesRemoteDdlCache) {
   // Failover is the other epoch-bump source: the takeover verdict rewrites
   // the dead kernel's partitions, so every survivor's remote-DDL cache
-  // (--cap-batching) must be dropped even for keys whose partitions did
-  // not change hands — post-recovery lookups have to re-probe.
-  PlatformConfig pc;
-  pc.kernels = 3;
-  pc.users = 3;
-  pc.cap_batching = 1;  // pinned (env-immune): this test is about the cache
-  DriverRig rig = MakeDriverRig(pc);
+  // must be dropped even for keys whose partitions did not change hands —
+  // post-recovery lookups have to re-probe.
+  DriverRig rig = MakeDriverRig(3, 3);
 
   size_t c0 = 0;
   while (rig.p().membership().KernelOf(rig.vpe(c0)) != 0) {

@@ -19,19 +19,12 @@
 namespace semperos {
 namespace {
 
-// The tar pins hold in BOTH --cap-batching modes: this configuration's only
-// IKCs are the boot-time service announcements, which are isolated size-1
-// batches (flushed by the window timer as bare messages, off the critical
-// path), so the batched run is bit-identical to the legacy one.
-class GoldenTar : public ::testing::TestWithParam<int> {};
-
-TEST_P(GoldenTar, FourInstancesOnTwoKernels) {
+TEST(GoldenTar, FourInstancesOnTwoKernels) {
   AppRunConfig config;
   config.app = "tar";
   config.kernels = 2;
   config.services = 2;
   config.instances = 4;
-  config.cap_batching = GetParam();
   AppRunResult r = RunApp(config);
 
   EXPECT_EQ(r.makespan, 5814791u);
@@ -51,9 +44,6 @@ TEST_P(GoldenTar, FourInstancesOnTwoKernels) {
   EXPECT_EQ(stats.caps_deleted, 80u);
 }
 
-INSTANTIATE_TEST_SUITE_P(CapBatching, GoldenTar, ::testing::Values(0, 1),
-                         [](const auto& pinfo) { return pinfo.param ? "on" : "off"; });
-
 // Crash-recovery modeled outputs for a fixed small configuration (3
 // kernels, 2 clients each, kernel 1 killed at cycle 300k mid-run). These
 // pin the fault-tolerance path end to end: heartbeat cadence, timeout
@@ -61,17 +51,15 @@ INSTANTIATE_TEST_SUITE_P(CapBatching, GoldenTar, ::testing::Values(0, 1),
 // the stranded clients' watchdog resume. If you intentionally change the
 // detector parameters or the recovery cost model, re-derive these — and
 // refresh bench-results/baseline/BENCH_failover.json too.
-FailoverResult RunGoldenFailover(int cap_batching) {
+TEST(GoldenModel, FailoverRecoveryPinnedValues) {
   FailoverConfig config;
   config.kernels = 3;
   config.users_per_kernel = 2;
   config.ops_per_client = 30;
   config.orphan_caps = 4;
   config.kill_at = 300'000;
-  config.cap_batching = cap_batching;
   FailoverResult r = RunFailover(config);
-  // Invariant in both modes: the crash is detected, recovered from, and
-  // repaired completely.
+  // The crash is detected, recovered from, and repaired completely.
   EXPECT_TRUE(r.recovered);
   EXPECT_EQ(r.survivor_epoch, 1u);
   EXPECT_EQ(r.total_ops, 180u);
@@ -80,68 +68,36 @@ FailoverResult RunGoldenFailover(int cap_batching) {
   EXPECT_EQ(r.seeds_revoked, 8u);
   EXPECT_EQ(r.eps_invalidated, 4u);
   EXPECT_EQ(r.pes_adopted, 2u);
-  EXPECT_EQ(r.edges_pruned, 2u);
+  EXPECT_EQ(r.edges_pruned, 1u);
   EXPECT_EQ(r.leaked_caps, 0u);
   EXPECT_EQ(r.kernel_stats.hb_sent, 100u);
   EXPECT_EQ(r.kernel_stats.ft_suspicions, 2u);
   EXPECT_EQ(r.kernel_stats.ft_votes, 2u);
   EXPECT_EQ(r.kernel_stats.ft_failovers, 2u);
-  EXPECT_EQ(r.kernel_stats.caps_created, 203u);
+  EXPECT_EQ(r.kernel_stats.caps_created, 202u);
   EXPECT_EQ(r.kernel_stats.caps_deleted, 188u);
   EXPECT_EQ(r.kernel_stats.syscalls, 374u);
-  return r;
-}
-
-TEST(GoldenModel, FailoverRecoveryPinnedValuesLegacy) {
-  FailoverResult r = RunGoldenFailover(/*cap_batching=*/0);
-  EXPECT_EQ(r.makespan, 1085608u);
-  EXPECT_EQ(r.detect_latency, 94512u);
-  EXPECT_EQ(r.recover_latency, 109864u);
+  EXPECT_EQ(r.makespan, 1069782u);
+  EXPECT_EQ(r.detect_latency, 101413u);
+  EXPECT_EQ(r.recover_latency, 118494u);
   EXPECT_EQ(r.adopted_ops, 60u);
   EXPECT_EQ(r.adopted_ops_post_kill, 41u);
   EXPECT_EQ(r.client_retries, 2u);
-  EXPECT_EQ(r.events, 4556u);
-  EXPECT_EQ(r.kernel_stats.ikc_sent, 338u);
-  // The legacy path never touches the batching machinery.
-  EXPECT_EQ(r.kernel_stats.ikc_batches_sent, 0u);
-  EXPECT_EQ(r.kernel_stats.ikc_relays_pipelined, 0u);
-  EXPECT_EQ(r.kernel_stats.ddl_cache_hits, 0u);
-  EXPECT_EQ(r.kernel_stats.ddl_cache_misses, 0u);
-}
-
-TEST(GoldenModel, FailoverRecoveryPinnedValuesBatched) {
-  FailoverResult r = RunGoldenFailover(/*cap_batching=*/1);
-  EXPECT_EQ(r.makespan, 1079042u);
-  EXPECT_EQ(r.detect_latency, 92764u);
-  EXPECT_EQ(r.recover_latency, 116072u);
-  EXPECT_EQ(r.adopted_ops, 60u);
-  EXPECT_EQ(r.adopted_ops_post_kill, 41u);
-  EXPECT_EQ(r.client_retries, 2u);
-  EXPECT_EQ(r.events, 4871u);
-  EXPECT_EQ(r.kernel_stats.ikc_sent, 335u);
-  // The ablation machinery must actually engage on this workload.
+  EXPECT_EQ(r.events, 4547u);
+  EXPECT_EQ(r.kernel_stats.ikc_sent, 337u);
+  // The remote-DDL cache must actually engage on this workload.
   EXPECT_GT(r.kernel_stats.ddl_cache_hits, 0u);
   EXPECT_GT(r.kernel_stats.ddl_cache_misses, 0u);
 }
 
 // Single-instance modeled runtimes on a 2-kernel, 2-service system. These
 // anchor the parallel-efficiency figures: every efficiency value is
-// solo/parallel, so a drifting solo runtime skews whole curves. As with the
-// tar pins above, the solo runs have no mid-run cross-kernel traffic, so
-// both --cap-batching modes produce the same modeled runtimes.
-class GoldenSolo : public ::testing::TestWithParam<int> {};
-
-TEST_P(GoldenSolo, SoloRuntimes) {
-  int cb = GetParam();
-  EXPECT_DOUBLE_EQ(SoloRuntimeUs("tar", 2, 2, KernelMode::kSemperOSMulti, cb),
-                   2878.5720000000001);
-  EXPECT_DOUBLE_EQ(SoloRuntimeUs("find", 2, 2, KernelMode::kSemperOSMulti, cb), 2289.77);
-  EXPECT_DOUBLE_EQ(SoloRuntimeUs("postmark", 2, 2, KernelMode::kSemperOSMulti, cb),
-                   1795.2349999999999);
+// solo/parallel, so a drifting solo runtime skews whole curves.
+TEST(GoldenSolo, SoloRuntimes) {
+  EXPECT_DOUBLE_EQ(SoloRuntimeUs("tar", 2, 2), 2878.5720000000001);
+  EXPECT_DOUBLE_EQ(SoloRuntimeUs("find", 2, 2), 2289.77);
+  EXPECT_DOUBLE_EQ(SoloRuntimeUs("postmark", 2, 2), 1795.2349999999999);
 }
-
-INSTANTIATE_TEST_SUITE_P(CapBatching, GoldenSolo, ::testing::Values(0, 1),
-                         [](const auto& pinfo) { return pinfo.param ? "on" : "off"; });
 
 }  // namespace
 }  // namespace semperos

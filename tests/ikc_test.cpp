@@ -2,6 +2,10 @@
 // (paper §4.1).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "audit/cap_audit.h"
+#include "dtu/msg_pool.h"
 #include "tests/test_util.h"
 
 namespace semperos {
@@ -64,6 +68,45 @@ TEST(IkcOrdering, RepliesNeverOvertakeWithinAPair) {
   });
   rig.p().RunToCompletion();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(IkcRobustness, UnknownTokenReplyIsCountedNotFatal) {
+  // Peer kernels are trusted but can be late or duplicate a reply. A reply
+  // whose token matches no pending IKC is counted, and the kernel carries
+  // on serving.
+  ClientRig rig = MakeRig(2, 2);
+  Kernel* k0 = rig.p().kernel(0);
+  ASSERT_EQ(k0->stats().ikc_late_replies, 0u);
+
+  // Kernel 1 answers a request kernel 0 never sent: the reply lands on the
+  // endpoint kernel 0 receives kernel 1's replies on.
+  Message request;
+  request.src_node = rig.p().kernel_node(0);
+  request.reply_ep = Kernel::kEpKernel0 + (1 % Kernel::kNumKernelEps);
+  auto reply = NewMsg<IkcReply>();
+  reply->token = UINT64_MAX;
+  Dtu& k1_dtu = rig.p().pe(rig.p().kernel_node(1))->dtu();
+  ASSERT_TRUE(k1_dtu.SendDeferredReply(request, reply).ok());
+  rig.p().RunToCompletion();
+
+  EXPECT_EQ(k0->stats().ikc_late_replies, 1u);
+  EXPECT_EQ(rig.p().TotalDrops(), 0u);
+  AuditReport report = AuditPlatform(rig.p());
+  EXPECT_TRUE(report.ok()) << report.ToString();
+
+  // Kernel 0 still completes a spanning exchange afterwards.
+  size_t local = rig.kernel_of_client(0) == k0 ? 0 : 1;
+  size_t remote = 1 - local;
+  ASSERT_EQ(rig.kernel_of_client(local), k0);
+  ASSERT_NE(rig.kernel_of_client(remote), k0);
+  CapSel sel = rig.Grant(remote);
+  bool obtained = false;
+  rig.client(local).env().Obtain(rig.vpe(remote), sel, [&obtained](const SyscallReply& r) {
+    EXPECT_EQ(r.err, ErrCode::kOk);
+    obtained = true;
+  });
+  rig.p().RunToCompletion();
+  EXPECT_TRUE(obtained);
 }
 
 TEST(ServiceDirectory, AnnouncementsReachAllKernels) {

@@ -309,15 +309,11 @@ TEST(MigrationTest, RejectsInvalidDestinations) {
 }
 
 TEST(MigrationTest, EpochBumpInvalidatesRemoteDdlCache) {
-  // The remote-DDL cache (--cap-batching) must drop everything when a
-  // migration bumps the membership epoch: a key cached under the old view
-  // could route to the wrong kernel afterwards, so the post-bump lookup
-  // has to re-probe even though the key itself did not move.
-  PlatformConfig pc;
-  pc.kernels = 3;
-  pc.users = 6;
-  pc.cap_batching = 1;  // pinned (env-immune): this test is about the cache
-  DriverRig rig = MakeDriverRig(pc);
+  // The remote-DDL cache must drop everything when a migration bumps the
+  // membership epoch: a key cached under the old view could route to the
+  // wrong kernel afterwards, so the post-bump lookup has to re-probe even
+  // though the key itself did not move.
+  DriverRig rig = MakeDriverRig(3, 6);
 
   size_t c0 = 0;
   while (rig.p().membership().KernelOf(rig.vpe(c0)) != 0) {
@@ -362,6 +358,108 @@ TEST(MigrationTest, EpochBumpInvalidatesRemoteDdlCache) {
     EXPECT_EQ(rig.p().kernel(k)->PendingOps(), 0u) << "kernel " << k;
   }
   EXPECT_EQ(rig.p().TotalDrops(), 0u);
+}
+
+// A cross-kernel tree whose owner migrates mid-workload while other
+// clients keep obtaining from the moving root, then a full revocation. The
+// stale-epoch obtain must travel as a pipelined relay, and the run must end
+// in the per-kernel forest pinned below. The pin was captured from the
+// store-and-forward proxy protocol that relays replaced: both protocols
+// converge to this exact end state.
+TEST(MigrationTest, MigrationStormSameEndState) {
+  const char* const kPinnedDumps[] = {
+      "kernel 0: 1 VPEs, 1 capabilities\n"
+      "  vpe 2: 1 caps\n"
+      "    sel 1: vpe key=2251937521074178\n",
+      "kernel 1: 2 VPEs, 2 capabilities\n"
+      "  vpe 4: 1 caps\n"
+      "    sel 1: vpe key=4503874773712897\n"
+      "  vpe 5: 1 caps\n"
+      "    sel 1: vpe key=5629843400032258\n",
+      "kernel 2: 3 VPEs, 3 capabilities\n"
+      "  vpe 1: 1 caps\n"
+      "    sel 1: vpe key=1125968894754817\n"
+      "  vpe 7: 1 caps\n"
+      "    sel 1: vpe key=7881780652670977\n"
+      "  vpe 8: 1 caps\n"
+      "    sel 1: vpe key=9007749278990338\n",
+  };
+  DriverRig rig = MakeDriverRig(3, 6);
+
+  // Client indices per kernel (groups are laid out contiguously).
+  auto client_in_kernel = [&rig](KernelId k, size_t j) {
+    size_t seen = 0;
+    for (size_t i = 0; i < rig.clients.size(); ++i) {
+      if (rig.p().membership().KernelOf(rig.vpe(i)) == k) {
+        if (seen == j) {
+          return i;
+        }
+        ++seen;
+      }
+    }
+    CHECK(false) << "kernel " << k << " has no client #" << j;
+    return size_t{0};
+  };
+  size_t c0 = client_in_kernel(0, 0);
+  size_t c1 = client_in_kernel(1, 0);
+  size_t c2 = client_in_kernel(2, 0);
+  VpeId mover = rig.vpe(c0);
+  CapSel root = rig.Grant(c0);
+
+  // Root at kernel 0 with children in kernels 1 and 2.
+  for (size_t receiver : {c1, c2}) {
+    bool delegated = false;
+    rig.client(c0).env().Delegate(root, rig.vpe(receiver), [&delegated](const SyscallReply& r) {
+      ASSERT_EQ(r.err, ErrCode::kOk);
+      delegated = true;
+    });
+    rig.p().RunToCompletion();
+    ASSERT_TRUE(delegated);
+  }
+
+  // Migrate the owner to kernel 2 while obtains race the handoff.
+  bool migrated = false;
+  int obtains_ok = 0;
+  Cycles t0 = rig.p().sim().Now();
+  rig.p().sim().ScheduleAt(t0 + 4'000, [&rig, &migrated, mover] {
+    rig.p().MigratePe(mover, 2, [&migrated](ErrCode err) {
+      EXPECT_EQ(err, ErrCode::kOk);
+      migrated = true;
+    });
+  });
+  size_t obtainers[] = {c1, c2, client_in_kernel(1, 1)};
+  Cycles offsets[] = {2'000, 4'500, 9'000};
+  for (int i = 0; i < 3; ++i) {
+    size_t who = obtainers[i];
+    rig.p().sim().ScheduleAt(t0 + offsets[i], [&rig, &obtains_ok, who, mover, root] {
+      rig.client(who).env().Obtain(mover, root, [&obtains_ok](const SyscallReply& r) {
+        EXPECT_EQ(r.err, ErrCode::kOk);
+        obtains_ok++;
+      });
+    });
+  }
+  rig.p().RunToCompletion();
+  ASSERT_TRUE(migrated);
+  ASSERT_EQ(obtains_ok, 3);
+
+  // Tear the whole tree down from the moved VPE.
+  bool revoked = false;
+  rig.client(c0).env().Revoke(root, [&revoked](const SyscallReply& r) {
+    ASSERT_EQ(r.err, ErrCode::kOk);
+    revoked = true;
+  });
+  rig.p().RunToCompletion();
+  ASSERT_TRUE(revoked);
+
+  for (KernelId k = 0; k < 3; ++k) {
+    EXPECT_EQ(rig.p().kernel(k)->DumpCaps(), kPinnedDumps[k]) << "kernel " << k;
+    EXPECT_EQ(rig.p().kernel(k)->PendingOps(), 0u) << "kernel " << k;
+  }
+  EXPECT_EQ(rig.p().TotalDrops(), 0u);
+  KernelStats stats = rig.p().TotalKernelStats();
+  EXPECT_GE(stats.ikc_forwarded, 1u);
+  EXPECT_GE(stats.ikc_relays_pipelined, 1u);
+  EXPECT_GE(stats.ddl_cache_misses, 1u);
 }
 
 TEST(RebalanceTest, WorkloadCompletesWithZeroLeaks) {

@@ -11,8 +11,8 @@
 //  - integration: a spanning obtain on a 4-kernel platform yields ONE
 //    connected span tree whose critical-path cycle sum equals the measured
 //    latency — and the whole span stream is bit-identical at threads 1 and 4,
-//  - kCapBatch containers and pipelined relay hops stay parent-linked into
-//    the request trees that ride in them.
+//  - pipelined relay hops stay parent-linked into the request trees that
+//    ride in them.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -265,72 +265,12 @@ TEST(ObsIntegration, SpanningObtainYieldsConnectedTreeMatchingLatency) {
   EXPECT_EQ(parallel.path.spans, serial.path.spans);
 }
 
-// Four near-simultaneous obtains inside the widened batch window: their
-// OBTAIN_REQs coalesce into kCapBatch containers (cap_batching_test pins
-// the forest equivalence; here we pin the observability). Every kBatch
-// span must stay parent-linked into the request tree that rides in it.
-TEST(ObsIntegration, BatchContainersStayParentLinked) {
-  PlatformConfig pc;
-  pc.kernels = 2;
-  pc.users = 8;
-  pc.cap_batching = 1;
-  pc.batch_window = 2'000;
-  pc.trace.enabled = true;
-  DriverRig rig = MakeDriverRig(pc);
-
-  CapSel root = rig.Grant(0);
-  std::vector<size_t> remote;
-  for (size_t i = 0; i < rig.clients.size(); ++i) {
-    if (rig.kernel_of_client(i) != rig.kernel_of_client(0)) {
-      remote.push_back(i);
-    }
-  }
-  ASSERT_GE(remote.size(), 4u);
-
-  int ok = 0;
-  VpeId owner = rig.vpe(0);
-  Cycles t0 = rig.p().sim().Now();
-  for (size_t j = 0; j < 4; ++j) {
-    size_t who = remote[j];
-    rig.p().sim().ScheduleAt(t0 + 1'000 + static_cast<Cycles>(j) * 50,
-                             [&rig, &ok, who, owner, root] {
-                               rig.client(who).env().Obtain(owner, root,
-                                                            [&ok](const SyscallReply& r) {
-                                                              CHECK(r.err == ErrCode::kOk);
-                                                              ok++;
-                                                            });
-                             });
-  }
-  rig.p().RunToCompletion();
-  ASSERT_EQ(ok, 4);
-  ASSERT_GE(rig.p().TotalKernelStats().ikc_batches_sent, 1u);
-
-  obs::Tracer* tracer = rig.p().tracer();
-  ASSERT_NE(tracer, nullptr);
-  std::set<std::pair<uint64_t, uint64_t>> ids;  // (trace, span)
-  for (const obs::Span& s : tracer->Merged()) {
-    ids.emplace(s.trace_id, s.span_id);
-  }
-  int batch_spans = 0;
-  for (const obs::Span& s : tracer->Merged()) {
-    if (s.kind != obs::SpanKind::kBatch) {
-      continue;
-    }
-    batch_spans++;
-    EXPECT_NE(s.parent_id, 0u);
-    EXPECT_TRUE(ids.count({s.trace_id, s.parent_id}))
-        << "batch span " << s.span_id << " has a dangling parent";
-  }
-  EXPECT_GE(batch_spans, 1);
-}
-
 // Migration mid-obtain: stale-epoch requests travel as pipelined relays.
 // Each kRelay hop must land inside the obtain's trace, parent-linked.
 TEST(ObsIntegration, PipelinedRelayHopsStayParentLinked) {
   PlatformConfig pc;
   pc.kernels = 3;
   pc.users = 6;
-  pc.cap_batching = 1;
   pc.trace.enabled = true;
   DriverRig rig = MakeDriverRig(pc);
 

@@ -66,8 +66,6 @@ void ExpectSameStats(const KernelStats& a, const KernelStats& b, const char* wha
   SEMPEROS_EXPECT_FIELD(ft_ikcs_aborted);
   SEMPEROS_EXPECT_FIELD(ikc_batches_sent);
   SEMPEROS_EXPECT_FIELD(ikc_batched_ops);
-  SEMPEROS_EXPECT_FIELD(ikc_batch_ops_max);
-  SEMPEROS_EXPECT_FIELD(ikc_batch_mixed_epoch);
   SEMPEROS_EXPECT_FIELD(ikc_relays_pipelined);
   SEMPEROS_EXPECT_FIELD(ikc_late_replies);
   SEMPEROS_EXPECT_FIELD(ddl_cache_hits);

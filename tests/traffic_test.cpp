@@ -206,7 +206,7 @@ TEST(Traffic, PostmarkRequestMixRuns) {
   EXPECT_GT(r.p50_us, 0.0);
 }
 
-TEST(Traffic, SaturationSearchIsDeterministic) {
+SaturationConfig SmallSaturationConfig() {
   SaturationConfig config;
   config.traffic = SmallConfig();
   config.traffic.warmup = 100;
@@ -214,6 +214,11 @@ TEST(Traffic, SaturationSearchIsDeterministic) {
   config.traffic.cooldown = 0;
   config.max_bracket_steps = 3;
   config.refine_steps = 2;
+  return config;
+}
+
+TEST(Traffic, SaturationSearchIsDeterministic) {
+  SaturationConfig config = SmallSaturationConfig();
   SaturationResult a = FindSaturation(config);
   SaturationResult b = FindSaturation(config);
   EXPECT_EQ(a.saturation_rps, b.saturation_rps);
@@ -226,6 +231,22 @@ TEST(Traffic, SaturationSearchIsDeterministic) {
     EXPECT_EQ(a.probes[i].makespan, b.probes[i].makespan) << i;
     EXPECT_EQ(a.probes[i].sustained, b.probes[i].sustained) << i;
   }
+}
+
+TEST(Traffic, SaturationReportsMeasuredRate) {
+  // The reported rate is what the best sustained probe really offered, not
+  // the nominal rate the search asked that probe for.
+  SaturationResult r = FindSaturation(SmallSaturationConfig());
+  bool matched = false;
+  for (const SaturationProbe& probe : r.probes) {
+    if (probe.sustained) {
+      EXPECT_LE(probe.offered_rps, r.saturation_rps);
+      matched = matched || probe.offered_rps == r.saturation_rps;
+    }
+  }
+  EXPECT_GT(r.saturation_rps, 0.0);
+  EXPECT_TRUE(matched) << "saturation_rps " << r.saturation_rps
+                       << " is no sustained probe's offered_rps";
 }
 
 // --- Thread-count equivalence (the bench gate's core assumption) ---
