@@ -3,12 +3,12 @@
 //
 // Unlike every other bench binary, this one measures HOST time, not
 // simulated time: it tracks how fast the discrete-event engine executes
-// (events/sec through the indexed 4-ary heap + InlineFn callbacks) and how
-// fast the NoC+DTU stack moves messages (messages/sec including pooled
-// body allocation, tag dispatch and per-link reservation). Every figure
-// sweep is bounded by these two rates, so regressions here show up as
-// wall-clock regressions everywhere (see docs/benchmarks.md, "Wall-clock
-// vs modeled cycles").
+// (events/sec through the near-future ring, the 4-ary heap behind it and
+// the InlineFn slab) and how fast the NoC+DTU stack moves messages
+// (messages/sec including pooled body allocation, tag dispatch and
+// per-link reservation). Every figure sweep is bounded by these two rates,
+// so regressions here show up as wall-clock regressions everywhere (see
+// docs/benchmarks.md, "Wall-clock vs modeled cycles").
 //
 // Compare runs with:  tools/bench_compare.py OLD NEW --wallclock
 // (generous tolerance; host timing is noisy where simulated time is not).
@@ -44,8 +44,8 @@ struct ChainEvent {
 };
 
 // Events/sec: 64 interleaved self-rescheduling chains drain a fixed event
-// budget. Heap size stays at ~64 pending events with constant churn — the
-// steady-state shape of a running platform.
+// budget. About 64 events stay pending, each at most five cycles ahead —
+// all in the serial queue's near-future ring.
 void BM_EventChurn(benchmark::State& state) {
   constexpr uint64_t kEvents = 1'000'000;
   uint64_t total = 0;
@@ -56,6 +56,48 @@ void BM_EventChurn(benchmark::State& state) {
       sim.Schedule(static_cast<Cycles>(chain), ChainEvent{&sim, &remaining});
     }
     sim.RunUntilIdle();
+    total += sim.EventsRun();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(total));
+  state.counters["events_per_sec"] =
+      benchmark::Counter(static_cast<double>(total), benchmark::Counter::kIsRate);
+}
+
+// The same churn with the workloads' delay mix: one reschedule in five
+// lands past the serial queue's near-future ring (Simulation::kRingCycles),
+// so those events take the heap and migrate back into the ring as the
+// clock closes in. The perfbench workloads send 13-25% of their events
+// that way; BM_EventChurn never leaves the ring.
+struct FarChainEvent {
+  Simulation* sim;
+  uint64_t* remaining;
+  uint64_t payload[5] = {0, 1, 2, 3, 4};
+
+  void operator()() const {
+    if (*remaining == 0) {
+      return;
+    }
+    uint64_t n = --*remaining;
+    Cycles delay = 1 + payload[n % 5];
+    if (n % 5 == 0) {
+      // A pseudo-random point up to two ring widths past the ring.
+      delay = Simulation::kRingCycles + (n * 0x9e3779b97f4a7c15ull) % (2 * Simulation::kRingCycles);
+    }
+    sim->Schedule(delay, *this);
+  }
+};
+
+void BM_EventChurnFar(benchmark::State& state) {
+  constexpr uint64_t kEvents = 1'000'000;
+  uint64_t total = 0;
+  for (auto _ : state) {
+    Simulation sim;
+    uint64_t remaining = kEvents;
+    for (int chain = 0; chain < 64; ++chain) {
+      sim.Schedule(static_cast<Cycles>(chain), FarChainEvent{&sim, &remaining});
+    }
+    sim.RunUntilIdle();
+    benchmark::DoNotOptimize(sim.Now());
     total += sim.EventsRun();
   }
   state.SetItemsProcessed(static_cast<int64_t>(total));
@@ -112,6 +154,7 @@ void BM_MessageDelivery(benchmark::State& state) {
 }
 
 BENCHMARK(BM_EventChurn)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EventChurnFar)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MessageDelivery)->Unit(benchmark::kMillisecond);
 
 // Thread-scaling sweep: the 1024-instance/64-kernel PostMark scale point

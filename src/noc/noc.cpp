@@ -127,16 +127,11 @@ Cycles Noc::RouteAndReserve(NodeId src, NodeId dst, uint32_t bytes, Cycles now, 
   return t;
 }
 
-Cycles Noc::Send(NodeId src, NodeId dst, uint32_t bytes, InlineFn deliver) {
-  CHECK_LT(src, NodeCount());
-  CHECK_LT(dst, NodeCount());
-  if (engine_ != nullptr && ShardContext::current != nullptr && src != dst) {
-    // Sharded window execution: link state is shared across shards, so the
-    // reservation is deferred to the barrier, where all of this window's
-    // sends replay in global send-time order — the serial engine's order.
-    engine_->RecordSend(src, dst, bytes, std::move(deliver));
-    return 0;
-  }
+void Noc::DeferSend(NodeId src, NodeId dst, uint32_t bytes, InlineFn deliver) {
+  engine_->RecordSend(src, dst, bytes, std::move(deliver));
+}
+
+Cycles Noc::RouteNow(NodeId src, NodeId dst, uint32_t bytes) {
   Cycles now;
   if (node_sims_.empty()) {
     now = sim_->Now();
@@ -145,9 +140,7 @@ Cycles Noc::Send(NodeId src, NodeId dst, uint32_t bytes, InlineFn deliver) {
   } else {
     now = engine_->Now();  // engine-exclusive context (boot, driver events)
   }
-  Cycles t = RouteAndReserve(src, dst, bytes, now, &StatsSlot());
-  SimFor(dst)->ScheduleAt(t, std::move(deliver));
-  return t;
+  return RouteAndReserve(src, dst, bytes, now, &StatsSlot());
 }
 
 void Noc::ApplyDeferredSend(NodeId src, NodeId dst, uint32_t bytes, Cycles now, Cycles not_before,

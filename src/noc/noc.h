@@ -32,6 +32,7 @@
 #define SEMPEROS_NOC_NOC_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "base/log.h"
@@ -79,7 +80,23 @@ class Noc {
   // Returns the delivery time — except for cross-node sends recorded inside
   // a parallel window, whose delivery time is only computed at the barrier
   // (returns 0; no caller on the parallel path consumes the return value).
-  Cycles Send(NodeId src, NodeId dst, uint32_t bytes, InlineFn deliver);
+  // The callable is built once, in its event slot (or, for a deferred
+  // send, in the outbox record).
+  template <typename F>
+  Cycles Send(NodeId src, NodeId dst, uint32_t bytes, F&& deliver) {
+    CHECK_LT(src, NodeCount());
+    CHECK_LT(dst, NodeCount());
+    if (engine_ != nullptr && ShardContext::current != nullptr && src != dst) {
+      // Sharded window execution: link state is shared across shards, so the
+      // reservation is deferred to the barrier, where all of this window's
+      // sends replay in global send-time order — the serial engine's order.
+      DeferSend(src, dst, bytes, std::forward<F>(deliver));
+      return 0;
+    }
+    Cycles t = RouteNow(src, dst, bytes);
+    SimFor(dst)->ScheduleAt(t, std::forward<F>(deliver));
+    return t;
+  }
 
   // Barrier-side replay of a deferred send at its original send time, in
   // deterministic merged order. Engine-exclusive context only. `not_before`
@@ -116,6 +133,12 @@ class Noc {
   // Walks the XY path at time `now`, reserving links, and returns the
   // delivery time; accumulates into `stats`.
   Cycles RouteAndReserve(NodeId src, NodeId dst, uint32_t bytes, Cycles now, NocStats* stats);
+
+  // Send's two halves: record a cross-node send made inside a parallel
+  // window in the engine's outbox, or route it now from the calling
+  // context's clock and return its delivery time.
+  void DeferSend(NodeId src, NodeId dst, uint32_t bytes, InlineFn deliver);
+  Cycles RouteNow(NodeId src, NodeId dst, uint32_t bytes);
 
   // Queue owning node `n`'s events (sim_ on the legacy path).
   Simulation* SimFor(NodeId n) {

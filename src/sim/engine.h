@@ -274,17 +274,21 @@ class SimHost {
     return ShardContext::current != nullptr ? ShardContext::current->Now() : engine_->Now();
   }
 
-  void ScheduleAt(Cycles when, InlineFn fn) {
+  template <typename F>
+  void ScheduleAt(Cycles when, F&& fn) {
     if (engine_ == nullptr) {
-      legacy_.ScheduleAt(when, std::move(fn));
+      legacy_.ScheduleAt(when, std::forward<F>(fn));
     } else if (ShardContext::current != nullptr) {
-      ShardContext::current->ScheduleAt(when, std::move(fn));
+      ShardContext::current->ScheduleAt(when, std::forward<F>(fn));
     } else {
-      engine_->driver()->ScheduleAt(when, std::move(fn));
+      engine_->driver()->ScheduleAt(when, std::forward<F>(fn));
     }
   }
 
-  void Schedule(Cycles delay, InlineFn fn) { ScheduleAt(Now() + delay, std::move(fn)); }
+  template <typename F>
+  void Schedule(Cycles delay, F&& fn) {
+    ScheduleAt(Now() + delay, std::forward<F>(fn));
+  }
 
   uint64_t RunUntilIdle(uint64_t max_events = UINT64_MAX) {
     return engine_ == nullptr ? legacy_.RunUntilIdle(max_events)

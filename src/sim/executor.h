@@ -12,8 +12,9 @@
 #ifndef SEMPEROS_SIM_EXECUTOR_H_
 #define SEMPEROS_SIM_EXECUTOR_H_
 
+#include <utility>
+
 #include "base/types.h"
-#include "sim/inline_fn.h"
 #include "sim/simulation.h"
 
 namespace semperos {
@@ -24,12 +25,13 @@ class Executor {
 
   // Runs `fn` after occupying the core for `cost` cycles (queueing behind any
   // work already posted). Returns the completion time.
-  Cycles Post(Cycles cost, InlineFn fn) {
+  template <typename F>
+  Cycles Post(Cycles cost, F&& fn) {
     Cycles start = busy_until_ > sim_->Now() ? busy_until_ : sim_->Now();
     Cycles finish = start + cost;
     busy_until_ = finish;
     busy_cycles_ += cost;
-    sim_->ScheduleAt(finish, std::move(fn));
+    sim_->ScheduleAt(finish, std::forward<F>(fn));
     return finish;
   }
 

@@ -31,24 +31,7 @@ class InlineFn {
                             !std::is_same_v<std::decay_t<F>, InlineFn> &&
                             std::is_invocable_r_v<void, std::decay_t<F>&>>>
   InlineFn(F&& f) {  // NOLINT(google-explicit-constructor): drop-in for std::function
-    using Fn = std::decay_t<F>;
-#ifdef SEMPEROS_DISABLE_POOLS
-    // Sanitizer builds: every closure is a fresh heap allocation, so a
-    // use-after-destroy of a capture is a real use-after-free ASan can see
-    // — in-place slab storage would hand stale reads plausible live bytes,
-    // the same masking problem the message pools have (dtu/msg_pool.h).
-    constexpr bool kStoreInline = false;
-#else
-    constexpr bool kStoreInline =
-        sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t);
-#endif
-    if constexpr (kStoreInline) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      vt_ = InlineVt<Fn>();
-    } else {
-      ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(f)));
-      vt_ = HeapVt<Fn>();
-    }
+    Construct(std::forward<F>(f));
   }
 
   InlineFn(InlineFn&& other) noexcept : vt_(other.vt_) {
@@ -77,13 +60,59 @@ class InlineFn {
 
   void operator()() { vt_->call(buf_); }
 
+  // Runs the callable once and destroys it, in one indirect call, leaving
+  // this object empty. The event slab fires every closure this way.
+  void Fire() {
+    const VTable* vt = vt_;
+    vt_ = nullptr;
+    vt->fire(buf_);
+  }
+
   explicit operator bool() const noexcept { return vt_ != nullptr; }
 
+  // Builds `f` directly in this object, replacing what it held: the event
+  // slab constructs each closure once, in its slot. An InlineFn argument
+  // is moved in.
+  template <typename F>
+  void Emplace(F&& f) {
+    if constexpr (std::is_same_v<std::decay_t<F>, InlineFn>) {
+      *this = std::move(f);
+    } else {
+      Reset();
+      Construct(std::forward<F>(f));
+    }
+  }
+
  private:
+  // The one construction path, shared by the constructor and Emplace.
+  template <typename F>
+  void Construct(F&& f) {
+    using Fn = std::decay_t<F>;
+    static_assert(std::is_invocable_r_v<void, Fn&>, "InlineFn holds a void() callable");
+#ifdef SEMPEROS_DISABLE_POOLS
+    // Sanitizer builds: every closure is a fresh heap allocation, so a
+    // use-after-destroy of a capture is a real use-after-free ASan can see
+    // — in-place slab storage would hand stale reads plausible live bytes,
+    // the same masking problem the message pools have (dtu/msg_pool.h).
+    constexpr bool kStoreInline = false;
+#else
+    constexpr bool kStoreInline =
+        sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t);
+#endif
+    if constexpr (kStoreInline) {
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+      vt_ = InlineVt<Fn>();
+    } else {
+      ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(f)));
+      vt_ = HeapVt<Fn>();
+    }
+  }
+
   struct VTable {
     void (*move)(void* dst, void* src) noexcept;
     void (*destroy)(void* p) noexcept;
     void (*call)(void* p);
+    void (*fire)(void* p);  // call, then destroy
   };
 
   template <typename Fn>
@@ -95,6 +124,11 @@ class InlineFn {
         },
         [](void* p) noexcept { static_cast<Fn*>(p)->~Fn(); },
         [](void* p) { (*static_cast<Fn*>(p))(); },
+        [](void* p) {
+          Fn& fn = *static_cast<Fn*>(p);
+          fn();
+          fn.~Fn();
+        },
     };
     return &vt;
   }
@@ -107,6 +141,11 @@ class InlineFn {
         },
         [](void* p) noexcept { delete *static_cast<Fn**>(p); },
         [](void* p) { (**static_cast<Fn**>(p))(); },
+        [](void* p) {
+          Fn* fn = *static_cast<Fn**>(p);
+          (*fn)();
+          delete fn;
+        },
     };
     return &vt;
   }

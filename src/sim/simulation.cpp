@@ -37,21 +37,40 @@ void Simulation::ParallelPush(Cycles when, uint32_t slot) {
   Push(entry);
 }
 
+void Simulation::AdvanceClock(Cycles t) {
+  now_ = t;
+  if (engine_ != nullptr) {
+    return;  // sharded queues keep every event in the heap
+  }
+  while (!heap_.empty() && heap_.front().when - t < kRingCycles) {
+    Entry entry = PopEntry();
+    RingAppend(entry.when, entry.slot);
+  }
+}
+
+void Simulation::RunOne(Cycles when) {
+  CHECK_GE(when, now_) << "event inserted into the queue's past";
+  uint32_t slot;
+  if (engine_ == nullptr) {
+    if (when != now_) {
+      AdvanceClock(when);
+    }
+    slot = RingPopFront(static_cast<uint32_t>(when) & kRingMask);
+  } else {
+    Entry top = PopEntry();
+    now_ = top.when;
+    current_icycle_ = top.icycle;
+    current_anchor_ = top.anchor;
+    current_depth_ = top.depth;
+    slot = top.slot;
+  }
+  RunSlot(slot);
+}
+
 uint64_t Simulation::RunWindow(Cycles until) {
   uint64_t ran = 0;
-  while (!NowFifoEmpty() || (!heap_.empty() && heap_.front().when < until)) {
-    Cycles when;
-    Cycles icycle;
-    uint64_t anchor;
-    uint32_t depth;
-    uint32_t slot = PopSlot(&when, &icycle, &anchor, &depth);
-    CHECK_GE(when, now_) << "event inserted into the shard's past";
-    now_ = when;
-    current_icycle_ = icycle;
-    current_anchor_ = anchor;
-    current_depth_ = depth;
-    RunSlot(slot);
-    ++ran;
+  for (Cycles when; !Idle() && (when = NextEventWhen()) < until; ++ran) {
+    RunOne(when);
   }
   events_run_ += ran;
   return ran;
@@ -105,24 +124,13 @@ Simulation::Entry Simulation::PopEntry() {
 
 uint64_t Simulation::RunUntilIdle(uint64_t max_events) {
   uint64_t ran = 0;
-  while (!Idle() && ran < max_events) {
-    Cycles when;
-    Cycles icycle;
-    uint64_t anchor;
-    uint32_t depth;
-    uint32_t slot = PopSlot(&when, &icycle, &anchor, &depth);
-    CHECK_GE(when, now_);
-    now_ = when;
-    current_icycle_ = icycle;
-    current_anchor_ = anchor;
-    current_depth_ = depth;
-    RunSlot(slot);
-    ++ran;
+  for (; ran < max_events && !Idle(); ++ran) {
+    RunOne(NextEventWhen());
   }
   if (Idle() && now_ < horizon_) {
     // Trailing charge-only work (NoteTime) extends past the last event;
     // idle time lands exactly where the old no-op events ended.
-    now_ = horizon_;
+    AdvanceClock(horizon_);
   }
   events_run_ += ran;
   return ran;
@@ -130,23 +138,13 @@ uint64_t Simulation::RunUntilIdle(uint64_t max_events) {
 
 uint64_t Simulation::RunUntil(Cycles until, uint64_t max_events) {
   uint64_t ran = 0;
-  while (((!NowFifoEmpty() && now_ <= until) ||
-          (!heap_.empty() && heap_.front().when <= until)) &&
-         ran < max_events) {
-    Cycles when;
-    Cycles icycle;
-    uint64_t anchor;
-    uint32_t depth;
-    uint32_t slot = PopSlot(&when, &icycle, &anchor, &depth);
-    now_ = when;
-    current_icycle_ = icycle;
-    current_anchor_ = anchor;
-    current_depth_ = depth;
-    RunSlot(slot);
-    ++ran;
+  for (Cycles when; ran < max_events && !Idle() && (when = NextEventWhen()) <= until; ++ran) {
+    RunOne(when);
   }
-  if (now_ < until) {
-    now_ = until;
+  // Land on `until` unless the budget ran out with events still due by
+  // then (the clock never passes a pending event).
+  if (now_ < until && NextEventWhen() > until) {
+    AdvanceClock(until);
   }
   events_run_ += ran;
   return ran;

@@ -6,21 +6,59 @@
 //
 // The engine is built for wall-clock throughput, because every benchmark
 // sweep pays its cost on every event (see docs/benchmarks.md, "Wall-clock vs
-// modeled cycles"): events hold small-buffer-optimized callbacks (InlineFn —
-// no allocation for typical captures) that live in a recycled slab, and the
-// ordering structure is an indexed 4-ary min-heap of 24-byte (when, seq,
-// slot) entries over a flat vector. Sift operations therefore move three
-// words per level instead of a closure, a 4-ary heap halves the tree depth
-// of a binary one, and popping moves the root out directly — none of the
-// const_cast gymnastics std::priority_queue::top() forces on move-only
-// elements, and no allocation anywhere in steady state. (A per-cycle timing
-// wheel was measured against this heap and lost: one vector per cycle slot
-// scatters the pending set over too many cold cache lines.)
+// modeled cycles").
+//
+// Closures. Every event is a small-buffer-optimized callback (InlineFn, no
+// allocation for typical captures) built exactly once, in its slot of a
+// recycled slab: Schedule/ScheduleAt, and Executor::Post and Noc::Send on
+// top of them, forward the callable rather than taking an InlineFn by
+// value. The slab is a list of fixed 256-slot chunks that never move, so a
+// closure runs in place while the events it schedules grow the slab, and
+// one indirect call runs it and destroys it.
+//
+// Order. The serial queue is a calendar queue (Brown, CACM 1988) in front
+// of a heap:
+//  * the ring — kRingCycles (W) per-cycle FIFO buckets covering
+//    [now, now + W). An event due less than W cycles ahead is appended to
+//    its cycle's bucket in O(1). Buckets are intrusive lists linked through
+//    one per-slot `next` array and found through a two-level occupancy
+//    bitmap (a bit per bucket, a bit per 64-bucket word), so the next
+//    non-empty cycle is two count-trailing-zeros away;
+//  * the heap — an indexed 4-ary min-heap of 40-byte Entry keys over a
+//    flat vector, holding the events W or more cycles ahead;
+//  * migration — whenever now advances (the event pop, RunUntil's final
+//    advance, AdvanceTo, RunUntilIdle's trailing-horizon jump), the heap
+//    events now less than W ahead move to their buckets, before anything
+//    at the new cycle runs.
+// Each bucket holds its cycle's events in insertion order: a heap event
+// for cycle w was inserted at some time t0 <= w - W, a ring event for w at
+// some t1 > w - W, so the heap event came first, and it reached its bucket
+// on the advance that brought w within W, before anything could be
+// appended behind it. The current cycle's bucket is the same-cycle FIFO.
+//
+// W = 2,048: on the perfbench workloads 75-87% of all pushes land inside
+// it. Rings from 1,024 to 8,192 cycles ran within run-to-run noise of
+// each other (docs/benchmarks.md, "Serial event core"), although the
+// heap's share of pushes fell from 25-31% to 3-7% across that range. The
+// smaller ring keeps its 16 KiB bucket array and 256-byte bitmap in L1.
+//
+// A per-cycle timing wheel once lost to the plain heap here. It kept one
+// std::vector per cycle slot, so every push touched a separate heap block
+// and the pending set scattered over cold cache lines, and it had no
+// bitmap to skip empty slots. Here a bucket is two indices in one flat
+// array, the closures stay in the slab, and a push touches the bucket,
+// one bitmap word and the slot's `next` entry.
+//
+// Sharded queues (sim/engine.h): the parallel engine's shards and its
+// driver strand keep every event in the heap, since their events carry
+// the engine's five-field order key, which a bucket cannot hold.
 #ifndef SEMPEROS_SIM_SIMULATION_H_
 #define SEMPEROS_SIM_SIMULATION_H_
 
+#include <bit>
 #include <cstdint>
-#include <deque>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "base/log.h"
@@ -42,6 +80,11 @@ struct ShardContext {
 
 class Simulation {
  public:
+  // Width W of the serial queue's near-future ring: an event due less than
+  // W cycles after Now() goes into its cycle's bucket, a later one into the
+  // heap (see the file comment for why 2,048).
+  static constexpr Cycles kRingCycles = 2048;
+
   Simulation() = default;
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
@@ -54,13 +97,14 @@ class Simulation {
   // that case this queue's own clock must not even be *read* (its owner
   // thread is advancing it concurrently). The legacy single-queue engine
   // has engine_ == nullptr and never takes that branch.
-  void Schedule(Cycles delay, InlineFn fn) {
+  template <typename F>
+  void Schedule(Cycles delay, F&& fn) {
     if (engine_ != nullptr && ShardContext::current != nullptr &&
         ShardContext::current != this) {
-      CrossScheduleAt(ShardContext::current->Now() + delay, std::move(fn));
+      CrossScheduleAt(ShardContext::current->Now() + delay, std::forward<F>(fn));
       return;
     }
-    ScheduleAt(now_ + delay, std::move(fn));
+    ScheduleAt(now_ + delay, std::forward<F>(fn));
   }
 
   // Records that modeled work extends to `when` without scheduling an
@@ -79,45 +123,18 @@ class Simulation {
   // mid-window on a *different* shard, the insertion is deferred to the
   // shard's outbox and applied in deterministic merged order at the next
   // window barrier (sim/engine.h); the legacy path pays one null check.
-  void ScheduleAt(Cycles when, InlineFn fn) {
+  // The callable is built once, in its slab slot.
+  template <typename F>
+  void ScheduleAt(Cycles when, F&& fn) {
     if (engine_ != nullptr && ShardContext::current != nullptr &&
         ShardContext::current != this) {
-      CrossScheduleAt(when, std::move(fn));
+      CrossScheduleAt(when, std::forward<F>(fn));
       return;
     }
     NoteTime(when);
-    uint32_t slot;
-    if (!free_slots_.empty()) {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-      slots_[slot] = std::move(fn);
-    } else {
-      slot = static_cast<uint32_t>(slots_.size());
-      slots_.push_back(std::move(fn));
-    }
-    if (engine_ != nullptr) {
-      // Sharded queue: events carry the engine's serial-order key
-      // (insertion cycle, chain depth, lineage anchor — see Entry), which
-      // the FIFO cannot hold, so everything goes through the heap.
-      ParallelPush(when, slot);
-      return;
-    }
-    if (when == now_) {
-      // Same-cycle fast path (egress drains, credit returns, zero-cost
-      // continuations): a plain FIFO preserves (when, seq) order exactly —
-      // any same-cycle entry still in the heap was scheduled earlier and so
-      // carries a smaller seq, and the pop path drains those first.
-      now_fifo_.push_back(slot);
-      return;
-    }
-    Entry entry;
-    entry.when = when;
-    entry.icycle = now_;
-    entry.anchor = next_seq_++;
-    entry.lseq = entry.anchor;
-    entry.depth = 0;
-    entry.slot = slot;
-    Push(entry);
+    uint32_t slot = AllocSlot();
+    SlotFn(slot).Emplace(std::forward<F>(fn));
+    Enqueue(when, slot);
   }
 
   // Runs events until the queue is empty. Returns the number of events run.
@@ -125,12 +142,12 @@ class Simulation {
   uint64_t RunUntilIdle(uint64_t max_events = UINT64_MAX);
 
   // Runs events with time <= `until`. Pending later events stay queued.
-  // Advances Now() to `until` even if the queue drains earlier.
+  // Advances Now() to `until` even if the queue drains earlier — unless
+  // `max_events` stopped the run with events due by `until` still pending.
   uint64_t RunUntil(Cycles until, uint64_t max_events = UINT64_MAX);
 
-  bool Idle() const { return heap_.empty() && NowFifoEmpty(); }
+  bool Idle() const { return occupied_words_ == 0 && heap_.empty(); }
   uint64_t EventsRun() const { return events_run_; }
-  size_t PendingEvents() const { return heap_.size() + (now_fifo_.size() - now_fifo_head_); }
 
   // --- Parallel-engine support (sim/engine.h). The legacy single-queue
   // --- engine never calls these; engine_ stays null and every hot path
@@ -139,6 +156,7 @@ class Simulation {
   // Marks this queue as shard `index` of `engine`. Cross-shard ScheduleAt
   // calls are deferred to the engine's outboxes from then on.
   void BindEngine(ParallelEngine* engine, uint32_t index) {
+    CHECK(Idle()) << "bind the engine before scheduling anything";
     engine_ = engine;
     shard_index_ = index;
   }
@@ -159,14 +177,16 @@ class Simulation {
   // queue on the common final cycle.
   void AdvanceTo(Cycles t) {
     if (t > now_) {
-      now_ = t;
+      AdvanceClock(t);
     }
   }
 
-  // Earliest pending event time, or UINT64_MAX when idle.
+  // Earliest pending event time, or UINT64_MAX when idle. Every heap event
+  // lies at least a ring width past now_, so a non-empty ring holds it.
   Cycles NextEventWhen() const {
-    if (!NowFifoEmpty()) {
-      return now_;
+    if (occupied_words_ != 0) {
+      uint32_t from = static_cast<uint32_t>(now_) & kRingMask;
+      return now_ + ((NextOccupied(from) - from) & kRingMask);
     }
     return heap_.empty() ? UINT64_MAX : heap_.front().when;
   }
@@ -189,8 +209,8 @@ class Simulation {
     //    monotone in time, so an event inserted during an earlier cycle
     //    always has the smaller seq;
     //  * depth — same-cycle chains (an event at cycle c scheduling at c):
-    //    the serial FIFO runs competing chains in generation waves, so the
-    //    chain link count orders them;
+    //    the serial engine's bucket for c is a FIFO, which runs competing
+    //    chains in generation waves, so the chain link count orders them;
     //  * anchor — the lineage id: engine-exclusive insertions (boot,
     //    driver events, barrier-merged records) mint one from the global
     //    counter in single-threaded order — exactly their serial insertion
@@ -208,7 +228,7 @@ class Simulation {
     uint64_t anchor;
     uint64_t lseq;
     uint32_t depth;
-    uint32_t slot;  // index of the callback in slots_
+    uint32_t slot;  // slab slot of the callback
   };
 
   static bool Before(const Entry& a, const Entry& b) {
@@ -229,45 +249,119 @@ class Simulation {
 
   // 4-ary heap primitives. Children of node i are 4i+1..4i+4. Insertion and
   // removal move the hole, not the elements pairwise, so each level costs
-  // one three-word Entry move.
+  // one Entry move.
   void Push(Entry entry);
   Entry PopEntry();
 
-  bool NowFifoEmpty() const { return now_fifo_head_ >= now_fifo_.size(); }
+  // Files a freshly filled slot: sharded queues key it into the heap; the
+  // serial queue appends it to its cycle's ring bucket when that cycle is
+  // less than a ring width away, and heaps it otherwise.
+  void Enqueue(Cycles when, uint32_t slot) {
+    if (engine_ != nullptr) {
+      // Sharded queue: events carry the engine's serial-order key
+      // (insertion cycle, chain depth, lineage anchor — see Entry), which
+      // a bucket cannot hold, so everything goes through the heap.
+      ParallelPush(when, slot);
+    } else if (when - now_ < kRingCycles) {
+      RingAppend(when, slot);
+    } else {
+      Entry entry;
+      entry.when = when;
+      entry.icycle = now_;
+      entry.anchor = next_seq_++;
+      entry.lseq = entry.anchor;
+      entry.depth = 0;
+      entry.slot = slot;
+      Push(entry);
+    }
+  }
 
-  // Pops the earliest pending callback and returns its slab slot. Order:
-  // heap entries at now_ first (they were scheduled earlier, so their seq is
-  // smaller), then the same-cycle FIFO, then the heap advances time. The
-  // callback is invoked IN PLACE by the run loops — the slab is a deque, so
-  // reentrant scheduling never moves a closure that is currently executing —
-  // and the slot is recycled only after the call returns.
-  uint32_t PopSlot(Cycles* when, Cycles* icycle, uint64_t* anchor, uint32_t* depth) {
-    if (!NowFifoEmpty() && (heap_.empty() || heap_.front().when != now_)) {
-      uint32_t slot = now_fifo_[now_fifo_head_++];
-      if (NowFifoEmpty()) {
-        now_fifo_.clear();
-        now_fifo_head_ = 0;
+  // Appends `slot` to the FIFO bucket of cycle `when` (< now_ + ring width).
+  void RingAppend(Cycles when, uint32_t slot) {
+    uint32_t b = static_cast<uint32_t>(when) & kRingMask;
+    uint64_t bit = uint64_t{1} << (b & 63);
+    uint64_t& word = occupied_[b >> 6];
+    if ((word & bit) != 0) {
+      next_[ring_[b].tail] = slot;
+    } else {
+      ring_[b].head = slot;
+      word |= bit;
+      occupied_words_ |= uint64_t{1} << (b >> 6);
+    }
+    ring_[b].tail = slot;
+  }
+
+  // Unlinks and returns the first slot of the (non-empty) bucket `b`.
+  uint32_t RingPopFront(uint32_t b) {
+    Bucket& bucket = ring_[b];
+    uint32_t slot = bucket.head;
+    if (slot == bucket.tail) {
+      uint64_t& word = occupied_[b >> 6];
+      word &= ~(uint64_t{1} << (b & 63));
+      if (word == 0) {
+        occupied_words_ &= ~(uint64_t{1} << (b >> 6));
       }
-      *when = now_;
-      *icycle = 0;  // legacy-only path; nothing consumes the fifo key
-      *anchor = 0;
-      *depth = 0;
+    } else {
+      bucket.head = next_[slot];
+    }
+    return slot;
+  }
+
+  // First occupied bucket at or after `from` in ring order, i.e. the
+  // earliest pending ring cycle. The ring must not be empty.
+  uint32_t NextOccupied(uint32_t from) const {
+    uint32_t w = from >> 6;
+    uint64_t bits = occupied_[w] & (~uint64_t{0} << (from & 63));
+    if (bits == 0) {
+      // Later words first; wrapping round, the lowest occupied word (which
+      // may be `w` itself, below `from`) holds the earliest cycle.
+      uint64_t later = occupied_words_ & ((~uint64_t{0} << w) << 1);
+      w = static_cast<uint32_t>(std::countr_zero(later != 0 ? later : occupied_words_));
+      bits = occupied_[w];
+    }
+    return (w << 6) | static_cast<uint32_t>(std::countr_zero(bits));
+  }
+
+  // Moves the clock forward to `t` and, on the serial queue, migrates every
+  // heap event now less than a ring width away into its bucket — before
+  // anything at `t` runs, so each bucket keeps insertion order.
+  void AdvanceClock(Cycles t);
+
+  // Runs the earliest pending event, due at `when` (== NextEventWhen()).
+  void RunOne(Cycles when);
+
+  InlineFn& SlotFn(uint32_t slot) { return chunks_[slot >> kChunkBits][slot & kChunkMask]; }
+
+  // An empty slab slot: the most recently freed one, else a new one.
+  uint32_t AllocSlot() {
+    uint32_t slot = free_head_;
+    if (slot != kNil) {
+      free_head_ = next_[slot];
       return slot;
     }
-    Entry top = PopEntry();
-    *when = top.when;
-    *icycle = top.icycle;
-    *anchor = top.anchor;
-    *depth = top.depth;
-    return top.slot;
+    slot = static_cast<uint32_t>(next_.size());
+    if ((slot & kChunkMask) == 0) {
+      chunks_.push_back(std::make_unique<InlineFn[]>(kChunkSlots));
+    }
+    next_.push_back(kNil);
+    return slot;
   }
 
-  // Runs the callback in slot `slot`, then recycles the slot.
+  // Runs the callback in slot `slot` in place, then recycles the slot.
   void RunSlot(uint32_t slot) {
-    slots_[slot]();
-    slots_[slot] = InlineFn();
-    free_slots_.push_back(slot);
+    SlotFn(slot).Fire();
+    next_[slot] = free_head_;
+    free_head_ = slot;
   }
+
+  static constexpr uint32_t kRingMask = static_cast<uint32_t>(kRingCycles - 1);
+  static_assert(kRingCycles / 64 <= 64, "one summary word covers the occupancy bitmap");
+  static constexpr uint32_t kNil = UINT32_MAX;
+  // Slab chunk: 256 closures (28 KiB). Chunks never move, so a closure
+  // runs in place while the events it schedules grow the slab.
+  static constexpr uint32_t kChunkBits = 8;
+  static constexpr uint32_t kChunkSlots = 1u << kChunkBits;
+  static constexpr uint32_t kChunkMask = kChunkSlots - 1;
 
   ParallelEngine* engine_ = nullptr;  // null on the legacy single-queue path
   uint32_t shard_index_ = 0;
@@ -279,11 +373,21 @@ class Simulation {
   Cycles horizon_ = 0;  // latest time any work (event or charge) reaches
   uint64_t next_seq_ = 0;
   uint64_t events_run_ = 0;
-  std::vector<Entry> heap_;
-  std::vector<uint32_t> now_fifo_;     // slab indices of same-cycle events
-  size_t now_fifo_head_ = 0;
-  std::deque<InlineFn> slots_;         // callback slab, indexed by Entry::slot
-  std::vector<uint32_t> free_slots_;   // recycled slab indices
+  std::vector<Entry> heap_;  // serial: events W or more ahead; sharded: all
+  std::vector<std::unique_ptr<InlineFn[]>> chunks_;  // callback slab
+  // Per slot: the next slot in its ring bucket, or in the free list.
+  std::vector<uint32_t> next_;
+  uint32_t free_head_ = kNil;          // most recently freed slot
+  // Near-future ring: bucket b holds the events due at the one cycle in
+  // [now_, now_ + kRingCycles) congruent to b, oldest insertion first.
+  // A bucket's head/tail are valid only while its occupancy bit is set.
+  struct Bucket {
+    uint32_t head;
+    uint32_t tail;
+  };
+  uint64_t occupied_words_ = 0;        // bit w: occupied_[w] != 0
+  uint64_t occupied_[kRingCycles / 64] = {};
+  Bucket ring_[kRingCycles] = {};
 };
 
 }  // namespace semperos

@@ -6,6 +6,7 @@
 // auditor (src/audit/cap_audit.h documents the catalogue).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -40,7 +41,10 @@ TEST_P(CapabilityFuzz, InvariantsHoldAfterRandomInterleavings) {
   ClientRig rig = MakeRig(param.kernels, param.users);
   Platform& p = rig.p();
 
-  std::vector<bool> busy(param.users, false);
+  // One byte per client, not std::vector<bool>: syscall callbacks of
+  // different clients run on different engine shards under
+  // SEMPEROS_THREADS, and packed bits would share words between them.
+  std::vector<uint8_t> busy(param.users, 0);
   std::vector<bool> dead(param.users, false);
   // Selectors each client has ever seen (some will be stale — the kernel
   // must answer those with clean errors, never crash or corrupt state).
@@ -61,8 +65,8 @@ TEST_P(CapabilityFuzz, InvariantsHoldAfterRandomInterleavings) {
       }
       CapSel sel = sels[i][rng.NextBelow(sels[i].size())];
       CapSel peer_sel = sels[peer][rng.NextBelow(sels[peer].size())];
-      busy[i] = true;
-      auto release = [&busy, i](const SyscallReply&) { busy[i] = false; };
+      busy[i] = 1;
+      auto release = [&busy, i](const SyscallReply&) { busy[i] = 0; };
       switch (rng.NextBelow(4)) {
         case 0:
           rig.client(i).env().Obtain(rig.vpe(peer), peer_sel,
@@ -70,7 +74,7 @@ TEST_P(CapabilityFuzz, InvariantsHoldAfterRandomInterleavings) {
                                        if (r.err == ErrCode::kOk) {
                                          sels[i].push_back(r.sel);
                                        }
-                                       busy[i] = false;
+                                       busy[i] = 0;
                                      });
           break;
         case 1:
@@ -85,7 +89,7 @@ TEST_P(CapabilityFuzz, InvariantsHoldAfterRandomInterleavings) {
                                           if (r.err == ErrCode::kOk) {
                                             sels[i].push_back(r.sel);
                                           }
-                                          busy[i] = false;
+                                          busy[i] = 0;
                                         });
           break;
       }

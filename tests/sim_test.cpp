@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "base/rng.h"
 #include "sim/executor.h"
 #include "sim/simulation.h"
 
@@ -137,6 +141,211 @@ TEST(Executor, FifoOrderPreserved) {
   sim.RunUntilIdle();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
+
+// --- Queue order against a brute-force reference -------------------------
+//
+// The serial queue files an event due less than kRingCycles ahead into a
+// per-cycle ring bucket and anything later into a heap, migrating heap
+// events into the ring as the clock advances. Seeded random schedules
+// drive the queue and a reference that picks the first pending event of a
+// stable sort by (when, insertion index); both must execute the same
+// (when, id) sequence and agree on Now(), Idle(), NextEventWhen() and
+// EventsRun() at every stop.
+
+constexpr Cycles kW = Simulation::kRingCycles;
+
+// Delays straddling the ring/heap boundary and the ring's index wrap.
+Cycles BoundaryDelay(Rng& rng) {
+  const Cycles k = 2 + rng.NextBelow(3);
+  switch (rng.NextBelow(10)) {
+    case 0:
+      return 0;
+    case 1:
+      return kW - 1;
+    case 2:
+      return kW;
+    case 3:
+      return kW + 1;
+    case 4:
+      return k * kW - 1;
+    case 5:
+      return k * kW + 1;
+    case 6:
+      return 40 * kW + rng.NextBelow(kW);  // far beyond the ring
+    default:
+      return rng.NextBelow(kW);
+  }
+}
+
+// What an event does depends only on its id and on how much spawn budget
+// is left, so both sides replay one script as long as they run events in
+// the same order.
+struct Script {
+  struct Step {
+    std::vector<std::pair<Cycles, uint64_t>> children;  // (delay, id)
+    Cycles note = 0;  // charge-only work past Now(), 0 = none
+  };
+
+  uint64_t seed;
+  uint64_t budget;
+  uint64_t next_id = 0;
+
+  uint64_t NewId() { return next_id++; }
+
+  Step Run(uint64_t id) {
+    Rng rng(seed * 0x9e3779b97f4a7c15ull + id);
+    Step step;
+    // Zero to two children, a third of them in the same cycle: chains of
+    // same-cycle events compete with each other and with earlier arrivals.
+    for (uint64_t n = rng.NextBelow(3); n > 0 && budget > 0; --n, --budget) {
+      Cycles delay = rng.NextBelow(3) == 0 ? 0 : BoundaryDelay(rng);
+      step.children.emplace_back(delay, NewId());
+    }
+    if (rng.NextBelow(8) == 0) {
+      step.note = 1 + rng.NextBelow(3 * kW);
+    }
+    return step;
+  }
+};
+
+using Trace = std::vector<std::pair<Cycles, uint64_t>>;  // (when, id) executed
+
+struct EngineSide {
+  Simulation sim;
+  Script script;
+  Trace fired;
+
+  void Add(Cycles delay, uint64_t id) {
+    sim.Schedule(delay, [this, id] { Fire(id); });
+  }
+
+  void Fire(uint64_t id) {
+    fired.emplace_back(sim.Now(), id);
+    Script::Step step = script.Run(id);
+    for (const auto& [delay, child] : step.children) {
+      Add(delay, child);
+    }
+    if (step.note != 0) {
+      sim.NoteTime(sim.Now() + step.note);
+    }
+  }
+};
+
+struct ReferenceSide {
+  struct Pending {
+    Cycles when;
+    uint64_t index;  // insertion index
+    uint64_t id;
+  };
+
+  Script script;
+  Trace fired;
+  std::vector<Pending> pending;
+  uint64_t inserted = 0;
+  uint64_t run = 0;
+  Cycles now = 0;
+  Cycles horizon = 0;
+
+  void Add(Cycles delay, uint64_t id) {
+    pending.push_back({now + delay, inserted++, id});
+    horizon = std::max(horizon, now + delay);
+  }
+
+  std::vector<Pending>::iterator Earliest() {
+    return std::min_element(pending.begin(), pending.end(), [](const Pending& a, const Pending& b) {
+      return a.when != b.when ? a.when < b.when : a.index < b.index;
+    });
+  }
+
+  Cycles NextEventWhen() { return pending.empty() ? UINT64_MAX : Earliest()->when; }
+
+  void RunOne() {
+    auto it = Earliest();
+    Pending ev = *it;
+    pending.erase(it);
+    now = ev.when;
+    ++run;
+    fired.emplace_back(now, ev.id);
+    Script::Step step = script.Run(ev.id);
+    for (const auto& [delay, child] : step.children) {
+      Add(delay, child);
+    }
+    if (step.note != 0) {
+      horizon = std::max(horizon, now + step.note);
+    }
+  }
+
+  void RunUntil(Cycles until) {
+    while (!pending.empty() && NextEventWhen() <= until) {
+      RunOne();
+    }
+    now = std::max(now, until);
+  }
+
+  void RunUntilIdle() {
+    while (!pending.empty()) {
+      RunOne();
+    }
+    now = std::max(now, horizon);
+  }
+};
+
+class QueueOrder : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(QueueOrder, MatchesStableSortAcrossRingAndHeap) {
+  const uint64_t seed = GetParam();
+  Rng rng(seed);
+  EngineSide engine{Simulation(), Script{seed, 4000}, {}};
+  ReferenceSide ref{Script{seed, 4000}, {}, {}};
+
+  auto expect_same = [&](const char* where) {
+    SCOPED_TRACE(where);
+    ASSERT_EQ(engine.fired, ref.fired);
+    EXPECT_EQ(engine.sim.Now(), ref.now);
+    EXPECT_EQ(engine.sim.Idle(), ref.pending.empty());
+    EXPECT_EQ(engine.sim.NextEventWhen(), ref.NextEventWhen());
+    EXPECT_EQ(engine.sim.EventsRun(), ref.run);
+  };
+
+  // A cycle both sides keep targeting from the main thread as the clock
+  // closes in on it: the early insertions wait in the heap, the late ones
+  // go straight to its ring bucket, and insertion order must survive.
+  Cycles hot = 3 * kW;
+  for (int round = 0; round < 60; ++round) {
+    for (uint64_t n = 1 + rng.NextBelow(6); n > 0; --n) {
+      Cycles delay = BoundaryDelay(rng);
+      uint64_t id = engine.script.NewId();
+      ref.script.NewId();
+      engine.Add(delay, id);
+      ref.Add(delay, id);
+    }
+    if (hot < engine.sim.Now()) {
+      hot = engine.sim.Now() + 2 * kW + rng.NextBelow(kW);
+    }
+    uint64_t id = engine.script.NewId();
+    ref.script.NewId();
+    engine.Add(hot - engine.sim.Now(), id);
+    ref.Add(hot - ref.now, id);
+
+    // Stop at a random cycle: now, inside the ring, on its edge or past it.
+    Cycles until = engine.sim.Now() + (rng.NextBelow(4) == 0 ? rng.NextBelow(kW / 4)
+                                                              : BoundaryDelay(rng));
+    engine.sim.RunUntil(until);
+    ref.RunUntil(until);
+    expect_same("RunUntil");
+  }
+
+  // Drain, ending on a trailing charge-only horizon past every event.
+  engine.sim.NoteTime(engine.sim.Now() + 50 * kW + 7);
+  ref.horizon = std::max(ref.horizon, ref.now + 50 * kW + 7);
+  engine.sim.RunUntilIdle();
+  ref.RunUntilIdle();
+  expect_same("RunUntilIdle");
+  EXPECT_TRUE(engine.sim.Idle());
+  EXPECT_GT(engine.fired.size(), 1000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, QueueOrder, ::testing::Range<uint64_t>(1, 17));
 
 }  // namespace
 }  // namespace semperos

@@ -15,6 +15,11 @@ Wall-clock mode (--wallclock). Compares only the wall-clock files
 generous (1.5x) to absorb machine and CI noise; use it to check that an
 engine change did not regress events/sec / messages/sec.
 
+Repetitions (--benchmark_repetitions=N, or BENCH_REPETITIONS in
+bench/run_all.sh) write N rows per benchmark. Wall-clock mode compares the
+fastest repetition's real_time; modeled mode requires every repetition of a
+benchmark to report the same numbers, and fails if they disagree.
+
 Usage:
     tools/bench_compare.py BASELINE_DIR NEW_DIR [--threshold 0.25]
     tools/bench_compare.py OLD_DIR NEW_DIR --wallclock [--threshold 0.5]
@@ -64,7 +69,8 @@ COUNTER_RTOL = 1e-9
 
 
 def load_benchmarks(path):
-    """Returns {benchmark name: {field: value}} for one google-benchmark JSON.
+    """Returns {benchmark name: [{field: value}, ...]}, one dict per
+    repetition, for one google-benchmark JSON.
 
     Every numeric, modeled field is kept: real_time and the user counters.
     """
@@ -75,11 +81,37 @@ def load_benchmarks(path):
         # Skip aggregate rows (mean/median/stddev of repetitions).
         if bench.get("run_type") == "aggregate":
             continue
-        out[bench["name"]] = {
+        out.setdefault(bench["name"], []).append({
             key: float(value) for key, value in bench.items()
             if isinstance(value, (int, float)) and not isinstance(value, bool)
             and key not in NON_MODELED_FIELDS
-        }
+        })
+    return out
+
+
+def one_row_per_benchmark(path, runs, wallclock, failures):
+    """Collapses the repetitions of each benchmark into one row.
+
+    Wall-clock: the fastest repetition's real_time (host noise only ever
+    adds time). Modeled: the repetitions must agree, since simulated time
+    is deterministic; any disagreement is reported as a failure.
+    """
+    out = {}
+    for name, reps in runs.items():
+        row = dict(reps[0])
+        if wallclock:
+            row["real_time"] = min(rep.get("real_time", 0.0) for rep in reps)
+        else:
+            for index, rep in enumerate(reps[1:], start=1):
+                differ = sorted(
+                    field for field in set(row) | set(rep)
+                    if field not in row or field not in rep
+                    or abs(rep[field] - row[field]) > COUNTER_RTOL * max(1.0, abs(row[field])))
+                if differ:
+                    failures.append(
+                        f"{path}: '{name}' repetition {index} disagrees with repetition 0 "
+                        f"in {', '.join(differ)}")
+        out[name] = row
     return out
 
 
@@ -132,8 +164,10 @@ def main():
         if not new_path.exists():
             failures.append(f"{base_path.name}: missing from {args.new_dir}")
             continue
-        base = load_benchmarks(base_path)
-        new = load_benchmarks(new_path)
+        base = one_row_per_benchmark(base_path, load_benchmarks(base_path), args.wallclock,
+                                     failures)
+        new = one_row_per_benchmark(new_path, load_benchmarks(new_path), args.wallclock,
+                                    failures)
         for name, base_fields in sorted(base.items()):
             if name not in new:
                 # A rebaseline may move numbers, never drop coverage.
