@@ -8,7 +8,8 @@
 // (messages/sec including pooled body allocation, tag dispatch and
 // per-link reservation). Every figure sweep is bounded by these two rates,
 // so regressions here show up as wall-clock regressions everywhere (see
-// docs/benchmarks.md, "Wall-clock vs modeled cycles").
+// docs/benchmarks.md, "Wall-clock vs modeled cycles"). BM_AppPostmarkSerial
+// adds the whole request path (kernels, asks, IKCs, m3fs) at a small shape.
 //
 // Compare runs with:  tools/bench_compare.py OLD NEW --wallclock
 // (generous tolerance; host timing is noisy where simulated time is not).
@@ -156,6 +157,31 @@ void BM_MessageDelivery(benchmark::State& state) {
 BENCHMARK(BM_EventChurn)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EventChurnFar)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MessageDelivery)->Unit(benchmark::kMillisecond);
+
+// The request path on the wall clock: RunApp with PostMark at a small
+// serial shape (8 kernels, 8 services, 256 instances), so syscalls, asks,
+// IKCs, endpoint configuration and m3fs service work all count, not only
+// the event core. events_per_sec divides the run's events by RunApp's wall
+// time, platform construction and boot included.
+void BM_AppPostmarkSerial(benchmark::State& state) {
+  uint64_t events = 0;
+  double seconds = 0;
+  for (auto _ : state) {
+    AppRunConfig config;
+    config.app = "postmark";
+    config.kernels = 8;
+    config.services = 8;
+    config.instances = 256;
+    config.threads = kForceSerialThreads;
+    auto t0 = std::chrono::steady_clock::now();
+    AppRunResult result = RunApp(config);
+    seconds += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    events += result.events;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(events));
+  state.counters["events_per_sec"] = static_cast<double>(events) / seconds;
+}
+BENCHMARK(BM_AppPostmarkSerial)->Unit(benchmark::kMillisecond);
 
 // Thread-scaling sweep: the 1024-instance/64-kernel PostMark scale point
 // (1153 PEs, full fidelity — the workload that saturates one host core on

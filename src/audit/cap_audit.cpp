@@ -93,13 +93,11 @@ class Auditor {
   // I1 (holder side), I2, I3, I4 over this kernel's capability space.
   void AuditForest(Kernel* kernel) {
     KernelId k = kernel->id();
-    // unordered_map iteration order is not deterministic; sort so reports
-    // from bit-identical platforms are identical.
+    // CapSpace iterates in index order, not key order; sort so reports
+    // list capabilities by key.
     std::vector<DdlKey> keys;
     keys.reserve(kernel->caps().size());
-    for (const auto& [key, cap] : kernel->caps().all()) {
-      keys.push_back(key);
-    }
+    kernel->caps().ForEach([&keys](DdlKey key, const Capability*) { keys.push_back(key); });
     std::sort(keys.begin(), keys.end(),
               [](DdlKey a, DdlKey b) { return a.raw() < b.raw(); });
 

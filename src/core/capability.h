@@ -11,9 +11,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "base/flat.h"
 #include "base/log.h"
 #include "base/types.h"
 #include "core/ddl.h"
@@ -25,6 +25,7 @@ struct RevokeTask;
 
 class Capability {
  public:
+  Capability() = default;
   Capability(DdlKey key, CapType type, VpeId holder, CapSel sel)
       : key_(key), type_(type), holder_(holder), sel_(sel) {}
 
@@ -72,15 +73,36 @@ class Capability {
 
  private:
   DdlKey key_;
-  CapType type_;
-  VpeId holder_;
-  CapSel sel_;
+  CapType type_ = CapType::kNone;
+  VpeId holder_ = kInvalidVpe;
+  CapSel sel_ = kInvalidSel;
   DdlKey parent_;
   std::vector<DdlKey> children_;
   CapPayload payload_;
   RevokeTask* task_ = nullptr;
   bool activated_ = false;
   EpId activated_ep_ = 0;
+
+ public:
+  // CapSpace storage (RecordPool): the slot this record occupies, the
+  // identity a fresh or recycled record takes on, and the reset applied
+  // when it is recycled. Reset keeps the children list's capacity for the
+  // next capability stored here.
+  uint32_t pool_slot = 0;
+  void Init(DdlKey key, CapType type, VpeId holder, CapSel sel) {
+    key_ = key;
+    type_ = type;
+    holder_ = holder;
+    sel_ = sel;
+  }
+  void Reset() {
+    std::vector<DdlKey> children = std::move(children_);
+    children.clear();
+    uint32_t slot = pool_slot;
+    *this = Capability();
+    children_ = std::move(children);
+    pool_slot = slot;
+  }
 };
 
 // Selector -> capability key. Selectors are allocated sequentially per VPE
@@ -236,34 +258,40 @@ class VpeTable {
   uint32_t live_ = 0;
 };
 
-// Per-kernel capability storage, indexed by DDL key.
+// Per-kernel capability storage, indexed by DDL key. Capabilities live in
+// recycled records (RecordPool), so a Capability* stays valid until the
+// capability is erased, and are found through an open-addressed index
+// (FlatIndex): creating and deleting capabilities at the request rate
+// allocates nothing once the kernel reached its peak capability count.
 class CapSpace {
  public:
   Capability* Create(DdlKey key, CapType type, VpeId holder, CapSel sel) {
-    auto cap = std::make_unique<Capability>(key, type, holder, sel);
-    Capability* raw = cap.get();
-    auto [it, inserted] = caps_.emplace(key, std::move(cap));
-    CHECK(inserted) << "duplicate DDL key";
-    (void)it;
-    return raw;
+    Capability* cap = pool_.New();
+    cap->Init(key, type, holder, sel);
+    index_.Insert(key.raw(), cap);
+    return cap;
   }
 
-  Capability* Find(DdlKey key) const {
-    auto it = caps_.find(key);
-    return it == caps_.end() ? nullptr : it->second.get();
-  }
+  Capability* Find(DdlKey key) const { return index_.Find(key.raw()); }
 
   void Erase(DdlKey key) {
-    size_t n = caps_.erase(key);
-    CHECK_EQ(n, size_t{1});
+    Capability* cap = index_.Erase(key.raw());
+    CHECK(cap != nullptr) << "erase of unknown DDL key";
+    pool_.Delete(cap);
   }
 
-  size_t size() const { return caps_.size(); }
+  size_t size() const { return index_.size(); }
 
-  const std::unordered_map<DdlKey, std::unique_ptr<Capability>>& all() const { return caps_; }
+  // Invokes fn(DdlKey, Capability*) for every capability, in index order
+  // (deterministic, not sorted: callers whose work reaches the model sort).
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    index_.ForEach([&fn](uint64_t raw, Capability* cap) { fn(DdlKey(raw), cap); });
+  }
 
  private:
-  std::unordered_map<DdlKey, std::unique_ptr<Capability>> caps_;
+  RecordPool<Capability> pool_;
+  FlatIndex<Capability> index_;
 };
 
 }  // namespace semperos

@@ -19,9 +19,10 @@
 #ifndef SEMPEROS_CORE_DDL_H_
 #define SEMPEROS_CORE_DDL_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "base/log.h"
@@ -89,8 +90,8 @@ class DdlKey {
 
 }  // namespace semperos
 
-// DdlKey can key unordered_maps directly. (Specialized here, between the
-// key and its first hashed-container use below.)
+// DdlKey can key unordered containers directly (tests and tools do; the
+// kernel's own tables are flat, see base/flat.h).
 template <>
 struct std::hash<semperos::DdlKey> {
   size_t operator()(semperos::DdlKey key) const noexcept {
@@ -208,35 +209,87 @@ class MembershipTable {
 // cost — and the epoch guard removes even that.
 class DdlCache {
  public:
-  // Bounded: wholesale clear on overflow keeps the structure allocation-
-  // stable. 4096 hot keys comfortably covers the working set of the
-  // largest modeled workloads' per-kernel remote traffic.
+  // Bounded: a wholesale clear on overflow keeps the cache small. 4096 hot
+  // keys comfortably covers the working set of the largest modeled
+  // workloads' per-kernel remote traffic.
   static constexpr size_t kMaxEntries = 4096;
 
   // True if `key` was cached under the current epoch ("hit"); otherwise
   // inserts it and returns false. A changed epoch drops the whole cache
   // before probing.
   bool Lookup(DdlKey key, uint64_t current_epoch) {
+    CHECK(!key.IsNull());
     if (current_epoch != epoch_seen_) {
-      keys_.clear();
+      Invalidate();
       epoch_seen_ = current_epoch;
     }
-    if (keys_.count(key) != 0) {
+    if (Contains(key.raw())) {
       return true;
     }
-    if (keys_.size() >= kMaxEntries) {
-      keys_.clear();
+    if (size_ >= kMaxEntries) {
+      Invalidate();
     }
-    keys_.insert(key);
+    Insert(key.raw());
     return false;
   }
 
-  void Invalidate() { keys_.clear(); }
+  void Invalidate() {
+    if (size_ != 0) {
+      std::fill(slots_.begin(), slots_.end(), uint64_t{0});
+      size_ = 0;
+    }
+  }
 
-  size_t size() const { return keys_.size(); }
+  size_t size() const { return size_; }
 
  private:
-  std::unordered_set<DdlKey> keys_;
+  // Open-addressed key set: linear probing over a power-of-two table kept
+  // at most half full, 0 marking an empty slot (the null key is never
+  // cached). Entries are only ever dropped all at once, so there is no
+  // per-key deletion; the table grows with the entry count up to
+  // 2 * kMaxEntries slots and keeps its capacity across clears, so
+  // steady-state lookups allocate nothing.
+  size_t Home(uint64_t raw) const {
+    return static_cast<size_t>((raw * 0x9e3779b97f4a7c15ull) >> shift_);
+  }
+
+  bool Contains(uint64_t raw) const {
+    if (size_ == 0) {
+      return false;
+    }
+    size_t mask = slots_.size() - 1;
+    for (size_t i = Home(raw); slots_[i] != 0; i = (i + 1) & mask) {
+      if (slots_[i] == raw) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  void Insert(uint64_t raw) {
+    if ((size_ + 1) * 2 > slots_.size()) {
+      std::vector<uint64_t> old = std::move(slots_);
+      slots_.assign(old.empty() ? 16 : old.size() * 2, uint64_t{0});
+      shift_ = 64 - std::countr_zero(slots_.size());
+      size_ = 0;
+      for (uint64_t k : old) {
+        if (k != 0) {
+          Insert(k);
+        }
+      }
+    }
+    size_t mask = slots_.size() - 1;
+    size_t i = Home(raw);
+    while (slots_[i] != 0) {
+      i = (i + 1) & mask;
+    }
+    slots_[i] = raw;
+    ++size_;
+  }
+
+  std::vector<uint64_t> slots_;
+  size_t size_ = 0;
+  int shift_ = 64;
   uint64_t epoch_seen_ = 0;
 };
 

@@ -157,16 +157,7 @@ void Kernel::ReleaseThread() {
   stats_.threads_in_use--;
 }
 
-void Kernel::Finish(Cycles cost, InlineFn effects) {
-  pe_->exec().Post(cost, std::move(effects));
-}
-
 Cycles Kernel::Charge(Cycles cost) { return pe_->exec().Occupy(cost); }
-
-void Kernel::Emit(Cycles ready, InlineFn send) {
-  egress_.push_back(EgressMsg{ready, std::move(send)});
-  DrainEgress();
-}
 
 void Kernel::DrainEgress() {
   if (egress_scheduled_ || egress_.empty()) {
@@ -178,9 +169,9 @@ void Kernel::DrainEgress() {
   pe_->sim()->ScheduleAt(when, [this] {
     egress_scheduled_ = false;
     CHECK(!egress_.empty());
-    EgressMsg msg = std::move(egress_.front());
+    InlineFn send = std::move(egress_.front().send);
     egress_.pop_front();
-    msg.send();
+    send.Fire();
     DrainEgress();
   });
 }
@@ -354,7 +345,7 @@ void Kernel::UnlinkChildAtParent(DdlKey parent, DdlKey child, bool orphan) {
     for (auto& [id, task] : migrate_tasks_) {
       (void)id;
       if (task->phase == MigrateTask::Phase::kTransfer && task->pe == parent.pe()) {
-        task->deferred_unlinks.push_back(
+        task->deferred_unlinks.emplace_back(
             [this, parent, child, orphan] { UnlinkChildAtParent(parent, child, orphan); });
         return;
       }
@@ -384,19 +375,18 @@ void Kernel::OnSyscall(EpId ep, const Message& msg) {
   stats_.syscalls++;
   AcquireThread();
 
-  SyscallCtx ctx;
-  ctx.vpe = req->vpe;
-  ctx.recv_ep = ep;
-  ctx.msg = msg;
-  ctx.valid = true;
+  SyscallRec* sc = syscall_recs_.New();
+  sc->vpe = req->vpe;
+  sc->recv_ep = ep;
+  sc->msg = msg;
   if (obs::Tracer* tr = tracer(); tr != nullptr && msg.body->trace_id != 0) {
-    ctx.trace_span = tr->NextSpanId(pe_->node());
-    ctx.trace_start = pe_->sim()->Now();
+    sc->trace_span = tr->NextSpanId(pe_->node());
+    sc->trace_start = pe_->sim()->Now();
   }
 
   if (shutting_down_) {
     Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, ctx] { ReplySyscall(ctx, ErrCode::kAborted); });
+           [this, sc] { ReplySyscall(sc, ErrCode::kAborted); });
     return;
   }
   VpeState* v = vpes_.Find(req->vpe);
@@ -407,8 +397,8 @@ void Kernel::OnSyscall(EpId ep, const Message& msg) {
     if (migrated) {
       stats_.syscalls_frozen++;
     }
-    Finish(t_.syscall_dispatch + t_.syscall_reply, [this, ctx, migrated] {
-      ReplySyscall(ctx, migrated ? ErrCode::kVpeMigrating : ErrCode::kNoSuchVpe);
+    Finish(t_.syscall_dispatch + t_.syscall_reply, [this, sc, migrated] {
+      ReplySyscall(sc, migrated ? ErrCode::kVpeMigrating : ErrCode::kNoSuchVpe);
     });
     return;
   }
@@ -417,55 +407,56 @@ void Kernel::OnSyscall(EpId ep, const Message& msg) {
     // by then the syscall endpoint points at the new kernel.
     stats_.syscalls_frozen++;
     Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, ctx] { ReplySyscall(ctx, ErrCode::kVpeMigrating); });
+           [this, sc] { ReplySyscall(sc, ErrCode::kVpeMigrating); });
     return;
   }
 
   // Messages the handler sends on this call's behalf nest under its span.
-  cur_trace_ = TraceCtx{msg.body->trace_id, ctx.trace_span};
+  cur_trace_ = TraceCtx{msg.body->trace_id, sc->trace_span};
   switch (req->op) {
     case SyscallOp::kNoop:
-      SysNoop(ctx, *req);
+      SysNoop(sc, *req);
       break;
     case SyscallOp::kOpenSession:
-      SysOpenSession(ctx, *req);
+      SysOpenSession(sc, *req);
       break;
     case SyscallOp::kExchange:
-      SysExchange(ctx, *req);
+      SysExchange(sc, *req);
       break;
     case SyscallOp::kObtain:
-      SysObtain(ctx, *req);
+      SysObtain(sc, *req);
       break;
     case SyscallOp::kDelegate:
-      SysDelegate(ctx, *req);
+      SysDelegate(sc, *req);
       break;
     case SyscallOp::kRevoke:
-      SysRevoke(ctx, *req);
+      SysRevoke(sc, *req);
       break;
     case SyscallOp::kActivate:
-      SysActivate(ctx, *req);
+      SysActivate(sc, *req);
       break;
     case SyscallOp::kDeriveMem:
-      SysDeriveMem(ctx, *req);
+      SysDeriveMem(sc, *req);
       break;
     case SyscallOp::kRegisterService:
-      SysRegisterService(ctx, *req);
+      SysRegisterService(sc, *req);
       break;
   }
   cur_trace_ = TraceCtx{};
 }
 
-void Kernel::ReplySyscall(SyscallCtx ctx, ErrCode err, CapSel sel, const CapPayload& payload,
+void Kernel::ReplySyscall(SyscallRec* sc, ErrCode err, CapSel sel, const CapPayload& payload,
                           MsgRef opaque) {
   ReleaseThread();
-  const SyscallMsg* req = ctx.msg.As<SyscallMsg>();
-  const VpeState* v = vpes_.Find(ctx.vpe);
-  bool reachable = (v != nullptr && v->alive) || migrated_away_.count(ctx.vpe) > 0;
+  const SyscallMsg* req = sc->msg.As<SyscallMsg>();
+  const VpeState* v = vpes_.Find(sc->vpe);
+  bool reachable = (v != nullptr && v->alive) || migrated_away_.count(sc->vpe) > 0;
   if (!reachable) {
     // The caller died while the operation was in flight; just free the slot.
     // (Migrated-away VPEs are alive elsewhere and must still get their
     // kVpeMigrating answer, or their retry loop would hang.)
-    pe_->dtu().Ack(ctx.recv_ep, ctx.msg);
+    pe_->dtu().Ack(sc->recv_ep, sc->msg);
+    syscall_recs_.Delete(sc);
     return;
   }
   auto reply = NewMsg<SyscallReply>();
@@ -474,42 +465,40 @@ void Kernel::ReplySyscall(SyscallCtx ctx, ErrCode err, CapSel sel, const CapPayl
   reply->sel = sel;
   reply->cap = payload;
   reply->payload = std::move(opaque);
-  if (obs::Tracer* tr = tracer(); tr != nullptr && ctx.trace_span != 0) {
-    uint64_t trace = ctx.msg.body->trace_id;
+  if (obs::Tracer* tr = tracer(); tr != nullptr && sc->trace_span != 0) {
+    uint64_t trace = sc->msg.body->trace_id;
     // The reply's transit span hangs under the syscall span.
     reply->trace_id = trace;
-    reply->trace_parent = ctx.trace_span;
-    RecordSpan(tr, trace, ctx.trace_span, ctx.msg.body->trace_parent, ctx.trace_start,
+    reply->trace_parent = sc->trace_span;
+    RecordSpan(tr, trace, sc->trace_span, sc->msg.body->trace_parent, sc->trace_start,
                pe_->sim()->Now(), pe_->node(), obs::SpanKind::kSyscall,
                static_cast<uint16_t>(req->op));
   }
-  pe_->dtu().Reply(ctx.recv_ep, ctx.msg, reply);
+  pe_->dtu().Reply(sc->recv_ep, sc->msg, reply);
+  syscall_recs_.Delete(sc);
 }
 
-void Kernel::SysNoop(SyscallCtx ctx, const SyscallMsg& req) {
+void Kernel::SysNoop(SyscallRec* sc, const SyscallMsg& req) {
   (void)req;
-  Finish(t_.syscall_dispatch + t_.syscall_reply, [this, ctx] { ReplySyscall(ctx, ErrCode::kOk); });
+  Finish(t_.syscall_dispatch + t_.syscall_reply, [this, sc] { ReplySyscall(sc, ErrCode::kOk); });
 }
 
 // ---------------------------------------------------------------------------
 // Obtain path — local and group-spanning (paper §4.3.2, Figure 3)
 // ---------------------------------------------------------------------------
 
-void Kernel::OwnerSideObtain(AskOp ask_op, DdlKey owner_cap, VpeId owner_vpe, CapSel owner_sel,
-                             VpeId client, DdlKey child_key, MsgRef opaque, uint64_t session,
-                             std::function<void(ErrCode, DdlKey, const CapPayload&, MsgRef,
-                                                uint64_t)>
-                                 done) {
+void Kernel::OwnerSideObtain(ObtainOp* op, AskOp ask_op, DdlKey owner_cap, VpeId owner_vpe,
+                             CapSel owner_sel, MsgRef opaque, uint64_t session) {
   VpeState* owner = vpes_.Find(owner_vpe);
   if (owner == nullptr || !owner->alive) {
-    done(ErrCode::kVpeGone, DdlKey(), CapPayload(), nullptr, 0);
+    OwnerObtainDone(op, ErrCode::kVpeGone, DdlKey(), CapPayload(), nullptr, 0);
     return;
   }
   if (owner->migrating) {
     // The owner's partition is being handed off; like the Pointless denial
     // this is rejected immediately, but with a retryable code — the retry
     // routes to the new kernel through the updated membership table.
-    done(ErrCode::kVpeMigrating, DdlKey(), CapPayload(), nullptr, 0);
+    OwnerObtainDone(op, ErrCode::kVpeMigrating, DdlKey(), CapPayload(), nullptr, 0);
     return;
   }
 
@@ -519,148 +508,167 @@ void Kernel::OwnerSideObtain(AskOp ask_op, DdlKey owner_cap, VpeId owner_vpe, Ca
   if (ask_op != AskOp::kExchange) {
     anchor = owner_cap.IsNull() ? CapOf(owner_vpe, owner_sel) : caps_.Find(owner_cap);
     if (anchor == nullptr) {
-      done(ErrCode::kNoSuchCap, DdlKey(), CapPayload(), nullptr, 0);
+      OwnerObtainDone(op, ErrCode::kNoSuchCap, DdlKey(), CapPayload(), nullptr, 0);
       return;
     }
     if (anchor->marked()) {
       // "we immediately deny exchanges of capabilities that are in
       // revocation, which prevents pointless capability exchanges" (§4.3.3).
       stats_.pointless_denials++;
-      done(ErrCode::kCapRevoked, DdlKey(), CapPayload(), nullptr, 0);
+      OwnerObtainDone(op, ErrCode::kCapRevoked, DdlKey(), CapPayload(), nullptr, 0);
       return;
     }
   }
 
   auto ask = NewMsg<AskMsg>();
   ask->op = ask_op;
-  ask->client = client;
+  ask->client = op->client;
   ask->sel = owner_sel;
   ask->session = session;
   ask->payload = std::move(opaque);
 
-  AskParty(owner->node, ask,
-           [this, ask_op, owner_vpe, child_key, done = std::move(done)](const AskReply& reply) {
-             if (reply.err != ErrCode::kOk) {
-               done(reply.err, DdlKey(), CapPayload(), reply.payload, reply.session);
-               return;
-             }
-             // Re-resolve: the capability may have been revoked while we
-             // were waiting for the party.
-             Capability* parent = CapOf(owner_vpe, reply.share_sel);
-             if (parent == nullptr) {
-               done(ErrCode::kNoSuchCap, DdlKey(), CapPayload(), reply.payload, reply.session);
-               return;
-             }
-             if (parent->marked()) {
-               stats_.pointless_denials++;
-               done(ErrCode::kCapRevoked, DdlKey(), CapPayload(), reply.payload, reply.session);
-               return;
-             }
-             // Link the proposed child into the mapping database. If the
-             // obtainer dies before materializing it, this entry is the
-             // "orphaned capability" of §4.3.2, cleaned up via notification.
-             Charge(t_.tree_insert + t_.ddl_decode);
-             parent->AddChild(child_key);
-             CapPayload payload = parent->payload();
-             if (ask_op == AskOp::kOpenSession) {
-               payload.type = CapType::kSession;
-               payload.session = reply.session;
-               payload.service = parent->key();
-             }
-             done(ErrCode::kOk, parent->key(), payload, reply.payload, reply.session);
-           });
+  op->ask_op = ask_op;
+  op->owner_vpe = owner_vpe;
+  AskParty(owner->node, ask, [this, op](const AskReply& reply) { OwnerObtainAsked(op, reply); });
 }
 
-void Kernel::FinishObtain(ObtainOp op, ErrCode err, DdlKey parent, const CapPayload& payload,
-                          MsgRef opaque, uint64_t session) {
-  (void)session;
-  if (err != ErrCode::kOk) {
-    Finish(t_.syscall_reply, [this, op, err, opaque] {
-      ReplySyscall(op.sc, err, kInvalidSel, CapPayload(), opaque);
-    });
+void Kernel::OwnerObtainAsked(ObtainOp* op, const AskReply& reply) {
+  if (reply.err != ErrCode::kOk) {
+    OwnerObtainDone(op, reply.err, DdlKey(), CapPayload(), reply.payload, reply.session);
     return;
   }
-  VpeState* client = vpes_.Find(op.client);
+  // Re-resolve: the capability may have been revoked while we were waiting
+  // for the party.
+  Capability* parent = CapOf(op->owner_vpe, reply.share_sel);
+  if (parent == nullptr) {
+    OwnerObtainDone(op, ErrCode::kNoSuchCap, DdlKey(), CapPayload(), reply.payload, reply.session);
+    return;
+  }
+  if (parent->marked()) {
+    stats_.pointless_denials++;
+    OwnerObtainDone(op, ErrCode::kCapRevoked, DdlKey(), CapPayload(), reply.payload,
+                    reply.session);
+    return;
+  }
+  // Link the proposed child into the mapping database. If the obtainer dies
+  // before materializing it, this entry is the "orphaned capability" of
+  // §4.3.2, cleaned up via notification.
+  Charge(t_.tree_insert + t_.ddl_decode);
+  parent->AddChild(op->child_key);
+  CapPayload payload = parent->payload();
+  if (op->ask_op == AskOp::kOpenSession) {
+    payload.type = CapType::kSession;
+    payload.session = reply.session;
+    payload.service = parent->key();
+  }
+  OwnerObtainDone(op, ErrCode::kOk, parent->key(), payload, reply.payload, reply.session);
+}
+
+void Kernel::OwnerObtainDone(ObtainOp* op, ErrCode err, DdlKey parent, const CapPayload& payload,
+                             MsgRef opaque, uint64_t session) {
+  if (op->sc != nullptr) {
+    FinishObtain(op, err, parent, payload, std::move(opaque));
+    return;
+  }
+  // Owner side of a group-spanning obtain: answer the obtainer's kernel.
+  auto reply = NewMsg<IkcReply>();
+  reply->token = op->ikc_token;
+  reply->err = err;
+  reply->cap = parent;
+  reply->payload = payload;
+  reply->payload.session = session != 0 ? session : reply->payload.session;
+  reply->opaque = std::move(opaque);
+  EpId ep = op->ikc_ep;
+  Message msg = std::move(op->ikc_msg);
+  obtain_recs_.Delete(op);
+  Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+  ReleaseThread();
+}
+
+void Kernel::FinishObtain(ObtainOp* op, ErrCode err, DdlKey parent, const CapPayload& payload,
+                          MsgRef opaque) {
+  op->opaque = std::move(opaque);
+  if (err != ErrCode::kOk) {
+    Finish(t_.syscall_reply, [this, op, err] { ReplyObtain(op, err); });
+    return;
+  }
+  VpeState* client = vpes_.Find(op->client);
   if (client == nullptr || !client->alive) {
     // Obtainer died while the exchange was in flight: the owner now tracks
     // an orphaned child. Notify its kernel for quick removal (§4.3.2).
     stats_.orphans_cleaned++;
-    UnlinkChildAtParent(parent, op.child_key, /*orphan=*/true);
+    UnlinkChildAtParent(parent, op->child_key, /*orphan=*/true);
     ReleaseThread();
-    pe_->dtu().Ack(op.sc.recv_ep, op.sc.msg);
+    pe_->dtu().Ack(op->sc->recv_ep, op->sc->msg);
+    syscall_recs_.Delete(op->sc);
+    obtain_recs_.Delete(op);
     return;
   }
 
   CapSel sel = client->AllocSel();
-  Capability* cap = caps_.Create(op.child_key, payload.type, op.client, sel);
+  Capability* cap = caps_.Create(op->child_key, payload.type, op->client, sel);
   cap->payload() = payload;
   cap->set_parent(parent);
-  client->table.Set(sel, op.child_key);
+  client->table.Set(sel, op->child_key);
   stats_.caps_created++;
   stats_.obtains++;
 
-  CapPayload reply_payload = payload;
-  if (op.open_session) {
+  op->sel = sel;
+  op->payload = payload;
+  if (op->open_session) {
     stats_.sessions_opened++;
     // Configure the client's session send gate (the channel of Figure 3
     // that afterwards works without the kernel).
     Charge(t_.cap_create + t_.ddl_decode + t_.ep_config);
     pe_->dtu().ConfigureRemoteSend(
-        client->node, user_ep::kServiceSend, op.service_node, user_ep::kServiceRecv,
-        /*credits=*/1, /*label=*/payload.session,
-        [this, op, sel, reply_payload, opaque] {
-          Finish(t_.syscall_reply,
-                 [this, op, sel, reply_payload, opaque] {
-                   ReplySyscall(op.sc, ErrCode::kOk, sel, reply_payload, opaque);
-                 });
+        client->node, user_ep::kServiceSend, op->service_node, user_ep::kServiceRecv,
+        /*credits=*/1, /*label=*/payload.session, [this, op] {
+          Finish(t_.syscall_reply, [this, op] { ReplyObtain(op, ErrCode::kOk); });
         });
     return;
   }
-  Finish(t_.cap_create + t_.ddl_decode + t_.syscall_reply, [this, op, sel, reply_payload, opaque] {
-    ReplySyscall(op.sc, ErrCode::kOk, sel, reply_payload, opaque);
-  });
+  Finish(t_.cap_create + t_.ddl_decode + t_.syscall_reply,
+         [this, op] { ReplyObtain(op, ErrCode::kOk); });
 }
 
-void Kernel::SysObtain(SyscallCtx ctx, const SyscallMsg& req) {
-  ObtainOp op;
-  op.token = next_token_++;
-  op.sc = ctx;
-  op.client = req.vpe;
-  op.child_key = AllocKey(req.vpe, CapType::kNone);
+void Kernel::ReplyObtain(ObtainOp* op, ErrCode err) {
+  ReplySyscall(op->sc, err, op->sel, op->payload, std::move(op->opaque));
+  obtain_recs_.Delete(op);
+}
+
+void Kernel::ObtainIkcReplied(ObtainOp* op, const IkcReply& reply) {
+  CHECK(obtains_.Erase(op->token) == op);
+  Charge(t_.ikc_reply_handle);
+  FinishObtain(op, reply.err, reply.cap, reply.payload, reply.opaque);
+}
+
+void Kernel::SysObtain(SyscallRec* sc, const SyscallMsg& req) {
+  ObtainOp* op = obtain_recs_.New();
+  op->token = next_token_++;
+  op->sc = sc;
+  op->client = req.vpe;
+  op->child_key = AllocKey(req.vpe, CapType::kNone);
 
   if (IsLocalVpe(req.peer)) {
     Charge(t_.syscall_dispatch + t_.exchange_validate + t_.ddl_decode);
-    OwnerSideObtain(AskOp::kObtain, DdlKey(), req.peer, req.sel, req.vpe, op.child_key, nullptr, 0,
-                    [this, op](ErrCode err, DdlKey parent, const CapPayload& payload, MsgRef opq,
-                               uint64_t session) {
-                      FinishObtain(op, err, parent, payload, opq, session);
-                    });
+    OwnerSideObtain(op, AskOp::kObtain, DdlKey(), req.peer, req.sel, nullptr, 0);
     return;
   }
 
   // Group-spanning: forward to the owner's kernel (Figure 3, sequence B).
   stats_.spanning_obtains++;
-  op.spanning = true;
-  uint64_t token = op.token;
-  obtains_[token] = op;
+  obtains_.Insert(op->token, op);
   Charge(t_.syscall_dispatch + DdlDecodeCostVpe(req.peer) + t_.ikc_send);
   auto msg = NewMsg<IkcMsg>();
   msg->op = IkcOp::kObtainReq;
   msg->vpe = req.vpe;
   msg->peer = req.peer;
   msg->cap = DdlKey();
-  msg->child = op.child_key;
+  msg->child = op->child_key;
   // Reuse the syscall's selector as the owner-side selector.
   msg->payload.session = req.sel;
-  SendIkc(KernelOfVpe(req.peer), msg, [this, token](const IkcReply& reply) {
-    auto it = obtains_.find(token);
-    CHECK(it != obtains_.end());
-    ObtainOp pending = it->second;
-    obtains_.erase(it);
-    Charge(t_.ikc_reply_handle);
-    FinishObtain(pending, reply.err, reply.cap, reply.payload, reply.opaque,
-                 reply.payload.session);
-  });
+  SendIkc(KernelOfVpe(req.peer), msg,
+          [this, op](const IkcReply& reply) { ObtainIkcReplied(op, reply); });
 }
 
 // ---------------------------------------------------------------------------
@@ -698,66 +706,50 @@ const Kernel::ServiceEntry* Kernel::PickService(const std::string& name, VpeId c
   return &entries[client % entries.size()];
 }
 
-void Kernel::SysOpenSession(SyscallCtx ctx, const SyscallMsg& req) {
+void Kernel::SysOpenSession(SyscallRec* sc, const SyscallMsg& req) {
   const ServiceEntry* svc = PickService(req.name, req.vpe);
   if (svc == nullptr) {
     Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, ctx] { ReplySyscall(ctx, ErrCode::kNoSuchService); });
+           [this, sc] { ReplySyscall(sc, ErrCode::kNoSuchService); });
     return;
   }
 
-  ObtainOp op;
-  op.token = next_token_++;
-  op.sc = ctx;
-  op.client = req.vpe;
-  op.child_key = AllocKey(req.vpe, CapType::kSession);
-  op.open_session = true;
-  op.service_node = svc->node;
+  ObtainOp* op = obtain_recs_.New();
+  op->token = next_token_++;
+  op->sc = sc;
+  op->client = req.vpe;
+  op->child_key = AllocKey(req.vpe, CapType::kSession);
+  op->open_session = true;
+  op->service_node = svc->node;
 
   if (svc->kernel == config_.id) {
     Charge(t_.syscall_dispatch + t_.exchange_validate + t_.ddl_decode + t_.session_exchange_extra);
-    OwnerSideObtain(AskOp::kOpenSession, svc->cap, svc->vpe, kInvalidSel, req.vpe, op.child_key,
-                    nullptr, 0,
-                    [this, op](ErrCode err, DdlKey parent, const CapPayload& payload, MsgRef opq,
-                               uint64_t session) {
-                      FinishObtain(op, err, parent, payload, opq, session);
-                    });
+    OwnerSideObtain(op, AskOp::kOpenSession, svc->cap, svc->vpe, kInvalidSel, nullptr, 0);
     return;
   }
 
   stats_.spanning_obtains++;
-  op.spanning = true;
-  uint64_t token = op.token;
-  obtains_[token] = op;
+  obtains_.Insert(op->token, op);
   Charge(t_.syscall_dispatch + DdlDecodeCost(svc->cap) + t_.ikc_send);
   auto msg = NewMsg<IkcMsg>();
   msg->op = IkcOp::kOpenSessionReq;
   msg->vpe = req.vpe;
   msg->cap = svc->cap;
-  msg->child = op.child_key;
-  SendIkc(svc->kernel, msg, [this, token](const IkcReply& reply) {
-    auto it = obtains_.find(token);
-    CHECK(it != obtains_.end());
-    ObtainOp pending = it->second;
-    obtains_.erase(it);
-    Charge(t_.ikc_reply_handle);
-    FinishObtain(pending, reply.err, reply.cap, reply.payload, reply.opaque,
-                 reply.payload.session);
-  });
+  msg->child = op->child_key;
+  SendIkc(svc->kernel, msg, [this, op](const IkcReply& reply) { ObtainIkcReplied(op, reply); });
 }
 
-void Kernel::SysExchange(SyscallCtx ctx, const SyscallMsg& req) {
+void Kernel::SysExchange(SyscallRec* sc, const SyscallMsg& req) {
   Capability* session = CapOf(req.vpe, req.sel);
   if (session == nullptr || session->type() != CapType::kSession) {
-    Finish(t_.syscall_dispatch + t_.syscall_reply, [this, ctx, session] {
-      ReplySyscall(ctx, session == nullptr ? ErrCode::kNoSuchCap : ErrCode::kInvalidCapType);
-    });
+    ErrCode err = session == nullptr ? ErrCode::kNoSuchCap : ErrCode::kInvalidCapType;
+    Finish(t_.syscall_dispatch + t_.syscall_reply, [this, sc, err] { ReplySyscall(sc, err); });
     return;
   }
   if (session->marked()) {
     stats_.pointless_denials++;
     Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, ctx] { ReplySyscall(ctx, ErrCode::kCapRevoked); });
+           [this, sc] { ReplySyscall(sc, ErrCode::kCapRevoked); });
     return;
   }
 
@@ -765,90 +757,84 @@ void Kernel::SysExchange(SyscallCtx ctx, const SyscallMsg& req) {
   uint64_t session_id = session->payload().session;
   KernelId owner_kernel = KernelOf(service_cap);
 
-  ObtainOp op;
-  op.token = next_token_++;
-  op.sc = ctx;
-  op.client = req.vpe;
-  op.child_key = AllocKey(req.vpe, CapType::kNone);
+  uint64_t token = next_token_++;
+  DdlKey child_key = AllocKey(req.vpe, CapType::kNone);
 
   if (owner_kernel == config_.id) {
     Capability* svc_cap = caps_.Find(service_cap);
     if (svc_cap == nullptr) {
       Finish(t_.syscall_dispatch + t_.syscall_reply,
-             [this, ctx] { ReplySyscall(ctx, ErrCode::kNoSuchCap); });
+             [this, sc] { ReplySyscall(sc, ErrCode::kNoSuchCap); });
       return;
     }
+    ObtainOp* op = obtain_recs_.New();
+    op->token = token;
+    op->sc = sc;
+    op->client = req.vpe;
+    op->child_key = child_key;
     Charge(t_.syscall_dispatch + t_.exchange_validate + t_.ddl_decode + t_.session_exchange_extra);
-    OwnerSideObtain(AskOp::kExchange, service_cap, svc_cap->holder(), kInvalidSel, req.vpe,
-                    op.child_key, req.payload, session_id,
-                    [this, op](ErrCode err, DdlKey parent, const CapPayload& payload, MsgRef opq,
-                               uint64_t owner_session) {
-                      FinishObtain(op, err, parent, payload, opq, owner_session);
-                    });
+    OwnerSideObtain(op, AskOp::kExchange, service_cap, svc_cap->holder(), kInvalidSel,
+                    req.payload, session_id);
     return;
   }
 
+  ObtainOp* op = obtain_recs_.New();
+  op->token = token;
+  op->sc = sc;
+  op->client = req.vpe;
+  op->child_key = child_key;
   stats_.spanning_obtains++;
-  op.spanning = true;
-  uint64_t token = op.token;
-  obtains_[token] = op;
+  obtains_.Insert(op->token, op);
   Charge(t_.syscall_dispatch + DdlDecodeCost(service_cap) + t_.ikc_send);
   auto msg = NewMsg<IkcMsg>();
   msg->op = IkcOp::kObtainReq;
   msg->vpe = req.vpe;
   msg->cap = service_cap;
-  msg->child = op.child_key;
+  msg->child = op->child_key;
   msg->opaque = req.payload;
   msg->payload.session = session_id;
-  SendIkc(owner_kernel, msg, [this, token](const IkcReply& reply) {
-    auto it = obtains_.find(token);
-    CHECK(it != obtains_.end());
-    ObtainOp pending = it->second;
-    obtains_.erase(it);
-    Charge(t_.ikc_reply_handle);
-    FinishObtain(pending, reply.err, reply.cap, reply.payload, reply.opaque,
-                 reply.payload.session);
-  });
+  SendIkc(owner_kernel, msg, [this, op](const IkcReply& reply) { ObtainIkcReplied(op, reply); });
 }
 
 // ---------------------------------------------------------------------------
 // Delegate path — two-way handshake (paper §4.3.2)
 // ---------------------------------------------------------------------------
 
-void Kernel::SysDelegate(SyscallCtx ctx, const SyscallMsg& req) {
+void Kernel::SysDelegate(SyscallRec* sc, const SyscallMsg& req) {
   Capability* cap = CapOf(req.vpe, req.sel);
   if (cap == nullptr) {
     Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, ctx] { ReplySyscall(ctx, ErrCode::kNoSuchCap); });
+           [this, sc] { ReplySyscall(sc, ErrCode::kNoSuchCap); });
     return;
   }
   if (cap->marked()) {
     stats_.pointless_denials++;
     Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, ctx] { ReplySyscall(ctx, ErrCode::kCapRevoked); });
+           [this, sc] { ReplySyscall(sc, ErrCode::kCapRevoked); });
     return;
   }
 
-  DelegateOp op;
-  op.token = next_token_++;
-  op.sc = ctx;
-  op.cap = cap->key();
-  op.client = req.vpe;
-  op.peer = req.peer;
+  uint64_t token = next_token_++;
 
   if (IsLocalVpe(req.peer)) {
     // Group-internal delegate: no handshake needed, one kernel owns both.
     VpeState* peer_vpe = vpes_.Find(req.peer);
     if (peer_vpe == nullptr || !peer_vpe->alive) {
       Finish(t_.syscall_dispatch + t_.syscall_reply,
-             [this, ctx] { ReplySyscall(ctx, ErrCode::kVpeGone); });
+             [this, sc] { ReplySyscall(sc, ErrCode::kVpeGone); });
       return;
     }
     if (peer_vpe->migrating) {
       Finish(t_.syscall_dispatch + t_.syscall_reply,
-             [this, ctx] { ReplySyscall(ctx, ErrCode::kVpeMigrating); });
+             [this, sc] { ReplySyscall(sc, ErrCode::kVpeMigrating); });
       return;
     }
+    DelegateOp* op = delegate_recs_.New();
+    op->token = token;
+    op->sc = sc;
+    op->cap = cap->key();
+    op->client = req.vpe;
+    op->peer = req.peer;
     Charge(t_.syscall_dispatch + t_.exchange_validate + t_.ddl_decode);
     auto ask = NewMsg<AskMsg>();
     ask->op = AskOp::kDelegate;
@@ -856,18 +842,18 @@ void Kernel::SysDelegate(SyscallCtx ctx, const SyscallMsg& req) {
     ask->offered = cap->payload();
     AskParty(peer_vpe->node, ask, [this, op](const AskReply& reply) {
       if (reply.err != ErrCode::kOk) {
-        Finish(t_.syscall_reply, [this, op, err = reply.err] { ReplySyscall(op.sc, err); });
+        Finish(t_.syscall_reply, [this, op, err = reply.err] { ReplyDelegate(op, err); });
         return;
       }
-      Capability* parent = caps_.Find(op.cap);
+      Capability* parent = caps_.Find(op->cap);
       if (parent == nullptr || parent->marked()) {
         stats_.pointless_denials += (parent != nullptr);
-        Finish(t_.syscall_reply, [this, op] { ReplySyscall(op.sc, ErrCode::kCapRevoked); });
+        Finish(t_.syscall_reply, [this, op] { ReplyDelegate(op, ErrCode::kCapRevoked); });
         return;
       }
-      VpeState* receiver = vpes_.Find(op.peer);
+      VpeState* receiver = vpes_.Find(op->peer);
       if (receiver == nullptr || !receiver->alive) {
-        Finish(t_.syscall_reply, [this, op] { ReplySyscall(op.sc, ErrCode::kVpeGone); });
+        Finish(t_.syscall_reply, [this, op] { ReplyDelegate(op, ErrCode::kVpeGone); });
         return;
       }
       Capability* child = CreateCap(receiver, parent->type(), parent->payload(),
@@ -875,16 +861,20 @@ void Kernel::SysDelegate(SyscallCtx ctx, const SyscallMsg& req) {
       parent->AddChild(child->key());
       stats_.delegates++;
       Finish(t_.cap_create + t_.tree_insert + 2 * t_.ddl_decode + t_.syscall_reply,
-             [this, op] { ReplySyscall(op.sc, ErrCode::kOk); });
+             [this, op] { ReplyDelegate(op, ErrCode::kOk); });
     });
     return;
   }
 
   // Group-spanning delegate.
+  DelegateOp* op = delegate_recs_.New();
+  op->token = token;
+  op->sc = sc;
+  op->cap = cap->key();
+  op->client = req.vpe;
+  op->peer = req.peer;
   stats_.spanning_delegates++;
-  op.spanning = true;
-  uint64_t token = op.token;
-  delegates_[token] = op;
+  delegates_.Insert(op->token, op);
   Charge(t_.syscall_dispatch + t_.exchange_validate + DdlDecodeCostVpe(req.peer) +
          t_.ikc_send);
   auto msg = NewMsg<IkcMsg>();
@@ -893,32 +883,34 @@ void Kernel::SysDelegate(SyscallCtx ctx, const SyscallMsg& req) {
   msg->peer = req.peer;
   msg->cap = cap->key();
   msg->payload = cap->payload();
-  SendIkc(KernelOfVpe(req.peer), msg, [this, token](const IkcReply& reply) {
-    auto it = delegates_.find(token);
-    CHECK(it != delegates_.end());
-    DelegateOp pending = it->second;
-    delegates_.erase(it);
+  SendIkc(KernelOfVpe(req.peer), msg, [this, op](const IkcReply& reply) {
+    CHECK(delegates_.Erase(op->token) == op);
     Charge(t_.ikc_reply_handle);
-    FinishDelegate(pending, reply.err, reply.child);
+    FinishDelegate(op, reply.err, reply.child);
   });
 }
 
-void Kernel::FinishDelegate(DelegateOp op, ErrCode err, DdlKey child_key) {
+void Kernel::ReplyDelegate(DelegateOp* op, ErrCode err) {
+  ReplySyscall(op->sc, err);
+  delegate_recs_.Delete(op);
+}
+
+void Kernel::FinishDelegate(DelegateOp* op, ErrCode err, DdlKey child_key) {
   if (err != ErrCode::kOk) {
-    Finish(t_.syscall_reply, [this, op, err] { ReplySyscall(op.sc, err); });
+    Finish(t_.syscall_reply, [this, op, err] { ReplyDelegate(op, err); });
     return;
   }
   // Second leg of the handshake: only if the delegated capability still
   // exists do we link the child and tell the peer kernel to materialize it.
   // "if the delegator is killed while waiting... the delegated capability
   // stays valid at the receiving VPE" — prevented here (§4.3.2, "Invalid").
-  Capability* parent = caps_.Find(op.cap);
+  Capability* parent = caps_.Find(op->cap);
   bool ok = parent != nullptr && !parent->marked();
   auto ack = NewMsg<IkcMsg>();
   ack->op = IkcOp::kDelegateAck;
   ack->child = child_key;
-  ack->cap = op.cap;
-  KernelId peer_kernel = KernelOfVpe(op.peer);
+  ack->cap = op->cap;
+  KernelId peer_kernel = KernelOfVpe(op->peer);
   if (ok) {
     parent->AddChild(child_key);
     stats_.delegates++;
@@ -932,30 +924,27 @@ void Kernel::FinishDelegate(DelegateOp op, ErrCode err, DdlKey child_key) {
     // The receiver's partition migrated onto this kernel mid-handshake
     // (the request reached its old owner, which forwarded it here, so the
     // parked child sits in our own table): deliver the ACK locally.
-    ApplyDelegateAck(!ok, child_key, nullptr);
+    ApplyDelegateAck(!ok, child_key);
   } else {
     SendIkc(peer_kernel, ack, [](const IkcReply&) {});
   }
-  Finish(t_.syscall_reply, [this, op, ok] {
-    ReplySyscall(op.sc, ok ? ErrCode::kOk : ErrCode::kCapRevoked);
-  });
+  Finish(t_.syscall_reply,
+         [this, op, ok] { ReplyDelegate(op, ok ? ErrCode::kOk : ErrCode::kCapRevoked); });
 }
 
-void Kernel::ApplyDelegateAck(bool abort, DdlKey child_key, std::function<void(ErrCode)> reply) {
-  auto it = parked_delegates_.find(child_key.raw());
-  CHECK(it != parked_delegates_.end()) << "delegate ack for unknown parked child";
-  ParkedDelegate parked = it->second;
-  parked_delegates_.erase(it);
+ErrCode Kernel::ApplyDelegateAck(bool abort, DdlKey child_key) {
+  ParkedDelegate* parked = parked_delegates_.Erase(child_key.raw());
+  CHECK(parked != nullptr) << "delegate ack for unknown parked child";
   ErrCode err = ErrCode::kOk;
   if (!abort) {
-    VpeState* receiver = vpes_.Find(parked.receiver);
+    VpeState* receiver = vpes_.Find(parked->receiver);
     if (receiver != nullptr && receiver->alive) {
       CapSel sel = receiver->AllocSel();
       Capability* cap =
-          caps_.Create(parked.child_key, parked.payload.type, parked.receiver, sel);
-      cap->payload() = parked.payload;
-      cap->set_parent(parked.parent_key);
-      receiver->table.Set(sel, parked.child_key);
+          caps_.Create(parked->child_key, parked->payload.type, parked->receiver, sel);
+      cap->payload() = parked->payload;
+      cap->set_parent(parked->parent_key);
+      receiver->table.Set(sel, parked->child_key);
       stats_.caps_created++;
       Charge(t_.ikc_reply_handle + t_.tree_insert + t_.ddl_decode);
     } else {
@@ -965,16 +954,15 @@ void Kernel::ApplyDelegateAck(bool abort, DdlKey child_key, std::function<void(E
       // carries the forwarder as source, and the parent's partition itself
       // may have migrated since the child was parked.
       stats_.orphans_cleaned++;
-      UnlinkChildAtParent(parked.parent_key, parked.child_key, /*orphan=*/true);
+      UnlinkChildAtParent(parked->parent_key, parked->child_key, /*orphan=*/true);
       err = ErrCode::kVpeGone;
       Charge(t_.ikc_reply_handle);
     }
   } else {
     Charge(t_.ikc_reply_handle);
   }
-  if (reply) {
-    reply(err);
-  }
+  parked_recs_.Delete(parked);
+  return err;
 }
 
 void Kernel::OwnerSideDelegate(const IkcMsg& req, EpId recv_ep, const Message& msg) {
@@ -991,37 +979,43 @@ void Kernel::OwnerSideDelegate(const IkcMsg& req, EpId recv_ep, const Message& m
   ask->op = AskOp::kDelegate;
   ask->client = req.vpe;
   ask->offered = req.payload;
-  uint64_t token = req.token;
-  DdlKey parent_key = req.cap;
-  CapPayload payload = req.payload;
-  KernelId from = req.src_kernel;
-  VpeId peer = req.peer;
+  DelegateOp* op = delegate_recs_.New();
+  op->ikc_token = req.token;
+  op->cap = req.cap;
+  op->payload = req.payload;
+  op->peer = req.peer;
+  op->ikc_ep = recv_ep;
+  op->ikc_msg = msg;
   AskParty(receiver->node, ask,
-           [this, token, parent_key, payload, from, peer, recv_ep, msg](const AskReply& areply) {
-             if (areply.err != ErrCode::kOk) {
-               auto reply = NewMsg<IkcReply>();
-               reply->token = token;
-               reply->err = areply.err;
-               Emit(Charge(t_.ikc_send), [this, recv_ep, msg, reply] { ReplyIkc(recv_ep, msg, reply); });
-               return;
-             }
-             // Create the child capability but do NOT insert it into the
-             // receiver's capability tree yet — that happens on the ACK
-             // (two-way handshake, §4.3.2).
-             DdlKey child_key = AllocKey(peer, payload.type);
-             ParkedDelegate parked;
-             parked.child_key = child_key;
-             parked.parent_key = parent_key;
-             parked.receiver = peer;
-             parked.payload = payload;
-             parked.from_kernel = from;
-             parked_delegates_[child_key.raw()] = parked;
-             auto reply = NewMsg<IkcReply>();
-             reply->token = token;
-             reply->err = ErrCode::kOk;
-             reply->child = child_key;
-             Emit(Charge(t_.cap_create + t_.ddl_decode + t_.ikc_send), [this, recv_ep, msg, reply] { ReplyIkc(recv_ep, msg, reply); });
-           });
+           [this, op](const AskReply& areply) { OwnerDelegateAsked(op, areply); });
+}
+
+void Kernel::OwnerDelegateAsked(DelegateOp* op, const AskReply& areply) {
+  auto reply = NewMsg<IkcReply>();
+  reply->token = op->ikc_token;
+  EpId ep = op->ikc_ep;
+  Message msg = std::move(op->ikc_msg);
+  if (areply.err != ErrCode::kOk) {
+    delegate_recs_.Delete(op);
+    reply->err = areply.err;
+    Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+    return;
+  }
+  // Create the child capability but do NOT insert it into the receiver's
+  // capability tree yet — that happens on the ACK (two-way handshake,
+  // §4.3.2).
+  DdlKey child_key = AllocKey(op->peer, op->payload.type);
+  ParkedDelegate* parked = parked_recs_.New();
+  parked->child_key = child_key;
+  parked->parent_key = op->cap;
+  parked->receiver = op->peer;
+  parked->payload = op->payload;
+  parked_delegates_.Insert(child_key.raw(), parked);
+  delegate_recs_.Delete(op);
+  reply->err = ErrCode::kOk;
+  reply->child = child_key;
+  Emit(Charge(t_.cap_create + t_.ddl_decode + t_.ikc_send),
+       [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
 }
 
 // ---------------------------------------------------------------------------
@@ -1029,12 +1023,11 @@ void Kernel::OwnerSideDelegate(const IkcMsg& req, EpId recv_ep, const Message& m
 // ---------------------------------------------------------------------------
 
 RevokeTask* Kernel::NewRevokeTask(DdlKey root) {
-  auto task = std::make_unique<RevokeTask>();
+  RevokeTask* task = revoke_recs_.New();
   task->id = next_token_++;
   task->root = root;
-  RevokeTask* raw = task.get();
-  revoke_tasks_[raw->id] = std::move(task);
-  return raw;
+  revoke_tasks_.Insert(task->id, task);
+  return task;
 }
 
 Cycles Kernel::MarkPass(Capability* cap, RevokeTask* task) {
@@ -1054,7 +1047,7 @@ Cycles Kernel::MarkPass(Capability* cap, RevokeTask* task) {
       // REVOKE_REQ to the destination — pairwise FIFO guarantees the
       // MIGRATE_VPE snapshot arrives there first.
       stats_.spanning_revokes++;
-      task->remote_children[transfer_dst].push_back(child_key);
+      task->remote_children.push_back({transfer_dst, child_key});
       continue;
     }
     if (KernelOf(child_key) == config_.id) {
@@ -1068,32 +1061,49 @@ Cycles Kernel::MarkPass(Capability* cap, RevokeTask* task) {
         // replies", §4.3.3).
         task->outstanding++;
         uint64_t id = task->id;
-        child->task()->on_complete.push_back([this, id] { RevokeDependencyDone(id); });
+        child->task()->on_complete.emplace_back([this, id] { RevokeDependencyDone(id); });
         continue;
       }
       cost += MarkPass(child, task);
     } else {
       stats_.spanning_revokes++;
-      task->remote_children[KernelOf(child_key)].push_back(child_key);
+      task->remote_children.push_back({KernelOf(child_key), child_key});
     }
   }
   return cost;
 }
 
 Cycles Kernel::FlushRevokeRequests(RevokeTask* task) {
+  // Group by owning kernel, ascending, keeping discovery order within each
+  // kernel (a stable insertion sort: the lists are short, and it sorts in
+  // place without a scratch buffer).
+  std::vector<RevokeTask::RemoteChild>& children = task->remote_children;
+  for (size_t i = 1; i < children.size(); ++i) {
+    for (size_t j = i; j > 0 && children[j - 1].kernel > children[j].kernel; --j) {
+      std::swap(children[j - 1], children[j]);
+    }
+  }
   Cycles cost = 0;
   uint64_t id = task->id;
-  for (auto& [peer, keys] : task->remote_children) {
+  for (size_t begin = 0; begin < children.size();) {
+    KernelId peer = children[begin].kernel;
+    size_t end = begin;
+    while (end < children.size() && children[end].kernel == peer) {
+      ++end;
+    }
     if (config_.revoke_batching) {
       // One message per peer kernel carrying every child key (§5.2 future
       // work); the peer replies once when its whole share is gone.
+      size_t count = end - begin;
       task->outstanding++;
       stats_.ikc_batches_sent++;
-      stats_.ikc_batched_ops += keys.size();
-      cost += t_.ikc_send + static_cast<Cycles>(keys.size()) * 30;
+      stats_.ikc_batched_ops += count;
+      cost += t_.ikc_send + static_cast<Cycles>(count) * 30;
       auto msg = NewMsg<IkcMsg>();
       msg->op = IkcOp::kRevokeBatchReq;
-      msg->caps = keys;
+      for (size_t i = begin; i < end; ++i) {
+        msg->caps.push_back(children[i].key);
+      }
       SendIkc(peer, msg, [this, id](const IkcReply&) {
         Charge(t_.ikc_reply_handle);
         RevokeDependencyDone(id);
@@ -1101,27 +1111,27 @@ Cycles Kernel::FlushRevokeRequests(RevokeTask* task) {
     } else {
       // "the kernel managing the root capability sends out one message for
       // each child capability" (paper §5.2).
-      for (DdlKey key : keys) {
+      for (size_t i = begin; i < end; ++i) {
         task->outstanding++;
         cost += t_.ikc_send;
         auto msg = NewMsg<IkcMsg>();
         msg->op = IkcOp::kRevokeReq;
-        msg->cap = key;
+        msg->cap = children[i].key;
         SendIkc(peer, msg, [this, id](const IkcReply&) {
           Charge(t_.ikc_reply_handle);
           RevokeDependencyDone(id);
         });
       }
     }
+    begin = end;
   }
-  task->remote_children.clear();
+  children.clear();
   return cost;
 }
 
 void Kernel::RevokeDependencyDone(uint64_t task_id) {
-  auto it = revoke_tasks_.find(task_id);
-  CHECK(it != revoke_tasks_.end());
-  RevokeTask* task = it->second.get();
+  RevokeTask* task = revoke_tasks_.Find(task_id);
+  CHECK(task != nullptr);
   CHECK_GT(task->outstanding, 0u);
   task->outstanding--;
   CheckRevokeComplete(task);
@@ -1192,17 +1202,13 @@ void Kernel::CompleteRevokeTask(RevokeTask* task) {
 
   if (task->initiator) {
     stats_.revokes++;
-    SyscallCtx sc;
-    sc.vpe = task->vpe;
-    sc.recv_ep = task->reply_recv_ep;
-    sc.msg = task->reply_msg;
-    sc.valid = true;
+    SyscallRec* sc = task->sc;
     Cycles wake = task->suspended ? t_.revoke_resume : 0;
     Finish(wake + t_.revoke_finish + t_.syscall_reply,
            [this, sc] { ReplySyscall(sc, ErrCode::kOk); });
   } else if (task->admin) {
     if (task->admin_done) {
-      Finish(t_.revoke_finish, task->admin_done);
+      Finish(t_.revoke_finish, std::move(task->admin_done));
     }
   } else {
     // Participant: reply to the requesting kernel only now that our entire
@@ -1216,33 +1222,32 @@ void Kernel::CompleteRevokeTask(RevokeTask* task) {
     Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
   }
 
-  for (auto& hook : task->on_complete) {
+  for (InlineFn& hook : task->on_complete) {
     hook();
   }
-  revoke_tasks_.erase(task->id);
+  CHECK(revoke_tasks_.Erase(task->id) == task);
+  revoke_recs_.Delete(task);
 }
 
-void Kernel::SysRevoke(SyscallCtx ctx, const SyscallMsg& req) {
+void Kernel::SysRevoke(SyscallRec* sc, const SyscallMsg& req) {
   Capability* cap = CapOf(req.vpe, req.sel);
   if (cap == nullptr) {
     Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, ctx] { ReplySyscall(ctx, ErrCode::kNoSuchCap); });
+           [this, sc] { ReplySyscall(sc, ErrCode::kNoSuchCap); });
     return;
   }
   if (cap->marked()) {
     // An overlapping revoke already covers this capability; wait for it so
     // our acknowledgement is never early (§4.3.3).
-    cap->task()->on_complete.push_back([this, ctx] {
-      Finish(t_.revoke_finish + t_.syscall_reply, [this, ctx] { ReplySyscall(ctx, ErrCode::kOk); });
+    cap->task()->on_complete.emplace_back([this, sc] {
+      Finish(t_.revoke_finish + t_.syscall_reply, [this, sc] { ReplySyscall(sc, ErrCode::kOk); });
     });
     return;
   }
 
   RevokeTask* task = NewRevokeTask(cap->key());
   task->initiator = true;
-  task->vpe = ctx.vpe;
-  task->reply_recv_ep = ctx.recv_ep;
-  task->reply_msg = ctx.msg;
+  task->sc = sc;
   task->parent_unlink = cap->parent();
   Cycles cost = t_.syscall_dispatch + t_.revoke_entry + MarkPass(cap, task);
   cost += FlushRevokeRequests(task);
@@ -1267,13 +1272,11 @@ void Kernel::OnRevokeReq(EpId ep, const Message& msg, const IkcMsg& req) {
   bool batch = req.op == IkcOp::kRevokeBatchReq;
   if (revoke_threads_busy_ >= kMaxRevokeThreads) {
     stats_.revoke_reqs_queued++;
-    revoke_queue_.push_back([this, ep, msg, req, batch] {
-      if (batch) {
-        ProcessRevokeBatch(ep, msg, req);
-      } else {
-        ProcessRevokeReq(ep, msg, req);
-      }
-    });
+    // `req` is the body of `msg` (relays rewrite only the reply address).
+    CHECK(msg.As<IkcMsg>() != nullptr && msg.As<IkcMsg>()->token == req.token);
+    QueuedRevoke& queued = revoke_queue_.emplace_back();
+    queued.ep = ep;
+    queued.msg = msg;
     return;
   }
   revoke_threads_busy_++;
@@ -1288,10 +1291,15 @@ void Kernel::OnRevokeReq(EpId ep, const Message& msg, const IkcMsg& req) {
 
 void Kernel::DrainRevokeQueue() {
   while (!revoke_queue_.empty() && revoke_threads_busy_ < kMaxRevokeThreads) {
-    auto fn = std::move(revoke_queue_.front());
+    QueuedRevoke queued = std::move(revoke_queue_.front());
     revoke_queue_.pop_front();
+    const IkcMsg& req = *queued.msg.As<IkcMsg>();
     revoke_threads_busy_++;
-    fn();
+    if (req.op == IkcOp::kRevokeBatchReq) {
+      ProcessRevokeBatch(queued.ep, queued.msg, req);
+    } else {
+      ProcessRevokeReq(queued.ep, queued.msg, req);
+    }
     revoke_threads_busy_--;
   }
 }
@@ -1317,7 +1325,7 @@ void Kernel::ProcessRevokeReq(EpId ep, Message msg, const IkcMsg& req) {
   if (cap->marked()) {
     // A running revocation covers this capability; reply when it finished.
     uint64_t token = req.token;
-    cap->task()->on_complete.push_back([this, ep, msg, token] {
+    cap->task()->on_complete.emplace_back([this, ep, msg, token] {
       auto reply = NewMsg<IkcReply>();
       reply->token = token;
       reply->err = ErrCode::kOk;
@@ -1380,7 +1388,7 @@ void Kernel::ProcessRevokeBatch(EpId ep, Message msg, const IkcMsg& req) {
       continue;
     }
     if (cap->marked()) {
-      cap->task()->on_complete.push_back(maybe_reply);
+      cap->task()->on_complete.emplace_back(maybe_reply);
       continue;
     }
     RevokeTask* task = NewRevokeTask(key);
@@ -1422,7 +1430,7 @@ void Kernel::AdminKillVpe(VpeId vpe, std::function<void()> done) {
       continue;
     }
     if (cap->marked()) {
-      cap->task()->on_complete.push_back(maybe_done);
+      cap->task()->on_complete.emplace_back(maybe_done);
       continue;
     }
     RevokeTask* task = NewRevokeTask(cap->key());
@@ -1564,11 +1572,11 @@ void Kernel::ApplyRelayNotice(const IkcMsg& notice) {
   // Learned-owner hint ahead of the settle broadcast; epoch-gated (ddl.h
   // Apply), so a stale notice can never roll the membership back.
   ApplyMembershipUpdate(notice.node, notice.new_owner, notice.epoch);
-  auto it = ikcs_.find(notice.relay_token);
-  if (it == ikcs_.end()) {
+  PendingIkc* found = ikcs_.Find(notice.relay_token);
+  if (found == nullptr) {
     return;  // the direct reply already arrived, or recovery aborted it
   }
-  PendingIkc& pending = it->second;
+  PendingIkc& pending = *found;
   if (notice.relay_hops <= pending.relay_hops) {
     // Notices from different forwarders are not FIFO relative to each
     // other; hop counts order them — a late notice from an earlier hop
@@ -1582,9 +1590,10 @@ void Kernel::ApplyRelayNotice(const IkcMsg& notice) {
     // died with it. Complete the call exactly like a recovery abort; if
     // the request was in fact dispatched before the crash, the direct
     // reply is tolerated as a late reply (see OnIkc).
-    auto cb = std::move(pending.cb);
+    IkcCallback cb = std::move(pending.cb);
     uint64_t token = notice.relay_token;
-    ikcs_.erase(it);
+    ikcs_.Erase(token);
+    ikc_recs_.Delete(found);
     stats_.ft_ikcs_aborted++;
     IkcReply reply;
     reply.token = token;
@@ -1596,28 +1605,17 @@ void Kernel::ApplyRelayNotice(const IkcMsg& notice) {
 }
 
 bool Kernel::MigrationBlocked(NodeId pe) const {
-  for (const auto& [token, op] : obtains_) {
-    (void)token;
-    if (op.client == pe) {
-      return true;
-    }
-  }
-  for (const auto& [token, op] : delegates_) {
-    (void)token;
-    if (op.client == pe) {
-      return true;
-    }
-  }
-  for (const auto& [raw, parked] : parked_delegates_) {
-    if (parked.receiver == pe || DdlKey(raw).pe() == pe) {
-      return true;
-    }
-  }
-  for (const auto& [token, ask] : asks_) {
-    (void)token;
-    if (ask.node == pe) {
-      return true;  // an exchange-ask to the PE is outstanding
-    }
+  bool blocked = false;
+  obtains_.ForEach([&](uint64_t, const ObtainOp* op) { blocked = blocked || op->client == pe; });
+  delegates_.ForEach(
+      [&](uint64_t, const DelegateOp* op) { blocked = blocked || op->client == pe; });
+  parked_delegates_.ForEach([&](uint64_t raw, const ParkedDelegate* parked) {
+    blocked = blocked || parked->receiver == pe || DdlKey(raw).pe() == pe;
+  });
+  // An exchange-ask to the PE still outstanding.
+  asks_.ForEach([&](uint64_t, const PendingAsk* ask) { blocked = blocked || ask->node == pe; });
+  if (blocked) {
+    return true;
   }
   if (!revoke_queue_.empty()) {
     return true;  // queued revocations could still touch the partition
@@ -1630,7 +1628,7 @@ bool Kernel::MigrationBlocked(NodeId pe) const {
   });
 }
 
-void Kernel::AdminMigratePe(NodeId pe, KernelId dst, std::function<void(ErrCode)> done) {
+void Kernel::AdminMigratePe(NodeId pe, KernelId dst, Callback<void(ErrCode)> done) {
   VpeState* v = vpes_.Find(pe);
   CHECK(v != nullptr) << "kernel " << config_.id << " does not manage PE " << pe;
   if (shutting_down_ || !v->alive) {
@@ -1798,9 +1796,9 @@ void Kernel::FinishMigrateTransfer(uint64_t task_id, const IkcReply& reply) {
     // deferred unlinks now apply to the retained local copies.
     vpes_.At(task->pe).migrating = false;
     task->phase = MigrateTask::Phase::kQuiesce;
-    std::vector<std::function<void()>> unlinks = std::move(task->deferred_unlinks);
+    std::vector<InlineFn> unlinks = std::move(task->deferred_unlinks);
     task->deferred_unlinks.clear();
-    for (auto& fn : unlinks) {
+    for (InlineFn& fn : unlinks) {
       fn();
     }
     for (MigrateTask::ParkedIkc& p : task->parked) {
@@ -1827,9 +1825,9 @@ void Kernel::FinishMigrateTransfer(uint64_t task_id, const IkcReply& reply) {
 
   // Unlinks deferred during the transfer re-route to the new owner (the
   // membership update above makes KernelOf resolve to the destination).
-  std::vector<std::function<void()>> unlinks = std::move(task->deferred_unlinks);
+  std::vector<InlineFn> unlinks = std::move(task->deferred_unlinks);
   task->deferred_unlinks.clear();
-  for (auto& fn : unlinks) {
+  for (InlineFn& fn : unlinks) {
     fn();
   }
 
@@ -2200,11 +2198,11 @@ void Kernel::RecoverFromFailure(KernelId dead, uint64_t epoch) {
   // recovery bit-identical across reruns and standard libraries.
   std::vector<Capability*> pruned;
   std::vector<DdlKey> orphan_roots;
-  for (const auto& [key, cap] : caps_.all()) {
+  caps_.ForEach([&](DdlKey key, Capability* cap) {
     cost += t_.ft_scan_per_cap;
     for (DdlKey child : cap->children()) {
       if (child.pe() < dead_part.size() && dead_part[child.pe()] != 0) {
-        pruned.push_back(cap.get());
+        pruned.push_back(cap);
         break;
       }
     }
@@ -2212,7 +2210,7 @@ void Kernel::RecoverFromFailure(KernelId dead, uint64_t epoch) {
     if (!parent.IsNull() && parent.pe() < dead_part.size() && dead_part[parent.pe()] != 0) {
       orphan_roots.push_back(key);
     }
-  }
+  });
   std::sort(pruned.begin(), pruned.end(),
             [](const Capability* x, const Capability* y) { return x->key().raw() < y->key().raw(); });
   for (Capability* cap : pruned) {
@@ -2241,14 +2239,16 @@ void Kernel::RecoverFromFailure(KernelId dead, uint64_t epoch) {
   // capability (the delegator's side of the handshake). If that partition
   // died, the ACK can never arrive: drop the parked record. The child was
   // never materialized, and the parent's record died with its kernel.
-  for (auto it = parked_delegates_.begin(); it != parked_delegates_.end();) {
-    NodeId ppe = it->second.parent_key.pe();
+  std::vector<uint64_t> dead_parked;
+  parked_delegates_.ForEach([&](uint64_t raw, const ParkedDelegate* parked) {
+    NodeId ppe = parked->parent_key.pe();
     if (ppe < dead_part.size() && dead_part[ppe] != 0) {
-      stats_.ft_ikcs_aborted++;
-      it = parked_delegates_.erase(it);
-    } else {
-      ++it;
+      dead_parked.push_back(raw);
     }
+  });
+  for (uint64_t raw : dead_parked) {
+    stats_.ft_ikcs_aborted++;
+    parked_recs_.Delete(parked_delegates_.Erase(raw));
   }
 
   // 4. Recursively revoke the orphaned subtrees (deny-by-default: a
@@ -2275,7 +2275,7 @@ void Kernel::RecoverFromFailure(KernelId dead, uint64_t epoch) {
     if (cap->marked()) {
       // An in-flight revocation already covers this subtree; recovery is
       // complete once it finished.
-      cap->task()->on_complete.push_back([this] { FtRecoveryStepDone(); });
+      cap->task()->on_complete.emplace_back([this] { FtRecoveryStepDone(); });
       continue;
     }
     stats_.ft_orphan_roots++;
@@ -2351,19 +2351,19 @@ void Kernel::AbortPendingIkcsTo(KernelId dead) {
   // origin aborts via its own re-keyed entry.)
   peers_.at(dead).queue.clear();
   std::vector<uint64_t> tokens;
-  for (const auto& [token, pending] : ikcs_) {
-    if (pending.peer == dead) {
+  ikcs_.ForEach([&](uint64_t token, const PendingIkc* pending) {
+    if (pending->peer == dead) {
       tokens.push_back(token);
     }
-  }
+  });
   std::sort(tokens.begin(), tokens.end());  // issue order: deterministic unwind
   for (uint64_t token : tokens) {
-    auto it = ikcs_.find(token);
-    if (it == ikcs_.end()) {
+    PendingIkc* found = ikcs_.Erase(token);
+    if (found == nullptr) {
       continue;  // unwound by an earlier abort's callback
     }
-    PendingIkc pending = std::move(it->second);
-    ikcs_.erase(it);
+    PendingIkc pending = std::move(*found);
+    ikc_recs_.Delete(found);
     stats_.ft_ikcs_aborted++;
     IkcReply reply;
     reply.token = token;
@@ -2388,17 +2388,17 @@ void Kernel::AbortPendingIkcsTo(KernelId dead) {
 // Activate & derive
 // ---------------------------------------------------------------------------
 
-void Kernel::SysActivate(SyscallCtx ctx, const SyscallMsg& req) {
+void Kernel::SysActivate(SyscallRec* sc, const SyscallMsg& req) {
   Capability* cap = CapOf(req.vpe, req.sel);
   if (cap == nullptr) {
     Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, ctx] { ReplySyscall(ctx, ErrCode::kNoSuchCap); });
+           [this, sc] { ReplySyscall(sc, ErrCode::kNoSuchCap); });
     return;
   }
   if (cap->marked()) {
     stats_.pointless_denials++;
     Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, ctx] { ReplySyscall(ctx, ErrCode::kCapRevoked); });
+           [this, sc] { ReplySyscall(sc, ErrCode::kCapRevoked); });
     return;
   }
   NodeId node = vpes_.At(req.vpe).node;
@@ -2410,9 +2410,9 @@ void Kernel::SysActivate(SyscallCtx ctx, const SyscallMsg& req) {
     const CapPayload& p = cap->payload();
     MemPerms perms{(p.perms & kPermR) != 0, (p.perms & kPermW) != 0};
     pe_->dtu().ConfigureRemoteMem(node, req.ep, p.mem_node, p.mem_base, p.mem_size, perms,
-                                  [this, ctx] {
+                                  [this, sc] {
                                     Finish(t_.syscall_reply,
-                                           [this, ctx] { ReplySyscall(ctx, ErrCode::kOk); });
+                                           [this, sc] { ReplySyscall(sc, ErrCode::kOk); });
                                   });
     return;
   }
@@ -2420,33 +2420,32 @@ void Kernel::SysActivate(SyscallCtx ctx, const SyscallMsg& req) {
     cap->SetActivated(req.ep);
     const CapPayload& p = cap->payload();
     pe_->dtu().ConfigureRemoteSend(node, req.ep, p.dst_node, p.dst_ep, /*credits=*/1,
-                                   /*label=*/p.session, [this, ctx] {
+                                   /*label=*/p.session, [this, sc] {
                                      Finish(t_.syscall_reply,
-                                            [this, ctx] { ReplySyscall(ctx, ErrCode::kOk); });
+                                            [this, sc] { ReplySyscall(sc, ErrCode::kOk); });
                                    });
     return;
   }
-  Finish(t_.syscall_reply, [this, ctx] { ReplySyscall(ctx, ErrCode::kInvalidCapType); });
+  Finish(t_.syscall_reply, [this, sc] { ReplySyscall(sc, ErrCode::kInvalidCapType); });
 }
 
-void Kernel::SysDeriveMem(SyscallCtx ctx, const SyscallMsg& req) {
+void Kernel::SysDeriveMem(SyscallRec* sc, const SyscallMsg& req) {
   Capability* cap = CapOf(req.vpe, req.sel);
   if (cap == nullptr || cap->type() != CapType::kMem) {
-    Finish(t_.syscall_dispatch + t_.syscall_reply, [this, ctx, cap] {
-      ReplySyscall(ctx, cap == nullptr ? ErrCode::kNoSuchCap : ErrCode::kInvalidCapType);
-    });
+    ErrCode err = cap == nullptr ? ErrCode::kNoSuchCap : ErrCode::kInvalidCapType;
+    Finish(t_.syscall_dispatch + t_.syscall_reply, [this, sc, err] { ReplySyscall(sc, err); });
     return;
   }
   if (cap->marked()) {
     stats_.pointless_denials++;
     Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, ctx] { ReplySyscall(ctx, ErrCode::kCapRevoked); });
+           [this, sc] { ReplySyscall(sc, ErrCode::kCapRevoked); });
     return;
   }
   const CapPayload& p = cap->payload();
   if (req.arg0 + req.arg1 > p.mem_size || (req.perms & ~p.perms) != 0) {
     Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, ctx] { ReplySyscall(ctx, ErrCode::kNoPerm); });
+           [this, sc] { ReplySyscall(sc, ErrCode::kNoPerm); });
     return;
   }
   CapPayload child_payload = p;
@@ -2459,8 +2458,8 @@ void Kernel::SysDeriveMem(SyscallCtx ctx, const SyscallMsg& req) {
   CapSel sel = child->sel();
   Finish(t_.syscall_dispatch + t_.exchange_validate + t_.cap_create + t_.tree_insert +
              3 * t_.ddl_decode + t_.syscall_reply,
-         [this, ctx, sel, child_payload] {
-           ReplySyscall(ctx, ErrCode::kOk, sel, child_payload);
+         [this, sc, sel, child_payload] {
+           ReplySyscall(sc, ErrCode::kOk, sel, child_payload);
          });
 }
 
@@ -2468,7 +2467,7 @@ void Kernel::SysDeriveMem(SyscallCtx ctx, const SyscallMsg& req) {
 // Service registry
 // ---------------------------------------------------------------------------
 
-void Kernel::SysRegisterService(SyscallCtx ctx, const SyscallMsg& req) {
+void Kernel::SysRegisterService(SyscallRec* sc, const SyscallMsg& req) {
   VpeState* vpe = &vpes_.At(req.vpe);
   vpe->is_service = true;
   CapPayload payload;
@@ -2500,15 +2499,14 @@ void Kernel::SysRegisterService(SyscallCtx ctx, const SyscallMsg& req) {
   }
   CapSel sel = cap->sel();
   Finish(t_.syscall_dispatch + t_.cap_create + t_.syscall_reply,
-         [this, ctx, sel] { ReplySyscall(ctx, ErrCode::kOk, sel); });
+         [this, sc, sel] { ReplySyscall(sc, ErrCode::kOk, sel); });
 }
 
 // ---------------------------------------------------------------------------
 // IKC engine — flow-controlled kernel-to-kernel messaging (paper §4.1)
 // ---------------------------------------------------------------------------
 
-void Kernel::SendIkc(KernelId peer, std::shared_ptr<IkcMsg> msg,
-                     std::function<void(const IkcReply&)> cb) {
+void Kernel::SendIkc(KernelId peer, std::shared_ptr<IkcMsg> msg, IkcCallback cb) {
   CHECK_NE(peer, config_.id);
   msg->src_kernel = config_.id;
   if (msg->token == 0) {
@@ -2520,32 +2518,32 @@ void Kernel::SendIkc(KernelId peer, std::shared_ptr<IkcMsg> msg,
     // that waits on a reply that can never come.
     stats_.ft_ikcs_aborted++;
     uint64_t token = msg->token;
-    pe_->sim()->Schedule(0, [cb = std::move(cb), token] {
+    pe_->sim()->Schedule(0, [cb = std::move(cb), token]() mutable {
       if (cb) {
         IkcReply reply;
         reply.token = token;
         reply.err = ErrCode::kUnreachable;
-        cb(reply);
+        cb.Fire(reply);
       }
     });
     return;
   }
-  PendingIkc pending;
-  pending.token = msg->token;
-  pending.peer = peer;
-  pending.cb = std::move(cb);
+  PendingIkc* pending = ikc_recs_.New();
+  pending->token = msg->token;
+  pending->peer = peer;
+  pending->cb = std::move(cb);
   if (obs::Tracer* tr = tracer(); tr != nullptr && cur_trace_.trace != 0) {
-    pending.trace = cur_trace_.trace;
-    pending.trace_parent = cur_trace_.parent;
-    pending.trace_span = tr->NextSpanId(pe_->node());
-    pending.trace_start = pe_->sim()->Now();
-    pending.trace_op = static_cast<uint16_t>(msg->op);
+    pending->trace = cur_trace_.trace;
+    pending->trace_parent = cur_trace_.parent;
+    pending->trace_span = tr->NextSpanId(pe_->node());
+    pending->trace_start = pe_->sim()->Now();
+    pending->trace_op = static_cast<uint16_t>(msg->op);
     // Everything the remote kernel does on this call's behalf nests under
     // the round-trip span — that is how trees cross kernels.
-    msg->trace_id = pending.trace;
-    msg->trace_parent = pending.trace_span;
+    msg->trace_id = pending->trace;
+    msg->trace_parent = pending->trace_span;
   }
-  ikcs_[msg->token] = std::move(pending);
+  ikcs_.Insert(pending->token, pending);
 
   EnqueueIkc(peer, std::move(msg));
 }
@@ -2644,8 +2642,8 @@ void Kernel::OnIkc(EpId ep, const Message& msg) {
     }
     const IkcReply* reply = msg.As<IkcReply>();
     CHECK(reply != nullptr);
-    auto it = ikcs_.find(reply->token);
-    if (it == ikcs_.end()) {
+    PendingIkc* found = ikcs_.Erase(reply->token);
+    if (found == nullptr) {
       // A late or duplicated reply: e.g. a pending re-keyed onto a kernel
       // that then failed was aborted with kUnreachable, yet the relayed
       // request had been dispatched before the crash and its direct reply
@@ -2654,17 +2652,17 @@ void Kernel::OnIkc(EpId ep, const Message& msg) {
       stats_.ikc_late_replies++;
       return;
     }
-    PendingIkc pending = std::move(it->second);
-    ikcs_.erase(it);
-    if (pending.trace_span != 0) {
-      RecordSpan(tracer(), pending.trace, pending.trace_span, pending.trace_parent,
-                 pending.trace_start, pe_->sim()->Now(), pe_->node(), obs::SpanKind::kIkcRtt,
-                 pending.trace_op);
+    if (found->trace_span != 0) {
+      RecordSpan(tracer(), found->trace, found->trace_span, found->trace_parent,
+                 found->trace_start, pe_->sim()->Now(), pe_->node(), obs::SpanKind::kIkcRtt,
+                 found->trace_op);
       // The continuation acts for the enclosing operation again.
-      cur_trace_ = TraceCtx{pending.trace, pending.trace_parent};
+      cur_trace_ = TraceCtx{found->trace, found->trace_parent};
     }
-    if (pending.cb) {
-      pending.cb(*reply);
+    IkcCallback cb = std::move(found->cb);
+    ikc_recs_.Delete(found);
+    if (cb) {
+      cb.Fire(*reply);
     }
     cur_trace_ = TraceCtx{};
     return;
@@ -2781,24 +2779,14 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
         }
         owner_vpe = anchor->holder();
       }
-      uint64_t token = req->token;
-      uint64_t session = req->payload.session;
-      OwnerSideObtain(ask_op, req->cap, owner_vpe, owner_sel, req->vpe, req->child,
-                      req->opaque, session,
-                      [this, ep, msg, token](ErrCode err, DdlKey parent,
-                                             const CapPayload& payload, MsgRef opq,
-                                             uint64_t new_session) {
-                        auto reply = NewMsg<IkcReply>();
-                        reply->token = token;
-                        reply->err = err;
-                        reply->cap = parent;
-                        reply->payload = payload;
-                        reply->payload.session =
-                            new_session != 0 ? new_session : reply->payload.session;
-                        reply->opaque = std::move(opq);
-                        Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
-                        ReleaseThread();
-                      });
+      ObtainOp* op = obtain_recs_.New();
+      op->client = req->vpe;
+      op->child_key = req->child;
+      op->ikc_ep = ep;
+      op->ikc_msg = msg;
+      op->ikc_token = req->token;
+      OwnerSideObtain(op, ask_op, req->cap, owner_vpe, owner_sel, req->opaque,
+                      req->payload.session);
       break;
     }
     case IkcOp::kDelegateReq: {
@@ -2807,15 +2795,11 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
       break;
     }
     case IkcOp::kDelegateAck: {
-      uint64_t token = req->token;
-      ApplyDelegateAck(req->payload.session != 0, req->child,
-                       [this, ep, msg, token](ErrCode err) {
-                         auto reply = NewMsg<IkcReply>();
-                         reply->token = token;
-                         reply->err = err;
-                         Emit(Charge(t_.ikc_send),
-                              [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
-                       });
+      ErrCode err = ApplyDelegateAck(req->payload.session != 0, req->child);
+      auto reply = NewMsg<IkcReply>();
+      reply->token = req->token;
+      reply->err = err;
+      Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
       break;
     }
     case IkcOp::kRevokeReq:
@@ -2889,59 +2873,56 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
 // Party asks
 // ---------------------------------------------------------------------------
 
-void Kernel::AskParty(NodeId node, std::shared_ptr<AskMsg> ask,
-                      std::function<void(const AskReply&)> cb) {
+void Kernel::AskParty(NodeId node, std::shared_ptr<AskMsg> ask, AskCallback cb) {
   ask->token = next_token_++;
-  PendingAsk pending;
-  pending.token = ask->token;
-  pending.node = node;
-  pending.cb = std::move(cb);
+  PendingAsk* pending = ask_recs_.New();
+  pending->token = ask->token;
+  pending->node = node;
+  pending->cb = std::move(cb);
   if (obs::Tracer* tr = tracer(); tr != nullptr && cur_trace_.trace != 0) {
-    pending.trace = cur_trace_.trace;
-    pending.trace_parent = cur_trace_.parent;
-    pending.trace_span = tr->NextSpanId(pe_->node());
-    pending.trace_start = pe_->sim()->Now();
-    pending.trace_op = static_cast<uint16_t>(ask->op);
-    ask->trace_id = pending.trace;
-    ask->trace_parent = pending.trace_span;
+    pending->trace = cur_trace_.trace;
+    pending->trace_parent = cur_trace_.parent;
+    pending->trace_span = tr->NextSpanId(pe_->node());
+    pending->trace_start = pe_->sim()->Now();
+    pending->trace_op = static_cast<uint16_t>(ask->op);
+    ask->trace_id = pending->trace;
+    ask->trace_parent = pending->trace_span;
   }
-  asks_[ask->token] = std::move(pending);
+  asks_.Insert(pending->token, pending);
 
   AskWindow& window = ask_windows_[node];
-  auto send = [this, node, ask] {
-    pe_->dtu().SendTo(node, user_ep::kAsk, ask, kEpAskReply);
-  };
   if (window.inflight < config_.service_ask_inflight) {
     window.inflight++;
-    send();
+    pe_->dtu().SendTo(node, user_ep::kAsk, std::move(ask), kEpAskReply);
   } else {
-    window.queue.push_back(send);
+    window.queue.push_back(std::move(ask));
   }
 }
 
 void Kernel::OnAskReply(const Message& msg) {
   const AskReply* reply = msg.As<AskReply>();
   CHECK(reply != nullptr);
-  auto it = asks_.find(reply->token);
-  CHECK(it != asks_.end()) << "ask reply for unknown token";
-  PendingAsk pending = std::move(it->second);
-  asks_.erase(it);
-  AskWindow& window = ask_windows_[pending.node];
+  PendingAsk* pending = asks_.Erase(reply->token);
+  CHECK(pending != nullptr) << "ask reply for unknown token";
+  NodeId node = pending->node;
+  AskWindow& window = ask_windows_[node];
   window.inflight--;
   if (!window.queue.empty()) {
-    auto fn = std::move(window.queue.front());
+    std::shared_ptr<AskMsg> next = std::move(window.queue.front());
     window.queue.pop_front();
     window.inflight++;
-    fn();
+    pe_->dtu().SendTo(node, user_ep::kAsk, std::move(next), kEpAskReply);
   }
-  if (pending.trace_span != 0) {
-    RecordSpan(tracer(), pending.trace, pending.trace_span, pending.trace_parent,
-               pending.trace_start, pe_->sim()->Now(), pe_->node(), obs::SpanKind::kAsk,
-               pending.trace_op);
-    cur_trace_ = TraceCtx{pending.trace, pending.trace_parent};
+  if (pending->trace_span != 0) {
+    RecordSpan(tracer(), pending->trace, pending->trace_span, pending->trace_parent,
+               pending->trace_start, pe_->sim()->Now(), pe_->node(), obs::SpanKind::kAsk,
+               pending->trace_op);
+    cur_trace_ = TraceCtx{pending->trace, pending->trace_parent};
   }
-  if (pending.cb) {
-    pending.cb(*reply);
+  AskCallback cb = std::move(pending->cb);
+  ask_recs_.Delete(pending);
+  if (cb) {
+    cb.Fire(*reply);
   }
   cur_trace_ = TraceCtx{};
 }

@@ -21,7 +21,16 @@
 //    kernels suspend as explicit pending-operation objects instead of
 //    blocking the kernel, which keeps cyclic revocations (A1 -> B2 -> C1)
 //    deadlock-free; the thread pool is statically sized
-//    V_group + K_max * M_inflight (Eq. 1) and never grows at runtime;
+//    V_group + K_max * M_inflight (Eq. 1) and never grows at runtime.
+//    Those objects are the kernel's operation records: one per syscall in
+//    service (SyscallRec), obtain, delegate, ask, IKC in flight and
+//    revocation task, held in recycled storage (base/flat.h) and found by
+//    token through flat indexes. Continuations capture `this` plus a record
+//    pointer or token. A SyscallRec, or an owner-side ObtainOp, is one held
+//    thread, which waits on at most one ask and one IKC record at a time,
+//    so Eq. 1 bounds the request path's records; revocation tasks follow
+//    the capability trees. The pools grow to the peak live count once and
+//    then recycle, and the request path allocates nothing in steady state;
 //  * kernel-to-kernel flow control (§4.1): at most `max_inflight` (4)
 //    request messages per peer kernel are in flight; excess requests queue
 //    at the sender so DTU receive slots can never overflow;
@@ -40,15 +49,14 @@
 #ifndef SEMPEROS_CORE_KERNEL_H_
 #define SEMPEROS_CORE_KERNEL_H_
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "base/flat.h"
 #include "base/status.h"
 #include "base/types.h"
 #include "core/capability.h"
@@ -113,6 +121,22 @@ struct KernelStats {
   uint32_t threads_in_use_max = 0;
 };
 
+// One system call in service at its kernel, from arrival to reply: the
+// syscall message (the reply goes to its sender) plus the kSyscall span's
+// preallocated id. Operations that suspend on the call's behalf point here.
+struct SyscallRec {
+  VpeId vpe = kInvalidVpe;
+  EpId recv_ep = 0;
+  Message msg;
+  // Observability: the kSyscall span covering this call's service. The id
+  // is preallocated at arrival so IKCs/asks issued on the call's behalf
+  // can parent under it; ReplySyscall records the completed span. The
+  // trace id and the user-side parent live in msg.body.
+  uint64_t trace_span = 0;
+  Cycles trace_start = 0;
+  uint32_t pool_slot = 0;  // RecordPool bookkeeping
+};
+
 // A revocation in progress (one per revoke root per kernel). Implements the
 // bookkeeping of Algorithm 1: a counter of outstanding remote replies and
 // the deferred sweep.
@@ -124,12 +148,12 @@ struct RevokeTask {
   bool initiator = false;    // true: local syscall; false: peer kernel IKC
   bool admin = false;        // true: kernel-internal (VPE kill)
   bool suspended = false;    // the initiating thread paused on remote replies
-  // Initiator: syscall context to reply to. Participant: IKC msg to reply to.
-  VpeId vpe = kInvalidVpe;
+  // Initiator: the syscall to reply to. Participant: IKC msg to reply to.
+  SyscallRec* sc = nullptr;
   EpId reply_recv_ep = 0;
   Message reply_msg;
   uint64_t req_token = 0;
-  std::function<void()> admin_done;
+  InlineFn admin_done;
   // Parent to unlink the root from once the subtree is gone (initiator and
   // admin tasks only; for participant tasks the requesting kernel's own
   // revocation covers the parent).
@@ -138,10 +162,29 @@ struct RevokeTask {
   // revokes; "revoke_syscall_hdlr will also wait for the already
   // outstanding kernel replies", §4.3.3).
   std::vector<InlineFn> on_complete;
-  // Remote children discovered by the marking pass, grouped by owning
-  // kernel; flushed as one request per child, or one per peer when
+  // Remote children discovered by the marking pass with their owning
+  // kernel, in discovery order; flushed grouped by kernel in ascending
+  // kernel order, as one request per child, or one per peer when
   // revocation batching is enabled.
-  std::map<KernelId, std::vector<DdlKey>> remote_children;
+  struct RemoteChild {
+    KernelId kernel = kInvalidKernel;
+    DdlKey key;
+  };
+  std::vector<RemoteChild> remote_children;
+
+  // RecordPool bookkeeping: recycling keeps both vectors' capacity.
+  uint32_t pool_slot = 0;
+  void Reset() {
+    std::vector<InlineFn> hooks = std::move(on_complete);
+    std::vector<RemoteChild> remote = std::move(remote_children);
+    hooks.clear();
+    remote.clear();
+    uint32_t slot = pool_slot;
+    *this = RevokeTask();
+    on_complete = std::move(hooks);
+    remote_children = std::move(remote);
+    pool_slot = slot;
+  }
 };
 
 // A PE migration in progress at the source kernel. Three phases:
@@ -166,7 +209,7 @@ struct MigrateTask {
   uint64_t epoch = 0;          // membership epoch assigned to the handoff
   uint32_t outstanding = 0;    // EPOCH_UPDATE acks still missing
   uint32_t quiesce_polls = 0;
-  std::function<void(ErrCode)> done;
+  Callback<void(ErrCode)> done;
   // Requests for the moving partition that arrived during kTransfer.
   struct ParkedIkc {
     EpId ep = 0;
@@ -179,7 +222,7 @@ struct MigrateTask {
   // would be silently lost when the destination installs the (stale)
   // snapshot; they re-run once the handoff resolved — routed to the new
   // owner on success, applied locally on refusal.
-  std::vector<std::function<void()>> deferred_unlinks;
+  std::vector<InlineFn> deferred_unlinks;
   // Observability: migrations originate at the platform, so they root their
   // own trace; the kMigration span covers freeze -> settled. The transfer
   // IKC and the settle-round EPOCH_UPDATEs nest under it.
@@ -258,7 +301,7 @@ class Kernel : public Program {
   // epoch-versioned EPOCH_UPDATE. `done` fires with kOk once every peer
   // acknowledged the new epoch (no more forwarding needed), or with an
   // error if the migration could not start.
-  void AdminMigratePe(NodeId pe, KernelId dst, std::function<void(ErrCode)> done);
+  void AdminMigratePe(NodeId pe, KernelId dst, Callback<void(ErrCode)> done);
 
   // Graceful shutdown (IKC functional group 1, paper §4.1): kills every
   // VPE of this group (revoking all their capabilities, including remote
@@ -341,37 +384,53 @@ class Kernel : public Program {
 
  private:
   // ===== Pending distributed operations (suspended kernel threads) =====
+  // Operation records (see the file comment): each lives in a RecordPool
+  // from the moment the operation starts until it completes.
 
-  struct SyscallCtx {
-    VpeId vpe = kInvalidVpe;
-    EpId recv_ep = 0;
-    Message msg;
-    bool valid = false;
-    // Observability: the kSyscall span covering this call's service. The id
-    // is preallocated at arrival so IKCs/asks issued on the call's behalf
-    // can parent under it; ReplySyscall records the completed span. The
-    // trace id and the user-side parent live in msg.body.
-    uint64_t trace_span = 0;
-    Cycles trace_start = 0;
-  };
+  using AskCallback = Callback<void(const AskReply&)>;
+  using IkcCallback = Callback<void(const IkcReply&)>;
 
+  // An obtain, open-session or session exchange. On the obtainer's kernel
+  // `sc` is the syscall; a group-spanning one is also indexed in obtains_
+  // while its IKC is out. On the owner's kernel of a spanning obtain `sc`
+  // is null and `ikc_*` name the request to answer. The result travels in
+  // the record to the reply.
   struct ObtainOp {
     uint64_t token = 0;
-    SyscallCtx sc;
+    SyscallRec* sc = nullptr;
     DdlKey child_key;        // key proposed for the new capability
     VpeId client = kInvalidVpe;
-    bool spanning = false;
     bool open_session = false;
     NodeId service_node = kInvalidNode;  // for session EP setup
+    // Owner side: the ask and the capability it anchors at.
+    AskOp ask_op = AskOp::kObtain;
+    VpeId owner_vpe = kInvalidVpe;
+    // Owner side of a spanning obtain: the IKC request to answer.
+    EpId ikc_ep = 0;
+    Message ikc_msg;
+    uint64_t ikc_token = 0;
+    // Result, carried to the syscall reply.
+    CapSel sel = kInvalidSel;
+    CapPayload payload;
+    MsgRef opaque;
+    uint32_t pool_slot = 0;
   };
 
+  // A delegate. On the delegator's kernel `sc` is the syscall (indexed in
+  // delegates_ while a spanning request is out); on the receiver's kernel
+  // of a spanning delegate `ikc_*` name the request to answer and the rest
+  // describes the offered capability.
   struct DelegateOp {
     uint64_t token = 0;
-    SyscallCtx sc;
+    SyscallRec* sc = nullptr;
     DdlKey cap;  // the delegated (parent) capability, owned locally
     VpeId client = kInvalidVpe;
     VpeId peer = kInvalidVpe;
-    bool spanning = false;
+    EpId ikc_ep = 0;
+    Message ikc_msg;
+    uint64_t ikc_token = 0;
+    CapPayload payload;
+    uint32_t pool_slot = 0;
   };
 
   // Receiver-side parked delegate (two-way handshake, waiting for the ACK).
@@ -380,16 +439,16 @@ class Kernel : public Program {
     DdlKey parent_key;
     VpeId receiver = kInvalidVpe;
     CapPayload payload;
-    KernelId from_kernel = kInvalidKernel;
+    uint32_t pool_slot = 0;
   };
 
   // Ask sent to a party/service, waiting for the AskReply. Carries the
   // asked node so migration quiesce can tell whether an exchange-ask still
-  // targets the moving partition (one map, one entry per ask).
+  // targets the moving partition (one index, one entry per ask).
   struct PendingAsk {
     uint64_t token = 0;
     NodeId node = kInvalidNode;
-    std::function<void(const AskReply&)> cb;
+    AskCallback cb;
     // Observability: the kAsk span (round trip to the party) plus the trace
     // context to restore before `cb` runs, so spans caused by the
     // continuation stay linked to the request.
@@ -398,6 +457,7 @@ class Kernel : public Program {
     uint64_t trace_span = 0;
     Cycles trace_start = 0;
     uint16_t trace_op = 0;
+    uint32_t pool_slot = 0;
   };
 
   // IKC request awaiting its reply. Carries the addressed peer so a failure
@@ -410,7 +470,7 @@ class Kernel : public Program {
     uint64_t token = 0;
     KernelId peer = kInvalidKernel;
     uint32_t relay_hops = 0;
-    std::function<void(const IkcReply&)> cb;
+    IkcCallback cb;
     // Observability: the kIkcRtt span (request out -> reply callback). Its
     // id travels as the request's trace_parent, so everything the remote
     // kernel does on this call's behalf nests under the round trip.
@@ -419,12 +479,13 @@ class Kernel : public Program {
     uint64_t trace_span = 0;
     Cycles trace_start = 0;
     uint16_t trace_op = 0;
+    uint32_t pool_slot = 0;
   };
 
   // Per-peer-kernel flow control state (§4.1).
   struct PeerState {
     uint32_t credits = 0;
-    std::deque<std::shared_ptr<IkcMsg>> queue;
+    Ring<std::shared_ptr<IkcMsg>> queue;
   };
 
   // ===== Observability (src/obs) =====
@@ -465,35 +526,43 @@ class Kernel : public Program {
   void OnAskReply(const Message& msg);
 
   // ===== System call implementations =====
-  void SysNoop(SyscallCtx ctx, const SyscallMsg& req);
-  void SysOpenSession(SyscallCtx ctx, const SyscallMsg& req);
-  void SysExchange(SyscallCtx ctx, const SyscallMsg& req);
-  void SysObtain(SyscallCtx ctx, const SyscallMsg& req);
-  void SysDelegate(SyscallCtx ctx, const SyscallMsg& req);
-  void SysRevoke(SyscallCtx ctx, const SyscallMsg& req);
-  void SysActivate(SyscallCtx ctx, const SyscallMsg& req);
-  void SysDeriveMem(SyscallCtx ctx, const SyscallMsg& req);
-  void SysRegisterService(SyscallCtx ctx, const SyscallMsg& req);
+  void SysNoop(SyscallRec* sc, const SyscallMsg& req);
+  void SysOpenSession(SyscallRec* sc, const SyscallMsg& req);
+  void SysExchange(SyscallRec* sc, const SyscallMsg& req);
+  void SysObtain(SyscallRec* sc, const SyscallMsg& req);
+  void SysDelegate(SyscallRec* sc, const SyscallMsg& req);
+  void SysRevoke(SyscallRec* sc, const SyscallMsg& req);
+  void SysActivate(SyscallRec* sc, const SyscallMsg& req);
+  void SysDeriveMem(SyscallRec* sc, const SyscallMsg& req);
+  void SysRegisterService(SyscallRec* sc, const SyscallMsg& req);
 
   // ===== Obtain path (also used for open-session and session exchange) =====
-  // Owner-side: ask the party, link the proposed child under the shared
-  // capability, return its description.
-  void OwnerSideObtain(AskOp ask_op, DdlKey owner_cap, VpeId owner_vpe, CapSel owner_sel,
-                       VpeId client, DdlKey child_key, MsgRef opaque, uint64_t session,
-                       std::function<void(ErrCode, DdlKey parent, const CapPayload&, MsgRef,
-                                          uint64_t session)>
-                           done);
-  void FinishObtain(ObtainOp op, ErrCode err, DdlKey parent, const CapPayload& payload,
-                    MsgRef opaque, uint64_t session);
+  // Owner-side: ask the party, link the proposed child (op->child_key, for
+  // op->client) under the shared capability, and hand its description to
+  // OwnerObtainDone.
+  void OwnerSideObtain(ObtainOp* op, AskOp ask_op, DdlKey owner_cap, VpeId owner_vpe,
+                       CapSel owner_sel, MsgRef opaque, uint64_t session);
+  void OwnerObtainAsked(ObtainOp* op, const AskReply& reply);
+  // Owner-side outcome: completes a local obtain (FinishObtain) or answers
+  // the spanning obtain's IKC.
+  void OwnerObtainDone(ObtainOp* op, ErrCode err, DdlKey parent, const CapPayload& payload,
+                       MsgRef opaque, uint64_t session);
+  void FinishObtain(ObtainOp* op, ErrCode err, DdlKey parent, const CapPayload& payload,
+                    MsgRef opaque);
+  // Sends the obtainer's syscall reply from the record, then frees it.
+  void ReplyObtain(ObtainOp* op, ErrCode err);
+  void ObtainIkcReplied(ObtainOp* op, const IkcReply& reply);
 
   // ===== Delegate path =====
   void OwnerSideDelegate(const IkcMsg& req, EpId recv_ep, const Message& msg);
-  void FinishDelegate(DelegateOp op, ErrCode err, DdlKey child_key);
-  // Applies a delegate ACK against the parked child. `reply` (may be null)
-  // runs after the charged cost with the outcome; used both by the IKC
-  // handler and for local delivery when the receiver's partition migrated
-  // onto the delegator's kernel mid-handshake.
-  void ApplyDelegateAck(bool abort, DdlKey child_key, std::function<void(ErrCode)> reply);
+  void OwnerDelegateAsked(DelegateOp* op, const AskReply& reply);
+  void FinishDelegate(DelegateOp* op, ErrCode err, DdlKey child_key);
+  void ReplyDelegate(DelegateOp* op, ErrCode err);
+  // Applies a delegate ACK against the parked child and returns the
+  // outcome; used both by the IKC handler and for local delivery when the
+  // receiver's partition migrated onto the delegator's kernel
+  // mid-handshake.
+  ErrCode ApplyDelegateAck(bool abort, DdlKey child_key);
   // Removes `child` from `parent`'s children list, wherever the parent
   // currently lives: locally when this kernel owns the parent's partition,
   // via CHILD_DROP / ORPHAN_NOTIFY IKC otherwise. If the parent's partition
@@ -570,7 +639,7 @@ class Kernel : public Program {
   KernelId KernelOf(DdlKey key) const { return config_.membership.KernelOfKey(key); }
   KernelId KernelOfVpe(VpeId vpe) const { return config_.membership.KernelOf(vpe); }
   bool IsLocalVpe(VpeId vpe) const { return KernelOfVpe(vpe) == config_.id; }
-  void SendIkc(KernelId peer, std::shared_ptr<IkcMsg> msg, std::function<void(const IkcReply&)> cb);
+  void SendIkc(KernelId peer, std::shared_ptr<IkcMsg> msg, IkcCallback cb);
   void DispatchIkc(KernelId peer);
   void ReplyIkc(EpId recv_ep, const Message& msg, std::shared_ptr<IkcReply> reply);
   void BroadcastHello();
@@ -595,7 +664,7 @@ class Kernel : public Program {
   Cycles DdlDecodeCostVpe(VpeId vpe);
 
   // ===== Party asks =====
-  void AskParty(NodeId node, std::shared_ptr<AskMsg> ask, std::function<void(const AskReply&)> cb);
+  void AskParty(NodeId node, std::shared_ptr<AskMsg> ask, AskCallback cb);
 
   // ===== Service directory =====
   struct ServiceEntry {
@@ -608,10 +677,15 @@ class Kernel : public Program {
   const ServiceEntry* PickService(const std::string& name, VpeId client) const;
 
   // ===== Replies & cost accounting =====
-  void ReplySyscall(SyscallCtx ctx, ErrCode err, CapSel sel = kInvalidSel,
+  // Replies to the syscall and frees its record.
+  void ReplySyscall(SyscallRec* sc, ErrCode err, CapSel sel = kInvalidSel,
                     const CapPayload& payload = {}, MsgRef opaque = nullptr);
   // Charges `cost` on the kernel core, then runs `effects` (sends replies).
-  void Finish(Cycles cost, InlineFn effects);
+  // The closure is built once, in its event slot.
+  template <typename F>
+  void Finish(Cycles cost, F&& effects) {
+    pe_->exec().Post(cost, std::forward<F>(effects));
+  }
   // Charges `cost` and returns the completion time (for Emit below).
   Cycles Charge(Cycles cost);
 
@@ -622,8 +696,15 @@ class Kernel : public Program {
   // obtain reply that links a child must reach the peer before a later
   // revocation's REVOKE_REQ for that child), every kernel-to-kernel message
   // is enqueued here at mutation time and released strictly in that order,
-  // each no earlier than its `ready` (charge-completion) time.
-  void Emit(Cycles ready, InlineFn send);
+  // each no earlier than its `ready` (charge-completion) time. The closure
+  // is built once, in its egress slot.
+  template <typename F>
+  void Emit(Cycles ready, F&& send) {
+    EgressMsg& slot = egress_.emplace_back();
+    slot.ready = ready;
+    slot.send.Emplace(std::forward<F>(send));
+    DrainEgress();
+  }
   void DrainEgress();
 
   // Thread-pool accounting (Eq. 1). CHECK-fails if the statically sized
@@ -668,12 +749,22 @@ class Kernel : public Program {
   uint64_t ft_span_ = 0;
   Cycles ft_trace_start_ = 0;
 
-  std::unordered_map<uint64_t, ObtainOp> obtains_;
-  std::unordered_map<uint64_t, DelegateOp> delegates_;
-  std::unordered_map<uint64_t, ParkedDelegate> parked_delegates_;
-  std::unordered_map<uint64_t, PendingAsk> asks_;
-  std::unordered_map<uint64_t, PendingIkc> ikcs_;
-  std::unordered_map<uint64_t, std::unique_ptr<RevokeTask>> revoke_tasks_;
+  // Operation records and the indexes that find them by token (DDL key for
+  // parked delegates). Spanning obtains/delegates are indexed while their
+  // IKC is out; local ones are reached only through their continuations.
+  RecordPool<SyscallRec> syscall_recs_;
+  RecordPool<ObtainOp> obtain_recs_;
+  RecordPool<DelegateOp> delegate_recs_;
+  RecordPool<ParkedDelegate> parked_recs_;
+  RecordPool<PendingAsk> ask_recs_;
+  RecordPool<PendingIkc> ikc_recs_;
+  RecordPool<RevokeTask> revoke_recs_;
+  FlatIndex<ObtainOp> obtains_;
+  FlatIndex<DelegateOp> delegates_;
+  FlatIndex<ParkedDelegate> parked_delegates_;
+  FlatIndex<PendingAsk> asks_;
+  FlatIndex<PendingIkc> ikcs_;
+  FlatIndex<RevokeTask> revoke_tasks_;
   std::map<uint64_t, std::unique_ptr<MigrateTask>> migrate_tasks_;
   // PEs this kernel handed off, with their new owner. Syscalls from a
   // migrated VPE still land here until its send endpoint was retargeted;
@@ -689,21 +780,25 @@ class Kernel : public Program {
   std::map<std::string, std::vector<ServiceEntry>> services_;
 
   // Incoming REVOKE_REQs beyond the two revocation threads wait here.
-  std::deque<InlineFn> revoke_queue_;
+  struct QueuedRevoke {
+    EpId ep = 0;
+    Message msg;  // the (possibly relay-rewritten) request message
+  };
+  Ring<QueuedRevoke> revoke_queue_;
   uint32_t revoke_threads_busy_ = 0;
 
   // Kernel-to-kernel egress (see Emit).
   struct EgressMsg {
-    Cycles ready;
+    Cycles ready = 0;
     InlineFn send;
   };
-  std::deque<EgressMsg> egress_;
+  Ring<EgressMsg> egress_;
   bool egress_scheduled_ = false;
 
   // Kernel -> service ask flow control.
   struct AskWindow {
     uint32_t inflight = 0;
-    std::deque<std::function<void()>> queue;
+    Ring<std::shared_ptr<AskMsg>> queue;  // asks waiting for a window slot
   };
   std::map<NodeId, AskWindow> ask_windows_;
 

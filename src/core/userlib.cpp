@@ -27,8 +27,7 @@ void UserEnv::SetupEps(bool is_service) {
 // System calls
 // ---------------------------------------------------------------------------
 
-void UserEnv::Syscall(std::shared_ptr<SyscallMsg> msg,
-                      std::function<void(const SyscallReply&)> cb) {
+void UserEnv::Syscall(std::shared_ptr<SyscallMsg> msg, SyscallCb cb) {
   CHECK(!syscall_pending_) << "VPE " << vpe() << " issued a second blocking syscall";
   syscall_pending_ = true;
   syscall_cb_ = std::move(cb);
@@ -88,13 +87,12 @@ void UserEnv::ArmSyscallWatchdog(uint64_t token) {
       syscall_unreachable_ = true;
       syscall_pending_ = false;
       CloseSyscallSpan();
-      auto cb = std::move(syscall_cb_);
-      syscall_cb_ = nullptr;
+      SyscallCb cb = std::move(syscall_cb_);
       syscall_msg_ = nullptr;
       if (cb) {
         SyscallReply reply;
         reply.err = ErrCode::kUnreachable;
-        cb(reply);
+        cb.Fire(reply);
       }
       return;
     }
@@ -133,11 +131,10 @@ void UserEnv::OnSyscallReply(const Message& msg) {
   }
   syscall_pending_ = false;
   CloseSyscallSpan();
-  auto cb = std::move(syscall_cb_);
-  syscall_cb_ = nullptr;
+  SyscallCb cb = std::move(syscall_cb_);
   syscall_msg_ = nullptr;  // only retained for migration/crash retries
   if (cb) {
-    cb(*reply);
+    cb.Fire(*reply);
   }
 }
 
@@ -161,15 +158,14 @@ void UserEnv::CloseSyscallSpan() {
   sys_parent_ = 0;
 }
 
-void UserEnv::OpenSession(const std::string& name, std::function<void(const SyscallReply&)> cb) {
+void UserEnv::OpenSession(const std::string& name, SyscallCb cb) {
   auto msg = NewMsg<SyscallMsg>();
   msg->op = SyscallOp::kOpenSession;
   msg->name = name;
   Syscall(std::move(msg), std::move(cb));
 }
 
-void UserEnv::Exchange(CapSel session, MsgRef payload,
-                       std::function<void(const SyscallReply&)> cb) {
+void UserEnv::Exchange(CapSel session, MsgRef payload, SyscallCb cb) {
   auto msg = NewMsg<SyscallMsg>();
   msg->op = SyscallOp::kExchange;
   msg->sel = session;
@@ -177,7 +173,7 @@ void UserEnv::Exchange(CapSel session, MsgRef payload,
   Syscall(std::move(msg), std::move(cb));
 }
 
-void UserEnv::Obtain(VpeId peer, CapSel peer_sel, std::function<void(const SyscallReply&)> cb) {
+void UserEnv::Obtain(VpeId peer, CapSel peer_sel, SyscallCb cb) {
   auto msg = NewMsg<SyscallMsg>();
   msg->op = SyscallOp::kObtain;
   msg->peer = peer;
@@ -185,7 +181,7 @@ void UserEnv::Obtain(VpeId peer, CapSel peer_sel, std::function<void(const Sysca
   Syscall(std::move(msg), std::move(cb));
 }
 
-void UserEnv::Delegate(CapSel sel, VpeId peer, std::function<void(const SyscallReply&)> cb) {
+void UserEnv::Delegate(CapSel sel, VpeId peer, SyscallCb cb) {
   auto msg = NewMsg<SyscallMsg>();
   msg->op = SyscallOp::kDelegate;
   msg->sel = sel;
@@ -193,14 +189,14 @@ void UserEnv::Delegate(CapSel sel, VpeId peer, std::function<void(const SyscallR
   Syscall(std::move(msg), std::move(cb));
 }
 
-void UserEnv::Revoke(CapSel sel, std::function<void(const SyscallReply&)> cb) {
+void UserEnv::Revoke(CapSel sel, SyscallCb cb) {
   auto msg = NewMsg<SyscallMsg>();
   msg->op = SyscallOp::kRevoke;
   msg->sel = sel;
   Syscall(std::move(msg), std::move(cb));
 }
 
-void UserEnv::Activate(CapSel sel, EpId ep, std::function<void(const SyscallReply&)> cb) {
+void UserEnv::Activate(CapSel sel, EpId ep, SyscallCb cb) {
   auto msg = NewMsg<SyscallMsg>();
   msg->op = SyscallOp::kActivate;
   msg->sel = sel;
@@ -209,7 +205,7 @@ void UserEnv::Activate(CapSel sel, EpId ep, std::function<void(const SyscallRepl
 }
 
 void UserEnv::DeriveMem(CapSel sel, uint64_t offset, uint64_t size, uint32_t perms,
-                        std::function<void(const SyscallReply&)> cb) {
+                        SyscallCb cb) {
   auto msg = NewMsg<SyscallMsg>();
   msg->op = SyscallOp::kDeriveMem;
   msg->sel = sel;
@@ -219,8 +215,7 @@ void UserEnv::DeriveMem(CapSel sel, uint64_t offset, uint64_t size, uint32_t per
   Syscall(std::move(msg), std::move(cb));
 }
 
-void UserEnv::RegisterService(const std::string& name,
-                              std::function<void(const SyscallReply&)> cb) {
+void UserEnv::RegisterService(const std::string& name, SyscallCb cb) {
   auto msg = NewMsg<SyscallMsg>();
   msg->op = SyscallOp::kRegisterService;
   msg->name = name;
@@ -232,40 +227,10 @@ void UserEnv::RegisterService(const std::string& name,
 // ---------------------------------------------------------------------------
 
 void UserEnv::OnAsk(const Message& msg) {
-  const AskMsg* ask = msg.As<AskMsg>();
-  CHECK(ask != nullptr);
-  Message copy = msg;
-  work_.push_back([this, copy] {
-    const AskMsg& a = *copy.As<AskMsg>();
-    // Syscalls the handler issues nest under the kernel's ask span.
-    SetTraceContext(a.trace_id, a.trace_parent);
-    auto reply_fn = [this, copy](AskReply reply_value) {
-      const AskMsg* req = copy.As<AskMsg>();
-      auto reply = NewMsg<AskReply>(std::move(reply_value));
-      reply->token = req->token;
-      // The reply inherits the ask's trace ctx so its wire transit nests
-      // under the kernel's kAsk round-trip span.
-      reply->trace_id = req->trace_id;
-      reply->trace_parent = req->trace_parent;
-      // Answering costs the party `ask_cost_` cycles on its own core.
-      pe_->exec().Post(ask_cost_, [this, copy, reply] {
-        pe_->dtu().Reply(user_ep::kAsk, copy, reply);
-        SetTraceContext(0, 0);
-        work_busy_ = false;
-        PumpWork();
-      });
-    };
-    if (ask_handler_) {
-      ask_handler_(a, std::move(reply_fn));
-    } else {
-      // Default policy (plain VPEs in tests/benchmarks): accept, sharing
-      // exactly the capability the kernel asked about.
-      AskReply reply;
-      reply.err = ErrCode::kOk;
-      reply.share_sel = a.sel;
-      reply_fn(std::move(reply));
-    }
-  });
+  CHECK(msg.As<AskMsg>() != nullptr);
+  Work& work = work_.emplace_back();
+  work.msg = msg;
+  work.ask = true;
   PumpWork();
 }
 
@@ -274,16 +239,55 @@ void UserEnv::PumpWork() {
     return;
   }
   work_busy_ = true;
-  auto fn = std::move(work_.front());
+  serving_ = std::move(work_.front().msg);
+  bool ask = work_.front().ask;
   work_.pop_front();
-  fn();
+  if (!ask) {
+    CHECK(request_handler_) << "service PE " << vpe() << " has no request handler";
+    if (serving_.body != nullptr) {
+      // Syscalls the handler issues nest under the request's trace.
+      SetTraceContext(serving_.body->trace_id, serving_.body->trace_parent);
+    }
+    request_handler_(serving_);
+    return;
+  }
+  const AskMsg& a = *serving_.As<AskMsg>();
+  // Syscalls the handler issues nest under the kernel's ask span.
+  SetTraceContext(a.trace_id, a.trace_parent);
+  if (ask_handler_) {
+    ask_handler_(a, [this](AskReply reply) { ReplyAsk(std::move(reply)); });
+  } else {
+    // Default policy (plain VPEs in tests/benchmarks): accept, sharing
+    // exactly the capability the kernel asked about.
+    AskReply reply;
+    reply.err = ErrCode::kOk;
+    reply.share_sel = a.sel;
+    ReplyAsk(std::move(reply));
+  }
+}
+
+void UserEnv::ReplyAsk(AskReply reply_value) {
+  const AskMsg* req = serving_.As<AskMsg>();
+  auto reply = NewMsg<AskReply>(std::move(reply_value));
+  reply->token = req->token;
+  // The reply inherits the ask's trace ctx so its wire transit nests under
+  // the kernel's kAsk round-trip span.
+  reply->trace_id = req->trace_id;
+  reply->trace_parent = req->trace_parent;
+  // Answering costs the party `ask_cost_` cycles on its own core.
+  pe_->exec().Post(ask_cost_, [this, reply] {
+    pe_->dtu().Reply(user_ep::kAsk, serving_, reply);
+    SetTraceContext(0, 0);
+    work_busy_ = false;
+    PumpWork();
+  });
 }
 
 // ---------------------------------------------------------------------------
 // Client <-> service IPC
 // ---------------------------------------------------------------------------
 
-void UserEnv::Request(MsgRef body, std::function<void(const Message&)> cb) {
+void UserEnv::Request(MsgRef body, MessageCb cb) {
   CHECK(!request_pending_) << "VPE " << vpe() << " issued a second service request";
   request_pending_ = true;
   request_cb_ = std::move(cb);
@@ -294,23 +298,16 @@ void UserEnv::Request(MsgRef body, std::function<void(const Message&)> cb) {
 void UserEnv::OnServiceReply(const Message& msg) {
   CHECK(request_pending_);
   request_pending_ = false;
-  auto cb = std::move(request_cb_);
-  request_cb_ = nullptr;
+  MessageCb cb = std::move(request_cb_);
   if (cb) {
-    cb(msg);
+    cb.Fire(msg);
   }
 }
 
 void UserEnv::OnRequest(const Message& msg) {
-  Message copy = msg;
-  work_.push_back([this, copy] {
-    CHECK(request_handler_) << "service PE " << vpe() << " has no request handler";
-    if (copy.body != nullptr) {
-      // Syscalls the handler issues nest under the request's trace.
-      SetTraceContext(copy.body->trace_id, copy.body->trace_parent);
-    }
-    request_handler_(copy);
-  });
+  Work& work = work_.emplace_back();
+  work.msg = msg;
+  work.ask = false;
   PumpWork();
 }
 
@@ -319,20 +316,6 @@ void UserEnv::ReplyRequest(const Message& msg, MsgRef body) {
   SetTraceContext(0, 0);
   work_busy_ = false;
   PumpWork();
-}
-
-// ---------------------------------------------------------------------------
-// Memory access
-// ---------------------------------------------------------------------------
-
-void UserEnv::ReadMem(EpId ep, uint64_t offset, uint64_t bytes, InlineFn done) {
-  Status st = pe_->dtu().Read(ep, offset, bytes, std::move(done));
-  CHECK(st.ok()) << "mem read failed: " << st.name();
-}
-
-void UserEnv::WriteMem(EpId ep, uint64_t offset, uint64_t bytes, InlineFn done) {
-  Status st = pe_->dtu().Write(ep, offset, bytes, std::move(done));
-  CHECK(st.ok()) << "mem write failed: " << st.name();
 }
 
 }  // namespace semperos

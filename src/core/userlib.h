@@ -10,22 +10,26 @@
 #ifndef SEMPEROS_CORE_USERLIB_H_
 #define SEMPEROS_CORE_USERLIB_H_
 
-#include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
 
+#include "base/flat.h"
 #include "base/log.h"
 #include "base/status.h"
 #include "core/kernel.h"
 #include "core/protocol.h"
 #include "pe/pe.h"
+#include "sim/inline_fn.h"
 
 namespace semperos {
 
 class UserEnv {
  public:
+  using SyscallCb = Callback<void(const SyscallReply&)>;
+  using MessageCb = Callback<void(const Message&)>;
+  using AskReplyFn = Callback<void(AskReply)>;
+
   // `ask_cost` is charged on this PE for every exchange-ask it answers
   // (the "K2 asks V2" step of §4.3.2).
   UserEnv(ProcessingElement* pe, NodeId kernel_node, Cycles ask_cost)
@@ -39,43 +43,57 @@ class UserEnv {
   void SetupEps(bool is_service);
 
   // ---- System calls (single outstanding; asserts the VPE respects it) ----
-  void Syscall(std::shared_ptr<SyscallMsg> msg, std::function<void(const SyscallReply&)> cb);
+  void Syscall(std::shared_ptr<SyscallMsg> msg, SyscallCb cb);
 
-  void OpenSession(const std::string& name, std::function<void(const SyscallReply&)> cb);
-  void Exchange(CapSel session, MsgRef payload, std::function<void(const SyscallReply&)> cb);
-  void Obtain(VpeId peer, CapSel peer_sel, std::function<void(const SyscallReply&)> cb);
-  void Delegate(CapSel sel, VpeId peer, std::function<void(const SyscallReply&)> cb);
-  void Revoke(CapSel sel, std::function<void(const SyscallReply&)> cb);
-  void Activate(CapSel sel, EpId ep, std::function<void(const SyscallReply&)> cb);
-  void DeriveMem(CapSel sel, uint64_t offset, uint64_t size, uint32_t perms,
-                 std::function<void(const SyscallReply&)> cb);
-  void RegisterService(const std::string& name, std::function<void(const SyscallReply&)> cb);
+  void OpenSession(const std::string& name, SyscallCb cb);
+  void Exchange(CapSel session, MsgRef payload, SyscallCb cb);
+  void Obtain(VpeId peer, CapSel peer_sel, SyscallCb cb);
+  void Delegate(CapSel sel, VpeId peer, SyscallCb cb);
+  void Revoke(CapSel sel, SyscallCb cb);
+  void Activate(CapSel sel, EpId ep, SyscallCb cb);
+  void DeriveMem(CapSel sel, uint64_t offset, uint64_t size, uint32_t perms, SyscallCb cb);
+  void RegisterService(const std::string& name, SyscallCb cb);
 
   // ---- Exchange-asks from the kernel ----
   // The handler must eventually invoke the reply functor exactly once.
   // Asks are serialized: the next ask is delivered only after the current
-  // one was answered, so handlers may issue system calls in between.
-  using AskHandler = std::function<void(const AskMsg&, std::function<void(AskReply)>)>;
+  // one was answered, so handlers may issue system calls in between. The
+  // ask stays valid until it is answered (UserEnv keeps the message it is
+  // serving), and the reply functor is just `this`.
+  using AskHandler = Callback<void(const AskMsg&, AskReplyFn)>;
   void SetAskHandler(AskHandler handler) { ask_handler_ = std::move(handler); }
 
   // ---- Client -> service IPC (no kernel involved) ----
   // Sends on the session send gate (configured by the kernel at session
   // open). One outstanding request per client.
-  void Request(MsgRef body, std::function<void(const Message&)> cb);
+  void Request(MsgRef body, MessageCb cb);
 
   // Service side: handler for incoming client requests. The handler must
   // eventually call ReplyRequest(msg, ...) exactly once; requests and asks
-  // are serialized through one work queue.
-  using RequestHandler = std::function<void(const Message&)>;
+  // are serialized through one work queue, and `msg` stays valid until
+  // the reply.
+  using RequestHandler = Callback<void(const Message&)>;
   void SetRequestHandler(RequestHandler handler) { request_handler_ = std::move(handler); }
   void ReplyRequest(const Message& msg, MsgRef body);
 
   // ---- Remote memory through an activated memory endpoint ----
-  void ReadMem(EpId ep, uint64_t offset, uint64_t bytes, InlineFn done);
-  void WriteMem(EpId ep, uint64_t offset, uint64_t bytes, InlineFn done);
+  // `done` is built once, in its event slot.
+  template <typename F>
+  void ReadMem(EpId ep, uint64_t offset, uint64_t bytes, F&& done) {
+    Status st = pe_->dtu().Read(ep, offset, bytes, std::forward<F>(done));
+    CHECK(st.ok()) << "mem read failed: " << st.name();
+  }
+  template <typename F>
+  void WriteMem(EpId ep, uint64_t offset, uint64_t bytes, F&& done) {
+    Status st = pe_->dtu().Write(ep, offset, bytes, std::forward<F>(done));
+    CHECK(st.ok()) << "mem write failed: " << st.name();
+  }
 
   // Occupies this PE's core for `cost` cycles (compute phases).
-  void Compute(Cycles cost, InlineFn then) { pe_->Compute(cost, std::move(then)); }
+  template <typename F>
+  void Compute(Cycles cost, F&& then) {
+    pe_->Compute(cost, std::forward<F>(then));
+  }
 
   // ---- Observability (src/obs) ----
   // Joins subsequently issued syscalls to an enclosing trace — a service
@@ -112,6 +130,8 @@ class UserEnv {
   void OnServiceReply(const Message& msg);
   void OnRequest(const Message& msg);
   void PumpWork();
+  // Answers the ask being served (the AskReplyFn handed to the handler).
+  void ReplyAsk(AskReply reply_value);
   void ArmSyscallWatchdog(uint64_t token);
   // Records the open syscall round trip as a kRequest span (no-op when
   // untraced or no call is open).
@@ -137,7 +157,7 @@ class UserEnv {
   uint64_t syscalls_issued_ = 0;
   uint64_t syscall_retries_ = 0;
   bool syscall_pending_ = false;
-  std::function<void(const SyscallReply&)> syscall_cb_;
+  SyscallCb syscall_cb_;
   std::shared_ptr<SyscallMsg> syscall_msg_;  // kept for migration retries
 
   // Crash watchdog (EnableSyscallRetry); inactive while retry_timeout_ == 0.
@@ -150,13 +170,19 @@ class UserEnv {
   bool syscall_unreachable_ = false;
 
   bool request_pending_ = false;
-  std::function<void(const Message&)> request_cb_;
+  MessageCb request_cb_;
 
   AskHandler ask_handler_;
   RequestHandler request_handler_;
 
-  // Serialized service work: asks and client requests.
-  std::deque<InlineFn> work_;
+  // Serialized service work: asks and client requests, waiting in arrival
+  // order, and the one being served (kept until it is answered).
+  struct Work {
+    Message msg;
+    bool ask = false;
+  };
+  Ring<Work> work_;
+  Message serving_;
   bool work_busy_ = false;
 };
 

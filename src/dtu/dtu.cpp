@@ -63,19 +63,21 @@ void Dtu::InvalidateEp(EpId ep) {
   eps_[ep] = Endpoint{};
 }
 
+// The delivery closures below capture the target's id rather than its
+// Dtu*, so each one, done callback included, fits an event slot.
 void Dtu::ConfigureRemoteSend(NodeId target, EpId ep, NodeId dst_node, EpId dst_ep,
-                              uint32_t credits, uint64_t label, std::function<void()> done) {
+                              uint32_t credits, uint64_t label, Callback<void()> done) {
   CHECK(privileged_) << "remote config from unprivileged DTU " << node_;
   if (dead_) {
     stats_.msgs_lost_dead++;
     return;  // crashed kernel: the config packet never leaves (done never fires)
   }
-  Dtu* remote = fabric_->At(target);
-  CHECK(remote != nullptr);
+  CHECK(fabric_->At(target) != nullptr);
   fabric_->noc()->Send(node_, target, kConfigPacketBytes,
-                       [this, remote, ep, dst_node, dst_ep, credits, label, done] {
+                       [this, label, target, ep, dst_node, dst_ep, credits,
+                        done = std::move(done)]() mutable {
                          // Privileged config bypasses the downgrade check.
-                         Endpoint& e = remote->eps_.at(ep);
+                         Endpoint& e = fabric_->At(target)->eps_.at(ep);
                          e = Endpoint{};
                          e.type = EpType::kSend;
                          e.dst_node = dst_node;
@@ -84,23 +86,23 @@ void Dtu::ConfigureRemoteSend(NodeId target, EpId ep, NodeId dst_node, EpId dst_
                          e.max_credits = credits;
                          e.label = label;
                          if (done) {
-                           sim_->Schedule(kConfigApplyCycles, done);
+                           sim_->Schedule(kConfigApplyCycles, std::move(done));
                          }
                        });
 }
 
 void Dtu::ConfigureRemoteMem(NodeId target, EpId ep, NodeId dst_node, uint64_t base, uint64_t size,
-                             MemPerms perms, std::function<void()> done) {
+                             MemPerms perms, Callback<void()> done) {
   CHECK(privileged_) << "remote config from unprivileged DTU " << node_;
   if (dead_) {
     stats_.msgs_lost_dead++;
     return;
   }
-  Dtu* remote = fabric_->At(target);
-  CHECK(remote != nullptr);
+  CHECK(fabric_->At(target) != nullptr);
   fabric_->noc()->Send(node_, target, kConfigPacketBytes,
-                       [this, remote, ep, dst_node, base, size, perms, done] {
-                         Endpoint& e = remote->eps_.at(ep);
+                       [this, base, size, target, ep, dst_node, perms,
+                        done = std::move(done)]() mutable {
+                         Endpoint& e = fabric_->At(target)->eps_.at(ep);
                          e = Endpoint{};
                          e.type = EpType::kMemory;
                          e.dst_node = dst_node;
@@ -108,25 +110,25 @@ void Dtu::ConfigureRemoteMem(NodeId target, EpId ep, NodeId dst_node, uint64_t b
                          e.mem_size = size;
                          e.perms = perms;
                          if (done) {
-                           sim_->Schedule(kConfigApplyCycles, done);
+                           sim_->Schedule(kConfigApplyCycles, std::move(done));
                          }
                        });
 }
 
-void Dtu::InvalidateRemoteEp(NodeId target, EpId ep, std::function<void()> done) {
+void Dtu::InvalidateRemoteEp(NodeId target, EpId ep, Callback<void()> done) {
   CHECK(privileged_) << "remote config from unprivileged DTU " << node_;
   if (dead_) {
     stats_.msgs_lost_dead++;
     return;
   }
-  Dtu* remote = fabric_->At(target);
-  CHECK(remote != nullptr);
-  fabric_->noc()->Send(node_, target, kConfigPacketBytes, [this, remote, ep, done] {
-    remote->eps_.at(ep) = Endpoint{};
-    if (done) {
-      sim_->Schedule(kConfigApplyCycles, done);
-    }
-  });
+  CHECK(fabric_->At(target) != nullptr);
+  fabric_->noc()->Send(node_, target, kConfigPacketBytes,
+                       [this, target, ep, done = std::move(done)]() mutable {
+                         fabric_->At(target)->eps_.at(ep) = Endpoint{};
+                         if (done) {
+                           sim_->Schedule(kConfigApplyCycles, std::move(done));
+                         }
+                       });
 }
 
 Status Dtu::Send(EpId ep, MsgRef body, EpId reply_ep) {
@@ -360,8 +362,8 @@ void Dtu::ReturnCredit(EpId send_ep) {
   }
 }
 
-Status Dtu::MemAccess(EpId mem_ep, uint64_t offset, uint64_t bytes, bool write,
-                      InlineFn done) {
+Status Dtu::StartMemAccess(EpId mem_ep, uint64_t offset, uint64_t bytes, bool write,
+                           Cycles* latency) {
   CHECK_LT(mem_ep, kNumEps);
   if (dead_) {
     stats_.msgs_lost_dead++;
@@ -385,7 +387,7 @@ Status Dtu::MemAccess(EpId mem_ep, uint64_t offset, uint64_t bytes, bool write,
   Cycles back = noc->UnloadedLatency(e.dst_node, node_, static_cast<uint32_t>(
                                                             bytes > 0xffffffffull ? 0xffffffffull
                                                                                   : bytes));
-  sim_->Schedule(there + kMemAccessLatency + back, std::move(done));
+  *latency = there + kMemAccessLatency + back;
   if (write) {
     stats_.mem_writes++;
   } else {
@@ -393,14 +395,6 @@ Status Dtu::MemAccess(EpId mem_ep, uint64_t offset, uint64_t bytes, bool write,
   }
   stats_.mem_bytes += bytes;
   return Status::Ok();
-}
-
-Status Dtu::Read(EpId mem_ep, uint64_t offset, uint64_t bytes, InlineFn done) {
-  return MemAccess(mem_ep, offset, bytes, /*write=*/false, std::move(done));
-}
-
-Status Dtu::Write(EpId mem_ep, uint64_t offset, uint64_t bytes, InlineFn done) {
-  return MemAccess(mem_ep, offset, bytes, /*write=*/true, std::move(done));
 }
 
 uint32_t Dtu::Credits(EpId ep) const {

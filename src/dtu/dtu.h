@@ -22,14 +22,15 @@
 #define SEMPEROS_DTU_DTU_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "base/status.h"
 #include "base/types.h"
 #include "dtu/message.h"
 #include "noc/noc.h"
+#include "sim/inline_fn.h"
 #include "sim/simulation.h"
 
 namespace semperos {
@@ -115,13 +116,14 @@ class Dtu {
   bool dead() const { return dead_; }
 
   // Privileged remote configuration: models the kernel writing another DTU's
-  // endpoint registers over the NoC. `done` fires when the config packet has
-  // been applied at the remote DTU.
+  // endpoint registers over the NoC. `done` (may be null) fires when the
+  // config packet has been applied at the remote DTU; it travels inside the
+  // packet's delivery closure and then moves into the completion event.
   void ConfigureRemoteSend(NodeId target, EpId ep, NodeId dst_node, EpId dst_ep, uint32_t credits,
-                           uint64_t label, std::function<void()> done);
+                           uint64_t label, Callback<void()> done);
   void ConfigureRemoteMem(NodeId target, EpId ep, NodeId dst_node, uint64_t base, uint64_t size,
-                          MemPerms perms, std::function<void()> done);
-  void InvalidateRemoteEp(NodeId target, EpId ep, std::function<void()> done);
+                          MemPerms perms, Callback<void()> done);
+  void InvalidateRemoteEp(NodeId target, EpId ep, Callback<void()> done);
 
   // Sends a message through send endpoint `ep`. Consumes one credit; the
   // credit returns when the receiver replies (or acks with credit return).
@@ -149,9 +151,16 @@ class Dtu {
 
   // Remote memory access through a memory endpoint. Timing only — data is
   // not moved. Deliberately uncontended (paper §5.3.1 excludes memory
-  // contention; see DESIGN.md §2). `done` fires on completion.
-  Status Read(EpId mem_ep, uint64_t offset, uint64_t bytes, InlineFn done);
-  Status Write(EpId mem_ep, uint64_t offset, uint64_t bytes, InlineFn done);
+  // contention; see DESIGN.md §2). `done` fires on completion; it is built
+  // once, in its event slot, and dropped if the access is refused.
+  template <typename F>
+  Status Read(EpId mem_ep, uint64_t offset, uint64_t bytes, F&& done) {
+    return MemAccess(mem_ep, offset, bytes, /*write=*/false, std::forward<F>(done));
+  }
+  template <typename F>
+  Status Write(EpId mem_ep, uint64_t offset, uint64_t bytes, F&& done) {
+    return MemAccess(mem_ep, offset, bytes, /*write=*/true, std::forward<F>(done));
+  }
 
   // Introspection for tests.
   uint32_t Credits(EpId ep) const;
@@ -191,7 +200,18 @@ class Dtu {
   void StampTrace(Message& msg) const;
   void RecordTransit(const Message& msg);
 
-  Status MemAccess(EpId mem_ep, uint64_t offset, uint64_t bytes, bool write, InlineFn done);
+  template <typename F>
+  Status MemAccess(EpId mem_ep, uint64_t offset, uint64_t bytes, bool write, F&& done) {
+    Cycles latency = 0;
+    Status st = StartMemAccess(mem_ep, offset, bytes, write, &latency);
+    if (st.ok()) {
+      sim_->Schedule(latency, std::forward<F>(done));
+    }
+    return st;
+  }
+  // Validates a memory access, counts it, and returns its latency.
+  Status StartMemAccess(EpId mem_ep, uint64_t offset, uint64_t bytes, bool write,
+                        Cycles* latency);
 
   Simulation* sim_;
   DtuFabric* fabric_;

@@ -18,6 +18,7 @@
 #ifndef SEMPEROS_FS_SERVICE_H_
 #define SEMPEROS_FS_SERVICE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -58,24 +59,59 @@ class FsService : public Program {
   UserEnv& env() { return *env_; }
 
  private:
+  // The service handles one ask or client request at a time (UserEnv
+  // serializes them), so the state of the operation in progress lives in
+  // the records below and in a few members, and continuations capture
+  // `this` plus ids.
   struct OpenFile {
     std::string path;
     uint64_t fid = 0;
     uint32_t flags = 0;
     std::vector<CapSel> handed;  // derived extent capabilities (our table)
   };
+  // A session's open files, flat: files[0, open) are the open ones in
+  // ascending fid order (fids only grow, so an open appends); the records
+  // after them are spares that keep their path and extent-list capacity
+  // for the next open. An open in progress already has its record.
   struct Session {
     uint64_t id = 0;
     VpeId client = kInvalidVpe;
-    std::map<uint64_t, OpenFile> files;  // keyed by fid
+    std::vector<OpenFile> files;
+    size_t open = 0;
+
+    OpenFile* Find(uint64_t fid) {
+      for (size_t i = 0; i < open; ++i) {
+        if (files[i].fid == fid) {
+          return &files[i];
+        }
+      }
+      return nullptr;
+    }
+    // A fresh record after the open ones (a recycled spare if any).
+    OpenFile* Add() {
+      if (open == files.size()) {
+        files.emplace_back();
+      }
+      OpenFile* file = &files[open++];
+      file->handed.clear();
+      return file;
+    }
+    // Closes `file`: the later open files move up one, keeping fid order,
+    // and the record becomes the first spare.
+    void Remove(OpenFile* file) {
+      auto it = files.begin() + (file - files.data());
+      std::rotate(it, it + 1, files.begin() + static_cast<std::ptrdiff_t>(open));
+      --open;
+    }
   };
 
-  void OnAsk(const AskMsg& ask, std::function<void(AskReply)> reply);
-  void AskOpenSession(const AskMsg& ask, std::function<void(AskReply)> reply);
-  void AskExchange(const AskMsg& ask, std::function<void(AskReply)> reply);
-  void HandleOpen(Session* session, const FsRequest& req, std::function<void(AskReply)> reply);
-  void HandleNextExtent(Session* session, const FsRequest& req,
-                        std::function<void(AskReply)> reply);
+  void OnAsk(const AskMsg& ask, UserEnv::AskReplyFn reply);
+  // Answers the ask being served.
+  void AnswerAsk(AskReply reply);
+  void AskOpenSession(const AskMsg& ask);
+  void AskExchange(const AskMsg& ask);
+  void HandleOpen(Session* session, const FsRequest& req);
+  void HandleNextExtent(Session* session, const FsRequest& req);
 
   void OnRequest(const Message& msg);
   void MetaClose(Session* session, const FsRequest& req, const Message& msg);
@@ -86,12 +122,11 @@ class FsService : public Program {
 
   // Derives the extent capability covering byte `offset` of `inode` and
   // returns (via cb) the new selector. Grows the file for writes.
-  void DeriveExtent(Inode* inode, uint64_t offset, bool write,
-                    std::function<void(CapSel, uint64_t extent_len)> cb);
+  using ExtentCb = Callback<void(CapSel, uint64_t extent_len)>;
+  void DeriveExtent(Inode* inode, uint64_t offset, bool write, ExtentCb cb);
 
-  // Revokes handed[idx..] sequentially, then runs done.
-  void RevokeHanded(std::shared_ptr<std::vector<CapSel>> handed, size_t idx,
-                    std::function<void()> done);
+  // Revokes revoking_[idx..] sequentially, then answers revoke_msg_.
+  void RevokeHanded(size_t idx);
 
   Session* SessionOf(uint64_t id);
   void ReplyMeta(const Message& msg, ErrCode err, uint64_t size = 0, uint32_t entries = 0,
@@ -109,6 +144,15 @@ class FsService : public Program {
   uint64_t next_session_ = 1;
   uint64_t next_fid_ = 1;
   FsServiceStats fs_stats_;
+
+  // The operation in progress (see above).
+  UserEnv::AskReplyFn ask_reply_;  // answers the ask being served
+  ExtentCb derived_;               // DeriveExtent's continuation
+  // A close or unlink revokes these one at a time, then answers
+  // revoke_msg_ with revoke_err_ and the count.
+  std::vector<CapSel> revoking_;
+  Message revoke_msg_;
+  ErrCode revoke_err_ = ErrCode::kOk;
 };
 
 }  // namespace semperos

@@ -12,9 +12,9 @@
 #ifndef SEMPEROS_PE_PE_H_
 #define SEMPEROS_PE_PE_H_
 
-#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "base/types.h"
 #include "dtu/dtu.h"
@@ -88,8 +88,12 @@ class ProcessingElement {
     }
   }
 
-  // Occupies the core for `cost` cycles, then runs `then`.
-  void Compute(Cycles cost, InlineFn then) { exec_.Post(cost, std::move(then)); }
+  // Occupies the core for `cost` cycles, then runs `then`, which is built
+  // once, in its event slot.
+  template <typename F>
+  void Compute(Cycles cost, F&& then) {
+    exec_.Post(cost, std::forward<F>(then));
+  }
 
   // Observability (src/obs): the platform attaches one shared Tracer to
   // every PE; programs (kernel, user env, services, load generators) reach

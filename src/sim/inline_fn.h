@@ -1,47 +1,69 @@
-// Small-buffer-optimized move-only callable for the simulator hot path.
+// Small-buffer-optimized move-only callables: the simulator's one callback
+// type.
 //
-// Every simulated event and every executor post wraps a closure. With
-// std::function, closures beyond ~16 bytes (almost all of ours: they capture
-// a Message, a CapPayload, a context struct) allocate on every Schedule —
-// millions of mallocs per benchmark run that buy nothing, since the closure
-// lives exactly until its event fires. InlineFn stores closures up to
-// kInlineBytes in place (no allocation, no indirection) and falls back to the
-// heap only for oversized captures. Move-only, call-once-or-more, same
-// semantics as std::function<void()> minus copyability.
+// InlineFunction<R(Args...), kBytes> stores a callable of up to kBytes in
+// place (no allocation, no indirection) and falls back to the heap only for
+// larger captures. It is move-only, callable any number of times, and can be
+// fired once (call, then destroy, in one indirect call). Two instances cover
+// the whole simulator:
+//
+//  * InlineFn — InlineFunction<void(), 104>: every simulated event and every
+//    executor post. The event slab builds each closure once, in its slot,
+//    and fires it (sim/simulation.h).
+//  * Callback<Sig> — InlineFunction<Sig, 56>: request-path continuations
+//    (syscall and service replies, IKC and ask replies, DTU endpoint
+//    configuration). With its vtable pointer it is one 64-byte cache line,
+//    so an event closure can carry one alongside a few scalars.
+//
+// Small captures, not bigger buffers. A continuation captures `this` plus a
+// record pointer or a token; the state of an operation in flight lives in a
+// record its owner keeps (the kernel's operation records, core/kernel.h; the
+// m3fs file records, fs/service.h; what UserEnv is serving, core/userlib.h).
+// Growing the buffers instead would grow every event slot and every record
+// that holds a callback, and peak memory with them; a closure that does not
+// fit is a heap allocation on the request path, which the allocation-budget
+// test (tests/alloc_budget_test.cpp) catches.
 #ifndef SEMPEROS_SIM_INLINE_FN_H_
 #define SEMPEROS_SIM_INLINE_FN_H_
 
 #include <cstddef>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
 
 namespace semperos {
 
-class InlineFn {
+template <typename Sig, size_t kBytes>
+class InlineFunction;
+
+template <typename R, typename... Args, size_t kBytes>
+class InlineFunction<R(Args...), kBytes> {
  public:
-  // Sized for the engine's typical closure: a captured Message (~40 bytes,
-  // including a shared_ptr body) plus a this-pointer, a context struct or a
-  // CapPayload, and a few scalars. Oversized captures fall back to the heap.
-  static constexpr size_t kInlineBytes = 104;
+  static constexpr size_t kInlineBytes = kBytes;
+  // Captures are pointers, ids, cycle counts and Messages: 8-byte alignment
+  // covers them and lets closures pack a Callback without padding.
+  static constexpr size_t kAlign = alignof(void*);
 
-  InlineFn() noexcept = default;
+  InlineFunction() noexcept = default;
+  InlineFunction(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
 
-  template <typename F, typename = std::enable_if_t<
-                            !std::is_same_v<std::decay_t<F>, InlineFn> &&
-                            std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  InlineFn(F&& f) {  // NOLINT(google-explicit-constructor): drop-in for std::function
+  template <typename F,
+            typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, InlineFunction> &&
+                                        !std::is_same_v<std::decay_t<F>, std::nullptr_t> &&
+                                        std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
+  InlineFunction(F&& f) {  // NOLINT(google-explicit-constructor): drop-in for std::function
     Construct(std::forward<F>(f));
   }
 
-  InlineFn(InlineFn&& other) noexcept : vt_(other.vt_) {
+  InlineFunction(InlineFunction&& other) noexcept : vt_(other.vt_) {
     if (vt_ != nullptr) {
       vt_->move(buf_, other.buf_);
       other.vt_ = nullptr;
     }
   }
 
-  InlineFn& operator=(InlineFn&& other) noexcept {
+  InlineFunction& operator=(InlineFunction&& other) noexcept {
     if (this != &other) {
       Reset();
       vt_ = other.vt_;
@@ -53,29 +75,48 @@ class InlineFn {
     return *this;
   }
 
-  InlineFn(const InlineFn&) = delete;
-  InlineFn& operator=(const InlineFn&) = delete;
+  InlineFunction& operator=(std::nullptr_t) noexcept {
+    Reset();
+    return *this;
+  }
 
-  ~InlineFn() { Reset(); }
+  InlineFunction(const InlineFunction&) = delete;
+  InlineFunction& operator=(const InlineFunction&) = delete;
 
-  void operator()() { vt_->call(buf_); }
+  ~InlineFunction() { Reset(); }
+
+  R operator()(Args... args) { return vt_->call(buf_, std::forward<Args>(args)...); }
 
   // Runs the callable once and destroys it, in one indirect call, leaving
   // this object empty. The event slab fires every closure this way.
-  void Fire() {
+  R Fire(Args... args) {
     const VTable* vt = vt_;
     vt_ = nullptr;
-    vt->fire(buf_);
+    return vt->fire(buf_, std::forward<Args>(args)...);
   }
 
   explicit operator bool() const noexcept { return vt_ != nullptr; }
 
+  // Whether a callable of type F is stored in place (false: on the heap).
+  // Always false with SEMPEROS_DISABLE_POOLS.
+  template <typename F>
+  static constexpr bool StoresInline() {
+    using Fn = std::decay_t<F>;
+    [[maybe_unused]] constexpr bool kFits = sizeof(Fn) <= kBytes && alignof(Fn) <= kAlign &&
+                                            std::is_nothrow_move_constructible_v<Fn>;
+#ifdef SEMPEROS_DISABLE_POOLS
+    return false;
+#else
+    return kFits;
+#endif
+  }
+
   // Builds `f` directly in this object, replacing what it held: the event
-  // slab constructs each closure once, in its slot. An InlineFn argument
-  // is moved in.
+  // slab constructs each closure once, in its slot. An argument of this
+  // exact type is moved in.
   template <typename F>
   void Emplace(F&& f) {
-    if constexpr (std::is_same_v<std::decay_t<F>, InlineFn>) {
+    if constexpr (std::is_same_v<std::decay_t<F>, InlineFunction>) {
       *this = std::move(f);
     } else {
       Reset();
@@ -88,18 +129,13 @@ class InlineFn {
   template <typename F>
   void Construct(F&& f) {
     using Fn = std::decay_t<F>;
-    static_assert(std::is_invocable_r_v<void, Fn&>, "InlineFn holds a void() callable");
-#ifdef SEMPEROS_DISABLE_POOLS
-    // Sanitizer builds: every closure is a fresh heap allocation, so a
-    // use-after-destroy of a capture is a real use-after-free ASan can see
-    // — in-place slab storage would hand stale reads plausible live bytes,
-    // the same masking problem the message pools have (dtu/msg_pool.h).
-    constexpr bool kStoreInline = false;
-#else
-    constexpr bool kStoreInline =
-        sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t);
-#endif
-    if constexpr (kStoreInline) {
+    static_assert(std::is_invocable_r_v<R, Fn&, Args...>, "callable does not match the signature");
+    // Sanitizer builds (SEMPEROS_DISABLE_POOLS) store nothing in place:
+    // every closure is a fresh heap allocation, so a use-after-destroy of a
+    // capture is a real use-after-free ASan can see — in-place slab storage
+    // would hand stale reads plausible live bytes, the same masking problem
+    // the message pools have (dtu/msg_pool.h).
+    if constexpr (StoresInline<Fn>()) {
       ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
       vt_ = InlineVt<Fn>();
     } else {
@@ -111,8 +147,8 @@ class InlineFn {
   struct VTable {
     void (*move)(void* dst, void* src) noexcept;
     void (*destroy)(void* p) noexcept;
-    void (*call)(void* p);
-    void (*fire)(void* p);  // call, then destroy
+    R (*call)(void* p, Args&&... args);
+    R (*fire)(void* p, Args&&... args);  // call, then destroy
   };
 
   template <typename Fn>
@@ -123,11 +159,15 @@ class InlineFn {
           static_cast<Fn*>(src)->~Fn();
         },
         [](void* p) noexcept { static_cast<Fn*>(p)->~Fn(); },
-        [](void* p) { (*static_cast<Fn*>(p))(); },
-        [](void* p) {
-          Fn& fn = *static_cast<Fn*>(p);
-          fn();
-          fn.~Fn();
+        [](void* p, Args&&... args) -> R {
+          return (*static_cast<Fn*>(p))(std::forward<Args>(args)...);
+        },
+        [](void* p, Args&&... args) -> R {
+          struct Destroy {
+            Fn* fn;
+            ~Destroy() { fn->~Fn(); }
+          } guard{static_cast<Fn*>(p)};
+          return (*guard.fn)(std::forward<Args>(args)...);
         },
     };
     return &vt;
@@ -136,15 +176,14 @@ class InlineFn {
   template <typename Fn>
   static const VTable* HeapVt() {
     static constexpr VTable vt = {
-        [](void* dst, void* src) noexcept {
-          ::new (dst) Fn*(*static_cast<Fn**>(src));
-        },
+        [](void* dst, void* src) noexcept { ::new (dst) Fn*(*static_cast<Fn**>(src)); },
         [](void* p) noexcept { delete *static_cast<Fn**>(p); },
-        [](void* p) { (**static_cast<Fn**>(p))(); },
-        [](void* p) {
-          Fn* fn = *static_cast<Fn**>(p);
-          (*fn)();
-          delete fn;
+        [](void* p, Args&&... args) -> R {
+          return (**static_cast<Fn**>(p))(std::forward<Args>(args)...);
+        },
+        [](void* p, Args&&... args) -> R {
+          std::unique_ptr<Fn> fn(*static_cast<Fn**>(p));
+          return (*fn)(std::forward<Args>(args)...);
         },
     };
     return &vt;
@@ -157,9 +196,19 @@ class InlineFn {
     }
   }
 
-  alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
+  alignas(kAlign) unsigned char buf_[kBytes];
   const VTable* vt_ = nullptr;
 };
+
+// Event closures (sim/simulation.h, sim/executor.h, noc/noc.h).
+using InlineFn = InlineFunction<void(), 104>;
+
+// Request-path continuations: one cache line each.
+template <typename Sig>
+using Callback = InlineFunction<Sig, 56>;
+
+static_assert(sizeof(InlineFn) == 112);
+static_assert(sizeof(Callback<void()>) == 64);
 
 }  // namespace semperos
 

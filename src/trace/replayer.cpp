@@ -1,5 +1,6 @@
 #include "trace/replayer.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "base/log.h"
@@ -13,12 +14,11 @@ const char* kTag = "replayer";
 }  // namespace
 
 TraceReplayer::TraceReplayer(Trace trace, NodeId kernel_node, const TimingModel& timing,
-                             std::string service_name, std::function<void(const Result&)> on_done)
+                             std::string service_name)
     : trace_(std::move(trace)),
       kernel_node_(kernel_node),
       t_(timing),
-      service_name_(std::move(service_name)),
-      on_done_(std::move(on_done)) {}
+      service_name_(std::move(service_name)) {}
 
 void TraceReplayer::Setup() {
   env_ = std::make_unique<UserEnv>(pe_, kernel_node_, t_.ask_party);
@@ -43,9 +43,6 @@ void TraceReplayer::NextOp() {
     LOG_DEBUG(kTag) << "vpe " << pe_->node() << " finished " << trace_.app << " in "
                     << CyclesToMicros(result_.runtime()) << "us, " << result_.cap_ops
                     << " cap ops";
-    if (on_done_) {
-      on_done_(result_);
-    }
     return;
   }
   const TraceOp& op = trace_.ops[op_index_++];
@@ -60,9 +57,9 @@ void TraceReplayer::NextOp() {
       DoIo(op, /*write=*/true);
       return;
     case TraceOpKind::kSeek: {
-      auto it = files_.find(op.path);
-      CHECK(it != files_.end()) << "seek on closed file " << op.path;
-      it->second.cursor = op.offset;
+      OpenFile* file = FindFile(op.path);
+      CHECK(file != nullptr) << "seek on closed file " << op.path;
+      file->cursor = op.offset;
       NextOp();
       return;
     }
@@ -107,98 +104,116 @@ void TraceReplayer::FreeMemEp(EpId ep) {
   mem_eps_in_use_ &= ~(1u << i);
 }
 
+TraceReplayer::OpenFile* TraceReplayer::FindFile(const std::string& path) {
+  for (OpenFile& file : files_) {
+    if (file.in_use && file.path == path) {
+      return &file;
+    }
+  }
+  return nullptr;
+}
+
 void TraceReplayer::DoOpen(const TraceOp& op) {
-  CHECK(files_.count(op.path) == 0) << "double open of " << op.path;
+  CHECK(FindFile(op.path) == nullptr) << "double open of " << op.path;
   auto req = NewMsg<FsRequest>();
   req->op = FsOp::kOpen;
   req->path = op.path;
   req->flags = op.flags;
-  std::string path = op.path;
-  uint32_t flags = op.flags;
-  env_->Exchange(session_sel_, req, [this, path, flags](const SyscallReply& reply) {
-    CHECK(reply.err == ErrCode::kOk) << "open " << path << " failed: " << ErrName(reply.err);
+  const TraceOp* open = &op;  // trace_ outlives the call
+  env_->Exchange(session_sel_, req, [this, open](const SyscallReply& reply) {
+    CHECK(reply.err == ErrCode::kOk) << "open " << open->path << " failed: " << ErrName(reply.err);
     const FsReply* fs = MsgAs<FsReply>(reply.payload);
     CHECK(fs != nullptr);
     result_.cap_ops++;  // extent-0 capability obtain
-    OpenFile file;
-    file.fid = fs->fid;
-    file.flags = flags;
-    file.extent_sel = reply.sel;
-    file.mem_ep = AllocMemEp();
-    file.extent_start = 0;
-    file.extent_len = reply.cap.mem_size;
-    file.handed = 1;
-    EpId ep = file.mem_ep;
-    CapSel sel = file.extent_sel;
-    files_[path] = file;
-    env_->Activate(sel, ep, [this](const SyscallReply& areply) {
+    OpenFile* file = nullptr;
+    for (OpenFile& spare : files_) {
+      if (!spare.in_use) {
+        file = &spare;
+        break;
+      }
+    }
+    if (file == nullptr) {
+      file = &files_.emplace_back();
+    }
+    file->path = open->path;
+    file->in_use = true;
+    file->fid = fs->fid;
+    file->flags = open->flags;
+    file->extent_sel = reply.sel;
+    file->mem_ep = AllocMemEp();
+    file->extent_start = 0;
+    file->extent_len = reply.cap.mem_size;
+    file->cursor = 0;
+    file->handed = 1;
+    env_->Activate(file->extent_sel, file->mem_ep, [this](const SyscallReply& areply) {
       CHECK(areply.err == ErrCode::kOk);
       NextOp();
     });
   });
 }
 
-void TraceReplayer::FetchExtent(OpenFile* file, uint64_t offset, std::function<void()> then) {
+void TraceReplayer::FetchExtent(uint64_t offset) {
   auto req = NewMsg<FsRequest>();
   req->op = FsOp::kNextExtent;
-  req->fid = file->fid;
+  req->fid = files_[io_file_].fid;
   req->offset = offset;
-  env_->Exchange(session_sel_, req,
-                 [this, file, offset, then = std::move(then)](const SyscallReply& reply) {
-                   CHECK(reply.err == ErrCode::kOk)
-                       << "next-extent failed: " << ErrName(reply.err);
-                   result_.cap_ops++;
-                   file->extent_sel = reply.sel;
-                   file->extent_start = offset / kFsExtentBytes * kFsExtentBytes;
-                   file->extent_len = reply.cap.mem_size;
-                   file->handed++;
-                   env_->Activate(file->extent_sel, file->mem_ep,
-                                  [then = std::move(then)](const SyscallReply& areply) {
-                                    CHECK(areply.err == ErrCode::kOk);
-                                    then();
-                                  });
-                 });
+  env_->Exchange(session_sel_, req, [this, offset](const SyscallReply& reply) {
+    CHECK(reply.err == ErrCode::kOk) << "next-extent failed: " << ErrName(reply.err);
+    result_.cap_ops++;
+    OpenFile& file = files_[io_file_];
+    file.extent_sel = reply.sel;
+    file.extent_start = offset / kFsExtentBytes * kFsExtentBytes;
+    file.extent_len = reply.cap.mem_size;
+    file.handed++;
+    env_->Activate(file.extent_sel, file.mem_ep, [this](const SyscallReply& areply) {
+      CHECK(areply.err == ErrCode::kOk);
+      IoChunk();
+    });
+  });
 }
 
 void TraceReplayer::DoIo(const TraceOp& op, bool write) {
-  auto it = files_.find(op.path);
-  CHECK(it != files_.end()) << "I/O on closed file " << op.path;
-  IoChunk(&it->second, write, op.bytes);
+  OpenFile* file = FindFile(op.path);
+  CHECK(file != nullptr) << "I/O on closed file " << op.path;
+  io_file_ = static_cast<size_t>(file - files_.data());
+  io_write_ = write;
+  io_remaining_ = op.bytes;
+  IoChunk();
 }
 
-void TraceReplayer::IoChunk(OpenFile* file, bool write, uint64_t remaining) {
-  if (remaining == 0) {
+void TraceReplayer::IoChunk() {
+  if (io_remaining_ == 0) {
     NextOp();
     return;
   }
-  uint64_t extent_end = file->extent_start + file->extent_len;
-  if (file->cursor < file->extent_start || file->cursor >= extent_end) {
+  OpenFile& file = files_[io_file_];
+  uint64_t extent_end = file.extent_start + file.extent_len;
+  if (file.cursor < file.extent_start || file.cursor >= extent_end) {
     // "If the application exceeds this range ... it is provided with an
     // additional memory capability to the next range" (paper §5.3.1).
-    FetchExtent(file, file->cursor, [this, file, write, remaining] {
-      IoChunk(file, write, remaining);
-    });
+    FetchExtent(file.cursor);
     return;
   }
-  uint64_t chunk = std::min(remaining, extent_end - file->cursor);
-  uint64_t in_extent = file->cursor - file->extent_start;
-  auto done = [this, file, write, remaining, chunk] {
-    file->cursor += chunk;
-    IoChunk(file, write, remaining - chunk);
+  uint64_t chunk = std::min(io_remaining_, extent_end - file.cursor);
+  uint64_t in_extent = file.cursor - file.extent_start;
+  auto done = [this, chunk] {
+    files_[io_file_].cursor += chunk;
+    io_remaining_ -= chunk;
+    IoChunk();
   };
-  if (write) {
-    env_->WriteMem(file->mem_ep, in_extent, chunk, done);
+  if (io_write_) {
+    env_->WriteMem(file.mem_ep, in_extent, chunk, done);
   } else {
-    env_->ReadMem(file->mem_ep, in_extent, chunk, done);
+    env_->ReadMem(file.mem_ep, in_extent, chunk, done);
   }
 }
 
 void TraceReplayer::DoClose(const TraceOp& op) {
-  auto it = files_.find(op.path);
-  CHECK(it != files_.end()) << "close of unopened file " << op.path;
-  uint64_t fid = it->second.fid;
-  FreeMemEp(it->second.mem_ep);
-  files_.erase(it);
+  OpenFile* file = FindFile(op.path);
+  CHECK(file != nullptr) << "close of unopened file " << op.path;
+  uint64_t fid = file->fid;
+  FreeMemEp(file->mem_ep);
+  file->in_use = false;
   auto req = NewMsg<FsRequest>();
   req->op = FsOp::kClose;
   req->fid = fid;
@@ -216,16 +231,15 @@ void TraceReplayer::DoMeta(const TraceOp& op, FsOp fs_op) {
   req->op = fs_op;
   req->path = op.path;
   bool unlink = fs_op == FsOp::kUnlink;
-  std::string path = op.path;
-  env_->Request(req, [this, unlink, path](const Message& msg) {
+  const TraceOp* meta = &op;  // trace_ outlives the call
+  env_->Request(req, [this, unlink, meta](const Message& msg) {
     const FsReply* fs = msg.As<FsReply>();
     CHECK(fs != nullptr);
     if (unlink) {
       // Unlink-while-open revoked this file's handed capabilities.
       result_.cap_ops += fs->revoked;
-      auto it = files_.find(path);
-      if (it != files_.end()) {
-        it->second.handed = 0;
+      if (OpenFile* file = FindFile(meta->path)) {
+        file->handed = 0;
       }
     }
     NextOp();

@@ -7,10 +7,9 @@
 #ifndef SEMPEROS_TRACE_REPLAYER_H_
 #define SEMPEROS_TRACE_REPLAYER_H_
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/timing.h"
 #include "core/userlib.h"
@@ -32,8 +31,7 @@ class TraceReplayer : public Program {
   };
 
   TraceReplayer(Trace trace, NodeId kernel_node, const TimingModel& timing,
-                std::string service_name = "m3fs",
-                std::function<void(const Result&)> on_done = nullptr);
+                std::string service_name = "m3fs");
 
   void Setup() override;
   void Start() override;
@@ -42,7 +40,12 @@ class TraceReplayer : public Program {
   UserEnv& env() { return *env_; }
 
  private:
+  // The replayer runs one trace op at a time, so the op in progress lives
+  // in members and continuations capture only `this`. Files are flat:
+  // closed records stay in files_ for reuse.
   struct OpenFile {
+    std::string path;
+    bool in_use = false;
     uint64_t fid = 0;
     uint32_t flags = 0;
     CapSel extent_sel = kInvalidSel;
@@ -55,11 +58,16 @@ class TraceReplayer : public Program {
 
   EpId AllocMemEp();
   void FreeMemEp(EpId ep);
+  // The open file named `path`, or nullptr.
+  OpenFile* FindFile(const std::string& path);
   void NextOp();
   void DoOpen(const TraceOp& op);
   void DoIo(const TraceOp& op, bool write);
-  void IoChunk(OpenFile* file, bool write, uint64_t remaining);
-  void FetchExtent(OpenFile* file, uint64_t offset, std::function<void()> then);
+  // Moves the I/O in progress (io_*) forward by one chunk.
+  void IoChunk();
+  // Obtains and activates the extent of the I/O file covering `offset`,
+  // then continues the I/O.
+  void FetchExtent(uint64_t offset);
   void DoClose(const TraceOp& op);
   void DoMeta(const TraceOp& op, FsOp fs_op);
 
@@ -67,11 +75,14 @@ class TraceReplayer : public Program {
   NodeId kernel_node_;
   TimingModel t_;
   std::string service_name_;
-  std::function<void(const Result&)> on_done_;
 
   std::unique_ptr<UserEnv> env_;
   CapSel session_sel_ = kInvalidSel;
-  std::map<std::string, OpenFile> files_;
+  std::vector<OpenFile> files_;
+  // The I/O in progress: index into files_, direction, bytes left.
+  size_t io_file_ = 0;
+  bool io_write_ = false;
+  uint64_t io_remaining_ = 0;
   size_t op_index_ = 0;
   uint8_t mem_eps_in_use_ = 0;  // bitmap over the 8 memory endpoints
   Result result_;

@@ -20,7 +20,9 @@ void NginxServer::Setup() {
   env_->SetupEps(/*is_service=*/false);
   pe_->dtu().ConfigureRecv(kNginxServerRecvEp, 16,
                            [this](EpId, const Message& msg) {
-                             pending_.push_back({msg, pe_->sim()->Now()});
+                             Pending& pending = pending_.emplace_back();
+                             pending.msg = msg;
+                             pending.arrival = pe_->sim()->Now();
                              Pump();
                            });
 }
@@ -38,27 +40,29 @@ void NginxServer::Pump() {
     return;
   }
   busy_ = true;
-  Pending next = std::move(pending_.front());
+  current_ = std::move(pending_.front().msg);
+  Cycles arrival = pending_.front().arrival;
   pending_.pop_front();
   if (obs::Tracer* tr = pe_->tracer();
-      tr != nullptr && next.msg.body != nullptr && next.msg.body->trace_id != 0) {
-    serve_trace_ = next.msg.body->trace_id;
-    serve_parent_ = next.msg.body->trace_parent;
+      tr != nullptr && current_.body != nullptr && current_.body->trace_id != 0) {
+    serve_trace_ = current_.body->trace_id;
+    serve_parent_ = current_.body->trace_parent;
     serve_span_ = tr->NextSpanId(pe_->node());
-    serve_start_ = next.arrival;
+    serve_start_ = arrival;
     // Syscalls issued while serving nest under the serve span.
     env_->SetTraceContext(serve_trace_, serve_span_);
   }
-  RunOp(0, next.msg);
+  RunOp(0);
 }
 
-void NginxServer::RunOp(size_t idx, const Message& request) {
+void NginxServer::RunOp(size_t idx) {
   if (idx >= request_trace_.ops.size()) {
-    FinishRequest(request);
+    FinishRequest();
     return;
   }
+  op_idx_ = idx;
   const TraceOp& op = request_trace_.ops[idx];
-  auto next = [this, idx, request] { RunOp(idx + 1, request); };
+  auto next = [this] { NextOp(); };
   switch (op.kind) {
     case TraceOpKind::kStat: {
       auto req = NewMsg<FsRequest>();
@@ -66,7 +70,7 @@ void NginxServer::RunOp(size_t idx, const Message& request) {
       req->path = op.path;
       req->trace_id = serve_trace_;
       req->trace_parent = serve_span_;
-      env_->Request(req, [next](const Message&) { next(); });
+      env_->Request(req, [this](const Message&) { NextOp(); });
       return;
     }
     case TraceOpKind::kOpen: {
@@ -74,7 +78,7 @@ void NginxServer::RunOp(size_t idx, const Message& request) {
       req->op = FsOp::kOpen;
       req->path = op.path;
       req->flags = op.flags;
-      env_->Exchange(session_sel_, req, [this, next](const SyscallReply& reply) {
+      env_->Exchange(session_sel_, req, [this](const SyscallReply& reply) {
         CHECK(reply.err == ErrCode::kOk) << "nginx open failed: " << ErrName(reply.err);
         const FsReply* fs = MsgAs<FsReply>(reply.payload);
         CHECK(fs != nullptr);
@@ -82,9 +86,9 @@ void NginxServer::RunOp(size_t idx, const Message& request) {
         open_.extent_sel = reply.sel;
         open_.extent_len = reply.cap.mem_size;
         open_.handed = 1;
-        env_->Activate(open_.extent_sel, user_ep::kMem0, [next](const SyscallReply& areply) {
+        env_->Activate(open_.extent_sel, user_ep::kMem0, [this](const SyscallReply& areply) {
           CHECK(areply.err == ErrCode::kOk);
-          next();
+          NextOp();
         });
       });
       return;
@@ -107,7 +111,7 @@ void NginxServer::RunOp(size_t idx, const Message& request) {
       req->path = op.path;
       req->trace_id = serve_trace_;
       req->trace_parent = serve_span_;
-      env_->Request(req, [next](const Message&) { next(); });
+      env_->Request(req, [this](const Message&) { NextOp(); });
       return;
     }
     case TraceOpKind::kClose: {
@@ -116,7 +120,7 @@ void NginxServer::RunOp(size_t idx, const Message& request) {
       req->fid = open_.fid;
       req->trace_id = serve_trace_;
       req->trace_parent = serve_span_;
-      env_->Request(req, [next](const Message&) { next(); });
+      env_->Request(req, [this](const Message&) { NextOp(); });
       return;
     }
     case TraceOpKind::kCompute: {
@@ -128,9 +132,9 @@ void NginxServer::RunOp(size_t idx, const Message& request) {
   }
 }
 
-void NginxServer::FinishRequest(const Message& request) {
+void NginxServer::FinishRequest() {
   served_++;
-  const NginxRequestMsg* req = request.As<NginxRequestMsg>();
+  const NginxRequestMsg* req = current_.As<NginxRequestMsg>();
   auto response = NewMsg<NginxResponseMsg>();
   response->seq = req != nullptr ? req->seq : 0;
   if (serve_span_ != 0) {
@@ -151,7 +155,8 @@ void NginxServer::FinishRequest(const Message& request) {
     serve_parent_ = 0;
     env_->SetTraceContext(0, 0);
   }
-  pe_->dtu().Reply(kNginxServerRecvEp, request, response);
+  pe_->dtu().Reply(kNginxServerRecvEp, current_, response);
+  current_ = Message();
   busy_ = false;
   Pump();
 }

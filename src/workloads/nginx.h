@@ -16,10 +16,10 @@
 #ifndef SEMPEROS_WORKLOADS_NGINX_H_
 #define SEMPEROS_WORKLOADS_NGINX_H_
 
-#include <deque>
 #include <memory>
 #include <string>
 
+#include "base/flat.h"
 #include "core/timing.h"
 #include "core/userlib.h"
 #include "fs/protocol.h"
@@ -58,9 +58,12 @@ class NginxServer : public Program {
   uint64_t served() const { return served_; }
 
  private:
+  // The server handles one request at a time: the request in service and
+  // its trace position live in members, and continuations capture `this`.
   void Pump();
-  void RunOp(size_t idx, const Message& request);
-  void FinishRequest(const Message& request);
+  void RunOp(size_t idx);
+  void NextOp() { RunOp(op_idx_ + 1); }
+  void FinishRequest();
 
   struct OpenState {
     uint64_t fid = 0;
@@ -83,8 +86,10 @@ class NginxServer : public Program {
   std::string service_name_;
   std::unique_ptr<UserEnv> env_;
   CapSel session_sel_ = kInvalidSel;
-  std::deque<Pending> pending_;
+  Ring<Pending> pending_;
   bool busy_ = false;
+  Message current_;   // the request in service
+  size_t op_idx_ = 0;  // its position in request_trace_
   OpenState open_;
   uint64_t served_ = 0;
   // Observability: the open serve span (traced requests only).

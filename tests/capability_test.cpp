@@ -5,6 +5,12 @@
 // and Pointless.
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+#include <vector>
+
+#include "base/flat.h"
+#include "base/rng.h"
+#include "core/capability.h"
 #include "core/kernel.h"
 #include "tests/test_util.h"
 
@@ -529,6 +535,112 @@ TEST(Noop, RoundTripCompletes) {
   });
   rig.p().RunToCompletion();
   EXPECT_TRUE(done);
+}
+
+// ---------------------------------------------------------------------------
+// CapSpace: recycled capability records behind an open-addressed index
+// ---------------------------------------------------------------------------
+
+DdlKey RandomKey(Rng* rng) {
+  return DdlKey::Make(static_cast<NodeId>(rng->NextBelow(64)),
+                      static_cast<VpeId>(rng->NextBelow(64)), CapType::kMem,
+                      1 + rng->NextBelow(1u << 20));
+}
+
+// Create/find/erase churn against an unordered_map reference: every live
+// capability keeps its address and fields through all index growth, and
+// size(), Find() and ForEach() agree with the reference after every step.
+TEST(CapSpace, MatchesReferenceUnderChurn) {
+  for (uint64_t seed : {1, 2, 3}) {
+    Rng rng(seed);
+    CapSpace space;
+    std::unordered_map<uint64_t, Capability*> ref;  // key -> address at creation
+    std::vector<uint64_t> live;
+    CapSel next_sel = 0;
+    for (int step = 0; step < 20000; ++step) {
+      // Grow to ~3000 live capabilities (past several index resizes), then
+      // shrink back towards empty, then grow again.
+      uint64_t phase = (step / 5000) % 2;
+      bool create = live.empty() || rng.NextBelow(100) < (phase == 0 ? 70u : 35u);
+      if (create) {
+        DdlKey key = RandomKey(&rng);
+        if (ref.count(key.raw()) != 0) {
+          continue;
+        }
+        Capability* cap = space.Create(key, CapType::kMem, /*holder=*/7, next_sel++);
+        cap->AddChild(DdlKey(key.raw() + 1));
+        ref[key.raw()] = cap;
+        live.push_back(key.raw());
+      } else {
+        size_t i = rng.NextBelow(live.size());
+        uint64_t raw = live[i];
+        live[i] = live.back();
+        live.pop_back();
+        space.Erase(DdlKey(raw));
+        ref.erase(raw);
+        ASSERT_EQ(space.Find(DdlKey(raw)), nullptr);
+      }
+      ASSERT_EQ(space.size(), ref.size());
+      if (step % 97 == 0) {
+        for (const auto& [raw, cap] : ref) {
+          ASSERT_EQ(space.Find(DdlKey(raw)), cap) << "capability moved or vanished";
+          ASSERT_EQ(cap->key().raw(), raw);
+          ASSERT_EQ(cap->children().size(), 1u);
+          ASSERT_EQ(cap->children()[0].raw(), raw + 1);
+        }
+        size_t visited = 0;
+        space.ForEach([&](DdlKey key, Capability* cap) {
+          ++visited;
+          auto it = ref.find(key.raw());
+          ASSERT_TRUE(it != ref.end());
+          ASSERT_EQ(it->second, cap);
+        });
+        ASSERT_EQ(visited, ref.size());
+      }
+    }
+  }
+}
+
+// Erase across the end of the table: entries whose probe run wraps from the
+// last slot to the first must stay findable when a neighbour goes.
+TEST(CapSpace, IndexDeletionAcrossWrapAround) {
+  FlatIndex<int> index;
+  int dummy[64] = {};
+  // Fill to a fixed capacity, then find keys that probe the last slot first.
+  for (uint64_t k = 1; k <= 4; ++k) {
+    index.Insert(k, &dummy[k]);
+  }
+  size_t capacity = index.capacity();
+  ASSERT_GE(capacity, 8u);
+  for (uint64_t k = 1; k <= 4; ++k) {
+    index.Erase(k);
+  }
+  std::vector<uint64_t> last;
+  for (uint64_t k = 1000; last.size() < 3; ++k) {
+    if (index.HomeSlot(k) == capacity - 1) {
+      last.push_back(k);
+    }
+  }
+  // Three keys homed at the last slot occupy it and wrap to slots 0 and 1.
+  for (size_t i = 0; i < last.size(); ++i) {
+    index.Insert(last[i], &dummy[10 + i]);
+  }
+  ASSERT_EQ(index.capacity(), capacity) << "the table must not have grown";
+  for (size_t victim = 0; victim < last.size(); ++victim) {
+    FlatIndex<int> copy;
+    for (size_t i = 0; i < last.size(); ++i) {
+      copy.Insert(last[i], &dummy[10 + i]);
+    }
+    ASSERT_EQ(copy.capacity(), capacity);
+    EXPECT_EQ(copy.Erase(last[victim]), &dummy[10 + victim]);
+    for (size_t i = 0; i < last.size(); ++i) {
+      EXPECT_EQ(copy.Find(last[i]), i == victim ? nullptr : &dummy[10 + i])
+          << "victim " << victim << ", key " << i;
+    }
+    EXPECT_EQ(copy.size(), last.size() - 1);
+  }
+  EXPECT_EQ(index.Erase(999), nullptr);
+  EXPECT_EQ(index.size(), 3u);
 }
 
 }  // namespace

@@ -2,11 +2,17 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <memory>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "base/flat.h"
 #include "base/rng.h"
 #include "sim/executor.h"
+#include "sim/inline_fn.h"
 #include "sim/simulation.h"
 
 namespace semperos {
@@ -346,6 +352,213 @@ TEST_P(QueueOrder, MatchesStableSortAcrossRingAndHeap) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueueOrder, ::testing::Range<uint64_t>(1, 17));
+
+// ---------------------------------------------------------------------------
+// InlineFunction: the one callback type (sim/inline_fn.h)
+// ---------------------------------------------------------------------------
+
+// Counts constructions, destructions and calls of one functor type. `Pad`
+// bytes of payload decide whether it fits a Callback in place.
+template <size_t Pad>
+struct Counted {
+  static int alive;
+  static int calls;
+  unsigned char pad[Pad] = {};
+  int add = 0;
+  explicit Counted(int a) : add(a) { ++alive; }
+  Counted(const Counted& o) : add(o.add) { ++alive; }
+  Counted(Counted&& o) noexcept : add(o.add) { ++alive; }
+  ~Counted() { --alive; }
+  int operator()(int x) {
+    ++calls;
+    return x + add + pad[0];
+  }
+};
+template <size_t Pad>
+int Counted<Pad>::alive = 0;
+template <size_t Pad>
+int Counted<Pad>::calls = 0;
+
+using IntFn = Callback<int(int)>;
+using SmallFn = Counted<8>;    // 12 bytes: in place
+using LargeFn = Counted<120>;  // 124 bytes: on the heap
+
+static_assert(!std::is_copy_constructible_v<IntFn>);
+static_assert(!std::is_copy_assignable_v<IntFn>);
+static_assert(std::is_nothrow_move_constructible_v<IntFn>);
+static_assert(std::is_nothrow_move_assignable_v<IntFn>);
+static_assert(sizeof(IntFn) == 64, "a callback is one cache line");
+
+template <typename Fn>
+void CheckDestroysOnce() {
+  Fn::alive = 0;
+  Fn::calls = 0;
+  {
+    IntFn a = Fn(1);
+    EXPECT_EQ(Fn::alive, 1);
+    EXPECT_EQ(a(1), 2);
+    IntFn b = std::move(a);
+    EXPECT_FALSE(a);
+    EXPECT_TRUE(b);
+    EXPECT_EQ(Fn::alive, 1);
+    IntFn c;
+    c = std::move(b);
+    EXPECT_FALSE(b);
+    EXPECT_EQ(c(2), 3);
+    EXPECT_EQ(Fn::alive, 1);
+    // Assigning over a live callable destroys the old one first.
+    c = Fn(5);
+    EXPECT_EQ(Fn::alive, 1);
+    EXPECT_EQ(c(1), 6);
+    // Fire calls once, destroys, and leaves the object empty.
+    EXPECT_EQ(c.Fire(10), 15);
+    EXPECT_FALSE(c);
+    EXPECT_EQ(Fn::alive, 0);
+    IntFn d = Fn(0);
+    d = nullptr;
+    EXPECT_FALSE(d);
+    EXPECT_EQ(Fn::alive, 0);
+    IntFn e = Fn(0);
+  }
+  EXPECT_EQ(Fn::alive, 0);
+  EXPECT_EQ(Fn::calls, 4);
+}
+
+TEST(InlineFunction, InlinePathDestroysExactlyOnce) {
+  CheckDestroysOnce<SmallFn>();
+}
+
+TEST(InlineFunction, HeapPathDestroysExactlyOnce) {
+  CheckDestroysOnce<LargeFn>();
+}
+
+TEST(InlineFunction, StorageFollowsSizeAndPoolsSwitch) {
+#ifdef SEMPEROS_DISABLE_POOLS
+  // Pools off: everything lives on the heap, so ASan sees stale captures.
+  EXPECT_FALSE(IntFn::StoresInline<SmallFn>());
+  EXPECT_FALSE(InlineFn::StoresInline<Callback<void()>>());
+#else
+  EXPECT_TRUE(IntFn::StoresInline<SmallFn>());
+  // An event closure carries a callback plus 40 bytes of scalars in place.
+  struct CallbackAndScalars {
+    Callback<void()> cb;
+    uint64_t a[5];
+    void operator()() {}
+  };
+  EXPECT_TRUE(InlineFn::StoresInline<CallbackAndScalars>());
+#endif
+  EXPECT_FALSE(IntFn::StoresInline<LargeFn>());
+}
+
+TEST(InlineFunction, ForwardsArgumentsAndReturnsValues) {
+  Callback<std::string(const std::string&, int)> join = [](const std::string& s, int n) {
+    return s + std::to_string(n);
+  };
+  EXPECT_EQ(join("x", 7), "x7");
+  // By-value arguments are moved through, so move-only ones work.
+  Callback<int(std::unique_ptr<int>)> take = [](std::unique_ptr<int> p) { return *p; };
+  EXPECT_EQ(take(std::make_unique<int>(42)), 42);
+  EXPECT_EQ(take.Fire(std::make_unique<int>(43)), 43);
+  EXPECT_FALSE(take);
+  // Move-only captures.
+  auto owned = std::make_unique<int>(9);
+  Callback<int()> get = [p = std::move(owned)] { return *p; };
+  Callback<int()> moved = std::move(get);
+  EXPECT_EQ(moved(), 9);
+}
+
+TEST(InlineFunction, NullAndBool) {
+  Callback<void()> empty;
+  EXPECT_FALSE(empty);
+  Callback<void()> null = nullptr;
+  EXPECT_FALSE(null);
+  int hits = 0;
+  Callback<void()> set = [&hits] { ++hits; };
+  EXPECT_TRUE(set);
+  set();
+  set();
+  EXPECT_EQ(hits, 2);
+  set = nullptr;
+  EXPECT_FALSE(set);
+}
+
+TEST(InlineFunction, EmplaceBuildsInPlaceAndWrapsOtherInstances) {
+  SmallFn::alive = 0;
+  InlineFn event;
+  int out = 0;
+  event.Emplace([&out] { out = 1; });
+  event.Fire();
+  EXPECT_EQ(out, 1);
+  // A Callback moved into an event closure is stored whole and fired once.
+  Callback<void()> cb = [&out] { out = 2; };
+  event.Emplace(std::move(cb));
+  EXPECT_FALSE(cb);
+  event.Fire();
+  EXPECT_EQ(out, 2);
+  EXPECT_FALSE(event);
+}
+
+// ---------------------------------------------------------------------------
+// Ring and RecordPool (base/flat.h)
+// ---------------------------------------------------------------------------
+
+TEST(Ring, FifoAcrossGrowthAndWrap) {
+  Ring<std::shared_ptr<int>> ring;
+  std::deque<int> ref;
+  Rng rng(3);
+  int next = 0;
+  std::weak_ptr<int> popped;
+  for (int step = 0; step < 5000; ++step) {
+    if (ref.empty() || rng.NextBelow(3) != 0) {
+      ring.push_back(std::make_shared<int>(next));
+      ref.push_back(next++);
+    } else {
+      ASSERT_EQ(*ring.front(), ref.front());
+      popped = ring.front();
+      ring.pop_front();
+      ref.pop_front();
+      EXPECT_TRUE(popped.expired()) << "a popped slot must release what it held";
+    }
+    ASSERT_EQ(ring.size(), ref.size());
+  }
+  std::weak_ptr<int> last = ring.front();
+  ring.clear();
+  EXPECT_TRUE(ring.empty());
+  EXPECT_TRUE(last.expired());
+}
+
+struct PoolRecord {
+  uint32_t pool_slot = 0;
+  int value = 0;
+  std::vector<int> items;
+  void Reset() {
+    value = 0;
+    items.clear();
+  }
+};
+
+TEST(RecordPool, RecyclesRecordsAndKeepsCapacity) {
+  RecordPool<PoolRecord> pool;
+  PoolRecord* a = pool.New();
+  PoolRecord* b = pool.New();
+  EXPECT_NE(a, b);
+  a->value = 1;
+  a->items.assign(100, 7);
+  EXPECT_EQ(pool.live(), 2u);
+  pool.Delete(a);
+  EXPECT_EQ(pool.live(), 1u);
+  PoolRecord* c = pool.New();
+  EXPECT_EQ(c->value, 0);
+  EXPECT_TRUE(c->items.empty());
+#ifndef SEMPEROS_DISABLE_POOLS
+  // Recycled: the same block, its vector capacity kept.
+  EXPECT_EQ(c, a);
+  EXPECT_GE(c->items.capacity(), 100u);
+#endif
+  pool.Delete(b);
+  pool.Delete(c);
+  EXPECT_EQ(pool.live(), 0u);
+}
 
 }  // namespace
 }  // namespace semperos
