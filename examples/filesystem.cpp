@@ -43,10 +43,10 @@ int main() {
   // extents, stat, close.
   Trace trace;
   trace.app = "demo";
-  trace.ops.push_back(TraceOp::Open("/data/blob", kOpenRead));
-  trace.ops.push_back(TraceOp::Read("/data/blob", 2560 * 1024));
-  trace.ops.push_back(TraceOp::Stat("/data/blob"));
-  trace.ops.push_back(TraceOp::Close("/data/blob"));
+  trace.Open("/data/blob", kOpenRead);
+  trace.Read("/data/blob", 2560 * 1024);
+  trace.Stat("/data/blob");
+  trace.Close("/data/blob");
 
   NodeId user_node = platform.user_nodes()[0];
   auto replayer = std::make_unique<TraceReplayer>(

@@ -7,6 +7,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/log.h"
@@ -93,31 +94,32 @@ class StormClient : public Program {
       trace_pos_ = 0;
     }
     const TraceOp& op = trace_.ops[trace_pos_++];
+    std::string path(op.kind == TraceOpKind::kCompute ? std::string_view() : trace_.Path(op));
     switch (op.kind) {
       case TraceOpKind::kOpen:
         busy = true;
-        OpenSteps(op.path);
+        OpenSteps(path);
         return;
       case TraceOpKind::kRead:
       case TraceOpKind::kWrite:
         busy = true;
-        IoSteps(op.path, op.bytes);
+        IoSteps(path, op.bytes());
         return;
       case TraceOpKind::kSeek: {
-        auto it = files_.find(op.path);
+        auto it = files_.find(path);
         if (it != files_.end()) {
-          it->second.cursor = op.offset;
+          it->second.cursor = op.offset();
         }
         return;  // cursor-only; never leaves the PE
       }
       case TraceOpKind::kClose:
         busy = true;
-        CloseSteps(op.path);
+        CloseSteps(path);
         return;
       case TraceOpKind::kUnlink:
         busy = true;
-        if (files_.count(op.path)) {
-          CloseSteps(op.path);  // journal pattern: revokes immediately
+        if (files_.count(path)) {
+          CloseSteps(path);  // journal pattern: revokes immediately
         } else {
           MetaSteps();
         }
@@ -130,7 +132,7 @@ class StormClient : public Program {
         return;
       case TraceOpKind::kCompute:
         busy = true;
-        env_->Compute(op.compute, [this] { Finish(true); });
+        env_->Compute(op.compute(), [this] { Finish(true); });
         return;
     }
   }
@@ -821,7 +823,7 @@ std::string FormatStormSpec(const StormConfig& config) {
 
 std::string ReproCommand(const StormConfig& config) {
   std::ostringstream os;
-  os << "semperos_sim --chaos --seed=" << config.seed << " --kernels=" << config.kernels
+  os << "semperos_sim chaos --seed=" << config.seed << " --kernels=" << config.kernels
      << " --users=" << config.users_per_kernel << " --rounds=" << config.rounds
      << " --settle=" << config.settle_every
      << " --workload=" << StormWorkloadName(config.workload) << " --kills=" << config.max_kills

@@ -642,7 +642,16 @@ void Kernel::ObtainIkcReplied(ObtainOp* op, const IkcReply& reply) {
   FinishObtain(op, reply.err, reply.cap, reply.payload, reply.opaque);
 }
 
+void Kernel::RejectUnknownPeer(SyscallRec* sc) {
+  Finish(t_.syscall_dispatch + t_.syscall_reply,
+         [this, sc] { ReplySyscall(sc, ErrCode::kNoSuchVpe); });
+}
+
 void Kernel::SysObtain(SyscallRec* sc, const SyscallMsg& req) {
+  if (!KnownPe(req.peer)) {
+    RejectUnknownPeer(sc);
+    return;
+  }
   ObtainOp* op = obtain_recs_.New();
   op->token = next_token_++;
   op->sc = sc;
@@ -801,6 +810,10 @@ void Kernel::SysExchange(SyscallRec* sc, const SyscallMsg& req) {
 // ---------------------------------------------------------------------------
 
 void Kernel::SysDelegate(SyscallRec* sc, const SyscallMsg& req) {
+  if (!KnownPe(req.peer)) {
+    RejectUnknownPeer(sc);
+    return;
+  }
   Capability* cap = CapOf(req.vpe, req.sel);
   if (cap == nullptr) {
     Finish(t_.syscall_dispatch + t_.syscall_reply,

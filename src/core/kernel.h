@@ -531,6 +531,8 @@ class Kernel : public Program {
   void SysExchange(SyscallRec* sc, const SyscallMsg& req);
   void SysObtain(SyscallRec* sc, const SyscallMsg& req);
   void SysDelegate(SyscallRec* sc, const SyscallMsg& req);
+  // Answers kNoSuchVpe to a syscall whose peer is not a PE (see KnownPe).
+  void RejectUnknownPeer(SyscallRec* sc);
   void SysRevoke(SyscallRec* sc, const SyscallMsg& req);
   void SysActivate(SyscallRec* sc, const SyscallMsg& req);
   void SysDeriveMem(SyscallRec* sc, const SyscallMsg& req);
@@ -639,6 +641,9 @@ class Kernel : public Program {
   KernelId KernelOf(DdlKey key) const { return config_.membership.KernelOfKey(key); }
   KernelId KernelOfVpe(VpeId vpe) const { return config_.membership.KernelOf(vpe); }
   bool IsLocalVpe(VpeId vpe) const { return KernelOfVpe(vpe) == config_.id; }
+  // Whether `pe` names a PE of the platform: peer ids in syscalls come from
+  // untrusted user PEs and must pass this before any routing lookup.
+  bool KnownPe(VpeId pe) const { return pe < config_.membership.PeCount(); }
   void SendIkc(KernelId peer, std::shared_ptr<IkcMsg> msg, IkcCallback cb);
   void DispatchIkc(KernelId peer);
   void ReplyIkc(EpId recv_ep, const Message& msg, std::shared_ptr<IkcReply> reply);

@@ -57,10 +57,7 @@ void FsService::Start() {
   });
 }
 
-FsService::Session* FsService::SessionOf(uint64_t id) {
-  auto it = sessions_.find(id);
-  return it == sessions_.end() ? nullptr : &it->second;
-}
+FsService::Session* FsService::SessionOf(uint64_t id) { return sessions_.Find(id); }
 
 // ---------------------------------------------------------------------------
 // Kernel exchange-asks
@@ -76,7 +73,9 @@ void FsService::OnAsk(const AskMsg& ask, UserEnv::AskReplyFn reply) {
       AskExchange(ask);
       return;
     case AskOp::kCloseSession: {
-      sessions_.erase(ask.session);
+      if (Session* session = sessions_.Erase(ask.session)) {
+        session_recs_.Delete(session);
+      }
       AnswerAsk(AskReply());
       return;
     }
@@ -95,11 +94,11 @@ void FsService::AnswerAsk(AskReply reply) {
 }
 
 void FsService::AskOpenSession(const AskMsg& ask) {
-  Session session;
-  session.id = next_session_++;
-  session.client = ask.client;
-  uint64_t id = session.id;
-  sessions_[id] = std::move(session);
+  Session* session = session_recs_.New();
+  session->id = next_session_++;
+  session->client = ask.client;
+  uint64_t id = session->id;
+  sessions_.Insert(id, session);
   fs_stats_.sessions++;
   env_->Compute(t_.svc_open, [this, id] {
     AskReply r;
@@ -135,12 +134,23 @@ void FsService::AskExchange(const AskMsg& ask) {
   }
 }
 
+void FsService::RejectOutOfRange(Cycles cost) {
+  fs_stats_.out_of_range++;
+  env_->Compute(cost, [this] {
+    AskReply r;
+    r.err = ErrCode::kOutOfRange;
+    AnswerAsk(std::move(r));
+  });
+}
+
 void FsService::DeriveExtent(Inode* inode, uint64_t offset, bool write, ExtentCb cb) {
   uint64_t extent_start = offset / kFsExtentBytes * kFsExtentBytes;
   if (write) {
     image_.Grow(inode, extent_start + kFsExtentBytes);
   }
   uint64_t limit = write ? inode->reserved : inode->size;
+  // The handlers checked ExtentInRange, and asks and requests are served
+  // one at a time, so nothing shrank the file since.
   CHECK_GT(limit, extent_start) << "extent request beyond file";
   uint64_t extent_len = std::min(kFsExtentBytes, limit - extent_start);
   uint32_t perms = write ? kPermRW : kPermR;
@@ -156,10 +166,14 @@ void FsService::DeriveExtent(Inode* inode, uint64_t offset, bool write, ExtentCb
 
 void FsService::HandleOpen(Session* session, const FsRequest& req) {
   bool write = (req.flags & kOpenWrite) != 0;
-  Inode* inode = image_.LookupMutable(req.path);
-  if (inode == nullptr && (req.flags & kOpenCreate) != 0) {
-    image_.AddFile(req.path, 0);
-    inode = image_.LookupMutable(req.path);
+  bool create = (req.flags & kOpenCreate) != 0;
+  // Only a writer creates: a new file is empty, so a read-only create of a
+  // missing file is out of range, and the image must stay as it was.
+  Inode* inode = image_.Open(req.path, create && write);
+  if (inode == nullptr && create && !write &&
+      image_.Lookup(FsImage::ParentOf(req.path)) != nullptr) {
+    RejectOutOfRange(t_.svc_open);
+    return;
   }
   if (inode == nullptr || inode->is_dir) {
     env_->Compute(t_.svc_open, [this] {
@@ -167,6 +181,10 @@ void FsService::HandleOpen(Session* session, const FsRequest& req) {
       r.err = ErrCode::kNoSuchFile;
       AnswerAsk(std::move(r));
     });
+    return;
+  }
+  if (!ExtentInRange(*inode, 0, write)) {
+    RejectOutOfRange(t_.svc_open);  // a read-only open of an empty file
     return;
   }
   uint64_t fid = next_fid_++;
@@ -213,6 +231,10 @@ void FsService::HandleNextExtent(Session* session, const FsRequest& req) {
     return;
   }
   bool write = (file->flags & kOpenWrite) != 0;
+  if (!ExtentInRange(*inode, req.offset, write)) {
+    RejectOutOfRange(t_.svc_exchange);
+    return;
+  }
   uint64_t fid = req.fid;
   uint64_t offset = req.offset;
   uint64_t session_id = session->id;
@@ -242,7 +264,11 @@ void FsService::HandleNextExtent(Session* session, const FsRequest& req) {
 
 void FsService::OnRequest(const Message& msg) {
   const FsRequest* req = msg.As<FsRequest>();
-  CHECK(req != nullptr) << "non-fs message on service EP";
+  if (req == nullptr) {
+    fs_stats_.malformed++;
+    ReplyMeta(msg, ErrCode::kInvalidArgs);
+    return;
+  }
   Session* session = SessionOf(msg.label);
   if (session == nullptr) {
     ReplyMeta(msg, ErrCode::kInvalidArgs);

@@ -20,11 +20,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "base/flat.h"
 #include "core/timing.h"
 #include "core/userlib.h"
 #include "fs/fs_image.h"
@@ -40,6 +40,10 @@ struct FsServiceStats {
   uint64_t closes = 0;
   uint64_t metas = 0;
   uint64_t caps_revoked = 0;
+  // Rejected client input: extent requests beyond the file (kOutOfRange)
+  // and non-m3fs messages on a session channel (kInvalidArgs).
+  uint64_t out_of_range = 0;
+  uint64_t malformed = 0;
 };
 
 class FsService : public Program {
@@ -72,12 +76,20 @@ class FsService : public Program {
   // A session's open files, flat: files[0, open) are the open ones in
   // ascending fid order (fids only grow, so an open appends); the records
   // after them are spares that keep their path and extent-list capacity
-  // for the next open. An open in progress already has its record.
+  // for the next open. An open in progress already has its record. A
+  // closed session's record, spares included, serves the next session.
   struct Session {
     uint64_t id = 0;
     VpeId client = kInvalidVpe;
     std::vector<OpenFile> files;
     size_t open = 0;
+    uint32_t pool_slot = 0;
+
+    void Reset() {
+      id = 0;
+      client = kInvalidVpe;
+      open = 0;
+    }
 
     OpenFile* Find(uint64_t fid) {
       for (size_t i = 0; i < open; ++i) {
@@ -120,8 +132,16 @@ class FsService : public Program {
   void MetaUnlink(Session* session, const FsRequest& req, const Message& msg);
   void MetaReadDir(Session* session, const FsRequest& req, const Message& msg);
 
-  // Derives the extent capability covering byte `offset` of `inode` and
-  // returns (via cb) the new selector. Grows the file for writes.
+  // Whether an extent capability can cover byte `offset` of `inode`: a
+  // write grows the file, a read must stay below its size.
+  static bool ExtentInRange(const Inode& inode, uint64_t offset, bool write) {
+    return write || offset / kFsExtentBytes * kFsExtentBytes < inode.size;
+  }
+  // Answers the ask being served with kOutOfRange after `cost` cycles.
+  void RejectOutOfRange(Cycles cost);
+  // Derives the extent capability covering byte `offset` of `inode` (in
+  // range, see above) and returns (via cb) the new selector. Grows the
+  // file for writes.
   using ExtentCb = Callback<void(CapSel, uint64_t extent_len)>;
   void DeriveExtent(Inode* inode, uint64_t offset, bool write, ExtentCb cb);
 
@@ -140,7 +160,9 @@ class FsService : public Program {
   CapSel service_sel_ = kInvalidSel;
   std::unique_ptr<UserEnv> env_;
 
-  std::map<uint64_t, Session> sessions_;
+  // Live sessions by id; ids start at 1 (FlatIndex keys are non-zero).
+  RecordPool<Session> session_recs_;
+  FlatIndex<Session> sessions_;
   uint64_t next_session_ = 1;
   uint64_t next_fid_ = 1;
   FsServiceStats fs_stats_;

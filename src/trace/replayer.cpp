@@ -58,8 +58,8 @@ void TraceReplayer::NextOp() {
       return;
     case TraceOpKind::kSeek: {
       OpenFile* file = FindFile(op.path);
-      CHECK(file != nullptr) << "seek on closed file " << op.path;
-      file->cursor = op.offset;
+      CHECK(file != nullptr) << "seek on closed file " << trace_.Path(op);
+      file->cursor = op.offset();
       NextOp();
       return;
     }
@@ -79,7 +79,7 @@ void TraceReplayer::NextOp() {
       DoMeta(op, FsOp::kReadDir);
       return;
     case TraceOpKind::kCompute:
-      env_->Compute(op.compute, [this] { NextOp(); });
+      env_->Compute(op.compute(), [this] { NextOp(); });
       return;
   }
 }
@@ -104,7 +104,7 @@ void TraceReplayer::FreeMemEp(EpId ep) {
   mem_eps_in_use_ &= ~(1u << i);
 }
 
-TraceReplayer::OpenFile* TraceReplayer::FindFile(const std::string& path) {
+TraceReplayer::OpenFile* TraceReplayer::FindFile(uint32_t path) {
   for (OpenFile& file : files_) {
     if (file.in_use && file.path == path) {
       return &file;
@@ -114,14 +114,15 @@ TraceReplayer::OpenFile* TraceReplayer::FindFile(const std::string& path) {
 }
 
 void TraceReplayer::DoOpen(const TraceOp& op) {
-  CHECK(FindFile(op.path) == nullptr) << "double open of " << op.path;
+  CHECK(FindFile(op.path) == nullptr) << "double open of " << trace_.Path(op);
   auto req = NewMsg<FsRequest>();
   req->op = FsOp::kOpen;
-  req->path = op.path;
+  req->path = trace_.Path(op);
   req->flags = op.flags;
   const TraceOp* open = &op;  // trace_ outlives the call
   env_->Exchange(session_sel_, req, [this, open](const SyscallReply& reply) {
-    CHECK(reply.err == ErrCode::kOk) << "open " << open->path << " failed: " << ErrName(reply.err);
+    CHECK(reply.err == ErrCode::kOk)
+        << "open " << trace_.Path(*open) << " failed: " << ErrName(reply.err);
     const FsReply* fs = MsgAs<FsReply>(reply.payload);
     CHECK(fs != nullptr);
     result_.cap_ops++;  // extent-0 capability obtain
@@ -174,10 +175,10 @@ void TraceReplayer::FetchExtent(uint64_t offset) {
 
 void TraceReplayer::DoIo(const TraceOp& op, bool write) {
   OpenFile* file = FindFile(op.path);
-  CHECK(file != nullptr) << "I/O on closed file " << op.path;
+  CHECK(file != nullptr) << "I/O on closed file " << trace_.Path(op);
   io_file_ = static_cast<size_t>(file - files_.data());
   io_write_ = write;
-  io_remaining_ = op.bytes;
+  io_remaining_ = op.bytes();
   IoChunk();
 }
 
@@ -210,7 +211,7 @@ void TraceReplayer::IoChunk() {
 
 void TraceReplayer::DoClose(const TraceOp& op) {
   OpenFile* file = FindFile(op.path);
-  CHECK(file != nullptr) << "close of unopened file " << op.path;
+  CHECK(file != nullptr) << "close of unopened file " << trace_.Path(op);
   uint64_t fid = file->fid;
   FreeMemEp(file->mem_ep);
   file->in_use = false;
@@ -229,7 +230,7 @@ void TraceReplayer::DoClose(const TraceOp& op) {
 void TraceReplayer::DoMeta(const TraceOp& op, FsOp fs_op) {
   auto req = NewMsg<FsRequest>();
   req->op = fs_op;
-  req->path = op.path;
+  req->path = trace_.Path(op);
   bool unlink = fs_op == FsOp::kUnlink;
   const TraceOp* meta = &op;  // trace_ outlives the call
   env_->Request(req, [this, unlink, meta](const Message& msg) {

@@ -44,7 +44,7 @@ class TraceReplayer : public Program {
   // in members and continuations capture only `this`. Files are flat:
   // closed records stay in files_ for reuse.
   struct OpenFile {
-    std::string path;
+    uint32_t path = 0;  // index into trace_.paths
     bool in_use = false;
     uint64_t fid = 0;
     uint32_t flags = 0;
@@ -58,8 +58,8 @@ class TraceReplayer : public Program {
 
   EpId AllocMemEp();
   void FreeMemEp(EpId ep);
-  // The open file named `path`, or nullptr.
-  OpenFile* FindFile(const std::string& path);
+  // The open file named by path index `path`, or nullptr.
+  OpenFile* FindFile(uint32_t path);
   void NextOp();
   void DoOpen(const TraceOp& op);
   void DoIo(const TraceOp& op, bool write);

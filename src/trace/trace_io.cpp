@@ -2,6 +2,7 @@
 
 #include <map>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "fs/protocol.h"
@@ -76,6 +77,7 @@ bool ParseU64(const std::string& token, uint64_t* value) {
 
 Status ParseTrace(const std::string& text, Trace* trace, size_t* error_line) {
   trace->ops.clear();
+  trace->paths.clear();
   std::istringstream is(text);
   std::string line;
   size_t line_no = 0;
@@ -98,17 +100,17 @@ Status ParseTrace(const std::string& text, Trace* trace, size_t* error_line) {
       if (tokens.size() != 3 || !ParseFlags(tokens[2], &flags)) {
         return fail(line_no);
       }
-      trace->ops.push_back(TraceOp::Open(tokens[1], flags));
+      trace->Open(tokens[1], flags);
     } else if (op == "read" || op == "write" || op == "seek") {
       if (tokens.size() != 3 || !ParseU64(tokens[2], &value)) {
         return fail(line_no);
       }
       if (op == "read") {
-        trace->ops.push_back(TraceOp::Read(tokens[1], value));
+        trace->Read(tokens[1], value);
       } else if (op == "write") {
-        trace->ops.push_back(TraceOp::Write(tokens[1], value));
+        trace->Write(tokens[1], value);
       } else {
-        trace->ops.push_back(TraceOp::Seek(tokens[1], value));
+        trace->Seek(tokens[1], value);
       }
     } else if (op == "close" || op == "stat" || op == "mkdir" || op == "unlink" ||
                op == "readdir") {
@@ -116,21 +118,21 @@ Status ParseTrace(const std::string& text, Trace* trace, size_t* error_line) {
         return fail(line_no);
       }
       if (op == "close") {
-        trace->ops.push_back(TraceOp::Close(tokens[1]));
+        trace->Close(tokens[1]);
       } else if (op == "stat") {
-        trace->ops.push_back(TraceOp::Stat(tokens[1]));
+        trace->Stat(tokens[1]);
       } else if (op == "mkdir") {
-        trace->ops.push_back(TraceOp::Mkdir(tokens[1]));
+        trace->Mkdir(tokens[1]);
       } else if (op == "unlink") {
-        trace->ops.push_back(TraceOp::Unlink(tokens[1]));
+        trace->Unlink(tokens[1]);
       } else {
-        trace->ops.push_back(TraceOp::ReadDir(tokens[1]));
+        trace->ReadDir(tokens[1]);
       }
     } else if (op == "compute") {
       if (tokens.size() != 2 || !ParseU64(tokens[1], &value)) {
         return fail(line_no);
       }
-      trace->ops.push_back(TraceOp::Compute(value));
+      trace->Compute(value);
     } else {
       return fail(line_no);
     }
@@ -146,34 +148,34 @@ std::string FormatTrace(const Trace& trace) {
   for (const TraceOp& op : trace.ops) {
     switch (op.kind) {
       case TraceOpKind::kOpen:
-        os << "open " << op.path << " " << FlagSpec(op.flags) << "\n";
+        os << "open " << trace.Path(op) << " " << FlagSpec(op.flags) << "\n";
         break;
       case TraceOpKind::kRead:
-        os << "read " << op.path << " " << op.bytes << "\n";
+        os << "read " << trace.Path(op) << " " << op.bytes() << "\n";
         break;
       case TraceOpKind::kWrite:
-        os << "write " << op.path << " " << op.bytes << "\n";
+        os << "write " << trace.Path(op) << " " << op.bytes() << "\n";
         break;
       case TraceOpKind::kSeek:
-        os << "seek " << op.path << " " << op.offset << "\n";
+        os << "seek " << trace.Path(op) << " " << op.offset() << "\n";
         break;
       case TraceOpKind::kClose:
-        os << "close " << op.path << "\n";
+        os << "close " << trace.Path(op) << "\n";
         break;
       case TraceOpKind::kStat:
-        os << "stat " << op.path << "\n";
+        os << "stat " << trace.Path(op) << "\n";
         break;
       case TraceOpKind::kMkdir:
-        os << "mkdir " << op.path << "\n";
+        os << "mkdir " << trace.Path(op) << "\n";
         break;
       case TraceOpKind::kUnlink:
-        os << "unlink " << op.path << "\n";
+        os << "unlink " << trace.Path(op) << "\n";
         break;
       case TraceOpKind::kReadDir:
-        os << "readdir " << op.path << "\n";
+        os << "readdir " << trace.Path(op) << "\n";
         break;
       case TraceOpKind::kCompute:
-        os << "compute " << op.compute << "\n";
+        os << "compute " << op.compute() << "\n";
         break;
     }
   }
@@ -183,10 +185,10 @@ std::string FormatTrace(const Trace& trace) {
 FsImage InferImage(const Trace& trace) {
   FsImage image;
   // Make sure every referenced directory chain exists.
-  auto ensure_parents = [&image](const std::string& path) {
+  auto ensure_parents = [&image](std::string_view path) {
     for (size_t pos = 1; pos < path.size(); ++pos) {
       if (path[pos] == '/') {
-        std::string dir = path.substr(0, pos);
+        std::string_view dir = path.substr(0, pos);
         if (image.Lookup(dir) == nullptr) {
           image.AddDir(dir);
         }
@@ -195,36 +197,40 @@ FsImage InferImage(const Trace& trace) {
   };
 
   // First pass: total bytes read from each file and whether the trace
-  // creates it itself.
-  std::map<std::string, uint64_t> read_extent;  // highest offset touched
-  std::map<std::string, uint64_t> cursor;
-  std::map<std::string, bool> created;
+  // creates it itself. The keys view the trace's path table.
+  std::map<std::string_view, uint64_t> read_extent;  // highest offset touched
+  std::map<std::string_view, uint64_t> cursor;
+  std::map<std::string_view, bool> created;
   for (const TraceOp& op : trace.ops) {
+    if (op.kind == TraceOpKind::kCompute) {
+      continue;
+    }
+    std::string_view path = trace.Path(op);
     switch (op.kind) {
       case TraceOpKind::kOpen:
-        cursor[op.path] = 0;
+        cursor[path] = 0;
         if ((op.flags & kOpenCreate) != 0) {
-          created.emplace(op.path, true);
+          created.emplace(path, true);
         } else {
-          created.emplace(op.path, false);
+          created.emplace(path, false);
         }
         break;
       case TraceOpKind::kSeek:
-        cursor[op.path] = op.offset;
+        cursor[path] = op.offset();
         break;
       case TraceOpKind::kRead: {
-        uint64_t end = cursor[op.path] + op.bytes;
-        cursor[op.path] = end;
-        uint64_t& extent = read_extent[op.path];
+        uint64_t end = cursor[path] + op.bytes();
+        cursor[path] = end;
+        uint64_t& extent = read_extent[path];
         extent = std::max(extent, end);
-        created.emplace(op.path, false);
+        created.emplace(path, false);
         break;
       }
       case TraceOpKind::kWrite:
-        cursor[op.path] += op.bytes;
+        cursor[path] += op.bytes();
         break;
       case TraceOpKind::kStat:
-        created.emplace(op.path, false);
+        created.emplace(path, false);
         break;
       case TraceOpKind::kMkdir:
       case TraceOpKind::kUnlink:
@@ -249,7 +255,7 @@ FsImage InferImage(const Trace& trace) {
   }
   for (const TraceOp& op : trace.ops) {
     if (op.kind == TraceOpKind::kMkdir || op.kind == TraceOpKind::kReadDir) {
-      ensure_parents(op.path + "/x");
+      ensure_parents(std::string(trace.Path(op)) + "/x");
     }
   }
   return image;

@@ -495,25 +495,7 @@ void RegisterChaos() {
       {"shrink", ParamType::kBool, "0", "shrink a failing storm to a minimal repro", {}},
       {"sweep", ParamType::kU32, "0", "run this many consecutive seeds", {}}};
   spec.run = [](const WorkloadParams& p) {
-    StormConfig config;
-    config.seed = p.U64("seed");
-    config.kernels = p.U32("kernels");
-    config.users_per_kernel = p.U32("users");
-    config.rounds = p.U32("rounds");
-    config.settle_every = p.U32("settle");
-    const std::string& w = p.Str("workload");
-    config.workload = w == "nginx"      ? StormWorkload::kNginx
-                      : w == "postmark" ? StormWorkload::kPostmark
-                                        : StormWorkload::kMixed;
-    config.max_kills = p.U32("kills");
-    config.max_migrations = p.U32("migrations");
-    config.max_churn = p.U32("churn");
-    config.perturb_heartbeats = p.Bool("hb-perturb");
-    config.op_rate = p.F64("op-rate");
-    config.force_migration_during_revoke = p.Bool("mig-revoke");
-    config.force_double_kill = p.Bool("double-kill");
-    config.bug_skip_orphan_revoke = p.Bool("inject-bug");
-    config.threads = p.Threads();
+    StormConfig config = ChaosStormConfig(p);
     uint32_t sweep = p.U32("sweep");
     bool shrink = p.Bool("shrink");
     // The storm drivers print progress as they go (a sweep can run for
@@ -671,6 +653,29 @@ void RegisterTraffic() {
 }
 
 }  // namespace
+
+StormConfig ChaosStormConfig(const WorkloadParams& p) {
+  StormConfig config;
+  config.seed = p.U64("seed");
+  config.kernels = p.U32("kernels");
+  config.users_per_kernel = p.U32("users");
+  config.rounds = p.U32("rounds");
+  config.settle_every = p.U32("settle");
+  const std::string& w = p.Str("workload");
+  config.workload = w == "nginx"      ? StormWorkload::kNginx
+                    : w == "postmark" ? StormWorkload::kPostmark
+                                      : StormWorkload::kMixed;
+  config.max_kills = p.U32("kills");
+  config.max_migrations = p.U32("migrations");
+  config.max_churn = p.U32("churn");
+  config.perturb_heartbeats = p.Bool("hb-perturb");
+  config.op_rate = p.F64("op-rate");
+  config.force_migration_during_revoke = p.Bool("mig-revoke");
+  config.force_double_kill = p.Bool("double-kill");
+  config.bug_skip_orphan_revoke = p.Bool("inject-bug");
+  config.threads = p.Threads();
+  return config;
+}
 
 void RegisterBuiltinWorkloads() {
   static bool registered = false;

@@ -67,7 +67,7 @@ void NginxServer::RunOp(size_t idx) {
     case TraceOpKind::kStat: {
       auto req = NewMsg<FsRequest>();
       req->op = FsOp::kStat;
-      req->path = op.path;
+      req->path = request_trace_.Path(op);
       req->trace_id = serve_trace_;
       req->trace_parent = serve_span_;
       env_->Request(req, [this](const Message&) { NextOp(); });
@@ -76,7 +76,7 @@ void NginxServer::RunOp(size_t idx) {
     case TraceOpKind::kOpen: {
       auto req = NewMsg<FsRequest>();
       req->op = FsOp::kOpen;
-      req->path = op.path;
+      req->path = request_trace_.Path(op);
       req->flags = op.flags;
       env_->Exchange(session_sel_, req, [this](const SyscallReply& reply) {
         CHECK(reply.err == ErrCode::kOk) << "nginx open failed: " << ErrName(reply.err);
@@ -94,21 +94,21 @@ void NginxServer::RunOp(size_t idx) {
       return;
     }
     case TraceOpKind::kRead: {
-      uint64_t bytes = std::min(op.bytes, open_.extent_len);
+      uint64_t bytes = std::min(op.bytes(), open_.extent_len);
       env_->ReadMem(user_ep::kMem0, 0, bytes, next);
       return;
     }
     case TraceOpKind::kWrite: {
       // Request traces keep I/O inside extent 0 (the service grows a fresh
       // file to a full write extent at open), so no next-extent exchange.
-      uint64_t bytes = std::min(op.bytes, open_.extent_len);
+      uint64_t bytes = std::min(op.bytes(), open_.extent_len);
       env_->WriteMem(user_ep::kMem0, 0, bytes, next);
       return;
     }
     case TraceOpKind::kUnlink: {
       auto req = NewMsg<FsRequest>();
       req->op = FsOp::kUnlink;
-      req->path = op.path;
+      req->path = request_trace_.Path(op);
       req->trace_id = serve_trace_;
       req->trace_parent = serve_span_;
       env_->Request(req, [this](const Message&) { NextOp(); });
@@ -124,7 +124,7 @@ void NginxServer::RunOp(size_t idx) {
       return;
     }
     case TraceOpKind::kCompute: {
-      env_->Compute(op.compute, next);
+      env_->Compute(op.compute(), next);
       return;
     }
     default:

@@ -122,6 +122,10 @@ class WorkloadRegistry {
 // Call before parsing or looking anything up.
 void RegisterBuiltinWorkloads();
 
+// The storm a parsed `chaos` invocation runs (chaos/storm.h).
+struct StormConfig;
+StormConfig ChaosStormConfig(const WorkloadParams& params);
+
 // ---- CLI front end ----
 
 struct WorkloadInvocation {

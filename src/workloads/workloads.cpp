@@ -39,27 +39,27 @@ Trace MakeTar(uint32_t instance) {
   Cycles slice = Slice(kTarCompute, 12);
 
   // GNU tar walks the input tree first (getdents + lstat per entry) ...
-  trace.ops.push_back(TraceOp::ReadDir(p + "/in"));
+  trace.ReadDir(p + "/in");
   for (int i = 0; i < 5; ++i) {
-    trace.ops.push_back(TraceOp::Stat(p + "/in/f" + std::to_string(i)));
+    trace.Stat(p + "/in/f" + std::to_string(i));
   }
-  trace.ops.push_back(TraceOp::Open(archive, kOpenWrite | kOpenCreate));
-  trace.ops.push_back(TraceOp::Compute(slice));
+  trace.Open(archive, kOpenWrite | kOpenCreate);
+  trace.Compute(slice);
   // ... and lstats each member again while archiving it (header build +
   // change detection on close).
   for (int i = 0; i < 5; ++i) {
     std::string in = p + "/in/f" + std::to_string(i);
-    trace.ops.push_back(TraceOp::Stat(in));
-    trace.ops.push_back(TraceOp::Open(in, kOpenRead));
-    trace.ops.push_back(TraceOp::Read(in, kTarInputs[i]));
-    trace.ops.push_back(TraceOp::Compute(slice));
-    trace.ops.push_back(TraceOp::Write(archive, kTarInputs[i]));
-    trace.ops.push_back(TraceOp::Stat(in));
-    trace.ops.push_back(TraceOp::Close(in));
-    trace.ops.push_back(TraceOp::Compute(slice));
+    trace.Stat(in);
+    trace.Open(in, kOpenRead);
+    trace.Read(in, kTarInputs[i]);
+    trace.Compute(slice);
+    trace.Write(archive, kTarInputs[i]);
+    trace.Stat(in);
+    trace.Close(in);
+    trace.Compute(slice);
   }
-  trace.ops.push_back(TraceOp::Close(archive));
-  trace.ops.push_back(TraceOp::Compute(slice));
+  trace.Close(archive);
+  trace.Compute(slice);
   return trace;
 }
 
@@ -72,26 +72,26 @@ Trace MakeUntar(uint32_t instance) {
   std::string index = p + "/out/.index";
   Cycles slice = Slice(kUntarCompute, 7);
 
-  trace.ops.push_back(TraceOp::Open(archive, kOpenRead));
+  trace.Open(archive, kOpenRead);
   // Unpack: read the archive member by member. The extracted files'
   // write() calls land in the page cache within the traced window (they do
   // not reach m3fs as extent requests), so they appear as compute here —
   // this matches untar's low capability-operation count in Table 4.
   for (int i = 0; i < 5; ++i) {
-    trace.ops.push_back(TraceOp::Mkdir(p + "/out/d" + std::to_string(i)));
-    trace.ops.push_back(TraceOp::Read(archive, kTarInputs[i]));
+    trace.Mkdir(p + "/out/d" + std::to_string(i));
+    trace.Read(archive, kTarInputs[i]);
     // Restoring ownership/permissions/mtime per extracted member (chmod +
     // utimensat in the Linux trace) replays as metadata operations.
-    trace.ops.push_back(TraceOp::Stat(p + "/out/d" + std::to_string(i)));
-    trace.ops.push_back(TraceOp::Stat(p + "/out/d" + std::to_string(i)));
-    trace.ops.push_back(TraceOp::Compute(slice));
+    trace.Stat(p + "/out/d" + std::to_string(i));
+    trace.Stat(p + "/out/d" + std::to_string(i));
+    trace.Compute(slice);
   }
-  trace.ops.push_back(TraceOp::Open(index, kOpenWrite | kOpenCreate));
-  trace.ops.push_back(TraceOp::Write(index, 4 * KiB));
-  trace.ops.push_back(TraceOp::Close(index));
-  trace.ops.push_back(TraceOp::Compute(slice));
-  trace.ops.push_back(TraceOp::Close(archive));
-  trace.ops.push_back(TraceOp::Compute(slice));
+  trace.Open(index, kOpenWrite | kOpenCreate);
+  trace.Write(index, 4 * KiB);
+  trace.Close(index);
+  trace.Compute(slice);
+  trace.Close(archive);
+  trace.Compute(slice);
   return trace;
 }
 
@@ -103,20 +103,20 @@ Trace MakeFind(uint32_t instance) {
   std::string index = p + "/scan/.index";
   Cycles slice = Slice(kFindCompute, 4);
 
-  trace.ops.push_back(TraceOp::Open(index, kOpenRead));
-  trace.ops.push_back(TraceOp::Read(index, 4 * KiB));
-  trace.ops.push_back(TraceOp::Compute(slice));
-  trace.ops.push_back(TraceOp::ReadDir(p + "/scan"));
+  trace.Open(index, kOpenRead);
+  trace.Read(index, 4 * KiB);
+  trace.Compute(slice);
+  trace.ReadDir(p + "/scan");
   // "scans a directory tree with 80 entries for a non-existent file":
   // find stats every entry (paper: "mainly stresses the filesystem service
   // by doing many stat calls").
   for (int i = 0; i < 80; ++i) {
-    trace.ops.push_back(TraceOp::Stat(p + "/scan/e" + std::to_string(i)));
+    trace.Stat(p + "/scan/e" + std::to_string(i));
   }
-  trace.ops.push_back(TraceOp::Compute(slice));
-  trace.ops.push_back(TraceOp::Stat(p + "/scan/does-not-exist"));
-  trace.ops.push_back(TraceOp::Close(index));
-  trace.ops.push_back(TraceOp::Compute(2 * slice));
+  trace.Compute(slice);
+  trace.Stat(p + "/scan/does-not-exist");
+  trace.Close(index);
+  trace.Compute(2 * slice);
   return trace;
 }
 
@@ -129,35 +129,35 @@ Trace MakeSqlite(uint32_t instance) {
   Cycles slice = Slice(kSqliteCompute, 14);
 
   // Header probe: SQLite opens the database read-only first.
-  trace.ops.push_back(TraceOp::Open(db, kOpenRead));
-  trace.ops.push_back(TraceOp::Read(db, 4 * KiB));
-  trace.ops.push_back(TraceOp::Close(db));
-  trace.ops.push_back(TraceOp::Compute(slice));
+  trace.Open(db, kOpenRead);
+  trace.Read(db, 4 * KiB);
+  trace.Close(db);
+  trace.Compute(slice);
   // Main handle, stays open for the whole run (still open at trace end).
-  trace.ops.push_back(TraceOp::Open(db, kOpenRead | kOpenWrite));
-  trace.ops.push_back(TraceOp::Read(db, 64 * KiB));
-  trace.ops.push_back(TraceOp::Compute(slice));
+  trace.Open(db, kOpenRead | kOpenWrite);
+  trace.Read(db, 64 * KiB);
+  trace.Compute(slice);
   // 10 journaled transactions: CREATE TABLE, 8 INSERTs, COMMIT bookkeeping.
   // Each creates a rollback journal and deletes it while open (the classic
   // SQLite unlink-while-open pattern), which revokes its capability.
   for (int t = 0; t < 10; ++t) {
     std::string journal = p + "/db/main.db-journal" + std::to_string(t);
-    trace.ops.push_back(TraceOp::Open(journal, kOpenWrite | kOpenCreate));
-    trace.ops.push_back(TraceOp::Write(journal, 8 * KiB));
+    trace.Open(journal, kOpenWrite | kOpenCreate);
+    trace.Write(journal, 8 * KiB);
     // SQLite fsyncs the journal, the database and the containing directory
     // around every commit; the syncs replay as metadata operations.
-    trace.ops.push_back(TraceOp::Stat(journal));
-    trace.ops.push_back(TraceOp::Write(db, 4 * KiB));
-    trace.ops.push_back(TraceOp::Stat(db));
-    trace.ops.push_back(TraceOp::Unlink(journal));
-    trace.ops.push_back(TraceOp::Stat(p + "/db"));
-    trace.ops.push_back(TraceOp::Close(journal));
-    trace.ops.push_back(TraceOp::Compute(slice));
+    trace.Stat(journal);
+    trace.Write(db, 4 * KiB);
+    trace.Stat(db);
+    trace.Unlink(journal);
+    trace.Stat(p + "/db");
+    trace.Close(journal);
+    trace.Compute(slice);
   }
   // SELECTs.
-  trace.ops.push_back(TraceOp::Seek(db, 0));
-  trace.ops.push_back(TraceOp::Read(db, 64 * KiB));
-  trace.ops.push_back(TraceOp::Compute(2 * slice));
+  trace.Seek(db, 0);
+  trace.Read(db, 64 * KiB);
+  trace.Compute(2 * slice);
   return trace;
 }
 
@@ -169,44 +169,44 @@ Trace MakeLevelDb(uint32_t instance) {
   std::string dir = p + "/ldb";
   Cycles slice = Slice(kLevelDbCompute, 14);
 
-  trace.ops.push_back(TraceOp::Open(dir + "/LOCK", kOpenWrite | kOpenCreate));
-  trace.ops.push_back(TraceOp::Close(dir + "/LOCK"));
-  trace.ops.push_back(TraceOp::Open(dir + "/CURRENT", kOpenRead));
-  trace.ops.push_back(TraceOp::Read(dir + "/CURRENT", 1 * KiB));
-  trace.ops.push_back(TraceOp::Close(dir + "/CURRENT"));
-  trace.ops.push_back(TraceOp::Open(dir + "/MANIFEST-000001", kOpenRead));
-  trace.ops.push_back(TraceOp::Read(dir + "/MANIFEST-000001", 4 * KiB));
-  trace.ops.push_back(TraceOp::Close(dir + "/MANIFEST-000001"));
-  trace.ops.push_back(TraceOp::Compute(slice));
+  trace.Open(dir + "/LOCK", kOpenWrite | kOpenCreate);
+  trace.Close(dir + "/LOCK");
+  trace.Open(dir + "/CURRENT", kOpenRead);
+  trace.Read(dir + "/CURRENT", 1 * KiB);
+  trace.Close(dir + "/CURRENT");
+  trace.Open(dir + "/MANIFEST-000001", kOpenRead);
+  trace.Read(dir + "/MANIFEST-000001", 4 * KiB);
+  trace.Close(dir + "/MANIFEST-000001");
+  trace.Compute(slice);
   // Write-ahead log, stays open (still open at trace end).
-  trace.ops.push_back(TraceOp::Open(dir + "/000003.log", kOpenWrite | kOpenCreate));
+  trace.Open(dir + "/000003.log", kOpenWrite | kOpenCreate);
   for (int i = 0; i < 8; ++i) {
-    trace.ops.push_back(TraceOp::Write(dir + "/000003.log", 2 * KiB));
-    trace.ops.push_back(TraceOp::Compute(slice));
+    trace.Write(dir + "/000003.log", 2 * KiB);
+    trace.Compute(slice);
   }
   // Memtable flush to an SSTable plus manifest/current rotation.
-  trace.ops.push_back(TraceOp::Open(dir + "/000005.sst", kOpenWrite | kOpenCreate));
-  trace.ops.push_back(TraceOp::Write(dir + "/000005.sst", 32 * KiB));
-  trace.ops.push_back(TraceOp::Close(dir + "/000005.sst"));
-  trace.ops.push_back(TraceOp::Open(dir + "/MANIFEST-000002", kOpenWrite | kOpenCreate));
-  trace.ops.push_back(TraceOp::Write(dir + "/MANIFEST-000002", 4 * KiB));
-  trace.ops.push_back(TraceOp::Close(dir + "/MANIFEST-000002"));
-  trace.ops.push_back(TraceOp::Open(dir + "/CURRENT", kOpenWrite));
-  trace.ops.push_back(TraceOp::Write(dir + "/CURRENT", 1 * KiB));
-  trace.ops.push_back(TraceOp::Close(dir + "/CURRENT"));
-  trace.ops.push_back(TraceOp::Compute(slice));
+  trace.Open(dir + "/000005.sst", kOpenWrite | kOpenCreate);
+  trace.Write(dir + "/000005.sst", 32 * KiB);
+  trace.Close(dir + "/000005.sst");
+  trace.Open(dir + "/MANIFEST-000002", kOpenWrite | kOpenCreate);
+  trace.Write(dir + "/MANIFEST-000002", 4 * KiB);
+  trace.Close(dir + "/MANIFEST-000002");
+  trace.Open(dir + "/CURRENT", kOpenWrite);
+  trace.Write(dir + "/CURRENT", 1 * KiB);
+  trace.Close(dir + "/CURRENT");
+  trace.Compute(slice);
   // Point lookups hit the table and manifest ("accesses its data files with
   // a higher frequency", §5.3.1).
   for (int i = 0; i < 3; ++i) {
-    trace.ops.push_back(TraceOp::Open(dir + "/000005.sst", kOpenRead));
-    trace.ops.push_back(TraceOp::Read(dir + "/000005.sst", 32 * KiB));
-    trace.ops.push_back(TraceOp::Close(dir + "/000005.sst"));
-    trace.ops.push_back(TraceOp::Compute(slice));
+    trace.Open(dir + "/000005.sst", kOpenRead);
+    trace.Read(dir + "/000005.sst", 32 * KiB);
+    trace.Close(dir + "/000005.sst");
+    trace.Compute(slice);
   }
-  trace.ops.push_back(TraceOp::Open(dir + "/MANIFEST-000002", kOpenRead));
-  trace.ops.push_back(TraceOp::Read(dir + "/MANIFEST-000002", 4 * KiB));
-  trace.ops.push_back(TraceOp::Close(dir + "/MANIFEST-000002"));
-  trace.ops.push_back(TraceOp::Compute(slice));
+  trace.Open(dir + "/MANIFEST-000002", kOpenRead);
+  trace.Read(dir + "/MANIFEST-000002", 4 * KiB);
+  trace.Close(dir + "/MANIFEST-000002");
+  trace.Compute(slice);
   return trace;
 }
 
@@ -219,39 +219,39 @@ Trace MakePostmark(uint32_t instance) {
   Cycles slice = Slice(kPostmarkCompute, 20);
 
   // Mailbox index, open for the whole run (still open at trace end).
-  trace.ops.push_back(TraceOp::Open(dir + "/.index", kOpenRead | kOpenWrite));
-  trace.ops.push_back(TraceOp::Read(dir + "/.index", 8 * KiB));
+  trace.Open(dir + "/.index", kOpenRead | kOpenWrite);
+  trace.Read(dir + "/.index", 8 * KiB);
   // Six new messages arrive.
   for (int i = 0; i < 6; ++i) {
     std::string mail = dir + "/new" + std::to_string(i);
-    trace.ops.push_back(TraceOp::Open(mail, kOpenWrite | kOpenCreate));
-    trace.ops.push_back(TraceOp::Write(mail, 4 * KiB));
-    trace.ops.push_back(TraceOp::Close(mail));
-    trace.ops.push_back(TraceOp::Compute(slice));
+    trace.Open(mail, kOpenWrite | kOpenCreate);
+    trace.Write(mail, 4 * KiB);
+    trace.Close(mail);
+    trace.Compute(slice);
   }
   // Nine reads across old and new mail.
   for (int i = 0; i < 9; ++i) {
     std::string mail = i < 6 ? dir + "/m" + std::to_string(i) : dir + "/new" + std::to_string(i - 6);
-    trace.ops.push_back(TraceOp::Open(mail, kOpenRead));
-    trace.ops.push_back(TraceOp::Read(mail, 8 * KiB));
-    trace.ops.push_back(TraceOp::Close(mail));
-    trace.ops.push_back(TraceOp::Compute(slice));
+    trace.Open(mail, kOpenRead);
+    trace.Read(mail, 8 * KiB);
+    trace.Close(mail);
+    trace.Compute(slice);
   }
   // Three appends to existing mailboxes.
   for (int i = 0; i < 3; ++i) {
     std::string mail = dir + "/m" + std::to_string(i);
-    trace.ops.push_back(TraceOp::Open(mail, kOpenWrite));
-    trace.ops.push_back(TraceOp::Write(mail, 2 * KiB));
-    trace.ops.push_back(TraceOp::Close(mail));
-    trace.ops.push_back(TraceOp::Compute(slice));
+    trace.Open(mail, kOpenWrite);
+    trace.Write(mail, 2 * KiB);
+    trace.Close(mail);
+    trace.Compute(slice);
   }
   // Five deletions of closed mail files (meta-only, no capability traffic).
   for (int i = 0; i < 5; ++i) {
     std::string victim = i < 3 ? dir + "/m" + std::to_string(i) : dir + "/new" + std::to_string(i - 3);
-    trace.ops.push_back(TraceOp::Unlink(victim));
+    trace.Unlink(victim);
   }
-  trace.ops.push_back(TraceOp::Write(dir + "/.index", 4 * KiB));
-  trace.ops.push_back(TraceOp::Compute(2 * slice));
+  trace.Write(dir + "/.index", 4 * KiB);
+  trace.Compute(2 * slice);
   return trace;
 }
 
@@ -386,11 +386,11 @@ Trace MakeNginxRequestTrace() {
   Trace trace;
   trace.app = "nginx";
   trace.expected_cap_ops = 2;  // extent obtain + close revoke
-  trace.ops.push_back(TraceOp::Stat("/www/index.html"));
-  trace.ops.push_back(TraceOp::Open("/www/index.html", kOpenRead));
-  trace.ops.push_back(TraceOp::Read("/www/index.html", 8 * KiB));
-  trace.ops.push_back(TraceOp::Close("/www/index.html"));
-  trace.ops.push_back(TraceOp::Compute(120'000));
+  trace.Stat("/www/index.html");
+  trace.Open("/www/index.html", kOpenRead);
+  trace.Read("/www/index.html", 8 * KiB);
+  trace.Close("/www/index.html");
+  trace.Compute(120'000);
   return trace;
 }
 
@@ -406,14 +406,14 @@ Trace MakePostmarkRequestTrace(uint32_t instance) {
   trace.app = "postmark";
   trace.expected_cap_ops = 4;  // 2 extent obtains + 2 close revokes
   std::string dir = "/mbox/s" + std::to_string(instance);
-  trace.ops.push_back(TraceOp::Open(dir + "/tmp", kOpenWrite | kOpenCreate));
-  trace.ops.push_back(TraceOp::Write(dir + "/tmp", 4 * KiB));
-  trace.ops.push_back(TraceOp::Close(dir + "/tmp"));
-  trace.ops.push_back(TraceOp::Open(dir + "/cur", kOpenRead));
-  trace.ops.push_back(TraceOp::Read(dir + "/cur", 8 * KiB));
-  trace.ops.push_back(TraceOp::Close(dir + "/cur"));
-  trace.ops.push_back(TraceOp::Unlink(dir + "/tmp"));
-  trace.ops.push_back(TraceOp::Compute(60'000));
+  trace.Open(dir + "/tmp", kOpenWrite | kOpenCreate);
+  trace.Write(dir + "/tmp", 4 * KiB);
+  trace.Close(dir + "/tmp");
+  trace.Open(dir + "/cur", kOpenRead);
+  trace.Read(dir + "/cur", 8 * KiB);
+  trace.Close(dir + "/cur");
+  trace.Unlink(dir + "/tmp");
+  trace.Compute(60'000);
   return trace;
 }
 

@@ -1,4 +1,4 @@
-// Allocation budget of the request path.
+// Allocation and memory budgets.
 //
 // A syscall's way from its arrival at the kernel to the reply — asks, IKCs,
 // DTU endpoint configuration, the m3fs service — runs on recycled storage:
@@ -12,15 +12,20 @@
 // asserts a per-event budget a little above those residuals, so a closure
 // or record that starts allocating per event fails here as its own test.
 //
-// Skipped where the count does not describe the default build:
-// SEMPEROS_DISABLE_POOLS (every closure and record is a fresh allocation by
-// design), SEMPEROS_TRACE (span recording) and SEMPEROS_THREADS (the
-// sharded engine's outboxes).
+// The byte budgets hold the per-instance setup of the largest scale point
+// (4,096 instances) in check: copying a frozen m3fs image for a service,
+// and building one instance's trace.
+//
+// The per-event budgets are skipped where the count does not describe the
+// default build: SEMPEROS_DISABLE_POOLS (every closure and record is a
+// fresh allocation by design), SEMPEROS_TRACE (span recording) and
+// SEMPEROS_THREADS (the sharded engine's outboxes).
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,10 +45,12 @@ namespace {
 // Serial engine only: one thread allocates while counting is on.
 bool g_counting = false;
 uint64_t g_allocs = 0;
+uint64_t g_bytes = 0;
 
 void* CountedAlloc(std::size_t n) {
   if (g_counting) {
     ++g_allocs;
+    g_bytes += n;
   }
   void* p = std::malloc(n == 0 ? 1 : n);
   if (p == nullptr) {
@@ -55,6 +62,7 @@ void* CountedAlloc(std::size_t n) {
 void* CountedAlignedAlloc(std::size_t n, std::align_val_t align) {
   if (g_counting) {
     ++g_allocs;
+    g_bytes += n;
   }
   std::size_t a = static_cast<std::size_t>(align);
   void* p = std::aligned_alloc(a, (n + a - 1) / a * a);
@@ -99,6 +107,16 @@ Count CountRun(Platform* platform) {
               static_cast<unsigned long long>(count.allocs),
               static_cast<unsigned long long>(count.events), count.PerEvent());
   return count;
+}
+
+// Bytes operator new handed out while `fn` ran.
+template <typename Fn>
+uint64_t BytesAllocatedBy(Fn&& fn) {
+  g_bytes = 0;
+  g_counting = true;
+  fn();
+  g_counting = false;
+  return g_bytes;
 }
 
 bool SkipReason(std::string* why) {
@@ -230,7 +248,7 @@ TEST(AllocBudget, PostmarkSpanning) {
   // kernels (IKC, remote-DDL cache, relays of the capability exchange).
   Count c = RunOpenLoopShape("postmark", /*kernels=*/4, /*services=*/1, /*servers=*/32,
                              /*rate_rps=*/100'000, /*requests=*/10'000);
-  EXPECT_LT(c.PerEvent(), 0.03) << c.allocs << " allocations in " << c.events << " events";
+  EXPECT_LT(c.PerEvent(), 0.017) << c.allocs << " allocations in " << c.events << " events";
 }
 
 TEST(AllocBudget, AppsPostmark) {
@@ -239,7 +257,35 @@ TEST(AllocBudget, AppsPostmark) {
     GTEST_SKIP() << why;
   }
   Count c = RunAppsShape(/*kernels=*/4, /*services=*/4, /*instances=*/64);
-  EXPECT_LT(c.PerEvent(), 0.15) << c.allocs << " allocations in " << c.events << " events";
+  EXPECT_LT(c.PerEvent(), 0.1) << c.allocs << " allocations in " << c.events << " events";
+}
+
+// A service's copy of a frozen image shares the base and starts with an
+// empty overlay. An overlay emptied by clear() keeps its bucket array, and
+// every copy allocates one of its own: 336,344 bytes for this image.
+TEST(MemoryBudget, FrozenImageCopy) {
+  FsImage image;
+  PopulateImage(&image, "postmark", 4096);
+  image.Freeze();
+  std::optional<FsImage> copy;
+  uint64_t bytes = BytesAllocatedBy([&] { copy.emplace(image); });
+  std::printf("  copy of a %zu-inode image: %llu bytes\n", image.inode_count(),
+              static_cast<unsigned long long>(bytes));
+  EXPECT_LE(bytes, 4096u);
+  EXPECT_EQ(copy->inode_count(), image.inode_count());
+  EXPECT_EQ(copy->bytes_used(), image.bytes_used());
+}
+
+// One PostMark instance's trace: 81 operations on 13 paths. With 72-byte
+// operations that each held their path, the op vector's growth alone came
+// to about 18 KiB.
+TEST(MemoryBudget, PostmarkTraceBuild) {
+  Trace trace;
+  uint64_t bytes = BytesAllocatedBy([&] { trace = MakeTrace("postmark", 1234); });
+  std::printf("  %zu-op trace: %llu bytes\n", trace.ops.size(),
+              static_cast<unsigned long long>(bytes));
+  EXPECT_LT(bytes, 8u * 1024) << trace.ops.size() << " ops";
+  EXPECT_EQ(trace.expected_cap_ops, 38u);
 }
 
 }  // namespace

@@ -4,16 +4,18 @@
 // The regression corpus (tests/chaos_corpus/*.storms) is append-only: every
 // storm that ever exposed a real protocol bug lives there as one spec line
 // and is replayed here on every run. A failing replay prints the exact
-// one-command repro (`semperos_sim --chaos --seed=N ...`).
+// one-command repro (`semperos_sim chaos --seed=N ...`).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "chaos/storm.h"
+#include "workloads/registry.h"
 
 namespace semperos {
 namespace {
@@ -137,7 +139,23 @@ TEST(ChaosInjectedBug, SkippedOrphanRevocationIsCaughtAndShrinks) {
   EXPECT_LE(shrunk.users_per_kernel, config.users_per_kernel);
   StormResult replay = RunStorm(shrunk);
   EXPECT_FALSE(replay.ok) << "shrunk config no longer reproduces";
-  EXPECT_NE(ReproCommand(shrunk).find("--chaos"), std::string::npos);
+  // The repro line runs the same storm through the workload registry.
+  std::istringstream repro(ReproCommand(shrunk));
+  std::vector<std::string> args;
+  for (std::string arg; repro >> arg;) {
+    args.push_back(arg);
+  }
+  ASSERT_GE(args.size(), 2u);
+  EXPECT_EQ(args.front(), "semperos_sim");
+  args.erase(args.begin());
+  EXPECT_EQ(args.front(), "chaos");  // the registry form, not a deprecated alias
+  RegisterBuiltinWorkloads();
+  WorkloadInvocation invocation = ParseWorkloadCli(args);
+  ASSERT_TRUE(invocation.ok) << invocation.error;
+  EXPECT_EQ(invocation.spec->name, "chaos");
+  StormConfig parsed = ChaosStormConfig(invocation.params);
+  EXPECT_EQ(FormatStormSpec(parsed), FormatStormSpec(shrunk));
+  EXPECT_EQ(parsed.threads, shrunk.threads);
 }
 
 }  // namespace

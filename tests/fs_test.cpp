@@ -90,6 +90,89 @@ TEST(FsImage, CreateAfterUnlinkWorks) {
   EXPECT_EQ(image.Lookup("/f")->size, 20u);
 }
 
+TEST(FsImage, OpenCreatesOnlyUnderAnExistingParent) {
+  FsImage image;
+  image.AddDir("/d");
+  image.AddFile("/d/f", 10);
+  size_t inodes = image.inode_count();
+  EXPECT_EQ(image.Open("/d/new", false), nullptr);
+  EXPECT_EQ(image.Open("/nodir/new", true), nullptr);
+  EXPECT_EQ(image.Lookup("/nodir/new"), nullptr);
+  EXPECT_EQ(image.inode_count(), inodes);
+  EXPECT_EQ(image.Open("/d/f", true), image.LookupMutable("/d/f"));
+  Inode* created = image.Open("/d/new", true);
+  ASSERT_NE(created, nullptr);
+  EXPECT_EQ(created->size, 0u);
+  EXPECT_EQ(image.inode_count(), inodes + 1);
+  EXPECT_EQ(image.CountEntries("/d"), 2u);
+}
+
+TEST(FsImage, CopiesOfAFrozenImageDivergeIndependently) {
+  FsImage base;
+  base.AddDir("/d");
+  base.AddFile("/d/a", 10);
+  base.AddFile("/d/b", 20);
+  base.Freeze();
+  FsImage left = base;
+  FsImage right = base;
+  // A promotion and its growth stay in their copy.
+  left.Grow(left.LookupMutable("/d/a"), 2 * MiB);
+  EXPECT_EQ(left.Lookup("/d/a")->size, 2 * MiB);
+  EXPECT_EQ(right.Lookup("/d/a")->size, 10u);
+  EXPECT_EQ(base.Lookup("/d/a")->size, 10u);
+  // Unlinking a promoted or a plain base entry hides it in that copy only.
+  EXPECT_TRUE(left.Unlink("/d/a"));
+  EXPECT_TRUE(right.Unlink("/d/b"));
+  EXPECT_FALSE(right.Unlink("/d/b"));
+  EXPECT_EQ(left.Lookup("/d/a"), nullptr);
+  EXPECT_EQ(right.Lookup("/d/b"), nullptr);
+  EXPECT_NE(left.Lookup("/d/b"), nullptr);
+  EXPECT_NE(right.Lookup("/d/a"), nullptr);
+  EXPECT_EQ(left.CountEntries("/d"), 1u);
+  EXPECT_EQ(right.CountEntries("/d"), 1u);
+  EXPECT_EQ(base.CountEntries("/d"), 2u);
+  EXPECT_EQ(right.inode_count(), base.inode_count() - 1);
+  // Re-creating over the tombstone makes a new inode.
+  const Inode* again = right.AddFile("/d/b", 5);
+  EXPECT_NE(again->ino, base.Lookup("/d/b")->ino);
+  EXPECT_EQ(right.Lookup("/d/b")->size, 5u);
+  EXPECT_EQ(right.CountEntries("/d"), 2u);
+  // Freezing a copy merges its overlay into a base of its own.
+  EXPECT_TRUE(right.Unlink("/d/a"));
+  right.Freeze();
+  EXPECT_EQ(right.Lookup("/d/a"), nullptr);
+  EXPECT_EQ(right.Lookup("/d/b")->size, 5u);
+  EXPECT_EQ(right.CountEntries("/d"), 1u);
+  EXPECT_EQ(right.inode_count(), 3u);  // "/", "/d", "/d/b"
+  EXPECT_EQ(base.Lookup("/d/b")->size, 20u);
+}
+
+TEST(FsImage, MutableInodesStayPutWhileFilesComeAndGo) {
+  FsImage image;
+  image.AddDir("/d");
+  image.AddFile("/d/held", 10);
+  Inode* held = image.LookupMutable("/d/held");
+  auto name = [](int i) { return "/d/f" + std::to_string(i); };
+  for (int step = 2; step < 6; ++step) {
+    for (int i = 0; i < 500; ++i) {
+      image.AddFile(name(i), 1);
+    }
+    for (int i = 0; i < 500; i += step) {
+      EXPECT_TRUE(image.Unlink(name(i)));
+    }
+    for (int i = 0; i < 500; ++i) {
+      EXPECT_EQ(image.Lookup(name(i)) == nullptr, i % step == 0) << name(i);
+    }
+    for (int i = 0; i < 500; ++i) {
+      EXPECT_EQ(image.Unlink(name(i)), i % step != 0) << name(i);
+    }
+  }
+  EXPECT_EQ(image.LookupMutable("/d/held"), held);
+  EXPECT_EQ(held->size, 10u);
+  EXPECT_EQ(image.CountEntries("/d"), 1u);
+  EXPECT_EQ(image.inode_count(), 3u);
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end: a hand-written trace against a real service
 // ---------------------------------------------------------------------------
@@ -133,9 +216,9 @@ TEST(FsService, OpenReadCloseHandsAndRevokesOneExtent) {
   image.AddFile("/f", 100 * KiB);
   Trace trace;
   trace.app = "test";
-  trace.ops.push_back(TraceOp::Open("/f", kOpenRead));
-  trace.ops.push_back(TraceOp::Read("/f", 100 * KiB));
-  trace.ops.push_back(TraceOp::Close("/f"));
+  trace.Open("/f", kOpenRead);
+  trace.Read("/f", 100 * KiB);
+  trace.Close("/f");
 
   E2eRig rig = MakeE2e(trace, image);
   rig.platform->RunToCompletion();
@@ -156,9 +239,9 @@ TEST(FsService, CrossingExtentBoundaryObtainsAnotherCapability) {
   image.AddFile("/big", 2048 * KiB);  // 2 extents at 1 MiB
   Trace trace;
   trace.app = "test";
-  trace.ops.push_back(TraceOp::Open("/big", kOpenRead));
-  trace.ops.push_back(TraceOp::Read("/big", 2048 * KiB));
-  trace.ops.push_back(TraceOp::Close("/big"));
+  trace.Open("/big", kOpenRead);
+  trace.Read("/big", 2048 * KiB);
+  trace.Close("/big");
 
   E2eRig rig = MakeE2e(trace, image);
   rig.platform->RunToCompletion();
@@ -176,9 +259,9 @@ TEST(FsService, WritingGrowsAFreshFile) {
   image.AddDir("/out");
   Trace trace;
   trace.app = "test";
-  trace.ops.push_back(TraceOp::Open("/out/new", kOpenWrite | kOpenCreate));
-  trace.ops.push_back(TraceOp::Write("/out/new", 2500 * KiB));  // 3 extents
-  trace.ops.push_back(TraceOp::Close("/out/new"));
+  trace.Open("/out/new", kOpenWrite | kOpenCreate);
+  trace.Write("/out/new", 2500 * KiB);  // 3 extents
+  trace.Close("/out/new");
 
   E2eRig rig = MakeE2e(trace, image);
   rig.platform->RunToCompletion();
@@ -195,10 +278,10 @@ TEST(FsService, UnlinkWhileOpenRevokesImmediately) {
   image.AddDir("/db");
   Trace trace;
   trace.app = "test";
-  trace.ops.push_back(TraceOp::Open("/db/journal", kOpenWrite | kOpenCreate));
-  trace.ops.push_back(TraceOp::Write("/db/journal", 8 * KiB));
-  trace.ops.push_back(TraceOp::Unlink("/db/journal"));
-  trace.ops.push_back(TraceOp::Close("/db/journal"));
+  trace.Open("/db/journal", kOpenWrite | kOpenCreate);
+  trace.Write("/db/journal", 8 * KiB);
+  trace.Unlink("/db/journal");
+  trace.Close("/db/journal");
 
   E2eRig rig = MakeE2e(trace, image);
   rig.platform->RunToCompletion();
@@ -216,10 +299,10 @@ TEST(FsService, MetaOperationsNeedNoCapabilities) {
   image.AddFile("/d/f", 10 * KiB);
   Trace trace;
   trace.app = "test";
-  trace.ops.push_back(TraceOp::Stat("/d/f"));
-  trace.ops.push_back(TraceOp::Stat("/d/missing"));
-  trace.ops.push_back(TraceOp::Mkdir("/d/sub"));
-  trace.ops.push_back(TraceOp::ReadDir("/d"));
+  trace.Stat("/d/f");
+  trace.Stat("/d/missing");
+  trace.Mkdir("/d/sub");
+  trace.ReadDir("/d");
 
   E2eRig rig = MakeE2e(trace, image);
   rig.platform->RunToCompletion();
@@ -237,9 +320,9 @@ TEST(FsService, SpanningServiceAccessWorks) {
   image.AddFile("/f", 64 * KiB);
   Trace trace;
   trace.app = "test";
-  trace.ops.push_back(TraceOp::Open("/f", kOpenRead));
-  trace.ops.push_back(TraceOp::Read("/f", 64 * KiB));
-  trace.ops.push_back(TraceOp::Close("/f"));
+  trace.Open("/f", kOpenRead);
+  trace.Read("/f", 64 * KiB);
+  trace.Close("/f");
 
   // 2 kernels: service lands in group 0, the user in group 1.
   PlatformConfig pc;

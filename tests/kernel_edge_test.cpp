@@ -16,6 +16,38 @@ TEST(Errors, ObtainFromUnknownVpe) {
   EXPECT_EQ(got.err, ErrCode::kVpeGone);
 }
 
+// Peer ids come from untrusted user PEs: one that names no PE at all is
+// rejected before the kernel allocates a key or token for the operation.
+TEST(Errors, ObtainFromOutOfRangeVpe) {
+  ClientRig rig = MakeRig(2, 2);
+  SyscallReply got;
+  rig.client(0).env().Obtain(kInvalidVpe, 1, [&](const SyscallReply& r) { got = r; });
+  rig.p().RunToCompletion();
+  EXPECT_EQ(got.err, ErrCode::kNoSuchVpe);
+  rig.client(0).env().Obtain(rig.p().membership().PeCount(), 1,
+                             [&](const SyscallReply& r) { got = r; });
+  rig.p().RunToCompletion();
+  EXPECT_EQ(got.err, ErrCode::kNoSuchVpe);
+  EXPECT_EQ(rig.p().TotalDrops(), 0u);
+}
+
+TEST(Errors, DelegateToOutOfRangeVpe) {
+  ClientRig rig = MakeRig(2, 2);
+  CapSel sel = rig.Grant(0);
+  SyscallReply got;
+  rig.client(0).env().Delegate(sel, kInvalidVpe, [&](const SyscallReply& r) { got = r; });
+  rig.p().RunToCompletion();
+  EXPECT_EQ(got.err, ErrCode::kNoSuchVpe);
+  // The capability was not touched and still delegates to a real peer.
+  Capability* cap = rig.kernel_of_client(0)->CapOf(rig.vpe(0), sel);
+  ASSERT_NE(cap, nullptr);
+  EXPECT_TRUE(cap->children().empty());
+  rig.client(0).env().Delegate(sel, rig.vpe(1), [&](const SyscallReply& r) { got = r; });
+  rig.p().RunToCompletion();
+  EXPECT_EQ(got.err, ErrCode::kOk);
+  EXPECT_EQ(rig.p().TotalDrops(), 0u);
+}
+
 TEST(Errors, DelegateToDeadVpe) {
   ClientRig rig = MakeRig(1, 2);
   CapSel sel = rig.Grant(0);

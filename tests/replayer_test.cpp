@@ -14,21 +14,28 @@ namespace {
 constexpr uint64_t KiB = 1024;
 
 TEST(TraceOps, BuildersFillFields) {
-  TraceOp open = TraceOp::Open("/x", kOpenRead);
+  Trace trace;
+  trace.Open("/x", kOpenRead);
+  TraceOp open = trace.ops.back();
   EXPECT_EQ(open.kind, TraceOpKind::kOpen);
-  EXPECT_EQ(open.path, "/x");
+  EXPECT_EQ(trace.Path(open), "/x");
   EXPECT_EQ(open.flags, kOpenRead);
-  TraceOp read = TraceOp::Read("/x", 123);
-  EXPECT_EQ(read.bytes, 123u);
-  TraceOp seek = TraceOp::Seek("/x", 77);
-  EXPECT_EQ(seek.offset, 77u);
+  trace.Read("/x", 123);
+  EXPECT_EQ(trace.ops.back().bytes(), 123u);
+  trace.Seek("/x", 77);
+  EXPECT_EQ(trace.ops.back().offset(), 77u);
   TraceOp compute = TraceOp::Compute(999);
-  EXPECT_EQ(compute.compute, 999u);
-  EXPECT_EQ(TraceOp::Close("/x").kind, TraceOpKind::kClose);
-  EXPECT_EQ(TraceOp::Stat("/x").kind, TraceOpKind::kStat);
-  EXPECT_EQ(TraceOp::Mkdir("/x").kind, TraceOpKind::kMkdir);
-  EXPECT_EQ(TraceOp::Unlink("/x").kind, TraceOpKind::kUnlink);
-  EXPECT_EQ(TraceOp::ReadDir("/x").kind, TraceOpKind::kReadDir);
+  EXPECT_EQ(compute.compute(), 999u);
+  trace.Close("/x");
+  EXPECT_EQ(trace.ops.back().kind, TraceOpKind::kClose);
+  trace.Stat("/x");
+  EXPECT_EQ(trace.ops.back().kind, TraceOpKind::kStat);
+  trace.Mkdir("/x");
+  EXPECT_EQ(trace.ops.back().kind, TraceOpKind::kMkdir);
+  trace.Unlink("/x");
+  EXPECT_EQ(trace.ops.back().kind, TraceOpKind::kUnlink);
+  trace.ReadDir("/x");
+  EXPECT_EQ(trace.ops.back().kind, TraceOpKind::kReadDir);
 }
 
 struct Rig {
@@ -65,11 +72,11 @@ TEST(Replayer, SeekRepositionsCursor) {
   image.AddFile("/f", 3 * 1024 * KiB);  // 3 extents
   Trace trace;
   trace.app = "t";
-  trace.ops.push_back(TraceOp::Open("/f", kOpenRead));
-  trace.ops.push_back(TraceOp::Read("/f", 4 * KiB));      // extent 0
-  trace.ops.push_back(TraceOp::Seek("/f", 2 * 1024 * KiB));
-  trace.ops.push_back(TraceOp::Read("/f", 4 * KiB));      // extent 2: one fetch
-  trace.ops.push_back(TraceOp::Close("/f"));
+  trace.Open("/f", kOpenRead);
+  trace.Read("/f", 4 * KiB);  // extent 0
+  trace.Seek("/f", 2 * 1024 * KiB);
+  trace.Read("/f", 4 * KiB);  // extent 2: one fetch
+  trace.Close("/f");
   Rig rig = RunRig(trace, image);
   ASSERT_TRUE(rig.replayer->result().done);
   // open(1) + seek-triggered extent(1) + 2 revokes + session(1) = 5; extent
@@ -84,11 +91,11 @@ TEST(Replayer, EightConcurrentFilesSupported) {
   trace.app = "t";
   for (int i = 0; i < 8; ++i) {
     image.AddFile("/f" + std::to_string(i), 4 * KiB);
-    trace.ops.push_back(TraceOp::Open("/f" + std::to_string(i), kOpenRead));
+    trace.Open("/f" + std::to_string(i), kOpenRead);
   }
   for (int i = 0; i < 8; ++i) {
-    trace.ops.push_back(TraceOp::Read("/f" + std::to_string(i), 4 * KiB));
-    trace.ops.push_back(TraceOp::Close("/f" + std::to_string(i)));
+    trace.Read("/f" + std::to_string(i), 4 * KiB);
+    trace.Close("/f" + std::to_string(i));
   }
   Rig rig = RunRig(trace, image);
   ASSERT_TRUE(rig.replayer->result().done);
@@ -102,9 +109,9 @@ TEST(Replayer, EndpointsRecycledAcrossSequentialOpens) {
   for (int i = 0; i < 20; ++i) {
     std::string path = "/g" + std::to_string(i);
     image.AddFile(path, 4 * KiB);
-    trace.ops.push_back(TraceOp::Open(path, kOpenRead));
-    trace.ops.push_back(TraceOp::Read(path, 4 * KiB));
-    trace.ops.push_back(TraceOp::Close(path));
+    trace.Open(path, kOpenRead);
+    trace.Read(path, 4 * KiB);
+    trace.Close(path);
   }
   Rig rig = RunRig(trace, image);
   ASSERT_TRUE(rig.replayer->result().done);  // 20 opens > 8 EPs: recycling works
@@ -116,7 +123,7 @@ TEST(Replayer, RuntimeExcludesBootTime) {
   image.AddFile("/f", 4 * KiB);
   Trace trace;
   trace.app = "t";
-  trace.ops.push_back(TraceOp::Compute(10'000));
+  trace.Compute(10'000);
   Rig rig = RunRig(trace, image);
   const TraceReplayer::Result& r = rig.replayer->result();
   EXPECT_GT(r.start, 0u);            // boot happened before the trace began

@@ -2,9 +2,13 @@
 // preference, concurrent clients, and utilization accounting.
 #include <gtest/gtest.h>
 
+#include "audit/cap_audit.h"
+#include "core/protocol.h"
+#include "dtu/msg_pool.h"
 #include "fs/service.h"
 #include "system/experiment.h"
 #include "system/platform.h"
+#include "tests/test_util.h"
 #include "trace/replayer.h"
 #include "workloads/workloads.h"
 
@@ -55,9 +59,9 @@ Trace TinyTrace(uint32_t instance) {
   Trace trace;
   trace.app = "tiny";
   std::string path = "/i" + std::to_string(instance) + "/f";
-  trace.ops.push_back(TraceOp::Open(path, kOpenRead));
-  trace.ops.push_back(TraceOp::Read(path, 4 * KiB));
-  trace.ops.push_back(TraceOp::Close(path));
+  trace.Open(path, kOpenRead);
+  trace.Read(path, 4 * KiB);
+  trace.Close(path);
   return trace;
 }
 
@@ -169,15 +173,153 @@ TEST(LargeFiles, SixteenExtentRoundTrip) {
   image.AddFile("/i0/big", 16 * MiB);
   Trace trace;
   trace.app = "big";
-  trace.ops.push_back(TraceOp::Open("/i0/big", kOpenRead));
-  trace.ops.push_back(TraceOp::Read("/i0/big", 16 * MiB));
-  trace.ops.push_back(TraceOp::Close("/i0/big"));
+  trace.Open("/i0/big", kOpenRead);
+  trace.Read("/i0/big", 16 * MiB);
+  trace.Close("/i0/big");
   MultiRig rig = MakeMulti(1, 1, {trace}, image);
   rig.platform->RunToCompletion();
   ASSERT_TRUE(rig.replayers[0]->result().done);
   // 16 extents: 1 open + 15 next + 16 revokes + session.
   EXPECT_EQ(rig.replayers[0]->result().cap_ops, 1u + 16u + 16u);
   EXPECT_EQ(rig.services[0]->stats().extents_handed, 16u);
+}
+
+// ---------------------------------------------------------------------------
+// Rejections: client input that used to abort the service
+// ---------------------------------------------------------------------------
+
+// One m3fs service and two bare clients that speak to it through UserEnv.
+struct RawRig {
+  std::unique_ptr<Platform> platform;
+  FsService* service = nullptr;
+  std::vector<TestClient*> clients;
+
+  // Calls `send(done)`, runs the platform to completion and returns the
+  // syscall reply `done` received.
+  template <typename Send>
+  SyscallReply Syscall(Send&& send) {
+    SyscallReply got;
+    got.err = ErrCode::kAborted;
+    send([&got](const SyscallReply& r) { got = r; });
+    platform->RunToCompletion();
+    return got;
+  }
+  CapSel OpenSession(size_t client) {
+    SyscallReply r = Syscall([&](auto cb) { clients[client]->env().OpenSession("m3fs", cb); });
+    EXPECT_EQ(r.err, ErrCode::kOk);
+    return r.sel;
+  }
+  SyscallReply Exchange(size_t client, CapSel session, std::shared_ptr<FsRequest> req) {
+    return Syscall([&](auto cb) { clients[client]->env().Exchange(session, req, cb); });
+  }
+};
+
+RawRig MakeRawRig() {
+  PlatformConfig pc;
+  pc.kernels = 1;
+  pc.services = 1;
+  pc.users = 2;
+  RawRig rig;
+  rig.platform = std::make_unique<Platform>(pc);
+  Platform& p = *rig.platform;
+  FsImage image = TinyImage(1);  // /i0/f, 4 KiB
+  image.Freeze();
+  AttachServices(&p, image, pc.timing, image.bytes_used() + kGrowthHeadroom);
+  rig.service = dynamic_cast<FsService*>(p.pe(p.service_nodes()[0])->program());
+  for (NodeId node : p.user_nodes()) {
+    auto client = std::make_unique<TestClient>(p.kernel_node(p.membership().KernelOf(node)),
+                                               pc.timing);
+    rig.clients.push_back(client.get());
+    p.pe(node)->AttachProgram(std::move(client));
+  }
+  p.Boot();
+  return rig;
+}
+
+std::shared_ptr<FsRequest> OpenRequest(const std::string& path, uint32_t flags) {
+  auto req = NewMsg<FsRequest>();
+  req->op = FsOp::kOpen;
+  req->path = path;
+  req->flags = flags;
+  return req;
+}
+
+// The platform is intact and the service serves a fresh client.
+void ExpectServiceHealthy(RawRig& rig) {
+  CapSel session = rig.OpenSession(1);
+  SyscallReply open = rig.Exchange(1, session, OpenRequest("/i0/f", kOpenRead));
+  EXPECT_EQ(open.err, ErrCode::kOk);
+  EXPECT_EQ(open.cap.mem_size, 4 * KiB);
+  EXPECT_EQ(rig.platform->TotalDrops(), 0u);
+  AuditReport audit = AuditPlatform(*rig.platform);
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
+}
+
+TEST(Rejections, ReadOnlyCreateIsOutOfRange) {
+  RawRig rig = MakeRawRig();
+  ASSERT_NE(rig.service, nullptr);
+  CapSel session = rig.OpenSession(0);
+  size_t inodes = rig.service->image().inode_count();
+  // Extent 0 of a new, empty file cannot back a read-only capability.
+  SyscallReply got = rig.Exchange(0, session, OpenRequest("/i0/new", kOpenCreate));
+  EXPECT_EQ(got.err, ErrCode::kOutOfRange);
+  EXPECT_EQ(rig.service->stats().out_of_range, 1u);
+  EXPECT_EQ(rig.service->stats().opens, 0u);
+  // The rejected create left no file behind.
+  EXPECT_EQ(rig.service->image().Lookup("/i0/new"), nullptr);
+  EXPECT_EQ(rig.service->image().inode_count(), inodes);
+  ExpectServiceHealthy(rig);
+}
+
+TEST(Rejections, CreateUnderMissingParentIsNoSuchFile) {
+  RawRig rig = MakeRawRig();
+  ASSERT_NE(rig.service, nullptr);
+  CapSel session = rig.OpenSession(0);
+  size_t inodes = rig.service->image().inode_count();
+  for (uint32_t flags : {kOpenWrite | kOpenCreate, kOpenRead | kOpenCreate}) {
+    SyscallReply got = rig.Exchange(0, session, OpenRequest("/nodir/new", flags));
+    EXPECT_EQ(got.err, ErrCode::kNoSuchFile);
+  }
+  EXPECT_EQ(rig.service->stats().opens, 0u);
+  EXPECT_EQ(rig.service->stats().out_of_range, 0u);
+  EXPECT_EQ(rig.service->image().Lookup("/nodir/new"), nullptr);
+  EXPECT_EQ(rig.service->image().inode_count(), inodes);
+  ExpectServiceHealthy(rig);
+}
+
+TEST(Rejections, ReadPastTheEndIsOutOfRange) {
+  RawRig rig = MakeRawRig();
+  ASSERT_NE(rig.service, nullptr);
+  CapSel session = rig.OpenSession(0);
+  SyscallReply open = rig.Exchange(0, session, OpenRequest("/i0/f", kOpenRead));
+  ASSERT_EQ(open.err, ErrCode::kOk);
+  const FsReply* opened = MsgAs<FsReply>(open.payload);
+  ASSERT_NE(opened, nullptr);
+  auto next = NewMsg<FsRequest>();
+  next->op = FsOp::kNextExtent;
+  next->fid = opened->fid;
+  next->offset = 3 * MiB;  // the file holds 4 KiB
+  SyscallReply got = rig.Exchange(0, session, next);
+  EXPECT_EQ(got.err, ErrCode::kOutOfRange);
+  EXPECT_EQ(rig.service->stats().out_of_range, 1u);
+  EXPECT_EQ(rig.service->stats().extents_handed, 1u);  // extent 0 only
+  ExpectServiceHealthy(rig);
+}
+
+TEST(Rejections, NonFsMessageOnSessionChannel) {
+  RawRig rig = MakeRawRig();
+  ASSERT_NE(rig.service, nullptr);
+  rig.OpenSession(0);
+  ErrCode err = ErrCode::kAborted;
+  rig.clients[0]->env().Request(std::make_shared<SyscallMsg>(), [&err](const Message& msg) {
+    const FsReply* reply = msg.As<FsReply>();
+    ASSERT_NE(reply, nullptr);
+    err = reply->err;
+  });
+  rig.platform->RunToCompletion();
+  EXPECT_EQ(err, ErrCode::kInvalidArgs);
+  EXPECT_EQ(rig.service->stats().malformed, 1u);
+  ExpectServiceHealthy(rig);
 }
 
 }  // namespace

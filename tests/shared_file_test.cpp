@@ -49,9 +49,9 @@ SharedRig MakeShared(uint32_t kernels, const std::vector<Trace>& traces, const F
 Trace ReaderTrace(uint64_t bytes) {
   Trace trace;
   trace.app = "reader";
-  trace.ops.push_back(TraceOp::Open("/shared/data", kOpenRead));
-  trace.ops.push_back(TraceOp::Read("/shared/data", bytes));
-  trace.ops.push_back(TraceOp::Close("/shared/data"));
+  trace.Open("/shared/data", kOpenRead);
+  trace.Read("/shared/data", bytes);
+  trace.Close("/shared/data");
   return trace;
 }
 
@@ -80,10 +80,10 @@ TEST(SharedFile, OneClosesOthersKeepReading) {
   Trace early = ReaderTrace(4 * KiB);
   Trace late;
   late.app = "late";
-  late.ops.push_back(TraceOp::Open("/shared/data", kOpenRead));
-  late.ops.push_back(TraceOp::Compute(50'000));  // outlive reader 0's close
-  late.ops.push_back(TraceOp::Read("/shared/data", 64 * KiB));
-  late.ops.push_back(TraceOp::Close("/shared/data"));
+  late.Open("/shared/data", kOpenRead);
+  late.Compute(50'000);  // outlive reader 0's close
+  late.Read("/shared/data", 64 * KiB);
+  late.Close("/shared/data");
   SharedRig rig = MakeShared(2, {early, late, late}, image);
   rig.platform->RunToCompletion();
   for (TraceReplayer* r : rig.replayers) {
@@ -103,11 +103,11 @@ TEST(SharedFile, UnlinkRevokesEverySessionsCaps) {
   image.AddFile("/shared/data", 16 * KiB);
   Trace holder;
   holder.app = "holder";
-  holder.ops.push_back(TraceOp::Open("/shared/data", kOpenRead));
-  holder.ops.push_back(TraceOp::Read("/shared/data", 16 * KiB));
-  holder.ops.push_back(TraceOp::Compute(100'000));
-  holder.ops.push_back(TraceOp::Unlink("/shared/data"));
-  holder.ops.push_back(TraceOp::Close("/shared/data"));
+  holder.Open("/shared/data", kOpenRead);
+  holder.Read("/shared/data", 16 * KiB);
+  holder.Compute(100'000);
+  holder.Unlink("/shared/data");
+  holder.Close("/shared/data");
   SharedRig rig = MakeShared(2, {holder}, image);
   rig.platform->RunToCompletion();
   ASSERT_TRUE(rig.replayers[0]->result().done);

@@ -33,8 +33,8 @@ close /a/in
   EXPECT_EQ(trace.ops[0].kind, TraceOpKind::kOpen);
   EXPECT_EQ(trace.ops[0].flags, kOpenRead);
   EXPECT_EQ(trace.ops[3].flags, kOpenWrite | kOpenCreate);
-  EXPECT_EQ(trace.ops[1].bytes, 65536u);
-  EXPECT_EQ(trace.ops[10].compute, 12345u);
+  EXPECT_EQ(trace.ops[1].bytes(), 65536u);
+  EXPECT_EQ(trace.ops[10].compute(), 12345u);
 }
 
 TEST(TraceIo, RejectsMalformedLines) {
@@ -63,11 +63,38 @@ TEST(TraceIo, FormatParsesBackIdentically) {
   ASSERT_EQ(parsed.ops.size(), original.ops.size());
   for (size_t i = 0; i < original.ops.size(); ++i) {
     EXPECT_EQ(parsed.ops[i].kind, original.ops[i].kind) << "op " << i;
-    EXPECT_EQ(parsed.ops[i].path, original.ops[i].path) << "op " << i;
-    EXPECT_EQ(parsed.ops[i].bytes, original.ops[i].bytes) << "op " << i;
+    EXPECT_EQ(parsed.Path(parsed.ops[i]), original.Path(original.ops[i])) << "op " << i;
+    EXPECT_EQ(parsed.ops[i].bytes(), original.ops[i].bytes()) << "op " << i;
     EXPECT_EQ(parsed.ops[i].flags, original.ops[i].flags) << "op " << i;
-    EXPECT_EQ(parsed.ops[i].compute, original.ops[i].compute) << "op " << i;
+    EXPECT_EQ(parsed.ops[i].compute(), original.ops[i].compute()) << "op " << i;
   }
+}
+
+// A parsed trace may name any number of distinct paths: well past the
+// path table's scan bound, each is stored once and named consistently.
+TEST(TraceIo, ManyDistinctPathsAreStoredOnce) {
+  constexpr int kPaths = 20000;
+  std::string text;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int i = 0; i < kPaths; ++i) {
+      text += "stat /d/f" + std::to_string(pass == 0 ? i : kPaths - 1 - i) + "\n";
+    }
+  }
+  Trace trace;
+  ASSERT_TRUE(ParseTrace(text, &trace).ok());
+  ASSERT_EQ(trace.ops.size(), 2u * kPaths);
+  EXPECT_EQ(trace.paths.size(), static_cast<size_t>(kPaths));
+  for (int i = 0; i < kPaths; ++i) {
+    const TraceOp& first = trace.ops[i];
+    const TraceOp& again = trace.ops[2 * kPaths - 1 - i];
+    EXPECT_EQ(first.path, static_cast<uint32_t>(i));
+    EXPECT_EQ(again.path, first.path);
+    EXPECT_EQ(trace.Path(first), "/d/f" + std::to_string(i));
+  }
+  Trace parsed;
+  ASSERT_TRUE(ParseTrace(FormatTrace(trace), &parsed).ok());
+  EXPECT_EQ(FormatTrace(parsed), FormatTrace(trace));
+  EXPECT_EQ(parsed.paths.size(), trace.paths.size());
 }
 
 TEST(TraceIo, InferImageCreatesReadFilesAndParents) {
