@@ -172,7 +172,7 @@ void BM_AppPostmarkSerial(benchmark::State& state) {
     config.kernels = 8;
     config.services = 8;
     config.instances = 256;
-    config.threads = kForceSerialThreads;
+    config.setup.threads = kForceSerialThreads;
     auto t0 = std::chrono::steady_clock::now();
     AppRunResult result = RunApp(config);
     seconds += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -207,7 +207,7 @@ void BM_ScalePointPostmark1024Threads(benchmark::State& state) {
     config.instances = 1024;
     // Row 1 pins the serial engine even under SEMPEROS_THREADS, so the
     // sweep's speedup baseline is always the real serial throughput.
-    config.threads = threads == 1 ? kForceSerialThreads : threads;
+    config.setup.threads = threads == 1 ? kForceSerialThreads : threads;
     auto t0 = std::chrono::steady_clock::now();
     AppRunResult result = RunApp(config);
     double wall = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();

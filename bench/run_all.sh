@@ -53,27 +53,6 @@ for b in "${BENCHES[@]}"; do
   }
 done
 
-# Optional observability post-step (SEMPEROS_TRACE_SUMMARY=1): run a small
-# traced traffic window and summarize the span trees next to the bench JSON.
-# Tracing is observational only, so this never perturbs the numbers above.
-if [[ "${SEMPEROS_TRACE_SUMMARY:-0}" == "1" ]]; then
-  sim="${BUILD_DIR}/semperos_sim"
-  trace_out="${OUT_DIR}/TRACE_traffic.json"
-  if [[ -x "${sim}" ]]; then
-    echo "== trace summary -> ${trace_out}"
-    "${sim}" traffic --kernels=4 --services=4 --servers=8 --requests=400 \
-      --warmup=100 --trace-out="${trace_out}" >/dev/null || {
-      echo "fail: traced traffic run exited nonzero" >&2
-      failed=1
-    }
-    if [[ -f "${trace_out}" ]]; then
-      python3 "${REPO_ROOT}/tools/trace_summary.py" "${trace_out}" --top=5 || failed=1
-    fi
-  else
-    echo "skip: ${sim} not built, no trace summary" >&2
-  fi
-fi
-
 echo
 echo "Results in ${OUT_DIR}:"
 ls -l "${OUT_DIR}"/BENCH_*.json

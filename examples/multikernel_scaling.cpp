@@ -35,7 +35,7 @@ void RunConfig(uint32_t kernels, uint32_t services) {
   std::printf("  capability ops   : %8llu (%.0f/s)\n",
               (unsigned long long)result.total_cap_ops, result.cap_ops_per_sec);
   std::printf("  IKC messages     : %8llu\n\n",
-              (unsigned long long)result.kernel_stats.ikc_sent);
+              (unsigned long long)result.outcome.kernel_stats.ikc_sent);
 }
 
 }  // namespace

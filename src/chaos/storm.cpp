@@ -319,7 +319,7 @@ StormResult RunStorm(const StormConfig& config) {
   pc.kernels = config.kernels;
   pc.users = config.kernels * config.users_per_kernel;
   pc.timing = timing;
-  pc.threads = config.threads;
+  config.setup.ApplyTo(&pc);
   Platform p(pc);
 
   const uint32_t kills_budget =
@@ -476,7 +476,7 @@ StormResult RunStorm(const StormConfig& config) {
       (r.err == ErrCode::kOk ? revoker->ops_ok : revoker->ops_failed)++;
       revoker->busy = false;
     });
-    p.sim().RunUntil(p.sim().Now() + rng.NextInRange(50, 900));
+    p.RunUntil(p.sim().Now() + rng.NextInRange(50, 900));
     if (stable_vpe(b)) {
       start_migration(p.user_nodes()[b]);
     }
@@ -611,7 +611,7 @@ StormResult RunStorm(const StormConfig& config) {
 
     // Let a random amount of simulated time pass so everything above
     // interleaves at many different points.
-    p.sim().RunUntil(p.sim().Now() + 200 + rng.NextBelow(3000));
+    p.RunUntil(p.sim().Now() + 200 + rng.NextBelow(3000));
     result.rounds_run = round + 1;
 
     if ((round + 1) % config.settle_every == 0 || round + 1 == config.rounds) {
@@ -630,10 +630,8 @@ StormResult RunStorm(const StormConfig& config) {
   }
   result.end_time = p.sim().Now();
   result.events = p.sim().EventsRun();
-  result.noc_packets = p.noc().stats().packets;
-  result.noc_bytes = p.noc().stats().total_bytes;
-  result.kernel_stats = p.TotalKernelStats();
-  result.recovery_refused = result.kernel_stats.ft_refusals > 0;
+  result.outcome.Harvest(&p, config.setup);
+  result.recovery_refused = result.outcome.kernel_stats.ft_refusals > 0;
   result.ok = !failed;
   return result;
 }
@@ -655,6 +653,8 @@ StormConfig ShrinkStorm(const StormConfig& failing, uint32_t* attempts) {
     return !RunStorm(config).ok;
   };
   StormConfig best = failing;
+  best.setup.trace_out.clear();
+  best.setup.metrics_out.clear();
   CHECK(still_fails(best)) << "ShrinkStorm needs a failing config: " << FormatStormSpec(best);
 
   // Greedy fixpoint: try mutations cheapest-win first, keep any that still
@@ -790,7 +790,7 @@ bool ParseStormSpec(const std::string& line, StormConfig* config, std::string* e
     } else if (key == "bug") {
       config->bug_skip_orphan_revoke = v != 0;
     } else if (key == "threads") {
-      config->threads = static_cast<uint32_t>(v);
+      config->setup.threads = static_cast<uint32_t>(v);
     } else {
       *error = "unknown key: " + key;
       return false;
@@ -843,8 +843,8 @@ std::string ReproCommand(const StormConfig& config) {
   if (config.bug_skip_orphan_revoke) {
     os << " --inject-bug";
   }
-  if (config.threads != 1) {
-    os << " --threads=" << config.threads;
+  if (config.setup.threads != 1) {
+    os << " --threads=" << config.setup.threads;
   }
   return os.str();
 }

@@ -52,6 +52,7 @@
 
 #include "audit/cap_audit.h"
 #include "core/kernel.h"
+#include "system/platform.h"
 
 namespace semperos {
 
@@ -85,14 +86,14 @@ struct StormConfig {
   // auditor catches a real protocol omission.
   bool bug_skip_orphan_revoke = false;
 
-  uint32_t threads = 1;  // engine threads (PlatformConfig::threads)
-
   // Base failure-detector / client-watchdog timing (perturbed per burst
   // when perturb_heartbeats is set).
   Cycles hb_period = 30'000;
   Cycles hb_timeout = 90'000;
   Cycles retry_timeout = 150'000;
   uint32_t retry_max = 32;
+
+  RunSetup setup;
 };
 
 struct StormResult {
@@ -112,10 +113,8 @@ struct StormResult {
 
   // Modeled-result fingerprint for the determinism/equivalence guard.
   Cycles end_time = 0;
-  uint64_t events = 0;
-  uint64_t noc_packets = 0;
-  uint64_t noc_bytes = 0;
-  KernelStats kernel_stats;
+  uint64_t events = 0;  // engine total, boot included
+  RunOutcome outcome;
 
   std::string Summary() const;  // one-paragraph human-readable outcome
 };
@@ -127,7 +126,8 @@ StormResult RunStorm(const StormConfig& config);
 // tries simpler variants (fewer rounds, fewer clients, event classes
 // disabled) and keeps every mutation that still fails the audit. Returns
 // the minimal failing config; `attempts` (optional) reports how many
-// candidate runs were tried. The input config must fail (CHECKed).
+// candidate runs were tried. The input config must fail (CHECKed). The
+// candidate runs write no trace or timeline file.
 StormConfig ShrinkStorm(const StormConfig& failing, uint32_t* attempts = nullptr);
 
 // Corpus line / CLI round-tripping. A spec is a single line of

@@ -157,7 +157,6 @@ std::vector<std::string> MetricsTimeline::Names() {
 bool MetricsTimeline::WriteJson(const std::string& path) const {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
-    LOG_ERROR("obs") << "cannot write metrics timeline " << path;
     return false;
   }
   std::fprintf(f, "{\"interval\":%llu,\"names\":[",

@@ -145,6 +145,48 @@ CriticalPath Tracer::ComputeCriticalPath(uint64_t trace_id) {
   return ComputeCriticalPathOver(SpansOf(trace_id), trace_id);
 }
 
+TraceReport Tracer::Report() {
+  const std::vector<Span>& spans = Merged();
+  TraceReport report;
+  // Span indices grouped by trace; the index tie-break keeps each group in
+  // canonical order, which is the order the walk visits children in.
+  std::vector<uint32_t> order(spans.size());
+  for (uint32_t i = 0; i < order.size(); ++i) {
+    order[i] = i;
+    const size_t kind = static_cast<size_t>(spans[i].kind);
+    report.spans[kind]++;
+    report.cycles[kind] += spans[i].end - spans[i].start;
+  }
+  std::sort(order.begin(), order.end(), [&spans](uint32_t a, uint32_t b) {
+    return spans[a].trace_id != spans[b].trace_id ? spans[a].trace_id < spans[b].trace_id
+                                                  : a < b;
+  });
+  auto slower = [](const CriticalPath& a, const CriticalPath& b) {
+    return a.total != b.total ? a.total > b.total : a.trace_id < b.trace_id;
+  };
+  std::vector<Span> group;
+  for (size_t lo = 0; lo < order.size();) {
+    const uint64_t trace_id = spans[order[lo]].trace_id;
+    group.clear();
+    for (; lo < order.size() && spans[order[lo]].trace_id == trace_id; ++lo) {
+      group.push_back(spans[order[lo]]);
+    }
+    CriticalPath path = ComputeCriticalPathOver(group, trace_id);
+    report.traces++;
+    report.disconnected += path.connected ? 0 : 1;
+    if (report.depth_traces.size() <= path.depth) {
+      report.depth_traces.resize(path.depth + 1);
+    }
+    report.depth_traces[path.depth]++;
+    if (report.slowest.size() < TraceReport::kSlowest || slower(path, report.slowest.back())) {
+      report.slowest.push_back(path);
+      std::sort(report.slowest.begin(), report.slowest.end(), slower);
+      report.slowest.resize(std::min(report.slowest.size(), TraceReport::kSlowest));
+    }
+  }
+  return report;
+}
+
 CriticalPath ComputeCriticalPathOver(const std::vector<Span>& spans, uint64_t trace_id) {
   CriticalPath cp;
   cp.trace_id = trace_id;
@@ -226,13 +268,12 @@ bool Tracer::WriteChromeTrace(const std::string& path) {
   const std::vector<Span>& spans = Merged();
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
-    LOG_ERROR("obs") << "cannot write trace file " << path;
     return false;
   }
   // Chrome trace_event format: one Complete ("X") event per span. pid = the
   // recording entity (so Perfetto groups rows by PE), ts/dur in "us" (we
   // export raw cycles; the viewer's units are nominal). Trace/parent ids
-  // ride in args for tooling (tools/trace_summary.py).
+  // ride in args, so a viewer or script can rebuild the span trees.
   std::fputs("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n", f);
   bool first = true;
   for (const Span& s : spans) {

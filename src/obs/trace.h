@@ -94,6 +94,18 @@ struct CriticalPath {
   bool connected = false;                    // every span reachable from root
 };
 
+// Whole-run summary of the merged span list: what the CLI prints whenever
+// tracing is on.
+struct TraceReport {
+  static constexpr size_t kSlowest = 5;
+  uint64_t spans[static_cast<size_t>(SpanKind::kNumKinds)] = {};   // spans per kind
+  Cycles cycles[static_cast<size_t>(SpanKind::kNumKinds)] = {};    // summed durations
+  std::vector<uint64_t> depth_traces;  // [d] = traces whose tree is d levels deep
+  uint64_t traces = 0;
+  uint64_t disconnected = 0;           // traces with more than one root
+  std::vector<CriticalPath> slowest;   // kSlowest longest roots (ties: lower trace id)
+};
+
 class Tracer {
  public:
   // `entities` is the platform's node count; each node gets its own ring.
@@ -137,6 +149,10 @@ class Tracer {
   // Critical-path walk of `trace_id`'s tree (see CriticalPath).
   CriticalPath ComputeCriticalPath(uint64_t trace_id);
 
+  // Groups the merged spans by trace in one sort and walks every tree once
+  // (ComputeCriticalPath per trace would rescan all spans each time).
+  TraceReport Report();
+
   // Chrome trace_event JSON ("Complete" X events; open with Perfetto via
   // ui.perfetto.dev or chrome://tracing). Timestamps are simulated cycles
   // exported as microseconds. Returns false when the file can't be written.
@@ -157,7 +173,7 @@ class Tracer {
 };
 
 // Computes the critical path over an externally assembled span list (all
-// spans of one trace). Exposed for trace_summary-style tooling and tests.
+// spans of one trace, in canonical order).
 CriticalPath ComputeCriticalPathOver(const std::vector<Span>& spans, uint64_t trace_id);
 
 }  // namespace obs

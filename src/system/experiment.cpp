@@ -34,12 +34,7 @@ AppRunResult RunApp(const AppRunConfig& config) {
   pc.mem_tiles = 1;
   pc.mode = config.mode;
   pc.timing = timing;
-  pc.threads = config.threads;
-  pc.trace = config.trace;
-  if (!config.trace_out.empty()) {
-    pc.trace.enabled = true;  // asking for a trace file implies tracing
-  }
-  pc.timeline = config.timeline;
+  config.setup.ApplyTo(&pc);
   Platform platform(pc);
 
   FsImage image;
@@ -80,11 +75,6 @@ AppRunResult RunApp(const AppRunConfig& config) {
   result.makespan = last_end - first_start;
   result.cap_ops_per_sec =
       static_cast<double>(result.total_cap_ops) / CyclesToSeconds(result.makespan);
-  result.kernel_stats = platform.TotalKernelStats();
-  if (platform.parallel()) {
-    result.engine_parallel = true;
-    result.engine_stats = platform.engine_stats();
-  }
   if (result.makespan > 0) {
     double sum_util = 0;
     for (uint32_t k = 0; k < config.kernels; ++k) {
@@ -102,21 +92,7 @@ AppRunResult RunApp(const AppRunConfig& config) {
     }
     result.mean_service_utilization = svc_util / std::max<size_t>(1, config.services);
   }
-  // The tracer/timeline are owned by the platform (destroyed at return), so
-  // spans and samples are summarized and flushed to disk here.
-  if (obs::Tracer* tracer = platform.tracer(); tracer != nullptr) {
-    result.spans_recorded = tracer->recorded();
-    result.spans_dropped = tracer->dropped();
-    result.trace_fingerprint = tracer->Fingerprint();
-    if (!config.trace_out.empty()) {
-      CHECK(tracer->WriteChromeTrace(config.trace_out))
-          << "failed to write trace to " << config.trace_out;
-    }
-  }
-  if (!config.metrics_out.empty() && platform.timeline() != nullptr) {
-    CHECK(platform.timeline()->WriteJson(config.metrics_out))
-        << "failed to write metrics timeline to " << config.metrics_out;
-  }
+  result.outcome.Harvest(&platform, config.setup);
   return result;
 }
 
@@ -141,12 +117,7 @@ NginxRunResult RunNginx(const NginxRunConfig& config) {
   pc.loadgens = config.servers; // one "network interface" PE per server
   pc.mem_tiles = 1;
   pc.timing = timing;
-  pc.threads = config.threads;
-  pc.trace = config.trace;
-  if (!config.trace_out.empty()) {
-    pc.trace.enabled = true;
-  }
-  pc.timeline = config.timeline;
+  config.setup.ApplyTo(&pc);
   Platform platform(pc);
 
   FsImage image;
@@ -180,28 +151,10 @@ NginxRunResult RunNginx(const NginxRunConfig& config) {
     return total;
   };
 
-  // RunNginx drives the clock itself (no RunToCompletion), so when the
-  // metrics timeline is armed it chunks the run at sample boundaries here.
-  // Same events, same order — sampling never schedules anything.
-  obs::MetricsTimeline* tl = platform.timeline();
-  auto run_for = [&platform, tl](Cycles span) {
-    const Cycles until = platform.sim().Now() + span;
-    if (tl == nullptr) {
-      platform.sim().RunUntil(until);
-      return;
-    }
-    while (platform.sim().Now() < until) {
-      platform.sim().RunUntil(std::min(until, platform.sim().Now() + tl->config().interval));
-      tl->Sample(platform.sim().Now(), platform.TotalKernelStats());
-    }
-  };
-  if (tl != nullptr) {
-    tl->Sample(platform.sim().Now(), platform.TotalKernelStats());
-  }
-
-  run_for(config.warmup);
+  // Fixed windows, not a run to completion: the servers never go idle.
+  platform.RunUntil(platform.sim().Now() + config.warmup);
   uint64_t at_warm = total_completed();
-  run_for(config.window);
+  platform.RunUntil(platform.sim().Now() + config.window);
   uint64_t at_end = total_completed();
   CHECK_EQ(platform.TotalDrops(), 0u);
 
@@ -210,23 +163,7 @@ NginxRunResult RunNginx(const NginxRunConfig& config) {
   result.completed = at_end - at_warm;
   result.requests_per_sec =
       static_cast<double>(result.completed) / CyclesToSeconds(config.window);
-  if (platform.parallel()) {
-    result.engine_parallel = true;
-    result.engine_stats = platform.engine_stats();
-  }
-  if (obs::Tracer* tracer = platform.tracer(); tracer != nullptr) {
-    result.spans_recorded = tracer->recorded();
-    result.spans_dropped = tracer->dropped();
-    result.trace_fingerprint = tracer->Fingerprint();
-    if (!config.trace_out.empty()) {
-      CHECK(tracer->WriteChromeTrace(config.trace_out))
-          << "failed to write trace to " << config.trace_out;
-    }
-  }
-  if (!config.metrics_out.empty() && tl != nullptr) {
-    CHECK(tl->WriteJson(config.metrics_out))
-        << "failed to write metrics timeline to " << config.metrics_out;
-  }
+  result.outcome.Harvest(&platform, config.setup);
   return result;
 }
 

@@ -40,14 +40,7 @@ struct AppRunConfig {
   uint32_t services = 32;
   uint32_t instances = 512;
   KernelMode mode = KernelMode::kSemperOSMulti;
-  uint32_t threads = 1;  // engine threads (PlatformConfig::threads)
-  // Observability (src/obs): forwarded to PlatformConfig. The tracer and
-  // timeline die with the platform inside RunApp, so file emission happens
-  // there too when these paths are set.
-  obs::TraceConfig trace;
-  obs::TimelineConfig timeline;
-  std::string trace_out;    // Chrome trace_event JSON (implies trace.enabled)
-  std::string metrics_out;  // metrics timeline JSON (needs timeline.interval)
+  RunSetup setup;
 };
 
 struct AppRunResult {
@@ -57,24 +50,14 @@ struct AppRunResult {
   Cycles makespan = 0;           // first start to last finish
   uint64_t total_cap_ops = 0;    // summed over instances
   double cap_ops_per_sec = 0;    // total cap ops / makespan
-  uint64_t events = 0;
-  KernelStats kernel_stats;
+  uint64_t events = 0;           // run by RunToCompletion (boot excluded)
   // Core utilization over the makespan: how busy the OS was. The paper's
   // Figure 8 observation — kernels "are mostly handling capability
   // operations" and gate scalability — shows up here directly.
   double mean_kernel_utilization = 0;
   double max_kernel_utilization = 0;
   double mean_service_utilization = 0;
-  // Parallel efficiency relative to `solo_us` (call ParallelEfficiency).
-  // Sharded-engine observability (threads >= 2 only; see sim/engine.h).
-  bool engine_parallel = false;
-  EngineStats engine_stats;
-  // Tracing observability (zero when config.trace left disabled). The
-  // fingerprint is order-insensitive over the canonical merge, so it is
-  // bit-identical across reruns and thread counts.
-  uint64_t spans_recorded = 0;
-  uint64_t spans_dropped = 0;
-  uint64_t trace_fingerprint = 0;
+  RunOutcome outcome;
 };
 
 // Runs `instances` copies of the app's trace on a (kernels x services)
@@ -104,25 +87,14 @@ struct NginxRunConfig {
   uint32_t servers = 64;
   Cycles warmup = 600'000;    // boot + cache settle
   Cycles window = 2'000'000;  // measurement window (1 ms at 2 GHz)
-  uint32_t threads = 1;       // engine threads (PlatformConfig::threads)
-  // Observability (src/obs): same contract as AppRunConfig.
-  obs::TraceConfig trace;
-  obs::TimelineConfig timeline;
-  std::string trace_out;
-  std::string metrics_out;
+  RunSetup setup;
 };
 
 struct NginxRunResult {
   uint32_t servers = 0;
   uint64_t completed = 0;        // responses inside the window
   double requests_per_sec = 0;   // aggregate across all servers
-  // Sharded-engine observability (threads >= 2 only; see sim/engine.h).
-  bool engine_parallel = false;
-  EngineStats engine_stats;
-  // Tracing observability (zero when config.trace left disabled).
-  uint64_t spans_recorded = 0;
-  uint64_t spans_dropped = 0;
-  uint64_t trace_fingerprint = 0;
+  RunOutcome outcome;
 };
 
 NginxRunResult RunNginx(const NginxRunConfig& config);

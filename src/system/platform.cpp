@@ -362,25 +362,29 @@ void Platform::StartFailureDetector(FtConfig ft) {
 }
 
 uint64_t Platform::RunToCompletion(uint64_t max_events) {
-  uint64_t ran = 0;
-  if (timeline_ != nullptr) {
-    // Chunked run for the metrics timeline: execute whole sample intervals
-    // with RunUntil and read the counters between chunks, on this (the
-    // driving) thread. The executed event stream is byte-for-byte what
-    // RunUntilIdle would run — Sample() never schedules anything; the only
-    // difference is the final clock landing on a sample boundary.
-    const Cycles interval = timeline_->config().interval;
-    timeline_->Sample(sim_.Now(), TotalKernelStats());
-    while (!sim_.Idle() && ran < max_events) {
-      ran += sim_.RunUntil(sim_.Now() + interval, max_events - ran);
-      timeline_->Sample(sim_.Now(), TotalKernelStats());
-    }
-  } else {
-    ran = sim_.RunUntilIdle(max_events);
-  }
+  uint64_t ran = timeline_ != nullptr ? RunSampled(kUntilIdle, max_events)
+                                      : sim_.RunUntilIdle(max_events);
   CHECK(sim_.Idle()) << "simulation exceeded event budget";
   uint64_t drops = TotalDrops();
   CHECK_EQ(drops, 0u) << "DTU messages were lost — flow-control protocol violated";
+  return ran;
+}
+
+uint64_t Platform::RunUntil(Cycles until) {
+  return timeline_ != nullptr ? RunSampled(until, UINT64_MAX) : sim_.RunUntil(until);
+}
+
+uint64_t Platform::RunSampled(Cycles until, uint64_t max_events) {
+  // Counters are read on this (the driving) thread, between chunks.
+  const Cycles interval = timeline_->config().interval;
+  if (timeline_->samples().empty()) {
+    timeline_->Sample(sim_.Now(), TotalKernelStats());
+  }
+  uint64_t ran = 0;
+  while (sim_.Now() < until && !(until == kUntilIdle && sim_.Idle()) && ran < max_events) {
+    ran += sim_.RunUntil(std::min(until, sim_.Now() + interval), max_events - ran);
+    timeline_->Sample(sim_.Now(), TotalKernelStats());
+  }
   return ran;
 }
 
@@ -400,6 +404,41 @@ uint64_t Platform::TotalDrops() const {
     drops += pe->dtu().stats().msgs_dropped;
   }
   return drops;
+}
+
+void RunSetup::ApplyTo(PlatformConfig* pc) const {
+  pc->threads = threads;
+  pc->trace = trace;
+  if (!trace_out.empty()) {
+    pc->trace.enabled = true;
+  }
+  pc->timeline = timeline;
+  if (!metrics_out.empty() && !pc->timeline.enabled()) {
+    pc->timeline.interval = kDefaultTimelineInterval;
+  }
+}
+
+void RunOutcome::Harvest(Platform* platform, const RunSetup& setup) {
+  kernel_stats = platform->TotalKernelStats();
+  noc = platform->noc().stats();
+  engine_parallel = platform->parallel();
+  if (engine_parallel) {
+    engine_stats = platform->engine_stats();
+  }
+  if (obs::Tracer* tracer = platform->tracer(); tracer != nullptr) {
+    spans_recorded = tracer->recorded();
+    spans_dropped = tracer->dropped();
+    trace_fingerprint = tracer->Fingerprint();
+    trace_report = tracer->Report();
+    if (!setup.trace_out.empty() && !tracer->WriteChromeTrace(setup.trace_out)) {
+      write_error = "cannot write trace file " + setup.trace_out;
+    }
+  }
+  obs::MetricsTimeline* timeline = platform->timeline();
+  if (timeline != nullptr && !setup.metrics_out.empty() &&
+      !timeline->WriteJson(setup.metrics_out)) {
+    write_error = "cannot write metrics timeline " + setup.metrics_out;
+  }
 }
 
 void UnusedPlatformTag() { LOG_TRACE(kTag) << "unused"; }

@@ -19,6 +19,7 @@
 #define SEMPEROS_SYSTEM_PLATFORM_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "base/types.h"
@@ -80,6 +81,53 @@ struct PlatformConfig {
   // them on or off.
   obs::TraceConfig trace;
   obs::TimelineConfig timeline;
+};
+
+// Every experiment runner (RunApp, RunNginx, RunTraffic, RunFailover,
+// RunRebalance, RunStorm, the CLI's trace driver) builds one Platform per
+// run. What they share goes in through one RunSetup, embedded in each run
+// config as `setup`, and comes out through one RunOutcome, embedded in each
+// result as `outcome`. Runner-specific numbers — `events` among them, whose
+// meaning differs per runner — stay in the result itself.
+
+// Timeline sampling interval when a metrics file is asked for without one.
+inline constexpr Cycles kDefaultTimelineInterval = 100'000;
+
+struct RunSetup {
+  uint32_t threads = 1;  // PlatformConfig::threads
+  obs::TraceConfig trace;
+  obs::TimelineConfig timeline;
+  std::string trace_out;    // Chrome trace_event JSON ("" = none)
+  std::string metrics_out;  // metrics timeline JSON ("" = none)
+
+  // The only code that copies a setup into a PlatformConfig, and the only
+  // code that decides what an output path implies: a trace path turns
+  // tracing on, a metrics path without an interval samples every
+  // kDefaultTimelineInterval cycles.
+  void ApplyTo(PlatformConfig* pc) const;
+};
+
+class Platform;
+
+struct RunOutcome {
+  KernelStats kernel_stats;  // summed over kernels
+  NocStats noc;
+  bool engine_parallel = false;
+  EngineStats engine_stats;  // sharded engine only
+  // Tracing (zero when off). The fingerprint is order-insensitive over the
+  // canonical merge: bit-identical across reruns and thread counts.
+  uint64_t spans_recorded = 0;
+  uint64_t spans_dropped = 0;
+  uint64_t trace_fingerprint = 0;
+  obs::TraceReport trace_report;
+  std::string write_error;  // names the file that could not be written
+
+  bool traced() const { return spans_recorded + spans_dropped > 0; }
+
+  // The only code that reads an outcome off a finished platform, and the
+  // only code that writes the trace and timeline files `setup` names (the
+  // recorders die with the platform).
+  void Harvest(Platform* platform, const RunSetup& setup);
 };
 
 class Platform {
@@ -168,9 +216,13 @@ class Platform {
   // Runs the simulation until no events remain and checks hardware
   // invariants (no dropped messages anywhere). Returns events executed.
   // With the metrics timeline armed the run is chunked at sample
-  // boundaries (RunUntil between samples) — same events, same order, same
-  // final state; the timeline only reads counters between chunks.
+  // boundaries (see RunSampled) and ends on one.
   uint64_t RunToCompletion(uint64_t max_events = 2'000'000'000ull);
+
+  // Runs every event due by `until` (absolute cycles) and leaves the clock
+  // there — SimHost::RunUntil, with the timeline sampled when armed.
+  // Returns events executed.
+  uint64_t RunUntil(Cycles until);
 
   // Sums a kernel statistic across kernels.
   KernelStats TotalKernelStats() const;
@@ -190,6 +242,14 @@ class Platform {
  private:
   // Queue owning node `n`'s events: the legacy queue, or its shard's.
   Simulation* SimForNode(NodeId node);
+
+  // The timeline branch of both run calls: runs whole sample intervals up
+  // to `until` (kUntilIdle: until no events remain) and samples every
+  // kernel counter after each. Sample() never schedules anything, so the
+  // executed events are exactly those of the unchunked run; a run to idle
+  // merely ends on a sample boundary.
+  static constexpr Cycles kUntilIdle = UINT64_MAX;
+  uint64_t RunSampled(Cycles until, uint64_t max_events);
 
   PlatformConfig config_;
   SimHost sim_;

@@ -1,7 +1,7 @@
 // Text serialization for traces.
 //
 // Lets users write their own workloads as plain files and replay them with
-// the CLI (`semperos --trace=FILE`), mirroring how the paper's authors
+// the CLI (`semperos_sim trace --file=FILE`), mirroring how the paper's authors
 // recorded Linux strace logs and replayed them on SemperOS. Format: one
 // operation per line, '#' comments, blank lines ignored:
 //

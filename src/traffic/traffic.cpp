@@ -156,9 +156,7 @@ TrafficResult RunTraffic(const TrafficConfig& config) {
   pc.loadgens = config.servers;  // one open-loop generator per server
   pc.mem_tiles = 1;
   pc.timing = timing;
-  pc.threads = config.threads;
-  pc.trace = config.trace;
-  pc.timeline = config.timeline;
+  config.setup.ApplyTo(&pc);
   Platform platform(pc);
 
   uint64_t total = config.warmup + config.requests + config.cooldown;
@@ -238,11 +236,6 @@ TrafficResult RunTraffic(const TrafficConfig& config) {
   result.p999_us = CyclesToMicros(result.latency.Percentile(0.999));
   result.mean_us = result.latency.Mean() / (static_cast<double>(kClockHz) / 1e6);
   result.max_us = CyclesToMicros(result.latency.max());
-  result.kernel_stats = platform.TotalKernelStats();
-  if (platform.parallel()) {
-    result.engine_parallel = true;
-    result.engine_stats = platform.engine_stats();
-  }
   if (obs::Tracer* tr = platform.tracer(); tr != nullptr) {
     // Tail exemplars: sort measured requests by latency and keep the
     // slowest `tail_exemplars` of each percentile bucket, with full span
@@ -277,19 +270,8 @@ TrafficResult RunTraffic(const TrafficConfig& config) {
       }
       prev = edge;
     }
-    result.spans_dropped = tr->dropped();
-    result.trace_fingerprint = tr->Fingerprint();
-    result.spans_recorded = tr->recorded();
-    if (!config.trace_out.empty()) {
-      CHECK(tr->WriteChromeTrace(config.trace_out))
-          << "traffic: can't write trace to " << config.trace_out;
-    }
   }
-  if (obs::MetricsTimeline* tl = platform.timeline();
-      tl != nullptr && !config.metrics_out.empty()) {
-    CHECK(tl->WriteJson(config.metrics_out))
-        << "traffic: can't write metrics timeline to " << config.metrics_out;
-  }
+  result.outcome.Harvest(&platform, config.setup);
   return result;
 }
 

@@ -25,10 +25,8 @@
 #include <string>
 #include <vector>
 
-#include "core/kernel.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/engine.h"
+#include "system/platform.h"
 #include "traffic/arrivals.h"
 #include "traffic/histogram.h"
 #include "workloads/nginx.h"
@@ -105,23 +103,17 @@ struct TrafficConfig {
   uint64_t cooldown = 0;          // injected after the window closes
   uint64_t seed = 1;
   uint32_t pipeline = 8;          // per-generator transport credits
-  uint32_t threads = 1;           // engine threads (PlatformConfig::threads)
-  // Observability (src/obs): span tracing + counter timeline, forwarded to
-  // PlatformConfig. With tracing on, every request gets a root span, the
-  // measured tail is retained as exemplars, and the merged-span fingerprint
-  // lands in the result (determinism suites pin it across thread counts).
-  obs::TraceConfig trace;
-  obs::TimelineConfig timeline;
-  uint32_t tail_exemplars = 2;    // slowest K retained per percentile bucket
-  std::string trace_out;          // Chrome trace JSON path ("" = don't write)
-  std::string metrics_out;        // timeline JSON path ("" = don't write)
+  // With tracing on, every request gets a root span and the slowest K of
+  // each percentile bucket are kept as exemplars.
+  uint32_t tail_exemplars = 2;
+  RunSetup setup;
 };
 
 struct TrafficResult {
   uint64_t injected = 0;    // every scheduled arrival (run drains fully)
   uint64_t completed = 0;
   uint64_t measured = 0;    // latency samples in the histogram
-  uint64_t events = 0;
+  uint64_t events = 0;      // run by RunToCompletion (boot excluded)
   Cycles makespan = 0;      // boot end to last event
   // Measurement window, absolute cycles (across all generators).
   Cycles window_open = 0;   // earliest measured arrival
@@ -135,13 +127,7 @@ struct TrafficResult {
   double p999_us = 0;
   double mean_us = 0;
   double max_us = 0;
-  KernelStats kernel_stats;
-  // Sharded-engine observability (threads >= 2 only; see sim/engine.h).
-  bool engine_parallel = false;
-  EngineStats engine_stats;
-  // Span tracing (traced runs only; see src/obs). The fingerprint is the
-  // canonical merged-span FNV-1a — bit-identical across reruns and thread
-  // counts. Exemplars are the slowest tail_exemplars requests of each
+  // Traced runs only: the slowest tail_exemplars requests of each
   // percentile bucket, each with its full span tree and critical-path
   // breakdown (path.total == the request's measured latency, structurally).
   struct Exemplar {
@@ -150,10 +136,8 @@ struct TrafficResult {
     obs::CriticalPath path;
     std::vector<obs::Span> spans;
   };
-  uint64_t trace_fingerprint = 0;
-  uint64_t spans_recorded = 0;
-  uint64_t spans_dropped = 0;
   std::vector<Exemplar> exemplars;
+  RunOutcome outcome;
 };
 
 TrafficResult RunTraffic(const TrafficConfig& config);

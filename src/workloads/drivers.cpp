@@ -5,15 +5,14 @@
 // StormConfig, TrafficConfig) and how to fold the experiment results into
 // the structured WorkloadResult the CLI and bench binaries consume.
 #include <algorithm>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 
 #include "chaos/storm.h"
-#include "fs/service.h"
 #include "system/client.h"
 #include "system/experiment.h"
 #include "trace/replayer.h"
@@ -26,15 +25,6 @@ namespace semperos {
 
 namespace {
 
-std::string Fmt(const char* fmt, ...) {
-  char buffer[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buffer, sizeof(buffer), fmt, args);
-  va_end(args);
-  return buffer;
-}
-
 // Parameter specs shared by the platform-shaped workloads.
 ParamSpec Kernels(const char* def) {
   return {"kernels", ParamType::kU32, def, "kernel PEs", {}};
@@ -43,36 +33,41 @@ ParamSpec Services(const char* def) {
   return {"services", ParamType::kU32, def, "m3fs service PEs", {}};
 }
 
-// Copies the global observability flags (--trace-out, --metrics-out,
-// --metrics-interval) onto any experiment config that carries the obs
-// fields (AppRunConfig, NginxRunConfig, TrafficConfig). Asking for a trace
-// file implies tracing; asking for a metrics file arms the timeline with a
-// default interval when none was given.
-constexpr Cycles kDefaultMetricsInterval = 100'000;
-
-template <typename Config>
-void ApplyObsParams(const WorkloadParams& p, Config* config) {
-  config->trace_out = p.Str("trace-out");
-  if (!config->trace_out.empty()) {
-    config->trace.enabled = true;
+// Range checks shared by the platform-shaped schemas: --kernels within
+// [min_kernels, Kernel::kMaxKernels] and every named count >= 1. Returns ""
+// to accept.
+std::string CheckShape(const WorkloadParams& p, uint32_t min_kernels,
+                       std::initializer_list<const char*> counts) {
+  uint32_t kernels = p.U32("kernels");
+  if (kernels < min_kernels || kernels > Kernel::kMaxKernels) {
+    return Fmt("--kernels=%u: must be within %u..%u", kernels, min_kernels, Kernel::kMaxKernels);
   }
-  config->metrics_out = p.Str("metrics-out");
-  config->timeline.interval = p.U64("metrics-interval");
-  if (!config->metrics_out.empty() && config->timeline.interval == 0) {
-    config->timeline.interval = kDefaultMetricsInterval;
+  for (const char* name : counts) {
+    if (p.U64(name) == 0) {
+      return Fmt("--%s must be >= 1", name);
+    }
   }
+  return "";
 }
 
-// Folds the tracer summary into the printed notes. The fingerprint is the
-// quantity the determinism suites compare across reruns and thread counts.
-void NoteTraceSummary(WorkloadResult* out, uint64_t recorded, uint64_t dropped,
-                      uint64_t fingerprint) {
-  if (recorded == 0 && dropped == 0) {
-    return;
-  }
-  out->Note(Fmt("  trace: %llu spans (%llu dropped), fingerprint %016llx",
-                (unsigned long long)recorded, (unsigned long long)dropped,
-                (unsigned long long)fingerprint));
+// A driver that runs many platforms has no single run to record.
+std::string CheckNoOutputs(const WorkloadParams& p, const char* what) {
+  bool outputs = !p.Str("trace-out").empty() || !p.Str("metrics-out").empty() ||
+                 p.U64("metrics-interval") != 0;
+  return outputs ? Fmt("%s runs many platforms: --trace-out, --metrics-out and "
+                       "--metrics-interval need a single run", what)
+                 : "";
+}
+
+// The global flags, mapped onto the run setup. RunSetup::ApplyTo decides
+// what they imply (an output path turns its recorder on).
+RunSetup RunSetupFrom(const WorkloadParams& p) {
+  RunSetup setup;
+  setup.threads = p.U32("threads");  // the parser stores "auto" as 0
+  setup.trace_out = p.Str("trace-out");
+  setup.metrics_out = p.Str("metrics-out");
+  setup.timeline.interval = p.U64("metrics-interval");
+  return setup;
 }
 
 // ---- trace-replay apps (Figures 6-9, Table 4) ----
@@ -87,8 +82,7 @@ WorkloadResult RunAppDriver(const std::string& app, const WorkloadParams& p) {
   if (config.mode == KernelMode::kM3SingleKernel) {
     config.kernels = 1;  // the M3 baseline is a single-kernel system
   }
-  config.threads = p.Threads();
-  ApplyObsParams(p, &config);
+  config.setup = RunSetupFrom(p);
   double solo = SoloRuntimeUs(app, config.kernels, config.services, config.mode);
   AppRunResult r = RunApp(config);
 
@@ -109,11 +103,7 @@ WorkloadResult RunAppDriver(const std::string& app, const WorkloadParams& p) {
   out.Add("cap_ops_per_sec", r.cap_ops_per_sec, "/s");
   out.Add("makespan", static_cast<double>(r.makespan), "cycles");
   out.Add("events", static_cast<double>(r.events));
-  out.has_kernel_stats = true;
-  out.kernel_stats = r.kernel_stats;
-  out.engine_parallel = r.engine_parallel;
-  out.engine_stats = r.engine_stats;
-  NoteTraceSummary(&out, r.spans_recorded, r.spans_dropped, r.trace_fingerprint);
+  out.outcome = r.outcome;
   return out;
 }
 
@@ -127,6 +117,9 @@ void RegisterApps() {
     spec.params = {Kernels("8"), Services("8"),
                    {"instances", ParamType::kU32, "64", "parallel app instances", {}},
                    {"mode", ParamType::kString, "semperos", "kernel mode", {"semperos", "m3"}}};
+    spec.validate = [](const WorkloadParams& p) {
+      return CheckShape(p, 1, {"services", "instances"});
+    };
     spec.run = [app](const WorkloadParams& p) { return RunAppDriver(app, p); };
     WorkloadRegistry::Global().Register(std::move(spec));
   }
@@ -141,22 +134,22 @@ void RegisterNginx() {
   spec.supports_strict = true;
   spec.params = {Kernels("8"), Services("8"),
                  {"servers", ParamType::kU32, "32", "webserver PEs (one loadgen each)", {}}};
+  spec.validate = [](const WorkloadParams& p) {
+    return CheckShape(p, 1, {"services", "servers"});
+  };
   spec.run = [](const WorkloadParams& p) {
     NginxRunConfig config;
     config.kernels = p.U32("kernels");
     config.services = p.U32("services");
     config.servers = p.U32("servers");
-    config.threads = p.Threads();
-    ApplyObsParams(p, &config);
+    config.setup = RunSetupFrom(p);
     NginxRunResult r = RunNginx(config);
     WorkloadResult out;
     out.Note(Fmt("nginx: %u servers, %u kernels, %u services", config.servers, config.kernels,
                  config.services));
     out.Add("completed", static_cast<double>(r.completed));
     out.Add("requests_per_sec", r.requests_per_sec, "/s");
-    out.engine_parallel = r.engine_parallel;
-    out.engine_stats = r.engine_stats;
-    NoteTraceSummary(&out, r.spans_recorded, r.spans_dropped, r.trace_fingerprint);
+    out.outcome = r.outcome;
     return out;
   };
   WorkloadRegistry::Global().Register(std::move(spec));
@@ -168,6 +161,7 @@ void RegisterMicro() {
   WorkloadSpec spec;
   spec.name = "micro";
   spec.summary = "single-operation latencies (Table 3)";
+  spec.takes_run_setup = false;
   spec.run = [](const WorkloadParams&) {
     WorkloadResult out;
     out.Note("capability operation latencies (cycles @ 2 GHz)");
@@ -215,10 +209,10 @@ void RegisterFailover() {
                  {"instances", ParamType::kU32, "64", "clients (split across kernels)", {}},
                  {"fail-kernel", ParamType::kString, "1", "victim kernel: <id>[@<us>]", {}}};
   spec.validate = [](const WorkloadParams& p) -> std::string {
-    uint32_t kernels = p.U32("kernels");
-    if (kernels < 2) {
-      return Fmt("--failover needs at least 2 kernels (got %u)", kernels);
+    if (std::string error = CheckShape(p, 2, {}); !error.empty()) {
+      return error;
     }
+    uint32_t kernels = p.U32("kernels");
     const std::string& fk = p.Str("fail-kernel");
     size_t at = fk.find('@');
     char* end = nullptr;
@@ -239,7 +233,7 @@ void RegisterFailover() {
     FailoverConfig config;
     config.kernels = p.U32("kernels");
     config.users_per_kernel = std::max(1u, p.U32("instances") / std::max(1u, config.kernels));
-    config.threads = p.Threads();
+    config.setup = RunSetupFrom(p);
     const std::string& fk = p.Str("fail-kernel");
     size_t at = fk.find('@');
     config.victim = static_cast<KernelId>(std::stoul(fk.substr(0, at)));
@@ -286,12 +280,9 @@ void RegisterFailover() {
     out.Add("client_retries", static_cast<double>(r.client_retries));
     out.Add("makespan", static_cast<double>(r.makespan), "cycles");
     out.Add("events", static_cast<double>(r.events));
-    out.Add("noc_latency", static_cast<double>(r.noc_latency), "cycles");
-    out.Add("noc_queueing", static_cast<double>(r.noc_queueing), "cycles");
-    out.has_kernel_stats = true;
-    out.kernel_stats = r.kernel_stats;
-    out.engine_parallel = r.engine_parallel;
-    out.engine_stats = r.engine_stats;
+    out.Add("noc_latency", static_cast<double>(r.outcome.noc.total_latency), "cycles");
+    out.Add("noc_queueing", static_cast<double>(r.outcome.noc.total_queueing), "cycles");
+    out.outcome = r.outcome;
     return out;
   };
   WorkloadRegistry::Global().Register(std::move(spec));
@@ -310,6 +301,16 @@ void RegisterRebalance() {
                  {"migrate-pes", ParamType::kU32, "2", "hot PEs drained from kernel 0", {}},
                  {"migrate-at", ParamType::kU64, "300000", "migration start, cycles", {}},
                  {"migrate", ParamType::kBool, "1", "0: baseline run, no migration", {}}};
+  spec.validate = [](const WorkloadParams& p) -> std::string {
+    if (std::string error = CheckShape(p, 2, {"users"}); !error.empty()) {
+      return error;
+    }
+    if (p.U32("migrate-pes") > p.U32("users")) {
+      return Fmt("--migrate-pes=%u: kernel 0 has only %u clients (--users)", p.U32("migrate-pes"),
+                 p.U32("users"));
+    }
+    return "";
+  };
   spec.run = [](const WorkloadParams& p) {
     RebalanceConfig config;
     config.kernels = p.U32("kernels");
@@ -318,7 +319,7 @@ void RegisterRebalance() {
     config.migrate = p.Bool("migrate");
     config.migrate_pes = p.U32("migrate-pes");
     config.migrate_at = p.U64("migrate-at");
-    config.threads = p.Threads();
+    config.setup = RunSetupFrom(p);
     RebalanceResult r = RunRebalance(config);
     WorkloadResult out;
     out.Note(Fmt("rebalance: %u kernels x %u clients, %u PEs migrated at %llu cycles",
@@ -336,10 +337,7 @@ void RegisterRebalance() {
     out.Add("leaked_caps", static_cast<double>(r.leaked_caps));
     out.Add("makespan", static_cast<double>(r.makespan), "cycles");
     out.Add("events", static_cast<double>(r.events));
-    out.has_kernel_stats = true;
-    out.kernel_stats = r.kernel_stats;
-    out.engine_parallel = r.engine_parallel;
-    out.engine_stats = r.engine_stats;
+    out.outcome = r.outcome;
     return out;
   };
   WorkloadRegistry::Global().Register(std::move(spec));
@@ -356,7 +354,10 @@ void RegisterTrace() {
   spec.params = {Kernels("8"), Services("8"),
                  {"file", ParamType::kString, "", "trace file path", {}}};
   spec.validate = [](const WorkloadParams& p) -> std::string {
-    return p.Str("file").empty() ? "trace: --file=PATH (or --trace=PATH) is required" : "";
+    if (p.Str("file").empty()) {
+      return "trace: --file=PATH is required";
+    }
+    return CheckShape(p, 1, {"services"});
   };
   spec.run = [](const WorkloadParams& p) {
     WorkloadResult out;
@@ -379,21 +380,14 @@ void RegisterTrace() {
     trace.app = path;
     FsImage image = InferImage(trace);
 
+    RunSetup setup = RunSetupFrom(p);
     PlatformConfig pc;
     pc.kernels = p.U32("kernels");
     pc.services = p.U32("services");
     pc.users = 1;
-    pc.threads = p.Threads();
+    setup.ApplyTo(&pc);
     Platform platform(pc);
-    uint32_t index = 0;
-    for (NodeId node : platform.service_nodes()) {
-      Kernel* kernel = platform.kernel_of(node);
-      CapSel mem =
-          kernel->AdminGrantMem(node, platform.mem_nodes()[0],
-                                static_cast<uint64_t>(index++) << 40, 1ull << 36, kPermRW);
-      platform.pe(node)->AttachProgram(std::make_unique<FsService>(
-          "m3fs", image, platform.kernel_node(kernel->id()), pc.timing, mem));
-    }
+    AttachServices(&platform, image, pc.timing, 1ull << 36);
     NodeId user = platform.user_nodes()[0];
     auto replayer = std::make_unique<TraceReplayer>(
         trace, platform.kernel_node(platform.membership().KernelOf(user)), pc.timing);
@@ -406,8 +400,7 @@ void RegisterTrace() {
     out.Add("runtime", CyclesToMicros(app->result().runtime()), "us");
     out.Add("cap_ops", app->result().cap_ops);
     out.Add("syscalls", static_cast<double>(app->result().syscalls));
-    out.has_kernel_stats = true;
-    out.kernel_stats = platform.TotalKernelStats();
+    out.outcome.emplace().Harvest(&platform, setup);
     return out;
   };
   WorkloadRegistry::Global().Register(std::move(spec));
@@ -415,15 +408,10 @@ void RegisterTrace() {
 
 // ---- chaos: seeded storm + global invariant audit (src/chaos) ----
 
-// Runs one storm, prints the audit outcome, and on a failing audit emits
-// the one-command repro — shrunk first when --shrink is given.
-int RunOneStorm(const StormConfig& config, bool shrink) {
-  StormResult r = RunStorm(config);
-  std::printf("%s\n", r.Summary().c_str());
+// Prints a failing storm's audit and its one-command repro, shrunk first
+// when --shrink is given.
+void ReportFailedStorm(const StormConfig& config, const StormResult& r, bool shrink) {
   std::printf("%s\n", r.audit.ToString().c_str());
-  if (r.ok) {
-    return 0;
-  }
   StormConfig repro = config;
   if (shrink) {
     uint32_t attempts = 0;
@@ -431,7 +419,6 @@ int RunOneStorm(const StormConfig& config, bool shrink) {
     std::printf("shrunk after %u runs to: %s\n", attempts, FormatStormSpec(repro).c_str());
   }
   std::printf("repro: %s\n", ReproCommand(repro).c_str());
-  return 1;
 }
 
 int RunChaosSweep(const StormConfig& base, uint32_t seeds, bool shrink) {
@@ -444,14 +431,7 @@ int RunChaosSweep(const StormConfig& base, uint32_t seeds, bool shrink) {
       failures++;
       std::printf("seed %llu FAILED: %s\n", (unsigned long long)config.seed,
                   r.Summary().c_str());
-      std::printf("%s\n", r.audit.ToString().c_str());
-      StormConfig repro = config;
-      if (shrink) {
-        uint32_t attempts = 0;
-        repro = ShrinkStorm(config, &attempts);
-        std::printf("shrunk after %u runs to: %s\n", attempts, FormatStormSpec(repro).c_str());
-      }
-      std::printf("repro: %s\n", ReproCommand(repro).c_str());
+      ReportFailedStorm(config, r, shrink);
     } else if ((s + 1) % 10 == 0 || s + 1 == seeds) {
       std::printf("sweep %u/%u seeds clean (last: %s)\n", s + 1 - failures, s + 1,
                   r.Summary().c_str());
@@ -494,15 +474,35 @@ void RegisterChaos() {
       {"inject-bug", ParamType::kBool, "0", "skip orphan revoke (auditor must catch)", {}},
       {"shrink", ParamType::kBool, "0", "shrink a failing storm to a minimal repro", {}},
       {"sweep", ParamType::kU32, "0", "run this many consecutive seeds", {}}};
+  spec.validate = [](const WorkloadParams& p) -> std::string {
+    if (std::string error = CheckShape(p, 2, {"users", "rounds", "settle"}); !error.empty()) {
+      return error;
+    }
+    if (p.Bool("double-kill") && p.U32("kernels") < 3) {
+      return "--double-kill needs at least 3 kernels (two die, one must refuse)";
+    }
+    return p.U32("sweep") > 0 ? CheckNoOutputs(p, "chaos --sweep") : "";
+  };
   spec.run = [](const WorkloadParams& p) {
     StormConfig config = ChaosStormConfig(p);
     uint32_t sweep = p.U32("sweep");
     bool shrink = p.Bool("shrink");
-    // The storm drivers print progress as they go (a sweep can run for
-    // minutes); the registry result only carries the exit status.
+    // Storms print as they go (a sweep or a shrink can run for minutes);
+    // the registry result carries the exit status and one storm's outcome.
     WorkloadResult out;
-    out.exit_code = sweep > 0 ? RunChaosSweep(config, sweep, shrink)
-                              : RunOneStorm(config, shrink);
+    if (sweep > 0) {
+      out.exit_code = RunChaosSweep(config, sweep, shrink);
+      return out;
+    }
+    StormResult r = RunStorm(config);
+    std::printf("%s\n", r.Summary().c_str());
+    if (r.ok) {
+      std::printf("%s\n", r.audit.ToString().c_str());
+    } else {
+      ReportFailedStorm(config, r, shrink);
+      out.exit_code = 1;
+    }
+    out.outcome = r.outcome;
     return out;
   };
   WorkloadRegistry::Global().Register(std::move(spec));
@@ -530,9 +530,8 @@ TrafficConfig TrafficConfigFrom(const WorkloadParams& p) {
   config.cooldown = p.U64("cooldown");
   config.seed = p.U64("seed");
   config.pipeline = p.U32("pipeline");
-  config.threads = p.Threads();
-  ApplyObsParams(p, &config);
   config.tail_exemplars = p.U32("tail-exemplars");
+  config.setup = RunSetupFrom(p);
   return config;
 }
 
@@ -541,19 +540,10 @@ TrafficConfig TrafficConfigFrom(const WorkloadParams& p) {
 // of that request's span tree.
 void NoteExemplars(WorkloadResult* out, const std::vector<TrafficResult::Exemplar>& exemplars) {
   for (const TrafficResult::Exemplar& e : exemplars) {
-    std::string breakdown;
-    for (size_t k = 0; k < static_cast<size_t>(obs::SpanKind::kNumKinds); ++k) {
-      if (e.path.by_kind[k] == 0 || k == static_cast<size_t>(obs::SpanKind::kRequest)) {
-        continue;
-      }
-      breakdown += Fmt(" %s=%llu", obs::SpanKindName(static_cast<obs::SpanKind>(k)),
-                       (unsigned long long)e.path.by_kind[k]);
-    }
-    breakdown += Fmt(" self=%llu", (unsigned long long)e.path.self);
     out->Note(Fmt("  exemplar %-4s %10.1f us  trace %llx: %u spans, depth %u, cycles%s",
                   e.bucket.c_str(), CyclesToMicros(e.latency),
                   (unsigned long long)e.path.trace_id, e.path.spans, e.path.depth,
-                  breakdown.c_str()));
+                  FormatCriticalPath(e.path).c_str()));
   }
 }
 
@@ -586,6 +576,7 @@ void RegisterTraffic() {
       {"cooldown", ParamType::kU64, "0", "arrivals injected after the window", {}},
       {"seed", ParamType::kU64, "1", "arrival-schedule seed", {}},
       {"pipeline", ParamType::kU32, "8", "per-generator transport credits", {}},
+      {"tail-exemplars", ParamType::kU32, "2", "traced: span trees kept per latency bucket", {}},
       {"saturate", ParamType::kBool, "0", "search for the saturation throughput", {}},
       {"sla-p99-us", ParamType::kF64, "500", "saturation: p99 SLA, microseconds", {}}};
   spec.validate = [](const WorkloadParams& p) -> std::string {
@@ -598,10 +589,11 @@ void RegisterTraffic() {
     if (p.U32("burst-factor") < 1) {
       return "--burst-factor must be >= 1";
     }
-    if (p.U64("requests") == 0 || p.U32("servers") == 0 || p.U32("pipeline") == 0) {
-      return "--requests, --servers and --pipeline must be >= 1";
+    if (std::string error = CheckShape(p, 1, {"services", "servers", "requests", "pipeline"});
+        !error.empty()) {
+      return error;
     }
-    return "";
+    return p.Bool("saturate") ? CheckNoOutputs(p, "traffic --saturate") : "";
   };
   spec.run = [](const WorkloadParams& p) {
     WorkloadResult out;
@@ -629,7 +621,6 @@ void RegisterTraffic() {
                  config.servers, config.kernels, config.services));
     out.Note(Fmt("  latency fingerprint: %016llx",
                  (unsigned long long)r.latency.Fingerprint()));
-    NoteTraceSummary(&out, r.spans_recorded, r.spans_dropped, r.trace_fingerprint);
     NoteExemplars(&out, r.exemplars);
     out.Add("injected", static_cast<double>(r.injected));
     out.Add("completed", static_cast<double>(r.completed));
@@ -643,10 +634,7 @@ void RegisterTraffic() {
     out.Add("max", r.max_us, "us");
     out.Add("makespan", static_cast<double>(r.makespan), "cycles");
     out.Add("events", static_cast<double>(r.events));
-    out.has_kernel_stats = true;
-    out.kernel_stats = r.kernel_stats;
-    out.engine_parallel = r.engine_parallel;
-    out.engine_stats = r.engine_stats;
+    out.outcome = r.outcome;
     return out;
   };
   WorkloadRegistry::Global().Register(std::move(spec));
@@ -673,7 +661,7 @@ StormConfig ChaosStormConfig(const WorkloadParams& p) {
   config.force_migration_during_revoke = p.Bool("mig-revoke");
   config.force_double_kill = p.Bool("double-kill");
   config.bug_skip_orphan_revoke = p.Bool("inject-bug");
-  config.threads = p.Threads();
+  config.setup = RunSetupFrom(p);
   return config;
 }
 

@@ -7,6 +7,7 @@
 #include "base/log.h"
 #include "core/userlib.h"
 #include "system/platform.h"
+#include "workloads/rebalance.h"
 
 namespace semperos {
 
@@ -136,20 +137,6 @@ class FailoverClient : public Program {
   uint64_t ops_failed_ = 0;
 };
 
-// Completed ops inside [from, to) as a rate; zero-width windows yield 0.
-double WindowRate(const std::vector<Cycles>& completions, Cycles from, Cycles to) {
-  if (to <= from) {
-    return 0;
-  }
-  uint64_t n = 0;
-  for (Cycles t : completions) {
-    if (t >= from && t < to) {
-      ++n;
-    }
-  }
-  return static_cast<double>(n) / CyclesToSeconds(to - from);
-}
-
 }  // namespace
 
 FailoverResult RunFailover(const FailoverConfig& config) {
@@ -164,7 +151,7 @@ FailoverResult RunFailover(const FailoverConfig& config) {
   pc.kernels = config.kernels;
   pc.users = config.kernels * config.users_per_kernel;
   pc.timing = timing;
-  pc.threads = config.threads;
+  config.setup.ApplyTo(&pc);
   Platform platform(pc);
 
   std::vector<FailoverClient*> clients;
@@ -302,11 +289,10 @@ FailoverResult RunFailover(const FailoverConfig& config) {
       result.recover_latency = last_recovered - kill_time;
       result.survivor_epoch = min_epoch;
       // Throughput dip around the kill-to-recovered span.
-      Cycles window = last_recovered > kill_time ? last_recovered - kill_time : 1;
-      Cycles before_from = kill_time > window ? kill_time - window : 0;
-      result.ops_per_sec_before = WindowRate(completions, before_from, kill_time);
-      result.ops_per_sec_during = WindowRate(completions, kill_time, last_recovered);
-      result.ops_per_sec_after = WindowRate(completions, last_recovered, last_recovered + window);
+      WindowRates rates = RatesAround(completions, kill_time, last_recovered);
+      result.ops_per_sec_before = rates.before;
+      result.ops_per_sec_during = rates.during;
+      result.ops_per_sec_after = rates.after;
     }
 
     // Seeded orphans must be gone (revoked by recovery) and their activated
@@ -347,22 +333,14 @@ FailoverResult RunFailover(const FailoverConfig& config) {
   CHECK_GE(caps_now, expected_caps) << "failover lost baseline capabilities";
   result.leaked_caps = caps_now - expected_caps;
 
-  result.kernel_stats = platform.TotalKernelStats();
-  if (platform.parallel()) {
-    result.engine_parallel = true;
-    result.engine_stats = platform.engine_stats();
-  }
-  result.orphan_roots = result.kernel_stats.ft_orphan_roots;
-  result.pes_adopted = result.kernel_stats.ft_pes_adopted;
-  result.edges_pruned = result.kernel_stats.ft_edges_pruned;
-  result.ikcs_aborted = result.kernel_stats.ft_ikcs_aborted;
-  result.suspicions = result.kernel_stats.ft_suspicions;
-  result.heartbeats = result.kernel_stats.hb_sent;
-
-  result.noc_packets = platform.noc().stats().packets;
-  result.noc_bytes = platform.noc().stats().total_bytes;
-  result.noc_latency = platform.noc().stats().total_latency;
-  result.noc_queueing = platform.noc().stats().total_queueing;
+  result.outcome.Harvest(&platform, config.setup);
+  const KernelStats& stats = result.outcome.kernel_stats;
+  result.orphan_roots = stats.ft_orphan_roots;
+  result.pes_adopted = stats.ft_pes_adopted;
+  result.edges_pruned = stats.ft_edges_pruned;
+  result.ikcs_aborted = stats.ft_ikcs_aborted;
+  result.suspicions = stats.ft_suspicions;
+  result.heartbeats = stats.hb_sent;
   result.events = platform.sim().EventsRun();
   return result;
 }

@@ -20,7 +20,7 @@
 #include <cstdint>
 
 #include "core/kernel.h"
-#include "sim/engine.h"
+#include "system/platform.h"
 
 namespace semperos {
 
@@ -46,13 +46,10 @@ struct FailoverConfig {
   // Client-side crash watchdog (UserEnv::EnableSyscallRetry).
   Cycles retry_timeout = 150'000;
   uint32_t retry_max = 32;
-  uint32_t threads = 1;            // engine threads (PlatformConfig::threads)
+  RunSetup setup;
 };
 
 struct FailoverResult {
-  // Sharded-engine observability (threads >= 2 only; see sim/engine.h).
-  bool engine_parallel = false;
-  EngineStats engine_stats;
   // Work completed.
   uint64_t total_ops = 0;          // successful obtain+revoke pairs
   uint64_t failed_ops = 0;         // attempts that ended in an error reply
@@ -85,13 +82,8 @@ struct FailoverResult {
   // Leak check over the surviving kernels: capabilities beyond the expected
   // per-client baseline. Must be 0.
   uint64_t leaked_caps = 0;
-  KernelStats kernel_stats;
-  // NoC totals and engine event count for the determinism guard.
-  uint64_t noc_packets = 0;
-  uint64_t noc_bytes = 0;
-  Cycles noc_latency = 0;
-  Cycles noc_queueing = 0;
-  uint64_t events = 0;
+  uint64_t events = 0;  // engine total, boot included
+  RunOutcome outcome;
 };
 
 FailoverResult RunFailover(const FailoverConfig& config);

@@ -106,6 +106,15 @@ double WindowRate(const std::vector<Cycles>& completions, Cycles from, Cycles to
 
 }  // namespace
 
+WindowRates RatesAround(const std::vector<Cycles>& completions, Cycles from, Cycles to) {
+  Cycles window = to > from ? to - from : 1;
+  WindowRates rates;
+  rates.before = WindowRate(completions, from > window ? from - window : 0, from);
+  rates.during = WindowRate(completions, from, to);
+  rates.after = WindowRate(completions, to, to + window);
+  return rates;
+}
+
 RebalanceResult RunRebalance(const RebalanceConfig& config) {
   CHECK_GE(config.kernels, 2u);
   CHECK_GE(config.users_per_kernel, 1u);
@@ -116,7 +125,7 @@ RebalanceResult RunRebalance(const RebalanceConfig& config) {
   pc.kernels = config.kernels;
   pc.users = config.kernels * config.users_per_kernel;
   pc.timing = timing;
-  pc.threads = config.threads;
+  config.setup.ApplyTo(&pc);
   Platform platform(pc);
 
   std::vector<RebalanceClient*> clients;
@@ -195,28 +204,19 @@ RebalanceResult RunRebalance(const RebalanceConfig& config) {
     result.migration_start = tracker->start;
     result.migration_end = tracker->end;
     result.migration_latency_max = tracker->max_latency;
-    Cycles window = tracker->end > tracker->start ? tracker->end - tracker->start : 1;
-    Cycles before_from = tracker->start > window ? tracker->start - window : 0;
-    result.ops_per_sec_before = WindowRate(completions, before_from, tracker->start);
-    result.ops_per_sec_during = WindowRate(completions, tracker->start, tracker->end);
-    result.ops_per_sec_after = WindowRate(completions, tracker->end, tracker->end + window);
+    WindowRates rates = RatesAround(completions, tracker->start, tracker->end);
+    result.ops_per_sec_before = rates.before;
+    result.ops_per_sec_during = rates.during;
+    result.ops_per_sec_after = rates.after;
   }
 
-  result.noc_packets = platform.noc().stats().packets;
-  result.noc_bytes = platform.noc().stats().total_bytes;
-  result.noc_latency = platform.noc().stats().total_latency;
-  result.noc_queueing = platform.noc().stats().total_queueing;
   result.events = platform.sim().EventsRun();
-
-  result.kernel_stats = platform.TotalKernelStats();
-  if (platform.parallel()) {
-    result.engine_parallel = true;
-    result.engine_stats = platform.engine_stats();
-  }
-  result.migrations_completed = result.kernel_stats.migrations;
-  result.forwarded_ikcs = result.kernel_stats.ikc_forwarded;
-  result.frozen_syscalls = result.kernel_stats.syscalls_frozen;
-  result.caps_migrated = result.kernel_stats.caps_migrated;
+  result.outcome.Harvest(&platform, config.setup);
+  const KernelStats& stats = result.outcome.kernel_stats;
+  result.migrations_completed = stats.migrations;
+  result.forwarded_ikcs = stats.ikc_forwarded;
+  result.frozen_syscalls = stats.syscalls_frozen;
+  result.caps_migrated = stats.caps_migrated;
 
   // Every obtained copy was revoked, so only the baseline should remain:
   // one self capability plus one granted root per client.

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "core/kernel.h"
-#include "sim/engine.h"
+#include "system/platform.h"
 
 namespace semperos {
 
@@ -28,13 +28,10 @@ struct RebalanceConfig {
   bool migrate = true;           // false: baseline run without rebalancing
   uint32_t migrate_pes = 2;      // hot PEs drained from kernel 0
   Cycles migrate_at = 300'000;   // when the rebalancer kicks in
-  uint32_t threads = 1;          // engine threads (PlatformConfig::threads)
+  RunSetup setup;
 };
 
 struct RebalanceResult {
-  // Sharded-engine observability (threads >= 2 only; see sim/engine.h).
-  bool engine_parallel = false;
-  EngineStats engine_stats;
   uint64_t total_ops = 0;  // completed obtain+revoke pairs
   Cycles makespan = 0;     // first op start to last op completion
   double ops_per_sec = 0;
@@ -57,17 +54,21 @@ struct RebalanceResult {
   // Leak check: capabilities left anywhere beyond the per-client baseline
   // (one self capability + one granted root each). Must be 0.
   uint64_t leaked_caps = 0;
-  KernelStats kernel_stats;
-  // NoC totals and engine event count, exposed so the determinism guard can
-  // assert bit-identical runs across engine refactors.
-  uint64_t noc_packets = 0;
-  uint64_t noc_bytes = 0;
-  Cycles noc_latency = 0;
-  Cycles noc_queueing = 0;
-  uint64_t events = 0;
+  uint64_t events = 0;  // engine total, boot included
+  RunOutcome outcome;
 };
 
 RebalanceResult RunRebalance(const RebalanceConfig& config);
+
+// Completed-op rates (per second) in three equal-width windows around a
+// disruption [from, to): before, during and after it. Shared with the
+// failover workload; a zero-width window yields 0.
+struct WindowRates {
+  double before = 0;
+  double during = 0;
+  double after = 0;
+};
+WindowRates RatesAround(const std::vector<Cycles>& completions, Cycles from, Cycles to);
 
 }  // namespace semperos
 

@@ -13,8 +13,6 @@
 
 namespace semperos {
 
-namespace {
-
 std::string Fmt(const char* fmt, ...) {
   char buffer[512];
   va_list args;
@@ -23,6 +21,8 @@ std::string Fmt(const char* fmt, ...) {
   va_end(args);
   return buffer;
 }
+
+namespace {
 
 const char* ParamTypeName(ParamType type) {
   switch (type) {
@@ -155,16 +155,6 @@ bool WorkloadParams::Bool(const std::string& name) const {
   return v;
 }
 
-uint32_t WorkloadParams::Threads() const {
-  const std::string& text = Str("threads");
-  if (text == "auto") {
-    return 0;
-  }
-  uint64_t v = 0;
-  CHECK(ParseU64(text, &v)) << "--threads=" << text << ": expected a count or 'auto'";
-  return static_cast<uint32_t>(v);
-}
-
 double WorkloadResult::Value(const std::string& name) const {
   for (const WorkloadMetric& metric : metrics) {
     if (metric.name == name) {
@@ -198,11 +188,6 @@ const WorkloadSpec* WorkloadRegistry::Find(const std::string& name) const {
 
 namespace {
 
-struct Selection {
-  std::string name;   // workload name selected
-  std::string token;  // the CLI token that selected it (for error messages)
-};
-
 WorkloadInvocation Fail(std::string error, bool show_catalogue = false) {
   WorkloadInvocation invocation;
   invocation.ok = false;
@@ -216,44 +201,31 @@ WorkloadInvocation Fail(std::string error, bool show_catalogue = false) {
 WorkloadInvocation ParseWorkloadCli(const std::vector<std::string>& args) {
   const WorkloadRegistry& registry = WorkloadRegistry::Global();
 
-  // Pass 1: resolve the workload selection. Positional names are the
-  // registry interface; --app=NAME and the mode flags are deprecated
-  // aliases. Two tokens naming different workloads is a hard error (the old
-  // flag chain silently ran whichever branch came first).
-  std::vector<Selection> selections;
+  // Pass 1: resolve the workload selection from the positional names. Two
+  // names naming different workloads is a hard error.
+  std::vector<std::string> selections;
   std::vector<std::string> rest;
   bool list = false;
   for (const std::string& arg : args) {
     if (arg == "--list") {
       list = true;
     } else if (!arg.empty() && arg[0] != '-') {
-      selections.push_back({arg, arg});
-    } else if (arg.rfind("--app=", 0) == 0) {
-      selections.push_back({arg.substr(6), arg});
-    } else if (arg == "--nginx" || arg == "--micro" || arg == "--failover" || arg == "--chaos") {
-      selections.push_back({arg.substr(2), arg});
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      selections.push_back({"trace", arg});
-      rest.push_back("--file=" + arg.substr(8));
-    } else if (arg.rfind("--fail-kernel=", 0) == 0) {
-      // <id>@<us> selected the failover workload implicitly.
-      selections.push_back({"failover", arg});
-      rest.push_back(arg);
+      selections.push_back(arg);
     } else {
       rest.push_back(arg);
     }
   }
 
   for (size_t i = 1; i < selections.size(); ++i) {
-    if (selections[i].name != selections[0].name) {
+    if (selections[i] != selections[0]) {
       return Fail(Fmt("conflicting workload selections: '%s' and '%s' — pick one",
-                      selections[0].token.c_str(), selections[i].token.c_str()));
+                      selections[0].c_str(), selections[i].c_str()));
     }
   }
 
   WorkloadInvocation invocation;
   invocation.list = list;
-  std::string name = selections.empty() ? "tar" : selections[0].name;
+  std::string name = selections.empty() ? "tar" : selections[0];
   invocation.spec = registry.Find(name);
   if (invocation.spec == nullptr) {
     return Fail(Fmt("unknown workload '%s'; available workloads:", name.c_str()),
@@ -269,7 +241,6 @@ WorkloadInvocation ParseWorkloadCli(const std::vector<std::string>& args) {
   invocation.params.Set("trace-out", "");
   invocation.params.Set("metrics-out", "");
   invocation.params.Set("metrics-interval", "0");
-  invocation.params.Set("tail-exemplars", "2");
 
   // Pass 2: globals, then schema-validated workload flags.
   for (const std::string& arg : rest) {
@@ -281,10 +252,17 @@ WorkloadInvocation ParseWorkloadCli(const std::vector<std::string>& args) {
       invocation.strict = true;
       continue;
     }
+    if (!spec.takes_run_setup) {
+      for (const char* flag : {"--threads", "--trace-out", "--metrics-out", "--metrics-interval"}) {
+        if (arg.rfind(flag, 0) == 0) {
+          return Fail(Fmt("workload '%s' does not take %s", spec.name.c_str(), arg.c_str()));
+        }
+      }
+    }
     if (arg.rfind("--threads=", 0) == 0) {
       std::string value = arg.substr(10);
       uint64_t n = 0;
-      if (value != "auto" && !ParseU64(value, &n)) {
+      if (value != "auto" && (!ParseU64(value, &n) || n > UINT32_MAX)) {
         return Fail(Fmt("--threads=%s: expected a count or 'auto'", value.c_str()));
       }
       invocation.params.Set("threads", value == "auto" ? "0" : value);
@@ -307,15 +285,6 @@ WorkloadInvocation ParseWorkloadCli(const std::vector<std::string>& args) {
       invocation.params.Set("metrics-interval", value);
       continue;
     }
-    if (arg.rfind("--tail-exemplars=", 0) == 0) {
-      std::string value = arg.substr(17);
-      uint64_t n = 0;
-      if (!ParseU64(value, &n)) {
-        return Fail(Fmt("--tail-exemplars=%s: expected a count", value.c_str()));
-      }
-      invocation.params.Set("tail-exemplars", value);
-      continue;
-    }
     if (arg.rfind("--", 0) != 0) {
       return Fail(Fmt("unexpected argument '%s'", arg.c_str()));
     }
@@ -331,8 +300,8 @@ WorkloadInvocation ParseWorkloadCli(const std::vector<std::string>& args) {
       }
     }
     if (param == nullptr) {
-      return Fail(Fmt("workload '%s' does not take --%s (see --list)", spec.name.c_str(),
-                      key.c_str()));
+      return Fail(Fmt("workload '%s' does not take %s (see --list)", spec.name.c_str(),
+                      arg.c_str()));
     }
     if (eq == std::string::npos) {
       if (param->type != ParamType::kBool) {
@@ -388,15 +357,13 @@ std::string FormatWorkloadList() {
   os << "                    bit-identical at any thread count)\n";
   os << "  --stats           print engine windows/handoffs/imbalance after the run\n";
   os << "  --strict          run serial AND parallel, abort on any modeled mismatch\n";
-  os << "  --trace-out=FILE  record causal spans and write a Chrome/Perfetto\n";
-  os << "                    trace_event JSON (also enables tracing; tracing is\n";
-  os << "                    observational only — modeled cycles never change;\n";
-  os << "                    honored by the app, nginx and traffic workloads)\n";
+  os << "  --trace-out=FILE  record causal spans, print the span report and write a\n";
+  os << "                    Chrome/Perfetto trace_event JSON (tracing is\n";
+  os << "                    observational only — modeled cycles never change)\n";
   os << "  --metrics-out=FILE --metrics-interval=CYCLES\n";
   os << "                    sample the kernel metric registry on the simulated\n";
-  os << "                    clock and write a metrics timeline JSON\n";
-  os << "  --tail-exemplars=K  span trees kept per latency bucket (traffic only)\n";
-  os << "deprecated aliases: --app=NAME --nginx --micro --failover --chaos --trace=FILE\n";
+  os << "                    clock (default every 100000 cycles) and write a\n";
+  os << "                    metrics timeline JSON\n";
   return os.str();
 }
 
@@ -434,6 +401,49 @@ std::string FormatEngineStats(bool parallel, const EngineStats& s) {
   return os.str();
 }
 
+std::string FormatCriticalPath(const obs::CriticalPath& path) {
+  std::string breakdown;
+  for (size_t k = 0; k < static_cast<size_t>(obs::SpanKind::kNumKinds); ++k) {
+    if (path.by_kind[k] == 0 || k == static_cast<size_t>(obs::SpanKind::kRequest)) {
+      continue;
+    }
+    breakdown += Fmt(" %s=%llu", obs::SpanKindName(static_cast<obs::SpanKind>(k)),
+                     (unsigned long long)path.by_kind[k]);
+  }
+  return breakdown + Fmt(" self=%llu", (unsigned long long)path.self);
+}
+
+std::string FormatTraceReport(const RunOutcome& outcome) {
+  const obs::TraceReport& report = outcome.trace_report;
+  std::ostringstream os;
+  os << Fmt("trace: %llu spans (%llu dropped), fingerprint %016llx\n",
+            (unsigned long long)outcome.spans_recorded, (unsigned long long)outcome.spans_dropped,
+            (unsigned long long)outcome.trace_fingerprint);
+  os << "  spans by kind (cycles summed per span; nested spans overlap):\n";
+  for (size_t k = 0; k < static_cast<size_t>(obs::SpanKind::kNumKinds); ++k) {
+    if (report.spans[k] != 0) {
+      os << Fmt("    %-10s %10llu spans %16llu cycles\n",
+                obs::SpanKindName(static_cast<obs::SpanKind>(k)),
+                (unsigned long long)report.spans[k], (unsigned long long)report.cycles[k]);
+    }
+  }
+  os << Fmt("  span-tree depth (%llu traces):", (unsigned long long)report.traces);
+  for (size_t depth = 0; depth < report.depth_traces.size(); ++depth) {
+    if (report.depth_traces[depth] != 0) {
+      os << Fmt(" %zu:%llu", depth, (unsigned long long)report.depth_traces[depth]);
+    }
+  }
+  os << Fmt("\n  disconnected trees: %llu\n", (unsigned long long)report.disconnected);
+  os << "  slowest critical paths (cycles):\n";
+  for (const obs::CriticalPath& path : report.slowest) {
+    os << Fmt("    trace %llx total=%llu spans=%u depth=%u |",
+              (unsigned long long)path.trace_id, (unsigned long long)path.total, path.spans,
+              path.depth)
+       << FormatCriticalPath(path) << "\n";
+  }
+  return os.str();
+}
+
 namespace {
 
 // --strict: every modeled output of the parallel run must equal the serial
@@ -468,9 +478,12 @@ int RunWorkloadCli(const WorkloadInvocation& invocation) {
   WorkloadResult result = spec.run(invocation.params);
 
   if (invocation.strict && spec.supports_strict &&
-      ResolveThreads(invocation.params.Threads()) != 1) {
+      ResolveThreads(invocation.params.U32("threads")) != 1) {
+    // The serial re-run writes no files: they hold the run printed below.
     WorkloadParams serial = invocation.params;
     serial.Set("threads", std::to_string(kForceSerialThreads));
+    serial.Set("trace-out", "");
+    serial.Set("metrics-out", "");
     WorkloadResult expected = spec.run(serial);
     StrictCheck(expected.metrics.size() == result.metrics.size(), "metric count");
     for (size_t i = 0; i < result.metrics.size(); ++i) {
@@ -478,8 +491,8 @@ int RunWorkloadCli(const WorkloadInvocation& invocation) {
       StrictCheck(expected.metrics[i].value == result.metrics[i].value,
                   result.metrics[i].name);
     }
-    if (result.has_kernel_stats && expected.has_kernel_stats) {
-      StrictCompareKernelStats(expected.kernel_stats, result.kernel_stats);
+    if (result.outcome && expected.outcome) {
+      StrictCompareKernelStats(expected.outcome->kernel_stats, result.outcome->kernel_stats);
     }
     std::printf("strict: parallel == serial verified (%s)\n", spec.name.c_str());
   }
@@ -497,11 +510,19 @@ int RunWorkloadCli(const WorkloadInvocation& invocation) {
                   metric.unit.empty() ? "" : " ", metric.unit.c_str());
     }
   }
-  if (result.has_kernel_stats) {
-    std::printf("%s", FormatKernelStats(result.kernel_stats).c_str());
+  const RunOutcome outcome = result.outcome.value_or(RunOutcome());
+  if (outcome.traced()) {
+    std::printf("%s", FormatTraceReport(outcome).c_str());
+  }
+  if (result.outcome) {
+    std::printf("%s", FormatKernelStats(outcome.kernel_stats).c_str());
   }
   if (invocation.stats) {
-    std::printf("%s", FormatEngineStats(result.engine_parallel, result.engine_stats).c_str());
+    std::printf("%s", FormatEngineStats(outcome.engine_parallel, outcome.engine_stats).c_str());
+  }
+  if (!outcome.write_error.empty()) {
+    std::fprintf(stderr, "%s\n", outcome.write_error.c_str());
+    return 1;
   }
   return result.exit_code;
 }

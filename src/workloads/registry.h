@@ -5,8 +5,8 @@
 // ~20-branch flag chain and each experiment family (RunApp / RunNginx /
 // RunFailover / RunStorm / ...) grew its own ad-hoc CLI wiring; adding a
 // workload meant touching the parser, the usage text, the --list catalogue
-// and the strict-mode comparison by hand, and nothing stopped contradictory
-// selections like `--failover --chaos` from silently running only one.
+// and the strict-mode comparison by hand, and nothing stopped two
+// contradictory selections from silently running only one.
 //
 // A WorkloadSpec describes one workload: its name, a one-line summary for
 // the catalogue, a typed parameter schema (defaults, help, enum choices),
@@ -18,21 +18,25 @@
 // generically, over the metric list instead of per workload.
 //
 // Workloads are selected by positional name (`semperos_sim traffic
-// --rate=...`); the pre-registry selector flags (--app=NAME, --nginx,
-// --micro, --failover, --chaos, --trace=FILE, --fail-kernel=...) are kept as
-// deprecated aliases so existing scripts, docs and repro commands keep
-// working. Selecting two different workloads in one invocation is an error.
+// --rate=...`). Selecting two different workloads in one invocation is an
+// error.
+//
+// Every driver that runs one platform maps the global flags onto one
+// RunSetup (system/run.h) and hands back that run's RunOutcome, so the
+// engine flags, the trace and timeline files, the span report and the
+// kernel/engine counters work the same way for every such workload.
 #ifndef SEMPEROS_WORKLOADS_REGISTRY_H_
 #define SEMPEROS_WORKLOADS_REGISTRY_H_
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/kernel.h"
-#include "sim/engine.h"
+#include "obs/trace.h"
+#include "system/platform.h"
 
 namespace semperos {
 
@@ -57,8 +61,6 @@ class WorkloadParams {
   uint64_t U64(const std::string& name) const;
   double F64(const std::string& name) const;
   bool Bool(const std::string& name) const;
-  // Engine-thread count: "auto" parses as 0 (ResolveThreads picks cores).
-  uint32_t Threads() const;
 
  private:
   std::map<std::string, std::string> values_;
@@ -77,10 +79,9 @@ struct WorkloadResult {
   int exit_code = 0;
   std::vector<std::string> notes;       // human-readable summary lines
   std::vector<WorkloadMetric> metrics;  // named numeric results, in order
-  bool has_kernel_stats = false;
-  KernelStats kernel_stats;
-  bool engine_parallel = false;
-  EngineStats engine_stats;
+  // The platform run's outcome; empty for drivers that run several
+  // platforms (micro, a chaos sweep, a saturation search).
+  std::optional<RunOutcome> outcome;
 
   void Note(std::string line) { notes.push_back(std::move(line)); }
   void Add(std::string name, double value, std::string unit = "") {
@@ -99,6 +100,10 @@ struct WorkloadSpec {
   // Workloads that are serial-only or have their own equivalence coverage
   // (micro, chaos) opt out.
   bool supports_strict = false;
+  // Whether the run-setup flags (--threads, --trace-out, --metrics-out,
+  // --metrics-interval) apply. micro builds its own fixed platforms and
+  // rejects them.
+  bool takes_run_setup = true;
   std::vector<ParamSpec> params;
   // Optional semantic validation (ranges, cross-field constraints); returns
   // "" to accept or an error message to reject with exit code 2.
@@ -139,17 +144,24 @@ struct WorkloadInvocation {
   bool strict = false;          // --strict: serial re-run must match exactly
 };
 
-// Parses argv[1..]: resolves the selected workload (positional name or a
-// deprecated selector alias), rejects conflicting selections, merges schema
-// defaults and validates every remaining flag against the schema.
+// Parses argv[1..]: resolves the selected workload by positional name,
+// rejects conflicting selections, merges schema defaults and validates
+// every remaining flag against the schema.
 WorkloadInvocation ParseWorkloadCli(const std::vector<std::string>& args);
 
 // The --list catalogue, generated from the registry.
 std::string FormatWorkloadList();
 
 // Shared result formatting (CLI + tools).
+std::string Fmt(const char* fmt, ...);
 std::string FormatKernelStats(const KernelStats& s);
 std::string FormatEngineStats(bool parallel, const EngineStats& s);
+// " kind=cycles ... self=cycles" over the kinds a path spends time in.
+std::string FormatCriticalPath(const obs::CriticalPath& path);
+// The span line (count, drops, fingerprint) and the trace report: spans
+// and cycles per kind, the tree-depth histogram, disconnected trees and
+// the slowest critical paths.
+std::string FormatTraceReport(const RunOutcome& outcome);
 
 // Runs a parsed invocation end to end — including the generic strict-mode
 // serial re-run and comparison — printing notes, metrics and statistics.

@@ -155,7 +155,7 @@ TEST(ChaosInjectedBug, SkippedOrphanRevocationIsCaughtAndShrinks) {
   EXPECT_EQ(invocation.spec->name, "chaos");
   StormConfig parsed = ChaosStormConfig(invocation.params);
   EXPECT_EQ(FormatStormSpec(parsed), FormatStormSpec(shrunk));
-  EXPECT_EQ(parsed.threads, shrunk.threads);
+  EXPECT_EQ(parsed.setup.threads, shrunk.setup.threads);
 }
 
 }  // namespace

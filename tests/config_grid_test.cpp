@@ -38,7 +38,7 @@ TEST_P(ConfigGrid, RunsCleanly) {
   AppRunResult result = RunApp(config);
   EXPECT_EQ(result.total_cap_ops, uint64_t{param.instances} * ExpectedCapOps(param.app));
   EXPECT_GT(result.mean_runtime_us, 0.0);
-  EXPECT_EQ(result.kernel_stats.threads_in_use, 0u);  // pool fully drained
+  EXPECT_EQ(result.outcome.kernel_stats.threads_in_use, 0u);  // pool fully drained
 }
 
 std::vector<GridParam> Grid() {

@@ -6,9 +6,14 @@
 // subtly shifted benchmark curve.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
+#include "chaos/storm.h"
 #include "system/experiment.h"
 #include "workloads/rebalance.h"
 
@@ -70,39 +75,130 @@ TEST(Determinism, AppRunsAreBitIdentical) {
   EXPECT_DOUBLE_EQ(a.mean_runtime_us, b.mean_runtime_us);
   EXPECT_DOUBLE_EQ(a.max_runtime_us, b.max_runtime_us);
   EXPECT_DOUBLE_EQ(a.cap_ops_per_sec, b.cap_ops_per_sec);
-  ExpectSameStats(a.kernel_stats, b.kernel_stats);
+  ExpectSameStats(a.outcome.kernel_stats, b.outcome.kernel_stats);
+}
+
+void ExpectSameNoc(const NocStats& a, const NocStats& b) {
+  EXPECT_EQ(a.packets, b.packets);
+  EXPECT_EQ(a.total_bytes, b.total_bytes);
+  EXPECT_EQ(a.total_hops, b.total_hops);
+  EXPECT_EQ(a.total_latency, b.total_latency);
+  EXPECT_EQ(a.total_queueing, b.total_queueing);
+}
+
+// One experiment run reduced to what the traced-vs-untraced comparison
+// needs: its event count, the modeled numbers only that runner reports,
+// and its outcome.
+struct RunDigest {
+  uint64_t events = 0;
+  std::vector<double> modeled;
+  RunOutcome outcome;
+};
+
+RunDigest DigestApp(const RunSetup& setup) {
+  AppRunConfig config;
+  config.app = "postmark";
+  config.kernels = 4;
+  config.services = 4;
+  config.instances = 16;
+  config.setup = setup;
+  AppRunResult r = RunApp(config);
+  return {r.events,
+          {static_cast<double>(r.makespan), static_cast<double>(r.total_cap_ops),
+           r.mean_runtime_us},
+          r.outcome};
+}
+
+RunDigest DigestFailover(const RunSetup& setup) {
+  FailoverConfig config;
+  config.kernels = 4;
+  config.users_per_kernel = 3;
+  config.ops_per_client = 15;
+  config.setup = setup;
+  FailoverResult r = RunFailover(config);
+  return {r.events,
+          {static_cast<double>(r.makespan), static_cast<double>(r.total_ops),
+           static_cast<double>(r.detect_latency), static_cast<double>(r.recover_latency)},
+          r.outcome};
+}
+
+RunDigest DigestRebalance(const RunSetup& setup) {
+  RebalanceConfig config;
+  config.kernels = 4;
+  config.users_per_kernel = 4;
+  config.ops_per_client = 12;
+  config.setup = setup;
+  RebalanceResult r = RunRebalance(config);
+  return {r.events,
+          {static_cast<double>(r.makespan), static_cast<double>(r.total_ops),
+           static_cast<double>(r.migration_end)},
+          r.outcome};
+}
+
+RunDigest DigestStorm(const RunSetup& setup) {
+  StormConfig config;
+  config.seed = 3;
+  config.setup = setup;
+  StormResult r = RunStorm(config);
+  EXPECT_TRUE(r.ok) << r.audit.ToString();
+  return {r.events,
+          {static_cast<double>(r.end_time), static_cast<double>(r.ops_ok),
+           static_cast<double>(r.kills)},
+          r.outcome};
+}
+
+// Complete ("X") events in a written Chrome trace file: one per span.
+uint64_t TraceFileEvents(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::string body = text.str();
+  uint64_t n = 0;
+  for (size_t at = body.find("\"ph\":\"X\""); at != std::string::npos;
+       at = body.find("\"ph\":\"X\"", at + 1)) {
+    ++n;
+  }
+  return n;
 }
 
 TEST(Determinism, TracedRunsAreDriftFreeAndFingerprintStable) {
   // Tracing is observational only: every modeled output of a traced run
   // must be bit-identical to the untraced run (zero modeled-cycle drift),
   // and the span-tree fingerprint must be bit-identical across reruns.
-  AppRunConfig config;
-  config.app = "postmark";
-  config.kernels = 4;
-  config.services = 4;
-  config.instances = 16;
-  AppRunResult untraced = RunApp(config);
-  config.trace.enabled = true;
-  AppRunResult a = RunApp(config);
-  AppRunResult b = RunApp(config);
+  // Each runner takes the trace path through its run setup and writes one
+  // event per recorded span.
+  struct Input {
+    const char* name;
+    RunDigest (*run)(const RunSetup&);
+  };
+  for (const Input& input : {Input{"postmark", DigestApp}, Input{"failover", DigestFailover},
+                             Input{"rebalance", DigestRebalance}, Input{"storm", DigestStorm}}) {
+    SCOPED_TRACE(input.name);
+    RunSetup traced;
+    traced.trace_out = testing::TempDir() + "determinism_" + input.name + ".json";
+    RunDigest untraced = input.run(RunSetup());
+    RunDigest a = input.run(traced);
+    RunDigest b = input.run(traced);
 
-  EXPECT_EQ(untraced.makespan, a.makespan);
-  EXPECT_EQ(untraced.events, a.events);
-  EXPECT_EQ(untraced.total_cap_ops, a.total_cap_ops);
-  EXPECT_DOUBLE_EQ(untraced.mean_runtime_us, a.mean_runtime_us);
-  ExpectSameStats(untraced.kernel_stats, a.kernel_stats);
+    EXPECT_EQ(untraced.events, a.events);
+    EXPECT_EQ(untraced.modeled, a.modeled);
+    ExpectSameStats(untraced.outcome.kernel_stats, a.outcome.kernel_stats);
+    ExpectSameNoc(untraced.outcome.noc, a.outcome.noc);
 
-  EXPECT_GT(a.spans_recorded, 0u);
-  EXPECT_EQ(a.spans_dropped, 0u);
-  EXPECT_EQ(a.spans_recorded, b.spans_recorded);
-  EXPECT_EQ(a.trace_fingerprint, b.trace_fingerprint);
-  // SEMPEROS_TRACE=1 (the CI bit-identity job) arms the control run too —
-  // only check "disabled records nothing" when the env leaves it disabled.
-  const char* env = std::getenv("SEMPEROS_TRACE");
-  if (env == nullptr || *env == '\0' || std::string(env) == "0") {
-    EXPECT_EQ(untraced.spans_recorded, 0u);  // nothing records when disabled
-    EXPECT_EQ(untraced.trace_fingerprint, 0u);
+    EXPECT_GT(a.outcome.spans_recorded, 0u);
+    EXPECT_EQ(a.outcome.spans_dropped, 0u);
+    EXPECT_EQ(a.outcome.spans_recorded, b.outcome.spans_recorded);
+    EXPECT_EQ(a.outcome.trace_fingerprint, b.outcome.trace_fingerprint);
+    EXPECT_TRUE(b.outcome.write_error.empty()) << b.outcome.write_error;
+    EXPECT_EQ(TraceFileEvents(traced.trace_out), b.outcome.spans_recorded);
+    std::remove(traced.trace_out.c_str());
+    // SEMPEROS_TRACE=1 (the CI bit-identity job) arms the control run too —
+    // only check "disabled records nothing" when the env leaves it disabled.
+    const char* env = std::getenv("SEMPEROS_TRACE");
+    if (env == nullptr || *env == '\0' || std::string(env) == "0") {
+      EXPECT_EQ(untraced.outcome.spans_recorded, 0u);  // nothing records when disabled
+      EXPECT_EQ(untraced.outcome.trace_fingerprint, 0u);
+    }
   }
 }
 
@@ -130,12 +226,12 @@ TEST(Determinism, RebalanceRunsAreBitIdentical) {
   EXPECT_EQ(a.leaked_caps, b.leaked_caps);
   // NoC totals and the raw engine event count: bit-identical, not just
   // statistically close.
-  EXPECT_EQ(a.noc_packets, b.noc_packets);
-  EXPECT_EQ(a.noc_bytes, b.noc_bytes);
-  EXPECT_EQ(a.noc_latency, b.noc_latency);
-  EXPECT_EQ(a.noc_queueing, b.noc_queueing);
+  EXPECT_EQ(a.outcome.noc.packets, b.outcome.noc.packets);
+  EXPECT_EQ(a.outcome.noc.total_bytes, b.outcome.noc.total_bytes);
+  EXPECT_EQ(a.outcome.noc.total_latency, b.outcome.noc.total_latency);
+  EXPECT_EQ(a.outcome.noc.total_queueing, b.outcome.noc.total_queueing);
   EXPECT_EQ(a.events, b.events);
-  ExpectSameStats(a.kernel_stats, b.kernel_stats);
+  ExpectSameStats(a.outcome.kernel_stats, b.outcome.kernel_stats);
 }
 
 TEST(Determinism, FailoverRunsAreBitIdentical) {
@@ -170,12 +266,12 @@ TEST(Determinism, FailoverRunsAreBitIdentical) {
   EXPECT_EQ(a.client_retries, b.client_retries);
   EXPECT_EQ(a.leaked_caps, b.leaked_caps);
   // NoC totals and the raw engine event count: bit-identical.
-  EXPECT_EQ(a.noc_packets, b.noc_packets);
-  EXPECT_EQ(a.noc_bytes, b.noc_bytes);
-  EXPECT_EQ(a.noc_latency, b.noc_latency);
-  EXPECT_EQ(a.noc_queueing, b.noc_queueing);
+  EXPECT_EQ(a.outcome.noc.packets, b.outcome.noc.packets);
+  EXPECT_EQ(a.outcome.noc.total_bytes, b.outcome.noc.total_bytes);
+  EXPECT_EQ(a.outcome.noc.total_latency, b.outcome.noc.total_latency);
+  EXPECT_EQ(a.outcome.noc.total_queueing, b.outcome.noc.total_queueing);
   EXPECT_EQ(a.events, b.events);
-  ExpectSameStats(a.kernel_stats, b.kernel_stats);
+  ExpectSameStats(a.outcome.kernel_stats, b.outcome.kernel_stats);
 }
 
 }  // namespace

@@ -78,9 +78,9 @@ TEST(EngineTest, ThreadCountDoesNotChangeShardPartition) {
   config.kernels = 4;
   config.services = 4;
   config.instances = 8;
-  config.threads = 2;
+  config.setup.threads = 2;
   AppRunResult two = RunApp(config);
-  config.threads = 8;
+  config.setup.threads = 8;
   AppRunResult eight = RunApp(config);
   EXPECT_EQ(two.events, eight.events);
   EXPECT_EQ(two.makespan, eight.makespan);

@@ -81,7 +81,7 @@ TEST(FailoverTest, BaselineWithoutKillIsCleanAndDetectorFree) {
   EXPECT_EQ(r.total_ops, 6u * 10u);
   EXPECT_EQ(r.failed_ops, 0u);
   EXPECT_EQ(r.heartbeats, 0u);  // detector stays disarmed
-  EXPECT_EQ(r.kernel_stats.ft_failovers, 0u);
+  EXPECT_EQ(r.outcome.kernel_stats.ft_failovers, 0u);
   EXPECT_EQ(r.leaked_caps, 0u);
 }
 

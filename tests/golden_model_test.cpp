@@ -32,7 +32,7 @@ TEST(GoldenTar, FourInstancesOnTwoKernels) {
   EXPECT_DOUBLE_EQ(r.max_runtime_us, 2907.3955000000001);
   EXPECT_EQ(r.total_cap_ops, 84u);
 
-  const KernelStats& stats = r.kernel_stats;
+  const KernelStats& stats = r.outcome.kernel_stats;
   EXPECT_EQ(stats.syscalls, 166u);
   EXPECT_EQ(stats.obtains, 44u);
   EXPECT_EQ(stats.revokes, 40u);
@@ -70,13 +70,13 @@ TEST(GoldenModel, FailoverRecoveryPinnedValues) {
   EXPECT_EQ(r.pes_adopted, 2u);
   EXPECT_EQ(r.edges_pruned, 1u);
   EXPECT_EQ(r.leaked_caps, 0u);
-  EXPECT_EQ(r.kernel_stats.hb_sent, 100u);
-  EXPECT_EQ(r.kernel_stats.ft_suspicions, 2u);
-  EXPECT_EQ(r.kernel_stats.ft_votes, 2u);
-  EXPECT_EQ(r.kernel_stats.ft_failovers, 2u);
-  EXPECT_EQ(r.kernel_stats.caps_created, 202u);
-  EXPECT_EQ(r.kernel_stats.caps_deleted, 188u);
-  EXPECT_EQ(r.kernel_stats.syscalls, 374u);
+  EXPECT_EQ(r.outcome.kernel_stats.hb_sent, 100u);
+  EXPECT_EQ(r.outcome.kernel_stats.ft_suspicions, 2u);
+  EXPECT_EQ(r.outcome.kernel_stats.ft_votes, 2u);
+  EXPECT_EQ(r.outcome.kernel_stats.ft_failovers, 2u);
+  EXPECT_EQ(r.outcome.kernel_stats.caps_created, 202u);
+  EXPECT_EQ(r.outcome.kernel_stats.caps_deleted, 188u);
+  EXPECT_EQ(r.outcome.kernel_stats.syscalls, 374u);
   EXPECT_EQ(r.makespan, 1069782u);
   EXPECT_EQ(r.detect_latency, 101413u);
   EXPECT_EQ(r.recover_latency, 118494u);
@@ -84,10 +84,10 @@ TEST(GoldenModel, FailoverRecoveryPinnedValues) {
   EXPECT_EQ(r.adopted_ops_post_kill, 41u);
   EXPECT_EQ(r.client_retries, 2u);
   EXPECT_EQ(r.events, 4547u);
-  EXPECT_EQ(r.kernel_stats.ikc_sent, 337u);
+  EXPECT_EQ(r.outcome.kernel_stats.ikc_sent, 337u);
   // The remote-DDL cache must actually engage on this workload.
-  EXPECT_GT(r.kernel_stats.ddl_cache_hits, 0u);
-  EXPECT_GT(r.kernel_stats.ddl_cache_misses, 0u);
+  EXPECT_GT(r.outcome.kernel_stats.ddl_cache_hits, 0u);
+  EXPECT_GT(r.outcome.kernel_stats.ddl_cache_misses, 0u);
 }
 
 // Single-instance modeled runtimes on a 2-kernel, 2-service system. These

@@ -12,7 +12,9 @@
 //    connected span tree whose critical-path cycle sum equals the measured
 //    latency — and the whole span stream is bit-identical at threads 1 and 4,
 //  - pipelined relay hops stay parent-linked into the request trees that
-//    ride in them.
+//    ride in them,
+//  - the whole-run trace report equals the per-trace walk, and an output
+//    path alone turns its recorder on.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -25,6 +27,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "system/client.h"
+#include "system/experiment.h"
 #include "traffic/traffic.h"
 
 namespace semperos {
@@ -197,6 +200,9 @@ struct SpanningObtainRun {
   uint64_t fingerprint = 0;
   uint64_t recorded = 0;
   obs::CriticalPath path;
+  obs::TraceReport report;
+  // Tracer::ComputeCriticalPath of each of report.slowest, in order.
+  std::vector<obs::CriticalPath> slowest_direct;
 };
 
 // One spanning obtain across a 4-kernel platform: client 3 (kernel 3)
@@ -240,7 +246,24 @@ SpanningObtainRun RunSpanningObtain(uint32_t threads) {
   }
   EXPECT_EQ(request_roots, 1);
   run.path = tracer->ComputeCriticalPath(trace);
+  run.report = tracer->Report();
+  for (const obs::CriticalPath& path : run.report.slowest) {
+    run.slowest_direct.push_back(tracer->ComputeCriticalPath(path.trace_id));
+  }
   return run;
+}
+
+void ExpectSamePath(const obs::CriticalPath& a, const obs::CriticalPath& b) {
+  EXPECT_EQ(a.trace_id, b.trace_id);
+  EXPECT_EQ(a.root_span, b.root_span);
+  EXPECT_EQ(a.total, b.total);
+  for (size_t k = 0; k < static_cast<size_t>(obs::SpanKind::kNumKinds); ++k) {
+    EXPECT_EQ(a.by_kind[k], b.by_kind[k]) << obs::SpanKindName(static_cast<obs::SpanKind>(k));
+  }
+  EXPECT_EQ(a.self, b.self);
+  EXPECT_EQ(a.spans, b.spans);
+  EXPECT_EQ(a.depth, b.depth);
+  EXPECT_EQ(a.connected, b.connected);
 }
 
 TEST(ObsIntegration, SpanningObtainYieldsConnectedTreeMatchingLatency) {
@@ -263,6 +286,72 @@ TEST(ObsIntegration, SpanningObtainYieldsConnectedTreeMatchingLatency) {
   EXPECT_EQ(parallel.recorded, serial.recorded);
   EXPECT_EQ(parallel.path.total, serial.path.total);
   EXPECT_EQ(parallel.path.spans, serial.path.spans);
+}
+
+// The whole-run report groups the spans by trace in one sort and walks
+// each tree once; every path it keeps must equal the per-trace walk.
+TEST(ObsIntegration, TraceReportMatchesPerTraceWalk) {
+  SpanningObtainRun run = RunSpanningObtain(1);
+  const obs::TraceReport& report = run.report;
+  ASSERT_FALSE(report.slowest.empty());
+  ASSERT_EQ(report.slowest.size(), run.slowest_direct.size());
+  for (size_t i = 0; i < report.slowest.size(); ++i) {
+    ExpectSamePath(report.slowest[i], run.slowest_direct[i]);
+    if (i > 0) {
+      EXPECT_GE(report.slowest[i - 1].total, report.slowest[i].total);
+    }
+  }
+  uint64_t spans = 0;
+  for (uint64_t n : report.spans) {
+    spans += n;
+  }
+  EXPECT_EQ(spans, run.recorded);
+  uint64_t traces = 0;
+  for (uint64_t n : report.depth_traces) {
+    traces += n;
+  }
+  EXPECT_EQ(traces, report.traces);
+  EXPECT_EQ(report.disconnected, 0u);
+}
+
+// An output path alone turns its recorder on: a trace path enables
+// tracing, a metrics path arms the timeline at the default interval.
+TEST(ObsIntegration, OutputPathAloneTurnsItsRecorderOn) {
+  TrafficConfig traffic;
+  traffic.kernels = 2;
+  traffic.services = 2;
+  traffic.servers = 4;
+  traffic.warmup = 20;
+  traffic.requests = 100;
+  traffic.setup.trace_out = testing::TempDir() + "obs_traffic_trace.json";
+  TrafficResult t = RunTraffic(traffic);
+  EXPECT_TRUE(t.outcome.write_error.empty()) << t.outcome.write_error;
+  EXPECT_GT(t.outcome.spans_recorded, 0u);
+  std::ifstream trace_file(traffic.setup.trace_out);
+  std::stringstream trace_text;
+  trace_text << trace_file.rdbuf();
+  EXPECT_NE(trace_text.str().find("\"traceEvents\""), std::string::npos);
+  std::remove(traffic.setup.trace_out.c_str());
+
+  AppRunConfig app;
+  app.app = "find";
+  app.kernels = 2;
+  app.services = 2;
+  app.instances = 4;
+  app.setup.metrics_out = testing::TempDir() + "obs_app_metrics.json";
+  AppRunResult a = RunApp(app);
+  EXPECT_TRUE(a.outcome.write_error.empty()) << a.outcome.write_error;
+  std::ifstream metrics_file(app.setup.metrics_out);
+  std::stringstream metrics_text;
+  metrics_text << metrics_file.rdbuf();
+  EXPECT_EQ(metrics_text.str().rfind("{\"interval\":100000,", 0), 0u) << metrics_text.str();
+  std::remove(app.setup.metrics_out.c_str());
+
+  // A file that cannot be written is reported, not fatal.
+  app.setup.metrics_out = testing::TempDir() + "no-such-dir/metrics.json";
+  a = RunApp(app);
+  EXPECT_NE(a.outcome.write_error.find(app.setup.metrics_out), std::string::npos)
+      << a.outcome.write_error;
 }
 
 // Migration mid-obtain: stale-epoch requests travel as pipelined relays.
@@ -360,11 +449,11 @@ TEST(ObsIntegration, TrafficTailExemplarsRetainSpanTrees) {
   config.servers = 8;
   config.warmup = 100;
   config.requests = 400;
-  config.trace.enabled = true;
+  config.setup.trace.enabled = true;
   config.tail_exemplars = 2;
   TrafficResult serial = RunTraffic(config);
-  EXPECT_GT(serial.spans_recorded, 0u);
-  EXPECT_EQ(serial.spans_dropped, 0u);
+  EXPECT_GT(serial.outcome.spans_recorded, 0u);
+  EXPECT_EQ(serial.outcome.spans_dropped, 0u);
   ASSERT_FALSE(serial.exemplars.empty());
   for (const TrafficResult::Exemplar& e : serial.exemplars) {
     EXPECT_FALSE(e.bucket.empty());
@@ -380,10 +469,10 @@ TEST(ObsIntegration, TrafficTailExemplarsRetainSpanTrees) {
 
   // Thread count must not move a single span: same fingerprint, same
   // exemplar selection, same latencies.
-  config.threads = 4;
+  config.setup.threads = 4;
   TrafficResult parallel = RunTraffic(config);
-  EXPECT_EQ(parallel.trace_fingerprint, serial.trace_fingerprint);
-  EXPECT_EQ(parallel.spans_recorded, serial.spans_recorded);
+  EXPECT_EQ(parallel.outcome.trace_fingerprint, serial.outcome.trace_fingerprint);
+  EXPECT_EQ(parallel.outcome.spans_recorded, serial.outcome.spans_recorded);
   ASSERT_EQ(parallel.exemplars.size(), serial.exemplars.size());
   for (size_t i = 0; i < serial.exemplars.size(); ++i) {
     EXPECT_EQ(parallel.exemplars[i].bucket, serial.exemplars[i].bucket);

@@ -96,7 +96,7 @@ void ExpectSameAppRun(const AppRunResult& serial, const AppRunResult& parallel,
   EXPECT_DOUBLE_EQ(serial.mean_kernel_utilization, parallel.mean_kernel_utilization) << what;
   EXPECT_DOUBLE_EQ(serial.max_kernel_utilization, parallel.max_kernel_utilization) << what;
   EXPECT_DOUBLE_EQ(serial.mean_service_utilization, parallel.mean_service_utilization) << what;
-  ExpectSameStats(serial.kernel_stats, parallel.kernel_stats, what);
+  ExpectSameStats(serial.outcome.kernel_stats, parallel.outcome.kernel_stats, what);
 }
 
 TEST(ParallelEquivalence, PostmarkAppRun) {
@@ -105,10 +105,10 @@ TEST(ParallelEquivalence, PostmarkAppRun) {
   config.kernels = 4;
   config.services = 4;
   config.instances = 16;
-  config.threads = kForceSerialThreads;  // baseline stays serial under SEMPEROS_THREADS
+  config.setup.threads = kForceSerialThreads;  // baseline stays serial under SEMPEROS_THREADS
   AppRunResult serial = RunApp(config);
   for (uint32_t threads : kThreadCounts) {
-    config.threads = threads;
+    config.setup.threads = threads;
     AppRunResult parallel = RunApp(config);
     ExpectSameAppRun(serial, parallel,
                      ("postmark --threads=" + std::to_string(threads)).c_str());
@@ -123,10 +123,10 @@ TEST(ParallelEquivalence, TarAppRunSpanning) {
   config.kernels = 8;
   config.services = 8;
   config.instances = 24;
-  config.threads = kForceSerialThreads;
+  config.setup.threads = kForceSerialThreads;
   AppRunResult serial = RunApp(config);
   for (uint32_t threads : kThreadCounts) {
-    config.threads = threads;
+    config.setup.threads = threads;
     AppRunResult parallel = RunApp(config);
     ExpectSameAppRun(serial, parallel,
                      ("tar --threads=" + std::to_string(threads)).c_str());
@@ -154,30 +154,31 @@ TEST(ParallelEquivalence, TraceFingerprintAcrossThreads) {
   config.kernels = 8;
   config.services = 8;
   config.instances = 24;
-  config.trace.enabled = true;
-  config.threads = kForceSerialThreads;
+  config.setup.trace.enabled = true;
+  config.setup.threads = kForceSerialThreads;
   AppRunResult serial = RunApp(config);
-  EXPECT_GT(serial.spans_recorded, 0u);
-  EXPECT_EQ(serial.spans_dropped, 0u);
+  EXPECT_GT(serial.outcome.spans_recorded, 0u);
+  EXPECT_EQ(serial.outcome.spans_dropped, 0u);
   AppRunResult first;
   for (uint32_t threads : kThreadCounts) {
-    config.threads = threads;
+    config.setup.threads = threads;
     AppRunResult parallel = RunApp(config);
     std::string what = "traced tar --threads=" + std::to_string(threads);
-    EXPECT_EQ(serial.spans_recorded, parallel.spans_recorded) << what;
+    EXPECT_EQ(serial.outcome.spans_recorded, parallel.outcome.spans_recorded) << what;
     EXPECT_EQ(serial.makespan, parallel.makespan) << what;
     EXPECT_EQ(serial.events, parallel.events) << what;
-    EXPECT_EQ(parallel.spans_dropped, 0u) << what;
+    EXPECT_EQ(parallel.outcome.spans_dropped, 0u) << what;
     if (threads == kThreadCounts[0]) {
       first = parallel;
       // Rerun at the same thread count: the recorded stream itself must
       // replay bit-identically.
       AppRunResult again = RunApp(config);
-      EXPECT_EQ(first.trace_fingerprint, again.trace_fingerprint) << what << " rerun";
+      EXPECT_EQ(first.outcome.trace_fingerprint, again.outcome.trace_fingerprint)
+          << what << " rerun";
     } else {
       // Worker-count independence is a hard engine guarantee: the merged
       // barrier order does not depend on how shards map to threads.
-      EXPECT_EQ(first.trace_fingerprint, parallel.trace_fingerprint) << what;
+      EXPECT_EQ(first.outcome.trace_fingerprint, parallel.outcome.trace_fingerprint) << what;
     }
   }
 }
@@ -187,10 +188,10 @@ TEST(ParallelEquivalence, NginxClosedLoop) {
   config.kernels = 4;
   config.services = 4;
   config.servers = 8;
-  config.threads = kForceSerialThreads;
+  config.setup.threads = kForceSerialThreads;
   NginxRunResult serial = RunNginx(config);
   for (uint32_t threads : kThreadCounts) {
-    config.threads = threads;
+    config.setup.threads = threads;
     NginxRunResult parallel = RunNginx(config);
     EXPECT_EQ(serial.completed, parallel.completed) << "nginx --threads=" << threads;
     EXPECT_DOUBLE_EQ(serial.requests_per_sec, parallel.requests_per_sec)
@@ -206,10 +207,10 @@ TEST(ParallelEquivalence, RebalanceMigration) {
   config.users_per_kernel = 4;
   config.ops_per_client = 12;
   config.migrate_pes = 2;
-  config.threads = kForceSerialThreads;
+  config.setup.threads = kForceSerialThreads;
   RebalanceResult serial = RunRebalance(config);
   for (uint32_t threads : kThreadCounts) {
-    config.threads = threads;
+    config.setup.threads = threads;
     RebalanceResult parallel = RunRebalance(config);
     std::string what = "rebalance --threads=" + std::to_string(threads);
     EXPECT_EQ(serial.total_ops, parallel.total_ops) << what;
@@ -223,12 +224,12 @@ TEST(ParallelEquivalence, RebalanceMigration) {
     EXPECT_EQ(serial.client_retries, parallel.client_retries) << what;
     EXPECT_EQ(serial.caps_migrated, parallel.caps_migrated) << what;
     EXPECT_EQ(serial.leaked_caps, parallel.leaked_caps) << what;
-    EXPECT_EQ(serial.noc_packets, parallel.noc_packets) << what;
-    EXPECT_EQ(serial.noc_bytes, parallel.noc_bytes) << what;
-    EXPECT_EQ(serial.noc_latency, parallel.noc_latency) << what;
-    EXPECT_EQ(serial.noc_queueing, parallel.noc_queueing) << what;
+    EXPECT_EQ(serial.outcome.noc.packets, parallel.outcome.noc.packets) << what;
+    EXPECT_EQ(serial.outcome.noc.total_bytes, parallel.outcome.noc.total_bytes) << what;
+    EXPECT_EQ(serial.outcome.noc.total_latency, parallel.outcome.noc.total_latency) << what;
+    EXPECT_EQ(serial.outcome.noc.total_queueing, parallel.outcome.noc.total_queueing) << what;
     EXPECT_EQ(serial.events, parallel.events) << what;
-    ExpectSameStats(serial.kernel_stats, parallel.kernel_stats, what.c_str());
+    ExpectSameStats(serial.outcome.kernel_stats, parallel.outcome.kernel_stats, what.c_str());
   }
 }
 
@@ -239,11 +240,11 @@ TEST(ParallelEquivalence, FailoverRecovery) {
   config.kernels = 4;
   config.users_per_kernel = 3;
   config.ops_per_client = 15;
-  config.threads = kForceSerialThreads;
+  config.setup.threads = kForceSerialThreads;
   FailoverResult serial = RunFailover(config);
   ASSERT_TRUE(serial.recovered);
   for (uint32_t threads : kThreadCounts) {
-    config.threads = threads;
+    config.setup.threads = threads;
     FailoverResult parallel = RunFailover(config);
     std::string what = "failover --threads=" + std::to_string(threads);
     EXPECT_EQ(serial.total_ops, parallel.total_ops) << what;
@@ -264,12 +265,12 @@ TEST(ParallelEquivalence, FailoverRecovery) {
     EXPECT_EQ(serial.ikcs_aborted, parallel.ikcs_aborted) << what;
     EXPECT_EQ(serial.client_retries, parallel.client_retries) << what;
     EXPECT_EQ(serial.leaked_caps, parallel.leaked_caps) << what;
-    EXPECT_EQ(serial.noc_packets, parallel.noc_packets) << what;
-    EXPECT_EQ(serial.noc_bytes, parallel.noc_bytes) << what;
-    EXPECT_EQ(serial.noc_latency, parallel.noc_latency) << what;
-    EXPECT_EQ(serial.noc_queueing, parallel.noc_queueing) << what;
+    EXPECT_EQ(serial.outcome.noc.packets, parallel.outcome.noc.packets) << what;
+    EXPECT_EQ(serial.outcome.noc.total_bytes, parallel.outcome.noc.total_bytes) << what;
+    EXPECT_EQ(serial.outcome.noc.total_latency, parallel.outcome.noc.total_latency) << what;
+    EXPECT_EQ(serial.outcome.noc.total_queueing, parallel.outcome.noc.total_queueing) << what;
     EXPECT_EQ(serial.events, parallel.events) << what;
-    ExpectSameStats(serial.kernel_stats, parallel.kernel_stats, what.c_str());
+    ExpectSameStats(serial.outcome.kernel_stats, parallel.outcome.kernel_stats, what.c_str());
   }
 }
 
@@ -288,10 +289,10 @@ TEST(ParallelEquivalence, OpenLoopTraffic) {
   config.warmup = 500;
   config.requests = 5'000;
   config.cooldown = 200;
-  config.threads = kForceSerialThreads;
+  config.setup.threads = kForceSerialThreads;
   TrafficResult serial = RunTraffic(config);
   for (uint32_t threads : kThreadCounts) {
-    config.threads = threads;
+    config.setup.threads = threads;
     TrafficResult parallel = RunTraffic(config);
     std::string what = "traffic --threads=" + std::to_string(threads);
     EXPECT_EQ(serial.injected, parallel.injected) << what;
@@ -309,7 +310,7 @@ TEST(ParallelEquivalence, OpenLoopTraffic) {
     EXPECT_DOUBLE_EQ(serial.p999_us, parallel.p999_us) << what;
     EXPECT_DOUBLE_EQ(serial.offered_rps, parallel.offered_rps) << what;
     EXPECT_DOUBLE_EQ(serial.throughput_rps, parallel.throughput_rps) << what;
-    ExpectSameStats(serial.kernel_stats, parallel.kernel_stats, what.c_str());
+    ExpectSameStats(serial.outcome.kernel_stats, parallel.outcome.kernel_stats, what.c_str());
   }
 }
 
@@ -341,11 +342,11 @@ TEST(ParallelEquivalence, ChaosStormCorpus) {
       StormConfig config;
       std::string error;
       ASSERT_TRUE(ParseStormSpec(line, &config, &error)) << error;
-      config.threads = kForceSerialThreads;
+      config.setup.threads = kForceSerialThreads;
       StormResult serial = RunStorm(config);
       EXPECT_TRUE(serial.ok) << serial.audit.ToString();
       for (uint32_t threads : {2u, 4u}) {
-        config.threads = threads;
+        config.setup.threads = threads;
         StormResult parallel = RunStorm(config);
         std::string what = line + " --threads=" + std::to_string(threads);
         EXPECT_EQ(serial.ok, parallel.ok) << what;
@@ -360,9 +361,9 @@ TEST(ParallelEquivalence, ChaosStormCorpus) {
         EXPECT_EQ(serial.recovery_refused, parallel.recovery_refused) << what;
         EXPECT_EQ(serial.end_time, parallel.end_time) << what;
         EXPECT_EQ(serial.events, parallel.events) << what;
-        EXPECT_EQ(serial.noc_packets, parallel.noc_packets) << what;
-        EXPECT_EQ(serial.noc_bytes, parallel.noc_bytes) << what;
-        ExpectSameStats(serial.kernel_stats, parallel.kernel_stats, what.c_str());
+        EXPECT_EQ(serial.outcome.noc.packets, parallel.outcome.noc.packets) << what;
+        EXPECT_EQ(serial.outcome.noc.total_bytes, parallel.outcome.noc.total_bytes) << what;
+        ExpectSameStats(serial.outcome.kernel_stats, parallel.outcome.kernel_stats, what.c_str());
       }
     }
   }
@@ -376,7 +377,7 @@ TEST(ParallelEquivalence, ParallelRunsAreBitIdenticalAcrossRepeats) {
   config.kernels = 4;
   config.services = 4;
   config.instances = 12;
-  config.threads = 4;
+  config.setup.threads = 4;
   AppRunResult a = RunApp(config);
   AppRunResult b = RunApp(config);
   ExpectSameAppRun(a, b, "sqlite threads=4 repeat");

@@ -2,11 +2,11 @@
 //
 // The registry is the single front door for every experiment: specs carry
 // the name, param schema and driver; ParseWorkloadCli resolves positional
-// selection plus the deprecated alias flags, merges schema defaults, and
-// validates every flag against the schema. This suite pins the behaviours
-// the CLI compatibility contract depends on — in particular that
-// contradictory workload selections are rejected loudly (the old flag chain
-// silently ran whichever branch came first).
+// selection, merges schema defaults, and validates every flag against the
+// schema. This suite pins the behaviours the CLI contract depends on — in
+// particular that contradictory workload selections are rejected loudly
+// (the old flag chain silently ran whichever branch came first), and that
+// no flag is accepted only to be ignored.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -40,32 +40,34 @@ TEST(Registry, DefaultSelectionIsTar) {
   EXPECT_EQ(inv.params.U32("kernels"), 4u);
 }
 
-TEST(Registry, DeprecatedAliasesStillSelect) {
-  EXPECT_EQ(Parse({"--app=postmark"}).spec->name, "postmark");
-  EXPECT_EQ(Parse({"--nginx"}).spec->name, "nginx");
-  EXPECT_EQ(Parse({"--micro"}).spec->name, "micro");
-  EXPECT_EQ(Parse({"--failover"}).spec->name, "failover");
-  EXPECT_EQ(Parse({"--chaos"}).spec->name, "chaos");
-  // --fail-kernel=<id>@<us> implies failover and is kept as a param.
-  WorkloadInvocation inv = Parse({"--fail-kernel=2@1500"});
+TEST(Registry, RetiredAliasesAreRejected) {
+  // Workloads are selected by positional name only; the old selector flags
+  // fail with an error naming the token.
+  for (const char* alias : {"--app=postmark", "--nginx", "--micro", "--failover", "--chaos",
+                            "--trace=ops.txt", "--fail-kernel=2@1500"}) {
+    WorkloadInvocation inv = Parse({alias});
+    EXPECT_FALSE(inv.ok) << alias;
+    EXPECT_NE(inv.error.find(alias), std::string::npos) << inv.error;
+  }
+  // --fail-kernel=<id>@<us> stays a failover parameter.
+  WorkloadInvocation inv = Parse({"failover", "--fail-kernel=2@1500"});
   ASSERT_TRUE(inv.ok) << inv.error;
-  EXPECT_EQ(inv.spec->name, "failover");
   EXPECT_EQ(inv.params.Str("fail-kernel"), "2@1500");
 }
 
 TEST(Registry, ConflictingSelectionsAreRejected) {
-  // The satellite fix: the old parser silently accepted e.g.
-  // `--failover --chaos` and ran only one of them.
-  WorkloadInvocation inv = Parse({"--failover", "--chaos"});
+  // A pre-registry parser accepted two selections and silently ran only
+  // one of them.
+  WorkloadInvocation inv = Parse({"failover", "chaos"});
   EXPECT_FALSE(inv.ok);
   EXPECT_NE(inv.error.find("conflicting workload selections"), std::string::npos) << inv.error;
-  EXPECT_NE(inv.error.find("--failover"), std::string::npos) << inv.error;
-  EXPECT_NE(inv.error.find("--chaos"), std::string::npos) << inv.error;
+  EXPECT_NE(inv.error.find("failover"), std::string::npos) << inv.error;
+  EXPECT_NE(inv.error.find("chaos"), std::string::npos) << inv.error;
 
-  EXPECT_FALSE(Parse({"--app=tar", "nginx"}).ok);
-  EXPECT_FALSE(Parse({"traffic", "--micro"}).ok);
+  EXPECT_FALSE(Parse({"tar", "nginx"}).ok);
+  EXPECT_FALSE(Parse({"traffic", "micro"}).ok);
   // Naming the same workload twice is harmless, not a conflict.
-  EXPECT_TRUE(Parse({"--failover", "--fail-kernel=1@0"}).ok);
+  EXPECT_TRUE(Parse({"failover", "failover", "--fail-kernel=1@0"}).ok);
 }
 
 TEST(Registry, UnknownWorkloadShowsCatalogue) {
@@ -83,7 +85,7 @@ TEST(Registry, DefaultsAreMergedBeforeOverrides) {
   EXPECT_EQ(inv.params.Str("request"), "nginx");
   EXPECT_EQ(inv.params.U32("servers"), 16u);
   EXPECT_EQ(inv.params.U64("requests"), 20000u);
-  EXPECT_EQ(inv.params.Threads(), 1u);
+  EXPECT_EQ(inv.params.U32("threads"), 1u);
 }
 
 TEST(Registry, UnknownFlagForWorkloadIsRejected) {
@@ -102,6 +104,43 @@ TEST(Registry, TypedValuesAreCheckedAtParseTime) {
   EXPECT_FALSE(Parse({"traffic", "--servers=many"}).ok);
   EXPECT_FALSE(Parse({"traffic", "--rate=fast"}).ok);
   EXPECT_FALSE(Parse({"traffic", "--rate=0"}).ok);  // spec.validate: rate > 0
+  // Degenerate shapes fail at parse time (exit code 2), not as a CHECK
+  // abort or a NaN deep in the run.
+  EXPECT_FALSE(Parse({"tar", "--kernels=0"}).ok);
+  EXPECT_FALSE(Parse({"traffic", "--kernels=0"}).ok);
+  EXPECT_FALSE(Parse({"tar", "--instances=0"}).ok);
+  EXPECT_FALSE(Parse({"nginx", "--servers=0"}).ok);
+  EXPECT_FALSE(Parse({"rebalance", "--kernels=1"}).ok);
+  EXPECT_FALSE(Parse({"rebalance", "--migrate-pes=9"}).ok);
+  EXPECT_FALSE(Parse({"chaos", "--kernels=1"}).ok);
+  EXPECT_FALSE(Parse({"chaos", "--rounds=0"}).ok);
+  EXPECT_FALSE(Parse({"chaos", "--settle=0"}).ok);
+  EXPECT_FALSE(Parse({"chaos", "--kernels=2", "--double-kill"}).ok);
+  EXPECT_TRUE(Parse({"chaos", "--kernels=3", "--double-kill"}).ok);
+}
+
+TEST(Registry, RunSetupFlagsNeedOnePlatformRun) {
+  // Every one-platform workload takes the run-setup flags...
+  for (const char* name : {"tar", "nginx", "failover", "rebalance", "chaos", "traffic"}) {
+    WorkloadInvocation inv =
+        Parse({name, "--trace-out=t.json", "--metrics-out=m.json", "--metrics-interval=5000"});
+    EXPECT_TRUE(inv.ok) << name << ": " << inv.error;
+  }
+  EXPECT_TRUE(Parse({"trace", "--file=ops.txt", "--trace-out=t.json"}).ok);
+  // ...and the drivers that run many platforms reject them instead of
+  // dropping them.
+  WorkloadInvocation micro = Parse({"micro", "--trace-out=t.json"});
+  EXPECT_FALSE(micro.ok);
+  EXPECT_NE(micro.error.find("--trace-out=t.json"), std::string::npos) << micro.error;
+  EXPECT_FALSE(Parse({"micro", "--threads=2"}).ok);
+  EXPECT_FALSE(Parse({"micro", "--metrics-out=m.json"}).ok);
+  EXPECT_FALSE(Parse({"chaos", "--sweep=2", "--trace-out=t.json"}).ok);
+  EXPECT_FALSE(Parse({"chaos", "--sweep=2", "--metrics-interval=5000"}).ok);
+  EXPECT_TRUE(Parse({"chaos", "--sweep=2", "--threads=2"}).ok);
+  EXPECT_FALSE(Parse({"traffic", "--saturate", "--metrics-out=m.json"}).ok);
+  // --tail-exemplars is a traffic parameter, not a global flag.
+  EXPECT_EQ(Parse({"traffic", "--tail-exemplars=3"}).params.U32("tail-exemplars"), 3u);
+  EXPECT_FALSE(Parse({"tar", "--tail-exemplars=3"}).ok);
 }
 
 TEST(Registry, GlobalFlagsParse) {
@@ -109,7 +148,7 @@ TEST(Registry, GlobalFlagsParse) {
   ASSERT_TRUE(inv.ok) << inv.error;
   EXPECT_TRUE(inv.stats);
   EXPECT_TRUE(inv.strict);
-  EXPECT_EQ(inv.params.Threads(), 0u);  // "auto" -> ResolveThreads picks
+  EXPECT_EQ(inv.params.U32("threads"), 0u);  // "auto" -> ResolveThreads picks
   EXPECT_FALSE(Parse({"nginx", "--threads=some"}).ok);
   EXPECT_TRUE(Parse({"--list"}).list);
 }

@@ -253,10 +253,10 @@ TEST(Traffic, SaturationReportsMeasuredRate) {
 
 TEST(Traffic, BitIdenticalAcrossThreadCounts) {
   TrafficConfig config = SmallConfig();
-  config.threads = kForceSerialThreads;
+  config.setup.threads = kForceSerialThreads;
   TrafficResult serial = RunTraffic(config);
   for (uint32_t threads : {2u, 4u}) {
-    config.threads = threads;
+    config.setup.threads = threads;
     TrafficResult parallel = RunTraffic(config);
     std::string what = "traffic --threads=" + std::to_string(threads);
     EXPECT_EQ(serial.injected, parallel.injected) << what;

@@ -14,10 +14,9 @@
 //   semperos_sim chaos --seed=7 --sweep=100   # seeded chaos storms
 //   semperos_sim ... --threads=auto --stats   # parallel engine + counters
 //   semperos_sim ... --threads=4 --strict     # assert parallel == serial
+//   semperos_sim failover --trace-out=t.json  # any one-platform run: span
+//                                             # report + Chrome trace file
 //   semperos_sim --list                       # the full workload catalogue
-//
-// The pre-registry selector flags (--app=NAME, --nginx, --micro,
-// --failover, --chaos, --trace=FILE) keep working as deprecated aliases.
 #include <cstdio>
 #include <string>
 #include <vector>
