@@ -18,7 +18,6 @@
 
 #include "bench/bench_util.h"
 #include "system/client.h"
-#include "system/experiment.h"
 
 namespace semperos {
 namespace {
@@ -111,13 +110,6 @@ void AblationContention() {
   bench::Header("Ablation (d): NoC link-contention model",
                 "per-link FIFO queueing vs unloaded latencies");
   for (bool contention : {true, false}) {
-    AppRunConfig config;
-    config.app = "postmark";
-    config.kernels = 8;
-    config.services = 8;
-    config.instances = 128;
-    // Piggyback on RunApp by flipping the default NocConfig via timing? The
-    // harness builds its own platform; run the microscale variant directly.
     PlatformConfig pc;
     pc.kernels = 8;
     pc.users = 64;

@@ -32,10 +32,11 @@ int main() {
   image.AddFile("/data/blob", 2560 * 1024);
   NodeId svc_node = platform.service_nodes()[0];
   Kernel* svc_kernel = platform.kernel_of(svc_node);
-  CapSel mem_root = svc_kernel->AdminGrantMem(svc_node, platform.mem_nodes()[0], 0,
-                                              image.bytes_used() + (16 << 20), kPermRW);
+  uint64_t region = image.bytes_used() + (16 << 20);
+  CapSel mem_root =
+      svc_kernel->AdminGrantMem(svc_node, platform.mem_nodes()[0], 0, region, kPermRW);
   auto service = std::make_unique<FsService>("m3fs", image, platform.kernel_node(svc_kernel->id()),
-                                             pc.timing, mem_root);
+                                             pc.timing, mem_root, region);
   FsService* fs = service.get();
   platform.pe(svc_node)->AttachProgram(std::move(service));
 

@@ -1,7 +1,6 @@
 #include "chaos/storm.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <deque>
 #include <map>
 #include <memory>
@@ -655,7 +654,7 @@ StormConfig ShrinkStorm(const StormConfig& failing, uint32_t* attempts) {
   StormConfig best = failing;
   best.setup.trace_out.clear();
   best.setup.metrics_out.clear();
-  CHECK(still_fails(best)) << "ShrinkStorm needs a failing config: " << FormatStormSpec(best);
+  CHECK(still_fails(best)) << "ShrinkStorm needs a failing config: " << ReproCommand(best);
 
   // Greedy fixpoint: try mutations cheapest-win first, keep any that still
   // fails, restart. Seed and workload are the repro's identity and never
@@ -716,109 +715,6 @@ StormConfig ShrinkStorm(const StormConfig& failing, uint32_t* attempts) {
     *attempts = tries;
   }
   return best;
-}
-
-bool ParseStormSpec(const std::string& line, StormConfig* config, std::string* error) {
-  std::istringstream is(line);
-  std::string tok;
-  while (is >> tok) {
-    size_t eq = tok.find('=');
-    if (eq == std::string::npos) {
-      *error = "token without '=': " + tok;
-      return false;
-    }
-    std::string key = tok.substr(0, eq);
-    std::string val = tok.substr(eq + 1);
-    if (key == "workload") {
-      if (val == "mixed") {
-        config->workload = StormWorkload::kMixed;
-      } else if (val == "nginx") {
-        config->workload = StormWorkload::kNginx;
-      } else if (val == "postmark") {
-        config->workload = StormWorkload::kPostmark;
-      } else {
-        *error = "unknown workload: " + val;
-        return false;
-      }
-      continue;
-    }
-    if (key == "oprate") {
-      char* end = nullptr;
-      double d = std::strtod(val.c_str(), &end);
-      if (end == nullptr || *end != '\0' || d < 0.0 || d > 1.0) {
-        *error = "bad oprate: " + val;
-        return false;
-      }
-      config->op_rate = d;
-      continue;
-    }
-    uint64_t v = 0;
-    bool numeric = !val.empty();
-    for (char ch : val) {
-      if (ch < '0' || ch > '9') {
-        numeric = false;
-        break;
-      }
-      v = v * 10 + static_cast<uint64_t>(ch - '0');
-    }
-    if (!numeric) {
-      *error = "bad numeric value: " + tok;
-      return false;
-    }
-    if (key == "seed") {
-      config->seed = v;
-    } else if (key == "kernels") {
-      config->kernels = static_cast<uint32_t>(v);
-    } else if (key == "users") {
-      config->users_per_kernel = static_cast<uint32_t>(v);
-    } else if (key == "rounds") {
-      config->rounds = static_cast<uint32_t>(v);
-    } else if (key == "settle") {
-      config->settle_every = static_cast<uint32_t>(v);
-    } else if (key == "kills") {
-      config->max_kills = static_cast<uint32_t>(v);
-    } else if (key == "migrations") {
-      config->max_migrations = static_cast<uint32_t>(v);
-    } else if (key == "churn") {
-      config->max_churn = static_cast<uint32_t>(v);
-    } else if (key == "hb") {
-      config->perturb_heartbeats = v != 0;
-    } else if (key == "migrevoke") {
-      config->force_migration_during_revoke = v != 0;
-    } else if (key == "doublekill") {
-      config->force_double_kill = v != 0;
-    } else if (key == "bug") {
-      config->bug_skip_orphan_revoke = v != 0;
-    } else if (key == "threads") {
-      config->setup.threads = static_cast<uint32_t>(v);
-    } else {
-      *error = "unknown key: " + key;
-      return false;
-    }
-  }
-  return true;
-}
-
-std::string FormatStormSpec(const StormConfig& config) {
-  std::ostringstream os;
-  os << "seed=" << config.seed << " kernels=" << config.kernels
-     << " users=" << config.users_per_kernel << " rounds=" << config.rounds
-     << " settle=" << config.settle_every << " workload=" << StormWorkloadName(config.workload)
-     << " kills=" << config.max_kills << " migrations=" << config.max_migrations
-     << " churn=" << config.max_churn << " hb=" << (config.perturb_heartbeats ? 1 : 0);
-  if (config.op_rate != 0.7) {
-    os << " oprate=" << config.op_rate;
-  }
-  if (config.force_migration_during_revoke) {
-    os << " migrevoke=1";
-  }
-  if (config.force_double_kill) {
-    os << " doublekill=1";
-  }
-  if (config.bug_skip_orphan_revoke) {
-    os << " bug=1";
-  }
-  return os.str();
 }
 
 std::string ReproCommand(const StormConfig& config) {

@@ -130,16 +130,10 @@ StormResult RunStorm(const StormConfig& config);
 // candidate runs write no trace or timeline file.
 StormConfig ShrinkStorm(const StormConfig& failing, uint32_t* attempts = nullptr);
 
-// Corpus line / CLI round-tripping. A spec is a single line of
-// `key=value` tokens, e.g.
-//   seed=7 kernels=4 users=3 rounds=24 settle=6 kills=1 migrations=3
-//   churn=2 hb=1 workload=postmark
-// Unknown keys are an error; omitted keys keep their defaults. Lines that
-// are empty or start with '#' should be skipped by the caller.
-bool ParseStormSpec(const std::string& line, StormConfig* config, std::string* error);
-std::string FormatStormSpec(const StormConfig& config);
-
-// The one-command repro for a (typically shrunk) failing config.
+// The one-command repro for a (typically shrunk) failing config:
+// `semperos_sim chaos` and its arguments, which the workload registry
+// parses back into the same config (ChaosStormConfig). A chaos corpus line
+// is that argument list.
 std::string ReproCommand(const StormConfig& config);
 
 }  // namespace semperos

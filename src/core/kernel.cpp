@@ -376,7 +376,9 @@ void Kernel::OnSyscall(EpId ep, const Message& msg) {
   AcquireThread();
 
   SyscallRec* sc = syscall_recs_.New();
-  sc->vpe = req->vpe;
+  // The caller is the PE the DTU says the message came from (a VPE's id is
+  // its PE's node id): a user PE cannot name another VPE as the caller.
+  sc->vpe = msg.src_node;
   sc->recv_ep = ep;
   sc->msg = msg;
   if (obs::Tracer* tr = tracer(); tr != nullptr && msg.body->trace_id != 0) {
@@ -389,11 +391,11 @@ void Kernel::OnSyscall(EpId ep, const Message& msg) {
            [this, sc] { ReplySyscall(sc, ErrCode::kAborted); });
     return;
   }
-  VpeState* v = vpes_.Find(req->vpe);
+  VpeState* v = vpes_.Find(sc->vpe);
   if (v == nullptr || !v->alive) {
     // A migrated-away VPE may race its endpoint retarget: its retry must
     // get the retryable kVpeMigrating, not a terminal kNoSuchVpe.
-    bool migrated = migrated_away_.count(req->vpe) > 0;
+    bool migrated = migrated_away_.count(sc->vpe) > 0;
     if (migrated) {
       stats_.syscalls_frozen++;
     }
@@ -655,8 +657,8 @@ void Kernel::SysObtain(SyscallRec* sc, const SyscallMsg& req) {
   ObtainOp* op = obtain_recs_.New();
   op->token = next_token_++;
   op->sc = sc;
-  op->client = req.vpe;
-  op->child_key = AllocKey(req.vpe, CapType::kNone);
+  op->client = sc->vpe;
+  op->child_key = AllocKey(sc->vpe, CapType::kNone);
 
   if (IsLocalVpe(req.peer)) {
     Charge(t_.syscall_dispatch + t_.exchange_validate + t_.ddl_decode);
@@ -670,7 +672,7 @@ void Kernel::SysObtain(SyscallRec* sc, const SyscallMsg& req) {
   Charge(t_.syscall_dispatch + DdlDecodeCostVpe(req.peer) + t_.ikc_send);
   auto msg = NewMsg<IkcMsg>();
   msg->op = IkcOp::kObtainReq;
-  msg->vpe = req.vpe;
+  msg->vpe = sc->vpe;
   msg->peer = req.peer;
   msg->cap = DdlKey();
   msg->child = op->child_key;
@@ -716,7 +718,7 @@ const Kernel::ServiceEntry* Kernel::PickService(const std::string& name, VpeId c
 }
 
 void Kernel::SysOpenSession(SyscallRec* sc, const SyscallMsg& req) {
-  const ServiceEntry* svc = PickService(req.name, req.vpe);
+  const ServiceEntry* svc = PickService(req.name, sc->vpe);
   if (svc == nullptr) {
     Finish(t_.syscall_dispatch + t_.syscall_reply,
            [this, sc] { ReplySyscall(sc, ErrCode::kNoSuchService); });
@@ -726,8 +728,8 @@ void Kernel::SysOpenSession(SyscallRec* sc, const SyscallMsg& req) {
   ObtainOp* op = obtain_recs_.New();
   op->token = next_token_++;
   op->sc = sc;
-  op->client = req.vpe;
-  op->child_key = AllocKey(req.vpe, CapType::kSession);
+  op->client = sc->vpe;
+  op->child_key = AllocKey(sc->vpe, CapType::kSession);
   op->open_session = true;
   op->service_node = svc->node;
 
@@ -742,14 +744,14 @@ void Kernel::SysOpenSession(SyscallRec* sc, const SyscallMsg& req) {
   Charge(t_.syscall_dispatch + DdlDecodeCost(svc->cap) + t_.ikc_send);
   auto msg = NewMsg<IkcMsg>();
   msg->op = IkcOp::kOpenSessionReq;
-  msg->vpe = req.vpe;
+  msg->vpe = sc->vpe;
   msg->cap = svc->cap;
   msg->child = op->child_key;
   SendIkc(svc->kernel, msg, [this, op](const IkcReply& reply) { ObtainIkcReplied(op, reply); });
 }
 
 void Kernel::SysExchange(SyscallRec* sc, const SyscallMsg& req) {
-  Capability* session = CapOf(req.vpe, req.sel);
+  Capability* session = CapOf(sc->vpe, req.sel);
   if (session == nullptr || session->type() != CapType::kSession) {
     ErrCode err = session == nullptr ? ErrCode::kNoSuchCap : ErrCode::kInvalidCapType;
     Finish(t_.syscall_dispatch + t_.syscall_reply, [this, sc, err] { ReplySyscall(sc, err); });
@@ -767,7 +769,7 @@ void Kernel::SysExchange(SyscallRec* sc, const SyscallMsg& req) {
   KernelId owner_kernel = KernelOf(service_cap);
 
   uint64_t token = next_token_++;
-  DdlKey child_key = AllocKey(req.vpe, CapType::kNone);
+  DdlKey child_key = AllocKey(sc->vpe, CapType::kNone);
 
   if (owner_kernel == config_.id) {
     Capability* svc_cap = caps_.Find(service_cap);
@@ -779,7 +781,7 @@ void Kernel::SysExchange(SyscallRec* sc, const SyscallMsg& req) {
     ObtainOp* op = obtain_recs_.New();
     op->token = token;
     op->sc = sc;
-    op->client = req.vpe;
+    op->client = sc->vpe;
     op->child_key = child_key;
     Charge(t_.syscall_dispatch + t_.exchange_validate + t_.ddl_decode + t_.session_exchange_extra);
     OwnerSideObtain(op, AskOp::kExchange, service_cap, svc_cap->holder(), kInvalidSel,
@@ -790,14 +792,14 @@ void Kernel::SysExchange(SyscallRec* sc, const SyscallMsg& req) {
   ObtainOp* op = obtain_recs_.New();
   op->token = token;
   op->sc = sc;
-  op->client = req.vpe;
+  op->client = sc->vpe;
   op->child_key = child_key;
   stats_.spanning_obtains++;
   obtains_.Insert(op->token, op);
   Charge(t_.syscall_dispatch + DdlDecodeCost(service_cap) + t_.ikc_send);
   auto msg = NewMsg<IkcMsg>();
   msg->op = IkcOp::kObtainReq;
-  msg->vpe = req.vpe;
+  msg->vpe = sc->vpe;
   msg->cap = service_cap;
   msg->child = op->child_key;
   msg->opaque = req.payload;
@@ -814,7 +816,7 @@ void Kernel::SysDelegate(SyscallRec* sc, const SyscallMsg& req) {
     RejectUnknownPeer(sc);
     return;
   }
-  Capability* cap = CapOf(req.vpe, req.sel);
+  Capability* cap = CapOf(sc->vpe, req.sel);
   if (cap == nullptr) {
     Finish(t_.syscall_dispatch + t_.syscall_reply,
            [this, sc] { ReplySyscall(sc, ErrCode::kNoSuchCap); });
@@ -846,12 +848,12 @@ void Kernel::SysDelegate(SyscallRec* sc, const SyscallMsg& req) {
     op->token = token;
     op->sc = sc;
     op->cap = cap->key();
-    op->client = req.vpe;
+    op->client = sc->vpe;
     op->peer = req.peer;
     Charge(t_.syscall_dispatch + t_.exchange_validate + t_.ddl_decode);
     auto ask = NewMsg<AskMsg>();
     ask->op = AskOp::kDelegate;
-    ask->client = req.vpe;
+    ask->client = sc->vpe;
     ask->offered = cap->payload();
     AskParty(peer_vpe->node, ask, [this, op](const AskReply& reply) {
       if (reply.err != ErrCode::kOk) {
@@ -884,7 +886,7 @@ void Kernel::SysDelegate(SyscallRec* sc, const SyscallMsg& req) {
   op->token = token;
   op->sc = sc;
   op->cap = cap->key();
-  op->client = req.vpe;
+  op->client = sc->vpe;
   op->peer = req.peer;
   stats_.spanning_delegates++;
   delegates_.Insert(op->token, op);
@@ -892,7 +894,7 @@ void Kernel::SysDelegate(SyscallRec* sc, const SyscallMsg& req) {
          t_.ikc_send);
   auto msg = NewMsg<IkcMsg>();
   msg->op = IkcOp::kDelegateReq;
-  msg->vpe = req.vpe;
+  msg->vpe = sc->vpe;
   msg->peer = req.peer;
   msg->cap = cap->key();
   msg->payload = cap->payload();
@@ -1243,7 +1245,7 @@ void Kernel::CompleteRevokeTask(RevokeTask* task) {
 }
 
 void Kernel::SysRevoke(SyscallRec* sc, const SyscallMsg& req) {
-  Capability* cap = CapOf(req.vpe, req.sel);
+  Capability* cap = CapOf(sc->vpe, req.sel);
   if (cap == nullptr) {
     Finish(t_.syscall_dispatch + t_.syscall_reply,
            [this, sc] { ReplySyscall(sc, ErrCode::kNoSuchCap); });
@@ -2402,7 +2404,7 @@ void Kernel::AbortPendingIkcsTo(KernelId dead) {
 // ---------------------------------------------------------------------------
 
 void Kernel::SysActivate(SyscallRec* sc, const SyscallMsg& req) {
-  Capability* cap = CapOf(req.vpe, req.sel);
+  Capability* cap = CapOf(sc->vpe, req.sel);
   if (cap == nullptr) {
     Finish(t_.syscall_dispatch + t_.syscall_reply,
            [this, sc] { ReplySyscall(sc, ErrCode::kNoSuchCap); });
@@ -2414,7 +2416,7 @@ void Kernel::SysActivate(SyscallRec* sc, const SyscallMsg& req) {
            [this, sc] { ReplySyscall(sc, ErrCode::kCapRevoked); });
     return;
   }
-  NodeId node = vpes_.At(req.vpe).node;
+  NodeId node = vpes_.At(sc->vpe).node;
   stats_.activates++;
   Charge(t_.syscall_dispatch + t_.exchange_validate + t_.ddl_decode + t_.ep_config);
 
@@ -2443,7 +2445,7 @@ void Kernel::SysActivate(SyscallRec* sc, const SyscallMsg& req) {
 }
 
 void Kernel::SysDeriveMem(SyscallRec* sc, const SyscallMsg& req) {
-  Capability* cap = CapOf(req.vpe, req.sel);
+  Capability* cap = CapOf(sc->vpe, req.sel);
   if (cap == nullptr || cap->type() != CapType::kMem) {
     ErrCode err = cap == nullptr ? ErrCode::kNoSuchCap : ErrCode::kInvalidCapType;
     Finish(t_.syscall_dispatch + t_.syscall_reply, [this, sc, err] { ReplySyscall(sc, err); });
@@ -2465,7 +2467,7 @@ void Kernel::SysDeriveMem(SyscallRec* sc, const SyscallMsg& req) {
   child_payload.mem_base = p.mem_base + req.arg0;
   child_payload.mem_size = req.arg1;
   child_payload.perms = req.perms;
-  Capability* child = CreateCap(&vpes_.At(req.vpe), CapType::kMem, child_payload, cap->key());
+  Capability* child = CreateCap(&vpes_.At(sc->vpe), CapType::kMem, child_payload, cap->key());
   cap->AddChild(child->key());
   stats_.derives++;
   CapSel sel = child->sel();
@@ -2481,7 +2483,7 @@ void Kernel::SysDeriveMem(SyscallRec* sc, const SyscallMsg& req) {
 // ---------------------------------------------------------------------------
 
 void Kernel::SysRegisterService(SyscallRec* sc, const SyscallMsg& req) {
-  VpeState* vpe = &vpes_.At(req.vpe);
+  VpeState* vpe = &vpes_.At(sc->vpe);
   vpe->is_service = true;
   CapPayload payload;
   payload.type = CapType::kService;

@@ -252,7 +252,6 @@ class Kernel : public Program {
 
   struct Config {
     KernelId id = 0;
-    KernelMode mode = KernelMode::kSemperOSMulti;
     TimingModel timing;
     MembershipTable membership;          // PE -> kernel (replicated, static)
     std::vector<NodeId> kernel_nodes;    // kernel id -> kernel PE

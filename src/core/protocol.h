@@ -108,9 +108,10 @@ struct SyscallMsg : MsgBody {
   static constexpr MsgKind kKind = MsgKind::kSyscall;
   SyscallMsg() : MsgBody(kKind) {}
 
+  // No caller field: the kernel takes the caller from the sending PE,
+  // which the DTU stamps on the message.
   SyscallOp op = SyscallOp::kNoop;
-  VpeId vpe = kInvalidVpe;  // caller
-  uint64_t token = 0;       // echoed in the reply
+  uint64_t token = 0;  // echoed in the reply
 
   CapSel sel = kInvalidSel;    // primary capability selector
   CapSel sel2 = kInvalidSel;   // secondary selector (delegate target hint)

@@ -32,7 +32,6 @@ void UserEnv::Syscall(std::shared_ptr<SyscallMsg> msg, SyscallCb cb) {
   syscall_pending_ = true;
   syscall_cb_ = std::move(cb);
   syscalls_issued_++;
-  msg->vpe = vpe();
   msg->token = next_token_++;
   if (obs::Tracer* tr = pe_->tracer(); tr != nullptr) {
     // Root trace unless an enclosing ctx (SetTraceContext) adopts the call.
@@ -287,10 +286,12 @@ void UserEnv::ReplyAsk(AskReply reply_value) {
 // Client <-> service IPC
 // ---------------------------------------------------------------------------
 
-void UserEnv::Request(MsgRef body, MessageCb cb) {
+void UserEnv::Request(std::shared_ptr<MsgBody> body, MessageCb cb) {
   CHECK(!request_pending_) << "VPE " << vpe() << " issued a second service request";
   request_pending_ = true;
   request_cb_ = std::move(cb);
+  body->trace_id = ctx_trace_;
+  body->trace_parent = ctx_parent_;
   Status st = pe_->dtu().Send(user_ep::kServiceSend, std::move(body), user_ep::kServiceReply);
   CHECK(st.ok()) << "service request send failed: " << st.name();
 }

@@ -65,8 +65,9 @@ class UserEnv {
 
   // ---- Client -> service IPC (no kernel involved) ----
   // Sends on the session send gate (configured by the kernel at session
-  // open). One outstanding request per client.
-  void Request(MsgRef body, MessageCb cb);
+  // open). One outstanding request per client. The request carries this
+  // program's trace ctx (SetTraceContext).
+  void Request(std::shared_ptr<MsgBody> body, MessageCb cb);
 
   // Service side: handler for incoming client requests. The handler must
   // eventually call ReplyRequest(msg, ...) exactly once; requests and asks
@@ -96,9 +97,9 @@ class UserEnv {
   }
 
   // ---- Observability (src/obs) ----
-  // Joins subsequently issued syscalls to an enclosing trace — a service
-  // handling a traced client request sets the request's ctx here so its
-  // syscalls nest under the serve span instead of opening fresh root
+  // Joins subsequently issued syscalls and service requests to an enclosing
+  // trace — a server handling a traced request sets the request's ctx here
+  // so its calls nest under the serve span instead of opening fresh root
   // traces. trace == 0 restores per-call root minting (the default).
   void SetTraceContext(uint64_t trace, uint64_t parent) {
     ctx_trace_ = trace;

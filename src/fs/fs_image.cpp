@@ -1,5 +1,6 @@
 #include "fs/fs_image.h"
 
+#include <algorithm>
 #include <functional>
 #include <utility>
 
@@ -181,18 +182,25 @@ bool FsImage::Unlink(std::string_view path) {
   return true;
 }
 
+Inode FsImage::Grown(const Inode& inode, uint64_t new_size) const {
+  Inode grown = inode;
+  if (new_size <= grown.size) {
+    return grown;
+  }
+  if (new_size > grown.reserved) {
+    // Relocate to the end of the log (m3fs-style append allocation).
+    grown.reserved = RoundUpToExtent(new_size);
+    grown.offset = next_offset_;
+  }
+  grown.size = new_size;
+  return grown;
+}
+
 void FsImage::Grow(Inode* inode, uint64_t new_size) {
   CHECK(inode != nullptr);
-  if (new_size <= inode->size) {
-    return;
-  }
-  if (new_size > inode->reserved) {
-    // Relocate to the end of the log (m3fs-style append allocation).
-    inode->reserved = RoundUpToExtent(new_size);
-    inode->offset = next_offset_;
-    next_offset_ += inode->reserved;
-  }
-  inode->size = new_size;
+  *inode = Grown(*inode, new_size);
+  // Every reservation lies below the log end, so only a relocation moves it.
+  next_offset_ = std::max(next_offset_, inode->offset + inode->reserved);
 }
 
 }  // namespace semperos

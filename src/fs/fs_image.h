@@ -84,6 +84,8 @@ class FsImage {
   // Grows `inode` to hold at least `new_size` bytes, extending the image
   // region if needed.
   void Grow(Inode* inode, uint64_t new_size);
+  // `inode` as Grow(inode, new_size) would leave it, without growing it.
+  Inode Grown(const Inode& inode, uint64_t new_size) const;
 
   // Total bytes of image space in use (the service's memory region size
   // must cover this; callers reserve headroom for growth).

@@ -32,12 +32,13 @@ const char* FsOpName(FsOp op) {
 }
 
 FsService::FsService(std::string name, FsImage image, NodeId kernel_node,
-                     const TimingModel& timing, CapSel mem_root_sel)
+                     const TimingModel& timing, CapSel mem_root_sel, uint64_t region_bytes)
     : name_(std::move(name)),
       image_(std::move(image)),
       kernel_node_(kernel_node),
       t_(timing),
-      mem_root_sel_(mem_root_sel) {}
+      mem_root_sel_(mem_root_sel),
+      region_bytes_(region_bytes) {}
 
 void FsService::Setup() {
   // Ask costs are charged per-operation inside the handlers, not uniformly.
@@ -134,6 +135,18 @@ void FsService::AskExchange(const AskMsg& ask) {
   }
 }
 
+bool FsService::ExtentInRange(const Inode& inode, uint64_t offset, bool write) const {
+  uint64_t extent_start = offset / kFsExtentBytes * kFsExtentBytes;
+  if (!write) {
+    return extent_start < inode.size;
+  }
+  if (extent_start >= region_bytes_) {
+    return false;  // also keeps the extent's end from wrapping
+  }
+  Inode grown = image_.Grown(inode, extent_start + kFsExtentBytes);
+  return grown.offset + grown.reserved <= region_bytes_;
+}
+
 void FsService::RejectOutOfRange(Cycles cost) {
   fs_stats_.out_of_range++;
   env_->Compute(cost, [this] {
@@ -150,7 +163,8 @@ void FsService::DeriveExtent(Inode* inode, uint64_t offset, bool write, ExtentCb
   }
   uint64_t limit = write ? inode->reserved : inode->size;
   // The handlers checked ExtentInRange, and asks and requests are served
-  // one at a time, so nothing shrank the file since.
+  // one at a time, so nothing shrank the file since and the extent lies
+  // inside the memory region.
   CHECK_GT(limit, extent_start) << "extent request beyond file";
   uint64_t extent_len = std::min(kFsExtentBytes, limit - extent_start);
   uint32_t perms = write ? kPermRW : kPermR;
@@ -167,11 +181,11 @@ void FsService::DeriveExtent(Inode* inode, uint64_t offset, bool write, ExtentCb
 void FsService::HandleOpen(Session* session, const FsRequest& req) {
   bool write = (req.flags & kOpenWrite) != 0;
   bool create = (req.flags & kOpenCreate) != 0;
-  // Only a writer creates: a new file is empty, so a read-only create of a
-  // missing file is out of range, and the image must stay as it was.
-  Inode* inode = image_.Open(req.path, create && write);
-  if (inode == nullptr && create && !write &&
-      image_.Lookup(FsImage::ParentOf(req.path)) != nullptr) {
+  // A new file is empty, so only a writer creates one, and only where the
+  // region holds its first extent (checked on a file not yet placed). A
+  // refused create is out of range, and the image must stay as it was.
+  Inode* inode = image_.Open(req.path, create && write && ExtentInRange(Inode{}, 0, true));
+  if (inode == nullptr && create && image_.Lookup(FsImage::ParentOf(req.path)) != nullptr) {
     RejectOutOfRange(t_.svc_open);
     return;
   }
@@ -184,7 +198,8 @@ void FsService::HandleOpen(Session* session, const FsRequest& req) {
     return;
   }
   if (!ExtentInRange(*inode, 0, write)) {
-    RejectOutOfRange(t_.svc_open);  // a read-only open of an empty file
+    // A read-only open of an empty file, or a file the region cannot hold.
+    RejectOutOfRange(t_.svc_open);
     return;
   }
   uint64_t fid = next_fid_++;

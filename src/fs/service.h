@@ -40,8 +40,9 @@ struct FsServiceStats {
   uint64_t closes = 0;
   uint64_t metas = 0;
   uint64_t caps_revoked = 0;
-  // Rejected client input: extent requests beyond the file (kOutOfRange)
-  // and non-m3fs messages on a session channel (kInvalidArgs).
+  // Rejected client input: extent requests beyond the file or, for writes,
+  // beyond the memory region (kOutOfRange), and non-m3fs messages on a
+  // session channel (kInvalidArgs).
   uint64_t out_of_range = 0;
   uint64_t malformed = 0;
 };
@@ -49,10 +50,11 @@ struct FsServiceStats {
 class FsService : public Program {
  public:
   // `mem_root_sel` is the selector of the root memory capability covering
-  // this service's image region (installed via Kernel::AdminGrantMem before
-  // boot). `timing` supplies the per-operation handler costs.
+  // this service's image region of `region_bytes` bytes (installed via
+  // Kernel::AdminGrantMem before boot). `timing` supplies the per-operation
+  // handler costs.
   FsService(std::string name, FsImage image, NodeId kernel_node, const TimingModel& timing,
-            CapSel mem_root_sel);
+            CapSel mem_root_sel, uint64_t region_bytes);
 
   void Setup() override;
   void Start() override;
@@ -133,10 +135,9 @@ class FsService : public Program {
   void MetaReadDir(Session* session, const FsRequest& req, const Message& msg);
 
   // Whether an extent capability can cover byte `offset` of `inode`: a
-  // write grows the file, a read must stay below its size.
-  static bool ExtentInRange(const Inode& inode, uint64_t offset, bool write) {
-    return write || offset / kFsExtentBytes * kFsExtentBytes < inode.size;
-  }
+  // read must stay below the file's size, and a write, which grows the
+  // file, must keep the image inside the memory region.
+  bool ExtentInRange(const Inode& inode, uint64_t offset, bool write) const;
   // Answers the ask being served with kOutOfRange after `cost` cycles.
   void RejectOutOfRange(Cycles cost);
   // Derives the extent capability covering byte `offset` of `inode` (in
@@ -157,6 +158,7 @@ class FsService : public Program {
   NodeId kernel_node_;
   TimingModel t_;
   CapSel mem_root_sel_;
+  uint64_t region_bytes_;
   CapSel service_sel_ = kInvalidSel;
   std::unique_ptr<UserEnv> env_;
 

@@ -24,6 +24,20 @@ DriverRig MakeDriverRig(PlatformConfig pc) {
   return rig;
 }
 
+size_t DriverRig::client_in_kernel(KernelId k, size_t j) const {
+  size_t seen = 0;
+  for (size_t i = 0; i < clients.size(); ++i) {
+    if (platform->membership().KernelOf(vpe(i)) == k) {
+      if (seen == j) {
+        return i;
+      }
+      ++seen;
+    }
+  }
+  CHECK(false) << "kernel " << k << " has no client #" << j;
+  return 0;
+}
+
 Cycles DriverRig::Migrate(NodeId pe, KernelId dst_kernel) {
   Cycles start = platform->sim().Now();
   Cycles end = start;

@@ -1,4 +1,5 @@
-// Driver client: a minimal user program for microbenchmarks and examples.
+// Driver client: a minimal user program for microbenchmarks, examples and
+// tests.
 //
 // Exposes the UserEnv of a user PE so a harness can issue capability
 // operations directly (obtain/delegate/revoke/activate), plus helpers that
@@ -18,10 +19,10 @@ namespace semperos {
 class DriverClient : public Program {
  public:
   DriverClient(NodeId kernel_node, const TimingModel& timing)
-      : kernel_node_(kernel_node), timing_(timing) {}
+      : kernel_node_(kernel_node), ask_cost_(timing.ask_party) {}
 
   void Setup() override {
-    env_ = std::make_unique<UserEnv>(pe_, kernel_node_, timing_.ask_party);
+    env_ = std::make_unique<UserEnv>(pe_, kernel_node_, ask_cost_);
     env_->SetupEps(/*is_service=*/false);
   }
   void Start() override {}
@@ -30,7 +31,7 @@ class DriverClient : public Program {
 
  private:
   NodeId kernel_node_;
-  TimingModel timing_;
+  Cycles ask_cost_;
   std::unique_ptr<UserEnv> env_;
 };
 
@@ -43,6 +44,10 @@ struct DriverRig {
   DriverClient& client(size_t i) { return *clients.at(i); }
   VpeId vpe(size_t i) const { return platform->user_nodes().at(i); }
   Kernel* kernel_of_client(size_t i) { return platform->kernel_of(vpe(i)); }
+  // Index (into clients) of the j-th client managed by kernel `k`. Groups
+  // are laid out contiguously, so client index order does not match
+  // round-robin kernel assignment.
+  size_t client_in_kernel(KernelId k, size_t j) const;
 
   CapSel Grant(size_t i, uint64_t size = 1 << 20) {
     return kernel_of_client(i)->AdminGrantMem(vpe(i), platform->mem_nodes().at(0), 0, size,

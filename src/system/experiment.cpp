@@ -18,7 +18,7 @@ void AttachServices(Platform* platform, const FsImage& image, const TimingModel&
     uint64_t base = static_cast<uint64_t>(index) << 40;  // disjoint fake regions
     CapSel mem_sel = kernel->AdminGrantMem(node, mem_node, base, region_bytes, kPermRW);
     auto service = std::make_unique<FsService>("m3fs", image, platform->kernel_node(kernel->id()),
-                                               timing, mem_sel);
+                                               timing, mem_sel, region_bytes);
     platform->pe(node)->AttachProgram(std::move(service));
     ++index;
   }

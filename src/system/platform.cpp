@@ -219,7 +219,6 @@ Platform::Platform(PlatformConfig config) : config_(std::move(config)) {
   for (KernelId k = 0; k < config_.kernels; ++k) {
     Kernel::Config kc;
     kc.id = k;
-    kc.mode = config_.mode;
     kc.timing = config_.timing;
     kc.membership = membership_;
     kc.kernel_nodes = kernel_nodes_;

@@ -1,6 +1,7 @@
 #include "trace/replayer.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "base/log.h"
@@ -13,36 +14,33 @@ namespace {
 const char* kTag = "replayer";
 }  // namespace
 
-TraceReplayer::TraceReplayer(Trace trace, NodeId kernel_node, const TimingModel& timing,
-                             std::string service_name)
-    : trace_(std::move(trace)),
-      kernel_node_(kernel_node),
-      t_(timing),
-      service_name_(std::move(service_name)) {}
-
-void TraceReplayer::Setup() {
-  env_ = std::make_unique<UserEnv>(pe_, kernel_node_, t_.ask_party);
-  env_->SetupEps(/*is_service=*/false);
+void TraceRunner::Run(UserEnv* env, CapSel session, DoneFn done) {
+  env_ = env;
+  session_ = session;
+  done_ = std::move(done);
+  op_index_ = 0;
+  cap_ops_ = 0;
+  error_ = ErrCode::kOk;
+  NextOp();
 }
 
-void TraceReplayer::Start() {
-  result_.start = pe_->sim()->Now();
-  env_->OpenSession(service_name_, [this](const SyscallReply& reply) {
-    CHECK(reply.err == ErrCode::kOk) << "session open failed: " << ErrName(reply.err);
-    session_sel_ = reply.sel;
-    result_.cap_ops++;  // the session capability obtain
-    NextOp();
-  });
+void TraceRunner::Finish(ErrCode err) {
+  error_ = err;
+  DoneFn done = std::move(done_);
+  done.Fire();
 }
 
-void TraceReplayer::NextOp() {
+bool TraceRunner::Refused(ErrCode err) {
+  if (err == ErrCode::kOk) {
+    return false;
+  }
+  Finish(err);
+  return true;
+}
+
+void TraceRunner::NextOp() {
   if (op_index_ >= trace_.ops.size()) {
-    result_.done = true;
-    result_.end = pe_->sim()->Now();
-    result_.syscalls = env_->syscalls_issued();
-    LOG_DEBUG(kTag) << "vpe " << pe_->node() << " finished " << trace_.app << " in "
-                    << CyclesToMicros(result_.runtime()) << "us, " << result_.cap_ops
-                    << " cap ops";
+    Finish(ErrCode::kOk);
     return;
   }
   const TraceOp& op = trace_.ops[op_index_++];
@@ -58,7 +56,10 @@ void TraceReplayer::NextOp() {
       return;
     case TraceOpKind::kSeek: {
       OpenFile* file = FindFile(op.path);
-      CHECK(file != nullptr) << "seek on closed file " << trace_.Path(op);
+      if (file == nullptr) {
+        Finish(ErrCode::kInvalidArgs);
+        return;
+      }
       file->cursor = op.offset();
       NextOp();
       return;
@@ -84,27 +85,7 @@ void TraceReplayer::NextOp() {
   }
 }
 
-EpId TraceReplayer::AllocMemEp() {
-  // A PE has 8 memory endpoints (user_ep::kMem0..+7); each open file binds
-  // one. Applications therefore keep at most 8 files' data mapped at once —
-  // all traced workloads stay well below that.
-  for (uint32_t i = 0; i < user_ep::kNumMemEps; ++i) {
-    if ((mem_eps_in_use_ & (1u << i)) == 0) {
-      mem_eps_in_use_ |= (1u << i);
-      return user_ep::kMem0 + i;
-    }
-  }
-  CHECK(false) << "VPE " << pe_->node() << " has more than 8 files with active extents";
-  return 0;
-}
-
-void TraceReplayer::FreeMemEp(EpId ep) {
-  uint32_t i = ep - user_ep::kMem0;
-  CHECK_LT(i, user_ep::kNumMemEps);
-  mem_eps_in_use_ &= ~(1u << i);
-}
-
-TraceReplayer::OpenFile* TraceReplayer::FindFile(uint32_t path) {
+TraceRunner::OpenFile* TraceRunner::FindFile(uint32_t path) {
   for (OpenFile& file : files_) {
     if (file.in_use && file.path == path) {
       return &file;
@@ -113,76 +94,88 @@ TraceReplayer::OpenFile* TraceReplayer::FindFile(uint32_t path) {
   return nullptr;
 }
 
-void TraceReplayer::DoOpen(const TraceOp& op) {
-  CHECK(FindFile(op.path) == nullptr) << "double open of " << trace_.Path(op);
+void TraceRunner::DoOpen(const TraceOp& op) {
+  // A PE has 8 memory endpoints (user_ep::kMem0..+7) and each open file
+  // binds one, so a VPE keeps at most 8 files open; the built-in traces
+  // stay well below that.
+  if (FindFile(op.path) != nullptr ||
+      std::countr_one(mem_eps_in_use_) >= static_cast<int>(user_ep::kNumMemEps)) {
+    Finish(ErrCode::kInvalidArgs);
+    return;
+  }
   auto req = NewMsg<FsRequest>();
   req->op = FsOp::kOpen;
   req->path = trace_.Path(op);
   req->flags = op.flags;
   const TraceOp* open = &op;  // trace_ outlives the call
-  env_->Exchange(session_sel_, req, [this, open](const SyscallReply& reply) {
-    CHECK(reply.err == ErrCode::kOk)
-        << "open " << trace_.Path(*open) << " failed: " << ErrName(reply.err);
+  env_->Exchange(session_, req, [this, open](const SyscallReply& reply) {
+    if (Refused(reply.err)) {
+      return;
+    }
     const FsReply* fs = MsgAs<FsReply>(reply.payload);
     CHECK(fs != nullptr);
-    result_.cap_ops++;  // extent-0 capability obtain
-    OpenFile* file = nullptr;
-    for (OpenFile& spare : files_) {
-      if (!spare.in_use) {
-        file = &spare;
-        break;
-      }
-    }
-    if (file == nullptr) {
-      file = &files_.emplace_back();
-    }
+    cap_ops_++;  // extent-0 capability obtain
+    auto spare = std::find_if(files_.begin(), files_.end(),
+                              [](const OpenFile& f) { return !f.in_use; });
+    OpenFile* file = spare != files_.end() ? &*spare : &files_.emplace_back();
+    int ep = std::countr_one(mem_eps_in_use_);
+    mem_eps_in_use_ |= static_cast<uint8_t>(1u << ep);
     file->path = open->path;
     file->in_use = true;
     file->fid = fs->fid;
     file->flags = open->flags;
     file->extent_sel = reply.sel;
-    file->mem_ep = AllocMemEp();
+    file->mem_ep = user_ep::kMem0 + static_cast<EpId>(ep);
     file->extent_start = 0;
     file->extent_len = reply.cap.mem_size;
     file->cursor = 0;
-    file->handed = 1;
     env_->Activate(file->extent_sel, file->mem_ep, [this](const SyscallReply& areply) {
-      CHECK(areply.err == ErrCode::kOk);
-      NextOp();
+      if (!Refused(areply.err)) {
+        NextOp();
+      }
     });
   });
 }
 
-void TraceReplayer::FetchExtent(uint64_t offset) {
+void TraceRunner::FetchExtent(uint64_t offset) {
   auto req = NewMsg<FsRequest>();
   req->op = FsOp::kNextExtent;
   req->fid = files_[io_file_].fid;
   req->offset = offset;
-  env_->Exchange(session_sel_, req, [this, offset](const SyscallReply& reply) {
-    CHECK(reply.err == ErrCode::kOk) << "next-extent failed: " << ErrName(reply.err);
-    result_.cap_ops++;
+  env_->Exchange(session_, req, [this, offset](const SyscallReply& reply) {
+    if (Refused(reply.err)) {
+      return;
+    }
+    cap_ops_++;
     OpenFile& file = files_[io_file_];
     file.extent_sel = reply.sel;
     file.extent_start = offset / kFsExtentBytes * kFsExtentBytes;
     file.extent_len = reply.cap.mem_size;
-    file.handed++;
     env_->Activate(file.extent_sel, file.mem_ep, [this](const SyscallReply& areply) {
-      CHECK(areply.err == ErrCode::kOk);
-      IoChunk();
+      if (!Refused(areply.err)) {
+        IoChunk();
+      }
     });
   });
 }
 
-void TraceReplayer::DoIo(const TraceOp& op, bool write) {
+void TraceRunner::DoIo(const TraceOp& op, bool write) {
   OpenFile* file = FindFile(op.path);
-  CHECK(file != nullptr) << "I/O on closed file " << trace_.Path(op);
+  if (file == nullptr) {
+    Finish(ErrCode::kInvalidArgs);
+    return;
+  }
+  if (write && (file->flags & kOpenWrite) == 0) {
+    Finish(ErrCode::kNoPerm);  // the extents of a read-only open are read-only
+    return;
+  }
   io_file_ = static_cast<size_t>(file - files_.data());
   io_write_ = write;
   io_remaining_ = op.bytes();
   IoChunk();
 }
 
-void TraceReplayer::IoChunk() {
+void TraceRunner::IoChunk() {
   if (io_remaining_ == 0) {
     NextOp();
     return;
@@ -209,42 +202,82 @@ void TraceReplayer::IoChunk() {
   }
 }
 
-void TraceReplayer::DoClose(const TraceOp& op) {
+void TraceRunner::DoClose(const TraceOp& op) {
   OpenFile* file = FindFile(op.path);
-  CHECK(file != nullptr) << "close of unopened file " << trace_.Path(op);
+  if (file == nullptr) {
+    Finish(ErrCode::kInvalidArgs);
+    return;
+  }
   uint64_t fid = file->fid;
-  FreeMemEp(file->mem_ep);
+  mem_eps_in_use_ &= static_cast<uint8_t>(~(1u << (file->mem_ep - user_ep::kMem0)));
   file->in_use = false;
   auto req = NewMsg<FsRequest>();
   req->op = FsOp::kClose;
   req->fid = fid;
   env_->Request(req, [this](const Message& msg) {
     const FsReply* fs = msg.As<FsReply>();
-    CHECK(fs != nullptr && fs->err == ErrCode::kOk);
+    CHECK(fs != nullptr);
+    if (Refused(fs->err)) {
+      return;
+    }
     // The service revoked one capability per handed extent on our behalf.
-    result_.cap_ops += fs->revoked;
+    cap_ops_ += fs->revoked;
     NextOp();
   });
 }
 
-void TraceReplayer::DoMeta(const TraceOp& op, FsOp fs_op) {
+void TraceRunner::DoMeta(const TraceOp& op, FsOp fs_op) {
   auto req = NewMsg<FsRequest>();
   req->op = fs_op;
   req->path = trace_.Path(op);
   bool unlink = fs_op == FsOp::kUnlink;
   const TraceOp* meta = &op;  // trace_ outlives the call
+  // A meta error (a stat of a missing file, a mkdir of an existing one) is
+  // an answer, not a refusal: the trace goes on.
   env_->Request(req, [this, unlink, meta](const Message& msg) {
     const FsReply* fs = msg.As<FsReply>();
     CHECK(fs != nullptr);
     if (unlink) {
-      // Unlink-while-open revoked this file's handed capabilities.
-      result_.cap_ops += fs->revoked;
+      // Unlink-while-open revoked this file's handed capabilities, so its
+      // next I/O asks m3fs for an extent of a file that is gone.
+      cap_ops_ += fs->revoked;
       if (OpenFile* file = FindFile(meta->path)) {
-        file->handed = 0;
+        file->extent_len = 0;
       }
     }
     NextOp();
   });
+}
+
+TraceReplayer::TraceReplayer(Trace trace, NodeId kernel_node, const TimingModel& timing)
+    : runner_(std::move(trace)), kernel_node_(kernel_node), ask_cost_(timing.ask_party) {}
+
+void TraceReplayer::Setup() {
+  env_ = std::make_unique<UserEnv>(pe_, kernel_node_, ask_cost_);
+  env_->SetupEps(/*is_service=*/false);
+}
+
+void TraceReplayer::Start() {
+  result_.start = pe_->sim()->Now();
+  env_->OpenSession("m3fs", [this](const SyscallReply& reply) {
+    CHECK(reply.err == ErrCode::kOk) << "session open failed: " << ErrName(reply.err);
+    runner_.Run(env_.get(), reply.sel, [this] { Finish(); });
+  });
+}
+
+void TraceReplayer::Finish() {
+  result_.end = pe_->sim()->Now();
+  result_.cap_ops = 1 + runner_.cap_ops();  // the session obtain, then the trace's
+  result_.syscalls = env_->syscalls_issued();
+  result_.error = runner_.error();
+  result_.done = result_.error == ErrCode::kOk;
+  if (!result_.done) {
+    result_.failed_op = runner_.failed_op();
+    return;
+  }
+  LOG_DEBUG(kTag) << "vpe " << pe_->node() << " finished " << runner_.trace().app << " in "
+                  << CyclesToMicros(result_.runtime()) << "us, " << result_.cap_ops
+                  << " cap ops";
 }
 
 }  // namespace semperos

@@ -1,14 +1,18 @@
-// Trace replayer: the application program running on a user PE.
+// The m3fs trace client: the one program behind every application and
+// request-server PE.
 //
-// Replays one Trace against m3fs: opens a session, performs the trace
-// operations in order (a VPE is single-threaded, paper §2.2), counts the
-// capability-modifying operations it causes, and reports its runtime — the
-// quantity behind the parallel-efficiency figures (paper §5.3.1).
+// TraceRunner replays one Trace against m3fs over one session: it performs
+// the trace operations in order (a VPE is single-threaded, paper §2.2),
+// counts the capability-modifying operations they cause and then fires a
+// completion. TraceReplayer is an application: it opens a session, runs its
+// trace once and reports its runtime — the quantity behind the
+// parallel-efficiency figures (paper §5.3.1). The Nginx server
+// (workloads/nginx.h) runs its request trace once per request (§5.3.3).
 #ifndef SEMPEROS_TRACE_REPLAYER_H_
 #define SEMPEROS_TRACE_REPLAYER_H_
 
 #include <memory>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/timing.h"
@@ -19,30 +23,31 @@
 
 namespace semperos {
 
-class TraceReplayer : public Program {
+class TraceRunner {
  public:
-  struct Result {
-    bool done = false;
-    Cycles start = 0;
-    Cycles end = 0;
-    uint32_t cap_ops = 0;   // session open + exchanges + revokes caused
-    uint64_t syscalls = 0;  // total syscalls issued (incl. activates)
-    Cycles runtime() const { return end - start; }
-  };
+  using DoneFn = Callback<void()>;
 
-  TraceReplayer(Trace trace, NodeId kernel_node, const TimingModel& timing,
-                std::string service_name = "m3fs");
+  explicit TraceRunner(Trace trace) : trace_(std::move(trace)) {}
 
-  void Setup() override;
-  void Start() override;
+  // Runs the trace from its first operation over the m3fs session `session`
+  // of `env`, then fires `done`. The run stops at the first operation that
+  // is refused — by m3fs, by the kernel, or because the trace asks what the
+  // client cannot do (I/O on a file it did not open, a ninth open file) —
+  // and error() says why.
+  void Run(UserEnv* env, CapSel session, DoneFn done);
 
-  const Result& result() const { return result_; }
-  UserEnv& env() { return *env_; }
+  const Trace& trace() const { return trace_; }
+  // Capability-modifying operations the last run caused: extent obtains
+  // plus the capabilities m3fs revoked on close and unlink.
+  uint32_t cap_ops() const { return cap_ops_; }
+  // kOk, or why the operation at index failed_op() was refused.
+  ErrCode error() const { return error_; }
+  size_t failed_op() const { return op_index_ - 1; }
 
  private:
-  // The replayer runs one trace op at a time, so the op in progress lives
-  // in members and continuations capture only `this`. Files are flat:
-  // closed records stay in files_ for reuse.
+  // One trace op runs at a time, so the op in progress lives in members and
+  // continuations capture only `this`. Files are flat: closed records stay
+  // in files_ for reuse.
   struct OpenFile {
     uint32_t path = 0;  // index into trace_.paths
     bool in_use = false;
@@ -51,16 +56,17 @@ class TraceReplayer : public Program {
     CapSel extent_sel = kInvalidSel;
     EpId mem_ep = 0;
     uint64_t extent_start = 0;
-    uint64_t extent_len = 0;
+    uint64_t extent_len = 0;  // 0: no usable extent (unlinked while open)
     uint64_t cursor = 0;
-    uint32_t handed = 0;  // extent capabilities obtained for this file
   };
 
-  EpId AllocMemEp();
-  void FreeMemEp(EpId ep);
   // The open file named by path index `path`, or nullptr.
   OpenFile* FindFile(uint32_t path);
   void NextOp();
+  // Ends the run with `err`.
+  void Finish(ErrCode err);
+  // Ends the run if `err` is not kOk; returns whether it did.
+  bool Refused(ErrCode err);
   void DoOpen(const TraceOp& op);
   void DoIo(const TraceOp& op, bool write);
   // Moves the I/O in progress (io_*) forward by one chunk.
@@ -72,19 +78,49 @@ class TraceReplayer : public Program {
   void DoMeta(const TraceOp& op, FsOp fs_op);
 
   Trace trace_;
-  NodeId kernel_node_;
-  TimingModel t_;
-  std::string service_name_;
-
-  std::unique_ptr<UserEnv> env_;
-  CapSel session_sel_ = kInvalidSel;
+  UserEnv* env_ = nullptr;
+  CapSel session_ = kInvalidSel;
+  DoneFn done_;
   std::vector<OpenFile> files_;
   // The I/O in progress: index into files_, direction, bytes left.
   size_t io_file_ = 0;
   bool io_write_ = false;
   uint64_t io_remaining_ = 0;
   size_t op_index_ = 0;
+  uint32_t cap_ops_ = 0;
+  ErrCode error_ = ErrCode::kOk;
   uint8_t mem_eps_in_use_ = 0;  // bitmap over the 8 memory endpoints
+};
+
+class TraceReplayer : public Program {
+ public:
+  struct Result {
+    bool done = false;
+    Cycles start = 0;
+    Cycles end = 0;
+    uint32_t cap_ops = 0;   // session open + exchanges + revokes caused
+    uint64_t syscalls = 0;  // total syscalls issued (incl. activates)
+    // A refused operation ends the run early (done stays false): its index
+    // in the trace and the error.
+    ErrCode error = ErrCode::kOk;
+    size_t failed_op = 0;
+    Cycles runtime() const { return end - start; }
+  };
+
+  TraceReplayer(Trace trace, NodeId kernel_node, const TimingModel& timing);
+
+  void Setup() override;
+  void Start() override;
+
+  const Result& result() const { return result_; }
+
+ private:
+  void Finish();
+
+  TraceRunner runner_;
+  NodeId kernel_node_;
+  Cycles ask_cost_;
+  std::unique_ptr<UserEnv> env_;
   Result result_;
 };
 

@@ -1,5 +1,6 @@
 #include "trace/trace_io.h"
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 #include <string_view>
@@ -87,6 +88,7 @@ Status ParseTrace(const std::string& text, Trace* trace, size_t* error_line) {
     }
     return Status(ErrCode::kInvalidArgs);
   };
+  std::vector<bool> open;  // by path index: open at this line
   while (std::getline(is, line)) {
     ++line_no;
     std::vector<std::string> tokens = Tokenize(line);
@@ -133,53 +135,63 @@ Status ParseTrace(const std::string& text, Trace* trace, size_t* error_line) {
         return fail(line_no);
       }
       trace->Compute(value);
+      continue;
     } else {
       return fail(line_no);
+    }
+    // The trace client opens a file once and reads, writes, seeks and
+    // closes only open files (trace/replayer.h).
+    TraceOpKind kind = trace->ops.back().kind;
+    uint32_t file = trace->ops.back().path;
+    open.resize(std::max<size_t>(open.size(), file + 1));
+    bool needs_open = kind == TraceOpKind::kRead || kind == TraceOpKind::kWrite ||
+                      kind == TraceOpKind::kSeek || kind == TraceOpKind::kClose;
+    if (kind == TraceOpKind::kOpen ? open[file] : needs_open && !open[file]) {
+      return fail(line_no);
+    }
+    if (kind == TraceOpKind::kOpen || kind == TraceOpKind::kClose) {
+      open[file] = kind == TraceOpKind::kOpen;
     }
   }
   return Status::Ok();
 }
 
+std::string FormatTraceOp(const Trace& trace, const TraceOp& op) {
+  std::string path(op.kind == TraceOpKind::kCompute ? "" : trace.Path(op));
+  switch (op.kind) {
+    case TraceOpKind::kOpen:
+      return "open " + path + " " + FlagSpec(op.flags);
+    case TraceOpKind::kRead:
+      return "read " + path + " " + std::to_string(op.bytes());
+    case TraceOpKind::kWrite:
+      return "write " + path + " " + std::to_string(op.bytes());
+    case TraceOpKind::kSeek:
+      return "seek " + path + " " + std::to_string(op.offset());
+    case TraceOpKind::kClose:
+      return "close " + path;
+    case TraceOpKind::kStat:
+      return "stat " + path;
+    case TraceOpKind::kMkdir:
+      return "mkdir " + path;
+    case TraceOpKind::kUnlink:
+      return "unlink " + path;
+    case TraceOpKind::kReadDir:
+      return "readdir " + path;
+    case TraceOpKind::kCompute:
+      return "compute " + std::to_string(op.compute());
+  }
+  return "";
+}
+
 std::string FormatTrace(const Trace& trace) {
-  std::ostringstream os;
+  std::string text;
   if (!trace.app.empty()) {
-    os << "# trace: " << trace.app << "\n";
+    text += "# trace: " + trace.app + "\n";
   }
   for (const TraceOp& op : trace.ops) {
-    switch (op.kind) {
-      case TraceOpKind::kOpen:
-        os << "open " << trace.Path(op) << " " << FlagSpec(op.flags) << "\n";
-        break;
-      case TraceOpKind::kRead:
-        os << "read " << trace.Path(op) << " " << op.bytes() << "\n";
-        break;
-      case TraceOpKind::kWrite:
-        os << "write " << trace.Path(op) << " " << op.bytes() << "\n";
-        break;
-      case TraceOpKind::kSeek:
-        os << "seek " << trace.Path(op) << " " << op.offset() << "\n";
-        break;
-      case TraceOpKind::kClose:
-        os << "close " << trace.Path(op) << "\n";
-        break;
-      case TraceOpKind::kStat:
-        os << "stat " << trace.Path(op) << "\n";
-        break;
-      case TraceOpKind::kMkdir:
-        os << "mkdir " << trace.Path(op) << "\n";
-        break;
-      case TraceOpKind::kUnlink:
-        os << "unlink " << trace.Path(op) << "\n";
-        break;
-      case TraceOpKind::kReadDir:
-        os << "readdir " << trace.Path(op) << "\n";
-        break;
-      case TraceOpKind::kCompute:
-        os << "compute " << op.compute() << "\n";
-        break;
-    }
+    text += FormatTraceOp(trace, op) + "\n";
   }
-  return os.str();
+  return text;
 }
 
 FsImage InferImage(const Trace& trace) {

@@ -27,12 +27,16 @@
 
 namespace semperos {
 
-// Parses the text format above. On error, returns the failing line number
-// through `error_line` (1-based) and a non-ok status.
+// Parses the text format above. A line that is malformed, opens an open
+// file, or reads, writes, seeks or closes a file that is not open is an
+// error: returns its line number through `error_line` (1-based) and a
+// non-ok status.
 Status ParseTrace(const std::string& text, Trace* trace, size_t* error_line = nullptr);
 
-// Renders a trace in the same text format (ParseTrace round-trips it).
+// Renders a trace in the same text format (ParseTrace round-trips it), and
+// one of its operations as one line without the newline.
 std::string FormatTrace(const Trace& trace);
+std::string FormatTraceOp(const Trace& trace, const TraceOp& op);
 
 // Builds a filesystem image sufficient to replay `trace`: every directory
 // mentioned is created, and every file that is read or stat'ed before being

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <initializer_list>
+#include <iterator>
 #include <sstream>
 #include <string>
 
@@ -373,7 +374,7 @@ void RegisterTrace() {
     Trace trace;
     size_t error_line = 0;
     if (!ParseTrace(buffer.str(), &trace, &error_line).ok()) {
-      std::fprintf(stderr, "%s:%zu: malformed trace line\n", path.c_str(), error_line);
+      std::fprintf(stderr, "%s:%zu: invalid trace line\n", path.c_str(), error_line);
       out.exit_code = 1;
       return out;
     }
@@ -387,7 +388,9 @@ void RegisterTrace() {
     pc.users = 1;
     setup.ApplyTo(&pc);
     Platform platform(pc);
-    AttachServices(&platform, image, pc.timing, 1ull << 36);
+    // The region holds the inferred image plus 64 GiB for the files the
+    // trace writes.
+    AttachServices(&platform, image, pc.timing, image.bytes_used() + (1ull << 36));
     NodeId user = platform.user_nodes()[0];
     auto replayer = std::make_unique<TraceReplayer>(
         trace, platform.kernel_node(platform.membership().KernelOf(user)), pc.timing);
@@ -396,11 +399,21 @@ void RegisterTrace() {
     platform.Boot();
     platform.RunToCompletion();
 
-    out.Note(Fmt("trace %s: %zu operations", path.c_str(), trace.ops.size()));
-    out.Add("runtime", CyclesToMicros(app->result().runtime()), "us");
-    out.Add("cap_ops", app->result().cap_ops);
-    out.Add("syscalls", static_cast<double>(app->result().syscalls));
     out.outcome.emplace().Harvest(&platform, setup);
+    const TraceReplayer::Result& result = app->result();
+    if (!result.done) {
+      // The replay stopped at the first operation m3fs or the kernel refused.
+      std::fprintf(stderr, "%s: operation %zu (%s) refused: %s\n", path.c_str(),
+                   result.failed_op + 1,
+                   FormatTraceOp(trace, trace.ops[result.failed_op]).c_str(),
+                   ErrName(result.error));
+      out.exit_code = 1;
+      return out;
+    }
+    out.Note(Fmt("trace %s: %zu operations", path.c_str(), trace.ops.size()));
+    out.Add("runtime", CyclesToMicros(result.runtime()), "us");
+    out.Add("cap_ops", result.cap_ops);
+    out.Add("syscalls", static_cast<double>(result.syscalls));
     return out;
   };
   WorkloadRegistry::Global().Register(std::move(spec));
@@ -416,7 +429,7 @@ void ReportFailedStorm(const StormConfig& config, const StormResult& r, bool shr
   if (shrink) {
     uint32_t attempts = 0;
     repro = ShrinkStorm(config, &attempts);
-    std::printf("shrunk after %u runs to: %s\n", attempts, FormatStormSpec(repro).c_str());
+    std::printf("shrunk after %u runs\n", attempts);
   }
   std::printf("repro: %s\n", ReproCommand(repro).c_str());
 }
@@ -663,6 +676,19 @@ StormConfig ChaosStormConfig(const WorkloadParams& p) {
   config.bug_skip_orphan_revoke = p.Bool("inject-bug");
   config.setup = RunSetupFrom(p);
   return config;
+}
+
+bool ParseChaosLine(const std::string& line, StormConfig* config, std::string* error) {
+  std::istringstream tokens(line);
+  std::vector<std::string> args = {"chaos"};
+  args.insert(args.end(), std::istream_iterator<std::string>(tokens), {});
+  RegisterBuiltinWorkloads();
+  WorkloadInvocation invocation = ParseWorkloadCli(args);
+  *error = invocation.error;
+  if (invocation.ok) {
+    *config = ChaosStormConfig(invocation.params);
+  }
+  return invocation.ok;
 }
 
 void RegisterBuiltinWorkloads() {

@@ -21,6 +21,7 @@
 
 #include "core/kernel.h"
 #include "system/platform.h"
+#include "workloads/rebalance.h"
 
 namespace semperos {
 
@@ -49,14 +50,11 @@ struct FailoverConfig {
   RunSetup setup;
 };
 
-struct FailoverResult {
-  // Work completed.
-  uint64_t total_ops = 0;          // successful obtain+revoke pairs
-  uint64_t failed_ops = 0;         // attempts that ended in an error reply
+// The disruption windows span kill to recovered (zeros when kill ==
+// false); the leak check covers the surviving kernels.
+struct FailoverResult : LoopResult {
   uint64_t adopted_ops = 0;        // successes by victim-group clients...
   uint64_t adopted_ops_post_kill = 0;  // ...of which after the kill
-  Cycles makespan = 0;
-  double ops_per_sec = 0;
   // Crash-recovery outcome.
   Cycles kill_time = 0;
   bool recovered = false;          // every survivor finished recovery
@@ -64,11 +62,6 @@ struct FailoverResult {
   Cycles detect_latency = 0;       // kill -> first quorum verdict
   Cycles recover_latency = 0;      // kill -> last survivor recovery done
   uint64_t survivor_epoch = 0;     // lowest membership epoch among survivors
-  // Throughput in equal-width windows before / during / after the
-  // kill-to-recovered span (ops per second; zeros when kill == false).
-  double ops_per_sec_before = 0;
-  double ops_per_sec_during = 0;
-  double ops_per_sec_after = 0;
   // Repair accounting.
   uint64_t orphan_roots = 0;       // orphaned subtrees revoked
   uint64_t seeds_revoked = 0;      // seeded caps verified gone post-run
@@ -78,12 +71,6 @@ struct FailoverResult {
   uint64_t ikcs_aborted = 0;
   uint64_t suspicions = 0;
   uint64_t heartbeats = 0;
-  uint64_t client_retries = 0;
-  // Leak check over the surviving kernels: capabilities beyond the expected
-  // per-client baseline. Must be 0.
-  uint64_t leaked_caps = 0;
-  uint64_t events = 0;  // engine total, boot included
-  RunOutcome outcome;
 };
 
 FailoverResult RunFailover(const FailoverConfig& config);

@@ -8,15 +8,11 @@
 
 namespace semperos {
 
-NginxServer::NginxServer(Trace request_trace, NodeId kernel_node, const TimingModel& timing,
-                         std::string service_name)
-    : request_trace_(std::move(request_trace)),
-      kernel_node_(kernel_node),
-      t_(timing),
-      service_name_(std::move(service_name)) {}
+NginxServer::NginxServer(Trace request_trace, NodeId kernel_node, const TimingModel& timing)
+    : runner_(std::move(request_trace)), kernel_node_(kernel_node), ask_cost_(timing.ask_party) {}
 
 void NginxServer::Setup() {
-  env_ = std::make_unique<UserEnv>(pe_, kernel_node_, t_.ask_party);
+  env_ = std::make_unique<UserEnv>(pe_, kernel_node_, ask_cost_);
   env_->SetupEps(/*is_service=*/false);
   pe_->dtu().ConfigureRecv(kNginxServerRecvEp, 16,
                            [this](EpId, const Message& msg) {
@@ -28,7 +24,7 @@ void NginxServer::Setup() {
 }
 
 void NginxServer::Start() {
-  env_->OpenSession(service_name_, [this](const SyscallReply& reply) {
+  env_->OpenSession("m3fs", [this](const SyscallReply& reply) {
     CHECK(reply.err == ErrCode::kOk) << "nginx: session open failed";
     session_sel_ = reply.sel;
     Pump();
@@ -49,90 +45,17 @@ void NginxServer::Pump() {
     serve_parent_ = current_.body->trace_parent;
     serve_span_ = tr->NextSpanId(pe_->node());
     serve_start_ = arrival;
-    // Syscalls issued while serving nest under the serve span.
+    // Syscalls and m3fs requests issued while serving nest under the serve
+    // span.
     env_->SetTraceContext(serve_trace_, serve_span_);
   }
-  RunOp(0);
-}
-
-void NginxServer::RunOp(size_t idx) {
-  if (idx >= request_trace_.ops.size()) {
-    FinishRequest();
-    return;
-  }
-  op_idx_ = idx;
-  const TraceOp& op = request_trace_.ops[idx];
-  auto next = [this] { NextOp(); };
-  switch (op.kind) {
-    case TraceOpKind::kStat: {
-      auto req = NewMsg<FsRequest>();
-      req->op = FsOp::kStat;
-      req->path = request_trace_.Path(op);
-      req->trace_id = serve_trace_;
-      req->trace_parent = serve_span_;
-      env_->Request(req, [this](const Message&) { NextOp(); });
-      return;
-    }
-    case TraceOpKind::kOpen: {
-      auto req = NewMsg<FsRequest>();
-      req->op = FsOp::kOpen;
-      req->path = request_trace_.Path(op);
-      req->flags = op.flags;
-      env_->Exchange(session_sel_, req, [this](const SyscallReply& reply) {
-        CHECK(reply.err == ErrCode::kOk) << "nginx open failed: " << ErrName(reply.err);
-        const FsReply* fs = MsgAs<FsReply>(reply.payload);
-        CHECK(fs != nullptr);
-        open_.fid = fs->fid;
-        open_.extent_sel = reply.sel;
-        open_.extent_len = reply.cap.mem_size;
-        open_.handed = 1;
-        env_->Activate(open_.extent_sel, user_ep::kMem0, [this](const SyscallReply& areply) {
-          CHECK(areply.err == ErrCode::kOk);
-          NextOp();
-        });
-      });
-      return;
-    }
-    case TraceOpKind::kRead: {
-      uint64_t bytes = std::min(op.bytes(), open_.extent_len);
-      env_->ReadMem(user_ep::kMem0, 0, bytes, next);
-      return;
-    }
-    case TraceOpKind::kWrite: {
-      // Request traces keep I/O inside extent 0 (the service grows a fresh
-      // file to a full write extent at open), so no next-extent exchange.
-      uint64_t bytes = std::min(op.bytes(), open_.extent_len);
-      env_->WriteMem(user_ep::kMem0, 0, bytes, next);
-      return;
-    }
-    case TraceOpKind::kUnlink: {
-      auto req = NewMsg<FsRequest>();
-      req->op = FsOp::kUnlink;
-      req->path = request_trace_.Path(op);
-      req->trace_id = serve_trace_;
-      req->trace_parent = serve_span_;
-      env_->Request(req, [this](const Message&) { NextOp(); });
-      return;
-    }
-    case TraceOpKind::kClose: {
-      auto req = NewMsg<FsRequest>();
-      req->op = FsOp::kClose;
-      req->fid = open_.fid;
-      req->trace_id = serve_trace_;
-      req->trace_parent = serve_span_;
-      env_->Request(req, [this](const Message&) { NextOp(); });
-      return;
-    }
-    case TraceOpKind::kCompute: {
-      env_->Compute(op.compute(), next);
-      return;
-    }
-    default:
-      CHECK(false) << "unsupported op in nginx request trace";
-  }
+  runner_.Run(env_.get(), session_sel_, [this] { FinishRequest(); });
 }
 
 void NginxServer::FinishRequest() {
+  CHECK(runner_.error() == ErrCode::kOk)
+      << "nginx: request trace op " << runner_.failed_op()
+      << " refused: " << ErrName(runner_.error());
   served_++;
   const NginxRequestMsg* req = current_.As<NginxRequestMsg>();
   auto response = NewMsg<NginxResponseMsg>();

@@ -5,25 +5,25 @@
 // to our webserver processes running on separate PEs. These PEs replay the
 // trace upon receiving a request and send the response back."
 //
-// NginxServer runs on a user PE: it is an m3fs client that, per incoming
-// request, replays the request-handling trace (stat + open + read + close +
-// compute) and then responds. LoadGen runs on a load-generator PE and keeps
-// a small pipeline of outstanding requests to one server (closed loop).
+// NginxServer runs on a user PE: it is the m3fs trace client of
+// trace/replayer.h that, per incoming request, runs the request-handling
+// trace (stat + open + read + close + compute) and then responds. LoadGen
+// runs on a load-generator PE and keeps a small pipeline of outstanding
+// requests to one server (closed loop).
 //
 // The open-loop traffic harness (src/traffic) reuses NginxServer and the
 // request/response wire format with other per-request traces (the postmark
-// mail transaction), so the server also replays write and unlink ops.
+// mail transaction).
 #ifndef SEMPEROS_WORKLOADS_NGINX_H_
 #define SEMPEROS_WORKLOADS_NGINX_H_
 
 #include <memory>
-#include <string>
 
 #include "base/flat.h"
 #include "core/timing.h"
 #include "core/userlib.h"
-#include "fs/protocol.h"
 #include "pe/pe.h"
+#include "trace/replayer.h"
 #include "trace/trace.h"
 
 namespace semperos {
@@ -49,8 +49,7 @@ inline constexpr EpId kNginxServerRecvEp = 5;
 
 class NginxServer : public Program {
  public:
-  NginxServer(Trace request_trace, NodeId kernel_node, const TimingModel& timing,
-              std::string service_name = "m3fs");
+  NginxServer(Trace request_trace, NodeId kernel_node, const TimingModel& timing);
 
   void Setup() override;
   void Start() override;
@@ -58,19 +57,10 @@ class NginxServer : public Program {
   uint64_t served() const { return served_; }
 
  private:
-  // The server handles one request at a time: the request in service and
-  // its trace position live in members, and continuations capture `this`.
+  // The server handles one request at a time: the request in service
+  // lives in members, and continuations capture `this`.
   void Pump();
-  void RunOp(size_t idx);
-  void NextOp() { RunOp(op_idx_ + 1); }
   void FinishRequest();
-
-  struct OpenState {
-    uint64_t fid = 0;
-    CapSel extent_sel = kInvalidSel;
-    uint64_t extent_len = 0;
-    uint32_t handed = 0;
-  };
 
   // Requests queue with their DTU arrival time: the serve span starts at
   // arrival, so time spent waiting behind the serial server loop shows up
@@ -80,17 +70,14 @@ class NginxServer : public Program {
     Cycles arrival = 0;
   };
 
-  Trace request_trace_;
+  TraceRunner runner_;  // runs the request trace
   NodeId kernel_node_;
-  TimingModel t_;
-  std::string service_name_;
+  Cycles ask_cost_;
   std::unique_ptr<UserEnv> env_;
   CapSel session_sel_ = kInvalidSel;
   Ring<Pending> pending_;
   bool busy_ = false;
-  Message current_;   // the request in service
-  size_t op_idx_ = 0;  // its position in request_trace_
-  OpenState open_;
+  Message current_;  // the request in service
   uint64_t served_ = 0;
   // Observability: the open serve span (traced requests only).
   uint64_t serve_trace_ = 0;

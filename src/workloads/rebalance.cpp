@@ -4,68 +4,123 @@
 #include <memory>
 
 #include "base/log.h"
-#include "core/userlib.h"
-#include "system/platform.h"
 
 namespace semperos {
 
-namespace {
-
-// One closed-loop client: obtain the peer's root capability (always in
-// another group), revoke the obtained copy, think, repeat. Migration is
-// invisible here — frozen syscalls and exchanges on moving partitions come
-// back as kVpeMigrating and the UserEnv retries them transparently.
-class RebalanceClient : public Program {
- public:
-  RebalanceClient(NodeId kernel_node, const TimingModel& timing, uint32_t ops, Cycles think)
-      : kernel_node_(kernel_node), timing_(timing), ops_(ops), think_(think) {}
-
-  void SetPeer(VpeId peer, CapSel peer_sel) {
-    peer_ = peer;
-    peer_sel_ = peer_sel;
+void LoopClient::Setup() {
+  env_ = std::make_unique<UserEnv>(pe_, kernel_node_, ask_cost_);
+  env_->SetupEps(/*is_service=*/false);
+  if (params_.retry_timeout > 0) {
+    env_->EnableSyscallRetry(params_.retry_timeout, params_.retry_max);
   }
+}
 
-  void Setup() override {
-    env_ = std::make_unique<UserEnv>(pe_, kernel_node_, timing_.ask_party);
-    env_->SetupEps(/*is_service=*/false);
+void LoopClient::Start() {
+  if (seed_peer_ != kInvalidVpe && params_.seed_caps > 0) {
+    SeedNext();
+  } else {
+    NextOp();
   }
+}
 
-  void Start() override { NextOp(); }
-
-  bool finished() const { return done_ops_ >= ops_; }
-  uint64_t done_ops() const { return done_ops_; }
-  uint64_t retries() const { return env_->syscall_retries(); }
-  // Client-local completion timestamps: shards run on different worker
-  // threads, so a shared vector would race. Merged by the runner; every
-  // consumer is order-insensitive (window counts and a max).
-  const std::vector<Cycles>& completions() const { return completions_; }
-
- private:
-  void NextOp() {
-    if (done_ops_ >= ops_) {
+void LoopClient::SeedNext() {
+  if (seed_sels_.size() >= params_.seed_caps) {
+    NextOp();
+    return;
+  }
+  env_->Obtain(seed_peer_, seed_peer_sel_, [this](const SyscallReply& r) {
+    CHECK(r.err == ErrCode::kOk) << "seed obtain failed: " << ErrName(r.err)
+                                 << " (seed before the kill must succeed)";
+    seed_sels_.push_back(r.sel);
+    if (seed_eps_.size() < params_.activate_caps) {
+      EpId ep = user_ep::kMem0 + static_cast<EpId>(seed_eps_.size());
+      seed_eps_.push_back(ep);
+      env_->Activate(r.sel, ep, [this](const SyscallReply& r2) {
+        CHECK(r2.err == ErrCode::kOk) << "seed activate failed: " << ErrName(r2.err);
+        SeedNext();
+      });
       return;
     }
-    env_->Obtain(peer_, peer_sel_, [this](const SyscallReply& r) {
-      CHECK(r.err == ErrCode::kOk) << "rebalance obtain failed: " << ErrName(r.err);
-      env_->Revoke(r.sel, [this](const SyscallReply& r2) {
-        CHECK(r2.err == ErrCode::kOk) << "rebalance revoke failed: " << ErrName(r2.err);
-        done_ops_++;
-        completions_.push_back(pe_->sim()->Now());
-        env_->Compute(think_, [this] { NextOp(); });
-      });
-    });
-  }
+    SeedNext();
+  });
+}
 
-  NodeId kernel_node_;
-  TimingModel timing_;
-  uint32_t ops_;
-  Cycles think_;
-  std::vector<Cycles> completions_;
-  std::unique_ptr<UserEnv> env_;
-  VpeId peer_ = kInvalidVpe;
-  CapSel peer_sel_ = kInvalidSel;
-  uint64_t done_ops_ = 0;
-};
+void LoopClient::NextOp() {
+  if (finished()) {
+    return;
+  }
+  env_->Obtain(loop_peer_, loop_peer_sel_, [this](const SyscallReply& r) {
+    if (r.err != ErrCode::kOk) {
+      FinishAttempt(false);
+      return;
+    }
+    env_->Revoke(r.sel, [this](const SyscallReply& r2) {
+      // kNoSuchCap with the crash watchdog armed: the copy was created at a
+      // kernel that died since — from the application's view the revoke is
+      // trivially done. Without a crash, a copy missing at revoke was lost.
+      bool crash_gone = params_.retry_timeout > 0 && r2.err == ErrCode::kNoSuchCap;
+      FinishAttempt(r2.err == ErrCode::kOk || crash_gone);
+    });
+  });
+}
+
+void LoopClient::FinishAttempt(bool ok) {
+  if (ok) {
+    ops_ok_++;
+    completions_.push_back(pe_->sim()->Now());
+  } else {
+    ops_failed_++;
+  }
+  env_->Compute(params_.think, [this] { NextOp(); });
+}
+
+LoopRig MakeLoopRig(uint32_t kernels, uint32_t users_per_kernel, const RunSetup& setup,
+                    const LoopClient::Params& params) {
+  TimingModel timing = TimingModel::SemperOs();
+  PlatformConfig pc;
+  pc.kernels = kernels;
+  pc.users = kernels * users_per_kernel;
+  pc.timing = timing;
+  setup.ApplyTo(&pc);
+  LoopRig rig;
+  rig.platform = std::make_unique<Platform>(pc);
+  Platform& platform = *rig.platform;
+  for (NodeId node : platform.user_nodes()) {
+    NodeId kernel_node = platform.kernel_node(platform.membership().KernelOf(node));
+    auto client = std::make_unique<LoopClient>(kernel_node, timing.ask_party, params);
+    rig.clients.push_back(client.get());
+    platform.pe(node)->AttachProgram(std::move(client));
+  }
+  for (VpeId vpe : platform.user_nodes()) {
+    rig.roots.push_back(platform.kernel_of(vpe)->AdminGrantMem(vpe, platform.mem_nodes().at(0),
+                                                               0, 1 << 20, kPermRW));
+  }
+  return rig;
+}
+
+void LoopRig::Tally(Cycles run_start, const char* workload, LoopResult* result) {
+  Cycles last = run_start;
+  for (size_t i = 0; i < clients.size(); ++i) {
+    const LoopClient* client = clients[i];
+    CHECK(client->finished()) << workload << " client " << i << " stalled at "
+                              << client->ops_ok() + client->ops_failed()
+                              << " attempts (retries " << client->retries() << ")";
+    result->total_ops += client->ops_ok();
+    result->failed_ops += client->ops_failed();
+    result->client_retries += client->retries();
+    for (Cycles t : client->completions()) {
+      completions.push_back(t);
+      last = std::max(last, t);
+    }
+  }
+  result->makespan = last - run_start;
+  if (result->makespan > 0) {
+    result->ops_per_sec =
+        static_cast<double>(result->total_ops) / CyclesToSeconds(result->makespan);
+  }
+}
+
+namespace {
 
 struct MigTracker {
   Cycles start = 0;
@@ -106,13 +161,11 @@ double WindowRate(const std::vector<Cycles>& completions, Cycles from, Cycles to
 
 }  // namespace
 
-WindowRates RatesAround(const std::vector<Cycles>& completions, Cycles from, Cycles to) {
+void LoopRig::RatesAround(Cycles from, Cycles to, LoopResult* result) const {
   Cycles window = to > from ? to - from : 1;
-  WindowRates rates;
-  rates.before = WindowRate(completions, from > window ? from - window : 0, from);
-  rates.during = WindowRate(completions, from, to);
-  rates.after = WindowRate(completions, to, to + window);
-  return rates;
+  result->ops_per_sec_before = WindowRate(completions, from > window ? from - window : 0, from);
+  result->ops_per_sec_during = WindowRate(completions, from, to);
+  result->ops_per_sec_after = WindowRate(completions, to, to + window);
 }
 
 RebalanceResult RunRebalance(const RebalanceConfig& config) {
@@ -120,36 +173,18 @@ RebalanceResult RunRebalance(const RebalanceConfig& config) {
   CHECK_GE(config.users_per_kernel, 1u);
   CHECK_LE(config.migrate_pes, config.users_per_kernel);
 
-  TimingModel timing = TimingModel::SemperOs();
-  PlatformConfig pc;
-  pc.kernels = config.kernels;
-  pc.users = config.kernels * config.users_per_kernel;
-  pc.timing = timing;
-  config.setup.ApplyTo(&pc);
-  Platform platform(pc);
+  LoopClient::Params params;
+  params.attempts = config.ops_per_client;
+  params.think = config.think_time;
+  LoopRig rig = MakeLoopRig(config.kernels, config.users_per_kernel, config.setup, params);
+  Platform& platform = *rig.platform;
 
-  std::vector<RebalanceClient*> clients;
-  for (NodeId node : platform.user_nodes()) {
-    NodeId kernel_node = platform.kernel_node(platform.membership().KernelOf(node));
-    auto client = std::make_unique<RebalanceClient>(kernel_node, timing, config.ops_per_client,
-                                                    config.think_time);
-    clients.push_back(client.get());
-    platform.pe(node)->AttachProgram(std::move(client));
-  }
-
-  // Grant every client a root capability and pair it with a client one
-  // group over, so every operation in the loop spans kernels.
-  uint32_t n = static_cast<uint32_t>(clients.size());
-  std::vector<CapSel> roots(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    VpeId vpe = platform.user_nodes()[i];
-    roots[i] =
-        platform.kernel_of(vpe)->AdminGrantMem(vpe, platform.mem_nodes().at(0), 0, 1 << 20,
-                                               kPermRW);
-  }
+  // Pair every client with a client one group over, so every operation in
+  // the loop spans kernels.
+  uint32_t n = static_cast<uint32_t>(rig.clients.size());
   for (uint32_t i = 0; i < n; ++i) {
     uint32_t peer = (i + config.users_per_kernel) % n;
-    clients[i]->SetPeer(platform.user_nodes()[peer], roots[peer]);
+    rig.clients[i]->SetLoopPeer(platform.user_nodes()[peer], rig.roots[peer]);
   }
 
   platform.Boot();
@@ -174,40 +209,17 @@ RebalanceResult RunRebalance(const RebalanceConfig& config) {
   }
   platform.RunToCompletion();
 
-  // Merge the per-client completion timestamps (see RebalanceClient).
-  std::vector<Cycles> completions;
-  for (RebalanceClient* client : clients) {
-    completions.insert(completions.end(), client->completions().begin(),
-                       client->completions().end());
-  }
-
   RebalanceResult result;
+  rig.Tally(run_start, "rebalance", &result);
+  // Rebalancing must not cost the clients a single attempt.
+  CHECK_EQ(result.failed_ops, 0u) << "rebalance: obtain+revoke attempts failed";
   result.migrations_requested = config.migrate ? config.migrate_pes : 0;
-  for (uint32_t i = 0; i < n; ++i) {
-    RebalanceClient* client = clients[i];
-    CHECK(client->finished()) << "rebalance client " << i << " stalled at " << client->done_ops()
-                              << "/" << config.ops_per_client << " ops (retries "
-                              << client->retries() << ")";
-    result.total_ops += client->done_ops();
-    result.client_retries += client->retries();
-  }
-  Cycles last = run_start;
-  for (Cycles t : completions) {
-    last = std::max(last, t);
-  }
-  result.makespan = last - run_start;
-  if (result.makespan > 0) {
-    result.ops_per_sec = static_cast<double>(result.total_ops) / CyclesToSeconds(result.makespan);
-  }
 
   if (config.migrate) {
     result.migration_start = tracker->start;
     result.migration_end = tracker->end;
     result.migration_latency_max = tracker->max_latency;
-    WindowRates rates = RatesAround(completions, tracker->start, tracker->end);
-    result.ops_per_sec_before = rates.before;
-    result.ops_per_sec_during = rates.during;
-    result.ops_per_sec_after = rates.after;
+    rig.RatesAround(tracker->start, tracker->end, &result);
   }
 
   result.events = platform.sim().EventsRun();

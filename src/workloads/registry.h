@@ -130,6 +130,9 @@ void RegisterBuiltinWorkloads();
 // The storm a parsed `chaos` invocation runs (chaos/storm.h).
 struct StormConfig;
 StormConfig ChaosStormConfig(const WorkloadParams& params);
+// The storm a chaos corpus line names: the line is the argument list of
+// `semperos_sim chaos`. False, with the parse error, if it does not parse.
+bool ParseChaosLine(const std::string& line, StormConfig* config, std::string* error);
 
 // ---- CLI front end ----
 

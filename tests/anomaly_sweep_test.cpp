@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "audit/cap_audit.h"
-#include "tests/test_util.h"
+#include "system/client.h"
 
 namespace semperos {
 namespace {
@@ -16,14 +16,14 @@ namespace {
 class KillSweep : public ::testing::TestWithParam<Cycles> {};
 
 // Global forest invariants (I1-I6) via the shared auditor.
-void VerifyForest(ClientRig& rig) {
+void VerifyForest(DriverRig& rig) {
   AuditReport report = AuditPlatform(rig.p());
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
 TEST_P(KillSweep, ObtainerDies) {
-  ClientRig rig = MakeRig(2, 2);
-  CapSel owner_sel = rig.Grant(1);
+  DriverRig rig = MakeDriverRig(2, 2);
+  CapSel owner_sel = rig.Grant(1, 4096);
   rig.client(0).env().Obtain(rig.vpe(1), owner_sel, [](const SyscallReply&) {});
   rig.p().sim().Schedule(GetParam(), [&] {
     rig.kernel_of_client(0)->AdminKillVpe(rig.vpe(0), nullptr);
@@ -36,8 +36,8 @@ TEST_P(KillSweep, ObtainerDies) {
 }
 
 TEST_P(KillSweep, DelegatorDies) {
-  ClientRig rig = MakeRig(2, 2);
-  CapSel sel = rig.Grant(0);
+  DriverRig rig = MakeDriverRig(2, 2);
+  CapSel sel = rig.Grant(0, 4096);
   rig.client(0).env().Delegate(sel, rig.vpe(1), [](const SyscallReply&) {});
   rig.p().sim().Schedule(GetParam(), [&] {
     rig.kernel_of_client(0)->AdminKillVpe(rig.vpe(0), nullptr);
@@ -50,8 +50,8 @@ TEST_P(KillSweep, DelegatorDies) {
 }
 
 TEST_P(KillSweep, ReceiverDies) {
-  ClientRig rig = MakeRig(2, 2);
-  CapSel sel = rig.Grant(0);
+  DriverRig rig = MakeDriverRig(2, 2);
+  CapSel sel = rig.Grant(0, 4096);
   rig.client(0).env().Delegate(sel, rig.vpe(1), [](const SyscallReply&) {});
   rig.p().sim().Schedule(GetParam(), [&] {
     rig.kernel_of_client(1)->AdminKillVpe(rig.vpe(1), nullptr);
@@ -65,8 +65,8 @@ TEST_P(KillSweep, ReceiverDies) {
 }
 
 TEST_P(KillSweep, OwnerDiesDuringObtain) {
-  ClientRig rig = MakeRig(2, 2);
-  CapSel owner_sel = rig.Grant(1);
+  DriverRig rig = MakeDriverRig(2, 2);
+  CapSel owner_sel = rig.Grant(1, 4096);
   bool replied = false;
   rig.client(0).env().Obtain(rig.vpe(1), owner_sel,
                              [&](const SyscallReply&) { replied = true; });

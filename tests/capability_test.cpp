@@ -12,14 +12,14 @@
 #include "base/rng.h"
 #include "core/capability.h"
 #include "core/kernel.h"
-#include "tests/test_util.h"
+#include "system/client.h"
 
 namespace semperos {
 namespace {
 
 TEST(Obtain, GroupInternal) {
-  ClientRig rig = MakeRig(1, 2);
-  CapSel owner_sel = rig.Grant(1);
+  DriverRig rig = MakeDriverRig(1, 2);
+  CapSel owner_sel = rig.Grant(1, 4096);
 
   SyscallReply got;
   rig.client(0).env().Obtain(rig.vpe(1), owner_sel, [&](const SyscallReply& r) { got = r; });
@@ -40,9 +40,9 @@ TEST(Obtain, GroupInternal) {
 }
 
 TEST(Obtain, GroupSpanning) {
-  ClientRig rig = MakeRig(2, 2);  // round-robin: client 0 -> K0, client 1 -> K1
+  DriverRig rig = MakeDriverRig(2, 2);  // round-robin: client 0 -> K0, client 1 -> K1
   ASSERT_NE(rig.kernel_of_client(0), rig.kernel_of_client(1));
-  CapSel owner_sel = rig.Grant(1);
+  CapSel owner_sel = rig.Grant(1, 4096);
 
   SyscallReply got;
   rig.client(0).env().Obtain(rig.vpe(1), owner_sel, [&](const SyscallReply& r) { got = r; });
@@ -64,7 +64,7 @@ TEST(Obtain, GroupSpanning) {
 }
 
 TEST(Obtain, MissingCapabilityFails) {
-  ClientRig rig = MakeRig(1, 2);
+  DriverRig rig = MakeDriverRig(1, 2);
   SyscallReply got;
   rig.client(0).env().Obtain(rig.vpe(1), /*peer_sel=*/999,
                              [&](const SyscallReply& r) { got = r; });
@@ -73,7 +73,7 @@ TEST(Obtain, MissingCapabilityFails) {
 }
 
 TEST(Obtain, SpanningMissingCapabilityFails) {
-  ClientRig rig = MakeRig(2, 2);
+  DriverRig rig = MakeDriverRig(2, 2);
   SyscallReply got;
   rig.client(0).env().Obtain(rig.vpe(1), /*peer_sel=*/999,
                              [&](const SyscallReply& r) { got = r; });
@@ -82,8 +82,8 @@ TEST(Obtain, SpanningMissingCapabilityFails) {
 }
 
 TEST(Delegate, GroupInternal) {
-  ClientRig rig = MakeRig(1, 2);
-  CapSel sel = rig.Grant(0);
+  DriverRig rig = MakeDriverRig(1, 2);
+  CapSel sel = rig.Grant(0, 4096);
   SyscallReply got;
   rig.client(0).env().Delegate(sel, rig.vpe(1), [&](const SyscallReply& r) { got = r; });
   rig.p().RunToCompletion();
@@ -100,8 +100,8 @@ TEST(Delegate, GroupInternal) {
 }
 
 TEST(Delegate, GroupSpanningTwoWayHandshake) {
-  ClientRig rig = MakeRig(2, 2);
-  CapSel sel = rig.Grant(0);
+  DriverRig rig = MakeDriverRig(2, 2);
+  CapSel sel = rig.Grant(0, 4096);
   SyscallReply got;
   rig.client(0).env().Delegate(sel, rig.vpe(1), [&](const SyscallReply& r) { got = r; });
   rig.p().RunToCompletion();
@@ -122,8 +122,8 @@ TEST(Delegate, GroupSpanningTwoWayHandshake) {
 }
 
 TEST(Revoke, GroupInternalRecursive) {
-  ClientRig rig = MakeRig(1, 3);
-  CapSel sel = rig.Grant(0);
+  DriverRig rig = MakeDriverRig(1, 3);
+  CapSel sel = rig.Grant(0, 4096);
   Kernel* kernel = rig.kernel_of_client(0);
 
   // Build: v0 -> v1 -> v2 by two delegates.
@@ -153,11 +153,11 @@ TEST(Revoke, GroupInternalRecursive) {
 TEST(Revoke, GroupSpanningRecursive) {
   // Chain A(K0) -> B(K1) -> C(K0): the deadlock example of §4.2 — K1 calls
   // back into K0 while K0's revoke is suspended.
-  ClientRig rig = MakeRig(2, 4);
+  DriverRig rig = MakeDriverRig(2, 4);
   size_t a = rig.client_in_kernel(0, 0);
   size_t b = rig.client_in_kernel(1, 0);
   size_t c = rig.client_in_kernel(0, 1);
-  CapSel sel = rig.Grant(a);
+  CapSel sel = rig.Grant(a, 4096);
   Kernel* k0 = rig.kernel_of_client(a);
   Kernel* k1 = rig.kernel_of_client(b);
   ASSERT_NE(k0, k1);
@@ -195,7 +195,7 @@ TEST(Revoke, GroupSpanningRecursive) {
 }
 
 TEST(Revoke, MissingCapabilityFails) {
-  ClientRig rig = MakeRig(1, 1);
+  DriverRig rig = MakeDriverRig(1, 1);
   SyscallReply got;
   rig.client(0).env().Revoke(12345, [&](const SyscallReply& r) { got = r; });
   rig.p().RunToCompletion();
@@ -213,8 +213,8 @@ TEST(Anomaly, OrphanedObtainCleanedUp) {
   // interleaving must hit the orphan-notification path.
   uint64_t total_orphans_cleaned = 0;
   for (Cycles kill_at = 0; kill_at <= 12'000; kill_at += 1'000) {
-    ClientRig rig = MakeRig(2, 2);
-    CapSel owner_sel = rig.Grant(1);
+    DriverRig rig = MakeDriverRig(2, 2);
+    CapSel owner_sel = rig.Grant(1, 4096);
     Kernel* k0 = rig.kernel_of_client(0);
     Kernel* k1 = rig.kernel_of_client(1);
 
@@ -239,8 +239,8 @@ TEST(Anomaly, InvalidDelegatePrevented) {
   // handshake (§4.3.2). We kill the delegator mid-delegate; whatever the
   // interleaving, the receiver must never end up with a capability whose
   // parent edge is untracked.
-  ClientRig rig = MakeRig(2, 2);
-  CapSel sel = rig.Grant(0);
+  DriverRig rig = MakeDriverRig(2, 2);
+  CapSel sel = rig.Grant(0, 4096);
   Kernel* k0 = rig.kernel_of_client(0);
   Kernel* k1 = rig.kernel_of_client(1);
 
@@ -268,11 +268,11 @@ TEST(Anomaly, InvalidDelegatePrevented) {
 TEST(Anomaly, IncompleteRevokeNeverAcked) {
   // Overlapping revokes on an overlapping subtree: the inner revoke must
   // not be acknowledged before the whole chain below it is gone (§4.3.1).
-  ClientRig rig = MakeRig(2, 4);
+  DriverRig rig = MakeDriverRig(2, 4);
   size_t a = rig.client_in_kernel(0, 0);
   size_t b = rig.client_in_kernel(1, 0);
   size_t c = rig.client_in_kernel(0, 1);
-  CapSel sel = rig.Grant(a);
+  CapSel sel = rig.Grant(a, 4096);
   Kernel* k0 = rig.kernel_of_client(a);
   Kernel* k1 = rig.kernel_of_client(b);
 
@@ -313,8 +313,8 @@ TEST(Anomaly, IncompleteRevokeNeverAcked) {
 TEST(Anomaly, PointlessExchangeDenied) {
   // "the two phases allow us to immediately deny exchanges of capabilities
   // that are in revocation" (§4.3.3).
-  ClientRig rig = MakeRig(2, 4);
-  CapSel sel = rig.Grant(0);
+  DriverRig rig = MakeDriverRig(2, 4);
+  CapSel sel = rig.Grant(0, 4096);
   Kernel* k0 = rig.kernel_of_client(0);
 
   // Long spanning chain under the root capability keeps the revoke running.
@@ -370,8 +370,8 @@ TEST(Revoke, PingPongChainNoDeadlock) {
   // Two malicious applications exchanging a capability back and forth
   // build a deep hierarchy at alternating kernels (§4.3.3). Revocation must
   // complete with the two-revocation-thread bound.
-  ClientRig rig = MakeRig(2, 2);
-  CapSel sel = rig.Grant(0);
+  DriverRig rig = MakeDriverRig(2, 2);
+  CapSel sel = rig.Grant(0, 4096);
   Kernel* k0 = rig.kernel_of_client(0);
 
   Capability* cur = k0->CapOf(rig.vpe(0), sel);
@@ -405,9 +405,9 @@ TEST(Revoke, PingPongChainNoDeadlock) {
 TEST(Threads, PoolBoundRespected) {
   // Eq. 1 sizing is enforced with a CHECK inside the kernel; surviving a
   // burst of concurrent syscalls from every VPE proves the accounting.
-  ClientRig rig = MakeRig(2, 8);
+  DriverRig rig = MakeDriverRig(2, 8);
   for (size_t i = 0; i < 8; ++i) {
-    CapSel sel = rig.Grant(i);
+    CapSel sel = rig.Grant(i, 4096);
     size_t peer = (i + 1) % 8;
     rig.client(i).env().Delegate(sel, rig.vpe(peer), [](const SyscallReply& r) {
       ASSERT_EQ(r.err, ErrCode::kOk);
@@ -423,12 +423,12 @@ TEST(Threads, PoolBoundRespected) {
 }
 
 TEST(KillVpe, RevokesEverythingIncludingRemoteChildren) {
-  ClientRig rig = MakeRig(2, 4);
+  DriverRig rig = MakeDriverRig(2, 4);
   size_t victim = rig.client_in_kernel(0, 0);
   size_t local_peer = rig.client_in_kernel(0, 1);
   size_t remote_peer = rig.client_in_kernel(1, 0);
-  CapSel sel_a = rig.Grant(victim);
-  CapSel sel_b = rig.Grant(victim);
+  CapSel sel_a = rig.Grant(victim, 4096);
+  CapSel sel_b = rig.Grant(victim, 4096);
   Kernel* k0 = rig.kernel_of_client(victim);
   Kernel* k1 = rig.kernel_of_client(remote_peer);
 
@@ -459,7 +459,7 @@ TEST(KillVpe, RevokesEverythingIncludingRemoteChildren) {
 }
 
 TEST(Activate, BindsMemoryEndpointAndRevokeInvalidates) {
-  ClientRig rig = MakeRig(1, 2);
+  DriverRig rig = MakeDriverRig(1, 2);
   CapSel owner_sel = rig.Grant(1, 1 << 20);
   Kernel* kernel = rig.kernel_of_client(0);
 
@@ -494,7 +494,7 @@ TEST(Activate, BindsMemoryEndpointAndRevokeInvalidates) {
 }
 
 TEST(DeriveMem, CreatesRestrictedChild) {
-  ClientRig rig = MakeRig(1, 1);
+  DriverRig rig = MakeDriverRig(1, 1);
   CapSel sel = rig.Grant(0, 1 << 20);
   SyscallReply got;
   rig.client(0).env().DeriveMem(sel, 4096, 8192, kPermR, [&](const SyscallReply& r) { got = r; });
@@ -511,7 +511,7 @@ TEST(DeriveMem, CreatesRestrictedChild) {
 }
 
 TEST(DeriveMem, RejectsEscalation) {
-  ClientRig rig = MakeRig(1, 1);
+  DriverRig rig = MakeDriverRig(1, 1);
   CapSel sel = rig.kernel_of_client(0)->AdminGrantMem(rig.vpe(0), rig.p().mem_nodes()[0], 0, 4096,
                                                       kPermR);
   SyscallReply got;
@@ -525,7 +525,7 @@ TEST(DeriveMem, RejectsEscalation) {
 }
 
 TEST(Noop, RoundTripCompletes) {
-  ClientRig rig = MakeRig(1, 1);
+  DriverRig rig = MakeDriverRig(1, 1);
   bool done = false;
   auto msg = std::make_shared<SyscallMsg>();
   msg->op = SyscallOp::kNoop;

@@ -2,9 +2,10 @@
 // schedules, and the auditor-catches-injected-bugs guarantee.
 //
 // The regression corpus (tests/chaos_corpus/*.storms) is append-only: every
-// storm that ever exposed a real protocol bug lives there as one spec line
-// and is replayed here on every run. A failing replay prints the exact
-// one-command repro (`semperos_sim chaos --seed=N ...`).
+// storm that ever exposed a real protocol bug lives there as one line of
+// `semperos_sim chaos` arguments and is replayed here on every run. A
+// failing replay prints the exact one-command repro
+// (`semperos_sim chaos --seed=N ...`).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -52,7 +53,7 @@ std::vector<CorpusEntry> LoadCorpus() {
       }
       CorpusEntry entry{path.filename().string(), line_no, line, StormConfig{}};
       std::string error;
-      EXPECT_TRUE(ParseStormSpec(line, &entry.config, &error))
+      EXPECT_TRUE(ParseChaosLine(line, &entry.config, &error))
           << entry.file << ":" << line_no << ": " << error;
       entries.push_back(std::move(entry));
     }
@@ -76,11 +77,7 @@ TEST(ChaosCorpus, EveryStormReplaysClean) {
 
 TEST(ChaosCorpus, SpecLinesRoundTrip) {
   for (const CorpusEntry& entry : LoadCorpus()) {
-    std::string spec = FormatStormSpec(entry.config);
-    StormConfig reparsed;
-    std::string error;
-    ASSERT_TRUE(ParseStormSpec(spec, &reparsed, &error)) << error;
-    EXPECT_EQ(FormatStormSpec(reparsed), spec) << entry.line;
+    EXPECT_EQ(ReproCommand(entry.config), "semperos_sim chaos " + entry.line);
   }
 }
 
@@ -154,7 +151,7 @@ TEST(ChaosInjectedBug, SkippedOrphanRevocationIsCaughtAndShrinks) {
   ASSERT_TRUE(invocation.ok) << invocation.error;
   EXPECT_EQ(invocation.spec->name, "chaos");
   StormConfig parsed = ChaosStormConfig(invocation.params);
-  EXPECT_EQ(FormatStormSpec(parsed), FormatStormSpec(shrunk));
+  EXPECT_EQ(ReproCommand(parsed), ReproCommand(shrunk));
   EXPECT_EQ(parsed.setup.threads, shrunk.setup.threads);
 }
 

@@ -1,14 +1,14 @@
 // Kernel capability-forest dump (introspection/debugging aid).
 #include <gtest/gtest.h>
 
-#include "tests/test_util.h"
+#include "system/client.h"
 
 namespace semperos {
 namespace {
 
 TEST(DumpCaps, ShowsVpesAndCapabilities) {
-  ClientRig rig = MakeRig(1, 2);
-  CapSel sel = rig.Grant(0);
+  DriverRig rig = MakeDriverRig(1, 2);
+  CapSel sel = rig.Grant(0, 4096);
   (void)sel;
   std::string dump = rig.p().kernel(0)->DumpCaps();
   EXPECT_NE(dump.find("kernel 0"), std::string::npos);
@@ -18,8 +18,8 @@ TEST(DumpCaps, ShowsVpesAndCapabilities) {
 }
 
 TEST(DumpCaps, ShowsCrossKernelEdges) {
-  ClientRig rig = MakeRig(2, 2);
-  CapSel sel = rig.Grant(0);
+  DriverRig rig = MakeDriverRig(2, 2);
+  CapSel sel = rig.Grant(0, 4096);
   rig.client(0).env().Delegate(sel, rig.vpe(1), [](const SyscallReply& r) {
     ASSERT_EQ(r.err, ErrCode::kOk);
   });
@@ -33,7 +33,7 @@ TEST(DumpCaps, ShowsCrossKernelEdges) {
 }
 
 TEST(DumpCaps, ShowsDeadVpesAndActivation) {
-  ClientRig rig = MakeRig(1, 2);
+  DriverRig rig = MakeDriverRig(1, 2);
   CapSel owner_sel = rig.Grant(1, 1 << 20);
   SyscallReply got;
   rig.client(0).env().Obtain(rig.vpe(1), owner_sel, [&](const SyscallReply& r) { got = r; });

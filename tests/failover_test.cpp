@@ -11,7 +11,6 @@
 #include "ft/ft.h"
 #include "system/client.h"
 #include "system/experiment.h"
-#include "tests/test_util.h"
 
 namespace semperos {
 namespace {
@@ -88,7 +87,7 @@ TEST(FailoverTest, BaselineWithoutKillIsCleanAndDetectorFree) {
 // --- Detection and verdict mechanics -------------------------------------
 
 TEST(FailoverTest, HeartbeatsDetectSilentKernelAndSurvivorsRecover) {
-  ClientRig rig = MakeRig(3, 3);
+  DriverRig rig = MakeDriverRig(3, 3);
   for (size_t i = 0; i < 3; ++i) {
     rig.client(i).env().EnableSyscallRetry(150'000, 16);
   }
@@ -120,7 +119,7 @@ TEST(FailoverTest, HeartbeatsDetectSilentKernelAndSurvivorsRecover) {
 
   // The adopted client (its group's kernel died) can operate again: its
   // watchdog-resent syscalls land at the adopter.
-  CapSel live_root = rig.Grant(live);
+  CapSel live_root = rig.Grant(live, 4096);
   bool obtained = false;
   rig.client(adopted).env().Obtain(rig.vpe(live), live_root, [&](const SyscallReply& r) {
     EXPECT_EQ(r.err, ErrCode::kOk);
@@ -289,13 +288,13 @@ TEST(FailoverTest, TakeoverRacesInFlightStaleEpochForward) {
   // or settled), the survivors must converge: no partition may stay routed
   // at the dead kernel, in-flight calls addressed to it unwind with
   // kUnreachable instead of wedging, and the system keeps serving.
-  ClientRig rig = MakeRig(3, 3);
+  DriverRig rig = MakeDriverRig(3, 3);
   for (size_t i = 0; i < 3; ++i) {
     rig.client(i).env().EnableSyscallRetry(150'000, 16);
   }
   size_t mover = rig.client_in_kernel(2, 0);
   NodeId mover_pe = rig.vpe(mover);
-  CapSel mover_root = rig.Grant(mover);
+  CapSel mover_root = rig.Grant(mover, 4096);
 
   FtConfig ft;
   ft.heartbeat_period = 20'000;
@@ -346,7 +345,7 @@ TEST(FailoverTest, TakeoverRacesInFlightStaleEpochForward) {
   // Post-recovery the system still serves: the mover — wherever it ended up
   // (migration aborted back to kernel 2, or adopted off the dead kernel) —
   // obtains a freshly granted capability from the prober's group.
-  CapSel prober_root = rig.Grant(prober);
+  CapSel prober_root = rig.Grant(prober, 4096);
   bool obtained = false;
   rig.client(mover).env().Obtain(rig.vpe(prober), prober_root, [&](const SyscallReply& r) {
     EXPECT_EQ(r.err, ErrCode::kOk);

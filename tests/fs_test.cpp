@@ -194,10 +194,10 @@ E2eRig MakeE2e(Trace trace, const FsImage& image, uint32_t kernels = 1) {
 
   NodeId svc_node = p.service_nodes()[0];
   Kernel* svc_kernel = p.kernel_of(svc_node);
-  CapSel mem_sel = svc_kernel->AdminGrantMem(svc_node, p.mem_nodes()[0], 0,
-                                             image.bytes_used() + (64 * MiB), kPermRW);
+  uint64_t region = image.bytes_used() + (64 * MiB);
+  CapSel mem_sel = svc_kernel->AdminGrantMem(svc_node, p.mem_nodes()[0], 0, region, kPermRW);
   auto service = std::make_unique<FsService>("m3fs", image, p.kernel_node(svc_kernel->id()),
-                                             pc.timing, mem_sel);
+                                             pc.timing, mem_sel, region);
   rig.service = service.get();
   p.pe(svc_node)->AttachProgram(std::move(service));
 
@@ -336,7 +336,7 @@ TEST(FsService, SpanningServiceAccessWorks) {
       svc_kernel->AdminGrantMem(svc_node, platform.mem_nodes()[0], 0, 64 * MiB, kPermRW);
   auto service = std::make_unique<FsService>("m3fs", image,
                                              platform.kernel_node(svc_kernel->id()), pc.timing,
-                                             mem_sel);
+                                             mem_sel, 64 * MiB);
   FsService* service_ptr = service.get();
   platform.pe(svc_node)->AttachProgram(std::move(service));
 

@@ -6,7 +6,7 @@
 
 #include "audit/cap_audit.h"
 #include "dtu/msg_pool.h"
-#include "tests/test_util.h"
+#include "system/client.h"
 
 namespace semperos {
 namespace {
@@ -15,7 +15,7 @@ TEST(IkcFlowControl, CreditsNeverExceedWindow) {
   // Burst of concurrent spanning delegates between two groups; the sender
   // may never have more than M_inflight (4) requests in flight per peer —
   // excess queues at the sender (ikc_flow_queued counts those).
-  ClientRig rig = MakeRig(2, 16);
+  DriverRig rig = MakeDriverRig(2, 16);
   std::vector<size_t> k0_clients;
   std::vector<size_t> k1_clients;
   for (size_t i = 0; i < 16; ++i) {
@@ -25,7 +25,7 @@ TEST(IkcFlowControl, CreditsNeverExceedWindow) {
 
   int done = 0;
   for (size_t i : k0_clients) {
-    CapSel sel = rig.Grant(i);
+    CapSel sel = rig.Grant(i, 4096);
     size_t peer = k1_clients[done % k1_clients.size()];
     rig.client(i).env().Delegate(sel, rig.vpe(peer), [&done](const SyscallReply& r) {
       ASSERT_EQ(r.err, ErrCode::kOk);
@@ -54,9 +54,9 @@ TEST(IkcOrdering, RepliesNeverOvertakeWithinAPair) {
   // Two sequential spanning obtains from the same client: strictly ordered
   // completion (the §4.3.1 precondition, carried by the NoC's per-link
   // FIFO).
-  ClientRig rig = MakeRig(2, 2);
-  CapSel a = rig.Grant(1);
-  CapSel b = rig.Grant(1);
+  DriverRig rig = MakeDriverRig(2, 2);
+  CapSel a = rig.Grant(1, 4096);
+  CapSel b = rig.Grant(1, 4096);
   std::vector<int> order;
   rig.client(0).env().Obtain(rig.vpe(1), a, [&](const SyscallReply& r) {
     ASSERT_EQ(r.err, ErrCode::kOk);
@@ -74,7 +74,7 @@ TEST(IkcRobustness, UnknownTokenReplyIsCountedNotFatal) {
   // Peer kernels are trusted but can be late or duplicate a reply. A reply
   // whose token matches no pending IKC is counted, and the kernel carries
   // on serving.
-  ClientRig rig = MakeRig(2, 2);
+  DriverRig rig = MakeDriverRig(2, 2);
   Kernel* k0 = rig.p().kernel(0);
   ASSERT_EQ(k0->stats().ikc_late_replies, 0u);
 
@@ -99,7 +99,7 @@ TEST(IkcRobustness, UnknownTokenReplyIsCountedNotFatal) {
   size_t remote = 1 - local;
   ASSERT_EQ(rig.kernel_of_client(local), k0);
   ASSERT_NE(rig.kernel_of_client(remote), k0);
-  CapSel sel = rig.Grant(remote);
+  CapSel sel = rig.Grant(remote, 4096);
   bool obtained = false;
   rig.client(local).env().Obtain(rig.vpe(remote), sel, [&obtained](const SyscallReply& r) {
     EXPECT_EQ(r.err, ErrCode::kOk);
@@ -154,9 +154,9 @@ TEST(ServiceDirectory, AnnouncementsReachAllKernels) {
   platform.pe(svc_node)->AttachProgram(
       std::make_unique<MiniService>(platform.kernel_node(svc_kernel->id()), pc.timing));
 
-  std::vector<TestClient*> clients;
+  std::vector<DriverClient*> clients;
   for (NodeId node : platform.user_nodes()) {
-    auto client = std::make_unique<TestClient>(
+    auto client = std::make_unique<DriverClient>(
         platform.kernel_node(platform.membership().KernelOf(node)), pc.timing);
     clients.push_back(client.get());
     platform.pe(node)->AttachProgram(std::move(client));
@@ -165,7 +165,7 @@ TEST(ServiceDirectory, AnnouncementsReachAllKernels) {
 
   // Every client — in every group — can open a session.
   int sessions = 0;
-  for (TestClient* client : clients) {
+  for (DriverClient* client : clients) {
     client->env().OpenSession("mini", [&sessions](const SyscallReply& r) {
       ASSERT_EQ(r.err, ErrCode::kOk) << ErrName(r.err);
       sessions++;
@@ -179,7 +179,7 @@ TEST(ServiceDirectory, AnnouncementsReachAllKernels) {
 }
 
 TEST(ServiceDirectory, UnknownServiceFails) {
-  ClientRig rig = MakeRig(2, 1);
+  DriverRig rig = MakeDriverRig(2, 1);
   SyscallReply got;
   rig.client(0).env().OpenSession("no-such-service",
                                   [&](const SyscallReply& r) { got = r; });
@@ -200,8 +200,8 @@ TEST(IkcStats, HelloTrafficScalesQuadratically) {
 TEST(ChildDrop, RemoteParentUnlinkedAfterChildRevoke) {
   // v0(K0) delegates to v1(K1); v1 revokes its own copy. The child's kernel
   // must tell the parent's kernel to drop the child entry (kChildDrop).
-  ClientRig rig = MakeRig(2, 2);
-  CapSel sel = rig.Grant(0);
+  DriverRig rig = MakeDriverRig(2, 2);
+  CapSel sel = rig.Grant(0, 4096);
   Kernel* k0 = rig.kernel_of_client(0);
   Kernel* k1 = rig.kernel_of_client(1);
 

@@ -2,13 +2,80 @@
 // derivation chains.
 #include <gtest/gtest.h>
 
-#include "tests/test_util.h"
+#include <memory>
+#include <vector>
+
+#include "dtu/msg_pool.h"
+#include "system/client.h"
 
 namespace semperos {
 namespace {
 
+// A user program without UserEnv: it writes its syscall messages by hand,
+// so it controls every field the kernel receives.
+class RawSyscallClient : public Program {
+ public:
+  explicit RawSyscallClient(NodeId kernel_node) : kernel_node_(kernel_node) {}
+
+  void Setup() override {
+    Dtu& dtu = pe_->dtu();
+    EpId gate = Kernel::kEpSyscall0 + (pe_->node() % Kernel::kNumSyscallEps);
+    dtu.ConfigureSend(user_ep::kSyscallSend, kernel_node_, gate, /*credits=*/1);
+    dtu.ConfigureRecv(user_ep::kSyscallReply, 2, [this](EpId, const Message& msg) {
+      const SyscallReply* reply = msg.As<SyscallReply>();
+      ASSERT_NE(reply, nullptr);
+      replies.push_back(reply->err);
+    });
+  }
+  void Start() override {}
+
+  void Send(std::shared_ptr<SyscallMsg> msg) {
+    Status st = pe_->dtu().Send(user_ep::kSyscallSend, std::move(msg), user_ep::kSyscallReply);
+    ASSERT_TRUE(st.ok()) << st.name();
+  }
+
+  std::vector<ErrCode> replies;
+
+ private:
+  NodeId kernel_node_;
+};
+
+// The kernel takes a syscall's caller from the PE the DTU stamped on the
+// message, not from anything the sender wrote: a raw revoke on VPE 3's own
+// gate that names VPE 2's selector acts as VPE 3, which holds no such
+// capability.
+TEST(Identity, RawSyscallActsAsTheSendingVpe) {
+  PlatformConfig pc;
+  pc.kernels = 1;
+  pc.users = 3;
+  Platform p(pc);
+  NodeId kernel_node = p.kernel_node(0);
+  NodeId victim = p.user_nodes()[1];
+  NodeId sender = p.user_nodes()[2];
+  for (NodeId node : {p.user_nodes()[0], victim}) {
+    p.pe(node)->AttachProgram(std::make_unique<DriverClient>(kernel_node, pc.timing));
+  }
+  auto raw = std::make_unique<RawSyscallClient>(kernel_node);
+  RawSyscallClient* client = raw.get();
+  p.pe(sender)->AttachProgram(std::move(raw));
+  CapSel victim_sel = p.kernel(0)->AdminGrantMem(victim, p.mem_nodes().at(0), 0, 4096, kPermRW);
+  p.Boot();
+  ASSERT_EQ(p.kernel(0)->CapOf(sender, victim_sel), nullptr);
+
+  auto revoke = NewMsg<SyscallMsg>();
+  revoke->op = SyscallOp::kRevoke;
+  revoke->sel = victim_sel;
+  revoke->token = 1;
+  client->Send(revoke);
+  p.RunToCompletion();
+  ASSERT_EQ(client->replies.size(), 1u);
+  EXPECT_EQ(client->replies[0], ErrCode::kNoSuchCap);
+  EXPECT_NE(p.kernel(0)->CapOf(victim, victim_sel), nullptr);
+  EXPECT_EQ(p.TotalDrops(), 0u);
+}
+
 TEST(Errors, ObtainFromUnknownVpe) {
-  ClientRig rig = MakeRig(1, 1);
+  DriverRig rig = MakeDriverRig(1, 1);
   SyscallReply got;
   // Node 0 is the kernel PE — no VPE runs there.
   rig.client(0).env().Obtain(/*peer=*/0, 1, [&](const SyscallReply& r) { got = r; });
@@ -19,7 +86,7 @@ TEST(Errors, ObtainFromUnknownVpe) {
 // Peer ids come from untrusted user PEs: one that names no PE at all is
 // rejected before the kernel allocates a key or token for the operation.
 TEST(Errors, ObtainFromOutOfRangeVpe) {
-  ClientRig rig = MakeRig(2, 2);
+  DriverRig rig = MakeDriverRig(2, 2);
   SyscallReply got;
   rig.client(0).env().Obtain(kInvalidVpe, 1, [&](const SyscallReply& r) { got = r; });
   rig.p().RunToCompletion();
@@ -32,8 +99,8 @@ TEST(Errors, ObtainFromOutOfRangeVpe) {
 }
 
 TEST(Errors, DelegateToOutOfRangeVpe) {
-  ClientRig rig = MakeRig(2, 2);
-  CapSel sel = rig.Grant(0);
+  DriverRig rig = MakeDriverRig(2, 2);
+  CapSel sel = rig.Grant(0, 4096);
   SyscallReply got;
   rig.client(0).env().Delegate(sel, kInvalidVpe, [&](const SyscallReply& r) { got = r; });
   rig.p().RunToCompletion();
@@ -49,8 +116,8 @@ TEST(Errors, DelegateToOutOfRangeVpe) {
 }
 
 TEST(Errors, DelegateToDeadVpe) {
-  ClientRig rig = MakeRig(1, 2);
-  CapSel sel = rig.Grant(0);
+  DriverRig rig = MakeDriverRig(1, 2);
+  CapSel sel = rig.Grant(0, 4096);
   rig.kernel_of_client(1)->AdminKillVpe(rig.vpe(1), nullptr);
   rig.p().RunToCompletion();
   SyscallReply got;
@@ -60,8 +127,8 @@ TEST(Errors, DelegateToDeadVpe) {
 }
 
 TEST(Errors, SpanningDelegateToDeadVpe) {
-  ClientRig rig = MakeRig(2, 2);
-  CapSel sel = rig.Grant(0);
+  DriverRig rig = MakeDriverRig(2, 2);
+  CapSel sel = rig.Grant(0, 4096);
   rig.kernel_of_client(1)->AdminKillVpe(rig.vpe(1), nullptr);
   rig.p().RunToCompletion();
   SyscallReply got;
@@ -75,8 +142,8 @@ TEST(Errors, SpanningDelegateToDeadVpe) {
 }
 
 TEST(Errors, ExchangeOnNonSessionCap) {
-  ClientRig rig = MakeRig(1, 1);
-  CapSel sel = rig.Grant(0);  // a memory capability, not a session
+  DriverRig rig = MakeDriverRig(1, 1);
+  CapSel sel = rig.Grant(0, 4096);  // a memory capability, not a session
   auto msg = std::make_shared<SyscallMsg>();
   msg->op = SyscallOp::kExchange;
   msg->sel = sel;
@@ -87,7 +154,7 @@ TEST(Errors, ExchangeOnNonSessionCap) {
 }
 
 TEST(Errors, ActivateVpeCapFails) {
-  ClientRig rig = MakeRig(1, 1);
+  DriverRig rig = MakeDriverRig(1, 1);
   SyscallReply got;
   // Selector 1 is the VPE's self-capability.
   rig.client(0).env().Activate(1, user_ep::kMem0, [&](const SyscallReply& r) { got = r; });
@@ -96,8 +163,8 @@ TEST(Errors, ActivateVpeCapFails) {
 }
 
 TEST(Errors, SequentialDoubleRevoke) {
-  ClientRig rig = MakeRig(1, 1);
-  CapSel sel = rig.Grant(0);
+  DriverRig rig = MakeDriverRig(1, 1);
+  CapSel sel = rig.Grant(0, 4096);
   SyscallReply first;
   rig.client(0).env().Revoke(sel, [&](const SyscallReply& r) { first = r; });
   rig.p().RunToCompletion();
@@ -109,7 +176,7 @@ TEST(Errors, SequentialDoubleRevoke) {
 }
 
 TEST(DeriveChains, DeepDerivationRevokesRecursively) {
-  ClientRig rig = MakeRig(1, 1);
+  DriverRig rig = MakeDriverRig(1, 1);
   CapSel root = rig.Grant(0, 1 << 20);
   CapSel cur = root;
   std::vector<CapSel> chain{root};
@@ -135,7 +202,7 @@ TEST(DeriveChains, DeepDerivationRevokesRecursively) {
 }
 
 TEST(DeriveChains, MidChainRevokeKeepsAncestors) {
-  ClientRig rig = MakeRig(1, 1);
+  DriverRig rig = MakeDriverRig(1, 1);
   CapSel root = rig.Grant(0, 1 << 20);
   SyscallReply mid;
   rig.client(0).env().DeriveMem(root, 0, 1 << 19, kPermR,
@@ -159,7 +226,7 @@ TEST(DeriveChains, MidChainRevokeKeepsAncestors) {
 }
 
 TEST(Fanout, WideTreeRevokesCompletely) {
-  ClientRig rig = MakeRig(4, 13);
+  DriverRig rig = MakeDriverRig(4, 13);
   CapSel root = rig.Grant(0, 1 << 20);
   for (size_t i = 1; i < 13; ++i) {
     rig.client(0).env().Delegate(root, rig.vpe(i), [](const SyscallReply& r) {
@@ -185,7 +252,7 @@ TEST(Fanout, WideTreeRevokesCompletely) {
 TEST(Fanout, RedelegationTreeAcrossThreeKernels) {
   // root(K0) -> a(K1) -> {b(K2), c(K0)}, then revoke at a: only a's subtree
   // dies.
-  ClientRig rig = MakeRig(3, 6);
+  DriverRig rig = MakeDriverRig(3, 6);
   size_t v_root = rig.client_in_kernel(0, 0);
   size_t v_a = rig.client_in_kernel(1, 0);
   size_t v_b = rig.client_in_kernel(2, 0);
@@ -222,7 +289,7 @@ TEST(Fanout, RedelegationTreeAcrossThreeKernels) {
 TEST(Concurrency, ManyRevokesAgainstOneOwner) {
   // Twelve holders of copies revoke their own copies concurrently while the
   // owner also revokes the root. Everything must drain without deadlock.
-  ClientRig rig = MakeRig(4, 13);
+  DriverRig rig = MakeDriverRig(4, 13);
   CapSel root = rig.Grant(0, 1 << 20);
   std::vector<CapSel> copies(13, kInvalidSel);
   for (size_t i = 1; i < 13; ++i) {
@@ -251,7 +318,7 @@ TEST(Concurrency, ManyRevokesAgainstOneOwner) {
 }
 
 TEST(Payload, ObtainedCopyInheritsRestrictedPayload) {
-  ClientRig rig = MakeRig(2, 2);
+  DriverRig rig = MakeDriverRig(2, 2);
   Kernel* k0 = rig.kernel_of_client(0);
   CapSel owner_sel = k0->AdminGrantMem(rig.vpe(0), rig.p().mem_nodes()[0], 0x1000, 0x2000,
                                        kPermR);

@@ -3,21 +3,23 @@
 // across the handoff (the acceptance scenario of this PR).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "system/client.h"
 #include "system/experiment.h"
-#include "tests/test_util.h"
+#include "workloads/rebalance.h"
 
 namespace semperos {
 namespace {
 
 TEST(MigrationTest, MovesVpeAndCapsToNewKernel) {
-  ClientRig rig = MakeRig(2, 2);
+  DriverRig rig = MakeDriverRig(2, 2);
   VpeId mover = rig.vpe(0);
   ASSERT_EQ(rig.p().membership().KernelOf(mover), 0u);
 
-  CapSel root = rig.Grant(0);
+  CapSel root = rig.Grant(0, 4096);
   for (int i = 0; i < 3; ++i) {
     bool ok = false;
     rig.client(0).env().DeriveMem(root, 0, 256, kPermR, [&ok](const SyscallReply& r) {
@@ -62,9 +64,9 @@ TEST(MigrationTest, MovesVpeAndCapsToNewKernel) {
 }
 
 TEST(MigrationTest, SyscallsRetargetToNewKernel) {
-  ClientRig rig = MakeRig(2, 2);
+  DriverRig rig = MakeDriverRig(2, 2);
   VpeId mover = rig.vpe(0);
-  CapSel root = rig.Grant(0);
+  CapSel root = rig.Grant(0, 4096);
 
   bool done = false;
   rig.p().MigratePe(mover, 1, [&done](ErrCode err) {
@@ -88,9 +90,9 @@ TEST(MigrationTest, SyscallsRetargetToNewKernel) {
 }
 
 TEST(MigrationTest, FrozenSyscallsAreRetriedTransparently) {
-  ClientRig rig = MakeRig(2, 2);
+  DriverRig rig = MakeDriverRig(2, 2);
   VpeId mover = rig.vpe(0);
-  CapSel root = rig.Grant(0);
+  CapSel root = rig.Grant(0, 4096);
 
   bool migrated = false;
   bool derived = false;
@@ -124,12 +126,12 @@ TEST(MigrationTest, FrozenSyscallsAreRetriedTransparently) {
 // every kernel, and post-migration lookups must resolve through the new
 // epoch without forwarding after one settle round.
 TEST(MigrationTest, CrossKernelRevocationCompleteAcrossHandoff) {
-  ClientRig rig = MakeRig(3, 6);
+  DriverRig rig = MakeDriverRig(3, 6);
   size_t c0 = rig.client_in_kernel(0, 0);
   size_t c1 = rig.client_in_kernel(1, 0);
   size_t c2 = rig.client_in_kernel(2, 0);
   VpeId mover = rig.vpe(c0);
-  CapSel root = rig.Grant(c0);
+  CapSel root = rig.Grant(c0, 4096);
 
   // Build the tree: root at kernel 0 with children in kernels 1 and 2, a
   // local derived child, and a grandchild under the kernel-1 child.
@@ -228,9 +230,9 @@ TEST(MigrationTest, RevokeArrivingDuringTransferIsNotLost) {
   // A remote revocation that targets the moving partition while its
   // snapshot is in flight parks at the source and completes at the
   // destination — the subtree must be gone everywhere afterwards.
-  ClientRig rig = MakeRig(2, 2);
+  DriverRig rig = MakeDriverRig(2, 2);
   VpeId mover = rig.vpe(0);
-  CapSel root = rig.Grant(1);  // client 1 (kernel 1) owns the root
+  CapSel root = rig.Grant(1, 4096);  // client 1 (kernel 1) owns the root
 
   // Delegate the root into the moving partition: child held by client 0.
   bool ok = false;
@@ -268,9 +270,9 @@ TEST(MigrationTest, RevokeArrivingDuringTransferIsNotLost) {
 }
 
 TEST(MigrationTest, RoundTripMigrationRestoresOwnership) {
-  ClientRig rig = MakeRig(2, 2);
+  DriverRig rig = MakeDriverRig(2, 2);
   VpeId mover = rig.vpe(0);
-  CapSel root = rig.Grant(0);
+  CapSel root = rig.Grant(0, 4096);
   size_t k0_caps = rig.p().kernel(0)->caps().size();
 
   for (KernelId dst : {KernelId{1}, KernelId{0}}) {
@@ -298,7 +300,7 @@ TEST(MigrationTest, RoundTripMigrationRestoresOwnership) {
 }
 
 TEST(MigrationTest, RejectsInvalidDestinations) {
-  ClientRig rig = MakeRig(2, 2);
+  DriverRig rig = MakeDriverRig(2, 2);
   Kernel* k0 = rig.p().kernel(0);
   ErrCode self_err = ErrCode::kOk;
   k0->AdminMigratePe(rig.vpe(0), 0, [&self_err](ErrCode err) { self_err = err; });
@@ -495,6 +497,49 @@ TEST(RebalanceTest, BaselineRunHasNoMigrationTraffic) {
   EXPECT_EQ(result.frozen_syscalls, 0u);
   EXPECT_EQ(result.client_retries, 0u);
   EXPECT_EQ(result.leaked_caps, 0u);
+}
+
+// One loop attempt whose obtained copy vanishes before its revoke arrives:
+// the peer that owns the root is killed as soon as the copy exists, so the
+// revoke comes back kNoSuchCap. Returns {ok, failed} attempts.
+std::pair<uint64_t, uint64_t> LoopAttemptWithLostCopy(Cycles retry_timeout) {
+  PlatformConfig pc;
+  pc.users = 2;
+  Platform platform(pc);
+  NodeId loop_pe = platform.user_nodes()[0];
+  NodeId owner_pe = platform.user_nodes()[1];
+  Kernel* kernel = platform.kernel(0);
+  LoopClient::Params params;
+  params.attempts = 1;
+  params.retry_timeout = retry_timeout;
+  params.retry_max = 4;
+  auto owned = std::make_unique<LoopClient>(platform.kernel_node(0), pc.timing.ask_party, params);
+  LoopClient* client = owned.get();
+  platform.pe(loop_pe)->AttachProgram(std::move(owned));
+  platform.pe(owner_pe)->AttachProgram(
+      std::make_unique<DriverClient>(platform.kernel_node(0), pc.timing));
+  client->SetLoopPeer(owner_pe, kernel->AdminGrantMem(owner_pe, platform.mem_nodes().at(0), 0,
+                                                      4096, kPermRW));
+  platform.Boot();
+  size_t baseline = kernel->caps().size();
+  while (kernel->caps().size() == baseline) {
+    CHECK_LT(platform.sim().Now(), 1'000'000u) << "the obtain never completed";
+    platform.RunUntil(platform.sim().Now() + 1);
+  }
+  kernel->AdminKillVpe(owner_pe, nullptr);
+  platform.RunToCompletion();
+  CHECK(client->finished());
+  return {client->ops_ok(), client->ops_failed()};
+}
+
+TEST(RebalanceTest, RevokeOfLostCopyFailsTheAttempt) {
+  // Rebalance arms no crash watchdog: no kernel can have died, so a copy
+  // missing at revoke was lost, and RunRebalance's zero-failure check fires.
+  EXPECT_EQ(LoopAttemptWithLostCopy(/*retry_timeout=*/0), (std::pair<uint64_t, uint64_t>{0, 1}));
+  // Failover arms it: the copy may have died with a crashed kernel, which
+  // from the application's view leaves the revoke done.
+  EXPECT_EQ(LoopAttemptWithLostCopy(/*retry_timeout=*/150'000),
+            (std::pair<uint64_t, uint64_t>{1, 0}));
 }
 
 }  // namespace

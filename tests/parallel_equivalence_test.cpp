@@ -21,6 +21,7 @@
 #include "traffic/traffic.h"
 #include "workloads/failover.h"
 #include "workloads/rebalance.h"
+#include "workloads/registry.h"
 
 namespace semperos {
 namespace {
@@ -341,7 +342,7 @@ TEST(ParallelEquivalence, ChaosStormCorpus) {
       }
       StormConfig config;
       std::string error;
-      ASSERT_TRUE(ParseStormSpec(line, &config, &error)) << error;
+      ASSERT_TRUE(ParseChaosLine(line, &config, &error)) << error;
       config.setup.threads = kForceSerialThreads;
       StormResult serial = RunStorm(config);
       EXPECT_TRUE(serial.ok) << serial.audit.ToString();

@@ -13,7 +13,7 @@
 
 #include "audit/cap_audit.h"
 #include "base/rng.h"
-#include "tests/test_util.h"
+#include "system/client.h"
 
 namespace semperos {
 namespace {
@@ -38,7 +38,7 @@ class CapabilityFuzz : public ::testing::TestWithParam<FuzzParam> {};
 TEST_P(CapabilityFuzz, InvariantsHoldAfterRandomInterleavings) {
   const FuzzParam& param = GetParam();
   Rng rng(param.seed);
-  ClientRig rig = MakeRig(param.kernels, param.users);
+  DriverRig rig = MakeDriverRig(param.kernels, param.users);
   Platform& p = rig.p();
 
   // One byte per client, not std::vector<bool>: syscall callbacks of
@@ -50,7 +50,7 @@ TEST_P(CapabilityFuzz, InvariantsHoldAfterRandomInterleavings) {
   // must answer those with clean errors, never crash or corrupt state).
   std::vector<std::vector<CapSel>> sels(param.users);
   for (size_t i = 0; i < param.users; ++i) {
-    sels[i].push_back(rig.Grant(i));
+    sels[i].push_back(rig.Grant(i, 4096));
   }
 
   uint32_t kills_left = param.with_kills ? 2 : 0;
@@ -141,10 +141,10 @@ INSTANTIATE_TEST_SUITE_P(RandomInterleavings, CapabilityFuzz, ::testing::ValuesI
 TEST(Determinism, IdenticalRunsProduceIdenticalState) {
   auto run = [](uint64_t seed) {
     Rng rng(seed);
-    ClientRig rig = MakeRig(3, 9);
+    DriverRig rig = MakeDriverRig(3, 9);
     std::vector<CapSel> roots;
     for (size_t i = 0; i < 9; ++i) {
-      roots.push_back(rig.Grant(i));
+      roots.push_back(rig.Grant(i, 4096));
     }
     for (int op = 0; op < 20; ++op) {
       size_t from = rng.NextBelow(9);

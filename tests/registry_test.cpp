@@ -9,6 +9,8 @@
 // no flag is accepted only to be ignored.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -165,6 +167,33 @@ TEST(Registry, CatalogueListsEveryRegisteredWorkload) {
   // The harness registers through the same interface as everything else.
   EXPECT_NE(WorkloadRegistry::Global().Find("traffic"), nullptr);
   EXPECT_NE(catalogue.find("[open-loop]"), std::string::npos);
+}
+
+// A custom trace never aborts the simulator: an op on a file that is not
+// open and a double open are invalid lines, and an operation m3fs or the
+// client refuses ends the replay; each exits 1.
+TEST(Registry, BadCustomTracesExitOne) {
+  const char* probes[] = {
+      "read /d/f 10\n",
+      "open /d/f wc\nopen /d/f wc\n",
+      // A write m3fs cannot hold in its memory region.
+      "open /d/f wc\nseek /d/f 1099511627776\nwrite /d/f 4096\n",
+      // A write to a file opened read-only.
+      "open /d/f r\nwrite /d/f 10\nclose /d/f\n",
+      // I/O on a file unlinked while open.
+      "open /d/f wc\nwrite /d/f 10\nunlink /d/f\nwrite /d/f 10\n",
+      // A ninth open file: a PE has eight memory endpoints.
+      "open /d/0 wc\nopen /d/1 wc\nopen /d/2 wc\nopen /d/3 wc\nopen /d/4 wc\n"
+      "open /d/5 wc\nopen /d/6 wc\nopen /d/7 wc\nopen /d/8 wc\n",
+  };
+  for (const char* probe : probes) {
+    std::string path = testing::TempDir() + "registry_probe.trace";
+    std::ofstream(path) << probe;
+    WorkloadInvocation inv = Parse({"trace", "--file=" + path, "--kernels=1", "--services=1"});
+    ASSERT_TRUE(inv.ok) << inv.error;
+    EXPECT_EQ(RunWorkloadCli(inv), 1) << probe;
+    std::remove(path.c_str());
+  }
 }
 
 TEST(Registry, ResultMetricLookup) {

@@ -55,7 +55,8 @@ Rig RunRig(Trace trace, const FsImage& image) {
   NodeId svc_node = p.service_nodes()[0];
   CapSel mem = p.kernel_of(svc_node)->AdminGrantMem(svc_node, p.mem_nodes()[0], 0, 1ull << 32,
                                                     kPermRW);
-  auto service = std::make_unique<FsService>("m3fs", image, p.kernel_node(0), pc.timing, mem);
+  auto service =
+      std::make_unique<FsService>("m3fs", image, p.kernel_node(0), pc.timing, mem, 1ull << 32);
   rig.service = service.get();
   p.pe(svc_node)->AttachProgram(std::move(service));
   NodeId user = p.user_nodes()[0];
@@ -145,6 +146,49 @@ TEST(Nginx, RequestTraceShape) {
   EXPECT_TRUE(has_open);
   EXPECT_TRUE(has_close);
   EXPECT_TRUE(has_compute);
+}
+
+// The request server runs the applications' m3fs client: a request trace
+// may seek, read across an extent boundary, mkdir and readdir.
+TEST(Nginx, ServerRunsEveryTraceOp) {
+  PlatformConfig pc;
+  pc.kernels = 1;
+  pc.services = 1;
+  pc.users = 1;
+  pc.loadgens = 1;
+  Platform p(pc);
+  FsImage image;
+  image.AddDir("/www");
+  image.AddFile("/www/big", 2 * 1024 * KiB);  // two extents
+  AttachServices(&p, image, pc.timing, image.bytes_used() + kGrowthHeadroom);
+  Trace trace;
+  trace.app = "request";
+  trace.Stat("/www/big");
+  trace.Open("/www/big", kOpenRead);
+  trace.Seek("/www/big", 1024 * KiB - 4 * KiB);
+  trace.Read("/www/big", 8 * KiB);  // crosses into extent 1
+  trace.Close("/www/big");
+  trace.Mkdir("/www/tmp");
+  trace.ReadDir("/www");
+  trace.Compute(10'000);
+  NodeId server_node = p.user_nodes()[0];
+  auto server = std::make_unique<NginxServer>(trace, p.kernel_node(0), pc.timing);
+  NginxServer* srv = server.get();
+  p.pe(server_node)->AttachProgram(std::move(server));
+  auto gen = std::make_unique<LoadGen>(server_node, 1);
+  LoadGen* lg = gen.get();
+  p.pe(p.loadgen_nodes()[0])->AttachProgram(std::move(gen));
+  p.Boot();
+  p.RunUntil(p.sim().Now() + 2'000'000);
+
+  EXPECT_GE(srv->served(), 3u);
+  EXPECT_GE(lg->completed() + 1, srv->served());
+  const auto* fs = dynamic_cast<const FsService*>(p.pe(p.service_nodes()[0])->program());
+  ASSERT_NE(fs, nullptr);
+  // Every served request obtained extent 0 at open and extent 1 mid-read.
+  EXPECT_GE(fs->stats().extents_handed, 2 * srv->served());
+  EXPECT_NE(fs->image().Lookup("/www/tmp"), nullptr);
+  EXPECT_EQ(p.TotalDrops(), 0u);
 }
 
 TEST(Nginx, ServerServesBackToBackRequests) {

@@ -8,7 +8,7 @@
 #include "fs/service.h"
 #include "system/experiment.h"
 #include "system/platform.h"
-#include "tests/test_util.h"
+#include "system/client.h"
 #include "trace/replayer.h"
 #include "workloads/workloads.h"
 
@@ -39,7 +39,7 @@ MultiRig MakeMulti(uint32_t kernels, uint32_t services, const std::vector<Trace>
     CapSel mem = kernel->AdminGrantMem(node, p.mem_nodes()[0],
                                        static_cast<uint64_t>(index) << 40, 1ull << 36, kPermRW);
     auto service = std::make_unique<FsService>("m3fs", image, p.kernel_node(kernel->id()),
-                                               pc.timing, mem);
+                                               pc.timing, mem, 1ull << 36);
     rig.services.push_back(service.get());
     p.pe(node)->AttachProgram(std::move(service));
     ++index;
@@ -192,7 +192,7 @@ TEST(LargeFiles, SixteenExtentRoundTrip) {
 struct RawRig {
   std::unique_ptr<Platform> platform;
   FsService* service = nullptr;
-  std::vector<TestClient*> clients;
+  std::vector<DriverClient*> clients;
 
   // Calls `send(done)`, runs the platform to completion and returns the
   // syscall reply `done` received.
@@ -227,7 +227,7 @@ RawRig MakeRawRig() {
   AttachServices(&p, image, pc.timing, image.bytes_used() + kGrowthHeadroom);
   rig.service = dynamic_cast<FsService*>(p.pe(p.service_nodes()[0])->program());
   for (NodeId node : p.user_nodes()) {
-    auto client = std::make_unique<TestClient>(p.kernel_node(p.membership().KernelOf(node)),
+    auto client = std::make_unique<DriverClient>(p.kernel_node(p.membership().KernelOf(node)),
                                                pc.timing);
     rig.clients.push_back(client.get());
     p.pe(node)->AttachProgram(std::move(client));
@@ -303,6 +303,48 @@ TEST(Rejections, ReadPastTheEndIsOutOfRange) {
   EXPECT_EQ(got.err, ErrCode::kOutOfRange);
   EXPECT_EQ(rig.service->stats().out_of_range, 1u);
   EXPECT_EQ(rig.service->stats().extents_handed, 1u);  // extent 0 only
+  ExpectServiceHealthy(rig);
+}
+
+TEST(Rejections, WriteExtentBeyondRegionIsOutOfRange) {
+  RawRig rig = MakeRawRig();
+  ASSERT_NE(rig.service, nullptr);
+  CapSel session = rig.OpenSession(0);
+  SyscallReply open = rig.Exchange(0, session, OpenRequest("/i0/new", kOpenWrite | kOpenCreate));
+  ASSERT_EQ(open.err, ErrCode::kOk);
+  const FsReply* opened = MsgAs<FsReply>(open.payload);
+  ASSERT_NE(opened, nullptr);
+  const FsImage& image = rig.service->image();
+  uint64_t used = image.bytes_used();
+  ASSERT_NE(image.Lookup("/i0/new"), nullptr);
+  uint64_t size = image.Lookup("/i0/new")->size;
+  auto next = NewMsg<FsRequest>();
+  next->op = FsOp::kNextExtent;
+  next->fid = opened->fid;
+  next->offset = 1ull << 40;  // 1 TiB: far past the service's memory region
+  SyscallReply got = rig.Exchange(0, session, next);
+  EXPECT_EQ(got.err, ErrCode::kOutOfRange);
+  EXPECT_EQ(rig.service->stats().out_of_range, 1u);
+  EXPECT_EQ(rig.service->stats().extents_handed, 1u);  // extent 0 only
+  // Refused before the image grew.
+  EXPECT_EQ(image.bytes_used(), used);
+  EXPECT_EQ(image.Lookup("/i0/new")->size, size);
+
+  // Grow the file up to the region's end (MakeRawRig's region: the 1 MiB
+  // template image plus kGrowthHeadroom), so the image fills the region.
+  uint64_t region = kFsExtentBytes + kGrowthHeadroom;
+  next->offset = region - image.bytes_used() - kFsExtentBytes;
+  ASSERT_EQ(rig.Exchange(0, session, next).err, ErrCode::kOk);
+  ASSERT_EQ(image.bytes_used(), region);
+  // A new file's first extent no longer fits: the create is refused and
+  // leaves no file behind.
+  size_t inodes = image.inode_count();
+  SyscallReply full = rig.Exchange(0, session, OpenRequest("/i0/full", kOpenWrite | kOpenCreate));
+  EXPECT_EQ(full.err, ErrCode::kOutOfRange);
+  EXPECT_EQ(rig.service->stats().out_of_range, 2u);
+  EXPECT_EQ(image.Lookup("/i0/full"), nullptr);
+  EXPECT_EQ(image.inode_count(), inodes);
+  EXPECT_EQ(image.bytes_used(), region);
   ExpectServiceHealthy(rig);
 }
 

@@ -32,7 +32,7 @@ SharedRig MakeShared(uint32_t kernels, const std::vector<Trace>& traces, const F
   CapSel mem =
       p.kernel_of(svc)->AdminGrantMem(svc, p.mem_nodes()[0], 0, 1ull << 32, kPermRW);
   auto service = std::make_unique<FsService>(
-      "m3fs", image, p.kernel_node(p.kernel_of(svc)->id()), pc.timing, mem);
+      "m3fs", image, p.kernel_node(p.kernel_of(svc)->id()), pc.timing, mem, 1ull << 32);
   rig.service = service.get();
   p.pe(svc)->AttachProgram(std::move(service));
   for (size_t i = 0; i < traces.size(); ++i) {

@@ -1,15 +1,15 @@
 // Kernel shutdown (IKC functional group 1, paper §4.1).
 #include <gtest/gtest.h>
 
-#include "tests/test_util.h"
+#include "system/client.h"
 
 namespace semperos {
 namespace {
 
 TEST(Shutdown, SingleKernelTeardown) {
-  ClientRig rig = MakeRig(1, 3);
+  DriverRig rig = MakeDriverRig(1, 3);
   for (size_t i = 0; i < 3; ++i) {
-    rig.Grant(i);
+    rig.Grant(i, 4096);
   }
   bool down = false;
   rig.p().kernel(0)->AdminShutdown([&] { down = true; });
@@ -27,8 +27,8 @@ TEST(Shutdown, SingleKernelTeardown) {
 }
 
 TEST(Shutdown, SyscallsRejectedAfterShutdown) {
-  ClientRig rig = MakeRig(1, 2);
-  CapSel sel = rig.Grant(0);
+  DriverRig rig = MakeDriverRig(1, 2);
+  CapSel sel = rig.Grant(0, 4096);
   rig.p().kernel(0)->AdminShutdown(nullptr);
   rig.p().RunToCompletion();
   // The VPE was torn down with its group, so a straggler syscall gets no
@@ -44,10 +44,10 @@ TEST(Shutdown, SyscallsRejectedAfterShutdown) {
 TEST(Shutdown, RemoteCopiesRevokedOnShutdown) {
   // A group shutting down pulls back every capability it delegated into
   // other groups.
-  ClientRig rig = MakeRig(2, 4);
+  DriverRig rig = MakeDriverRig(2, 4);
   size_t owner = rig.client_in_kernel(0, 0);
   size_t remote = rig.client_in_kernel(1, 0);
-  CapSel sel = rig.Grant(owner);
+  CapSel sel = rig.Grant(owner, 4096);
   rig.client(owner).env().Delegate(sel, rig.vpe(remote), [](const SyscallReply& r) {
     ASSERT_EQ(r.err, ErrCode::kOk);
   });
@@ -66,7 +66,7 @@ TEST(Shutdown, RemoteCopiesRevokedOnShutdown) {
 TEST(Shutdown, PeersDropTheDownedKernelsServices) {
   // After a shutdown announcement, peers no longer route sessions to the
   // downed group's services.
-  ClientRig rig = MakeRig(2, 2);
+  DriverRig rig = MakeDriverRig(2, 2);
   rig.p().kernel(0)->AdminShutdown(nullptr);
   rig.p().RunToCompletion();
   // Kernel 1 learned about it; opening a session to a (nonexistent anyway)
@@ -79,7 +79,7 @@ TEST(Shutdown, PeersDropTheDownedKernelsServices) {
 }
 
 TEST(Shutdown, BothKernelsCanShutDown) {
-  ClientRig rig = MakeRig(2, 2);
+  DriverRig rig = MakeDriverRig(2, 2);
   int down = 0;
   rig.p().kernel(0)->AdminShutdown([&] { down++; });
   rig.p().RunToCompletion();

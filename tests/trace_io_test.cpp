@@ -47,6 +47,15 @@ TEST(TraceIo, RejectsMalformedLines) {
   EXPECT_FALSE(ParseTrace("frobnicate /x\n", &trace, &line).ok());
   EXPECT_FALSE(ParseTrace("open /x z\n", &trace, &line).ok());
   EXPECT_FALSE(ParseTrace("compute -5\n", &trace, &line).ok());
+  // The trace client runs these only on open files, and opens a file once.
+  EXPECT_FALSE(ParseTrace("read /d/f 10\n", &trace, &line).ok());
+  EXPECT_EQ(line, 1u);
+  EXPECT_FALSE(ParseTrace("open /d/f r\nopen /d/f r\n", &trace, &line).ok());
+  EXPECT_EQ(line, 2u);
+  EXPECT_FALSE(ParseTrace("open /d/f r\nclose /d/f\nclose /d/f\n", &trace, &line).ok());
+  EXPECT_EQ(line, 3u);
+  EXPECT_FALSE(ParseTrace("stat /d/f\nseek /d/f 0\n", &trace, &line).ok());
+  EXPECT_EQ(line, 2u);
 }
 
 TEST(TraceIo, InlineCommentsAndBlanksIgnored) {
@@ -137,7 +146,8 @@ compute 50000
   CapSel mem = platform.kernel_of(svc)->AdminGrantMem(svc, platform.mem_nodes()[0], 0, 1ull << 32,
                                                       kPermRW);
   auto service = std::make_unique<FsService>(
-      "m3fs", image, platform.kernel_node(platform.kernel_of(svc)->id()), pc.timing, mem);
+      "m3fs", image, platform.kernel_node(platform.kernel_of(svc)->id()), pc.timing, mem,
+      1ull << 32);
   FsService* fs = service.get();
   platform.pe(svc)->AttachProgram(std::move(service));
   NodeId user = platform.user_nodes()[0];

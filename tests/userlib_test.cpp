@@ -2,14 +2,14 @@
 // and the client<->service IPC path.
 #include <gtest/gtest.h>
 
-#include "tests/test_util.h"
+#include "system/client.h"
 
 namespace semperos {
 namespace {
 
 TEST(UserEnv, SecondConcurrentSyscallDies) {
   // "each VPE can only issue one (blocking) system call at a time" (§5.1).
-  ClientRig rig = MakeRig(1, 1);
+  DriverRig rig = MakeDriverRig(1, 1);
   auto msg1 = std::make_shared<SyscallMsg>();
   msg1->op = SyscallOp::kNoop;
   rig.client(0).env().Syscall(msg1, [](const SyscallReply&) {});
@@ -20,7 +20,7 @@ TEST(UserEnv, SecondConcurrentSyscallDies) {
 }
 
 TEST(UserEnv, SyscallsCompleteInIssueOrder) {
-  ClientRig rig = MakeRig(1, 1);
+  DriverRig rig = MakeDriverRig(1, 1);
   std::vector<int> order;
   auto noop = [] {
     auto m = std::make_shared<SyscallMsg>();
@@ -36,7 +36,7 @@ TEST(UserEnv, SyscallsCompleteInIssueOrder) {
 }
 
 TEST(UserEnv, SyscallCountsTracked) {
-  ClientRig rig = MakeRig(1, 1);
+  DriverRig rig = MakeDriverRig(1, 1);
   for (int i = 0; i < 3; ++i) {
     auto msg = std::make_shared<SyscallMsg>();
     msg->op = SyscallOp::kNoop;
@@ -49,8 +49,8 @@ TEST(UserEnv, SyscallCountsTracked) {
 TEST(UserEnv, AsksAreSerialized) {
   // Two clients obtain from the same owner concurrently; the owner's ask
   // handler must never be re-entered.
-  ClientRig rig = MakeRig(1, 3);
-  CapSel owner_sel = rig.Grant(0);
+  DriverRig rig = MakeDriverRig(1, 3);
+  CapSel owner_sel = rig.Grant(0, 4096);
   int active = 0;
   int max_active = 0;
   int asks = 0;
@@ -79,8 +79,8 @@ TEST(UserEnv, AsksAreSerialized) {
 }
 
 TEST(UserEnv, AskHandlerCanDeny) {
-  ClientRig rig = MakeRig(1, 2);
-  CapSel owner_sel = rig.Grant(1);
+  DriverRig rig = MakeDriverRig(1, 2);
+  CapSel owner_sel = rig.Grant(1, 4096);
   rig.client(1).env().SetAskHandler([](const AskMsg&, UserEnv::AskReplyFn reply) {
     AskReply r;
     r.err = ErrCode::kNoPerm;
@@ -99,7 +99,7 @@ TEST(UserEnv, AskHandlerCanDeny) {
 TEST(UserEnv, AskHandlerMayIssueSyscallsBeforeReplying) {
   // Services derive capabilities while answering asks; the serialization
   // in UserEnv must allow a full syscall round trip inside a handler.
-  ClientRig rig = MakeRig(1, 2);
+  DriverRig rig = MakeDriverRig(1, 2);
   CapSel owner_mem = rig.Grant(1, 1 << 20);
   rig.client(1).env().SetAskHandler(
       [&rig](const AskMsg&, UserEnv::AskReplyFn reply) {
@@ -124,7 +124,7 @@ TEST(UserEnv, AskHandlerMayIssueSyscallsBeforeReplying) {
 
 TEST(UserEnv, MemAccessAfterRevokeDies) {
   // NoC-level enforcement: once the endpoint is invalidated, access faults.
-  ClientRig rig = MakeRig(1, 2);
+  DriverRig rig = MakeDriverRig(1, 2);
   CapSel owner_sel = rig.Grant(1, 1 << 20);
   SyscallReply got;
   rig.client(0).env().Obtain(rig.vpe(1), owner_sel, [&](const SyscallReply& r) { got = r; });
