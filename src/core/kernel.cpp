@@ -15,20 +15,12 @@ namespace {
 
 const char* kTag = "kernel";
 
-// Records a completed span; callers already verified `tr` is non-null and
-// the operation is traced.
-void RecordSpan(obs::Tracer* tr, uint64_t trace, uint64_t span, uint64_t parent,
-                Cycles start, Cycles end, uint32_t entity, obs::SpanKind kind, uint16_t op) {
-  obs::Span s;
-  s.trace_id = trace;
-  s.span_id = span;
-  s.parent_id = parent;
-  s.start = start;
-  s.end = end;
-  s.entity = entity;
-  s.kind = kind;
-  s.op = op;
-  tr->Record(s);
+// What an IKC call completes with when its peer kernel is dead.
+IkcReply UnreachableReply(uint64_t token) {
+  IkcReply reply;
+  reply.token = token;
+  reply.err = ErrCode::kUnreachable;
+  return reply;
 }
 
 }  // namespace
@@ -371,7 +363,13 @@ void Kernel::UnlinkChildAtParent(DdlKey parent, DdlKey child, bool orphan) {
 
 void Kernel::OnSyscall(EpId ep, const Message& msg) {
   const SyscallMsg* req = msg.As<SyscallMsg>();
-  CHECK(req != nullptr) << "non-syscall message on syscall EP";
+  if (req == nullptr) {
+    // Any other body on a syscall gate comes from an untrusted user PE:
+    // free its slot, which returns the sender's credit, and answer nothing.
+    stats_.user_msgs_dropped++;
+    pe_->dtu().Ack(ep, msg);
+    return;
+  }
   stats_.syscalls++;
   AcquireThread();
 
@@ -382,13 +380,12 @@ void Kernel::OnSyscall(EpId ep, const Message& msg) {
   sc->recv_ep = ep;
   sc->msg = msg;
   if (obs::Tracer* tr = tracer(); tr != nullptr && msg.body->trace_id != 0) {
-    sc->trace_span = tr->NextSpanId(pe_->node());
-    sc->trace_start = pe_->sim()->Now();
+    sc->span = tr->Open(pe_->node(), msg.body->trace_id, msg.body->trace_parent,
+                        pe_->sim()->Now(), obs::SpanKind::kSyscall, static_cast<uint16_t>(req->op));
   }
 
   if (shutting_down_) {
-    Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, sc] { ReplySyscall(sc, ErrCode::kAborted); });
+    AnswerSyscall(sc, ErrCode::kAborted);
     return;
   }
   VpeState* v = vpes_.Find(sc->vpe);
@@ -399,22 +396,19 @@ void Kernel::OnSyscall(EpId ep, const Message& msg) {
     if (migrated) {
       stats_.syscalls_frozen++;
     }
-    Finish(t_.syscall_dispatch + t_.syscall_reply, [this, sc, migrated] {
-      ReplySyscall(sc, migrated ? ErrCode::kVpeMigrating : ErrCode::kNoSuchVpe);
-    });
+    AnswerSyscall(sc, migrated ? ErrCode::kVpeMigrating : ErrCode::kNoSuchVpe);
     return;
   }
   if (v->migrating) {
     // Frozen for migration: the user-level runtime retries transparently;
     // by then the syscall endpoint points at the new kernel.
     stats_.syscalls_frozen++;
-    Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, sc] { ReplySyscall(sc, ErrCode::kVpeMigrating); });
+    AnswerSyscall(sc, ErrCode::kVpeMigrating);
     return;
   }
 
   // Messages the handler sends on this call's behalf nest under its span.
-  cur_trace_ = TraceCtx{msg.body->trace_id, sc->trace_span};
+  cur_trace_ = TraceCtx{sc->span.trace_id, sc->span.span_id};
   switch (req->op) {
     case SyscallOp::kNoop:
       SysNoop(sc, *req);
@@ -467,22 +461,39 @@ void Kernel::ReplySyscall(SyscallRec* sc, ErrCode err, CapSel sel, const CapPayl
   reply->sel = sel;
   reply->cap = payload;
   reply->payload = std::move(opaque);
-  if (obs::Tracer* tr = tracer(); tr != nullptr && sc->trace_span != 0) {
-    uint64_t trace = sc->msg.body->trace_id;
+  if (sc->span.span_id != 0) {
     // The reply's transit span hangs under the syscall span.
-    reply->trace_id = trace;
-    reply->trace_parent = sc->trace_span;
-    RecordSpan(tr, trace, sc->trace_span, sc->msg.body->trace_parent, sc->trace_start,
-               pe_->sim()->Now(), pe_->node(), obs::SpanKind::kSyscall,
-               static_cast<uint16_t>(req->op));
+    reply->trace_id = sc->span.trace_id;
+    reply->trace_parent = sc->span.span_id;
+    tracer()->Close(sc->span, pe_->sim()->Now());
   }
   pe_->dtu().Reply(sc->recv_ep, sc->msg, reply);
   syscall_recs_.Delete(sc);
 }
 
+void Kernel::AnswerSyscall(SyscallRec* sc, ErrCode err) {
+  Finish(t_.syscall_dispatch + t_.syscall_reply, [this, sc, err] { ReplySyscall(sc, err); });
+}
+
+Capability* Kernel::CallerCap(SyscallRec* sc, CapSel sel, CapType type) {
+  Capability* cap = CapOf(sc->vpe, sel);
+  if (cap == nullptr || (type != CapType::kNone && cap->type() != type)) {
+    AnswerSyscall(sc, cap == nullptr ? ErrCode::kNoSuchCap : ErrCode::kInvalidCapType);
+    return nullptr;
+  }
+  if (cap->marked()) {
+    // "we immediately deny exchanges of capabilities that are in
+    // revocation, which prevents pointless capability exchanges" (§4.3.3).
+    stats_.pointless_denials++;
+    AnswerSyscall(sc, ErrCode::kCapRevoked);
+    return nullptr;
+  }
+  return cap;
+}
+
 void Kernel::SysNoop(SyscallRec* sc, const SyscallMsg& req) {
   (void)req;
-  Finish(t_.syscall_dispatch + t_.syscall_reply, [this, sc] { ReplySyscall(sc, ErrCode::kOk); });
+  AnswerSyscall(sc, ErrCode::kOk);
 }
 
 // ---------------------------------------------------------------------------
@@ -644,42 +655,43 @@ void Kernel::ObtainIkcReplied(ObtainOp* op, const IkcReply& reply) {
   FinishObtain(op, reply.err, reply.cap, reply.payload, reply.opaque);
 }
 
-void Kernel::RejectUnknownPeer(SyscallRec* sc) {
-  Finish(t_.syscall_dispatch + t_.syscall_reply,
-         [this, sc] { ReplySyscall(sc, ErrCode::kNoSuchVpe); });
-}
-
-void Kernel::SysObtain(SyscallRec* sc, const SyscallMsg& req) {
-  if (!KnownPe(req.peer)) {
-    RejectUnknownPeer(sc);
-    return;
-  }
+Kernel::ObtainOp* Kernel::NewObtain(SyscallRec* sc, CapType child_type) {
   ObtainOp* op = obtain_recs_.New();
   op->token = next_token_++;
   op->sc = sc;
   op->client = sc->vpe;
-  op->child_key = AllocKey(sc->vpe, CapType::kNone);
+  op->child_key = AllocKey(sc->vpe, child_type);
+  return op;
+}
 
+void Kernel::ForwardObtain(ObtainOp* op, KernelId owner, Cycles decode,
+                           std::shared_ptr<IkcMsg> msg) {
+  stats_.spanning_obtains++;
+  obtains_.Insert(op->token, op);
+  Charge(t_.syscall_dispatch + decode + t_.ikc_send);
+  msg->vpe = op->client;
+  msg->child = op->child_key;
+  SendIkc(owner, std::move(msg),
+          [this, op](const IkcReply& reply) { ObtainIkcReplied(op, reply); });
+}
+
+void Kernel::SysObtain(SyscallRec* sc, const SyscallMsg& req) {
+  if (!KnownPe(req.peer)) {
+    AnswerSyscall(sc, ErrCode::kNoSuchVpe);
+    return;
+  }
+  ObtainOp* op = NewObtain(sc, CapType::kNone);
   if (IsLocalVpe(req.peer)) {
     Charge(t_.syscall_dispatch + t_.exchange_validate + t_.ddl_decode);
     OwnerSideObtain(op, AskOp::kObtain, DdlKey(), req.peer, req.sel, nullptr, 0);
     return;
   }
-
-  // Group-spanning: forward to the owner's kernel (Figure 3, sequence B).
-  stats_.spanning_obtains++;
-  obtains_.Insert(op->token, op);
-  Charge(t_.syscall_dispatch + DdlDecodeCostVpe(req.peer) + t_.ikc_send);
   auto msg = NewMsg<IkcMsg>();
   msg->op = IkcOp::kObtainReq;
-  msg->vpe = sc->vpe;
   msg->peer = req.peer;
-  msg->cap = DdlKey();
-  msg->child = op->child_key;
   // Reuse the syscall's selector as the owner-side selector.
   msg->payload.session = req.sel;
-  SendIkc(KernelOfVpe(req.peer), msg,
-          [this, op](const IkcReply& reply) { ObtainIkcReplied(op, reply); });
+  ForwardObtain(op, KernelOfVpe(req.peer), DdlDecodeCostVpe(req.peer), msg);
 }
 
 // ---------------------------------------------------------------------------
@@ -720,91 +732,50 @@ const Kernel::ServiceEntry* Kernel::PickService(const std::string& name, VpeId c
 void Kernel::SysOpenSession(SyscallRec* sc, const SyscallMsg& req) {
   const ServiceEntry* svc = PickService(req.name, sc->vpe);
   if (svc == nullptr) {
-    Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, sc] { ReplySyscall(sc, ErrCode::kNoSuchService); });
+    AnswerSyscall(sc, ErrCode::kNoSuchService);
     return;
   }
-
-  ObtainOp* op = obtain_recs_.New();
-  op->token = next_token_++;
-  op->sc = sc;
-  op->client = sc->vpe;
-  op->child_key = AllocKey(sc->vpe, CapType::kSession);
+  ObtainOp* op = NewObtain(sc, CapType::kSession);
   op->open_session = true;
   op->service_node = svc->node;
-
   if (svc->kernel == config_.id) {
     Charge(t_.syscall_dispatch + t_.exchange_validate + t_.ddl_decode + t_.session_exchange_extra);
     OwnerSideObtain(op, AskOp::kOpenSession, svc->cap, svc->vpe, kInvalidSel, nullptr, 0);
     return;
   }
-
-  stats_.spanning_obtains++;
-  obtains_.Insert(op->token, op);
-  Charge(t_.syscall_dispatch + DdlDecodeCost(svc->cap) + t_.ikc_send);
   auto msg = NewMsg<IkcMsg>();
   msg->op = IkcOp::kOpenSessionReq;
-  msg->vpe = sc->vpe;
   msg->cap = svc->cap;
-  msg->child = op->child_key;
-  SendIkc(svc->kernel, msg, [this, op](const IkcReply& reply) { ObtainIkcReplied(op, reply); });
+  ForwardObtain(op, svc->kernel, DdlDecodeCost(svc->cap), msg);
 }
 
 void Kernel::SysExchange(SyscallRec* sc, const SyscallMsg& req) {
-  Capability* session = CapOf(sc->vpe, req.sel);
-  if (session == nullptr || session->type() != CapType::kSession) {
-    ErrCode err = session == nullptr ? ErrCode::kNoSuchCap : ErrCode::kInvalidCapType;
-    Finish(t_.syscall_dispatch + t_.syscall_reply, [this, sc, err] { ReplySyscall(sc, err); });
+  Capability* session = CallerCap(sc, req.sel, CapType::kSession);
+  if (session == nullptr) {
     return;
   }
-  if (session->marked()) {
-    stats_.pointless_denials++;
-    Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, sc] { ReplySyscall(sc, ErrCode::kCapRevoked); });
-    return;
-  }
-
   DdlKey service_cap = session->payload().service;
   uint64_t session_id = session->payload().session;
   KernelId owner_kernel = KernelOf(service_cap);
-
-  uint64_t token = next_token_++;
-  DdlKey child_key = AllocKey(sc->vpe, CapType::kNone);
-
+  ObtainOp* op = NewObtain(sc, CapType::kNone);
   if (owner_kernel == config_.id) {
     Capability* svc_cap = caps_.Find(service_cap);
     if (svc_cap == nullptr) {
-      Finish(t_.syscall_dispatch + t_.syscall_reply,
-             [this, sc] { ReplySyscall(sc, ErrCode::kNoSuchCap); });
+      obtain_recs_.Delete(op);
+      AnswerSyscall(sc, ErrCode::kNoSuchCap);
       return;
     }
-    ObtainOp* op = obtain_recs_.New();
-    op->token = token;
-    op->sc = sc;
-    op->client = sc->vpe;
-    op->child_key = child_key;
     Charge(t_.syscall_dispatch + t_.exchange_validate + t_.ddl_decode + t_.session_exchange_extra);
     OwnerSideObtain(op, AskOp::kExchange, service_cap, svc_cap->holder(), kInvalidSel,
                     req.payload, session_id);
     return;
   }
-
-  ObtainOp* op = obtain_recs_.New();
-  op->token = token;
-  op->sc = sc;
-  op->client = sc->vpe;
-  op->child_key = child_key;
-  stats_.spanning_obtains++;
-  obtains_.Insert(op->token, op);
-  Charge(t_.syscall_dispatch + DdlDecodeCost(service_cap) + t_.ikc_send);
   auto msg = NewMsg<IkcMsg>();
   msg->op = IkcOp::kObtainReq;
-  msg->vpe = sc->vpe;
   msg->cap = service_cap;
-  msg->child = op->child_key;
   msg->opaque = req.payload;
   msg->payload.session = session_id;
-  SendIkc(owner_kernel, msg, [this, op](const IkcReply& reply) { ObtainIkcReplied(op, reply); });
+  ForwardObtain(op, owner_kernel, DdlDecodeCost(service_cap), msg);
 }
 
 // ---------------------------------------------------------------------------
@@ -813,19 +784,11 @@ void Kernel::SysExchange(SyscallRec* sc, const SyscallMsg& req) {
 
 void Kernel::SysDelegate(SyscallRec* sc, const SyscallMsg& req) {
   if (!KnownPe(req.peer)) {
-    RejectUnknownPeer(sc);
+    AnswerSyscall(sc, ErrCode::kNoSuchVpe);
     return;
   }
-  Capability* cap = CapOf(sc->vpe, req.sel);
+  Capability* cap = CallerCap(sc, req.sel, CapType::kNone);
   if (cap == nullptr) {
-    Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, sc] { ReplySyscall(sc, ErrCode::kNoSuchCap); });
-    return;
-  }
-  if (cap->marked()) {
-    stats_.pointless_denials++;
-    Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, sc] { ReplySyscall(sc, ErrCode::kCapRevoked); });
     return;
   }
 
@@ -835,13 +798,11 @@ void Kernel::SysDelegate(SyscallRec* sc, const SyscallMsg& req) {
     // Group-internal delegate: no handshake needed, one kernel owns both.
     VpeState* peer_vpe = vpes_.Find(req.peer);
     if (peer_vpe == nullptr || !peer_vpe->alive) {
-      Finish(t_.syscall_dispatch + t_.syscall_reply,
-             [this, sc] { ReplySyscall(sc, ErrCode::kVpeGone); });
+      AnswerSyscall(sc, ErrCode::kVpeGone);
       return;
     }
     if (peer_vpe->migrating) {
-      Finish(t_.syscall_dispatch + t_.syscall_reply,
-             [this, sc] { ReplySyscall(sc, ErrCode::kVpeMigrating); });
+      AnswerSyscall(sc, ErrCode::kVpeMigrating);
       return;
     }
     DelegateOp* op = delegate_recs_.New();
@@ -983,11 +944,9 @@ ErrCode Kernel::ApplyDelegateAck(bool abort, DdlKey child_key) {
 void Kernel::OwnerSideDelegate(const IkcMsg& req, EpId recv_ep, const Message& msg) {
   VpeState* receiver = vpes_.Find(req.peer);
   if (receiver == nullptr || !receiver->alive || receiver->migrating) {
-    auto reply = NewMsg<IkcReply>();
-    reply->token = req.token;
-    reply->err = (receiver != nullptr && receiver->migrating) ? ErrCode::kVpeMigrating
-                                                              : ErrCode::kVpeGone;
-    Emit(Charge(t_.ikc_send), [this, recv_ep, msg, reply] { ReplyIkc(recv_ep, msg, reply); });
+    AnswerIkc(t_.ikc_send, recv_ep, msg, req.token,
+              (receiver != nullptr && receiver->migrating) ? ErrCode::kVpeMigrating
+                                                           : ErrCode::kVpeGone);
     return;
   }
   auto ask = NewMsg<AskMsg>();
@@ -1006,14 +965,12 @@ void Kernel::OwnerSideDelegate(const IkcMsg& req, EpId recv_ep, const Message& m
 }
 
 void Kernel::OwnerDelegateAsked(DelegateOp* op, const AskReply& areply) {
-  auto reply = NewMsg<IkcReply>();
-  reply->token = op->ikc_token;
   EpId ep = op->ikc_ep;
   Message msg = std::move(op->ikc_msg);
+  uint64_t token = op->ikc_token;
   if (areply.err != ErrCode::kOk) {
     delegate_recs_.Delete(op);
-    reply->err = areply.err;
-    Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+    AnswerIkc(t_.ikc_send, ep, msg, token, areply.err);
     return;
   }
   // Create the child capability but do NOT insert it into the receiver's
@@ -1027,7 +984,8 @@ void Kernel::OwnerDelegateAsked(DelegateOp* op, const AskReply& areply) {
   parked->payload = op->payload;
   parked_delegates_.Insert(child_key.raw(), parked);
   delegate_recs_.Delete(op);
-  reply->err = ErrCode::kOk;
+  auto reply = NewMsg<IkcReply>();
+  reply->token = token;
   reply->child = child_key;
   Emit(Charge(t_.cap_create + t_.ddl_decode + t_.ikc_send),
        [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
@@ -1050,7 +1008,6 @@ Cycles Kernel::MarkPass(Capability* cap, RevokeTask* task) {
   // fan out REVOKE_REQs for remote children, and register dependencies on
   // overlapping revocations.
   cap->Mark(task);
-  task->marked++;
   Cycles cost = t_.revoke_mark_per_cap + t_.ddl_decode;
   for (DdlKey child_key : cap->children()) {
     cost += DdlDecodeCost(child_key);  // decode the edge to find the owning kernel
@@ -1159,20 +1116,18 @@ void Kernel::CheckRevokeComplete(RevokeTask* task) {
   // Phase 2: every remote child confirmed; delete the local subtree. The
   // sweep cost must be charged before the completion reply is posted —
   // acknowledgements only go out once the deletion work is done.
-  uint32_t deleted = 0;
-  Cycles cost = SweepPass(task->root, task, &deleted);
-  Charge(cost);
+  Charge(SweepPass(task->root, task));
   CompleteRevokeTask(task);
 }
 
-Cycles Kernel::SweepPass(DdlKey key, RevokeTask* task, uint32_t* deleted) {
+Cycles Kernel::SweepPass(DdlKey key, RevokeTask* task) {
   Capability* cap = caps_.Find(key);
   if (cap == nullptr || cap->task() != task) {
     return 0;  // remote child, or owned by an overlapping task
   }
   Cycles cost = 0;
   for (DdlKey child : cap->children()) {
-    cost += SweepPass(child, task, deleted);
+    cost += SweepPass(child, task);
   }
   cost += t_.revoke_sweep_per_cap + t_.ddl_decode;
   if (cap->type() == CapType::kSession) {
@@ -1198,19 +1153,12 @@ Cycles Kernel::SweepPass(DdlKey key, RevokeTask* task, uint32_t* deleted) {
   }
   caps_.Erase(key);
   stats_.caps_deleted++;
-  (*deleted)++;
   return cost;
 }
 
 void Kernel::CompleteRevokeTask(RevokeTask* task) {
   // Unlink the root from its (possibly remote) parent, unless that parent
   // is being revoked by the kernel that asked us (the usual recursive case).
-  if (task->initiator || task->admin) {
-    Capability* root = caps_.Find(task->root);
-    // The root was deleted by the sweep; its parent unlink happened through
-    // the pre-recorded parent key.
-    (void)root;
-  }
   if (!task->parent_unlink.IsNull()) {
     UnlinkChildAtParent(task->parent_unlink, task->root, /*orphan=*/false);
   }
@@ -1229,12 +1177,7 @@ void Kernel::CompleteRevokeTask(RevokeTask* task) {
     // Participant: reply to the requesting kernel only now that our entire
     // part of the subtree (including everything below remote children) is
     // gone — never acknowledge an incomplete revoke (§4.3.1 "Incomplete").
-    auto reply = NewMsg<IkcReply>();
-    reply->token = task->req_token;
-    reply->err = ErrCode::kOk;
-    EpId ep = task->reply_recv_ep;
-    Message msg = task->reply_msg;
-    Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+    AnswerIkc(t_.ikc_send, task->reply_recv_ep, task->reply_msg, task->req_token, ErrCode::kOk);
   }
 
   for (InlineFn& hook : task->on_complete) {
@@ -1247,8 +1190,7 @@ void Kernel::CompleteRevokeTask(RevokeTask* task) {
 void Kernel::SysRevoke(SyscallRec* sc, const SyscallMsg& req) {
   Capability* cap = CapOf(sc->vpe, req.sel);
   if (cap == nullptr) {
-    Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, sc] { ReplySyscall(sc, ErrCode::kNoSuchCap); });
+    AnswerSyscall(sc, ErrCode::kNoSuchCap);
     return;
   }
   if (cap->marked()) {
@@ -1325,27 +1267,20 @@ void Kernel::ProcessRevokeReq(EpId ep, Message msg, const IkcMsg& req) {
   // so fanned-out REVOKE_REQs stay linked.
   TraceCtx saved_trace = cur_trace_;
   if (auto hit = ikc_handling_.find({msg.src_node, req.token}); hit != ikc_handling_.end()) {
-    cur_trace_ = TraceCtx{hit->second.trace, hit->second.span};
+    cur_trace_ = TraceCtx{hit->second.trace_id, hit->second.span_id};
   }
   Capability* cap = caps_.Find(req.cap);
   if (cap == nullptr) {
     // Already revoked by an overlapping operation — the subtree is gone.
-    auto reply = NewMsg<IkcReply>();
-    reply->token = req.token;
-    reply->err = ErrCode::kOk;
-    Emit(Charge(t_.ikc_dispatch + t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+    AnswerIkc(t_.ikc_dispatch + t_.ikc_send, ep, msg, req.token, ErrCode::kOk);
     cur_trace_ = saved_trace;
     return;
   }
   if (cap->marked()) {
     // A running revocation covers this capability; reply when it finished.
     uint64_t token = req.token;
-    cap->task()->on_complete.emplace_back([this, ep, msg, token] {
-      auto reply = NewMsg<IkcReply>();
-      reply->token = token;
-      reply->err = ErrCode::kOk;
-      Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
-    });
+    cap->task()->on_complete.emplace_back(
+        [this, ep, msg, token] { AnswerIkc(t_.ikc_send, ep, msg, token, ErrCode::kOk); });
     Charge(t_.ikc_dispatch);
     cur_trace_ = saved_trace;
     return;
@@ -1369,18 +1304,14 @@ void Kernel::ProcessRevokeBatch(EpId ep, Message msg, const IkcMsg& req) {
   // admin-style sub-task feeding a shared countdown.
   TraceCtx saved_trace = cur_trace_;
   if (auto hit = ikc_handling_.find({msg.src_node, req.token}); hit != ikc_handling_.end()) {
-    cur_trace_ = TraceCtx{hit->second.trace, hit->second.span};
+    cur_trace_ = TraceCtx{hit->second.trace_id, hit->second.span_id};
   }
   auto remaining = std::make_shared<uint32_t>(static_cast<uint32_t>(req.caps.size()) + 1);
   uint64_t token = req.token;
   auto maybe_reply = [this, remaining, ep, msg, token] {
-    if (--*remaining != 0) {
-      return;
+    if (--*remaining == 0) {
+      AnswerIkc(t_.ikc_send, ep, msg, token, ErrCode::kOk);
     }
-    auto reply = NewMsg<IkcReply>();
-    reply->token = token;
-    reply->err = ErrCode::kOk;
-    Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
   };
   Cycles cost = t_.ikc_dispatch;
   for (DdlKey key : req.caps) {
@@ -1544,10 +1475,7 @@ bool Kernel::MaybeForwardIkc(EpId ep, const Message& msg, const IkcMsg& req) {
     // same kUnreachable a recovery abort at the origin would produce.
     // `msg` is relay-rewritten for multi-hop walks, so this reaches the
     // origin, not the previous hop.
-    auto reply = NewMsg<IkcReply>();
-    reply->token = req.token;
-    reply->err = ErrCode::kUnreachable;
-    Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+    AnswerIkc(t_.ikc_send, ep, msg, req.token, ErrCode::kUnreachable);
     return true;
   }
   stats_.ikc_relays_pipelined++;
@@ -1605,17 +1533,9 @@ void Kernel::ApplyRelayNotice(const IkcMsg& notice) {
     // died with it. Complete the call exactly like a recovery abort; if
     // the request was in fact dispatched before the crash, the direct
     // reply is tolerated as a late reply (see OnIkc).
-    IkcCallback cb = std::move(pending.cb);
-    uint64_t token = notice.relay_token;
-    ikcs_.Erase(token);
-    ikc_recs_.Delete(found);
+    ikcs_.Erase(notice.relay_token);
     stats_.ft_ikcs_aborted++;
-    IkcReply reply;
-    reply.token = token;
-    reply.err = ErrCode::kUnreachable;
-    if (cb) {
-      cb(reply);
-    }
+    CompleteIkc(found, UnreachableReply(notice.relay_token));
   }
 }
 
@@ -1668,9 +1588,8 @@ void Kernel::AdminMigratePe(NodeId pe, KernelId dst, Callback<void(ErrCode)> don
   task->done = std::move(done);
   if (obs::Tracer* tr = tracer(); tr != nullptr) {
     // Migrations are platform-initiated: they root their own trace.
-    task->trace = tr->NewTraceId(pe_->node());
-    task->trace_span = tr->NextSpanId(pe_->node());
-    task->trace_start = pe_->sim()->Now();
+    task->span = tr->Open(pe_->node(), tr->NewTraceId(pe_->node()), /*parent=*/0,
+                          pe_->sim()->Now(), obs::SpanKind::kMigration, static_cast<uint16_t>(pe));
   }
   uint64_t id = task->id;
   migrate_tasks_[id] = std::move(task);
@@ -1700,7 +1619,7 @@ void Kernel::StartMigrateTransfer(uint64_t task_id) {
   task->phase = MigrateTask::Phase::kTransfer;
   // The transfer IKC (and, via the pending restore, the settle round's
   // EPOCH_UPDATEs) nest under the migration span.
-  cur_trace_ = TraceCtx{task->trace, task->trace_span};
+  cur_trace_ = TraceCtx{task->span.trace_id, task->span.span_id};
 
   VpeState& vpe = vpes_.At(task->pe);
   auto payload = std::make_shared<MigratePayload>();
@@ -1749,12 +1668,9 @@ void Kernel::OnMigrateVpe(EpId ep, const Message& msg, const IkcMsg& req) {
   CHECK(req.migrate != nullptr);
   CHECK_EQ(req.new_owner, config_.id);
   const MigratePayload& mp = *req.migrate;
-  auto reply = NewMsg<IkcReply>();
-  reply->token = req.token;
   if (shutting_down_ || vpes_.size() >= kMaxVpesPerKernel) {
-    reply->err = shutting_down_ ? ErrCode::kAborted : ErrCode::kInvalidArgs;
-    Emit(Charge(t_.ikc_dispatch + t_.ikc_send),
-         [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+    AnswerIkc(t_.ikc_dispatch + t_.ikc_send, ep, msg, req.token,
+              shutting_down_ ? ErrCode::kAborted : ErrCode::kInvalidArgs);
     return;
   }
 
@@ -1795,11 +1711,10 @@ void Kernel::OnMigrateVpe(EpId ep, const Message& msg, const IkcMsg& req) {
   // Retarget the PE's syscall send endpoint at this kernel, then confirm
   // the takeover — the moved VPE's retried syscalls land here from now on.
   EpId syscall_ep = kEpSyscall0 + (mp.vpe % kNumSyscallEps);
-  pe_->dtu().ConfigureRemoteSend(mp.node, user_ep::kSyscallSend, pe_->node(), syscall_ep,
-                                 /*credits=*/1, /*label=*/0, [this, ep, msg, reply] {
-                                   Emit(Charge(t_.ikc_send),
-                                        [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
-                                 });
+  uint64_t token = req.token;
+  pe_->dtu().ConfigureRemoteSend(
+      mp.node, user_ep::kSyscallSend, pe_->node(), syscall_ep, /*credits=*/1, /*label=*/0,
+      [this, ep, msg, token] { AnswerIkc(t_.ikc_send, ep, msg, token, ErrCode::kOk); });
 }
 
 void Kernel::FinishMigrateTransfer(uint64_t task_id, const IkcReply& reply) {
@@ -1892,10 +1807,8 @@ void Kernel::CompleteMigration(uint64_t task_id, ErrCode err) {
     LOG_INFO(kTag) << "kernel " << config_.id << " migrated PE " << task->pe << " to kernel "
                    << task->dst << " (epoch " << task->epoch << ")";
   }
-  if (task->trace != 0) {
-    RecordSpan(tracer(), task->trace, task->trace_span, /*parent=*/0, task->trace_start,
-               pe_->sim()->Now(), pe_->node(), obs::SpanKind::kMigration,
-               static_cast<uint16_t>(task->pe));
+  if (task->span.span_id != 0) {
+    tracer()->Close(task->span, pe_->sim()->Now());
   }
   auto done = std::move(task->done);
   migrate_tasks_.erase(it);
@@ -2167,14 +2080,13 @@ void Kernel::RecoverFromFailure(KernelId dead, uint64_t epoch) {
   ft_verdict_at_ = pe_->sim()->Now();
   TraceCtx saved_trace = cur_trace_;
   if (obs::Tracer* tr = tracer(); tr != nullptr) {
-    if (ft_trace_ == 0) {
+    if (ft_span_.span_id == 0) {
       // Recovery roots its own trace; spans until the pending counter
-      // drains back to zero (FtRecoveryStepDone records it).
-      ft_trace_ = tr->NewTraceId(pe_->node());
-      ft_span_ = tr->NextSpanId(pe_->node());
-      ft_trace_start_ = pe_->sim()->Now();
+      // drains back to zero (FtRecoveryStepDone closes it).
+      ft_span_ = tr->Open(pe_->node(), tr->NewTraceId(pe_->node()), /*parent=*/0,
+                          pe_->sim()->Now(), obs::SpanKind::kFailover);
     }
-    cur_trace_ = TraceCtx{ft_trace_, ft_span_};
+    cur_trace_ = TraceCtx{ft_span_.trace_id, ft_span_.span_id};
   }
   // The takeover below reassigns every partition of the dead range; the
   // remote-DDL cache must not serve hits across that (the Apply calls here
@@ -2310,11 +2222,9 @@ void Kernel::FtRecoveryStepDone() {
   CHECK_GT(ft_pending_recovery_, 0u);
   if (--ft_pending_recovery_ == 0) {
     ft_recovered_at_ = pe_->sim()->Now();
-    if (ft_trace_ != 0) {
-      RecordSpan(tracer(), ft_trace_, ft_span_, /*parent=*/0, ft_trace_start_,
-                 pe_->sim()->Now(), pe_->node(), obs::SpanKind::kFailover, /*op=*/0);
-      ft_trace_ = 0;
-      ft_span_ = 0;
+    if (ft_span_.span_id != 0) {
+      tracer()->Close(ft_span_, pe_->sim()->Now());
+      ft_span_ = obs::Span();
     }
     LOG_INFO(kTag) << "kernel " << config_.id << " recovery complete";
   }
@@ -2377,26 +2287,27 @@ void Kernel::AbortPendingIkcsTo(KernelId dead) {
     if (found == nullptr) {
       continue;  // unwound by an earlier abort's callback
     }
-    PendingIkc pending = std::move(*found);
-    ikc_recs_.Delete(found);
     stats_.ft_ikcs_aborted++;
-    IkcReply reply;
-    reply.token = token;
-    reply.err = ErrCode::kUnreachable;
-    TraceCtx saved_trace = cur_trace_;
-    if (pending.trace_span != 0) {
-      // The round trip ends here — aborted, but the span still closes so
-      // the request's tree has no dangling parent link.
-      RecordSpan(tracer(), pending.trace, pending.trace_span, pending.trace_parent,
-                 pending.trace_start, pe_->sim()->Now(), pe_->node(), obs::SpanKind::kIkcRtt,
-                 pending.trace_op);
-      cur_trace_ = TraceCtx{pending.trace, pending.trace_parent};
-    }
-    if (pending.cb) {
-      pending.cb(reply);
-    }
-    cur_trace_ = saved_trace;
+    CompleteIkc(found, UnreachableReply(token));
   }
+}
+
+void Kernel::CompleteIkc(PendingIkc* pending, const IkcReply& reply) {
+  IkcCallback cb = std::move(pending->cb);
+  obs::Span span = pending->span;
+  ikc_recs_.Delete(pending);
+  TraceCtx saved_trace = cur_trace_;
+  if (span.span_id != 0) {
+    // The round trip ends here, also when aborted: the span closes so the
+    // request's tree has no dangling parent link, and the continuation acts
+    // for the enclosing operation again.
+    tracer()->Close(span, pe_->sim()->Now());
+    cur_trace_ = TraceCtx{span.trace_id, span.parent_id};
+  }
+  if (cb) {
+    cb.Fire(reply);
+  }
+  cur_trace_ = saved_trace;
 }
 
 // ---------------------------------------------------------------------------
@@ -2404,16 +2315,8 @@ void Kernel::AbortPendingIkcsTo(KernelId dead) {
 // ---------------------------------------------------------------------------
 
 void Kernel::SysActivate(SyscallRec* sc, const SyscallMsg& req) {
-  Capability* cap = CapOf(sc->vpe, req.sel);
+  Capability* cap = CallerCap(sc, req.sel, CapType::kNone);
   if (cap == nullptr) {
-    Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, sc] { ReplySyscall(sc, ErrCode::kNoSuchCap); });
-    return;
-  }
-  if (cap->marked()) {
-    stats_.pointless_denials++;
-    Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, sc] { ReplySyscall(sc, ErrCode::kCapRevoked); });
     return;
   }
   NodeId node = vpes_.At(sc->vpe).node;
@@ -2445,22 +2348,16 @@ void Kernel::SysActivate(SyscallRec* sc, const SyscallMsg& req) {
 }
 
 void Kernel::SysDeriveMem(SyscallRec* sc, const SyscallMsg& req) {
-  Capability* cap = CapOf(sc->vpe, req.sel);
-  if (cap == nullptr || cap->type() != CapType::kMem) {
-    ErrCode err = cap == nullptr ? ErrCode::kNoSuchCap : ErrCode::kInvalidCapType;
-    Finish(t_.syscall_dispatch + t_.syscall_reply, [this, sc, err] { ReplySyscall(sc, err); });
-    return;
-  }
-  if (cap->marked()) {
-    stats_.pointless_denials++;
-    Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, sc] { ReplySyscall(sc, ErrCode::kCapRevoked); });
+  Capability* cap = CallerCap(sc, req.sel, CapType::kMem);
+  if (cap == nullptr) {
     return;
   }
   const CapPayload& p = cap->payload();
-  if (req.arg0 + req.arg1 > p.mem_size || (req.perms & ~p.perms) != 0) {
-    Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, sc] { ReplySyscall(sc, ErrCode::kNoPerm); });
+  // [arg0, arg0 + arg1) must lie inside the parent; compared without the
+  // sum, which a hostile caller can wrap past 2^64.
+  if (req.arg1 > p.mem_size || req.arg0 > p.mem_size - req.arg1 ||
+      (req.perms & ~p.perms) != 0) {
+    AnswerSyscall(sc, ErrCode::kNoPerm);
     return;
   }
   CapPayload child_payload = p;
@@ -2535,10 +2432,7 @@ void Kernel::SendIkc(KernelId peer, std::shared_ptr<IkcMsg> msg, IkcCallback cb)
     uint64_t token = msg->token;
     pe_->sim()->Schedule(0, [cb = std::move(cb), token]() mutable {
       if (cb) {
-        IkcReply reply;
-        reply.token = token;
-        reply.err = ErrCode::kUnreachable;
-        cb.Fire(reply);
+        cb.Fire(UnreachableReply(token));
       }
     });
     return;
@@ -2548,15 +2442,12 @@ void Kernel::SendIkc(KernelId peer, std::shared_ptr<IkcMsg> msg, IkcCallback cb)
   pending->peer = peer;
   pending->cb = std::move(cb);
   if (obs::Tracer* tr = tracer(); tr != nullptr && cur_trace_.trace != 0) {
-    pending->trace = cur_trace_.trace;
-    pending->trace_parent = cur_trace_.parent;
-    pending->trace_span = tr->NextSpanId(pe_->node());
-    pending->trace_start = pe_->sim()->Now();
-    pending->trace_op = static_cast<uint16_t>(msg->op);
+    pending->span = tr->Open(pe_->node(), cur_trace_.trace, cur_trace_.parent, pe_->sim()->Now(),
+                             obs::SpanKind::kIkcRtt, static_cast<uint16_t>(msg->op));
     // Everything the remote kernel does on this call's behalf nests under
     // the round-trip span — that is how trees cross kernels.
-    msg->trace_id = pending->trace;
-    msg->trace_parent = pending->trace_span;
+    msg->trace_id = pending->span.trace_id;
+    msg->trace_parent = pending->span.span_id;
   }
   ikcs_.Insert(pending->token, pending);
 
@@ -2585,8 +2476,9 @@ void Kernel::SendIkcRelay(KernelId peer, std::shared_ptr<IkcMsg> msg) {
     // Zero-length marker: the hop's transit and final service get their own
     // spans; this records *that* the walk bounced through this kernel.
     Cycles now = pe_->sim()->Now();
-    RecordSpan(tr, msg->trace_id, tr->NextSpanId(pe_->node()), msg->trace_parent, now, now,
-               pe_->node(), obs::SpanKind::kRelay, static_cast<uint16_t>(msg->op));
+    tr->Close(tr->Open(pe_->node(), msg->trace_id, msg->trace_parent, now, obs::SpanKind::kRelay,
+                       static_cast<uint16_t>(msg->op)),
+              now);
   }
   EnqueueIkc(peer, std::move(msg));
 }
@@ -2634,14 +2526,19 @@ void Kernel::ReplyIkc(EpId recv_ep, const Message& msg, std::shared_ptr<IkcReply
   // Close the handler span opened at dispatch (possibly long ago, for
   // suspended revocations) and hand the reply its trace context.
   if (auto it = ikc_handling_.find({msg.src_node, reply->token}); it != ikc_handling_.end()) {
-    const IkcHandling& h = it->second;
-    reply->trace_id = h.trace;
-    reply->trace_parent = h.span;
-    RecordSpan(tracer(), h.trace, h.span, h.parent, h.start, pe_->sim()->Now(), pe_->node(),
-               obs::SpanKind::kIkc, h.op);
+    reply->trace_id = it->second.trace_id;
+    reply->trace_parent = it->second.span_id;
+    tracer()->Close(it->second, pe_->sim()->Now());
     ikc_handling_.erase(it);
   }
   pe_->dtu().SendDeferredReply(msg, std::move(reply));
+}
+
+void Kernel::AnswerIkc(Cycles cost, EpId ep, const Message& msg, uint64_t token, ErrCode err) {
+  auto reply = NewMsg<IkcReply>();
+  reply->token = token;
+  reply->err = err;
+  Emit(Charge(cost), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
 }
 
 void Kernel::OnIkc(EpId ep, const Message& msg) {
@@ -2667,19 +2564,7 @@ void Kernel::OnIkc(EpId ep, const Message& msg) {
       stats_.ikc_late_replies++;
       return;
     }
-    if (found->trace_span != 0) {
-      RecordSpan(tracer(), found->trace, found->trace_span, found->trace_parent,
-                 found->trace_start, pe_->sim()->Now(), pe_->node(), obs::SpanKind::kIkcRtt,
-                 found->trace_op);
-      // The continuation acts for the enclosing operation again.
-      cur_trace_ = TraceCtx{found->trace, found->trace_parent};
-    }
-    IkcCallback cb = std::move(found->cb);
-    ikc_recs_.Delete(found);
-    if (cb) {
-      cb.Fire(*reply);
-    }
-    cur_trace_ = TraceCtx{};
+    CompleteIkc(found, *reply);
     return;
   }
 
@@ -2723,24 +2608,17 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
   TraceCtx saved_trace = cur_trace_;
   obs::Tracer* tr = tracer();
   if (tr != nullptr && req->trace_id != 0) {
-    IkcHandling h;
-    h.trace = req->trace_id;
-    h.parent = req->trace_parent;
-    h.span = tr->NextSpanId(pe_->node());
-    h.start = pe_->sim()->Now();
-    h.op = static_cast<uint16_t>(req->op);
-    ikc_handling_[{msg.src_node, req->token}] = h;
-    cur_trace_ = TraceCtx{h.trace, h.span};
+    obs::Span span = tr->Open(pe_->node(), req->trace_id, req->trace_parent, pe_->sim()->Now(),
+                              obs::SpanKind::kIkc, static_cast<uint16_t>(req->op));
+    ikc_handling_[{msg.src_node, req->token}] = span;
+    cur_trace_ = TraceCtx{span.trace_id, span.span_id};
   } else {
     cur_trace_ = TraceCtx{};
   }
   switch (req->op) {
-    case IkcOp::kHello: {
-      auto reply = NewMsg<IkcReply>();
-      reply->token = req->token;
-      Emit(Charge(t_.ikc_dispatch + t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+    case IkcOp::kHello:
+      AnswerIkc(t_.ikc_dispatch + t_.ikc_send, ep, msg, req->token, ErrCode::kOk);
       break;
-    }
     case IkcOp::kShutdown: {
       // The peer's group is going away: stop routing sessions to its
       // services and remember that it is down.
@@ -2750,9 +2628,7 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
         std::erase_if(entries,
                       [&](const ServiceEntry& e) { return e.kernel == req->src_kernel; });
       }
-      auto reply = NewMsg<IkcReply>();
-      reply->token = req->token;
-      Emit(Charge(t_.ikc_dispatch + t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+      AnswerIkc(t_.ikc_dispatch + t_.ikc_send, ep, msg, req->token, ErrCode::kOk);
       break;
     }
     case IkcOp::kServiceAnnounce: {
@@ -2763,9 +2639,7 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
       entry.node = req->node;
       entry.vpe = req->vpe;
       services_[req->name].push_back(entry);
-      auto reply = NewMsg<IkcReply>();
-      reply->token = req->token;
-      Emit(Charge(t_.ikc_dispatch + t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+      AnswerIkc(t_.ikc_dispatch + t_.ikc_send, ep, msg, req->token, ErrCode::kOk);
       break;
     }
     case IkcOp::kObtainReq:
@@ -2785,10 +2659,7 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
       } else {
         Capability* anchor = caps_.Find(req->cap);
         if (anchor == nullptr) {
-          auto reply = NewMsg<IkcReply>();
-          reply->token = req->token;
-          reply->err = ErrCode::kNoSuchCap;
-          Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+          AnswerIkc(t_.ikc_send, ep, msg, req->token, ErrCode::kNoSuchCap);
           ReleaseThread();
           break;
         }
@@ -2811,10 +2682,7 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
     }
     case IkcOp::kDelegateAck: {
       ErrCode err = ApplyDelegateAck(req->payload.session != 0, req->child);
-      auto reply = NewMsg<IkcReply>();
-      reply->token = req->token;
-      reply->err = err;
-      Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+      AnswerIkc(t_.ikc_send, ep, msg, req->token, err);
       break;
     }
     case IkcOp::kRevokeReq:
@@ -2828,9 +2696,7 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
         parent->RemoveChild(req->child);
         stats_.orphans_cleaned++;
       }
-      auto reply = NewMsg<IkcReply>();
-      reply->token = req->token;
-      Emit(Charge(t_.ikc_dispatch + t_.ddl_decode + t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+      AnswerIkc(t_.ikc_dispatch + t_.ddl_decode + t_.ikc_send, ep, msg, req->token, ErrCode::kOk);
       break;
     }
     case IkcOp::kChildDrop: {
@@ -2838,48 +2704,32 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
       if (parent != nullptr) {
         parent->RemoveChild(req->child);
       }
-      auto reply = NewMsg<IkcReply>();
-      reply->token = req->token;
-      Emit(Charge(t_.ikc_dispatch + t_.ddl_decode + t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+      AnswerIkc(t_.ikc_dispatch + t_.ddl_decode + t_.ikc_send, ep, msg, req->token, ErrCode::kOk);
       break;
     }
     case IkcOp::kMigrateVpe: {
       OnMigrateVpe(ep, msg, *req);
       break;
     }
-    case IkcOp::kEpochUpdate: {
+    case IkcOp::kEpochUpdate:
       ApplyMembershipUpdate(req->node, req->new_owner, req->epoch);
       stats_.epoch_updates++;
-      auto reply = NewMsg<IkcReply>();
-      reply->token = req->token;
-      Emit(Charge(t_.ikc_dispatch + t_.epoch_apply + t_.ikc_send),
-           [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+      AnswerIkc(t_.ikc_dispatch + t_.epoch_apply + t_.ikc_send, ep, msg, req->token, ErrCode::kOk);
       break;
-    }
-    case IkcOp::kSuspectKernel: {
+    case IkcOp::kSuspectKernel:
       Charge(t_.ikc_dispatch);
       RecordSuspectVote(req->suspect, req->src_kernel);
-      auto reply = NewMsg<IkcReply>();
-      reply->token = req->token;
-      Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+      AnswerIkc(t_.ikc_send, ep, msg, req->token, ErrCode::kOk);
       break;
-    }
-    case IkcOp::kFailoverDecree: {
+    case IkcOp::kFailoverDecree:
       Charge(t_.ikc_dispatch);
       RecoverFromFailure(req->suspect, req->epoch);
-      auto reply = NewMsg<IkcReply>();
-      reply->token = req->token;
-      Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+      AnswerIkc(t_.ikc_send, ep, msg, req->token, ErrCode::kOk);
       break;
-    }
-    case IkcOp::kRelayNotice: {
+    case IkcOp::kRelayNotice:
       ApplyRelayNotice(*req);
-      auto reply = NewMsg<IkcReply>();
-      reply->token = req->token;
-      Emit(Charge(t_.ikc_dispatch + t_.epoch_apply + t_.ikc_send),
-           [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+      AnswerIkc(t_.ikc_dispatch + t_.epoch_apply + t_.ikc_send, ep, msg, req->token, ErrCode::kOk);
       break;
-    }
   }
   cur_trace_ = saved_trace;
 }
@@ -2895,18 +2745,15 @@ void Kernel::AskParty(NodeId node, std::shared_ptr<AskMsg> ask, AskCallback cb) 
   pending->node = node;
   pending->cb = std::move(cb);
   if (obs::Tracer* tr = tracer(); tr != nullptr && cur_trace_.trace != 0) {
-    pending->trace = cur_trace_.trace;
-    pending->trace_parent = cur_trace_.parent;
-    pending->trace_span = tr->NextSpanId(pe_->node());
-    pending->trace_start = pe_->sim()->Now();
-    pending->trace_op = static_cast<uint16_t>(ask->op);
-    ask->trace_id = pending->trace;
-    ask->trace_parent = pending->trace_span;
+    pending->span = tr->Open(pe_->node(), cur_trace_.trace, cur_trace_.parent, pe_->sim()->Now(),
+                             obs::SpanKind::kAsk, static_cast<uint16_t>(ask->op));
+    ask->trace_id = pending->span.trace_id;
+    ask->trace_parent = pending->span.span_id;
   }
   asks_.Insert(pending->token, pending);
 
   AskWindow& window = ask_windows_[node];
-  if (window.inflight < config_.service_ask_inflight) {
+  if (window.inflight < kServiceAskInflight) {
     window.inflight++;
     pe_->dtu().SendTo(node, user_ep::kAsk, std::move(ask), kEpAskReply);
   } else {
@@ -2915,10 +2762,17 @@ void Kernel::AskParty(NodeId node, std::shared_ptr<AskMsg> ask, AskCallback cb) 
 }
 
 void Kernel::OnAskReply(const Message& msg) {
+  // Parties are untrusted user PEs: a body that is not an AskReply, a token
+  // that names no pending ask, or a reply from a PE other than the asked
+  // one (which could otherwise complete another party's ask) is dropped.
+  // Replies hold no receive slot, so there is nothing to free.
   const AskReply* reply = msg.As<AskReply>();
-  CHECK(reply != nullptr);
-  PendingAsk* pending = asks_.Erase(reply->token);
-  CHECK(pending != nullptr) << "ask reply for unknown token";
+  PendingAsk* pending = reply != nullptr ? asks_.Find(reply->token) : nullptr;
+  if (pending == nullptr || pending->node != msg.src_node) {
+    stats_.user_msgs_dropped++;
+    return;
+  }
+  asks_.Erase(reply->token);
   NodeId node = pending->node;
   AskWindow& window = ask_windows_[node];
   window.inflight--;
@@ -2928,11 +2782,9 @@ void Kernel::OnAskReply(const Message& msg) {
     window.inflight++;
     pe_->dtu().SendTo(node, user_ep::kAsk, std::move(next), kEpAskReply);
   }
-  if (pending->trace_span != 0) {
-    RecordSpan(tracer(), pending->trace, pending->trace_span, pending->trace_parent,
-               pending->trace_start, pe_->sim()->Now(), pe_->node(), obs::SpanKind::kAsk,
-               pending->trace_op);
-    cur_trace_ = TraceCtx{pending->trace, pending->trace_parent};
+  if (pending->span.span_id != 0) {
+    tracer()->Close(pending->span, pe_->sim()->Now());
+    cur_trace_ = TraceCtx{pending->span.trace_id, pending->span.parent_id};
   }
   AskCallback cb = std::move(pending->cb);
   ask_recs_.Delete(pending);

@@ -64,6 +64,7 @@
 #include "core/protocol.h"
 #include "core/timing.h"
 #include "ft/ft.h"
+#include "obs/trace.h"
 #include "pe/pe.h"
 #include "sim/inline_fn.h"
 
@@ -114,6 +115,10 @@ struct KernelStats {
   uint64_t ikc_late_replies = 0;      // replies whose token matched no pending IKC
   uint64_t ddl_cache_hits = 0;        // remote-DDL lookups served by the cache
   uint64_t ddl_cache_misses = 0;      // remote-DDL lookups that paid the full decode
+  // Untrusted user PEs: messages dropped without a reply — a body that is
+  // not a syscall on a syscall gate, or an ask reply that is not an
+  // AskReply, names no pending ask, or comes from a PE that was not asked.
+  uint64_t user_msgs_dropped = 0;
   // Per-IKC-type logical send/receive counts.
   uint64_t ikc_op_sent[kNumIkcOps] = {};
   uint64_t ikc_op_received[kNumIkcOps] = {};
@@ -122,18 +127,15 @@ struct KernelStats {
 };
 
 // One system call in service at its kernel, from arrival to reply: the
-// syscall message (the reply goes to its sender) plus the kSyscall span's
-// preallocated id. Operations that suspend on the call's behalf point here.
+// syscall message (the reply goes to its sender) plus its open kSyscall
+// span. Operations that suspend on the call's behalf point here.
 struct SyscallRec {
   VpeId vpe = kInvalidVpe;
   EpId recv_ep = 0;
   Message msg;
-  // Observability: the kSyscall span covering this call's service. The id
-  // is preallocated at arrival so IKCs/asks issued on the call's behalf
-  // can parent under it; ReplySyscall records the completed span. The
-  // trace id and the user-side parent live in msg.body.
-  uint64_t trace_span = 0;
-  Cycles trace_start = 0;
+  // Observability: opened at arrival (span_id 0 when untraced) so IKCs and
+  // asks issued on the call's behalf parent under it; ReplySyscall closes it.
+  obs::Span span;
   uint32_t pool_slot = 0;  // RecordPool bookkeeping
 };
 
@@ -144,7 +146,6 @@ struct RevokeTask {
   uint64_t id = 0;
   DdlKey root;
   uint32_t outstanding = 0;  // remote REVOKE_REQs + local-task dependencies
-  uint32_t marked = 0;       // capabilities marked by this task (phase 1)
   bool initiator = false;    // true: local syscall; false: peer kernel IKC
   bool admin = false;        // true: kernel-internal (VPE kill)
   bool suspended = false;    // the initiating thread paused on remote replies
@@ -226,9 +227,7 @@ struct MigrateTask {
   // Observability: migrations originate at the platform, so they root their
   // own trace; the kMigration span covers freeze -> settled. The transfer
   // IKC and the settle-round EPOCH_UPDATEs nest under it.
-  uint64_t trace = 0;
-  uint64_t trace_span = 0;
-  Cycles trace_start = 0;
+  obs::Span span;
 };
 
 class Kernel : public Program {
@@ -249,6 +248,7 @@ class Kernel : public Program {
   static constexpr uint32_t kMaxVpesPerKernel = kNumSyscallEps * 32;
   static constexpr uint32_t kMaxKernels = 64;
   static constexpr uint32_t kMaxRevokeThreads = 2;  // paper §4.3.3
+  static constexpr uint32_t kServiceAskInflight = 64;  // kernel -> party ask window
 
   struct Config {
     KernelId id = 0;
@@ -256,16 +256,12 @@ class Kernel : public Program {
     MembershipTable membership;          // PE -> kernel (replicated, static)
     std::vector<NodeId> kernel_nodes;    // kernel id -> kernel PE
     uint32_t max_inflight = 4;           // M_inflight per peer kernel
-    uint32_t service_ask_inflight = 64;  // kernel -> service ask window
     // Extension (paper §5.2 future work): batch all REVOKE_REQs to the
     // same peer kernel into one message instead of one per child.
     bool revoke_batching = false;
-    // Fault tolerance (src/ft). `ft` only stores the detector parameters;
-    // heartbeats start when the platform arms the detector via
-    // AdminStartFailureDetector. `pe_types` lets adopters rebuild VPE state
+    // Fault tolerance (src/ft): `pe_types` lets adopters rebuild VPE state
     // for a dead group's PEs; `on_failover` lets the platform mirror the
     // membership changes a quorum leader decrees mid-run.
-    FtConfig ft;
     std::vector<PeType> pe_types;  // node -> tile type (empty: assume user)
     // Invoked by a quorum leader with the decreed takeover plan, so the
     // platform mirrors exactly what the kernels applied (no recompute).
@@ -443,19 +439,16 @@ class Kernel : public Program {
 
   // Ask sent to a party/service, waiting for the AskReply. Carries the
   // asked node so migration quiesce can tell whether an exchange-ask still
-  // targets the moving partition (one index, one entry per ask).
+  // targets the moving partition (one index, one entry per ask), and so a
+  // reply from any other PE is dropped.
   struct PendingAsk {
     uint64_t token = 0;
     NodeId node = kInvalidNode;
     AskCallback cb;
-    // Observability: the kAsk span (round trip to the party) plus the trace
-    // context to restore before `cb` runs, so spans caused by the
-    // continuation stay linked to the request.
-    uint64_t trace = 0;
-    uint64_t trace_parent = 0;
-    uint64_t trace_span = 0;
-    Cycles trace_start = 0;
-    uint16_t trace_op = 0;
+    // Observability: the open kAsk span (round trip to the party). Its trace
+    // and parent are the context restored before `cb` runs, so spans caused
+    // by the continuation stay linked to the request.
+    obs::Span span;
     uint32_t pool_slot = 0;
   };
 
@@ -470,14 +463,10 @@ class Kernel : public Program {
     KernelId peer = kInvalidKernel;
     uint32_t relay_hops = 0;
     IkcCallback cb;
-    // Observability: the kIkcRtt span (request out -> reply callback). Its
-    // id travels as the request's trace_parent, so everything the remote
+    // Observability: the open kIkcRtt span (request out -> reply callback).
+    // Its id travels as the request's trace_parent, so everything the remote
     // kernel does on this call's behalf nests under the round trip.
-    uint64_t trace = 0;
-    uint64_t trace_parent = 0;
-    uint64_t trace_span = 0;
-    Cycles trace_start = 0;
-    uint16_t trace_op = 0;
+    obs::Span span;
     uint32_t pool_slot = 0;
   };
 
@@ -497,24 +486,7 @@ class Kernel : public Program {
     uint64_t trace = 0;
     uint64_t parent = 0;
   };
-  // An IKC request in service, keyed by (requester node, token): the kIkc
-  // handler span opens at dispatch and closes centrally in ReplyIkc, which
-  // also stamps the reply's trace context. Relays rewrite the Message's
-  // src_node to the walk's origin before dispatch, so the key is stable
-  // from dispatch to (possibly long-deferred) reply.
-  struct IkcHandling {
-    uint64_t trace = 0;
-    uint64_t parent = 0;
-    uint64_t span = 0;
-    Cycles start = 0;
-    uint16_t op = 0;
-  };
   obs::Tracer* tracer() const { return pe_ != nullptr ? pe_->tracer() : nullptr; }
-  // Stamps cur_trace_ onto an outgoing message body (0s when untraced).
-  void StampTrace(MsgBody* body) const {
-    body->trace_id = cur_trace_.trace;
-    body->trace_parent = cur_trace_.parent;
-  }
 
   // ===== Message handlers =====
   void OnSyscall(EpId ep, const Message& msg);
@@ -530,14 +502,22 @@ class Kernel : public Program {
   void SysExchange(SyscallRec* sc, const SyscallMsg& req);
   void SysObtain(SyscallRec* sc, const SyscallMsg& req);
   void SysDelegate(SyscallRec* sc, const SyscallMsg& req);
-  // Answers kNoSuchVpe to a syscall whose peer is not a PE (see KnownPe).
-  void RejectUnknownPeer(SyscallRec* sc);
   void SysRevoke(SyscallRec* sc, const SyscallMsg& req);
   void SysActivate(SyscallRec* sc, const SyscallMsg& req);
   void SysDeriveMem(SyscallRec* sc, const SyscallMsg& req);
   void SysRegisterService(SyscallRec* sc, const SyscallMsg& req);
+  // The caller's capability `sel`, of `type` unless that is kNone. Answers
+  // the syscall (kNoSuchCap, kInvalidCapType, or kCapRevoked for a marked
+  // capability: a Pointless denial) and returns null when there is none.
+  Capability* CallerCap(SyscallRec* sc, CapSel sel, CapType type);
 
   // ===== Obtain path (also used for open-session and session exchange) =====
+  // The obtainer-side record of syscall `sc`; draws the operation's token,
+  // then the key proposed for the new capability.
+  ObtainOp* NewObtain(SyscallRec* sc, CapType child_type);
+  // Group-spanning: forwards `msg` (op-specific fields set) to the owner's
+  // kernel `owner`, whose DDL lookup costs `decode` (Figure 3, sequence B).
+  void ForwardObtain(ObtainOp* op, KernelId owner, Cycles decode, std::shared_ptr<IkcMsg> msg);
   // Owner-side: ask the party, link the proposed child (op->child_key, for
   // op->client) under the shared capability, and hand its description to
   // OwnerObtainDone.
@@ -583,8 +563,8 @@ class Kernel : public Program {
   void ProcessRevokeBatch(EpId ep, Message msg, const IkcMsg& req);
   void RevokeDependencyDone(uint64_t task_id);
   void CheckRevokeComplete(RevokeTask* task);
-  // Phase 2: deletes this task's marked subtree; returns (cost, deleted).
-  Cycles SweepPass(DdlKey key, RevokeTask* task, uint32_t* deleted);
+  // Phase 2: deletes this task's marked subtree; returns its cost.
+  Cycles SweepPass(DdlKey key, RevokeTask* task);
   void CompleteRevokeTask(RevokeTask* task);
   void DrainRevokeQueue();
 
@@ -629,6 +609,11 @@ class Kernel : public Program {
   void AdoptPe(NodeId pe);
   // Completes every pending IKC addressed to `dead` with kUnreachable.
   void AbortPendingIkcsTo(KernelId dead);
+  // The one continuation point of an IKC call: closes `pending`'s round-trip
+  // span and runs its callback with `reply` (the peer's, or kUnreachable
+  // when aborted) in the call's trace context. `pending` is already out of
+  // the index; its record is freed.
+  void CompleteIkc(PendingIkc* pending, const IkcReply& reply);
   void FtRecoveryStepDone();
 
   // ===== Capability helpers =====
@@ -646,6 +631,9 @@ class Kernel : public Program {
   void SendIkc(KernelId peer, std::shared_ptr<IkcMsg> msg, IkcCallback cb);
   void DispatchIkc(KernelId peer);
   void ReplyIkc(EpId recv_ep, const Message& msg, std::shared_ptr<IkcReply> reply);
+  // Charges `cost`, then answers the request `msg` with a reply that carries
+  // only `token` and `err`.
+  void AnswerIkc(Cycles cost, EpId ep, const Message& msg, uint64_t token, ErrCode err);
   void BroadcastHello();
   // Puts `msg` in the peer's flow-controlled FIFO and dispatches what the
   // peer's credits allow.
@@ -684,6 +672,8 @@ class Kernel : public Program {
   // Replies to the syscall and frees its record.
   void ReplySyscall(SyscallRec* sc, ErrCode err, CapSel sel = kInvalidSel,
                     const CapPayload& payload = {}, MsgRef opaque = nullptr);
+  // Answers the syscall with `err` alone, at the dispatch + reply cost.
+  void AnswerSyscall(SyscallRec* sc, ErrCode err);
   // Charges `cost` on the kernel core, then runs `effects` (sends replies).
   // The closure is built once, in its event slot.
   template <typename F>
@@ -746,12 +736,15 @@ class Kernel : public Program {
 
   // ===== Observability state =====
   TraceCtx cur_trace_;
-  std::map<std::pair<NodeId, uint64_t>, IkcHandling> ikc_handling_;
+  // The open kIkc handler span of each IKC request in service, keyed by
+  // (requester node, token): opened at dispatch, closed centrally in
+  // ReplyIkc, which also stamps the reply's trace context. Relays rewrite
+  // the Message's src_node to the walk's origin before dispatch, so the key
+  // is stable from dispatch to (possibly long-deferred) reply.
+  std::map<std::pair<NodeId, uint64_t>, obs::Span> ikc_handling_;
   // Failover recovery span: opened when the first verdict is applied here,
-  // recorded when ft_pending_recovery_ drains back to zero.
-  uint64_t ft_trace_ = 0;
-  uint64_t ft_span_ = 0;
-  Cycles ft_trace_start_ = 0;
+  // closed when ft_pending_recovery_ drains back to zero.
+  obs::Span ft_span_;
 
   // Operation records and the indexes that find them by token (DDL key for
   // parked delegates). Spanning obtains/delegates are indexed while their

@@ -35,13 +35,11 @@ void UserEnv::Syscall(std::shared_ptr<SyscallMsg> msg, SyscallCb cb) {
   msg->token = next_token_++;
   if (obs::Tracer* tr = pe_->tracer(); tr != nullptr) {
     // Root trace unless an enclosing ctx (SetTraceContext) adopts the call.
-    sys_trace_ = ctx_trace_ != 0 ? ctx_trace_ : tr->NewTraceId(pe_->node());
-    sys_parent_ = ctx_parent_;
-    sys_span_ = tr->NextSpanId(pe_->node());
-    sys_start_ = pe_->sim()->Now();
-    sys_op_ = static_cast<uint16_t>(msg->op);
-    msg->trace_id = sys_trace_;
-    msg->trace_parent = sys_span_;
+    uint64_t trace = ctx_trace_ != 0 ? ctx_trace_ : tr->NewTraceId(pe_->node());
+    sys_span_ = tr->Open(pe_->node(), trace, ctx_parent_, pe_->sim()->Now(),
+                         obs::SpanKind::kRequest, static_cast<uint16_t>(msg->op));
+    msg->trace_id = sys_span_.trace_id;
+    msg->trace_parent = sys_span_.span_id;
   }
   syscall_msg_ = msg;
   uint64_t token = msg->token;
@@ -138,23 +136,11 @@ void UserEnv::OnSyscallReply(const Message& msg) {
 }
 
 void UserEnv::CloseSyscallSpan() {
-  obs::Tracer* tr = pe_->tracer();
-  if (tr == nullptr || sys_span_ == 0) {
+  if (sys_span_.span_id == 0) {
     return;
   }
-  obs::Span span;
-  span.trace_id = sys_trace_;
-  span.span_id = sys_span_;
-  span.parent_id = sys_parent_;
-  span.start = sys_start_;
-  span.end = pe_->sim()->Now();
-  span.entity = pe_->node();
-  span.kind = obs::SpanKind::kRequest;
-  span.op = sys_op_;
-  tr->Record(span);
-  sys_trace_ = 0;
-  sys_span_ = 0;
-  sys_parent_ = 0;
+  pe_->tracer()->Close(sys_span_, pe_->sim()->Now());
+  sys_span_ = obs::Span();
 }
 
 void UserEnv::OpenSession(const std::string& name, SyscallCb cb) {

@@ -19,6 +19,7 @@
 #include "base/status.h"
 #include "core/kernel.h"
 #include "core/protocol.h"
+#include "obs/trace.h"
 #include "pe/pe.h"
 #include "sim/inline_fn.h"
 
@@ -134,8 +135,8 @@ class UserEnv {
   // Answers the ask being served (the AskReplyFn handed to the handler).
   void ReplyAsk(AskReply reply_value);
   void ArmSyscallWatchdog(uint64_t token);
-  // Records the open syscall round trip as a kRequest span (no-op when
-  // untraced or no call is open).
+  // Closes the open syscall round-trip span (no-op when untraced or no call
+  // is open).
   void CloseSyscallSpan();
 
   ProcessingElement* pe_;
@@ -143,16 +144,12 @@ class UserEnv {
   Cycles ask_cost_;
 
   // Observability: enclosing ctx (SetTraceContext) and the open syscall
-  // round-trip span. The latter closes as a kRequest span when the final
-  // reply lands (or the crash watchdog gives up); migration and crash
-  // re-sends stay inside the same span — they ARE the request's latency.
+  // round-trip kRequest span. The latter closes when the final reply lands
+  // (or the crash watchdog gives up); migration and crash re-sends stay
+  // inside the same span — they ARE the request's latency.
   uint64_t ctx_trace_ = 0;
   uint64_t ctx_parent_ = 0;
-  uint64_t sys_trace_ = 0;
-  uint64_t sys_span_ = 0;
-  uint64_t sys_parent_ = 0;
-  Cycles sys_start_ = 0;
-  uint16_t sys_op_ = 0;
+  obs::Span sys_span_;
 
   uint64_t next_token_ = 1;
   uint64_t syscalls_issued_ = 0;

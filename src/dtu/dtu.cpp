@@ -339,16 +339,9 @@ void Dtu::RecordTransit(const Message& msg) {
   if (tracer == nullptr || msg.body == nullptr || msg.body->trace_id == 0) {
     return;
   }
-  obs::Span span;
-  span.trace_id = msg.body->trace_id;
-  span.parent_id = msg.body->trace_parent;
-  span.span_id = tracer->NextSpanId(node_);
-  span.start = msg.trace_sent;
-  span.end = sim_->Now();
-  span.entity = node_;
-  span.kind = obs::SpanKind::kTransit;
-  span.op = static_cast<uint16_t>(msg.body->kind());
-  tracer->Record(span);
+  tracer->Close(tracer->Open(node_, msg.body->trace_id, msg.body->trace_parent, msg.trace_sent,
+                             obs::SpanKind::kTransit, static_cast<uint16_t>(msg.body->kind())),
+                sim_->Now());
 }
 
 void Dtu::ReturnCredit(EpId send_ep) {
@@ -376,7 +369,8 @@ Status Dtu::StartMemAccess(EpId mem_ep, uint64_t offset, uint64_t bytes, bool wr
   if (write ? !e.perms.write : !e.perms.read) {
     return Status(ErrCode::kNoPerm);
   }
-  if (offset + bytes > e.mem_size) {
+  // Compared without the sum, which a hostile offset can wrap past 2^64.
+  if (bytes > e.mem_size || offset > e.mem_size - bytes) {
     return Status(ErrCode::kOutOfRange);
   }
   // Timing: request packet there, data back (or data there, ack back),

@@ -63,11 +63,12 @@ constexpr KernelField kKernelFields[] = {
     {"ikc_late_replies", MetricKind::kCounter, &KernelStats::ikc_late_replies},
     {"ddl_cache_hits", MetricKind::kCounter, &KernelStats::ddl_cache_hits},
     {"ddl_cache_misses", MetricKind::kCounter, &KernelStats::ddl_cache_misses},
+    {"user_msgs_dropped", MetricKind::kCounter, &KernelStats::user_msgs_dropped},
 };
 
 constexpr size_t kScalarFields = sizeof(kKernelFields) / sizeof(kKernelFields[0]);
 
-// Completeness pin: 40 scalar uint64 counters + the two per-IKC-op arrays +
+// Completeness pin: 41 scalar uint64 counters + the two per-IKC-op arrays +
 // the two uint32 thread gauges (handled explicitly below). If this fires,
 // a KernelStats field was added or removed — extend kKernelFields (or the
 // explicit entries in ForEachKernelMetric/AccumulateKernelStats) to match.

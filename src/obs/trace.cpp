@@ -57,6 +57,25 @@ uint64_t Tracer::NextSpanId(uint32_t entity) {
   return MakeId(entity, ++rings_.at(entity).next_span_seq);
 }
 
+Span Tracer::Open(uint32_t entity, uint64_t trace, uint64_t parent, Cycles start, SpanKind kind,
+                  uint16_t op) {
+  Span span;
+  span.trace_id = trace;
+  span.span_id = NextSpanId(entity);
+  span.parent_id = parent;
+  span.start = start;
+  span.end = start;
+  span.entity = entity;
+  span.kind = kind;
+  span.op = op;
+  return span;
+}
+
+void Tracer::Close(Span span, Cycles end) {
+  span.end = end;
+  Record(span);
+}
+
 void Tracer::Record(const Span& span) {
   CHECK(!merged_done_) << "span recorded after the trace was merged";
   Ring& ring = rings_.at(span.entity);

@@ -123,6 +123,14 @@ class Tracer {
   // still open; Record() carries the same id back.
   uint64_t NextSpanId(uint32_t entity);
 
+  // Opens a span of `kind` at `entity`, starting at `start`, with its id
+  // already drawn, so the id can travel as a parent link while the span is
+  // open. The caller keeps the returned record and hands it to Close().
+  Span Open(uint32_t entity, uint64_t trace, uint64_t parent, Cycles start, SpanKind kind,
+            uint16_t op = 0);
+  // Ends an opened span at `end` and records it.
+  void Close(Span span, Cycles end);
+
   // Appends a completed span to `span.entity`'s ring. Must be called from
   // the shard executing that entity's events. Drops (and counts) when the
   // ring is full.

@@ -13,8 +13,6 @@ namespace semperos {
 
 namespace {
 
-const char* kTag = "platform";
-
 // Shard-count ceiling for the parallel engine: eight row-bands saturate the
 // barrier-to-work ratio on the platform sizes we model; beyond that the
 // merged outboxes dominate.
@@ -439,7 +437,5 @@ void RunOutcome::Harvest(Platform* platform, const RunSetup& setup) {
     write_error = "cannot write metrics timeline " + setup.metrics_out;
   }
 }
-
-void UnusedPlatformTag() { LOG_TRACE(kTag) << "unused"; }
 
 }  // namespace semperos

@@ -53,15 +53,9 @@ void OpenLoopGen::Setup() {
     if (obs::Tracer* tr = pe_->tracer(); tr != nullptr) {
       // Close the root span: arrival -> completion, i.e. exactly the
       // open-loop latency this harness reports.
-      obs::Span root;
-      root.trace_id = trace_of_.at(index);
-      root.span_id = root_span_of_.at(index);
-      root.parent_id = 0;
-      root.start = arrival;
-      root.end = now;
-      root.entity = pe_->node();
-      root.kind = obs::SpanKind::kRequest;
-      tr->Record(root);
+      obs::Span root = open_roots_.front();
+      open_roots_.pop_front();
+      tr->Close(root, now);
       if (measured) {
         measured_traces_.push_back({root.trace_id, now - arrival});
       }
@@ -93,29 +87,19 @@ void OpenLoopGen::PumpSend() {
     auto req = NewMsg<NginxRequestMsg>();
     req->seq = ++next_send_;  // seq is 1-based schedule index
     if (obs::Tracer* tr = pe_->tracer(); tr != nullptr) {
-      uint64_t index = next_send_ - 1;
-      if (trace_of_.empty()) {
-        trace_of_.reserve(schedule_.size());
-        root_span_of_.reserve(schedule_.size());
-      }
-      trace_of_.push_back(tr->NewTraceId(pe_->node()));
-      root_span_of_.push_back(tr->NextSpanId(pe_->node()));
-      req->trace_id = trace_of_.back();
-      req->trace_parent = root_span_of_.back();
-      Cycles arrival = base_ + schedule_[index];
+      Cycles arrival = base_ + schedule_[next_send_ - 1];
       Cycles now = pe_->sim()->Now();
+      obs::Span root = tr->Open(pe_->node(), tr->NewTraceId(pe_->node()), /*parent=*/0, arrival,
+                                obs::SpanKind::kRequest);
+      open_roots_.push_back(root);
+      req->trace_id = root.trace_id;
+      req->trace_parent = root.span_id;
       if (now > arrival) {
         // Client-side credit wait: the open-loop queueing delay between
         // the scheduled arrival and the wire.
-        obs::Span queue;
-        queue.trace_id = trace_of_.back();
-        queue.span_id = tr->NextSpanId(pe_->node());
-        queue.parent_id = root_span_of_.back();
-        queue.start = arrival;
-        queue.end = now;
-        queue.entity = pe_->node();
-        queue.kind = obs::SpanKind::kQueue;
-        tr->Record(queue);
+        tr->Close(
+            tr->Open(pe_->node(), root.trace_id, root.span_id, arrival, obs::SpanKind::kQueue),
+            now);
       }
     }
     Status st = pe_->dtu().Send(user_ep::kSyscallSend, req, user_ep::kSyscallReply);

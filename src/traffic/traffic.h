@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "base/flat.h"
 #include "obs/trace.h"
 #include "system/platform.h"
 #include "traffic/arrivals.h"
@@ -80,10 +81,9 @@ class OpenLoopGen : public Program {
   uint64_t next_resp_ = 0;     // next schedule index to complete (FIFO)
   Cycles last_measured_completion_ = 0;
   LatencyHistogram latency_;
-  // Traced runs only: schedule index -> ids of the open request trace/root
-  // span (responses complete in index order, so lookups are by index).
-  std::vector<uint64_t> trace_of_;
-  std::vector<uint64_t> root_span_of_;
+  // Traced runs only: the open root span of every request on the wire, in
+  // send order (responses complete in that order).
+  Ring<obs::Span> open_roots_;
   std::vector<MeasuredTrace> measured_traces_;
 };
 

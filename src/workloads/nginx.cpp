@@ -41,13 +41,11 @@ void NginxServer::Pump() {
   pending_.pop_front();
   if (obs::Tracer* tr = pe_->tracer();
       tr != nullptr && current_.body != nullptr && current_.body->trace_id != 0) {
-    serve_trace_ = current_.body->trace_id;
-    serve_parent_ = current_.body->trace_parent;
-    serve_span_ = tr->NextSpanId(pe_->node());
-    serve_start_ = arrival;
+    serve_span_ = tr->Open(pe_->node(), current_.body->trace_id, current_.body->trace_parent,
+                           arrival, obs::SpanKind::kServe);
     // Syscalls and m3fs requests issued while serving nest under the serve
     // span.
-    env_->SetTraceContext(serve_trace_, serve_span_);
+    env_->SetTraceContext(serve_span_.trace_id, serve_span_.span_id);
   }
   runner_.Run(env_.get(), session_sel_, [this] { FinishRequest(); });
 }
@@ -60,22 +58,12 @@ void NginxServer::FinishRequest() {
   const NginxRequestMsg* req = current_.As<NginxRequestMsg>();
   auto response = NewMsg<NginxResponseMsg>();
   response->seq = req != nullptr ? req->seq : 0;
-  if (serve_span_ != 0) {
+  if (serve_span_.span_id != 0) {
     // The response's wire transit nests under the serve span.
-    response->trace_id = serve_trace_;
-    response->trace_parent = serve_span_;
-    obs::Span serve;
-    serve.trace_id = serve_trace_;
-    serve.span_id = serve_span_;
-    serve.parent_id = serve_parent_;
-    serve.start = serve_start_;
-    serve.end = pe_->sim()->Now();
-    serve.entity = pe_->node();
-    serve.kind = obs::SpanKind::kServe;
-    pe_->tracer()->Record(serve);
-    serve_trace_ = 0;
-    serve_span_ = 0;
-    serve_parent_ = 0;
+    response->trace_id = serve_span_.trace_id;
+    response->trace_parent = serve_span_.span_id;
+    pe_->tracer()->Close(serve_span_, pe_->sim()->Now());
+    serve_span_ = obs::Span();
     env_->SetTraceContext(0, 0);
   }
   pe_->dtu().Reply(kNginxServerRecvEp, current_, response);

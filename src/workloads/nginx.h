@@ -22,6 +22,7 @@
 #include "base/flat.h"
 #include "core/timing.h"
 #include "core/userlib.h"
+#include "obs/trace.h"
 #include "pe/pe.h"
 #include "trace/replayer.h"
 #include "trace/trace.h"
@@ -80,10 +81,7 @@ class NginxServer : public Program {
   Message current_;  // the request in service
   uint64_t served_ = 0;
   // Observability: the open serve span (traced requests only).
-  uint64_t serve_trace_ = 0;
-  uint64_t serve_span_ = 0;
-  uint64_t serve_parent_ = 0;
-  Cycles serve_start_ = 0;
+  obs::Span serve_span_;
 };
 
 class LoadGen : public Program {

@@ -522,6 +522,12 @@ TEST(DeriveMem, RejectsEscalation) {
   rig.client(0).env().DeriveMem(sel, 2048, 4096, kPermR, [&](const SyscallReply& r) { got = r; });
   rig.p().RunToCompletion();
   EXPECT_EQ(got.err, ErrCode::kNoPerm);  // out of the parent's range
+
+  // offset + size wraps past 2^64 to 2048, inside the parent's size.
+  rig.client(0).env().DeriveMem(sel, ~uint64_t{0} - 2047, 4096, kPermR,
+                                [&](const SyscallReply& r) { got = r; });
+  rig.p().RunToCompletion();
+  EXPECT_EQ(got.err, ErrCode::kNoPerm);
 }
 
 TEST(Noop, RoundTripCompletes) {

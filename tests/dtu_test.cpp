@@ -156,6 +156,8 @@ TEST_F(DtuTest, MemoryReadChecksPermsAndRange) {
   EXPECT_TRUE(a_->Read(6, 0, 1024, [&] { done = true; }).ok());
   EXPECT_EQ(a_->Write(6, 0, 16, [] {}).code(), ErrCode::kNoPerm);
   EXPECT_EQ(a_->Read(6, 4000, 1024, [] {}).code(), ErrCode::kOutOfRange);
+  // offset + bytes wraps past 2^64 to 16, inside the window.
+  EXPECT_EQ(a_->Read(6, ~uint64_t{0} - 15, 32, [] {}).code(), ErrCode::kOutOfRange);
   sim_.RunUntilIdle();
   EXPECT_TRUE(done);
   EXPECT_EQ(a_->stats().mem_reads, 1u);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "dtu/msg_pool.h"
@@ -29,7 +30,8 @@ class RawSyscallClient : public Program {
   }
   void Start() override {}
 
-  void Send(std::shared_ptr<SyscallMsg> msg) {
+  // Sends any body on the syscall gate, a syscall or not.
+  void Send(MsgRef msg) {
     Status st = pe_->dtu().Send(user_ep::kSyscallSend, std::move(msg), user_ep::kSyscallReply);
     ASSERT_TRUE(st.ok()) << st.name();
   }
@@ -38,6 +40,76 @@ class RawSyscallClient : public Program {
 
  private:
   NodeId kernel_node_;
+};
+
+// A party without UserEnv: it keeps every ask the kernel sends it and
+// answers one only when the test says so, with whatever body it is given.
+class RawParty : public Program {
+ public:
+  void Setup() override {
+    pe_->dtu().ConfigureRecv(user_ep::kAsk, 4,
+                             [this](EpId, const Message& msg) { asks_.push_back(msg); });
+  }
+  void Start() override {}
+
+  size_t asks() const { return asks_.size(); }
+  uint64_t token(size_t i) const { return asks_.at(i).As<AskMsg>()->token; }
+  void Answer(size_t i, MsgRef body) {
+    Status st = pe_->dtu().Reply(user_ep::kAsk, asks_.at(i), std::move(body));
+    ASSERT_TRUE(st.ok()) << st.name();
+  }
+  // The reply an honest party gives: share the capability asked about.
+  MsgRef Honest(size_t i) const {
+    auto reply = NewMsg<AskReply>();
+    reply->token = token(i);
+    reply->share_sel = asks_.at(i).As<AskMsg>()->sel;
+    return reply;
+  }
+
+ private:
+  std::vector<Message> asks_;
+};
+
+// Runs a new T(args...) on PE `node` and returns it.
+template <typename T, typename... Args>
+T* Attach(Platform& p, NodeId node, Args&&... args) {
+  auto program = std::make_unique<T>(std::forward<Args>(args)...);
+  T* raw = program.get();
+  p.pe(node)->AttachProgram(std::move(program));
+  return raw;
+}
+
+// One kernel; user PEs 0 and 1 are RawParties, each holding a 4 KiB memory
+// capability, and PEs 2 and 3 run DriverClients that obtain from them.
+struct PartyRig {
+  PartyRig() : p(Config()) {
+    for (size_t i = 0; i < 2; ++i) {
+      NodeId party = p.user_nodes()[i];
+      parties[i] = Attach<RawParty>(p, party);
+      sels[i] = p.kernel(0)->AdminGrantMem(party, p.mem_nodes().at(0), 4096 * i, 4096, kPermRW);
+      clients[i] =
+          Attach<DriverClient>(p, p.user_nodes()[2 + i], p.kernel_node(0), Config().timing);
+    }
+    p.Boot();
+  }
+  static PlatformConfig Config() {
+    PlatformConfig pc;
+    pc.kernels = 1;
+    pc.users = 4;
+    return pc;
+  }
+  // Client `c` obtains party `q`'s capability; the ask waits at the party.
+  void Obtain(size_t c, size_t q) {
+    clients[c]->env().Obtain(p.user_nodes()[q], sels[q],
+                             [this, c](const SyscallReply& r) { got[c] = r.err; });
+    p.RunToCompletion();
+  }
+
+  Platform p;
+  RawParty* parties[2] = {};
+  DriverClient* clients[2] = {};
+  CapSel sels[2] = {kInvalidSel, kInvalidSel};
+  ErrCode got[2] = {ErrCode::kAborted, ErrCode::kAborted};  // kAborted: no reply yet
 };
 
 // The kernel takes a syscall's caller from the PE the DTU stamped on the
@@ -72,6 +144,87 @@ TEST(Identity, RawSyscallActsAsTheSendingVpe) {
   EXPECT_EQ(client->replies[0], ErrCode::kNoSuchCap);
   EXPECT_NE(p.kernel(0)->CapOf(victim, victim_sel), nullptr);
   EXPECT_EQ(p.TotalDrops(), 0u);
+}
+
+// Untrusted user PEs: a body that is not a syscall on a syscall gate is
+// dropped and counted, its slot freed (the sender's credit comes back),
+// and honest callers on the same kernel are still served.
+TEST(Identity, NonSyscallBodyOnSyscallGateIsDropped) {
+  PlatformConfig pc;
+  pc.kernels = 1;
+  pc.users = 3;
+  Platform p(pc);
+  NodeId kernel_node = p.kernel_node(0);
+  NodeId owner = p.user_nodes()[0];
+  NodeId sender = p.user_nodes()[2];
+  Attach<DriverClient>(p, owner, kernel_node, pc.timing);
+  DriverClient* obtainer = Attach<DriverClient>(p, p.user_nodes()[1], kernel_node, pc.timing);
+  RawSyscallClient* client = Attach<RawSyscallClient>(p, sender, kernel_node);
+  CapSel sel = p.kernel(0)->AdminGrantMem(owner, p.mem_nodes().at(0), 0, 4096, kPermRW);
+  p.Boot();
+
+  client->Send(NewMsg<AskReply>());
+  p.RunToCompletion();
+  EXPECT_TRUE(client->replies.empty());
+  EXPECT_EQ(p.kernel(0)->stats().user_msgs_dropped, 1u);
+  EXPECT_EQ(p.pe(sender)->dtu().Credits(user_ep::kSyscallSend), 1u);
+
+  ErrCode got = ErrCode::kAborted;
+  obtainer->env().Obtain(owner, sel, [&](const SyscallReply& r) { got = r.err; });
+  p.RunToCompletion();
+  EXPECT_EQ(got, ErrCode::kOk);
+  EXPECT_EQ(p.TotalDrops(), 0u);
+}
+
+// An ask reply that is not an AskReply, or that names no pending ask, is
+// dropped and counted; the party's next honest answer is still taken.
+TEST(Identity, MalformedAskReplyIsDropped) {
+  for (bool bad_token : {false, true}) {
+    PartyRig rig;
+    RawParty* party = rig.parties[0];
+    rig.Obtain(0, 0);
+    ASSERT_EQ(party->asks(), 1u);
+    if (bad_token) {
+      auto reply = NewMsg<AskReply>();
+      reply->token = party->token(0) + 1000;
+      party->Answer(0, reply);
+    } else {
+      party->Answer(0, NewMsg<SyscallReply>());
+    }
+    rig.Obtain(1, 0);
+    EXPECT_EQ(rig.p.kernel(0)->stats().user_msgs_dropped, 1u);
+    ASSERT_EQ(party->asks(), 2u);
+    party->Answer(1, party->Honest(1));
+    rig.p.RunToCompletion();
+    EXPECT_EQ(rig.got[0], ErrCode::kAborted);  // its ask was never answered
+    EXPECT_EQ(rig.got[1], ErrCode::kOk);
+  }
+}
+
+// A reply must come from the asked party: another party that copies an
+// ask's sequential token cannot complete that ask.
+TEST(Identity, AskReplyFromAnotherPeIsDropped) {
+  PartyRig rig;
+  RawParty* asked = rig.parties[0];
+  RawParty* forger = rig.parties[1];
+  rig.Obtain(0, 0);
+  rig.Obtain(1, 1);
+  ASSERT_EQ(asked->asks(), 1u);
+  ASSERT_EQ(forger->asks(), 1u);
+
+  auto forged = NewMsg<AskReply>();
+  forged->token = asked->token(0);
+  forged->share_sel = rig.sels[0];
+  forger->Answer(0, forged);
+  rig.p.RunToCompletion();
+  EXPECT_EQ(rig.p.kernel(0)->stats().user_msgs_dropped, 1u);
+  EXPECT_EQ(rig.got[0], ErrCode::kAborted);
+
+  asked->Answer(0, asked->Honest(0));
+  rig.p.RunToCompletion();
+  EXPECT_EQ(rig.got[0], ErrCode::kOk);
+  EXPECT_EQ(rig.got[1], ErrCode::kAborted);  // the forger never answered its own ask
+  EXPECT_EQ(rig.p.TotalDrops(), 0u);
 }
 
 TEST(Errors, ObtainFromUnknownVpe) {

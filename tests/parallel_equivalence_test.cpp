@@ -71,6 +71,7 @@ void ExpectSameStats(const KernelStats& a, const KernelStats& b, const char* wha
   SEMPEROS_EXPECT_FIELD(ikc_late_replies);
   SEMPEROS_EXPECT_FIELD(ddl_cache_hits);
   SEMPEROS_EXPECT_FIELD(ddl_cache_misses);
+  SEMPEROS_EXPECT_FIELD(user_msgs_dropped);
   SEMPEROS_EXPECT_FIELD(threads_in_use);
   SEMPEROS_EXPECT_FIELD(threads_in_use_max);
   for (size_t op = 0; op < kNumIkcOps; ++op) {
