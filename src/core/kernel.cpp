@@ -585,16 +585,14 @@ void Kernel::OwnerObtainDone(ObtainOp* op, ErrCode err, DdlKey parent, const Cap
   }
   // Owner side of a group-spanning obtain: answer the obtainer's kernel.
   auto reply = NewMsg<IkcReply>();
-  reply->token = op->ikc_token;
   reply->err = err;
   reply->cap = parent;
   reply->payload = payload;
   reply->payload.session = session != 0 ? session : reply->payload.session;
   reply->opaque = std::move(opaque);
-  EpId ep = op->ikc_ep;
   Message msg = std::move(op->ikc_msg);
   obtain_recs_.Delete(op);
-  Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+  Emit(Charge(t_.ikc_send), [this, msg, reply] { ReplyIkc(msg, reply); });
   ReleaseThread();
 }
 
@@ -941,10 +939,10 @@ ErrCode Kernel::ApplyDelegateAck(bool abort, DdlKey child_key) {
   return err;
 }
 
-void Kernel::OwnerSideDelegate(const IkcMsg& req, EpId recv_ep, const Message& msg) {
+void Kernel::OwnerSideDelegate(const Message& msg, const IkcMsg& req) {
   VpeState* receiver = vpes_.Find(req.peer);
   if (receiver == nullptr || !receiver->alive || receiver->migrating) {
-    AnswerIkc(t_.ikc_send, recv_ep, msg, req.token,
+    AnswerIkc(t_.ikc_send, msg,
               (receiver != nullptr && receiver->migrating) ? ErrCode::kVpeMigrating
                                                            : ErrCode::kVpeGone);
     return;
@@ -954,23 +952,19 @@ void Kernel::OwnerSideDelegate(const IkcMsg& req, EpId recv_ep, const Message& m
   ask->client = req.vpe;
   ask->offered = req.payload;
   DelegateOp* op = delegate_recs_.New();
-  op->ikc_token = req.token;
   op->cap = req.cap;
   op->payload = req.payload;
   op->peer = req.peer;
-  op->ikc_ep = recv_ep;
   op->ikc_msg = msg;
   AskParty(receiver->node, ask,
            [this, op](const AskReply& areply) { OwnerDelegateAsked(op, areply); });
 }
 
 void Kernel::OwnerDelegateAsked(DelegateOp* op, const AskReply& areply) {
-  EpId ep = op->ikc_ep;
   Message msg = std::move(op->ikc_msg);
-  uint64_t token = op->ikc_token;
   if (areply.err != ErrCode::kOk) {
     delegate_recs_.Delete(op);
-    AnswerIkc(t_.ikc_send, ep, msg, token, areply.err);
+    AnswerIkc(t_.ikc_send, msg, areply.err);
     return;
   }
   // Create the child capability but do NOT insert it into the receiver's
@@ -985,22 +979,26 @@ void Kernel::OwnerDelegateAsked(DelegateOp* op, const AskReply& areply) {
   parked_delegates_.Insert(child_key.raw(), parked);
   delegate_recs_.Delete(op);
   auto reply = NewMsg<IkcReply>();
-  reply->token = token;
   reply->child = child_key;
   Emit(Charge(t_.cap_create + t_.ddl_decode + t_.ikc_send),
-       [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+       [this, msg, reply] { ReplyIkc(msg, reply); });
 }
 
 // ---------------------------------------------------------------------------
 // Revocation — two-phase mark-and-sweep (paper §4.3.3, Algorithm 1)
 // ---------------------------------------------------------------------------
 
-RevokeTask* Kernel::NewRevokeTask(DdlKey root) {
+Cycles Kernel::StartRevoke(Capability* cap, bool unlink, InlineFn done) {
   RevokeTask* task = revoke_recs_.New();
   task->id = next_token_++;
-  task->root = root;
+  task->root = cap->key();
+  if (unlink) {
+    task->parent_unlink = cap->parent();
+  }
+  task->done = std::move(done);
   revoke_tasks_.Insert(task->id, task);
-  return task;
+  Cycles cost = MarkPass(cap, task);
+  return cost + FlushRevokeRequests(task);
 }
 
 Cycles Kernel::MarkPass(Capability* cap, RevokeTask* task) {
@@ -1162,24 +1160,13 @@ void Kernel::CompleteRevokeTask(RevokeTask* task) {
   if (!task->parent_unlink.IsNull()) {
     UnlinkChildAtParent(task->parent_unlink, task->root, /*orphan=*/false);
   }
-
-  if (task->initiator) {
-    stats_.revokes++;
-    SyscallRec* sc = task->sc;
-    Cycles wake = task->suspended ? t_.revoke_resume : 0;
-    Finish(wake + t_.revoke_finish + t_.syscall_reply,
-           [this, sc] { ReplySyscall(sc, ErrCode::kOk); });
-  } else if (task->admin) {
-    if (task->admin_done) {
-      Finish(t_.revoke_finish, std::move(task->admin_done));
-    }
-  } else {
-    // Participant: reply to the requesting kernel only now that our entire
-    // part of the subtree (including everything below remote children) is
-    // gone — never acknowledge an incomplete revoke (§4.3.1 "Incomplete").
-    AnswerIkc(t_.ikc_send, task->reply_recv_ep, task->reply_msg, task->req_token, ErrCode::kOk);
+  if (task->suspended) {
+    Charge(t_.revoke_resume);  // the paused starting thread wakes up
   }
-
+  // Answer only now that the whole subtree, including everything below
+  // remote children, is gone: a revoke is never acknowledged incomplete
+  // (§4.3.1 "Incomplete").
+  task->done();
   for (InlineFn& hook : task->on_complete) {
     hook();
   }
@@ -1193,21 +1180,22 @@ void Kernel::SysRevoke(SyscallRec* sc, const SyscallMsg& req) {
     AnswerSyscall(sc, ErrCode::kNoSuchCap);
     return;
   }
+  auto reply = [this, sc] {
+    Finish(t_.revoke_finish + t_.syscall_reply, [this, sc] { ReplySyscall(sc, ErrCode::kOk); });
+  };
   if (cap->marked()) {
     // An overlapping revoke already covers this capability; wait for it so
     // our acknowledgement is never early (§4.3.3).
-    cap->task()->on_complete.emplace_back([this, sc] {
-      Finish(t_.revoke_finish + t_.syscall_reply, [this, sc] { ReplySyscall(sc, ErrCode::kOk); });
-    });
+    cap->task()->on_complete.emplace_back(reply);
     return;
   }
 
-  RevokeTask* task = NewRevokeTask(cap->key());
-  task->initiator = true;
-  task->sc = sc;
-  task->parent_unlink = cap->parent();
-  Cycles cost = t_.syscall_dispatch + t_.revoke_entry + MarkPass(cap, task);
-  cost += FlushRevokeRequests(task);
+  Cycles cost = t_.syscall_dispatch + t_.revoke_entry +
+                StartRevoke(cap, /*unlink=*/true, [this, reply] {
+                  stats_.revokes++;
+                  reply();
+                });
+  RevokeTask* task = cap->task();
   if (task->outstanding > 0) {
     // The syscall thread pauses at its preemption point until every remote
     // reply arrived ("wait_for_remote_children", Algorithm 1 / §4.2).
@@ -1218,7 +1206,7 @@ void Kernel::SysRevoke(SyscallRec* sc, const SyscallMsg& req) {
   CheckRevokeComplete(task);
 }
 
-void Kernel::OnRevokeReq(EpId ep, const Message& msg, const IkcMsg& req) {
+void Kernel::OnRevokeReq(const Message& msg) {
   // "Our solution uses a maximum of two threads per kernel" for incoming
   // revocations, preventing denial-of-service through capability ping-pong
   // chains (§4.3.3). Crucially — exactly as in Algorithm 1 — the thread is
@@ -1226,134 +1214,144 @@ void Kernel::OnRevokeReq(EpId ep, const Message& msg, const IkcMsg& req) {
   // remote replies ("the thread will not be paused to stay at a fixed
   // number of threads"); completion is driven by the reply counters. This
   // is what keeps deep alternating chains deadlock-free with two threads.
-  bool batch = req.op == IkcOp::kRevokeBatchReq;
   if (revoke_threads_busy_ >= kMaxRevokeThreads) {
     stats_.revoke_reqs_queued++;
-    // `req` is the body of `msg` (relays rewrite only the reply address).
-    CHECK(msg.As<IkcMsg>() != nullptr && msg.As<IkcMsg>()->token == req.token);
-    QueuedRevoke& queued = revoke_queue_.emplace_back();
-    queued.ep = ep;
-    queued.msg = msg;
+    revoke_queue_.push_back(msg);
     return;
   }
-  revoke_threads_busy_++;
-  if (batch) {
-    ProcessRevokeBatch(ep, msg, req);
-  } else {
-    ProcessRevokeReq(ep, msg, req);
-  }
-  revoke_threads_busy_--;
+  ServeRevokeReq(msg);
   DrainRevokeQueue();
 }
 
 void Kernel::DrainRevokeQueue() {
   while (!revoke_queue_.empty() && revoke_threads_busy_ < kMaxRevokeThreads) {
-    QueuedRevoke queued = std::move(revoke_queue_.front());
+    Message msg = std::move(revoke_queue_.front());
     revoke_queue_.pop_front();
-    const IkcMsg& req = *queued.msg.As<IkcMsg>();
-    revoke_threads_busy_++;
-    if (req.op == IkcOp::kRevokeBatchReq) {
-      ProcessRevokeBatch(queued.ep, queued.msg, req);
-    } else {
-      ProcessRevokeReq(queued.ep, queued.msg, req);
-    }
-    revoke_threads_busy_--;
+    ServeRevokeReq(msg);
   }
 }
 
-void Kernel::ProcessRevokeReq(EpId ep, Message msg, const IkcMsg& req) {
+void Kernel::ServeRevokeReq(const Message& msg) {
   // May run deferred from the revoke queue, outside the dispatch that
   // opened the handler span — restore the context from the handling entry
   // so fanned-out REVOKE_REQs stay linked.
+  const IkcMsg& req = *msg.As<IkcMsg>();
   TraceCtx saved_trace = cur_trace_;
   if (auto hit = ikc_handling_.find({msg.src_node, req.token}); hit != ikc_handling_.end()) {
     cur_trace_ = TraceCtx{hit->second.trace_id, hit->second.span_id};
   }
+  revoke_threads_busy_++;
+  if (req.op == IkcOp::kRevokeBatchReq) {
+    ProcessRevokeBatch(msg, req);
+  } else {
+    ProcessRevokeReq(msg, req);
+  }
+  revoke_threads_busy_--;
+  cur_trace_ = saved_trace;
+}
+
+void Kernel::ProcessRevokeReq(const Message& msg, const IkcMsg& req) {
   Capability* cap = caps_.Find(req.cap);
   if (cap == nullptr) {
     // Already revoked by an overlapping operation — the subtree is gone.
-    AnswerIkc(t_.ikc_dispatch + t_.ikc_send, ep, msg, req.token, ErrCode::kOk);
-    cur_trace_ = saved_trace;
+    AnswerIkc(t_.ikc_dispatch + t_.ikc_send, msg, ErrCode::kOk);
     return;
   }
+  InlineFn answer = [this, msg] { AnswerIkc(t_.ikc_send, msg, ErrCode::kOk); };
   if (cap->marked()) {
     // A running revocation covers this capability; reply when it finished.
-    uint64_t token = req.token;
-    cap->task()->on_complete.emplace_back(
-        [this, ep, msg, token] { AnswerIkc(t_.ikc_send, ep, msg, token, ErrCode::kOk); });
+    cap->task()->on_complete.push_back(std::move(answer));
     Charge(t_.ikc_dispatch);
-    cur_trace_ = saved_trace;
     return;
   }
-
-  RevokeTask* task = NewRevokeTask(cap->key());
-  task->initiator = false;
-  task->reply_recv_ep = ep;
-  task->reply_msg = msg;
-  task->req_token = req.token;
-  Cycles cost = t_.ikc_dispatch + MarkPass(cap, task);
-  cost += FlushRevokeRequests(task);
-  Charge(cost);
-  CheckRevokeComplete(task);
-  cur_trace_ = saved_trace;
+  Charge(t_.ikc_dispatch + StartRevoke(cap, /*unlink=*/false, std::move(answer)));
+  CheckRevokeComplete(cap->task());
 }
 
-void Kernel::ProcessRevokeBatch(EpId ep, Message msg, const IkcMsg& req) {
+void Kernel::ProcessRevokeBatch(const Message& msg, const IkcMsg& req) {
   // Batched variant: revoke every key, reply once when all of them —
-  // including their remote subtrees — are gone. Each key runs as an
-  // admin-style sub-task feeding a shared countdown.
-  TraceCtx saved_trace = cur_trace_;
-  if (auto hit = ikc_handling_.find({msg.src_node, req.token}); hit != ikc_handling_.end()) {
-    cur_trace_ = TraceCtx{hit->second.trace_id, hit->second.span_id};
-  }
-  auto remaining = std::make_shared<uint32_t>(static_cast<uint32_t>(req.caps.size()) + 1);
-  uint64_t token = req.token;
-  auto maybe_reply = [this, remaining, ep, msg, token] {
-    if (--*remaining == 0) {
-      AnswerIkc(t_.ikc_send, ep, msg, token, ErrCode::kOk);
-    }
-  };
+  // including their remote subtrees — are gone. Each key is its own task
+  // feeding one countdown; their local sweeps run before the batch's
+  // marking cost is charged.
+  Countdown* batch = NewCountdown([this, msg] { AnswerIkc(t_.ikc_send, msg, ErrCode::kOk); });
   Cycles cost = t_.ikc_dispatch;
   for (DdlKey key : req.caps) {
     Capability* cap = caps_.Find(key);
+    KernelId owner = KernelOf(key);
+    if (cap == nullptr && owner == config_.id) {
+      continue;  // already gone with an overlapping revocation
+    }
+    batch->pending++;
     if (cap == nullptr) {
-      KernelId owner = KernelOf(key);
-      if (owner != config_.id) {
-        // This key's partition migrated away after the batch was
-        // assembled: relay a single REVOKE_REQ to the current owner and
-        // fold its completion into the batch countdown.
-        stats_.ikc_forwarded++;
-        auto fwd = NewMsg<IkcMsg>();
-        fwd->op = IkcOp::kRevokeReq;
-        fwd->cap = key;
-        cost += DdlDecodeCost(key) + t_.ikc_send;
-        SendIkc(owner, fwd, [maybe_reply](const IkcReply&) { maybe_reply(); });
-        continue;
-      }
-      maybe_reply();
-      continue;
+      // This key's partition migrated away after the batch was assembled:
+      // relay a single REVOKE_REQ to the current owner and fold its
+      // completion into the batch countdown.
+      stats_.ikc_forwarded++;
+      auto fwd = NewMsg<IkcMsg>();
+      fwd->op = IkcOp::kRevokeReq;
+      fwd->cap = key;
+      cost += DdlDecodeCost(key) + t_.ikc_send;
+      SendIkc(owner, fwd, [this, batch](const IkcReply&) { Arrive(batch); });
+    } else if (cap->marked()) {
+      cap->task()->on_complete.emplace_back([this, batch] { Arrive(batch); });
+    } else {
+      cost += StartRevoke(cap, /*unlink=*/false, [this, batch] {
+        Finish(t_.revoke_finish, [this, batch] { Arrive(batch); });
+      });
+      CheckRevokeComplete(cap->task());
     }
-    if (cap->marked()) {
-      cap->task()->on_complete.emplace_back(maybe_reply);
-      continue;
-    }
-    RevokeTask* task = NewRevokeTask(key);
-    task->admin = true;
-    task->admin_done = maybe_reply;
-    cost += MarkPass(cap, task);
-    cost += FlushRevokeRequests(task);
-    CheckRevokeComplete(task);
   }
   Charge(cost);
-  maybe_reply();
-  cur_trace_ = saved_trace;
+  Arrive(batch);
 }
 
 // ---------------------------------------------------------------------------
-// VPE kill (admin) — revokes everything the VPE holds
+// Revoking many roots: VPE kill (admin) and failover orphans
 // ---------------------------------------------------------------------------
 
-void Kernel::AdminKillVpe(VpeId vpe, std::function<void()> done) {
+uint32_t Kernel::RevokeRoots(const std::vector<DdlKey>& roots, bool unlink, InlineFn done) {
+  Countdown* all = NewCountdown(std::move(done));
+  uint32_t started = 0;
+  for (DdlKey key : roots) {
+    Capability* cap = caps_.Find(key);
+    if (cap == nullptr) {
+      continue;  // already gone with an overlapping revocation
+    }
+    all->pending++;
+    if (cap->marked()) {
+      // An in-flight revocation already covers this subtree; it is gone
+      // once that one finished.
+      cap->task()->on_complete.emplace_back([this, all] { Arrive(all); });
+      continue;
+    }
+    started++;
+    Charge(t_.revoke_entry + StartRevoke(cap, unlink, [this, all] {
+             Finish(t_.revoke_finish, [this, all] { Arrive(all); });
+           }));
+    CheckRevokeComplete(cap->task());
+  }
+  Arrive(all);
+  return started;
+}
+
+Kernel::Countdown* Kernel::NewCountdown(InlineFn done) {
+  Countdown* countdown = countdown_recs_.New();
+  countdown->done = std::move(done);
+  return countdown;
+}
+
+void Kernel::Arrive(Countdown* countdown) {
+  if (--countdown->pending > 0) {
+    return;
+  }
+  InlineFn done = std::move(countdown->done);
+  countdown_recs_.Delete(countdown);
+  if (done) {
+    done();
+  }
+}
+
+void Kernel::AdminKillVpe(VpeId vpe, InlineFn done) {
   VpeState* v = vpes_.Find(vpe);
   CHECK(v != nullptr);
   CHECK(!v->migrating) << "cannot kill VPE " << vpe << " while it is migrating";
@@ -1363,32 +1361,7 @@ void Kernel::AdminKillVpe(VpeId vpe, std::function<void()> done) {
   std::vector<DdlKey> roots;
   roots.reserve(v->table.size());
   v->table.ForEach([&roots](CapSel, DdlKey key) { roots.push_back(key); });
-  auto remaining = std::make_shared<uint32_t>(static_cast<uint32_t>(roots.size()) + 1);
-  auto maybe_done = [remaining, done]() {
-    if (--*remaining == 0 && done) {
-      done();
-    }
-  };
-  for (DdlKey key : roots) {
-    Capability* cap = caps_.Find(key);
-    if (cap == nullptr) {
-      maybe_done();
-      continue;
-    }
-    if (cap->marked()) {
-      cap->task()->on_complete.emplace_back(maybe_done);
-      continue;
-    }
-    RevokeTask* task = NewRevokeTask(cap->key());
-    task->admin = true;
-    task->admin_done = maybe_done;
-    task->parent_unlink = cap->parent();
-    Cycles cost = t_.revoke_entry + MarkPass(cap, task);
-    cost += FlushRevokeRequests(task);
-    Charge(cost);
-    CheckRevokeComplete(task);
-  }
-  maybe_done();
+  RevokeRoots(roots, /*unlink=*/true, std::move(done));
 }
 
 // ---------------------------------------------------------------------------
@@ -1434,7 +1407,8 @@ NodeId Kernel::RoutingPartition(const IkcMsg& req) {
   }
 }
 
-bool Kernel::MaybeForwardIkc(EpId ep, const Message& msg, const IkcMsg& req) {
+bool Kernel::MaybeForwardIkc(const Message& msg) {
+  const IkcMsg& req = *msg.As<IkcMsg>();
   NodeId part = RoutingPartition(req);
   // Requests for a partition whose snapshot is in flight park at the source
   // and re-dispatch once the destination confirmed the takeover.
@@ -1450,7 +1424,7 @@ bool Kernel::MaybeForwardIkc(EpId ep, const Message& msg, const IkcMsg& req) {
       }
     }
     if (hit) {
-      task->parked.push_back(MigrateTask::ParkedIkc{ep, msg, req});
+      task->parked.push_back(msg);
       return true;
     }
   }
@@ -1475,7 +1449,7 @@ bool Kernel::MaybeForwardIkc(EpId ep, const Message& msg, const IkcMsg& req) {
     // same kUnreachable a recovery abort at the origin would produce.
     // `msg` is relay-rewritten for multi-hop walks, so this reaches the
     // origin, not the previous hop.
-    AnswerIkc(t_.ikc_send, ep, msg, req.token, ErrCode::kUnreachable);
+    AnswerIkc(t_.ikc_send, msg, ErrCode::kUnreachable);
     return true;
   }
   stats_.ikc_relays_pipelined++;
@@ -1603,8 +1577,13 @@ void Kernel::PollMigrateQuiesce(uint64_t task_id) {
   CHECK(it != migrate_tasks_.end());
   MigrateTask* task = it->second.get();
   if (MigrationBlocked(task->pe)) {
-    task->quiesce_polls++;
-    CHECK_LT(task->quiesce_polls, 1'000'000u) << "migration quiesce never drained";
+    if (++task->quiesce_polls == kMaxQuiescePolls) {
+      // A party PE that never answers an ask holds its partition for good
+      // (asks have no timeout): refuse the migration and unfreeze the VPE.
+      vpes_.At(task->pe).migrating = false;
+      CompleteMigration(task_id, ErrCode::kAborted);
+      return;
+    }
     pe_->sim()->Schedule(t_.migrate_quiesce_poll,
                          [this, task_id] { PollMigrateQuiesce(task_id); });
     return;
@@ -1664,12 +1643,12 @@ void Kernel::StartMigrateTransfer(uint64_t task_id) {
   cur_trace_ = TraceCtx{};
 }
 
-void Kernel::OnMigrateVpe(EpId ep, const Message& msg, const IkcMsg& req) {
+void Kernel::OnMigrateVpe(const Message& msg, const IkcMsg& req) {
   CHECK(req.migrate != nullptr);
   CHECK_EQ(req.new_owner, config_.id);
   const MigratePayload& mp = *req.migrate;
   if (shutting_down_ || vpes_.size() >= kMaxVpesPerKernel) {
-    AnswerIkc(t_.ikc_dispatch + t_.ikc_send, ep, msg, req.token,
+    AnswerIkc(t_.ikc_dispatch + t_.ikc_send, msg,
               shutting_down_ ? ErrCode::kAborted : ErrCode::kInvalidArgs);
     return;
   }
@@ -1711,10 +1690,9 @@ void Kernel::OnMigrateVpe(EpId ep, const Message& msg, const IkcMsg& req) {
   // Retarget the PE's syscall send endpoint at this kernel, then confirm
   // the takeover — the moved VPE's retried syscalls land here from now on.
   EpId syscall_ep = kEpSyscall0 + (mp.vpe % kNumSyscallEps);
-  uint64_t token = req.token;
   pe_->dtu().ConfigureRemoteSend(
       mp.node, user_ep::kSyscallSend, pe_->node(), syscall_ep, /*credits=*/1, /*label=*/0,
-      [this, ep, msg, token] { AnswerIkc(t_.ikc_send, ep, msg, token, ErrCode::kOk); });
+      [this, msg] { AnswerIkc(t_.ikc_send, msg, ErrCode::kOk); });
 }
 
 void Kernel::FinishMigrateTransfer(uint64_t task_id, const IkcReply& reply) {
@@ -1731,8 +1709,8 @@ void Kernel::FinishMigrateTransfer(uint64_t task_id, const IkcReply& reply) {
     for (InlineFn& fn : unlinks) {
       fn();
     }
-    for (MigrateTask::ParkedIkc& p : task->parked) {
-      DispatchIkcRequest(p.ep, p.msg, p.req);
+    for (const Message& parked : task->parked) {
+      DispatchIkcRequest(parked);
     }
     task->parked.clear();
     CompleteMigration(task_id, reply.err);
@@ -1763,11 +1741,11 @@ void Kernel::FinishMigrateTransfer(uint64_t task_id, const IkcReply& reply) {
 
   // Release requests parked during the transfer; the updated membership
   // forwards them to the new owner.
-  std::vector<MigrateTask::ParkedIkc> parked = std::move(task->parked);
+  std::vector<Message> parked = std::move(task->parked);
   task->parked.clear();
-  for (MigrateTask::ParkedIkc& p : parked) {
-    if (!MaybeForwardIkc(p.ep, p.msg, p.req)) {
-      DispatchIkcRequest(p.ep, p.msg, p.req);
+  for (const Message& request : parked) {
+    if (!MaybeForwardIkc(request)) {
+      DispatchIkcRequest(request);
     }
   }
 
@@ -1840,7 +1818,7 @@ void Kernel::ApplyMembershipUpdate(NodeId pe, KernelId new_owner, uint64_t epoch
 // Shutdown (IKC functional group 1)
 // ---------------------------------------------------------------------------
 
-void Kernel::AdminShutdown(std::function<void()> done) {
+void Kernel::AdminShutdown(InlineFn done) {
   CHECK(!shutting_down_);
   shutting_down_ = true;
 
@@ -1852,26 +1830,22 @@ void Kernel::AdminShutdown(std::function<void()> done) {
       ids.push_back(vpe.id);
     }
   });
-  auto remaining = std::make_shared<uint32_t>(static_cast<uint32_t>(ids.size()) +
-                                              PeerCount() + 1);
-  auto maybe_done = [remaining, done] {
-    if (--*remaining == 0 && done) {
-      done();
-    }
-  };
+  Countdown* teardown = NewCountdown(std::move(done));
   for (VpeId id : ids) {
-    AdminKillVpe(id, maybe_done);
+    teardown->pending++;
+    AdminKillVpe(id, [this, teardown] { Arrive(teardown); });
   }
   // Announce the shutdown so peers stop routing requests to this group.
   for (KernelId peer = 0; peer < config_.kernel_nodes.size(); ++peer) {
     if (peer == config_.id) {
       continue;
     }
+    teardown->pending++;
     auto msg = NewMsg<IkcMsg>();
     msg->op = IkcOp::kShutdown;
-    SendIkc(peer, msg, [maybe_done](const IkcReply&) { maybe_done(); });
+    SendIkc(peer, msg, [this, teardown](const IkcReply&) { Arrive(teardown); });
   }
-  maybe_done();
+  Arrive(teardown);
 }
 
 // ---------------------------------------------------------------------------
@@ -2185,36 +2159,14 @@ void Kernel::RecoverFromFailure(KernelId dead, uint64_t epoch) {
   if (ft_.bug_skip_orphan_revoke) {
     // Injected protocol bug (FtConfig::bug_skip_orphan_revoke): leave the
     // orphaned subtrees dangling so the auditor has something to catch.
-    ft_pending_recovery_ += 1;
-    FtRecoveryStepDone();
-    cur_trace_ = saved_trace;
-    return;
+    orphan_roots.clear();
   }
-  ft_pending_recovery_ += static_cast<uint32_t>(orphan_roots.size()) + 1;
   std::sort(orphan_roots.begin(), orphan_roots.end(),
             [](DdlKey x, DdlKey y) { return x.raw() < y.raw(); });
-  for (DdlKey root : orphan_roots) {
-    Capability* cap = caps_.Find(root);
-    if (cap == nullptr) {
-      FtRecoveryStepDone();
-      continue;
-    }
-    if (cap->marked()) {
-      // An in-flight revocation already covers this subtree; recovery is
-      // complete once it finished.
-      cap->task()->on_complete.emplace_back([this] { FtRecoveryStepDone(); });
-      continue;
-    }
-    stats_.ft_orphan_roots++;
-    RevokeTask* task = NewRevokeTask(root);
-    task->admin = true;
-    task->admin_done = [this] { FtRecoveryStepDone(); };
-    Cycles rcost = t_.revoke_entry + MarkPass(cap, task);
-    rcost += FlushRevokeRequests(task);
-    Charge(rcost);
-    CheckRevokeComplete(task);
-  }
-  FtRecoveryStepDone();  // sentinel: recovery with zero orphans is done now
+  // Their parents died with their kernel: there is nothing to unlink from.
+  ft_pending_recovery_++;
+  stats_.ft_orphan_roots +=
+      RevokeRoots(orphan_roots, /*unlink=*/false, [this] { FtRecoveryStepDone(); });
   cur_trace_ = saved_trace;
 }
 
@@ -2519,10 +2471,11 @@ void Kernel::DispatchIkc(KernelId peer) {
   }
 }
 
-void Kernel::ReplyIkc(EpId recv_ep, const Message& msg, std::shared_ptr<IkcReply> reply) {
+void Kernel::ReplyIkc(const Message& msg, std::shared_ptr<IkcReply> reply) {
   // The request's slot was already freed at dispatch (see OnIkc); logical
-  // replies travel as reply-typed messages that need no slot.
-  (void)recv_ep;
+  // replies travel as reply-typed messages that need no slot, and name the
+  // request by the token in its body.
+  reply->token = msg.As<IkcMsg>()->token;
   // Close the handler span opened at dispatch (possibly long ago, for
   // suspended revocations) and hand the reply its trace context.
   if (auto it = ikc_handling_.find({msg.src_node, reply->token}); it != ikc_handling_.end()) {
@@ -2534,11 +2487,10 @@ void Kernel::ReplyIkc(EpId recv_ep, const Message& msg, std::shared_ptr<IkcReply
   pe_->dtu().SendDeferredReply(msg, std::move(reply));
 }
 
-void Kernel::AnswerIkc(Cycles cost, EpId ep, const Message& msg, uint64_t token, ErrCode err) {
+void Kernel::AnswerIkc(Cycles cost, const Message& msg, ErrCode err) {
   auto reply = NewMsg<IkcReply>();
-  reply->token = token;
   reply->err = err;
-  Emit(Charge(cost), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+  Emit(Charge(cost), [this, msg, reply] { ReplyIkc(msg, reply); });
 }
 
 void Kernel::OnIkc(EpId ep, const Message& msg) {
@@ -2592,18 +2544,18 @@ void Kernel::OnIkc(EpId ep, const Message& msg) {
     Message dmsg = msg;
     dmsg.src_node = req->relay_node;
     dmsg.reply_ep = req->relay_ep;
-    if (!MaybeForwardIkc(ep, dmsg, *req)) {
-      DispatchIkcRequest(ep, dmsg, *req);
+    if (!MaybeForwardIkc(dmsg)) {
+      DispatchIkcRequest(dmsg);
     }
     return;
   }
-  if (!MaybeForwardIkc(ep, msg, *req)) {
-    DispatchIkcRequest(ep, msg, *req);
+  if (!MaybeForwardIkc(msg)) {
+    DispatchIkcRequest(msg);
   }
 }
 
-void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& request) {
-  const IkcMsg* req = &request;
+void Kernel::DispatchIkcRequest(const Message& msg) {
+  const IkcMsg* req = msg.As<IkcMsg>();
   // Open the handler span; ReplyIkc closes it by (requester node, token).
   TraceCtx saved_trace = cur_trace_;
   obs::Tracer* tr = tracer();
@@ -2617,7 +2569,7 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
   }
   switch (req->op) {
     case IkcOp::kHello:
-      AnswerIkc(t_.ikc_dispatch + t_.ikc_send, ep, msg, req->token, ErrCode::kOk);
+      AnswerIkc(t_.ikc_dispatch + t_.ikc_send, msg, ErrCode::kOk);
       break;
     case IkcOp::kShutdown: {
       // The peer's group is going away: stop routing sessions to its
@@ -2628,7 +2580,7 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
         std::erase_if(entries,
                       [&](const ServiceEntry& e) { return e.kernel == req->src_kernel; });
       }
-      AnswerIkc(t_.ikc_dispatch + t_.ikc_send, ep, msg, req->token, ErrCode::kOk);
+      AnswerIkc(t_.ikc_dispatch + t_.ikc_send, msg, ErrCode::kOk);
       break;
     }
     case IkcOp::kServiceAnnounce: {
@@ -2639,7 +2591,7 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
       entry.node = req->node;
       entry.vpe = req->vpe;
       services_[req->name].push_back(entry);
-      AnswerIkc(t_.ikc_dispatch + t_.ikc_send, ep, msg, req->token, ErrCode::kOk);
+      AnswerIkc(t_.ikc_dispatch + t_.ikc_send, msg, ErrCode::kOk);
       break;
     }
     case IkcOp::kObtainReq:
@@ -2659,7 +2611,7 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
       } else {
         Capability* anchor = caps_.Find(req->cap);
         if (anchor == nullptr) {
-          AnswerIkc(t_.ikc_send, ep, msg, req->token, ErrCode::kNoSuchCap);
+          AnswerIkc(t_.ikc_send, msg, ErrCode::kNoSuchCap);
           ReleaseThread();
           break;
         }
@@ -2668,26 +2620,24 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
       ObtainOp* op = obtain_recs_.New();
       op->client = req->vpe;
       op->child_key = req->child;
-      op->ikc_ep = ep;
       op->ikc_msg = msg;
-      op->ikc_token = req->token;
       OwnerSideObtain(op, ask_op, req->cap, owner_vpe, owner_sel, req->opaque,
                       req->payload.session);
       break;
     }
     case IkcOp::kDelegateReq: {
       Charge(t_.ikc_dispatch + t_.ikc_exchange_extra);
-      OwnerSideDelegate(*req, ep, msg);
+      OwnerSideDelegate(msg, *req);
       break;
     }
     case IkcOp::kDelegateAck: {
       ErrCode err = ApplyDelegateAck(req->payload.session != 0, req->child);
-      AnswerIkc(t_.ikc_send, ep, msg, req->token, err);
+      AnswerIkc(t_.ikc_send, msg, err);
       break;
     }
     case IkcOp::kRevokeReq:
     case IkcOp::kRevokeBatchReq: {
-      OnRevokeReq(ep, msg, *req);
+      OnRevokeReq(msg);
       break;
     }
     case IkcOp::kOrphanNotify: {
@@ -2696,7 +2646,7 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
         parent->RemoveChild(req->child);
         stats_.orphans_cleaned++;
       }
-      AnswerIkc(t_.ikc_dispatch + t_.ddl_decode + t_.ikc_send, ep, msg, req->token, ErrCode::kOk);
+      AnswerIkc(t_.ikc_dispatch + t_.ddl_decode + t_.ikc_send, msg, ErrCode::kOk);
       break;
     }
     case IkcOp::kChildDrop: {
@@ -2704,31 +2654,31 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
       if (parent != nullptr) {
         parent->RemoveChild(req->child);
       }
-      AnswerIkc(t_.ikc_dispatch + t_.ddl_decode + t_.ikc_send, ep, msg, req->token, ErrCode::kOk);
+      AnswerIkc(t_.ikc_dispatch + t_.ddl_decode + t_.ikc_send, msg, ErrCode::kOk);
       break;
     }
     case IkcOp::kMigrateVpe: {
-      OnMigrateVpe(ep, msg, *req);
+      OnMigrateVpe(msg, *req);
       break;
     }
     case IkcOp::kEpochUpdate:
       ApplyMembershipUpdate(req->node, req->new_owner, req->epoch);
       stats_.epoch_updates++;
-      AnswerIkc(t_.ikc_dispatch + t_.epoch_apply + t_.ikc_send, ep, msg, req->token, ErrCode::kOk);
+      AnswerIkc(t_.ikc_dispatch + t_.epoch_apply + t_.ikc_send, msg, ErrCode::kOk);
       break;
     case IkcOp::kSuspectKernel:
       Charge(t_.ikc_dispatch);
       RecordSuspectVote(req->suspect, req->src_kernel);
-      AnswerIkc(t_.ikc_send, ep, msg, req->token, ErrCode::kOk);
+      AnswerIkc(t_.ikc_send, msg, ErrCode::kOk);
       break;
     case IkcOp::kFailoverDecree:
       Charge(t_.ikc_dispatch);
       RecoverFromFailure(req->suspect, req->epoch);
-      AnswerIkc(t_.ikc_send, ep, msg, req->token, ErrCode::kOk);
+      AnswerIkc(t_.ikc_send, msg, ErrCode::kOk);
       break;
     case IkcOp::kRelayNotice:
       ApplyRelayNotice(*req);
-      AnswerIkc(t_.ikc_dispatch + t_.epoch_apply + t_.ikc_send, ep, msg, req->token, ErrCode::kOk);
+      AnswerIkc(t_.ikc_dispatch + t_.epoch_apply + t_.ikc_send, msg, ErrCode::kOk);
       break;
   }
   cur_trace_ = saved_trace;

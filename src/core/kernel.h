@@ -141,24 +141,21 @@ struct SyscallRec {
 
 // A revocation in progress (one per revoke root per kernel). Implements the
 // bookkeeping of Algorithm 1: a counter of outstanding remote replies and
-// the deferred sweep.
+// the deferred sweep. Kernel::StartRevoke creates every task.
 struct RevokeTask {
   uint64_t id = 0;
   DdlKey root;
   uint32_t outstanding = 0;  // remote REVOKE_REQs + local-task dependencies
-  bool initiator = false;    // true: local syscall; false: peer kernel IKC
-  bool admin = false;        // true: kernel-internal (VPE kill)
-  bool suspended = false;    // the initiating thread paused on remote replies
-  // Initiator: the syscall to reply to. Participant: IKC msg to reply to.
-  SyscallRec* sc = nullptr;
-  EpId reply_recv_ep = 0;
-  Message reply_msg;
-  uint64_t req_token = 0;
-  InlineFn admin_done;
-  // Parent to unlink the root from once the subtree is gone (initiator and
-  // admin tasks only; for participant tasks the requesting kernel's own
-  // revocation covers the parent).
+  // The starting thread paused on remote replies (only a syscall does,
+  // paper §4.2); it pays the resume when the task completes.
+  bool suspended = false;
+  // Parent to unlink the root from once the subtree is gone (null for a
+  // REVOKE_REQ, whose requesting kernel's own revocation covers the parent,
+  // and for a failover orphan, whose parent died with its kernel).
   DdlKey parent_unlink;
+  // The one completion: answers whoever started the revocation (the
+  // syscall, the requesting kernel, a kill or recovery countdown).
+  InlineFn done;
   // Tasks / requests waiting for this task's completion (overlapping
   // revokes; "revoke_syscall_hdlr will also wait for the already
   // outstanding kernel replies", §4.3.3).
@@ -212,12 +209,7 @@ struct MigrateTask {
   uint32_t quiesce_polls = 0;
   Callback<void(ErrCode)> done;
   // Requests for the moving partition that arrived during kTransfer.
-  struct ParkedIkc {
-    EpId ep = 0;
-    Message msg;
-    IkcMsg req;
-  };
-  std::vector<ParkedIkc> parked;
+  std::vector<Message> parked;
   // Locally-originated tree unlinks against the moving partition that
   // arrived after its snapshot was packed. Applying them to the local copy
   // would be silently lost when the destination installs the (stale)
@@ -249,6 +241,7 @@ class Kernel : public Program {
   static constexpr uint32_t kMaxKernels = 64;
   static constexpr uint32_t kMaxRevokeThreads = 2;  // paper §4.3.3
   static constexpr uint32_t kServiceAskInflight = 64;  // kernel -> party ask window
+  static constexpr uint32_t kMaxQuiescePolls = 1'000'000;  // migration quiesce bound
 
   struct Config {
     KernelId id = 0;
@@ -287,22 +280,24 @@ class Kernel : public Program {
 
   // Kills a VPE: marks it dead and revokes every capability it holds.
   // `done` fires when all revocations completed.
-  void AdminKillVpe(VpeId vpe, std::function<void()> done);
+  void AdminKillVpe(VpeId vpe, InlineFn done);
 
   // Migrates the PE (and its VPE + capability partition) from this kernel
   // to `dst`: freezes the VPE, quiesces in-flight operations on the moving
   // partition, transfers the state with a MIGRATE_VPE IKC, retargets the
   // PE's syscall endpoint, and broadcasts the membership change as an
   // epoch-versioned EPOCH_UPDATE. `done` fires with kOk once every peer
-  // acknowledged the new epoch (no more forwarding needed), or with an
-  // error if the migration could not start.
+  // acknowledged the new epoch (no more forwarding needed), with an error
+  // if the migration could not start, or with kAborted (the VPE unfrozen
+  // where it was) if the partition did not quiesce within
+  // kMaxQuiescePolls polls: a party that never answers an ask holds it.
   void AdminMigratePe(NodeId pe, KernelId dst, Callback<void(ErrCode)> done);
 
   // Graceful shutdown (IKC functional group 1, paper §4.1): kills every
   // VPE of this group (revoking all their capabilities, including remote
   // copies), refuses further system calls, and notifies all peer kernels.
   // `done` fires when the teardown settled.
-  void AdminShutdown(std::function<void()> done);
+  void AdminShutdown(InlineFn done);
   bool shutting_down() const { return shutting_down_; }
 
   // --- Fault tolerance (src/ft) ---
@@ -388,7 +383,7 @@ class Kernel : public Program {
   // An obtain, open-session or session exchange. On the obtainer's kernel
   // `sc` is the syscall; a group-spanning one is also indexed in obtains_
   // while its IKC is out. On the owner's kernel of a spanning obtain `sc`
-  // is null and `ikc_*` name the request to answer. The result travels in
+  // is null and `ikc_msg` is the request to answer. The result travels in
   // the record to the reply.
   struct ObtainOp {
     uint64_t token = 0;
@@ -401,9 +396,7 @@ class Kernel : public Program {
     AskOp ask_op = AskOp::kObtain;
     VpeId owner_vpe = kInvalidVpe;
     // Owner side of a spanning obtain: the IKC request to answer.
-    EpId ikc_ep = 0;
     Message ikc_msg;
-    uint64_t ikc_token = 0;
     // Result, carried to the syscall reply.
     CapSel sel = kInvalidSel;
     CapPayload payload;
@@ -413,7 +406,7 @@ class Kernel : public Program {
 
   // A delegate. On the delegator's kernel `sc` is the syscall (indexed in
   // delegates_ while a spanning request is out); on the receiver's kernel
-  // of a spanning delegate `ikc_*` name the request to answer and the rest
+  // of a spanning delegate `ikc_msg` is the request to answer and the rest
   // describes the offered capability.
   struct DelegateOp {
     uint64_t token = 0;
@@ -421,10 +414,19 @@ class Kernel : public Program {
     DdlKey cap;  // the delegated (parent) capability, owned locally
     VpeId client = kInvalidVpe;
     VpeId peer = kInvalidVpe;
-    EpId ikc_ep = 0;
     Message ikc_msg;
-    uint64_t ikc_token = 0;
     CapPayload payload;
+    uint32_t pool_slot = 0;
+  };
+
+  // A completion that waits for several others: a VPE kill and a failover
+  // recovery for their revocations, a revoke batch for its keys, a
+  // shutdown for its kills and the peers' acknowledgements. `pending`
+  // counts the open waits plus one the opener drops (Arrive) once it
+  // registered them all.
+  struct Countdown {
+    uint32_t pending = 1;
+    InlineFn done;
     uint32_t pool_slot = 0;
   };
 
@@ -492,8 +494,9 @@ class Kernel : public Program {
   void OnSyscall(EpId ep, const Message& msg);
   void OnIkc(EpId ep, const Message& msg);
   // The request dispatch half of OnIkc, also re-entered when a request
-  // parked during a migration transfer is released.
-  void DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& req);
+  // parked during a migration transfer is released. An IKC request is
+  // answered from its message alone: the IkcMsg body names the token.
+  void DispatchIkcRequest(const Message& msg);
   void OnAskReply(const Message& msg);
 
   // ===== System call implementations =====
@@ -535,7 +538,7 @@ class Kernel : public Program {
   void ObtainIkcReplied(ObtainOp* op, const IkcReply& reply);
 
   // ===== Delegate path =====
-  void OwnerSideDelegate(const IkcMsg& req, EpId recv_ep, const Message& msg);
+  void OwnerSideDelegate(const Message& msg, const IkcMsg& req);
   void OwnerDelegateAsked(DelegateOp* op, const AskReply& reply);
   void FinishDelegate(DelegateOp* op, ErrCode err, DdlKey child_key);
   void ReplyDelegate(DelegateOp* op, ErrCode err);
@@ -552,15 +555,30 @@ class Kernel : public Program {
   void UnlinkChildAtParent(DdlKey parent, DdlKey child, bool orphan);
 
   // ===== Revocation (Algorithm 1) =====
-  RevokeTask* NewRevokeTask(DdlKey root);
+  // The one start of every revocation (revoke syscall, REVOKE_REQ, revoke
+  // batch, VPE kill, failover orphan): creates the task for the unmarked
+  // `cap` with its completion `done`, runs the marking pass and sends the
+  // REVOKE_REQs it collected. Returns that cost; the caller charges it and
+  // then calls CheckRevokeComplete(cap->task()). With `unlink` the root
+  // leaves its parent's children once the subtree is gone.
+  Cycles StartRevoke(Capability* cap, bool unlink, InlineFn done);
   // Phase 1: returns the extra kernel-cycle cost of the marking pass.
   Cycles MarkPass(Capability* cap, RevokeTask* task);
   // Sends the REVOKE_REQs collected by the marking pass (per child, or per
   // peer kernel with batching). Returns the send cost.
   Cycles FlushRevokeRequests(RevokeTask* task);
-  void OnRevokeReq(EpId ep, const Message& msg, const IkcMsg& req);
-  void ProcessRevokeReq(EpId ep, Message msg, const IkcMsg& req);
-  void ProcessRevokeBatch(EpId ep, Message msg, const IkcMsg& req);
+  // VPE kill and failover orphan recovery: revokes the subtree of every
+  // root still present, each at the revoke entry cost, and runs `done`
+  // once all of them are gone. Returns the number of revocations started.
+  uint32_t RevokeRoots(const std::vector<DdlKey>& roots, bool unlink, InlineFn done);
+  // A REVOKE_REQ or revoke batch arrived: served by one of the two
+  // revocation threads, or queued until one is free.
+  void OnRevokeReq(const Message& msg);
+  // One revocation thread serves request `msg`: restores its trace context
+  // and runs the single or the batch handler.
+  void ServeRevokeReq(const Message& msg);
+  void ProcessRevokeReq(const Message& msg, const IkcMsg& req);
+  void ProcessRevokeBatch(const Message& msg, const IkcMsg& req);
   void RevokeDependencyDone(uint64_t task_id);
   void CheckRevokeComplete(RevokeTask* task);
   // Phase 2: deletes this task's marked subtree; returns its cost.
@@ -575,7 +593,7 @@ class Kernel : public Program {
   void StartMigrateTransfer(uint64_t task_id);
   void FinishMigrateTransfer(uint64_t task_id, const IkcReply& reply);
   void CompleteMigration(uint64_t task_id, ErrCode err);
-  void OnMigrateVpe(EpId ep, const Message& msg, const IkcMsg& req);
+  void OnMigrateVpe(const Message& msg, const IkcMsg& req);
   // Updates the membership table and fixes up service-directory routing.
   void ApplyMembershipUpdate(NodeId pe, KernelId new_owner, uint64_t epoch);
   // Destination kernel of an in-progress transfer of partition `pe`, or
@@ -586,7 +604,7 @@ class Kernel : public Program {
   static NodeId RoutingPartition(const IkcMsg& req);
   // Parks (during a transfer) or forwards (stale sender epoch) a request
   // for a partition this kernel no longer owns. Returns true if handled.
-  bool MaybeForwardIkc(EpId ep, const Message& msg, const IkcMsg& req);
+  bool MaybeForwardIkc(const Message& msg);
 
   // ===== Fault tolerance (src/ft) =====
   void OnHeartbeat(EpId ep, const Message& msg);
@@ -630,10 +648,10 @@ class Kernel : public Program {
   bool KnownPe(VpeId pe) const { return pe < config_.membership.PeCount(); }
   void SendIkc(KernelId peer, std::shared_ptr<IkcMsg> msg, IkcCallback cb);
   void DispatchIkc(KernelId peer);
-  void ReplyIkc(EpId recv_ep, const Message& msg, std::shared_ptr<IkcReply> reply);
-  // Charges `cost`, then answers the request `msg` with a reply that carries
-  // only `token` and `err`.
-  void AnswerIkc(Cycles cost, EpId ep, const Message& msg, uint64_t token, ErrCode err);
+  // Sends `reply` to the request `msg`, under the request's token.
+  void ReplyIkc(const Message& msg, std::shared_ptr<IkcReply> reply);
+  // Charges `cost`, then answers the request `msg` with `err` alone.
+  void AnswerIkc(Cycles cost, const Message& msg, ErrCode err);
   void BroadcastHello();
   // Puts `msg` in the peer's flow-controlled FIFO and dispatches what the
   // peer's credits allow.
@@ -701,6 +719,10 @@ class Kernel : public Program {
   }
   void DrainEgress();
 
+  Countdown* NewCountdown(InlineFn done);
+  // One wait finished; the last one runs `done` and frees the record.
+  void Arrive(Countdown* countdown);
+
   // Thread-pool accounting (Eq. 1). CHECK-fails if the statically sized
   // pool would be exceeded — the sizing argument of §4.2 guarantees it
   // never is, and tests rely on that.
@@ -725,8 +747,8 @@ class Kernel : public Program {
   std::vector<uint64_t> ft_vote_bits_;   // per peer: bitmask of voters (≤64)
   Cycles ft_verdict_at_ = 0;
   Cycles ft_recovered_at_ = 0;
-  // Outstanding recovery steps (orphan-subtree revocations); recovery is
-  // done when this drains back to zero.
+  // Recoveries whose orphan-subtree revocations are still running;
+  // recovery is done when this drains back to zero.
   uint32_t ft_pending_recovery_ = 0;
 
   VpeTable vpes_;
@@ -756,6 +778,7 @@ class Kernel : public Program {
   RecordPool<PendingAsk> ask_recs_;
   RecordPool<PendingIkc> ikc_recs_;
   RecordPool<RevokeTask> revoke_recs_;
+  RecordPool<Countdown> countdown_recs_;
   FlatIndex<ObtainOp> obtains_;
   FlatIndex<DelegateOp> delegates_;
   FlatIndex<ParkedDelegate> parked_delegates_;
@@ -776,12 +799,9 @@ class Kernel : public Program {
   DdlCache ddl_cache_;
   std::map<std::string, std::vector<ServiceEntry>> services_;
 
-  // Incoming REVOKE_REQs beyond the two revocation threads wait here.
-  struct QueuedRevoke {
-    EpId ep = 0;
-    Message msg;  // the (possibly relay-rewritten) request message
-  };
-  Ring<QueuedRevoke> revoke_queue_;
+  // Incoming REVOKE_REQs beyond the two revocation threads wait here, as
+  // their (possibly relay-rewritten) request messages.
+  Ring<Message> revoke_queue_;
   uint32_t revoke_threads_busy_ = 0;
 
   // Kernel-to-kernel egress (see Emit).

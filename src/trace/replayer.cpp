@@ -38,6 +38,14 @@ bool TraceRunner::Refused(ErrCode err) {
   return true;
 }
 
+const FsReply* TraceRunner::FsAnswer(const MsgRef& body) {
+  const FsReply* fs = MsgAs<FsReply>(body);
+  if (fs == nullptr) {
+    Finish(ErrCode::kInvalidArgs);
+  }
+  return fs;
+}
+
 void TraceRunner::NextOp() {
   if (op_index_ >= trace_.ops.size()) {
     Finish(ErrCode::kOk);
@@ -112,8 +120,10 @@ void TraceRunner::DoOpen(const TraceOp& op) {
     if (Refused(reply.err)) {
       return;
     }
-    const FsReply* fs = MsgAs<FsReply>(reply.payload);
-    CHECK(fs != nullptr);
+    const FsReply* fs = FsAnswer(reply.payload);
+    if (fs == nullptr) {
+      return;
+    }
     cap_ops_++;  // extent-0 capability obtain
     auto spare = std::find_if(files_.begin(), files_.end(),
                               [](const OpenFile& f) { return !f.in_use; });
@@ -215,9 +225,8 @@ void TraceRunner::DoClose(const TraceOp& op) {
   req->op = FsOp::kClose;
   req->fid = fid;
   env_->Request(req, [this](const Message& msg) {
-    const FsReply* fs = msg.As<FsReply>();
-    CHECK(fs != nullptr);
-    if (Refused(fs->err)) {
+    const FsReply* fs = FsAnswer(msg.body);
+    if (fs == nullptr || Refused(fs->err)) {
       return;
     }
     // The service revoked one capability per handed extent on our behalf.
@@ -235,8 +244,10 @@ void TraceRunner::DoMeta(const TraceOp& op, FsOp fs_op) {
   // A meta error (a stat of a missing file, a mkdir of an existing one) is
   // an answer, not a refusal: the trace goes on.
   env_->Request(req, [this, unlink, meta](const Message& msg) {
-    const FsReply* fs = msg.As<FsReply>();
-    CHECK(fs != nullptr);
+    const FsReply* fs = FsAnswer(msg.body);
+    if (fs == nullptr) {
+      return;
+    }
     if (unlink) {
       // Unlink-while-open revoked this file's handed capabilities, so its
       // next I/O asks m3fs for an extent of a file that is gone.

@@ -67,6 +67,10 @@ class TraceRunner {
   void Finish(ErrCode err);
   // Ends the run if `err` is not kOk; returns whether it did.
   bool Refused(ErrCode err);
+  // The m3fs answer in `body`, or null after ending the run with
+  // kInvalidArgs: a service PE is untrusted, and a body that is not an
+  // FsReply is refused like any other bad answer.
+  const FsReply* FsAnswer(const MsgRef& body);
   void DoOpen(const TraceOp& op);
   void DoIo(const TraceOp& op, bool write);
   // Moves the I/O in progress (io_*) forward by one chunk.

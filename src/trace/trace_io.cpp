@@ -1,6 +1,7 @@
 #include "trace/trace_io.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <sstream>
 #include <string_view>
@@ -68,7 +69,11 @@ bool ParseU64(const std::string& token, uint64_t* value) {
     if (c < '0' || c > '9') {
       return false;
     }
-    v = v * 10 + static_cast<uint64_t>(c - '0');
+    uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (v > (UINT64_MAX - digit) / 10) {
+      return false;  // past 2^64 - 1
+    }
+    v = v * 10 + digit;
   }
   *value = v;
   return true;
@@ -88,7 +93,16 @@ Status ParseTrace(const std::string& text, Trace* trace, size_t* error_line) {
     }
     return Status(ErrCode::kInvalidArgs);
   };
-  std::vector<bool> open;  // by path index: open at this line
+  // By path index: whether the file is open at this line, its cursor, and
+  // the highest cursor it reached.
+  struct FileState {
+    bool open = false;
+    uint64_t cursor = 0;
+    uint64_t high = 0;
+  };
+  std::vector<FileState> files;
+  uint64_t compute_total = 0;
+  uint64_t high_total = 0;  // the files' highest cursors, summed
   while (std::getline(is, line)) {
     ++line_no;
     std::vector<std::string> tokens = Tokenize(line);
@@ -131,9 +145,11 @@ Status ParseTrace(const std::string& text, Trace* trace, size_t* error_line) {
         trace->ReadDir(tokens[1]);
       }
     } else if (op == "compute") {
-      if (tokens.size() != 2 || !ParseU64(tokens[1], &value)) {
+      if (tokens.size() != 2 || !ParseU64(tokens[1], &value) ||
+          value > kTraceTotalLimit - compute_total) {
         return fail(line_no);
       }
+      compute_total += value;
       trace->Compute(value);
       continue;
     } else {
@@ -142,15 +158,31 @@ Status ParseTrace(const std::string& text, Trace* trace, size_t* error_line) {
     // The trace client opens a file once and reads, writes, seeks and
     // closes only open files (trace/replayer.h).
     TraceOpKind kind = trace->ops.back().kind;
-    uint32_t file = trace->ops.back().path;
-    open.resize(std::max<size_t>(open.size(), file + 1));
-    bool needs_open = kind == TraceOpKind::kRead || kind == TraceOpKind::kWrite ||
-                      kind == TraceOpKind::kSeek || kind == TraceOpKind::kClose;
-    if (kind == TraceOpKind::kOpen ? open[file] : needs_open && !open[file]) {
+    files.resize(std::max<size_t>(files.size(), trace->ops.back().path + 1));
+    FileState& file = files[trace->ops.back().path];
+    bool moves = kind == TraceOpKind::kRead || kind == TraceOpKind::kWrite ||
+                 kind == TraceOpKind::kSeek;
+    if (kind == TraceOpKind::kOpen ? file.open
+                                   : (moves || kind == TraceOpKind::kClose) && !file.open) {
       return fail(line_no);
     }
     if (kind == TraceOpKind::kOpen || kind == TraceOpKind::kClose) {
-      open[file] = kind == TraceOpKind::kOpen;
+      file.open = kind == TraceOpKind::kOpen;
+      file.cursor = 0;
+    }
+    if (moves) {
+      uint64_t base = kind == TraceOpKind::kSeek ? 0 : file.cursor;
+      if (value > kTraceTotalLimit - base) {
+        return fail(line_no);
+      }
+      file.cursor = base + value;
+      if (file.cursor > file.high) {
+        if (file.cursor - file.high > kTraceTotalLimit - high_total) {
+          return fail(line_no);
+        }
+        high_total += file.cursor - file.high;
+        file.high = file.cursor;
+      }
     }
   }
   return Status::Ok();

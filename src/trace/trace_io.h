@@ -19,6 +19,7 @@
 #ifndef SEMPEROS_TRACE_TRACE_IO_H_
 #define SEMPEROS_TRACE_TRACE_IO_H_
 
+#include <cstdint>
 #include <string>
 
 #include "base/status.h"
@@ -27,10 +28,17 @@
 
 namespace semperos {
 
+// The bound on a trace's numbers (2^48 cycles or bytes): its running
+// compute total, and its files' highest cursors summed over all files. The
+// simulated clock keeps room for the rest of the run, and InferImage's
+// cursor and extent arithmetic cannot wrap.
+inline constexpr uint64_t kTraceTotalLimit = uint64_t{1} << 48;
+
 // Parses the text format above. A line that is malformed, opens an open
-// file, or reads, writes, seeks or closes a file that is not open is an
-// error: returns its line number through `error_line` (1-based) and a
-// non-ok status.
+// file, reads, writes, seeks or closes a file that is not open, or takes
+// the compute total or a file cursor past kTraceTotalLimit is an error:
+// returns its line number through `error_line` (1-based) and a non-ok
+// status.
 Status ParseTrace(const std::string& text, Trace* trace, size_t* error_line = nullptr);
 
 // Renders a trace in the same text format (ParseTrace round-trips it), and

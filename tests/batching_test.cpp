@@ -5,6 +5,9 @@
 // count and latency.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "audit/cap_audit.h"
 #include "system/client.h"
 
 namespace semperos {
@@ -136,6 +139,88 @@ TEST(BatchingBehaviour, OverlappingRevokesStayComplete) {
   });
   rig.p().RunToCompletion();
   EXPECT_EQ(acks, 2);
+}
+
+// A revoke batch can name a key its receiver already deleted (the child's
+// own revocation beat the parent's) and one that an in-flight revocation
+// already marked. The deleted key is done at once, the marked one is
+// waited for, and the batch is answered only once both subtrees are gone.
+TEST(BatchingBehaviour, BatchSkipsDeletedKeyAndWaitsForMarkedOne) {
+  DriverRig rig = BatchRig(3, 9, true);
+  size_t a = rig.client_in_kernel(0, 0);
+  size_t b = rig.client_in_kernel(1, 0);
+  size_t c = rig.client_in_kernel(1, 1);
+  size_t d = rig.client_in_kernel(2, 0);
+  Kernel* k0 = rig.p().kernel(0);
+  Kernel* k1 = rig.p().kernel(1);
+  Kernel* k2 = rig.p().kernel(2);
+  auto delegate = [&](size_t from, CapSel sel, size_t to) {
+    rig.client(from).env().Delegate(sel, rig.vpe(to), [](const SyscallReply& r) {
+      ASSERT_EQ(r.err, ErrCode::kOk);
+    });
+    rig.p().RunToCompletion();
+    return rig.kernel_of_client(to)->FindVpe(rig.vpe(to))->table.LastSel();
+  };
+  // root (k0) -> b_copy, c_copy (k1); c_copy -> d_copy (k2), which heads a
+  // chain bouncing between kernels 2 and 0: revoking c_copy takes one round
+  // trip per link, far longer than the batch's own work.
+  CapSel root = rig.Grant(a);
+  CapSel b_copy = delegate(a, root, b);
+  CapSel c_copy = delegate(a, root, c);
+  CapSel d_copy = delegate(c, c_copy, d);
+  size_t holder = d;
+  CapSel sel = d_copy;
+  for (size_t next : {rig.client_in_kernel(0, 1), rig.client_in_kernel(2, 1),
+                      rig.client_in_kernel(0, 2), rig.client_in_kernel(2, 2)}) {
+    sel = delegate(holder, sel, next);
+    holder = next;
+  }
+
+  // All three revocations start at once: b's copy is gone before kernel 0's
+  // batch reaches kernel 1, and c's copy is marked, waiting for kernel 2.
+  std::vector<size_t> acks;
+  rig.client(b).env().Revoke(b_copy, [&](const SyscallReply& r) {
+    EXPECT_EQ(r.err, ErrCode::kOk);
+    acks.push_back(b);
+  });
+  rig.client(c).env().Revoke(c_copy, [&](const SyscallReply& r) {
+    EXPECT_EQ(r.err, ErrCode::kOk);
+    acks.push_back(c);
+  });
+  rig.client(a).env().Revoke(root, [&](const SyscallReply& r) {
+    EXPECT_EQ(r.err, ErrCode::kOk);
+    acks.push_back(a);
+    EXPECT_EQ(k0->CapOf(rig.vpe(a), root), nullptr);
+    EXPECT_EQ(k1->CapOf(rig.vpe(b), b_copy), nullptr);
+    EXPECT_EQ(k1->CapOf(rig.vpe(c), c_copy), nullptr);
+    EXPECT_EQ(k2->CapOf(rig.vpe(d), d_copy), nullptr);
+    EXPECT_EQ(rig.kernel_of_client(holder)->CapOf(rig.vpe(holder), sel), nullptr);
+  });
+  const size_t batch_op = static_cast<size_t>(IkcOp::kRevokeBatchReq);
+  bool b_gone = false;
+  bool c_marked = false;
+  for (int step = 0; step < 100'000 && k1->stats().ikc_op_received[batch_op] == 0; ++step) {
+    b_gone = k1->CapOf(rig.vpe(b), b_copy) == nullptr;
+    Capability* c_cap = k1->CapOf(rig.vpe(c), c_copy);
+    c_marked = c_cap != nullptr && c_cap->marked();
+    rig.p().RunUntil(rig.p().sim().Now() + 1);
+  }
+  ASSERT_EQ(k1->stats().ikc_op_received[batch_op], 1u);
+  EXPECT_TRUE(b_gone);
+  EXPECT_TRUE(c_marked);
+  // Kernel 0's one batch named both keys.
+  EXPECT_EQ(k0->stats().ikc_batches_sent, 1u);
+  EXPECT_EQ(k0->stats().ikc_batched_ops, 2u);
+
+  rig.p().RunToCompletion();
+  ASSERT_EQ(acks.size(), 3u);
+  EXPECT_EQ(acks.back(), a);  // after c's revocation, which the batch waited for
+  for (KernelId k = 0; k < 3; ++k) {
+    EXPECT_EQ(rig.p().kernel(k)->PendingOps(), 0u) << "kernel " << k;
+  }
+  AuditReport report = AuditPlatform(rig.p());
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_EQ(rig.p().TotalDrops(), 0u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "audit/cap_audit.h"
 #include "base/flat.h"
 #include "base/rng.h"
 #include "core/capability.h"
@@ -456,6 +457,58 @@ TEST(KillVpe, RevokesEverythingIncludingRemoteChildren) {
   // The delegated children are revoked recursively on both kernels.
   EXPECT_EQ(k0->FindVpe(rig.vpe(local_peer))->table.size(), 1u);  // VPE cap only
   EXPECT_EQ(k1->caps().size(), k1_caps_before - 1);
+}
+
+// A kill that finds one of the VPE's capabilities mid-revoke waits for that
+// revocation: it completes only once the whole subtree is gone. The
+// subtree is a chain bouncing between the two kernels, so its revocation
+// takes one round trip per link, far longer than the kill's own work.
+TEST(KillVpe, WaitsForCapabilityMidRevoke) {
+  DriverRig rig = MakeDriverRig(2, 4);
+  size_t victim = rig.client_in_kernel(0, 0);
+  const size_t hops[] = {rig.client_in_kernel(1, 0), rig.client_in_kernel(0, 1),
+                         rig.client_in_kernel(1, 1), rig.client_in_kernel(0, 1),
+                         rig.client_in_kernel(1, 0), rig.client_in_kernel(0, 1)};
+  Kernel* k0 = rig.p().kernel(0);
+  CapSel root = rig.Grant(victim, 4096);
+  size_t holder = victim;
+  CapSel sel = root;
+  for (size_t next : hops) {
+    rig.client(holder).env().Delegate(sel, rig.vpe(next), [](const SyscallReply& r) {
+      ASSERT_EQ(r.err, ErrCode::kOk);
+    });
+    rig.p().RunToCompletion();
+    holder = next;
+    sel = rig.kernel_of_client(holder)->FindVpe(rig.vpe(holder))->table.LastSel();
+  }
+  auto last_gone = [&] {
+    return rig.kernel_of_client(holder)->CapOf(rig.vpe(holder), sel) == nullptr;
+  };
+  ASSERT_FALSE(last_gone());
+
+  // Run until the root is marked: its revocation now walks the chain.
+  rig.client(victim).env().Revoke(root, [](const SyscallReply&) {});
+  for (int step = 0; step < 1000 && !k0->CapOf(rig.vpe(victim), root)->marked(); ++step) {
+    rig.p().RunUntil(rig.p().sim().Now() + 10);
+  }
+  ASSERT_TRUE(k0->CapOf(rig.vpe(victim), root)->marked());
+
+  bool killed = false;
+  k0->AdminKillVpe(rig.vpe(victim), [&] {
+    killed = true;
+    EXPECT_EQ(k0->CapOf(rig.vpe(victim), root), nullptr);
+    EXPECT_TRUE(last_gone());
+  });
+  EXPECT_FALSE(killed);
+  rig.p().RunToCompletion();
+  EXPECT_TRUE(killed);
+  EXPECT_EQ(k0->FindVpe(rig.vpe(victim))->table.size(), 0u);
+  for (KernelId k = 0; k < 2; ++k) {
+    EXPECT_EQ(rig.p().kernel(k)->PendingOps(), 0u) << "kernel " << k;
+  }
+  AuditReport report = AuditPlatform(rig.p());
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_EQ(rig.p().TotalDrops(), 0u);
 }
 
 TEST(Activate, BindsMemoryEndpointAndRevokeInvalidates) {

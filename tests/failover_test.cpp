@@ -130,6 +130,57 @@ TEST(FailoverTest, HeartbeatsDetectSilentKernelAndSurvivorsRecover) {
   EXPECT_EQ(rig.p().TotalDrops(), 0u);
 }
 
+// An orphan root that an in-flight revocation already marked is not revoked
+// twice: recovery waits for that revocation and completes only once the
+// orphaned subtree is gone.
+TEST(FailoverTest, RecoveryWaitsForOrphanRootMidRevoke) {
+  DriverRig rig = MakeDriverRig(3, 3);
+  size_t owner = rig.client_in_kernel(1, 0);
+  size_t holder = rig.client_in_kernel(0, 0);
+  size_t far = rig.client_in_kernel(2, 0);
+  Kernel* k0 = rig.p().kernel(0);
+  Kernel* k2 = rig.p().kernel(2);
+  auto delegate = [&](size_t from, CapSel sel, size_t to) {
+    rig.client(from).env().Delegate(sel, rig.vpe(to), [](const SyscallReply& r) {
+      ASSERT_EQ(r.err, ErrCode::kOk);
+    });
+    rig.p().RunToCompletion();
+    return rig.kernel_of_client(to)->FindVpe(rig.vpe(to))->table.LastSel();
+  };
+  // root (k1) -> x (k0) -> y (k2) -> z (k1): x is orphaned when kernel 1
+  // dies, and its revocation waits at kernel 2 on a REVOKE_REQ kernel 1
+  // never answers, until kernel 2 recovers too.
+  CapSel root = rig.Grant(owner, 4096);
+  CapSel x = delegate(owner, root, holder);
+  CapSel y = delegate(holder, x, far);
+  delegate(far, y, owner);
+
+  FtConfig ft;
+  ft.heartbeat_period = 20'000;
+  ft.heartbeat_timeout = 60'000;
+  Cycles t0 = rig.p().sim().Now();
+  ft.monitor_until = t0 + 500'000;
+  rig.p().StartFailureDetector(ft);
+  rig.p().KillKernelAt(1, t0 + 1'000);
+  ErrCode revoked = ErrCode::kAborted;  // kAborted: no reply yet
+  rig.p().sim().ScheduleAt(t0 + 2'000, [&] {
+    rig.client(holder).env().Revoke(x, [&](const SyscallReply& r) { revoked = r.err; });
+  });
+  rig.p().RunToCompletion();
+
+  EXPECT_EQ(revoked, ErrCode::kOk);
+  EXPECT_TRUE(k0->ft_recovery_done());
+  EXPECT_EQ(k0->stats().ft_orphan_roots, 0u);  // x was already being revoked
+  EXPECT_GT(k0->ft_recovered_at(), k0->ft_verdict_at());  // and recovery waited for it
+  EXPECT_EQ(k0->CapOf(rig.vpe(holder), x), nullptr);
+  EXPECT_EQ(k2->CapOf(rig.vpe(far), y), nullptr);
+  EXPECT_EQ(k0->PendingOps(), 0u);
+  EXPECT_EQ(k2->PendingOps(), 0u);
+  AuditReport report = AuditPlatform(rig.p());
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_EQ(rig.p().TotalDrops(), 0u);
+}
+
 TEST(FailoverTest, DoubleFailureIsRefusedWithoutQuorum) {
   // 4 kernels, 2 killed: the 2 survivors cannot assemble a majority of the
   // configured 4 — recovery must be refused with a clear verdict, and no

@@ -227,6 +227,56 @@ TEST(Identity, AskReplyFromAnotherPeIsDropped) {
   EXPECT_EQ(rig.p.TotalDrops(), 0u);
 }
 
+// A party that never answers an ask keeps its partition busy for good:
+// migrating it is refused with kAborted once the quiesce bound is spent,
+// and the VPE stays, unfrozen, where it was.
+TEST(Quiesce, SilentPartyRefusesMigration) {
+  PlatformConfig pc;
+  pc.kernels = 2;
+  pc.users = 4;
+  Platform p(pc);
+  Kernel* k0 = p.kernel(0);
+  std::vector<NodeId> group0;
+  for (NodeId node : p.user_nodes()) {
+    if (p.kernel_of(node) == k0) {
+      group0.push_back(node);
+    }
+  }
+  ASSERT_GE(group0.size(), 2u);
+  NodeId party_node = group0[0];
+  RawParty* party = Attach<RawParty>(p, party_node);
+  DriverClient* client = Attach<DriverClient>(p, group0[1], p.kernel_node(0), pc.timing);
+  CapSel sel = k0->AdminGrantMem(party_node, p.mem_nodes().at(0), 0, 4096, kPermRW);
+  p.Boot();
+
+  ErrCode obtained = ErrCode::kAborted;  // kAborted: no reply yet
+  client->env().Obtain(party_node, sel, [&](const SyscallReply& r) { obtained = r.err; });
+  p.RunToCompletion();
+  ASSERT_EQ(party->asks(), 1u);
+
+  bool migrated = false;
+  ErrCode err = ErrCode::kOk;
+  k0->AdminMigratePe(party_node, 1, [&](ErrCode e) {
+    err = e;
+    migrated = true;
+  });
+  p.RunToCompletion();
+  ASSERT_TRUE(migrated);
+  EXPECT_EQ(err, ErrCode::kAborted);
+  ASSERT_NE(k0->FindVpe(party_node), nullptr);
+  EXPECT_FALSE(k0->FindVpe(party_node)->migrating);
+  EXPECT_EQ(k0->stats().migrations, 0u);
+  EXPECT_EQ(p.kernel_of(party_node), k0);
+
+  // The party still serves from its old kernel: its late answer completes
+  // the obtain.
+  party->Answer(0, party->Honest(0));
+  p.RunToCompletion();
+  EXPECT_EQ(obtained, ErrCode::kOk);
+  EXPECT_EQ(k0->PendingOps(), 0u);
+  EXPECT_EQ(p.TotalDrops(), 0u);
+}
+
 TEST(Errors, ObtainFromUnknownVpe) {
   DriverRig rig = MakeDriverRig(1, 1);
   SyscallReply got;

@@ -185,6 +185,12 @@ TEST(Registry, BadCustomTracesExitOne) {
       // A ninth open file: a PE has eight memory endpoints.
       "open /d/0 wc\nopen /d/1 wc\nopen /d/2 wc\nopen /d/3 wc\nopen /d/4 wc\n"
       "open /d/5 wc\nopen /d/6 wc\nopen /d/7 wc\nopen /d/8 wc\n",
+      // Numbers near 2^64: a compute the clock cannot hold, a count past
+      // 2^64 - 1, and a read and a seek whose cursor would wrap.
+      "compute 18446744073709551615\n",
+      "compute 18446744073709551616\n",
+      "open /d/f r\nread /d/f 18446744073709551615\n",
+      "open /d/f wc\nseek /d/f 18446744073709551615\nwrite /d/f 10\n",
   };
   for (const char* probe : probes) {
     std::string path = testing::TempDir() + "registry_probe.trace";

@@ -1,6 +1,8 @@
 // Trace format and replayer behaviour, plus the Nginx programs.
 #include <gtest/gtest.h>
 
+#include "dtu/msg_pool.h"
+#include "fs/protocol.h"
 #include "fs/service.h"
 #include "system/experiment.h"
 #include "system/platform.h"
@@ -130,6 +132,68 @@ TEST(Replayer, RuntimeExcludesBootTime) {
   EXPECT_GT(r.start, 0u);            // boot happened before the trace began
   EXPECT_GT(r.runtime(), 10'000u);   // compute + session open
   EXPECT_LT(r.runtime(), 100'000u);  // but nowhere near the boot time scale
+}
+
+// An m3fs impostor. A service PE is untrusted: this one answers the open's
+// exchange with a payload, and a stat with a body, that are not FsReplies.
+class WrongBodyService : public Program {
+ public:
+  WrongBodyService(NodeId kernel_node, CapSel mem) : kernel_node_(kernel_node), mem_(mem) {}
+
+  void Setup() override {
+    env_ = std::make_unique<UserEnv>(pe_, kernel_node_, /*ask_cost=*/0);
+    env_->SetupEps(/*is_service=*/true);
+    env_->SetAskHandler([this](const AskMsg& ask, UserEnv::AskReplyFn reply) {
+      AskReply answer;
+      answer.share_sel = ask.op == AskOp::kOpenSession ? service_sel_ : mem_;
+      answer.session = 1;
+      answer.payload = NewMsg<FsRequest>();
+      reply.Fire(std::move(answer));
+    });
+    env_->SetRequestHandler(
+        [this](const Message& msg) { env_->ReplyRequest(msg, NewMsg<FsRequest>()); });
+  }
+  void Start() override {
+    env_->RegisterService("m3fs", [this](const SyscallReply& reply) { service_sel_ = reply.sel; });
+  }
+
+ private:
+  NodeId kernel_node_;
+  CapSel mem_;
+  CapSel service_sel_ = kInvalidSel;
+  std::unique_ptr<UserEnv> env_;
+};
+
+TEST(Replayer, AnswerThatIsNotAnFsReplyRefusesTheOp) {
+  for (bool stat : {false, true}) {
+    Trace trace;
+    trace.app = "t";
+    trace.Compute(100);
+    if (stat) {
+      trace.Stat("/f");
+    } else {
+      trace.Open("/f", kOpenRead);
+    }
+    trace.Compute(100);
+    PlatformConfig pc;
+    pc.kernels = 1;
+    pc.services = 1;
+    pc.users = 1;
+    Platform p(pc);
+    NodeId svc = p.service_nodes()[0];
+    CapSel mem = p.kernel_of(svc)->AdminGrantMem(svc, p.mem_nodes()[0], 0, 1 << 20, kPermRW);
+    p.pe(svc)->AttachProgram(std::make_unique<WrongBodyService>(p.kernel_node(0), mem));
+    auto replayer = std::make_unique<TraceReplayer>(trace, p.kernel_node(0), pc.timing);
+    TraceReplayer* app = replayer.get();
+    p.pe(p.user_nodes()[0])->AttachProgram(std::move(replayer));
+    p.Boot();
+    p.RunToCompletion();
+    const TraceReplayer::Result& r = app->result();
+    EXPECT_FALSE(r.done) << (stat ? "stat" : "open");
+    EXPECT_EQ(r.error, ErrCode::kInvalidArgs) << (stat ? "stat" : "open");
+    EXPECT_EQ(r.failed_op, 1u) << (stat ? "stat" : "open");
+    EXPECT_GT(r.end, r.start);
+  }
 }
 
 TEST(Nginx, RequestTraceShape) {

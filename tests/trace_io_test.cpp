@@ -56,6 +56,34 @@ TEST(TraceIo, RejectsMalformedLines) {
   EXPECT_EQ(line, 3u);
   EXPECT_FALSE(ParseTrace("stat /d/f\nseek /d/f 0\n", &trace, &line).ok());
   EXPECT_EQ(line, 2u);
+  // Numbers past 2^64 - 1 do not wrap.
+  EXPECT_FALSE(ParseTrace("compute 18446744073709551616\n", &trace, &line).ok());
+  EXPECT_EQ(line, 1u);
+  EXPECT_FALSE(ParseTrace("open /f r\nread /f 99999999999999999999\n", &trace, &line).ok());
+  EXPECT_EQ(line, 2u);
+  // The compute total and the file cursors stay within kTraceTotalLimit
+  // (2^48): the clock and InferImage keep their room.
+  EXPECT_FALSE(ParseTrace("compute 18446744073709551615\n", &trace, &line).ok());
+  EXPECT_EQ(line, 1u);
+  EXPECT_FALSE(ParseTrace("compute 281474976710656\ncompute 1\n", &trace, &line).ok());
+  EXPECT_EQ(line, 2u);
+  EXPECT_FALSE(ParseTrace("open /f r\nread /f 18446744073709551615\n", &trace, &line).ok());
+  EXPECT_EQ(line, 2u);
+  EXPECT_FALSE(ParseTrace("open /f r\nseek /f 18446744073709551615\n", &trace, &line).ok());
+  EXPECT_EQ(line, 2u);
+  EXPECT_FALSE(
+      ParseTrace("open /f w\nseek /f 281474976710656\nwrite /f 1\n", &trace, &line).ok());
+  EXPECT_EQ(line, 3u);
+  // The files' highest cursors count together: 2^47 + 1 bytes, then 2^47.
+  EXPECT_FALSE(ParseTrace("open /a r\nread /a 140737488355329\nopen /b r\nread /b 140737488355328\n",
+                          &trace, &line)
+                   .ok());
+  EXPECT_EQ(line, 4u);
+  // Up to the bound it is a trace.
+  EXPECT_TRUE(ParseTrace("compute 281474976710656\nopen /f r\nseek /f 281474976710656\n"
+                         "seek /f 0\nread /f 281474976710656\n",
+                         &trace)
+                  .ok());
 }
 
 TEST(TraceIo, InlineCommentsAndBlanksIgnored) {
