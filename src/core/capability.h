@@ -9,6 +9,7 @@
 #define SEMPEROS_CORE_CAPABILITY_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -105,69 +106,67 @@ class Capability {
   }
 };
 
-// Selector -> capability key. Selectors are allocated sequentially per VPE
-// (VpeState::AllocSel), so the table is a dense vector indexed by selector —
-// a capability lookup is one bounds check and one load, where the previous
-// std::map paid a pointer chase per tree level on every syscall. Empty slots
-// (never used, or revoked) hold the null DdlKey.
+// Selector -> capability key, for the live capabilities of one VPE.
+// Selectors are allocated sequentially per VPE (VpeState::AllocSel) and
+// never reused, so a table indexed by selector would keep a slot for every
+// capability the VPE ever held: a traffic server carries one for every
+// request it served. This table keeps only the live (selector, key) pairs,
+// sorted by selector. A new capability takes the VPE's highest selector, so
+// Set appends; Find binary-searches a few dozen entries (131 at most on the
+// benchmark workloads), and Erase closes the gap. Memory follows the peak
+// live count.
 class CapTable {
  public:
-  // Key at `sel`, or the null key if the slot is empty/out of range.
-  DdlKey Find(CapSel sel) const { return sel < slots_.size() ? slots_[sel] : DdlKey(); }
+  // Key at `sel`, or the null key if no live capability has that selector.
+  DdlKey Find(CapSel sel) const {
+    size_t i = Position(sel);
+    return Holds(i, sel) ? entries_[i].key : DdlKey();
+  }
 
+  // Inserts or overwrites. Migration install and obtain completions may set
+  // a selector below the highest live one.
   void Set(CapSel sel, DdlKey key) {
     CHECK(!key.IsNull());
-    if (sel >= slots_.size()) {
-      // Selectors arrive sequentially; grow geometrically (resize alone
-      // reallocates to the exact size, which would be quadratic here).
-      if (static_cast<size_t>(sel) >= slots_.capacity()) {
-        slots_.reserve(std::max({size_t{8}, 2 * slots_.capacity(),
-                                 static_cast<size_t>(sel) + 1}));
-      }
-      slots_.resize(static_cast<size_t>(sel) + 1);
+    if (entries_.empty() || entries_.back().sel < sel) {
+      entries_.push_back(Entry{sel, key});
+      return;
     }
-    if (slots_[sel].IsNull()) {
-      ++live_;
+    size_t i = Position(sel);
+    if (Holds(i, sel)) {
+      entries_[i].key = key;
+    } else {
+      entries_.insert(entries_.begin() + static_cast<std::ptrdiff_t>(i), Entry{sel, key});
     }
-    slots_[sel] = key;
   }
 
   void Erase(CapSel sel) {
-    if (sel < slots_.size() && !slots_[sel].IsNull()) {
-      slots_[sel] = DdlKey();
-      --live_;
+    size_t i = Position(sel);
+    if (Holds(i, sel)) {
+      entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
     }
   }
 
-  // Number of live (non-null) entries.
-  uint32_t size() const { return live_; }
+  // Number of live entries.
+  uint32_t size() const { return static_cast<uint32_t>(entries_.size()); }
 
   // Highest live selector, or kInvalidSel if the table is empty.
-  CapSel LastSel() const {
-    for (size_t i = slots_.size(); i > 0; --i) {
-      if (!slots_[i - 1].IsNull()) {
-        return static_cast<CapSel>(i - 1);
-      }
-    }
-    return kInvalidSel;
-  }
+  CapSel LastSel() const { return entries_.empty() ? kInvalidSel : entries_.back().sel; }
 
   // Invokes fn(sel, key) for every live entry, in ascending selector order.
+  // fn must not change the table.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (CapSel sel = 0; sel < slots_.size(); ++sel) {
-      if (!slots_[sel].IsNull()) {
-        fn(sel, slots_[sel]);
-      }
+    for (const Entry& e : entries_) {
+      fn(e.sel, e.key);
     }
   }
 
-  // True if fn(sel, key) returns true for any live entry; stops at the
-  // first hit (migration quiesce polls this repeatedly on large tables).
+  // True if fn(sel, key) returns true for any live entry, in ascending
+  // selector order; stops at the first hit.
   template <typename Fn>
   bool Any(Fn&& fn) const {
-    for (CapSel sel = 0; sel < slots_.size(); ++sel) {
-      if (!slots_[sel].IsNull() && fn(sel, slots_[sel])) {
+    for (const Entry& e : entries_) {
+      if (fn(e.sel, e.key)) {
         return true;
       }
     }
@@ -175,8 +174,20 @@ class CapTable {
   }
 
  private:
-  std::vector<DdlKey> slots_;
-  uint32_t live_ = 0;
+  struct Entry {
+    CapSel sel;
+    DdlKey key;
+  };
+
+  // Index of the first entry whose selector is not below `sel`.
+  size_t Position(CapSel sel) const {
+    auto it = std::lower_bound(entries_.begin(), entries_.end(), sel,
+                               [](const Entry& e, CapSel s) { return e.sel < s; });
+    return static_cast<size_t>(it - entries_.begin());
+  }
+  bool Holds(size_t i, CapSel sel) const { return i < entries_.size() && entries_[i].sel == sel; }
+
+  std::vector<Entry> entries_;  // ascending selector
 };
 
 // Kernel-side state of one VPE ("comparable to a single-threaded process",
@@ -197,18 +208,16 @@ struct VpeState {
   CapSel AllocSel() { return next_sel++; }
 };
 
-// VPE id -> kernel-side VPE state. VPE ids are PE NodeIds, so the table is
-// a dense pointer vector: the lookup every syscall dispatch performs is one
-// load instead of a red-black-tree walk. Iteration (ForEach) runs in
-// ascending id order, matching the std::map this replaces.
+// VPE id -> kernel-side VPE state, for the VPEs of one kernel's group.
+// VPE ids are PE NodeIds, numbered over the whole platform, so a table
+// indexed by id would give every kernel a slot for every PE (4,225 at the
+// largest scale point, for its 65 VPEs). The states are owned by a vector
+// sorted by id, which ForEach walks in ascending id order; the lookup every
+// syscall dispatch performs goes through an open-addressed index (FlatIndex).
 class VpeTable {
  public:
-  VpeState* Find(VpeId id) {
-    return id < slots_.size() ? slots_[id].get() : nullptr;
-  }
-  const VpeState* Find(VpeId id) const {
-    return id < slots_.size() ? slots_[id].get() : nullptr;
-  }
+  VpeState* Find(VpeId id) { return index_.Find(Key(id)); }
+  const VpeState* Find(VpeId id) const { return index_.Find(Key(id)); }
 
   VpeState& At(VpeId id) {
     VpeState* vpe = Find(id);
@@ -224,38 +233,43 @@ class VpeTable {
   // Returns nullptr if `id` is already present (mirrors map::emplace).
   VpeState* Insert(VpeState&& vpe) {
     VpeId id = vpe.id;
-    if (id >= slots_.size()) {
-      slots_.resize(static_cast<size_t>(id) + 1);
-    }
-    if (slots_[id] != nullptr) {
+    if (Find(id) != nullptr) {
       return nullptr;
     }
-    slots_[id] = std::make_unique<VpeState>(std::move(vpe));
-    ++live_;
-    return slots_[id].get();
+    auto state = std::make_unique<VpeState>(std::move(vpe));
+    VpeState* raw = state.get();
+    by_id_.insert(LowerBound(id), std::move(state));
+    index_.Insert(Key(id), raw);
+    return raw;
   }
 
   void Erase(VpeId id) {
-    CHECK(id < slots_.size() && slots_[id] != nullptr);
-    slots_[id].reset();
-    --live_;
+    CHECK(index_.Erase(Key(id)) != nullptr) << "erase of unknown VPE " << id;
+    by_id_.erase(LowerBound(id));
   }
 
-  uint32_t size() const { return live_; }
+  uint32_t size() const { return static_cast<uint32_t>(by_id_.size()); }
 
   // Invokes fn(const VpeState&) for every live VPE in ascending id order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const auto& slot : slots_) {
-      if (slot != nullptr) {
-        fn(static_cast<const VpeState&>(*slot));
-      }
+    for (const auto& vpe : by_id_) {
+      fn(static_cast<const VpeState&>(*vpe));
     }
   }
 
  private:
-  std::vector<std::unique_ptr<VpeState>> slots_;
-  uint32_t live_ = 0;
+  // FlatIndex keys are non-zero; VPE ids start at 0.
+  static uint64_t Key(VpeId id) { return uint64_t{id} + 1; }
+
+  std::vector<std::unique_ptr<VpeState>>::iterator LowerBound(VpeId id) {
+    return std::lower_bound(
+        by_id_.begin(), by_id_.end(), id,
+        [](const std::unique_ptr<VpeState>& vpe, VpeId v) { return vpe->id < v; });
+  }
+
+  std::vector<std::unique_ptr<VpeState>> by_id_;  // ascending id
+  FlatIndex<VpeState> index_;
 };
 
 // Per-kernel capability storage, indexed by DDL key. Capabilities live in

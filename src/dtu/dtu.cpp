@@ -17,50 +17,32 @@ constexpr Cycles kMemAccessLatency = 60;
 }  // namespace
 
 Dtu::Dtu(Simulation* sim, DtuFabric* fabric, NodeId node)
-    : sim_(sim), fabric_(fabric), node_(node), eps_(kNumEps) {
+    : sim_(sim), fabric_(fabric), node_(node) {
   fabric_->Register(node, this);
 }
 
 void Dtu::ConfigureSend(EpId ep, NodeId dst_node, EpId dst_ep, uint32_t credits, uint64_t label) {
   CHECK(privileged_) << "send EP config on downgraded DTU " << node_;
   CHECK_LT(ep, kNumEps);
-  Endpoint& e = eps_[ep];
-  e = Endpoint{};
-  e.type = EpType::kSend;
-  e.dst_node = dst_node;
-  e.dst_ep = dst_ep;
-  e.credits = credits;
-  e.max_credits = credits;
-  e.label = label;
+  eps_[ep] = SendEp{dst_node, dst_ep, credits, credits, label};
 }
 
 void Dtu::ConfigureRecv(EpId ep, uint32_t slots, MsgHandler handler) {
   CHECK(privileged_) << "recv EP config on downgraded DTU " << node_;
   CHECK_LT(ep, kNumEps);
-  Endpoint& e = eps_[ep];
-  e = Endpoint{};
-  e.type = EpType::kReceive;
-  e.slots = slots;
-  e.occupied = 0;
-  e.handler = std::move(handler);
+  eps_[ep] = RecvEp{slots, 0, std::move(handler)};
 }
 
 void Dtu::ConfigureMem(EpId ep, NodeId dst_node, uint64_t base, uint64_t size, MemPerms perms) {
   CHECK(privileged_) << "mem EP config on downgraded DTU " << node_;
   CHECK_LT(ep, kNumEps);
-  Endpoint& e = eps_[ep];
-  e = Endpoint{};
-  e.type = EpType::kMemory;
-  e.dst_node = dst_node;
-  e.mem_base = base;
-  e.mem_size = size;
-  e.perms = perms;
+  eps_[ep] = MemEp{dst_node, perms, base, size};
 }
 
 void Dtu::InvalidateEp(EpId ep) {
   CHECK(privileged_);
   CHECK_LT(ep, kNumEps);
-  eps_[ep] = Endpoint{};
+  eps_[ep] = std::monostate{};
 }
 
 // The delivery closures below capture the target's id rather than its
@@ -74,17 +56,10 @@ void Dtu::ConfigureRemoteSend(NodeId target, EpId ep, NodeId dst_node, EpId dst_
   }
   CHECK(fabric_->At(target) != nullptr);
   fabric_->noc()->Send(node_, target, kConfigPacketBytes,
-                       [this, label, target, ep, dst_node, dst_ep, credits,
+                       [this, target, ep, send = SendEp{dst_node, dst_ep, credits, credits, label},
                         done = std::move(done)]() mutable {
                          // Privileged config bypasses the downgrade check.
-                         Endpoint& e = fabric_->At(target)->eps_.at(ep);
-                         e = Endpoint{};
-                         e.type = EpType::kSend;
-                         e.dst_node = dst_node;
-                         e.dst_ep = dst_ep;
-                         e.credits = credits;
-                         e.max_credits = credits;
-                         e.label = label;
+                         fabric_->At(target)->eps_.at(ep) = send;
                          if (done) {
                            sim_->Schedule(kConfigApplyCycles, std::move(done));
                          }
@@ -100,15 +75,9 @@ void Dtu::ConfigureRemoteMem(NodeId target, EpId ep, NodeId dst_node, uint64_t b
   }
   CHECK(fabric_->At(target) != nullptr);
   fabric_->noc()->Send(node_, target, kConfigPacketBytes,
-                       [this, base, size, target, ep, dst_node, perms,
+                       [this, target, ep, mem = MemEp{dst_node, perms, base, size},
                         done = std::move(done)]() mutable {
-                         Endpoint& e = fabric_->At(target)->eps_.at(ep);
-                         e = Endpoint{};
-                         e.type = EpType::kMemory;
-                         e.dst_node = dst_node;
-                         e.mem_base = base;
-                         e.mem_size = size;
-                         e.perms = perms;
+                         fabric_->At(target)->eps_.at(ep) = mem;
                          if (done) {
                            sim_->Schedule(kConfigApplyCycles, std::move(done));
                          }
@@ -124,7 +93,7 @@ void Dtu::InvalidateRemoteEp(NodeId target, EpId ep, Callback<void()> done) {
   CHECK(fabric_->At(target) != nullptr);
   fabric_->noc()->Send(node_, target, kConfigPacketBytes,
                        [this, target, ep, done = std::move(done)]() mutable {
-                         fabric_->At(target)->eps_.at(ep) = Endpoint{};
+                         fabric_->At(target)->eps_.at(ep) = std::monostate{};
                          if (done) {
                            sim_->Schedule(kConfigApplyCycles, std::move(done));
                          }
@@ -132,13 +101,17 @@ void Dtu::InvalidateRemoteEp(NodeId target, EpId ep, Callback<void()> done) {
 }
 
 Status Dtu::Send(EpId ep, MsgRef body, EpId reply_ep) {
-  CHECK_LT(ep, kNumEps);
-  Endpoint& e = eps_[ep];
-  if (e.type != EpType::kSend) {
+  // The reply comes back to reply_ep: an id this DTU does not have would
+  // only fail at delivery, on the replier's side.
+  if (ep >= kNumEps || (reply_ep >= kNumEps && reply_ep != kNoReplyEp)) {
+    return Refuse();
+  }
+  SendEp* e = std::get_if<SendEp>(&eps_[ep]);
+  if (e == nullptr) {
     stats_.sends_denied++;
     return Status(ErrCode::kInvalidArgs);
   }
-  if (e.credits == 0) {
+  if (e->credits == 0) {
     stats_.sends_denied++;
     return Status(ErrCode::kNoCredits);
   }
@@ -146,21 +119,21 @@ Status Dtu::Send(EpId ep, MsgRef body, EpId reply_ep) {
     stats_.msgs_lost_dead++;
     return Status(ErrCode::kUnreachable);
   }
-  e.credits--;
+  e->credits--;
   stats_.msgs_sent++;
 
   Message msg;
   msg.src_node = node_;
   msg.src_send_ep = ep;
   msg.reply_ep = reply_ep;
-  msg.label = e.label;
+  msg.label = e->label;
   msg.is_reply = false;
   msg.body = std::move(body);
   StampTrace(msg);
 
   uint32_t bytes = msg.body ? msg.body->WireSize() : 16;
-  NodeId dst_node = e.dst_node;
-  EpId dst_ep = e.dst_ep;
+  NodeId dst_node = e->dst_node;
+  EpId dst_ep = e->dst_ep;
   Dtu* remote = fabric_->At(dst_node);
   CHECK(remote != nullptr);
   fabric_->noc()->Send(node_, dst_node, bytes, [remote, dst_ep, msg = std::move(msg)]() mutable {
@@ -195,14 +168,21 @@ Status Dtu::SendTo(NodeId dst_node, EpId dst_ep, MsgRef body, EpId reply_ep, uin
   return Status::Ok();
 }
 
+Dtu::RecvEp* Dtu::AnswerableRecv(EpId ep) {
+  RecvEp* e = ep < kNumEps ? std::get_if<RecvEp>(&eps_[ep]) : nullptr;
+  if (e == nullptr || e->occupied == 0) {
+    stats_.cmds_refused++;
+    return nullptr;
+  }
+  return e;
+}
+
 Status Dtu::Reply(EpId recv_ep, const Message& msg, MsgRef body) {
-  CHECK_LT(recv_ep, kNumEps);
-  Endpoint& e = eps_[recv_ep];
-  if (e.type != EpType::kReceive) {
+  RecvEp* e = AnswerableRecv(recv_ep);
+  if (e == nullptr) {
     return Status(ErrCode::kInvalidArgs);
   }
-  CHECK_GT(e.occupied, 0u);
-  e.occupied--;
+  e->occupied--;
   if (dead_) {
     stats_.msgs_lost_dead++;
     return Status(ErrCode::kUnreachable);
@@ -265,11 +245,11 @@ Status Dtu::SendDeferredReply(const Message& msg, MsgRef body) {
 }
 
 void Dtu::Ack(EpId recv_ep, const Message& msg) {
-  CHECK_LT(recv_ep, kNumEps);
-  Endpoint& e = eps_[recv_ep];
-  CHECK(e.type == EpType::kReceive);
-  CHECK_GT(e.occupied, 0u);
-  e.occupied--;
+  RecvEp* e = AnswerableRecv(recv_ep);
+  if (e == nullptr) {
+    return;
+  }
+  e->occupied--;
   // Return the credit to the sender with a tiny control packet.
   NodeId dst_node = msg.src_node;
   EpId credit_ep = msg.src_send_ep;
@@ -291,28 +271,28 @@ void Dtu::Deliver(EpId ep, Message msg) {
     stats_.msgs_lost_dead++;
     return;
   }
-  Endpoint& e = eps_[ep];
+  RecvEp* e = std::get_if<RecvEp>(&eps_[ep]);
   if (msg.is_reply) {
     // Replies are received into the context the sender reserved when it
     // issued the request (M3 associates a reply slot with every send), so
     // they never compete for request slots and cannot be dropped.
-    if (e.type == EpType::kReceive && e.handler) {
+    if (e != nullptr && e->handler) {
       stats_.msgs_received++;
       RecordTransit(msg);
-      e.handler(ep, msg);
+      e->handler(ep, msg);
     } else {
       stats_.msgs_dropped++;
       LOG_WARN("dtu") << "node " << node_ << ": reply to unconfigured EP " << ep << " dropped";
     }
     return;
   }
-  if (e.type != EpType::kReceive) {
+  if (e == nullptr) {
     // Message to an unconfigured endpoint disappears (hardware drops it).
     stats_.msgs_dropped++;
     LOG_WARN("dtu") << "node " << node_ << ": message to non-recv EP " << ep << " dropped";
     return;
   }
-  if (e.occupied >= e.slots) {
+  if (e->occupied >= e->slots) {
     // Out of message slots: "If this limit is exceeded then the messages
     // will be lost" (paper §4.1). The kernel flow-control protocol must make
     // this unreachable; tests assert msgs_dropped == 0.
@@ -320,11 +300,11 @@ void Dtu::Deliver(EpId ep, Message msg) {
     LOG_ERROR("dtu") << "node " << node_ << ": EP " << ep << " out of slots, message LOST";
     return;
   }
-  e.occupied++;
+  e->occupied++;
   stats_.msgs_received++;
   RecordTransit(msg);
-  CHECK(e.handler) << "recv EP " << ep << " on node " << node_ << " has no handler";
-  e.handler(ep, msg);
+  CHECK(e->handler) << "recv EP " << ep << " on node " << node_ << " has no handler";
+  e->handler(ep, msg);
 }
 
 void Dtu::StampTrace(Message& msg) const {
@@ -346,39 +326,41 @@ void Dtu::RecordTransit(const Message& msg) {
 
 void Dtu::ReturnCredit(EpId send_ep) {
   CHECK_LT(send_ep, kNumEps);
-  Endpoint& e = eps_[send_ep];
-  if (e.type != EpType::kSend) {
+  SendEp* e = std::get_if<SendEp>(&eps_[send_ep]);
+  if (e == nullptr) {
     return;  // endpoint was reconfigured while the credit was in flight
   }
-  if (e.credits < e.max_credits) {
-    e.credits++;
+  if (e->credits < e->max_credits) {
+    e->credits++;
   }
 }
 
 Status Dtu::StartMemAccess(EpId mem_ep, uint64_t offset, uint64_t bytes, bool write,
                            Cycles* latency) {
-  CHECK_LT(mem_ep, kNumEps);
+  if (mem_ep >= kNumEps) {
+    return Refuse();
+  }
   if (dead_) {
     stats_.msgs_lost_dead++;
     return Status(ErrCode::kUnreachable);  // done never fires
   }
-  Endpoint& e = eps_[mem_ep];
-  if (e.type != EpType::kMemory) {
+  const MemEp* e = std::get_if<MemEp>(&eps_[mem_ep]);
+  if (e == nullptr) {
     return Status(ErrCode::kInvalidArgs);
   }
-  if (write ? !e.perms.write : !e.perms.read) {
+  if (write ? !e->perms.write : !e->perms.read) {
     return Status(ErrCode::kNoPerm);
   }
   // Compared without the sum, which a hostile offset can wrap past 2^64.
-  if (bytes > e.mem_size || offset > e.mem_size - bytes) {
+  if (bytes > e->size || offset > e->size - bytes) {
     return Status(ErrCode::kOutOfRange);
   }
   // Timing: request packet there, data back (or data there, ack back),
   // plus a fixed memory latency. Uncontended by design — the paper's own
   // methodology excludes memory contention (§5.3.1).
   Noc* noc = fabric_->noc();
-  Cycles there = noc->UnloadedLatency(node_, e.dst_node, 16);
-  Cycles back = noc->UnloadedLatency(e.dst_node, node_, static_cast<uint32_t>(
+  Cycles there = noc->UnloadedLatency(node_, e->dst_node, 16);
+  Cycles back = noc->UnloadedLatency(e->dst_node, node_, static_cast<uint32_t>(
                                                             bytes > 0xffffffffull ? 0xffffffffull
                                                                                   : bytes));
   *latency = there + kMemAccessLatency + back;
@@ -393,18 +375,19 @@ Status Dtu::StartMemAccess(EpId mem_ep, uint64_t offset, uint64_t bytes, bool wr
 
 uint32_t Dtu::Credits(EpId ep) const {
   CHECK_LT(ep, kNumEps);
-  return eps_[ep].credits;
+  const SendEp* e = std::get_if<SendEp>(&eps_[ep]);
+  return e != nullptr ? e->credits : 0;
 }
 
 uint32_t Dtu::FreeSlots(EpId ep) const {
   CHECK_LT(ep, kNumEps);
-  const Endpoint& e = eps_[ep];
-  return e.slots - e.occupied;
+  const RecvEp* e = std::get_if<RecvEp>(&eps_[ep]);
+  return e != nullptr ? e->slots - e->occupied : 0;
 }
 
 bool Dtu::EpValid(EpId ep) const {
   CHECK_LT(ep, kNumEps);
-  return eps_[ep].type != EpType::kInvalid;
+  return !std::holds_alternative<std::monostate>(eps_[ep]);
 }
 
 }  // namespace semperos

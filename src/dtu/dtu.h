@@ -18,12 +18,20 @@
 // NoC-level configuration packet.
 //
 // Platform parameters follow paper §5.1: 16 endpoints, 32 message slots each.
+// The endpoint registers live inside the Dtu (32 bytes each, 512 per PE):
+// every PE of the largest platform has one.
+//
+// The program on a user PE is untrusted. A command it issues that names an
+// endpoint the DTU does not have, a reply endpoint it does not have, or a
+// reply or ack with no received message to answer is refused (kInvalidArgs)
+// and counted in DtuStats::cmds_refused.
 #ifndef SEMPEROS_DTU_DTU_H_
 #define SEMPEROS_DTU_DTU_H_
 
+#include <array>
 #include <cstdint>
-#include <functional>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "base/status.h"
@@ -72,7 +80,11 @@ struct DtuStats {
   uint64_t msgs_received = 0;
   uint64_t msgs_dropped = 0;  // arrived with no free slot (protocol bug!)
   uint64_t msgs_lost_dead = 0;  // swallowed by a killed node (fault injection)
-  uint64_t sends_denied = 0;  // no credits / bad endpoint
+  uint64_t sends_denied = 0;  // no credits / not a send endpoint
+  // Commands refused as malformed (see the file comment): an endpoint or
+  // reply-endpoint id past kNumEps, a reply or ack on an endpoint with no
+  // message to answer.
+  uint64_t cmds_refused = 0;
   uint64_t mem_reads = 0;
   uint64_t mem_writes = 0;
   uint64_t mem_bytes = 0;
@@ -88,7 +100,10 @@ class Dtu {
   // this many cycles after delivery, back on the caller's shard.
   static constexpr Cycles kConfigApplyCycles = 8;
 
-  using MsgHandler = std::function<void(EpId ep, const Message& msg)>;
+  // A receive endpoint's handler. Every library handler captures only its
+  // owner (`this`), which 8 bytes hold in place; a larger capture (a test's
+  // lambda) goes to the heap.
+  using MsgHandler = InlineFunction<void(EpId ep, const Message& msg), 8>;
 
   Dtu(Simulation* sim, DtuFabric* fabric, NodeId node);
 
@@ -127,6 +142,8 @@ class Dtu {
 
   // Sends a message through send endpoint `ep`. Consumes one credit; the
   // credit returns when the receiver replies (or acks with credit return).
+  // `reply_ep` is one of this DTU's endpoints or kNoReplyEp; anything else
+  // is refused.
   Status Send(EpId ep, MsgRef body, EpId reply_ep = kNoReplyEp);
 
   // Privileged raw send to an arbitrary (node, endpoint). Models the M3
@@ -136,11 +153,13 @@ class Dtu {
                 uint64_t label = 0);
 
   // Replies to a received message: frees the slot, returns the sender's
-  // credit, and delivers `body` to the sender's reply endpoint.
+  // credit, and delivers `body` to the sender's reply endpoint. Refused if
+  // `recv_ep` holds no received message (a second reply to one message).
   Status Reply(EpId recv_ep, const Message& msg, MsgRef body);
 
   // Frees the slot of a received message without sending a payload back.
-  // Still returns the sender's credit (models M3's ACK).
+  // Still returns the sender's credit (models M3's ACK). Ignored, and
+  // counted in cmds_refused, if `recv_ep` holds no received message.
   void Ack(EpId recv_ep, const Message& msg);
 
   // Sends `body` as a reply-typed message to the sender of `msg` without
@@ -169,29 +188,40 @@ class Dtu {
   const DtuStats& stats() const { return stats_; }
 
  private:
-  enum class EpType { kInvalid, kSend, kReceive, kMemory };
-
-  struct Endpoint {
-    EpType type = EpType::kInvalid;
-    // Send
+  // An endpoint holds the registers of its type only; std::monostate is an
+  // unconfigured (or invalidated) endpoint.
+  struct SendEp {
     NodeId dst_node = kInvalidNode;
     EpId dst_ep = 0;
     uint32_t credits = 0;
     uint32_t max_credits = 0;
     uint64_t label = 0;
-    // Receive
+  };
+  struct RecvEp {
     uint32_t slots = 0;
     uint32_t occupied = 0;
     MsgHandler handler;
-    // Memory
-    uint64_t mem_base = 0;
-    uint64_t mem_size = 0;
-    MemPerms perms;
   };
+  struct MemEp {
+    NodeId dst_node = kInvalidNode;
+    MemPerms perms;
+    uint64_t base = 0;
+    uint64_t size = 0;
+  };
+  using Endpoint = std::variant<std::monostate, SendEp, RecvEp, MemEp>;
+  static_assert(sizeof(Endpoint) <= 32);
 
   // Called by the fabric when a message arrives at this DTU.
   void Deliver(EpId ep, Message msg);
   void ReturnCredit(EpId send_ep);
+  // The receive endpoint `ep` if it holds a message to answer, else null
+  // after counting the refused command.
+  RecvEp* AnswerableRecv(EpId ep);
+  // Counts a malformed command and returns its refusal.
+  Status Refuse() {
+    stats_.cmds_refused++;
+    return Status(ErrCode::kInvalidArgs);
+  }
 
   // Observability hooks. Stamp: record when a traced message hits the wire;
   // RecordTransit: close the wire-transit span at delivery, on the receiving
@@ -218,7 +248,7 @@ class Dtu {
   NodeId node_;
   bool privileged_ = true;
   bool dead_ = false;  // fault injection: node powered off (see Kill)
-  std::vector<Endpoint> eps_;
+  std::array<Endpoint, kNumEps> eps_;
   DtuStats stats_;
 
   friend class DtuFabric;

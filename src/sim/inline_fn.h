@@ -4,7 +4,7 @@
 // InlineFunction<R(Args...), kBytes> stores a callable of up to kBytes in
 // place (no allocation, no indirection) and falls back to the heap only for
 // larger captures. It is move-only, callable any number of times, and can be
-// fired once (call, then destroy, in one indirect call). Two instances cover
+// fired once (call, then destroy, in one indirect call). Three sizes cover
 // the whole simulator:
 //
 //  * InlineFn — InlineFunction<void(), 104>: every simulated event and every
@@ -14,6 +14,9 @@
 //    (syscall and service replies, IKC and ask replies, DTU endpoint
 //    configuration). With its vtable pointer it is one 64-byte cache line,
 //    so an event closure can carry one alongside a few scalars.
+//  * Dtu::MsgHandler — InlineFunction<void(EpId, const Message&), 8>: a
+//    receive endpoint's handler, which captures only its owner. At 16 bytes
+//    it keeps a PE's 16 endpoints inline in its DTU (dtu/dtu.h).
 //
 // Small captures, not bigger buffers. A continuation captures `this` plus a
 // record pointer or a token; the state of an operation in flight lives in a

@@ -271,7 +271,15 @@ void TraceReplayer::Setup() {
 void TraceReplayer::Start() {
   result_.start = pe_->sim()->Now();
   env_->OpenSession("m3fs", [this](const SyscallReply& reply) {
-    CHECK(reply.err == ErrCode::kOk) << "session open failed: " << ErrName(reply.err);
+    if (reply.err != ErrCode::kOk) {
+      // A service PE is untrusted: its refusal ends the replay, not the
+      // simulation.
+      result_.end = pe_->sim()->Now();
+      result_.syscalls = env_->syscalls_issued();
+      result_.error = reply.err;
+      return;
+    }
+    result_.session = true;
     runner_.Run(env_.get(), reply.sel, [this] { Finish(); });
   });
 }

@@ -104,8 +104,10 @@ class TraceReplayer : public Program {
     Cycles end = 0;
     uint32_t cap_ops = 0;   // session open + exchanges + revokes caused
     uint64_t syscalls = 0;  // total syscalls issued (incl. activates)
-    // A refused operation ends the run early (done stays false): its index
-    // in the trace and the error.
+    // A refused m3fs session or operation ends the run early (done stays
+    // false) with the error. Without a session no trace op ran; otherwise
+    // failed_op is the refused operation's index in the trace.
+    bool session = false;
     ErrCode error = ErrCode::kOk;
     size_t failed_op = 0;
     Cycles runtime() const { return end - start; }

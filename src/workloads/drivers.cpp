@@ -402,11 +402,17 @@ void RegisterTrace() {
     out.outcome.emplace().Harvest(&platform, setup);
     const TraceReplayer::Result& result = app->result();
     if (!result.done) {
-      // The replay stopped at the first operation m3fs or the kernel refused.
-      std::fprintf(stderr, "%s: operation %zu (%s) refused: %s\n", path.c_str(),
-                   result.failed_op + 1,
-                   FormatTraceOp(trace, trace.ops[result.failed_op]).c_str(),
-                   ErrName(result.error));
+      // The replay stopped at the m3fs session open or at the first
+      // operation m3fs or the kernel refused.
+      if (!result.session) {
+        std::fprintf(stderr, "%s: m3fs session refused: %s\n", path.c_str(),
+                     ErrName(result.error));
+      } else {
+        std::fprintf(stderr, "%s: operation %zu (%s) refused: %s\n", path.c_str(),
+                     result.failed_op + 1,
+                     FormatTraceOp(trace, trace.ops[result.failed_op]).c_str(),
+                     ErrName(result.error));
+      }
       out.exit_code = 1;
       return out;
     }

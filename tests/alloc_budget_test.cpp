@@ -12,14 +12,17 @@
 // asserts a per-event budget a little above those residuals, so a closure
 // or record that starts allocating per event fails here as its own test.
 //
-// The byte budgets hold the per-instance setup of the largest scale point
-// (4,096 instances) in check: copying a frozen m3fs image for a service,
-// and building one instance's trace.
+// The byte budgets hold the largest scale point (4,096 instances) in
+// check: copying a frozen m3fs image for a service, building one
+// instance's trace, and constructing and booting the platform (DTU
+// endpoints, per-kernel VPE tables). One more holds a VPE's selector table
+// to its live capabilities under derive/revoke churn.
 //
-// The per-event budgets are skipped where the count does not describe the
-// default build: SEMPEROS_DISABLE_POOLS (every closure and record is a
-// fresh allocation by design), SEMPEROS_TRACE (span recording) and
-// SEMPEROS_THREADS (the sharded engine's outboxes).
+// The per-event budgets, and the byte budgets that run a platform, are
+// skipped where the count does not describe the default build:
+// SEMPEROS_DISABLE_POOLS (every closure and record is a fresh allocation by
+// design), SEMPEROS_TRACE (span recording) and SEMPEROS_THREADS (the
+// sharded engine's outboxes).
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -32,6 +35,7 @@
 #include <gtest/gtest.h>
 
 #include "fs/fs_image.h"
+#include "system/client.h"
 #include "system/experiment.h"
 #include "system/platform.h"
 #include "trace/replayer.h"
@@ -222,10 +226,11 @@ Count RunAppsShape(uint32_t kernels, uint32_t services, uint32_t instances) {
 }
 
 // Budgets: allocations per event during RunToCompletion. On these shapes
-// the request path measured 0.0017 (nginx), 0.015 (postmark spanning, almost
-// all of it m3fs image growth for the mail files) and 0.093 (apps: the
-// per-instance session, file-record and selector-table setup of only 64
-// short replays, and image growth) allocations per event. With
+// the request path measured 0.0015 (nginx; 0.0018 while selector tables
+// kept a slot for every selector ever used), 0.015 (postmark spanning,
+// almost all of it m3fs image growth for the mail files) and 0.092 (apps:
+// the per-instance session, file-record and selector-table setup of only
+// 64 short replays, and image growth) allocations per event. With
 // std::function continuations and node-based kernel and m3fs tables the
 // same shapes allocated 0.96, 1.04 and 1.16 per event.
 
@@ -236,7 +241,7 @@ TEST(AllocBudget, NginxLocal) {
   }
   Count c = RunOpenLoopShape("nginx", /*kernels=*/4, /*services=*/4, /*servers=*/32,
                              /*rate_rps=*/400'000, /*requests=*/20'000);
-  EXPECT_LT(c.PerEvent(), 0.005) << c.allocs << " allocations in " << c.events << " events";
+  EXPECT_LT(c.PerEvent(), 0.003) << c.allocs << " allocations in " << c.events << " events";
 }
 
 TEST(AllocBudget, PostmarkSpanning) {
@@ -286,6 +291,77 @@ TEST(MemoryBudget, PostmarkTraceBuild) {
               static_cast<unsigned long long>(bytes));
   EXPECT_LT(bytes, 8u * 1024) << trace.ops.size() << " ops";
   EXPECT_EQ(trace.expected_cap_ops, 38u);
+}
+
+// A VPE's selector table holds its live capabilities only. Selectors are
+// never reused, so 10,000 derive/revoke cycles name 10,000 selectors while
+// at most two capabilities are live. A table indexed by selector grew with
+// every one of them: 260,096 bytes over these cycles, where everything else
+// the cycles use is recycled (0 bytes now). The budget counts every
+// allocation of the cycles, so it runs on the default build only, like the
+// per-event budgets.
+TEST(MemoryBudget, SelectorTableUnderDeriveRevokeChurn) {
+  std::string why;
+  if (SkipReason(&why)) {
+    GTEST_SKIP() << why;
+  }
+  PlatformConfig pc;
+  pc.kernels = 1;
+  pc.users = 1;
+  pc.threads = kForceSerialThreads;
+  DriverRig rig = MakeDriverRig(pc);
+  CapSel root = rig.Grant(0, 1 << 20);
+  UserEnv& env = rig.client(0).env();
+  auto cycle = [&] {
+    SyscallReply derived;
+    env.DeriveMem(root, 0, 4096, kPermR, [&](const SyscallReply& r) { derived = r; });
+    rig.p().RunToCompletion();
+    ASSERT_EQ(derived.err, ErrCode::kOk);
+    SyscallReply revoked;
+    env.Revoke(derived.sel, [&](const SyscallReply& r) { revoked = r; });
+    rig.p().RunToCompletion();
+    ASSERT_EQ(revoked.err, ErrCode::kOk);
+  };
+  for (int i = 0; i < 100; ++i) {
+    cycle();  // pools and rings reach their peak
+  }
+  uint64_t bytes = BytesAllocatedBy([&] {
+    for (int i = 0; i < 10'000; ++i) {
+      cycle();
+    }
+  });
+  std::printf("  10,000 derive/revoke cycles: %llu bytes\n",
+              static_cast<unsigned long long>(bytes));
+  EXPECT_LT(bytes, 4096u);
+  EXPECT_EQ(rig.kernel_of_client(0)->FindVpe(rig.vpe(0))->table.size(), 2u);
+}
+
+// Construction and boot of the largest scale point (64 kernels, 64 m3fs
+// PEs, 4,096 instances; no programs attached): 13.1 MB. Each PE's DTU
+// keeps its 16 endpoints inline, 32 bytes each, and each kernel's VPE
+// table indexes its own group only. With a heap vector of 96-byte
+// endpoints per DTU and a slot for every PE in every kernel's VPE table,
+// this allocated 20.3 MB. Boot's closures and spans are allocations of
+// their own with pools off or tracing on, so the budget runs on the
+// default build only.
+TEST(MemoryBudget, LargestPlatformConstructAndBoot) {
+  std::string why;
+  if (SkipReason(&why)) {
+    GTEST_SKIP() << why;
+  }
+  PlatformConfig pc;
+  pc.kernels = 64;
+  pc.services = 64;
+  pc.users = 4096;
+  pc.threads = kForceSerialThreads;
+  std::optional<Platform> platform;
+  uint64_t bytes = BytesAllocatedBy([&] {
+    platform.emplace(pc);
+    platform->Boot();
+  });
+  std::printf("  %zu-PE platform: %llu bytes\n", platform->user_nodes().size(),
+              static_cast<unsigned long long>(bytes));
+  EXPECT_LT(bytes, 16'000'000u);
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 // and Pointless.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "audit/cap_audit.h"
@@ -700,6 +702,163 @@ TEST(CapSpace, IndexDeletionAcrossWrapAround) {
   }
   EXPECT_EQ(index.Erase(999), nullptr);
   EXPECT_EQ(index.size(), 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Selector and VPE tables: live entries only, iterated in ascending order
+// ---------------------------------------------------------------------------
+
+// Every query of `table` agrees with the std::map reference.
+void ExpectSameTable(const CapTable& table, const std::map<CapSel, uint64_t>& ref) {
+  ASSERT_EQ(table.size(), ref.size());
+  ASSERT_EQ(table.LastSel(), ref.empty() ? kInvalidSel : ref.rbegin()->first);
+  auto it = ref.begin();
+  table.ForEach([&](CapSel sel, DdlKey key) {
+    ASSERT_TRUE(it != ref.end());
+    EXPECT_EQ(sel, it->first);
+    EXPECT_EQ(key.raw(), it->second);
+    ++it;
+  });
+  EXPECT_TRUE(it == ref.end());
+  for (const auto& [sel, raw] : ref) {
+    ASSERT_EQ(table.Find(sel).raw(), raw) << "selector " << sel;
+  }
+  if (!ref.empty()) {
+    // Any visits in ascending order and stops at the first hit.
+    auto mid = std::next(ref.begin(), static_cast<long>(ref.size() / 2));
+    std::vector<CapSel> visited;
+    EXPECT_TRUE(table.Any([&](CapSel sel, DdlKey) {
+      visited.push_back(sel);
+      return sel == mid->first;
+    }));
+    ASSERT_EQ(visited.size(), ref.size() / 2 + 1);
+    EXPECT_EQ(visited.front(), ref.begin()->first);
+  }
+  EXPECT_FALSE(table.Any([](CapSel, DdlKey) { return false; }));
+}
+
+// Random set, erase and find against a std::map. Most sets append the next
+// sequential selector (a new capability); the rest set a selector below the
+// highest live one (migration install, which may arrive out of order),
+// overwrite a live one, or use a selector near 2^32 - 1.
+TEST(CapTable, MatchesReferenceUnderChurn) {
+  for (uint64_t seed : {1, 2, 3}) {
+    Rng rng(seed);
+    CapTable table;
+    std::map<CapSel, uint64_t> ref;
+    CapSel next_sel = 1;
+    for (int step = 0; step < 20000; ++step) {
+      uint64_t roll = rng.NextBelow(100);
+      DdlKey key = RandomKey(&rng);
+      if (roll < 35) {
+        CapSel sel = next_sel++;
+        table.Set(sel, key);
+        ref[sel] = key.raw();
+      } else if (roll < 45) {
+        CapSel sel = static_cast<CapSel>(rng.NextBelow(next_sel));
+        table.Set(sel, key);
+        ref[sel] = key.raw();
+      } else if (roll < 50 && !ref.empty()) {
+        auto it = std::next(ref.begin(), static_cast<long>(rng.NextBelow(ref.size())));
+        table.Set(it->first, key);
+        it->second = key.raw();
+        ASSERT_EQ(table.Find(it->first), key) << "overwrite of a live selector";
+      } else if (roll < 53) {
+        CapSel sel = kInvalidSel - 1 - static_cast<CapSel>(rng.NextBelow(8));
+        table.Set(sel, key);
+        ref[sel] = key.raw();
+      } else if (roll < 90) {
+        // Erase a live selector, or one that is not in the table.
+        CapSel sel = static_cast<CapSel>(rng.NextBelow(next_sel + 1));
+        if (!ref.empty() && rng.NextBelow(4) != 0) {
+          sel = std::next(ref.begin(), static_cast<long>(rng.NextBelow(ref.size())))->first;
+        }
+        table.Erase(sel);
+        ref.erase(sel);
+        ASSERT_TRUE(table.Find(sel).IsNull());
+      } else {
+        CapSel sel = static_cast<CapSel>(rng.NextBelow(next_sel + 1));
+        auto it = ref.find(sel);
+        ASSERT_EQ(table.Find(sel).raw(), it == ref.end() ? 0u : it->second);
+      }
+      ASSERT_EQ(table.size(), ref.size());
+      if (step % 97 == 0) {
+        ExpectSameTable(table, ref);
+      }
+    }
+    ExpectSameTable(table, ref);
+    while (!ref.empty()) {
+      table.Erase(ref.begin()->first);
+      ref.erase(ref.begin());
+    }
+    ExpectSameTable(table, ref);
+  }
+}
+
+// Insert, duplicate insert, erase and find against a std::map, with VPE ids
+// spread over a platform of 20,000 PEs: every state keeps its address while
+// it lives, and ForEach runs in ascending id order.
+TEST(VpeTable, MatchesReferenceUnderChurn) {
+  for (uint64_t seed : {1, 2, 3}) {
+    Rng rng(seed);
+    VpeTable table;
+    std::map<VpeId, VpeState*> ref;  // id -> address at insert
+    for (int step = 0; step < 5000; ++step) {
+      uint64_t roll = rng.NextBelow(100);
+      // Grow to a few hundred VPEs, then shrink, then grow again.
+      bool growing = (step / 1000) % 2 == 0;
+      if (roll < (growing ? 50u : 20u)) {
+        VpeState vpe;
+        vpe.id = static_cast<VpeId>(rng.NextBelow(20000));
+        vpe.node = vpe.id;
+        vpe.next_sel = vpe.id + 7;  // marks the state as this insert's
+        VpeId id = vpe.id;
+        VpeState* got = table.Insert(std::move(vpe));
+        if (ref.count(id) != 0) {
+          ASSERT_EQ(got, nullptr) << "duplicate insert of " << id;
+        } else {
+          ASSERT_NE(got, nullptr);
+          ref[id] = got;
+        }
+      } else if (roll < 60 && !ref.empty()) {
+        // Duplicate insert of a live id: refused, the live state untouched.
+        auto it = std::next(ref.begin(), static_cast<long>(rng.NextBelow(ref.size())));
+        VpeState dup;
+        dup.id = it->first;
+        dup.next_sel = 1;
+        ASSERT_EQ(table.Insert(std::move(dup)), nullptr);
+        ASSERT_EQ(table.Find(it->first), it->second);
+        ASSERT_EQ(it->second->next_sel, it->first + 7);
+      } else if (roll < 85 && !ref.empty()) {
+        auto it = std::next(ref.begin(), static_cast<long>(rng.NextBelow(ref.size())));
+        VpeId id = it->first;
+        table.Erase(id);
+        ref.erase(it);
+        ASSERT_EQ(table.Find(id), nullptr);
+      } else {
+        VpeId id = static_cast<VpeId>(rng.NextBelow(20000));
+        auto it = ref.find(id);
+        ASSERT_EQ(table.Find(id), it == ref.end() ? nullptr : it->second);
+      }
+      ASSERT_EQ(table.size(), ref.size());
+      if (step % 53 == 0) {
+        for (const auto& [id, state] : ref) {
+          ASSERT_EQ(table.Find(id), state) << "VPE " << id << " moved or vanished";
+          ASSERT_EQ(&table.At(id), state);
+          ASSERT_EQ(state->id, id);
+          ASSERT_EQ(state->next_sel, id + 7);
+        }
+        auto it = ref.begin();
+        table.ForEach([&](const VpeState& vpe) {
+          ASSERT_TRUE(it != ref.end());
+          EXPECT_EQ(vpe.id, it->first);
+          EXPECT_EQ(&vpe, it->second);
+          ++it;
+        });
+        EXPECT_TRUE(it == ref.end());
+      }
+    }
+  }
 }
 
 }  // namespace

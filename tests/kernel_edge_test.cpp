@@ -32,8 +32,13 @@ class RawSyscallClient : public Program {
 
   // Sends any body on the syscall gate, a syscall or not.
   void Send(MsgRef msg) {
-    Status st = pe_->dtu().Send(user_ep::kSyscallSend, std::move(msg), user_ep::kSyscallReply);
+    Status st = SendReplyingTo(std::move(msg), user_ep::kSyscallReply);
     ASSERT_TRUE(st.ok()) << st.name();
+  }
+  // Sends on the syscall gate naming any reply endpoint; returns what the
+  // DTU answered.
+  Status SendReplyingTo(MsgRef msg, EpId reply_ep) {
+    return pe_->dtu().Send(user_ep::kSyscallSend, std::move(msg), reply_ep);
   }
 
   std::vector<ErrCode> replies;
@@ -55,9 +60,13 @@ class RawParty : public Program {
   size_t asks() const { return asks_.size(); }
   uint64_t token(size_t i) const { return asks_.at(i).As<AskMsg>()->token; }
   void Answer(size_t i, MsgRef body) {
-    Status st = pe_->dtu().Reply(user_ep::kAsk, asks_.at(i), std::move(body));
+    Status st = TryAnswer(i, std::move(body));
     ASSERT_TRUE(st.ok()) << st.name();
   }
+  Status TryAnswer(size_t i, MsgRef body) {
+    return pe_->dtu().Reply(user_ep::kAsk, asks_.at(i), std::move(body));
+  }
+  void Ack(size_t i) { pe_->dtu().Ack(user_ep::kAsk, asks_.at(i)); }
   // The reply an honest party gives: share the capability asked about.
   MsgRef Honest(size_t i) const {
     auto reply = NewMsg<AskReply>();
@@ -144,6 +153,76 @@ TEST(Identity, RawSyscallActsAsTheSendingVpe) {
   EXPECT_EQ(client->replies[0], ErrCode::kNoSuchCap);
   EXPECT_NE(p.kernel(0)->CapOf(victim, victim_sel), nullptr);
   EXPECT_EQ(p.TotalDrops(), 0u);
+}
+
+MsgRef NoopSyscall() {
+  auto msg = NewMsg<SyscallMsg>();
+  msg->op = SyscallOp::kNoop;
+  msg->token = 1;
+  return msg;
+}
+
+// A user PE's DTU refuses commands that name an endpoint it does not have:
+// a syscall whose reply endpoint is past the DTU's 16 (the kernel's reply
+// would have nowhere to land), and a send, reply, read, write or ack on
+// such an endpoint. Nothing leaves the PE, no credit is spent, and the
+// next honest syscall is served.
+TEST(Identity, EndpointIdsPastTheDtuAreRefused) {
+  PlatformConfig pc;
+  pc.kernels = 1;
+  pc.users = 1;
+  Platform p(pc);
+  NodeId sender = p.user_nodes()[0];
+  RawSyscallClient* client = Attach<RawSyscallClient>(p, sender, p.kernel_node(0));
+  p.Boot();
+  Dtu& dtu = p.pe(sender)->dtu();
+
+  EXPECT_EQ(client->SendReplyingTo(NoopSyscall(), Dtu::kNumEps).code(), ErrCode::kInvalidArgs);
+  p.RunToCompletion();
+  EXPECT_EQ(dtu.Send(Dtu::kNumEps, NoopSyscall(), user_ep::kSyscallReply).code(),
+            ErrCode::kInvalidArgs);
+  EXPECT_EQ(dtu.Reply(Dtu::kNumEps, Message{}, NoopSyscall()).code(), ErrCode::kInvalidArgs);
+  EXPECT_EQ(dtu.Read(Dtu::kNumEps, 0, 64, [] {}).code(), ErrCode::kInvalidArgs);
+  EXPECT_EQ(dtu.Write(Dtu::kNumEps, 0, 64, [] {}).code(), ErrCode::kInvalidArgs);
+  dtu.Ack(Dtu::kNumEps, Message{});
+  EXPECT_EQ(dtu.stats().cmds_refused, 6u);
+  EXPECT_EQ(dtu.Credits(user_ep::kSyscallSend), 1u);
+  p.RunToCompletion();
+  EXPECT_TRUE(client->replies.empty());
+  EXPECT_EQ(p.kernel(0)->stats().syscalls, 0u);
+
+  client->Send(NoopSyscall());
+  p.RunToCompletion();
+  ASSERT_EQ(client->replies.size(), 1u);
+  EXPECT_EQ(client->replies[0], ErrCode::kOk);
+  EXPECT_EQ(p.TotalDrops(), 0u);
+}
+
+// A second reply to one message, and an ack after it, find no message to
+// answer: both are refused and counted instead of failing the DTU's slot
+// accounting. The first answer completes the obtain, and the party goes on
+// serving asks.
+TEST(Identity, SecondReplyToOneMessageIsRefused) {
+  PartyRig rig;
+  RawParty* party = rig.parties[0];
+  Dtu& dtu = rig.p.pe(rig.p.user_nodes()[0])->dtu();
+  rig.Obtain(0, 0);
+  ASSERT_EQ(party->asks(), 1u);
+  party->Answer(0, party->Honest(0));
+  EXPECT_EQ(party->TryAnswer(0, party->Honest(0)).code(), ErrCode::kInvalidArgs);
+  party->Ack(0);
+  EXPECT_EQ(dtu.stats().cmds_refused, 2u);
+  EXPECT_EQ(dtu.FreeSlots(user_ep::kAsk), 4u);
+  rig.p.RunToCompletion();
+  EXPECT_EQ(rig.got[0], ErrCode::kOk);
+  EXPECT_EQ(rig.p.kernel(0)->stats().user_msgs_dropped, 0u);
+
+  rig.Obtain(1, 0);
+  ASSERT_EQ(party->asks(), 2u);
+  party->Answer(1, party->Honest(1));
+  rig.p.RunToCompletion();
+  EXPECT_EQ(rig.got[1], ErrCode::kOk);
+  EXPECT_EQ(rig.p.TotalDrops(), 0u);
 }
 
 // Untrusted user PEs: a body that is not a syscall on a syscall gate is

@@ -196,6 +196,54 @@ TEST(Replayer, AnswerThatIsNotAnFsReplyRefusesTheOp) {
   }
 }
 
+// An m3fs impostor that refuses every ask, the session open included.
+class RefusingService : public Program {
+ public:
+  explicit RefusingService(NodeId kernel_node) : kernel_node_(kernel_node) {}
+
+  void Setup() override {
+    env_ = std::make_unique<UserEnv>(pe_, kernel_node_, /*ask_cost=*/0);
+    env_->SetupEps(/*is_service=*/true);
+    env_->SetAskHandler([](const AskMsg&, UserEnv::AskReplyFn reply) {
+      AskReply answer;
+      answer.err = ErrCode::kNoPerm;
+      reply.Fire(std::move(answer));
+    });
+  }
+  void Start() override { env_->RegisterService("m3fs", [](const SyscallReply&) {}); }
+
+ private:
+  NodeId kernel_node_;
+  std::unique_ptr<UserEnv> env_;
+};
+
+// A service PE is untrusted: a refused session open ends the replay with
+// the service's error before any trace op runs, and the simulation goes on.
+TEST(Replayer, RefusedSessionOpenEndsTheRun) {
+  Trace trace;
+  trace.app = "t";
+  trace.Open("/f", kOpenRead);
+  PlatformConfig pc;
+  pc.kernels = 1;
+  pc.services = 1;
+  pc.users = 1;
+  Platform p(pc);
+  p.pe(p.service_nodes()[0])->AttachProgram(std::make_unique<RefusingService>(p.kernel_node(0)));
+  auto replayer = std::make_unique<TraceReplayer>(trace, p.kernel_node(0), pc.timing);
+  TraceReplayer* app = replayer.get();
+  p.pe(p.user_nodes()[0])->AttachProgram(std::move(replayer));
+  p.Boot();
+  p.RunToCompletion();
+  const TraceReplayer::Result& r = app->result();
+  EXPECT_FALSE(r.done);
+  EXPECT_FALSE(r.session);
+  EXPECT_EQ(r.error, ErrCode::kNoPerm);
+  EXPECT_EQ(r.cap_ops, 0u);
+  EXPECT_EQ(r.syscalls, 1u);  // the session open
+  EXPECT_GT(r.end, r.start);
+  EXPECT_EQ(p.TotalDrops(), 0u);
+}
+
 TEST(Nginx, RequestTraceShape) {
   Trace trace = MakeNginxRequestTrace();
   EXPECT_EQ(trace.expected_cap_ops, 2u);
