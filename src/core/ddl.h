@@ -107,26 +107,15 @@ namespace semperos {
 
 // Membership table: partition (= PE id) -> kernel id. Present at every
 // kernel (paper Figure 2, left). Boot-time assignments use Assign; runtime
-// reassignments (PE migration) go through Reassign/Apply, which version the
-// table with an epoch so kernels can tell stale views from current ones.
+// reassignments (PE migration, failover) go through Apply, which versions
+// the table with an epoch so kernels can tell stale views from current ones.
 class MembershipTable {
  public:
   MembershipTable() = default;
   explicit MembershipTable(uint32_t pe_count) : kernel_of_(pe_count, kInvalidKernel) {}
 
   // Boot-time wiring; does not touch the epochs (every kernel starts at 0).
-  void Assign(NodeId pe, KernelId kernel) { Remap(pe, kernel); }
-
-  // Single-step authoritative reassignment: bump and apply at once.
-  // Returns the new epoch. Used where the caller owns the table copy (the
-  // platform's rebalancer view, tests); the kernel handoff protocol mints
-  // the epoch at transfer time and applies it later via Apply.
-  uint64_t Reassign(NodeId pe, KernelId kernel) {
-    Remap(pe, kernel);
-    ++epoch_;
-    PeEpochs().at(pe) = epoch_;
-    return epoch_;
-  }
+  void Assign(NodeId pe, KernelId kernel) { kernel_of_.at(pe) = kernel; }
 
   // Applies a reassignment learned from a peer kernel. Per-PE epochs gate
   // the mapping: back-to-back migrations of one PE broadcast from
@@ -138,7 +127,7 @@ class MembershipTable {
   // The table-wide epoch merges monotonically for observers.
   void Apply(NodeId pe, KernelId kernel, uint64_t epoch) {
     if (epoch > PeEpochs().at(pe)) {
-      Remap(pe, kernel);
+      kernel_of_[pe] = kernel;
       pe_epoch_[pe] = epoch;
     }
     epoch_ = epoch > epoch_ ? epoch : epoch_;
@@ -152,31 +141,9 @@ class MembershipTable {
 
   uint32_t PeCount() const { return static_cast<uint32_t>(kernel_of_.size()); }
 
-  // Number of PEs assigned to `kernel`. Maintained incrementally on every
-  // Assign/Reassign/Apply; routing and balancing decisions query this per
-  // operation, and an O(PeCount) scan at 1000+ PEs is real money.
-  uint32_t GroupSize(KernelId kernel) const {
-    return kernel < group_size_.size() ? group_size_[kernel] : 0;
-  }
-
  private:
-  // Moves `pe` to `kernel`, keeping the per-kernel PE counts in step.
-  void Remap(NodeId pe, KernelId kernel) {
-    KernelId old = kernel_of_.at(pe);
-    if (old != kInvalidKernel) {
-      CHECK_GT(group_size_.at(old), 0u);
-      --group_size_[old];
-    }
-    if (kernel != kInvalidKernel) {
-      if (kernel >= group_size_.size()) {
-        group_size_.resize(static_cast<size_t>(kernel) + 1, 0);
-      }
-      ++group_size_[kernel];
-    }
-    kernel_of_[pe] = kernel;
-  }
-  // Lazily sized: tables built with the default constructor and Assign
-  // never see runtime reassignments until Reassign/Apply runs.
+  // Lazily sized: tables built with Assign alone never see runtime
+  // reassignments until Apply runs.
   std::vector<uint64_t>& PeEpochs() {
     if (pe_epoch_.size() < kernel_of_.size()) {
       pe_epoch_.resize(kernel_of_.size(), 0);
@@ -185,7 +152,6 @@ class MembershipTable {
   }
 
   std::vector<KernelId> kernel_of_;
-  std::vector<uint32_t> group_size_;  // PEs per kernel (GroupSize)
   std::vector<uint64_t> pe_epoch_;    // last epoch applied per partition
   uint64_t epoch_ = 0;
 };

@@ -47,30 +47,6 @@ const char* CapTypeName(CapType type) {
   return "?";
 }
 
-const char* SyscallOpName(SyscallOp op) {
-  switch (op) {
-    case SyscallOp::kNoop:
-      return "noop";
-    case SyscallOp::kOpenSession:
-      return "open_session";
-    case SyscallOp::kExchange:
-      return "exchange";
-    case SyscallOp::kObtain:
-      return "obtain";
-    case SyscallOp::kDelegate:
-      return "delegate";
-    case SyscallOp::kRevoke:
-      return "revoke";
-    case SyscallOp::kActivate:
-      return "activate";
-    case SyscallOp::kDeriveMem:
-      return "derive_mem";
-    case SyscallOp::kRegisterService:
-      return "register_service";
-  }
-  return "?";
-}
-
 const char* IkcOpName(IkcOp op) {
   switch (op) {
     case IkcOp::kHello:
@@ -320,14 +296,6 @@ Capability* Kernel::CreateCap(VpeState* vpe, CapType type, const CapPayload& pay
   return cap;
 }
 
-void Kernel::UnlinkFromParent(Capability* cap) {
-  DdlKey parent = cap->parent();
-  if (parent.IsNull()) {
-    return;
-  }
-  UnlinkChildAtParent(parent, cap->key(), /*orphan=*/false);
-}
-
 void Kernel::UnlinkChildAtParent(DdlKey parent, DdlKey child, bool orphan) {
   if (KernelOf(parent) == config_.id) {
     // The parent's partition may be mid-transfer: its snapshot (including
@@ -362,6 +330,12 @@ void Kernel::UnlinkChildAtParent(DdlKey parent, DdlKey child, bool orphan) {
 // ---------------------------------------------------------------------------
 
 void Kernel::OnSyscall(EpId ep, const Message& msg) {
+  if (msg.is_reply) {
+    // A reply a user PE aimed at the gate by rewriting a header: it holds
+    // no slot, and answering it would free one an honest caller holds.
+    stats_.user_msgs_dropped++;
+    return;
+  }
   const SyscallMsg* req = msg.As<SyscallMsg>();
   if (req == nullptr) {
     // Any other body on a syscall gate comes from an untrusted user PE:
@@ -1207,47 +1181,16 @@ void Kernel::SysRevoke(SyscallRec* sc, const SyscallMsg& req) {
 }
 
 void Kernel::OnRevokeReq(const Message& msg) {
-  // "Our solution uses a maximum of two threads per kernel" for incoming
-  // revocations, preventing denial-of-service through capability ping-pong
-  // chains (§4.3.3). Crucially — exactly as in Algorithm 1 — the thread is
-  // held only for the marking pass and is NOT paused while waiting for
-  // remote replies ("the thread will not be paused to stay at a fixed
-  // number of threads"); completion is driven by the reply counters. This
-  // is what keeps deep alternating chains deadlock-free with two threads.
-  if (revoke_threads_busy_ >= kMaxRevokeThreads) {
-    stats_.revoke_reqs_queued++;
-    revoke_queue_.push_back(msg);
-    return;
-  }
-  ServeRevokeReq(msg);
-  DrainRevokeQueue();
-}
-
-void Kernel::DrainRevokeQueue() {
-  while (!revoke_queue_.empty() && revoke_threads_busy_ < kMaxRevokeThreads) {
-    Message msg = std::move(revoke_queue_.front());
-    revoke_queue_.pop_front();
-    ServeRevokeReq(msg);
-  }
-}
-
-void Kernel::ServeRevokeReq(const Message& msg) {
-  // May run deferred from the revoke queue, outside the dispatch that
-  // opened the handler span — restore the context from the handling entry
-  // so fanned-out REVOKE_REQs stay linked.
+  // As in Algorithm 1, the handler holds its thread only for the marking
+  // pass and is NOT paused while waiting for remote replies; completion is
+  // driven by the reply counters. This keeps deep alternating chains
+  // deadlock-free (§4.3.3).
   const IkcMsg& req = *msg.As<IkcMsg>();
-  TraceCtx saved_trace = cur_trace_;
-  if (auto hit = ikc_handling_.find({msg.src_node, req.token}); hit != ikc_handling_.end()) {
-    cur_trace_ = TraceCtx{hit->second.trace_id, hit->second.span_id};
-  }
-  revoke_threads_busy_++;
   if (req.op == IkcOp::kRevokeBatchReq) {
     ProcessRevokeBatch(msg, req);
   } else {
     ProcessRevokeReq(msg, req);
   }
-  revoke_threads_busy_--;
-  cur_trace_ = saved_trace;
 }
 
 void Kernel::ProcessRevokeReq(const Message& msg, const IkcMsg& req) {
@@ -1525,9 +1468,6 @@ bool Kernel::MigrationBlocked(NodeId pe) const {
   asks_.ForEach([&](uint64_t, const PendingAsk* ask) { blocked = blocked || ask->node == pe; });
   if (blocked) {
     return true;
-  }
-  if (!revoke_queue_.empty()) {
-    return true;  // queued revocations could still touch the partition
   }
   const VpeState& vpe = vpes_.At(pe);
   // An in-flight revocation holding part of the subtree blocks the handoff.
@@ -1890,7 +1830,22 @@ FtVerdict Kernel::ft_verdict(KernelId peer) const {
   return FtVerdict::kAlive;
 }
 
+bool Kernel::FromKernel(const Message& msg) {
+  if (config_.pe_types.at(msg.src_node) == PeType::kKernel) {
+    return true;
+  }
+  // A user PE reaches a kernel channel only with a reply (its send
+  // endpoints lead to syscall gates and services) whose header it rewrote;
+  // the DTU stamps the true sender. Replies hold no receive slot, so there
+  // is nothing to free.
+  stats_.user_msgs_dropped++;
+  return false;
+}
+
 void Kernel::OnHeartbeat(EpId ep, const Message& msg) {
+  if (!FromKernel(msg)) {
+    return;
+  }
   const HeartbeatMsg* hb = msg.As<HeartbeatMsg>();
   CHECK(hb != nullptr) << "non-heartbeat message on heartbeat EP";
   if (!msg.is_reply) {
@@ -2494,6 +2449,9 @@ void Kernel::AnswerIkc(Cycles cost, const Message& msg, ErrCode err) {
 }
 
 void Kernel::OnIkc(EpId ep, const Message& msg) {
+  if (!FromKernel(msg)) {
+    return;
+  }
   if (msg.is_reply) {
     if (const IkcCredit* credit = msg.As<IkcCredit>()) {
       // Flow control: the peer dispatched one of our requests; its receive

@@ -15,8 +15,11 @@
 //    phase 2 deletes the local subtree only after every remote reply
 //    arrived, so completed revokes are always complete ("Incomplete"
 //    anomaly); exchanges touching marked capabilities are denied
-//    ("Pointless" anomaly); at most two kernel threads service incoming
-//    revoke IKCs (denial-of-service bound for capability ping-pong chains);
+//    ("Pointless" anomaly). The paper serves incoming revoke IKCs with at
+//    most two kernel threads (denial-of-service bound for capability
+//    ping-pong chains). That bound is not modeled: a revoke handler runs
+//    to completion within one event, reply counters drive the rest, so a
+//    second request never finds a thread busy;
 //  * cooperative multithreading (§4.2): operations that wait on other
 //    kernels suspend as explicit pending-operation objects instead of
 //    blocking the kernel, which keeps cyclic revocations (A1 -> B2 -> C1)
@@ -90,7 +93,10 @@ struct KernelStats {
   uint64_t orphans_cleaned = 0;     // "Orphaned" anomaly cleanups
   uint64_t pointless_denials = 0;   // exchanges denied on marked caps
   uint64_t invalid_prevented = 0;   // delegate acks failed: parent revoked
-  uint64_t revoke_reqs_queued = 0;  // waited for one of the 2 revoke threads
+  // Always 0: a REVOKE_REQ handler runs to completion in one event, so no
+  // request ever waited for a revocation thread. Kept because the
+  // repository benchmark (perfbench/driver.cpp) reads it.
+  uint64_t revoke_reqs_queued = 0;
   // PE migration (dynamic membership).
   uint64_t migrations = 0;          // completed as the source kernel
   uint64_t caps_migrated = 0;       // records packed (source) or installed (dest)
@@ -116,8 +122,10 @@ struct KernelStats {
   uint64_t ddl_cache_hits = 0;        // remote-DDL lookups served by the cache
   uint64_t ddl_cache_misses = 0;      // remote-DDL lookups that paid the full decode
   // Untrusted user PEs: messages dropped without a reply — a body that is
-  // not a syscall on a syscall gate, or an ask reply that is not an
-  // AskReply, names no pending ask, or comes from a PE that was not asked.
+  // not a syscall, or a reply, on a syscall gate; an ask reply that is not
+  // an AskReply, names no pending ask, or comes from a PE that was not
+  // asked; anything on a kernel channel (IKC, heartbeat) that a non-kernel
+  // PE sent.
   uint64_t user_msgs_dropped = 0;
   // Per-IKC-type logical send/receive counts.
   uint64_t ikc_op_sent[kNumIkcOps] = {};
@@ -239,7 +247,6 @@ class Kernel : public Program {
   static constexpr uint32_t kNumKernelEps = 8;
   static constexpr uint32_t kMaxVpesPerKernel = kNumSyscallEps * 32;
   static constexpr uint32_t kMaxKernels = 64;
-  static constexpr uint32_t kMaxRevokeThreads = 2;  // paper §4.3.3
   static constexpr uint32_t kServiceAskInflight = 64;  // kernel -> party ask window
   static constexpr uint32_t kMaxQuiescePolls = 1'000'000;  // migration quiesce bound
 
@@ -255,7 +262,8 @@ class Kernel : public Program {
     // Fault tolerance (src/ft): `pe_types` lets adopters rebuild VPE state
     // for a dead group's PEs; `on_failover` lets the platform mirror the
     // membership changes a quorum leader decrees mid-run.
-    std::vector<PeType> pe_types;  // node -> tile type (empty: assume user)
+    // node -> tile type; also tells kernel channels which senders are kernels.
+    std::vector<PeType> pe_types;
     // Invoked by a quorum leader with the decreed takeover plan, so the
     // platform mirrors exactly what the kernels applied (no recompute).
     std::function<void(KernelId dead, uint64_t epoch, const std::vector<TakeoverAssignment>&)>
@@ -304,7 +312,7 @@ class Kernel : public Program {
 
   // Simulated crash: freezes this kernel's state mid-flight and powers the
   // node off at the interconnect (no announcement, unlike AdminShutdown —
-  // peers only observe silence). Driven by Platform::KillKernel.
+  // peers only observe silence). Driven by Platform::KillKernelAt.
   void AdminKill();
   bool dead() const { return dead_; }
 
@@ -493,6 +501,10 @@ class Kernel : public Program {
   // ===== Message handlers =====
   void OnSyscall(EpId ep, const Message& msg);
   void OnIkc(EpId ep, const Message& msg);
+  // Kernel channels (IKC, heartbeat) take messages from kernel PEs only:
+  // returns false, after counting a user_msgs_dropped, if the DTU-stamped
+  // sender of `msg` is not a kernel.
+  bool FromKernel(const Message& msg);
   // The request dispatch half of OnIkc, also re-entered when a request
   // parked during a migration transfer is released. An IKC request is
   // answered from its message alone: the IkcMsg body names the token.
@@ -571,12 +583,9 @@ class Kernel : public Program {
   // root still present, each at the revoke entry cost, and runs `done`
   // once all of them are gone. Returns the number of revocations started.
   uint32_t RevokeRoots(const std::vector<DdlKey>& roots, bool unlink, InlineFn done);
-  // A REVOKE_REQ or revoke batch arrived: served by one of the two
-  // revocation threads, or queued until one is free.
+  // A REVOKE_REQ or revoke batch arrived: runs the single or the batch
+  // handler in the trace context its dispatch set.
   void OnRevokeReq(const Message& msg);
-  // One revocation thread serves request `msg`: restores its trace context
-  // and runs the single or the batch handler.
-  void ServeRevokeReq(const Message& msg);
   void ProcessRevokeReq(const Message& msg, const IkcMsg& req);
   void ProcessRevokeBatch(const Message& msg, const IkcMsg& req);
   void RevokeDependencyDone(uint64_t task_id);
@@ -584,7 +593,6 @@ class Kernel : public Program {
   // Phase 2: deletes this task's marked subtree; returns its cost.
   Cycles SweepPass(DdlKey key, RevokeTask* task);
   void CompleteRevokeTask(RevokeTask* task);
-  void DrainRevokeQueue();
 
   // ===== PE migration (dynamic membership) =====
   // True while any in-flight operation still touches partition `pe`.
@@ -637,7 +645,6 @@ class Kernel : public Program {
   // ===== Capability helpers =====
   DdlKey AllocKey(VpeId creator, CapType type);
   Capability* CreateCap(VpeState* vpe, CapType type, const CapPayload& payload, DdlKey parent);
-  void UnlinkFromParent(Capability* cap);
 
   // ===== IKC engine =====
   KernelId KernelOf(DdlKey key) const { return config_.membership.KernelOfKey(key); }
@@ -798,11 +805,6 @@ class Kernel : public Program {
   // Epoch-invalidated cache of hot remote-DDL lookups.
   DdlCache ddl_cache_;
   std::map<std::string, std::vector<ServiceEntry>> services_;
-
-  // Incoming REVOKE_REQs beyond the two revocation threads wait here, as
-  // their (possibly relay-rewritten) request messages.
-  Ring<Message> revoke_queue_;
-  uint32_t revoke_threads_busy_ = 0;
 
   // Kernel-to-kernel egress (see Emit).
   struct EgressMsg {

@@ -102,8 +102,6 @@ enum class SyscallOp : uint8_t {
   kRegisterService,  // services announce themselves (kernel broadcasts)
 };
 
-const char* SyscallOpName(SyscallOp op);
-
 struct SyscallMsg : MsgBody {
   static constexpr MsgKind kKind = MsgKind::kSyscall;
   SyscallMsg() : MsgBody(kKind) {}

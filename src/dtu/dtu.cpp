@@ -14,6 +14,20 @@ constexpr uint32_t kConfigPacketBytes = 32;
 constexpr Cycles kConfigApplyCycles = Dtu::kConfigApplyCycles;
 // Fixed DRAM-style access latency charged per memory request.
 constexpr Cycles kMemAccessLatency = 60;
+
+// An endpoint id a header may route by: one a DTU has, or none.
+bool EpOrNone(EpId ep) { return ep < Dtu::kNumEps || ep == kNoReplyEp; }
+
+// A message header as a DTU command sets it; Transmit stamps the source.
+Message Header(EpId src_send_ep, EpId reply_ep, uint64_t label, bool is_reply, MsgRef body) {
+  Message msg;
+  msg.src_send_ep = src_send_ep;
+  msg.reply_ep = reply_ep;
+  msg.label = label;
+  msg.is_reply = is_reply;
+  msg.body = std::move(body);
+  return msg;
+}
 }  // namespace
 
 Dtu::Dtu(Simulation* sim, DtuFabric* fabric, NodeId node)
@@ -37,12 +51,6 @@ void Dtu::ConfigureMem(EpId ep, NodeId dst_node, uint64_t base, uint64_t size, M
   CHECK(privileged_) << "mem EP config on downgraded DTU " << node_;
   CHECK_LT(ep, kNumEps);
   eps_[ep] = MemEp{dst_node, perms, base, size};
-}
-
-void Dtu::InvalidateEp(EpId ep) {
-  CHECK(privileged_);
-  CHECK_LT(ep, kNumEps);
-  eps_[ep] = std::monostate{};
 }
 
 // The delivery closures below capture the target's id rather than its
@@ -103,7 +111,7 @@ void Dtu::InvalidateRemoteEp(NodeId target, EpId ep, Callback<void()> done) {
 Status Dtu::Send(EpId ep, MsgRef body, EpId reply_ep) {
   // The reply comes back to reply_ep: an id this DTU does not have would
   // only fail at delivery, on the replier's side.
-  if (ep >= kNumEps || (reply_ep >= kNumEps && reply_ep != kNoReplyEp)) {
+  if (ep >= kNumEps || !EpOrNone(reply_ep)) {
     return Refuse();
   }
   SendEp* e = std::get_if<SendEp>(&eps_[ep]);
@@ -115,57 +123,24 @@ Status Dtu::Send(EpId ep, MsgRef body, EpId reply_ep) {
     stats_.sends_denied++;
     return Status(ErrCode::kNoCredits);
   }
-  if (dead_) {
-    stats_.msgs_lost_dead++;
-    return Status(ErrCode::kUnreachable);
+  Status st = Transmit(e->dst_node, e->dst_ep, kNoReplyEp,
+                       Header(ep, reply_ep, e->label, /*is_reply=*/false, std::move(body)));
+  if (st.ok()) {
+    e->credits--;
+    stats_.msgs_sent++;
   }
-  e->credits--;
-  stats_.msgs_sent++;
-
-  Message msg;
-  msg.src_node = node_;
-  msg.src_send_ep = ep;
-  msg.reply_ep = reply_ep;
-  msg.label = e->label;
-  msg.is_reply = false;
-  msg.body = std::move(body);
-  StampTrace(msg);
-
-  uint32_t bytes = msg.body ? msg.body->WireSize() : 16;
-  NodeId dst_node = e->dst_node;
-  EpId dst_ep = e->dst_ep;
-  Dtu* remote = fabric_->At(dst_node);
-  CHECK(remote != nullptr);
-  fabric_->noc()->Send(node_, dst_node, bytes, [remote, dst_ep, msg = std::move(msg)]() mutable {
-    remote->Deliver(dst_ep, std::move(msg));
-  });
-  return Status::Ok();
+  return st;
 }
 
 Status Dtu::SendTo(NodeId dst_node, EpId dst_ep, MsgRef body, EpId reply_ep, uint64_t label) {
   CHECK(privileged_) << "SendTo from unprivileged DTU " << node_;
-  if (dead_) {
-    stats_.msgs_lost_dead++;
-    return Status(ErrCode::kUnreachable);
+  // No DTU-level credit to return: the kernel's IKC credits cover this path.
+  Status st = Transmit(dst_node, dst_ep, kNoReplyEp,
+                       Header(kNoReplyEp, reply_ep, label, /*is_reply=*/false, std::move(body)));
+  if (st.ok()) {
+    stats_.msgs_sent++;
   }
-  stats_.msgs_sent++;
-
-  Message msg;
-  msg.src_node = node_;
-  msg.src_send_ep = kNoReplyEp;  // no DTU-level credit to return
-  msg.reply_ep = reply_ep;
-  msg.label = label;
-  msg.is_reply = false;
-  msg.body = std::move(body);
-  StampTrace(msg);
-
-  uint32_t bytes = msg.body ? msg.body->WireSize() : 16;
-  Dtu* remote = fabric_->At(dst_node);
-  CHECK(remote != nullptr);
-  fabric_->noc()->Send(node_, dst_node, bytes, [remote, dst_ep, msg = std::move(msg)]() mutable {
-    remote->Deliver(dst_ep, std::move(msg));
-  });
-  return Status::Ok();
+  return st;
 }
 
 Dtu::RecvEp* Dtu::AnswerableRecv(EpId ep) {
@@ -177,71 +152,31 @@ Dtu::RecvEp* Dtu::AnswerableRecv(EpId ep) {
   return e;
 }
 
+// Reply and Ack route by the header the program hands back. A header that
+// Transmit refuses frees no slot, so the program can still answer.
 Status Dtu::Reply(EpId recv_ep, const Message& msg, MsgRef body) {
   RecvEp* e = AnswerableRecv(recv_ep);
   if (e == nullptr) {
     return Status(ErrCode::kInvalidArgs);
   }
-  e->occupied--;
-  if (dead_) {
-    stats_.msgs_lost_dead++;
-    return Status(ErrCode::kUnreachable);
+  Status st = Transmit(msg.src_node, msg.reply_ep, msg.src_send_ep,
+                       Header(kNoReplyEp, kNoReplyEp, msg.label, /*is_reply=*/true,
+                              std::move(body)));
+  if (st.code() != ErrCode::kInvalidArgs) {
+    e->occupied--;
   }
-
-  Message reply;
-  reply.src_node = node_;
-  reply.src_send_ep = kNoReplyEp;
-  reply.reply_ep = kNoReplyEp;
-  reply.label = msg.label;
-  reply.is_reply = true;
-  reply.body = std::move(body);
-  StampTrace(reply);
-
-  NodeId dst_node = msg.src_node;
-  EpId credit_ep = msg.src_send_ep;
-  EpId dst_ep = msg.reply_ep;
-  Dtu* remote = fabric_->At(dst_node);
-  CHECK(remote != nullptr);
-  uint32_t bytes = reply.body ? reply.body->WireSize() : 16;
-  fabric_->noc()->Send(node_, dst_node, bytes,
-                       [remote, credit_ep, dst_ep, reply = std::move(reply)]() mutable {
-                         if (credit_ep != kNoReplyEp) {
-                           remote->ReturnCredit(credit_ep);
-                         }
-                         if (dst_ep != kNoReplyEp) {
-                           remote->Deliver(dst_ep, std::move(reply));
-                         }
-                       });
-  return Status::Ok();
+  return st;
 }
 
 Status Dtu::SendDeferredReply(const Message& msg, MsgRef body) {
+  if (!privileged_) {
+    return Refuse();
+  }
   if (msg.reply_ep == kNoReplyEp) {
     return Status(ErrCode::kInvalidArgs);
   }
-  if (dead_) {
-    stats_.msgs_lost_dead++;
-    return Status(ErrCode::kUnreachable);
-  }
-  Message reply;
-  reply.src_node = node_;
-  reply.src_send_ep = kNoReplyEp;
-  reply.reply_ep = kNoReplyEp;
-  reply.label = msg.label;
-  reply.is_reply = true;
-  reply.body = std::move(body);
-  StampTrace(reply);
-
-  NodeId dst_node = msg.src_node;
-  EpId dst_ep = msg.reply_ep;
-  Dtu* remote = fabric_->At(dst_node);
-  CHECK(remote != nullptr);
-  uint32_t bytes = reply.body ? reply.body->WireSize() : 16;
-  fabric_->noc()->Send(node_, dst_node, bytes,
-                       [remote, dst_ep, reply = std::move(reply)]() mutable {
-                         remote->Deliver(dst_ep, std::move(reply));
-                       });
-  return Status::Ok();
+  return Transmit(msg.src_node, msg.reply_ep, kNoReplyEp,
+                  Header(kNoReplyEp, kNoReplyEp, msg.label, /*is_reply=*/true, std::move(body)));
 }
 
 void Dtu::Ack(EpId recv_ep, const Message& msg) {
@@ -249,17 +184,37 @@ void Dtu::Ack(EpId recv_ep, const Message& msg) {
   if (e == nullptr) {
     return;
   }
-  e->occupied--;
   // Return the credit to the sender with a tiny control packet.
-  NodeId dst_node = msg.src_node;
-  EpId credit_ep = msg.src_send_ep;
-  if (credit_ep == kNoReplyEp || dead_) {
+  if (msg.src_send_ep != kNoReplyEp &&
+      Transmit(msg.src_node, kNoReplyEp, msg.src_send_ep, Message{}).code() ==
+          ErrCode::kInvalidArgs) {
     return;
   }
-  Dtu* remote = fabric_->At(dst_node);
-  CHECK(remote != nullptr);
-  fabric_->noc()->Send(node_, dst_node, 16,
-                       [remote, credit_ep] { remote->ReturnCredit(credit_ep); });
+  e->occupied--;
+}
+
+Status Dtu::Transmit(NodeId dst_node, EpId dst_ep, EpId credit_ep, Message msg) {
+  Dtu* remote = dst_node < fabric_->noc()->NodeCount() ? fabric_->At(dst_node) : nullptr;
+  if (remote == nullptr || !EpOrNone(dst_ep) || !EpOrNone(credit_ep)) {
+    return Refuse();
+  }
+  if (dead_) {
+    stats_.msgs_lost_dead++;
+    return Status(ErrCode::kUnreachable);
+  }
+  msg.src_node = node_;
+  StampTrace(msg);
+  uint32_t bytes = msg.body ? msg.body->WireSize() : 16;
+  fabric_->noc()->Send(node_, dst_node, bytes,
+                       [remote, dst_ep, credit_ep, msg = std::move(msg)]() mutable {
+                         if (credit_ep != kNoReplyEp) {
+                           remote->ReturnCredit(credit_ep);
+                         }
+                         if (dst_ep != kNoReplyEp) {
+                           remote->Deliver(dst_ep, std::move(msg));
+                         }
+                       });
+  return Status::Ok();
 }
 
 void Dtu::Deliver(EpId ep, Message msg) {

@@ -21,10 +21,18 @@
 // The endpoint registers live inside the Dtu (32 bytes each, 512 per PE):
 // every PE of the largest platform has one.
 //
+// Every message packet leaves through one routine, Dtu::Transmit, which
+// stamps the source node, sizes the packet and hands the NoC one delivery
+// closure (return the sender's credit, then deliver). Reply and Ack route
+// by the header the program hands back, so Transmit checks every id it
+// routes by before anything leaves the PE.
+//
 // The program on a user PE is untrusted. A command it issues that names an
-// endpoint the DTU does not have, a reply endpoint it does not have, or a
-// reply or ack with no received message to answer is refused (kInvalidArgs)
-// and counted in DtuStats::cmds_refused.
+// endpoint the DTU does not have, a reply endpoint it does not have, a
+// reply or ack with no received message to answer, a header naming a node
+// outside the mesh or an endpoint past kNumEps, or a deferred reply (only
+// kernels answer late) is refused (kInvalidArgs), changes nothing, and is
+// counted in DtuStats::cmds_refused.
 #ifndef SEMPEROS_DTU_DTU_H_
 #define SEMPEROS_DTU_DTU_H_
 
@@ -83,7 +91,8 @@ struct DtuStats {
   uint64_t sends_denied = 0;  // no credits / not a send endpoint
   // Commands refused as malformed (see the file comment): an endpoint or
   // reply-endpoint id past kNumEps, a reply or ack on an endpoint with no
-  // message to answer.
+  // message to answer, a header that routes outside the mesh or past
+  // kNumEps, a deferred reply from a downgraded DTU.
   uint64_t cmds_refused = 0;
   uint64_t mem_reads = 0;
   uint64_t mem_writes = 0;
@@ -116,7 +125,6 @@ class Dtu {
                      uint64_t label = 0);
   void ConfigureRecv(EpId ep, uint32_t slots, MsgHandler handler);
   void ConfigureMem(EpId ep, NodeId dst_node, uint64_t base, uint64_t size, MemPerms perms);
-  void InvalidateEp(EpId ep);
 
   // Strips the privileged bit (kernel does this to user PEs at boot).
   void Downgrade() { privileged_ = false; }
@@ -154,18 +162,21 @@ class Dtu {
 
   // Replies to a received message: frees the slot, returns the sender's
   // credit, and delivers `body` to the sender's reply endpoint. Refused if
-  // `recv_ep` holds no received message (a second reply to one message).
+  // `recv_ep` holds no received message (a second reply to one message) or
+  // if `msg`'s header does not route (see Transmit); the slot stays held.
   Status Reply(EpId recv_ep, const Message& msg, MsgRef body);
 
   // Frees the slot of a received message without sending a payload back.
   // Still returns the sender's credit (models M3's ACK). Ignored, and
-  // counted in cmds_refused, if `recv_ep` holds no received message.
+  // counted in cmds_refused, if `recv_ep` holds no received message or the
+  // header does not route.
   void Ack(EpId recv_ep, const Message& msg);
 
   // Sends `body` as a reply-typed message to the sender of `msg` without
   // touching slot accounting. Used for deferred replies after the slot was
   // already freed with Ack() — the receiver reserved reply context when it
   // sent the request, so reply delivery never competes for request slots.
+  // Kernels only: a downgraded DTU is refused.
   Status SendDeferredReply(const Message& msg, MsgRef body);
 
   // Remote memory access through a memory endpoint. Timing only — data is
@@ -211,7 +222,15 @@ class Dtu {
   using Endpoint = std::variant<std::monostate, SendEp, RecvEp, MemEp>;
   static_assert(sizeof(Endpoint) <= 32);
 
-  // Called by the fabric when a message arrives at this DTU.
+  // The one wire path of every message packet. Refuses (kInvalidArgs) a
+  // `dst_node` outside the mesh or without a DTU, and a `dst_ep` or
+  // `credit_ep` that is neither below kNumEps nor kNoReplyEp; otherwise
+  // stamps `msg` and puts it on the NoC. At the destination the packet
+  // returns the credit of send endpoint `credit_ep`, then delivers `msg` to
+  // `dst_ep` (each step skipped for kNoReplyEp).
+  Status Transmit(NodeId dst_node, EpId dst_ep, EpId credit_ep, Message msg);
+  // Called by a delivery closure when a packet arrives at this DTU. The ids
+  // are checked by the sender's Transmit.
   void Deliver(EpId ep, Message msg);
   void ReturnCredit(EpId send_ep);
   // The receive endpoint `ep` if it holds a message to answer, else null
@@ -250,8 +269,6 @@ class Dtu {
   bool dead_ = false;  // fault injection: node powered off (see Kill)
   std::array<Endpoint, kNumEps> eps_;
   DtuStats stats_;
-
-  friend class DtuFabric;
 };
 
 }  // namespace semperos

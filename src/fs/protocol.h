@@ -26,8 +26,6 @@ enum class FsOp : uint8_t {
   kReadDir,     // meta: directory listing
 };
 
-const char* FsOpName(FsOp op);
-
 inline constexpr uint32_t kOpenRead = 1;
 inline constexpr uint32_t kOpenWrite = 2;
 inline constexpr uint32_t kOpenCreate = 4;

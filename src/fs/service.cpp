@@ -11,26 +11,6 @@ namespace {
 const char* kTag = "m3fs";
 }  // namespace
 
-const char* FsOpName(FsOp op) {
-  switch (op) {
-    case FsOp::kOpen:
-      return "open";
-    case FsOp::kNextExtent:
-      return "next_extent";
-    case FsOp::kClose:
-      return "close";
-    case FsOp::kStat:
-      return "stat";
-    case FsOp::kMkdir:
-      return "mkdir";
-    case FsOp::kUnlink:
-      return "unlink";
-    case FsOp::kReadDir:
-      return "readdir";
-  }
-  return "?";
-}
-
 FsService::FsService(std::string name, FsImage image, NodeId kernel_node,
                      const TimingModel& timing, CapSel mem_root_sel, uint64_t region_bytes)
     : name_(std::move(name)),

@@ -7,7 +7,7 @@
 // kernels, and any in-flight inter-kernel call awaiting its reply wedges
 // forever. This subsystem closes the gap:
 //
-//  * injection  — Platform::KillKernel schedules a deterministic simulated
+//  * injection  — Platform::KillKernelAt schedules a deterministic simulated
 //    crash: the victim's DTU goes dark (deliveries dropped, sends
 //    swallowed), so peers observe loss exactly like a powered-off node;
 //  * detection  — kernels exchange lightweight heartbeats on a dedicated

@@ -35,8 +35,6 @@ enum class PeType : uint8_t {
   kLoadGen,  // network-interface tile issuing requests (paper §5.3.3)
 };
 
-const char* PeTypeName(PeType type);
-
 class ProcessingElement;
 
 // Base class for everything that executes on a PE.

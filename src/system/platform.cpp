@@ -317,7 +317,7 @@ void Platform::MigratePe(NodeId pe, KernelId dst_kernel, std::function<void(ErrC
   kernels_.at(src)->AdminMigratePe(pe, dst_kernel, [this, pe, dst_kernel, done](ErrCode err) {
     if (err == ErrCode::kOk) {
       // Mirror with the epoch the handoff protocol minted (the destination
-      // installed it before completing), NOT a Reassign-minted local one: a
+      // installed it before completing), NOT one minted locally: a
       // platform-local epoch can run ahead of the kernels' epoch stream,
       // and the next takeover decree for this PE would then lose against
       // it in Apply's per-PE epoch guard — leaving the platform routing
@@ -329,10 +329,6 @@ void Platform::MigratePe(NodeId pe, KernelId dst_kernel, std::function<void(ErrC
       done(err);
     }
   });
-}
-
-void Platform::KillKernel(KernelId victim, double when_us) {
-  KillKernelAt(victim, MicrosToCycles(when_us));
 }
 
 void Platform::KillKernelAt(KernelId victim, Cycles when) {

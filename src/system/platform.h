@@ -179,14 +179,12 @@ class Platform {
 
   // --- Fault tolerance (src/ft) ---
 
-  // Schedules a deterministic simulated crash of `victim` at absolute time
-  // `when_us` (microseconds; clamped to strictly after now). The victim's
-  // node goes dark at the interconnect: deliveries are swallowed, nothing
-  // leaves. Detection and recovery only happen if the failure detector is
-  // armed (StartFailureDetector) with a monitoring window covering the
-  // kill. Requires a booted platform.
-  void KillKernel(KernelId victim, double when_us);
-  // Same, in cycles.
+  // Schedules a deterministic simulated crash of `victim` at absolute cycle
+  // `when` (clamped to strictly after now). The victim's node goes dark at
+  // the interconnect: deliveries are swallowed, nothing leaves. Detection
+  // and recovery only happen if the failure detector is armed
+  // (StartFailureDetector) with a monitoring window covering the kill.
+  // Requires a booted platform.
   void KillKernelAt(KernelId victim, Cycles when);
 
   // Arms the failure detector on every (live) kernel: heartbeats flow every
@@ -204,14 +202,6 @@ class Platform {
 
   // True if `kernel` crashed (whether or not a quorum retired it).
   bool KernelDead(KernelId kernel) const { return kernels_.at(kernel)->dead(); }
-  // Kernels that have not crashed.
-  uint32_t LiveKernelCount() const {
-    uint32_t live = 0;
-    for (const Kernel* k : kernels_) {
-      live += k->dead() ? 0 : 1;
-    }
-    return live;
-  }
 
   // Runs the simulation until no events remain and checks hardware
   // invariants (no dropped messages anywhere). Returns events executed.

@@ -75,31 +75,20 @@ TEST(DdlKey, MakeRejectsOutOfRangeFields) {
   EXPECT_DEATH(DdlKey::Make(0, 0, CapType::kVpe, 1ull << DdlKey::kObjBits), "");
 }
 
-TEST(Membership, EpochStartsAtZeroAndReassignBumps) {
-  MembershipTable table(8);
-  for (NodeId pe = 0; pe < 8; ++pe) {
-    table.Assign(pe, pe / 4);
-  }
-  EXPECT_EQ(table.Epoch(), 0u);  // boot-time wiring is epoch-free
-  uint64_t epoch = table.Reassign(5, 0);
-  EXPECT_EQ(epoch, 1u);
-  EXPECT_EQ(table.Epoch(), 1u);
-  EXPECT_EQ(table.Reassign(6, 0), 2u);
-}
-
 TEST(Membership, LookupAfterEpochBumpResolvesToNewKernel) {
   MembershipTable table(8);
   for (NodeId pe = 0; pe < 8; ++pe) {
     table.Assign(pe, pe / 4);
   }
+  EXPECT_EQ(table.Epoch(), 0u);  // boot-time wiring is epoch-free
   DdlKey key = DdlKey::Make(5, 5, CapType::kMem, 42);
   ASSERT_EQ(table.KernelOfKey(key), 1u);
-  table.Reassign(5, 0);
+  table.Apply(5, 0, 1);
   EXPECT_EQ(table.KernelOfKey(key), 0u);
+  EXPECT_EQ(table.PeEpoch(5), 1u);
   // Other partitions are untouched by the bump.
   EXPECT_EQ(table.KernelOf(4), 1u);
-  EXPECT_EQ(table.GroupSize(0), 5u);
-  EXPECT_EQ(table.GroupSize(1), 3u);
+  EXPECT_EQ(table.PeEpoch(4), 0u);
 }
 
 TEST(Membership, ApplyMergesEpochsMonotonically) {
@@ -130,16 +119,6 @@ TEST(Membership, ApplyIgnoresStaleOutOfOrderUpdates) {
   EXPECT_EQ(table.KernelOf(2), 2u);
   EXPECT_EQ(table.PeEpoch(2), 5u);
   EXPECT_EQ(table.Epoch(), 5u);
-}
-
-TEST(Membership, GroupSizes) {
-  MembershipTable table(10);
-  for (NodeId pe = 0; pe < 10; ++pe) {
-    table.Assign(pe, pe % 2);
-  }
-  EXPECT_EQ(table.GroupSize(0), 5u);
-  EXPECT_EQ(table.GroupSize(1), 5u);
-  EXPECT_EQ(table.PeCount(), 10u);
 }
 
 TEST(Capability, ChildLinksAddAndRemove) {
