@@ -21,20 +21,6 @@
 namespace semperos {
 namespace {
 
-Cycles RevokeChain(uint32_t kernels, KernelMode mode, uint32_t length) {
-  // Local chains bounce between two VPEs of one group; the spanning chain
-  // bounces between groups (one VPE each, like the paper's two apps).
-  DriverRig rig = MakeDriverRig(kernels, kernels == 1 ? 3 : 2, mode);
-  std::vector<size_t> hops = kernels == 1 ? std::vector<size_t>{1, 2} : std::vector<size_t>{0, 1};
-  CapSel root = rig.BuildChain(length, hops);
-  return rig.TimedOp([&](std::function<void()> done) {
-    rig.client(0).env().Revoke(root, [done](const SyscallReply& r) {
-      CHECK(r.err == ErrCode::kOk);
-      done();
-    });
-  });
-}
-
 std::vector<uint32_t> Lengths() {
   return bench::Sweep<uint32_t>({1, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100});
 }

@@ -24,38 +24,12 @@
 namespace semperos {
 namespace {
 
-struct OpTimes {
-  Cycles exchange = 0;
-  Cycles revoke = 0;
-};
-
-// One exchange + one revoke between client 1 (obtains) and client 0 (owns,
-// then revokes). `kernels` = 1 gives the group-local scope.
-OpTimes MeasureOnce(uint32_t kernels, KernelMode mode) {
-  DriverRig rig = MakeDriverRig(kernels, 2, mode);
-  CapSel owner_sel = rig.Grant(0);
-  OpTimes times;
-  times.exchange = rig.TimedOp([&](std::function<void()> done) {
-    rig.client(1).env().Obtain(rig.vpe(0), owner_sel, [done](const SyscallReply& r) {
-      CHECK(r.err == ErrCode::kOk);
-      done();
-    });
-  });
-  times.revoke = rig.TimedOp([&](std::function<void()> done) {
-    rig.client(0).env().Revoke(owner_sel, [done](const SyscallReply& r) {
-      CHECK(r.err == ErrCode::kOk);
-      done();
-    });
-  });
-  return times;
-}
-
 void PrintTable() {
   bench::Header("Table 3: Runtimes of capability operations",
                 "Hille et al., SemperOS (ATC'19), Table 3");
-  OpTimes local = MeasureOnce(1, KernelMode::kSemperOSMulti);
-  OpTimes spanning = MeasureOnce(2, KernelMode::kSemperOSMulti);
-  OpTimes m3 = MeasureOnce(1, KernelMode::kM3SingleKernel);
+  ObtainRevokeTimes local = MeasureObtainRevoke(1, KernelMode::kSemperOSMulti);
+  ObtainRevokeTimes spanning = MeasureObtainRevoke(2, KernelMode::kSemperOSMulti);
+  ObtainRevokeTimes m3 = MeasureObtainRevoke(1, KernelMode::kM3SingleKernel);
 
   std::printf("%-10s %-9s %10s %8s %10s   %s\n", "Operation", "Scope", "SemperOS", "M3",
               "Increase", "(paper: SemperOS / M3 / increase)");
@@ -74,7 +48,7 @@ void PrintTable() {
 
 void BM_ExchangeLocal(benchmark::State& state) {
   for (auto _ : state) {
-    OpTimes t = MeasureOnce(1, KernelMode::kSemperOSMulti);
+    ObtainRevokeTimes t = MeasureObtainRevoke(1, KernelMode::kSemperOSMulti);
     bench::ReportSpan(state, t.exchange);
   }
 }
@@ -82,7 +56,7 @@ BENCHMARK(BM_ExchangeLocal)->UseManualTime()->Iterations(3)->Unit(benchmark::kMi
 
 void BM_ExchangeSpanning(benchmark::State& state) {
   for (auto _ : state) {
-    OpTimes t = MeasureOnce(2, KernelMode::kSemperOSMulti);
+    ObtainRevokeTimes t = MeasureObtainRevoke(2, KernelMode::kSemperOSMulti);
     bench::ReportSpan(state, t.exchange);
   }
 }
@@ -90,7 +64,7 @@ BENCHMARK(BM_ExchangeSpanning)->UseManualTime()->Iterations(3)->Unit(benchmark::
 
 void BM_RevokeLocal(benchmark::State& state) {
   for (auto _ : state) {
-    OpTimes t = MeasureOnce(1, KernelMode::kSemperOSMulti);
+    ObtainRevokeTimes t = MeasureObtainRevoke(1, KernelMode::kSemperOSMulti);
     bench::ReportSpan(state, t.revoke);
   }
 }
@@ -98,7 +72,7 @@ BENCHMARK(BM_RevokeLocal)->UseManualTime()->Iterations(3)->Unit(benchmark::kMicr
 
 void BM_RevokeSpanning(benchmark::State& state) {
   for (auto _ : state) {
-    OpTimes t = MeasureOnce(2, KernelMode::kSemperOSMulti);
+    ObtainRevokeTimes t = MeasureObtainRevoke(2, KernelMode::kSemperOSMulti);
     bench::ReportSpan(state, t.revoke);
   }
 }

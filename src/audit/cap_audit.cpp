@@ -13,8 +13,7 @@ namespace {
 
 class Auditor {
  public:
-  Auditor(Platform& platform, const AuditOptions& options)
-      : p_(platform), opt_(options) {}
+  explicit Auditor(Platform& platform) : p_(platform) {}
 
   AuditReport Run() {
     for (KernelId k = 0; k < p_.kernel_count(); ++k) {
@@ -37,17 +36,13 @@ class Auditor {
       report_.kernels_audited++;
       AuditVpes(kernel);
       AuditForest(kernel);
-      if (opt_.check_quiescence) {
-        AuditQuiescence(kernel);
-      }
+      AuditQuiescence(kernel);
     }
-    if (opt_.check_quiescence && p_.TotalDrops() != 0) {
+    if (p_.TotalDrops() != 0) {
       Add("I5", kInvalidKernel, DdlKey(),
           std::to_string(p_.TotalDrops()) + " messages dropped in the fabric");
     }
-    if (opt_.check_failover) {
-      AuditFailover();
-    }
+    AuditFailover();
     return std::move(report_);
   }
 
@@ -302,7 +297,6 @@ class Auditor {
   }
 
   Platform& p_;
-  AuditOptions opt_;
   AuditReport report_;
   bool relaxed_ = false;  // unrecovered dead kernel: wedged state is legal
 };
@@ -334,8 +328,8 @@ std::string AuditReport::ToString() const {
   return os.str();
 }
 
-AuditReport AuditPlatform(Platform& platform, const AuditOptions& options) {
-  return Auditor(platform, options).Run();
+AuditReport AuditPlatform(Platform& platform) {
+  return Auditor(platform).Run();
 }
 
 }  // namespace semperos

@@ -54,14 +54,6 @@ namespace semperos {
 
 class Platform;
 
-struct AuditOptions {
-  // Check I5 (drained operations, thread pool, zero drops). Disable to
-  // audit forest structure mid-run, before quiescence.
-  bool check_quiescence = true;
-  // Check I6 (failover safety).
-  bool check_failover = true;
-};
-
 struct AuditViolation {
   std::string invariant;  // "I1".."I6"
   KernelId kernel = kInvalidKernel;
@@ -103,7 +95,7 @@ struct AuditReport {
 // and returns the structured report. Deterministic: capabilities are
 // visited in DDL-key order, so two audits of bit-identical platforms yield
 // identical reports.
-AuditReport AuditPlatform(Platform& platform, const AuditOptions& options = {});
+AuditReport AuditPlatform(Platform& platform);
 
 }  // namespace semperos
 

@@ -45,19 +45,14 @@ constexpr uint64_t kIoBytesPerCycle = 64;
 // writes and storms stay bit-identical at any thread count.
 class StormClient : public Program {
  public:
-  StormClient(NodeId kernel_node, const TimingModel& timing, bool arm_retry, Cycles retry_timeout,
-              uint32_t retry_max)
-      : kernel_node_(kernel_node),
-        timing_(timing),
-        arm_retry_(arm_retry),
-        retry_timeout_(retry_timeout),
-        retry_max_(retry_max) {}
+  StormClient(NodeId kernel_node, const TimingModel& timing, bool arm_retry)
+      : kernel_node_(kernel_node), timing_(timing), arm_retry_(arm_retry) {}
 
   void Setup() override {
     env_ = std::make_unique<UserEnv>(pe_, kernel_node_, timing_.ask_party);
     env_->SetupEps(/*is_service=*/false);
     if (arm_retry_) {
-      env_->EnableSyscallRetry(retry_timeout_, retry_max_);
+      env_->EnableSyscallRetry(UserEnv::kCrashWatchdogTimeout);
     }
   }
   void Start() override {}
@@ -268,8 +263,6 @@ class StormClient : public Program {
   NodeId kernel_node_;
   TimingModel timing_;
   bool arm_retry_;
-  Cycles retry_timeout_;
-  uint32_t retry_max_;
   std::unique_ptr<UserEnv> env_;
 
   Trace trace_;
@@ -328,8 +321,7 @@ StormResult RunStorm(const StormConfig& config) {
   std::vector<StormClient*> clients;
   for (NodeId node : p.user_nodes()) {
     NodeId kernel_node = p.kernel_node(p.membership().KernelOf(node));
-    auto client = std::make_unique<StormClient>(kernel_node, timing, kills_possible,
-                                                config.retry_timeout, config.retry_max);
+    auto client = std::make_unique<StormClient>(kernel_node, timing, kills_possible);
     clients.push_back(client.get());
     p.pe(node)->AttachProgram(std::move(client));
   }
@@ -505,16 +497,16 @@ StormResult RunStorm(const StormConfig& config) {
       }
       if (planned > 0) {
         Cycles now = p.sim().Now();
-        Cycles period = config.hb_period;
-        Cycles timeout = config.hb_timeout;
-        if (config.perturb_heartbeats) {
-          period = rng.NextInRange(config.hb_period / 2, config.hb_period * 2);
-          timeout = std::max<Cycles>(
-              3 * period, rng.NextInRange(config.hb_timeout / 2, config.hb_timeout * 2));
-        }
         FtConfig ft;
-        ft.heartbeat_period = period;
-        ft.heartbeat_timeout = timeout;
+        if (config.perturb_heartbeats) {
+          const FtConfig base;
+          ft.heartbeat_period =
+              rng.NextInRange(base.heartbeat_period / 2, base.heartbeat_period * 2);
+          ft.heartbeat_timeout = std::max<Cycles>(
+              3 * ft.heartbeat_period,
+              rng.NextInRange(base.heartbeat_timeout / 2, base.heartbeat_timeout * 2));
+        }
+        const Cycles timeout = ft.heartbeat_timeout;
         ft.monitor_until = now + burst_span + 4 * timeout + 1'000'000;
         ft.bug_skip_orphan_revoke = config.bug_skip_orphan_revoke;
         p.StartFailureDetector(ft);

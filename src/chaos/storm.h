@@ -74,7 +74,9 @@ struct StormConfig {
   uint32_t max_kills = 1;
   uint32_t max_migrations = 3;
   uint32_t max_churn = 2;
-  bool perturb_heartbeats = true;  // draw detector timing per armed burst
+  // Draw the detector's heartbeat period and timeout per armed burst,
+  // around FtConfig's defaults; off: those defaults.
+  bool perturb_heartbeats = true;
   double op_rate = 0.7;            // per-client chance to act each round
 
   // Targeted adversarial schedules (deterministic preludes).
@@ -85,13 +87,6 @@ struct StormConfig {
   // leaves orphaned subtrees dangling. Exists so tests can prove the
   // auditor catches a real protocol omission.
   bool bug_skip_orphan_revoke = false;
-
-  // Base failure-detector / client-watchdog timing (perturbed per burst
-  // when perturb_heartbeats is set).
-  Cycles hb_period = 30'000;
-  Cycles hb_timeout = 90'000;
-  Cycles retry_timeout = 150'000;
-  uint32_t retry_max = 32;
 
   RunSetup setup;
 };

@@ -340,7 +340,6 @@ class Kernel : public Program {
 
   KernelId id() const { return config_.id; }
   const KernelStats& stats() const { return stats_; }
-  KernelStats& mutable_stats() { return stats_; }
   const Config& config() const { return config_; }
   bool booted() const { return booted_; }
   const VpeState* FindVpe(VpeId vpe) const;

@@ -112,7 +112,6 @@ struct SyscallMsg : MsgBody {
   uint64_t token = 0;  // echoed in the reply
 
   CapSel sel = kInvalidSel;    // primary capability selector
-  CapSel sel2 = kInvalidSel;   // secondary selector (delegate target hint)
   VpeId peer = kInvalidVpe;    // peer VPE for obtain/delegate
   EpId ep = 0;                 // endpoint for kActivate
   uint64_t arg0 = 0;           // op-specific (derive: offset)

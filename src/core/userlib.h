@@ -115,6 +115,11 @@ class UserEnv {
   // PE's syscall endpoint, so the retry lands at the right kernel.
   static constexpr Cycles kMigrateRetryBackoff = 6000;
 
+  // The crash watchdog the failover and chaos clients arm: 75 us of
+  // silence, then a re-send, at most 32 times.
+  static constexpr Cycles kCrashWatchdogTimeout = 150'000;
+  static constexpr uint32_t kCrashWatchdogRetries = 32;
+
   // Opt-in crash watchdog (src/ft): if a syscall sees no reply for
   // `timeout` cycles — the kernel died with the call or its reply in
   // flight — the call is re-sent, up to `max_retries` times, after which it
@@ -124,7 +129,7 @@ class UserEnv {
   // starts flowing once a surviving kernel adopted this PE and reset its
   // syscall endpoint (which restores the consumed send credit). Disabled by
   // default: runs without failure injection behave bit-identically.
-  void EnableSyscallRetry(Cycles timeout, uint32_t max_retries = 32);
+  void EnableSyscallRetry(Cycles timeout, uint32_t max_retries = kCrashWatchdogRetries);
 
  private:
   void OnSyscallReply(const Message& msg);

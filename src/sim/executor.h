@@ -52,9 +52,6 @@ class Executor {
   // Total cycles this core spent executing work (utilization numerator).
   Cycles busy_cycles() const { return busy_cycles_; }
 
-  // True if the core would start new work immediately.
-  bool IdleAt(Cycles t) const { return busy_until_ <= t; }
-
  private:
   Simulation* sim_;
   Cycles busy_until_ = 0;

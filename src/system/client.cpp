@@ -24,6 +24,37 @@ DriverRig MakeDriverRig(PlatformConfig pc) {
   return rig;
 }
 
+ObtainRevokeTimes MeasureObtainRevoke(uint32_t kernels, KernelMode mode) {
+  DriverRig rig = MakeDriverRig(kernels, 2, mode);
+  CapSel owner_sel = rig.Grant(0);
+  ObtainRevokeTimes times;
+  times.exchange = rig.TimedOp([&](std::function<void()> done) {
+    rig.client(1).env().Obtain(rig.vpe(0), owner_sel, [done](const SyscallReply& r) {
+      CHECK(r.err == ErrCode::kOk) << "probe obtain failed: " << ErrName(r.err);
+      done();
+    });
+  });
+  times.revoke = rig.TimedOp([&](std::function<void()> done) {
+    rig.client(0).env().Revoke(owner_sel, [done](const SyscallReply& r) {
+      CHECK(r.err == ErrCode::kOk) << "probe revoke failed: " << ErrName(r.err);
+      done();
+    });
+  });
+  return times;
+}
+
+Cycles RevokeChain(uint32_t kernels, KernelMode mode, uint32_t length) {
+  DriverRig rig = MakeDriverRig(kernels, kernels == 1 ? 3 : 2, mode);
+  std::vector<size_t> hops = kernels == 1 ? std::vector<size_t>{1, 2} : std::vector<size_t>{0, 1};
+  CapSel root = rig.BuildChain(length, hops);
+  return rig.TimedOp([&](std::function<void()> done) {
+    rig.client(0).env().Revoke(root, [done](const SyscallReply& r) {
+      CHECK(r.err == ErrCode::kOk) << "chain revoke failed: " << ErrName(r.err);
+      done();
+    });
+  });
+}
+
 size_t DriverRig::client_in_kernel(KernelId k, size_t j) const {
   size_t seen = 0;
   for (size_t i = 0; i < clients.size(); ++i) {

@@ -93,6 +93,21 @@ DriverRig MakeDriverRig(uint32_t kernels, uint32_t users,
 // (flow-control window, timing model, revocation batching, ...).
 DriverRig MakeDriverRig(PlatformConfig pc);
 
+// Table 3's probe (paper §5.2): client 1 obtains client 0's fresh
+// capability, then client 0 revokes it. One kernel gives the group-local
+// scope, two kernels (one client each) the group-spanning one.
+struct ObtainRevokeTimes {
+  Cycles exchange = 0;
+  Cycles revoke = 0;
+};
+ObtainRevokeTimes MeasureObtainRevoke(uint32_t kernels, KernelMode mode);
+
+// Figure 4's probe: the time to revoke a delegation chain of `length`
+// capabilities. On one kernel the chain bounces between two VPEs of the
+// group; on two it bounces between the groups (one VPE each, like the
+// paper's two applications).
+Cycles RevokeChain(uint32_t kernels, KernelMode mode, uint32_t length);
+
 }  // namespace semperos
 
 #endif  // SEMPEROS_SYSTEM_CLIENT_H_

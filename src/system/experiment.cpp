@@ -25,14 +25,13 @@ void AttachServices(Platform* platform, const FsImage& image, const TimingModel&
 }
 
 AppRunResult RunApp(const AppRunConfig& config) {
-  TimingModel timing = TimingModel::For(config.mode);
+  TimingModel timing = TimingModel::SemperOs();
 
   PlatformConfig pc;
   pc.kernels = config.kernels;
   pc.services = config.services;
   pc.users = config.instances;
   pc.mem_tiles = 1;
-  pc.mode = config.mode;
   pc.timing = timing;
   config.setup.ApplyTo(&pc);
   Platform platform(pc);
@@ -96,14 +95,12 @@ AppRunResult RunApp(const AppRunConfig& config) {
   return result;
 }
 
-double SoloRuntimeUs(const std::string& app, uint32_t kernels, uint32_t services,
-                     KernelMode mode) {
+double SoloRuntimeUs(const std::string& app, uint32_t kernels, uint32_t services) {
   AppRunConfig config;
   config.app = app;
   config.kernels = kernels;
   config.services = services;
   config.instances = 1;
-  config.mode = mode;
   return RunApp(config).mean_runtime_us;
 }
 

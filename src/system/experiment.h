@@ -39,7 +39,6 @@ struct AppRunConfig {
   uint32_t kernels = 32;
   uint32_t services = 32;
   uint32_t instances = 512;
-  KernelMode mode = KernelMode::kSemperOSMulti;
   RunSetup setup;
 };
 
@@ -65,8 +64,7 @@ struct AppRunResult {
 AppRunResult RunApp(const AppRunConfig& config);
 
 // Solo baseline: one instance on the same system configuration.
-double SoloRuntimeUs(const std::string& app, uint32_t kernels, uint32_t services,
-                     KernelMode mode = KernelMode::kSemperOSMulti);
+double SoloRuntimeUs(const std::string& app, uint32_t kernels, uint32_t services);
 
 // T_solo / T_parallel (paper §5.3.1): 1.0 = perfect scaling.
 inline double ParallelEfficiency(double solo_us, double parallel_mean_us) {

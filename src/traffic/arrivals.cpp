@@ -55,6 +55,21 @@ double SampleExp(Rng* rng) {
 
 namespace {
 
+// Bursty: alternating burst/idle phases with exponential durations. The
+// arrival rate is kBurstFactor x rate_rps inside a burst and rate_rps
+// outside.
+constexpr uint32_t kBurstFactor = 4;      // integer so thinning stays exact
+constexpr Cycles kBurstMean = 2'000'000;  // mean burst length, cycles (1 ms)
+constexpr Cycles kIdleMean = 6'000'000;   // mean idle gap, cycles (3 ms)
+static_assert(kBurstFactor >= 1);
+
+// Diurnal: deterministic triangle wave, rate(t) between
+// (1 - kAmplitudePct/100) and (1 + kAmplitudePct/100) times rate_rps.
+constexpr Cycles kDiurnalPeriod = 8'000'000;  // full wave period, cycles (4 ms)
+constexpr uint32_t kAmplitudePct = 80;
+static_assert(kAmplitudePct <= 100);
+static_assert(kDiurnalPeriod >= 2);
+
 // Exponential duration with integer mean, in cycles, >= 1. The single
 // multiply + truncate is one IEEE operation each — nothing for the compiler
 // to contract — so results match bit-for-bit across gcc and clang.
@@ -64,61 +79,23 @@ Cycles SampleExpCycles(Rng* rng, Cycles mean) {
   return d == 0 ? 1 : d;
 }
 
-// On/off churn gate: replays the generator's session/offline timeline up to
-// `t` and reports whether the client is connected. Times are integers, so
-// the gate is exact.
-class ChurnGate {
- public:
-  ChurnGate(const ArrivalSpec& spec, uint64_t seed)
-      : enabled_(spec.session_mean != 0 && spec.offline_mean != 0),
-        session_mean_(spec.session_mean),
-        offline_mean_(spec.offline_mean),
-        rng_(seed) {
-    if (enabled_) {
-      phase_end_ = SampleExpCycles(&rng_, session_mean_);
-    }
-  }
-
-  bool ConnectedAt(Cycles t) {
-    if (!enabled_) {
-      return true;
-    }
-    while (t >= phase_end_) {
-      online_ = !online_;
-      phase_end_ += SampleExpCycles(&rng_, online_ ? session_mean_ : offline_mean_);
-    }
-    return online_;
-  }
-
- private:
-  bool enabled_;
-  bool online_ = true;
-  Cycles session_mean_;
-  Cycles offline_mean_;
-  Rng rng_;
-  Cycles phase_end_ = 0;
-};
-
 // Burst gate for the bursty process: replays the burst/idle timeline and
 // reports whether `t` falls inside a burst.
 class BurstGate {
  public:
-  BurstGate(const ArrivalSpec& spec, uint64_t seed)
-      : burst_mean_(spec.burst_mean), idle_mean_(spec.idle_mean), rng_(seed) {
-    phase_end_ = SampleExpCycles(&rng_, idle_mean_);  // start idle
+  explicit BurstGate(uint64_t seed) : rng_(seed) {
+    phase_end_ = SampleExpCycles(&rng_, kIdleMean);  // start idle
   }
 
   bool BurstingAt(Cycles t) {
     while (t >= phase_end_) {
       bursting_ = !bursting_;
-      phase_end_ += SampleExpCycles(&rng_, bursting_ ? burst_mean_ : idle_mean_);
+      phase_end_ += SampleExpCycles(&rng_, bursting_ ? kBurstMean : kIdleMean);
     }
     return bursting_;
   }
 
  private:
-  Cycles burst_mean_;
-  Cycles idle_mean_;
   Rng rng_;
   bool bursting_ = false;
   Cycles phase_end_ = 0;
@@ -155,13 +132,10 @@ std::vector<Cycles> BuildArrivalSchedule(const ArrivalSpec& spec, uint64_t seed,
     case ArrivalProcess::kPoisson:
       break;
     case ArrivalProcess::kBursty:
-      CHECK(spec.burst_factor >= 1) << "BuildArrivalSchedule: burst_factor >= 1";
-      peak_num = spec.burst_factor;
+      peak_num = kBurstFactor;
       break;
     case ArrivalProcess::kDiurnal:
-      CHECK(spec.amplitude_pct <= 100) << "BuildArrivalSchedule: amplitude_pct <= 100";
-      CHECK(spec.diurnal_period >= 2) << "BuildArrivalSchedule: diurnal period too short";
-      peak_num = 100 + spec.amplitude_pct;
+      peak_num = 100 + kAmplitudePct;
       peak_den = 100;
       break;
   }
@@ -172,8 +146,7 @@ std::vector<Cycles> BuildArrivalSchedule(const ArrivalSpec& spec, uint64_t seed,
 
   Rng gaps(MixSeed(seed, generator, 0));
   Rng thin(MixSeed(seed, generator, 1));
-  BurstGate burst(spec, MixSeed(seed, generator, 2));
-  ChurnGate churn(spec, MixSeed(seed, generator, 3));
+  BurstGate burst(MixSeed(seed, generator, 2));
 
   Cycles t = 0;
   while (schedule.size() < count) {
@@ -187,29 +160,26 @@ std::vector<Cycles> BuildArrivalSchedule(const ArrivalSpec& spec, uint64_t seed,
         break;
       case ArrivalProcess::kBursty:
         // Inside a burst the candidate rate is the true rate; outside,
-        // accept 1-in-burst_factor to fall back to the base rate.
+        // accept 1-in-kBurstFactor to fall back to the base rate.
         if (!burst.BurstingAt(t)) {
-          accept = thin.NextBelow(spec.burst_factor) == 0;
+          accept = thin.NextBelow(kBurstFactor) == 0;
         }
         break;
       case ArrivalProcess::kDiurnal: {
         // Triangle wave on integer phase: distance d from the trough, in
         // [0, half]; rate(t) proportional to 100*half + amp*(2d - half).
-        Cycles half = spec.diurnal_period / 2;
-        Cycles phase = t % spec.diurnal_period;
-        Cycles d = phase < half ? phase : spec.diurnal_period - phase;
+        Cycles half = kDiurnalPeriod / 2;
+        Cycles phase = t % kDiurnalPeriod;
+        Cycles d = phase < half ? phase : kDiurnalPeriod - phase;
         // accept iff u < rate(t)/peak, as integers scaled by 100*half:
         // rate(t)   ~ (100 - amp)*half + 2*amp*d
         // peak rate ~ (100 + amp)*half
-        uint64_t amp = spec.amplitude_pct;
+        uint64_t amp = kAmplitudePct;
         uint64_t num = (100 - amp) * half + 2 * amp * d;
         uint64_t den = (100 + amp) * half;
         accept = thin.NextBelow(den) < num;
         break;
       }
-    }
-    if (accept && !churn.ConnectedAt(t)) {
-      accept = false;
     }
     if (accept) {
       schedule.push_back(t);

@@ -14,8 +14,8 @@
 // would cascade into different modeled results across compilers. All
 // sampling therefore avoids libm and FMA-contractible expressions:
 // exponential gaps come from von Neumann's comparison method (uniforms and
-// comparisons only — no log), and rate modulation (bursty/diurnal thinning,
-// churn gating) is integer arithmetic on integer cycle counts.
+// comparisons only — no log), and rate modulation (bursty/diurnal thinning)
+// is integer arithmetic on integer cycle counts.
 #ifndef SEMPEROS_TRAFFIC_ARRIVALS_H_
 #define SEMPEROS_TRAFFIC_ARRIVALS_H_
 
@@ -30,8 +30,8 @@ namespace semperos {
 
 enum class ArrivalProcess : uint8_t {
   kPoisson,  // homogeneous Poisson at rate_rps
-  kBursty,   // on/off modulated Poisson: bursts at burst_factor x base rate
-  kDiurnal,  // triangle-wave rate ramp between (1-amp) and (1+amp) x base
+  kBursty,   // on/off modulated Poisson: bursts at 4x the base rate
+  kDiurnal,  // triangle-wave rate ramp between 0.2x and 1.8x the base rate
 };
 
 const char* ArrivalProcessName(ArrivalProcess process);
@@ -40,27 +40,9 @@ bool ParseArrivalProcess(const std::string& text, ArrivalProcess* out);
 struct ArrivalSpec {
   ArrivalProcess process = ArrivalProcess::kPoisson;
   // Aggregate offered load across all generators, requests per second of
-  // simulated time (the clock runs at kClockHz = 2 GHz).
+  // simulated time (the clock runs at kClockHz = 2 GHz). For the bursty
+  // process this is the rate outside bursts: the floor, not the mean.
   double rate_rps = 100'000.0;
-
-  // Bursty: alternating burst/idle phases with exponential durations. The
-  // arrival rate is burst_factor x rate_rps inside a burst and rate_rps
-  // outside, so rate_rps is the floor, not the mean.
-  uint32_t burst_factor = 4;            // integer so thinning stays exact
-  Cycles burst_mean = 2'000'000;        // mean burst length, cycles (1 ms)
-  Cycles idle_mean = 6'000'000;         // mean idle gap, cycles (3 ms)
-
-  // Diurnal: deterministic triangle wave, rate(t) between
-  // (1 - amplitude_pct/100) and (1 + amplitude_pct/100) times rate_rps.
-  Cycles diurnal_period = 8'000'000;    // full wave period, cycles (4 ms)
-  uint32_t amplitude_pct = 80;          // 0..100
-
-  // Client churn: each generator alternates connected sessions and offline
-  // gaps (both exponentially distributed). Arrivals falling into an offline
-  // gap are dropped from the schedule — the client simply is not there.
-  // session_mean == 0 disables churn.
-  Cycles session_mean = 0;
-  Cycles offline_mean = 0;
 };
 
 // The schedule for one generator: `count` strictly increasing arrival times

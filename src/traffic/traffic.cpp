@@ -109,6 +109,9 @@ void OpenLoopGen::PumpSend() {
 
 namespace {
 
+// Span trees a traced run keeps per percentile bucket.
+constexpr size_t kTailExemplars = 2;
+
 // Splits an aggregate request count across generators: lowest-indexed
 // generators absorb the remainder so totals are exact.
 uint64_t ShareOf(uint64_t total, uint32_t index, uint32_t parts) {
@@ -222,7 +225,7 @@ TrafficResult RunTraffic(const TrafficConfig& config) {
   result.max_us = CyclesToMicros(result.latency.max());
   if (obs::Tracer* tr = platform.tracer(); tr != nullptr) {
     // Tail exemplars: sort measured requests by latency and keep the
-    // slowest `tail_exemplars` of each percentile bucket, with full span
+    // slowest kTailExemplars of each percentile bucket, with full span
     // trees and critical-path breakdowns. The sort key (latency, trace id)
     // is unique, so the selection is deterministic.
     std::vector<std::pair<Cycles, uint64_t>> done;
@@ -243,7 +246,7 @@ TrafficResult RunTraffic(const TrafficConfig& config) {
     for (const Bucket& b : kBuckets) {
       size_t edge = std::min(
           done.size(), static_cast<size_t>(std::ceil(b.pct * static_cast<double>(done.size()))));
-      size_t from = edge > prev + config.tail_exemplars ? edge - config.tail_exemplars : prev;
+      size_t from = edge > prev + kTailExemplars ? edge - kTailExemplars : prev;
       for (size_t i = from; i < edge; ++i) {
         TrafficResult::Exemplar ex;
         ex.bucket = b.name;

@@ -103,9 +103,8 @@ struct TrafficConfig {
   uint64_t cooldown = 0;          // injected after the window closes
   uint64_t seed = 1;
   uint32_t pipeline = 8;          // per-generator transport credits
-  // With tracing on, every request gets a root span and the slowest K of
+  // With tracing on, every request gets a root span and the slowest two of
   // each percentile bucket are kept as exemplars.
-  uint32_t tail_exemplars = 2;
   RunSetup setup;
 };
 
@@ -127,9 +126,9 @@ struct TrafficResult {
   double p999_us = 0;
   double mean_us = 0;
   double max_us = 0;
-  // Traced runs only: the slowest tail_exemplars requests of each
-  // percentile bucket, each with its full span tree and critical-path
-  // breakdown (path.total == the request's measured latency, structurally).
+  // Traced runs only: the slowest two requests of each percentile bucket,
+  // each with its full span tree and critical-path breakdown (path.total ==
+  // the request's measured latency, structurally).
   struct Exemplar {
     std::string bucket;  // "p50" | "p90" | "p99" | "p999" | "max"
     Cycles latency = 0;

@@ -79,18 +79,13 @@ WorkloadResult RunAppDriver(const std::string& app, const WorkloadParams& p) {
   config.kernels = p.U32("kernels");
   config.services = p.U32("services");
   config.instances = p.U32("instances");
-  config.mode = p.Str("mode") == "m3" ? KernelMode::kM3SingleKernel : KernelMode::kSemperOSMulti;
-  if (config.mode == KernelMode::kM3SingleKernel) {
-    config.kernels = 1;  // the M3 baseline is a single-kernel system
-  }
   config.setup = RunSetupFrom(p);
-  double solo = SoloRuntimeUs(app, config.kernels, config.services, config.mode);
+  double solo = SoloRuntimeUs(app, config.kernels, config.services);
   AppRunResult r = RunApp(config);
 
   WorkloadResult out;
-  out.Note(Fmt("%s: %u instances on %u kernels + %u services (%s)", app.c_str(),
-               config.instances, config.kernels, config.services,
-               config.mode == KernelMode::kM3SingleKernel ? "M3 baseline" : "SemperOS"));
+  out.Note(Fmt("%s: %u instances on %u kernels + %u services (SemperOS)", app.c_str(),
+               config.instances, config.kernels, config.services));
   double parallel_eff = ParallelEfficiency(solo, r.mean_runtime_us);
   out.Add("solo_runtime", solo, "us");
   out.Add("mean_runtime", r.mean_runtime_us, "us");
@@ -116,8 +111,7 @@ void RegisterApps() {
                        ExpectedCapOps(app));
     spec.supports_strict = true;
     spec.params = {Kernels("8"), Services("8"),
-                   {"instances", ParamType::kU32, "64", "parallel app instances", {}},
-                   {"mode", ParamType::kString, "semperos", "kernel mode", {"semperos", "m3"}}};
+                   {"instances", ParamType::kU32, "64", "parallel app instances", {}}};
     spec.validate = [](const WorkloadParams& p) {
       return CheckShape(p, 1, {"services", "instances"});
     };
@@ -171,24 +165,11 @@ void RegisterMicro() {
         if (mode == KernelMode::kM3SingleKernel && kernels == 2) {
           continue;
         }
-        DriverRig rig = MakeDriverRig(kernels, 2, mode);
-        CapSel sel = rig.Grant(0);
-        Cycles exch = rig.TimedOp([&](std::function<void()> done) {
-          rig.client(1).env().Obtain(rig.vpe(0), sel, [done](const SyscallReply& r) {
-            CHECK(r.err == ErrCode::kOk);
-            done();
-          });
-        });
-        Cycles rev = rig.TimedOp([&](std::function<void()> done) {
-          rig.client(0).env().Revoke(sel, [done](const SyscallReply& r) {
-            CHECK(r.err == ErrCode::kOk);
-            done();
-          });
-        });
+        ObtainRevokeTimes t = MeasureObtainRevoke(kernels, mode);
         const char* sys = mode == KernelMode::kM3SingleKernel ? "M3" : "SemperOS";
         const char* scope = kernels == 1 ? "local" : "spanning";
         out.Note(Fmt("  %-9s %-9s exchange=%llu revoke=%llu", sys, scope,
-                     (unsigned long long)exch, (unsigned long long)rev));
+                     (unsigned long long)t.exchange, (unsigned long long)t.revoke));
       }
     }
     return out;
@@ -537,19 +518,11 @@ TrafficConfig TrafficConfigFrom(const WorkloadParams& p) {
   config.servers = p.U32("servers");
   ParseArrivalProcess(p.Str("process"), &config.arrivals.process);
   config.arrivals.rate_rps = p.F64("rate");
-  config.arrivals.burst_factor = p.U32("burst-factor");
-  config.arrivals.burst_mean = p.U64("burst-mean");
-  config.arrivals.idle_mean = p.U64("idle-mean");
-  config.arrivals.diurnal_period = p.U64("diurnal-period");
-  config.arrivals.amplitude_pct = p.U32("amplitude");
-  config.arrivals.session_mean = p.U64("session-mean");
-  config.arrivals.offline_mean = p.U64("offline-mean");
   config.warmup = p.U64("warmup");
   config.requests = p.U64("requests");
   config.cooldown = p.U64("cooldown");
   config.seed = p.U64("seed");
   config.pipeline = p.U32("pipeline");
-  config.tail_exemplars = p.U32("tail-exemplars");
   config.setup = RunSetupFrom(p);
   return config;
 }
@@ -583,30 +556,16 @@ void RegisterTraffic() {
       {"process", ParamType::kString, "poisson", "arrival process",
        {"poisson", "bursty", "diurnal"}},
       {"rate", ParamType::kF64, "100000", "aggregate offered load, req/s", {}},
-      {"burst-factor", ParamType::kU32, "4", "bursty: rate multiplier inside bursts", {}},
-      {"burst-mean", ParamType::kU64, "2000000", "bursty: mean burst length, cycles", {}},
-      {"idle-mean", ParamType::kU64, "6000000", "bursty: mean idle gap, cycles", {}},
-      {"diurnal-period", ParamType::kU64, "8000000", "diurnal: wave period, cycles", {}},
-      {"amplitude", ParamType::kU32, "80", "diurnal: rate swing, percent (0..100)", {}},
-      {"session-mean", ParamType::kU64, "0", "churn: mean connected session, cycles", {}},
-      {"offline-mean", ParamType::kU64, "0", "churn: mean offline gap, cycles", {}},
       {"warmup", ParamType::kU64, "2000", "arrivals injected before the window", {}},
       {"requests", ParamType::kU64, "20000", "measured arrivals", {}},
       {"cooldown", ParamType::kU64, "0", "arrivals injected after the window", {}},
       {"seed", ParamType::kU64, "1", "arrival-schedule seed", {}},
       {"pipeline", ParamType::kU32, "8", "per-generator transport credits", {}},
-      {"tail-exemplars", ParamType::kU32, "2", "traced: span trees kept per latency bucket", {}},
       {"saturate", ParamType::kBool, "0", "search for the saturation throughput", {}},
       {"sla-p99-us", ParamType::kF64, "500", "saturation: p99 SLA, microseconds", {}}};
   spec.validate = [](const WorkloadParams& p) -> std::string {
     if (p.F64("rate") <= 0) {
       return "--rate must be positive";
-    }
-    if (p.U32("amplitude") > 100) {
-      return "--amplitude must be within 0..100";
-    }
-    if (p.U32("burst-factor") < 1) {
-      return "--burst-factor must be >= 1";
     }
     if (std::string error = CheckShape(p, 1, {"services", "servers", "requests", "pipeline"});
         !error.empty()) {

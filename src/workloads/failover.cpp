@@ -8,6 +8,14 @@
 
 namespace semperos {
 
+namespace {
+
+// The failure detector (FtConfig's heartbeat timing) stays armed this long
+// past the kill, so detection and recovery finish inside its window.
+constexpr Cycles kMonitorSlack = 600'000;
+
+}  // namespace
+
 FailoverResult RunFailover(const FailoverConfig& config) {
   CHECK_GE(config.kernels, 2u);
   CHECK_GE(config.users_per_kernel, 1u);
@@ -18,11 +26,7 @@ FailoverResult RunFailover(const FailoverConfig& config) {
   // Failover clients seed orphans and arm the crash watchdog (LoopClient).
   LoopClient::Params params;
   params.attempts = config.ops_per_client;
-  params.think = config.think_time;
-  if (config.kill) {
-    params.retry_timeout = config.retry_timeout;
-    params.retry_max = config.retry_max;
-  }
+  params.crash_watchdog = config.kill;
   params.seed_caps = config.orphan_caps;
   params.activate_caps = config.activate_caps;
   LoopRig rig = MakeLoopRig(config.kernels, config.users_per_kernel, config.setup, params);
@@ -75,9 +79,7 @@ FailoverResult RunFailover(const FailoverConfig& config) {
   if (config.kill) {
     kill_time = std::max(run_start + 1, config.kill_at);
     FtConfig ft;
-    ft.heartbeat_period = config.hb_period;
-    ft.heartbeat_timeout = config.hb_timeout;
-    ft.monitor_until = kill_time + config.monitor_slack;
+    ft.monitor_until = kill_time + kMonitorSlack;
     platform.StartFailureDetector(ft);
     platform.KillKernelAt(config.victim, kill_time);
   }

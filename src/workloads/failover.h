@@ -29,7 +29,6 @@ struct FailoverConfig {
   uint32_t kernels = 4;
   uint32_t users_per_kernel = 3;
   uint32_t ops_per_client = 30;   // obtain+revoke attempts per client
-  Cycles think_time = 2000;       // compute phase between pairs
   // Failure injection.
   bool kill = true;               // false: baseline run without a crash
   KernelId victim = 1;            // kernel to crash
@@ -40,13 +39,6 @@ struct FailoverConfig {
   // ...activating the first `activate_caps` of them on DTU memory
   // endpoints, so recovery provably invalidates them.
   uint32_t activate_caps = 2;
-  // Failure detector parameters (see FtConfig).
-  Cycles hb_period = 30'000;
-  Cycles hb_timeout = 90'000;
-  Cycles monitor_slack = 600'000;  // monitor_until = kill_at + slack
-  // Client-side crash watchdog (UserEnv::EnableSyscallRetry).
-  Cycles retry_timeout = 150'000;
-  uint32_t retry_max = 32;
   RunSetup setup;
 };
 

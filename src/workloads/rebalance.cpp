@@ -10,8 +10,8 @@ namespace semperos {
 void LoopClient::Setup() {
   env_ = std::make_unique<UserEnv>(pe_, kernel_node_, ask_cost_);
   env_->SetupEps(/*is_service=*/false);
-  if (params_.retry_timeout > 0) {
-    env_->EnableSyscallRetry(params_.retry_timeout, params_.retry_max);
+  if (params_.crash_watchdog) {
+    env_->EnableSyscallRetry(UserEnv::kCrashWatchdogTimeout);
   }
 }
 
@@ -58,7 +58,7 @@ void LoopClient::NextOp() {
       // kNoSuchCap with the crash watchdog armed: the copy was created at a
       // kernel that died since — from the application's view the revoke is
       // trivially done. Without a crash, a copy missing at revoke was lost.
-      bool crash_gone = params_.retry_timeout > 0 && r2.err == ErrCode::kNoSuchCap;
+      bool crash_gone = params_.crash_watchdog && r2.err == ErrCode::kNoSuchCap;
       FinishAttempt(r2.err == ErrCode::kOk || crash_gone);
     });
   });
@@ -71,7 +71,7 @@ void LoopClient::FinishAttempt(bool ok) {
   } else {
     ops_failed_++;
   }
-  env_->Compute(params_.think, [this] { NextOp(); });
+  env_->Compute(kThinkTime, [this] { NextOp(); });
 }
 
 LoopRig MakeLoopRig(uint32_t kernels, uint32_t users_per_kernel, const RunSetup& setup,
@@ -175,7 +175,6 @@ RebalanceResult RunRebalance(const RebalanceConfig& config) {
 
   LoopClient::Params params;
   params.attempts = config.ops_per_client;
-  params.think = config.think_time;
   LoopRig rig = MakeLoopRig(config.kernels, config.users_per_kernel, config.setup, params);
   Platform& platform = *rig.platform;
 

@@ -34,7 +34,7 @@ namespace semperos {
 // invisible here: frozen syscalls come back as kVpeMigrating and UserEnv
 // retries them.
 //
-// Failover sets two things rebalance leaves at zero: a seed phase before
+// Failover sets two things rebalance leaves off: a seed phase before
 // the loop (obtain `seed_caps` capabilities from the seed peer and keep
 // them, activating the first `activate_caps` on memory endpoints — the
 // subtrees a kernel crash orphans), and the crash watchdog. Only with the
@@ -42,11 +42,11 @@ namespace semperos {
 // as done; without it no kernel can have died, so the copy was lost.
 class LoopClient : public Program {
  public:
+  static constexpr Cycles kThinkTime = 2000;  // compute phase between attempts
+
   struct Params {
-    uint32_t attempts = 0;     // obtain+revoke attempts
-    Cycles think = 0;          // compute phase between attempts
-    Cycles retry_timeout = 0;  // UserEnv::EnableSyscallRetry; 0: off
-    uint32_t retry_max = 0;
+    uint32_t attempts = 0;        // obtain+revoke attempts
+    bool crash_watchdog = false;  // UserEnv::EnableSyscallRetry
     uint32_t seed_caps = 0;
     uint32_t activate_caps = 0;
   };
@@ -140,7 +140,6 @@ struct RebalanceConfig {
   uint32_t kernels = 4;
   uint32_t users_per_kernel = 4;
   uint32_t ops_per_client = 30;  // obtain+revoke pairs per client
-  Cycles think_time = 2000;      // compute phase between pairs
   bool migrate = true;           // false: baseline run without rebalancing
   uint32_t migrate_pes = 2;      // hot PEs drained from kernel 0
   Cycles migrate_at = 300'000;   // when the rebalancer kicks in

@@ -55,7 +55,6 @@ struct ParamSpec {
 class WorkloadParams {
  public:
   void Set(const std::string& name, const std::string& value) { values_[name] = value; }
-  bool Has(const std::string& name) const { return values_.count(name) != 0; }
   const std::string& Str(const std::string& name) const;
   uint32_t U32(const std::string& name) const;
   uint64_t U64(const std::string& name) const;

@@ -130,6 +130,30 @@ TEST(FailoverTest, HeartbeatsDetectSilentKernelAndSurvivorsRecover) {
   EXPECT_EQ(rig.p().TotalDrops(), 0u);
 }
 
+TEST(FailoverTest, ShutdownAfterRecoveryFailsFastToTheDeadPeer) {
+  // Once kernel 1 is quorum-confirmed dead, kernel 0's shutdown announcement
+  // to it completes at once with kUnreachable instead of waiting for a reply
+  // that never comes.
+  DriverRig rig = MakeDriverRig(3, 3);
+  FtConfig ft;
+  ft.monitor_until = rig.p().sim().Now() + 500'000;
+  rig.p().StartFailureDetector(ft);
+  rig.p().KillKernelAt(1, rig.p().sim().Now() + 50'000);
+  rig.p().RunToCompletion();
+  ASSERT_TRUE(rig.p().KernelFailed(1));
+
+  Kernel* k0 = rig.p().kernel(0);
+  uint64_t aborted = k0->stats().ft_ikcs_aborted;
+  bool down = false;
+  k0->AdminShutdown([&down] { down = true; });
+  rig.p().RunToCompletion();
+  EXPECT_TRUE(down);
+  EXPECT_EQ(k0->stats().ft_ikcs_aborted, aborted + 1);
+  EXPECT_EQ(rig.p().TotalDrops(), 0u);
+  AuditReport report = AuditPlatform(rig.p());
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
 // An orphan root that an in-flight revocation already marked is not revoked
 // twice: recovery waits for that revocation and completes only once the
 // orphaned subtree is gone.

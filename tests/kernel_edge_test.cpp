@@ -829,6 +829,28 @@ TEST(Concurrency, ManyRevokesAgainstOneOwner) {
   }
 }
 
+TEST(Concurrency, AsksBeyondTheWindowWaitTheirTurn) {
+  // 71 clients of one kernel obtain one owner's capability at once. The
+  // kernel keeps at most kServiceAskInflight asks at the owner and queues
+  // the rest, so the owner's ask endpoint never overflows.
+  constexpr size_t kAskers = 71;
+  static_assert(kAskers > Kernel::kServiceAskInflight);
+  DriverRig rig = MakeDriverRig(1, kAskers + 1);
+  CapSel root = rig.Grant(0);
+  size_t obtained = 0;
+  for (size_t i = 1; i <= kAskers; ++i) {
+    rig.client(i).env().Obtain(rig.vpe(0), root, [&obtained](const SyscallReply& r) {
+      EXPECT_EQ(r.err, ErrCode::kOk);
+      obtained++;
+    });
+  }
+  rig.p().RunToCompletion();
+  EXPECT_EQ(obtained, kAskers);
+  EXPECT_EQ(rig.p().TotalDrops(), 0u);
+  AuditReport report = AuditPlatform(rig.p());
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
 TEST(Payload, ObtainedCopyInheritsRestrictedPayload) {
   DriverRig rig = MakeDriverRig(2, 2);
   Kernel* k0 = rig.kernel_of_client(0);

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "audit/cap_audit.h"
 #include "system/client.h"
 #include "system/experiment.h"
 #include "workloads/rebalance.h"
@@ -310,6 +311,37 @@ TEST(MigrationTest, RejectsInvalidDestinations) {
   EXPECT_EQ(range_err, ErrCode::kInvalidArgs);
 }
 
+TEST(MigrationTest, FullDestinationRefusesTheHandoff) {
+  // Kernel 1 already manages kMaxVpesPerKernel VPEs, so it refuses the PE;
+  // kernel 0 unfreezes it and keeps serving it.
+  DriverRig rig = MakeDriverRig(2, 2 * Kernel::kMaxVpesPerKernel);
+  ASSERT_EQ(rig.p().kernel(1)->vpes().size(), Kernel::kMaxVpesPerKernel);
+  size_t mover = rig.client_in_kernel(0, 0);
+  CapSel sel = rig.Grant(mover, 4096);
+  ErrCode err = ErrCode::kOk;
+  bool done = false;
+  rig.p().MigratePe(rig.vpe(mover), 1, [&](ErrCode e) {
+    err = e;
+    done = true;
+  });
+  rig.p().RunToCompletion();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(err, ErrCode::kInvalidArgs);
+  EXPECT_EQ(rig.p().membership().KernelOf(rig.vpe(mover)), 0u);
+  EXPECT_NE(rig.p().kernel(0)->FindVpe(rig.vpe(mover)), nullptr);
+  EXPECT_EQ(rig.p().kernel(1)->FindVpe(rig.vpe(mover)), nullptr);
+
+  bool revoked = false;
+  rig.client(mover).env().Revoke(sel, [&revoked](const SyscallReply& r) {
+    EXPECT_EQ(r.err, ErrCode::kOk);
+    revoked = true;
+  });
+  rig.p().RunToCompletion();
+  EXPECT_TRUE(revoked);
+  AuditReport report = AuditPlatform(rig.p());
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
 TEST(MigrationTest, EpochBumpInvalidatesRemoteDdlCache) {
   // The remote-DDL cache must drop everything when a migration bumps the
   // membership epoch: a key cached under the old view could route to the
@@ -502,7 +534,7 @@ TEST(RebalanceTest, BaselineRunHasNoMigrationTraffic) {
 // One loop attempt whose obtained copy vanishes before its revoke arrives:
 // the peer that owns the root is killed as soon as the copy exists, so the
 // revoke comes back kNoSuchCap. Returns {ok, failed} attempts.
-std::pair<uint64_t, uint64_t> LoopAttemptWithLostCopy(Cycles retry_timeout) {
+std::pair<uint64_t, uint64_t> LoopAttemptWithLostCopy(bool crash_watchdog) {
   PlatformConfig pc;
   pc.users = 2;
   Platform platform(pc);
@@ -511,8 +543,7 @@ std::pair<uint64_t, uint64_t> LoopAttemptWithLostCopy(Cycles retry_timeout) {
   Kernel* kernel = platform.kernel(0);
   LoopClient::Params params;
   params.attempts = 1;
-  params.retry_timeout = retry_timeout;
-  params.retry_max = 4;
+  params.crash_watchdog = crash_watchdog;
   auto owned = std::make_unique<LoopClient>(platform.kernel_node(0), pc.timing.ask_party, params);
   LoopClient* client = owned.get();
   platform.pe(loop_pe)->AttachProgram(std::move(owned));
@@ -535,10 +566,11 @@ std::pair<uint64_t, uint64_t> LoopAttemptWithLostCopy(Cycles retry_timeout) {
 TEST(RebalanceTest, RevokeOfLostCopyFailsTheAttempt) {
   // Rebalance arms no crash watchdog: no kernel can have died, so a copy
   // missing at revoke was lost, and RunRebalance's zero-failure check fires.
-  EXPECT_EQ(LoopAttemptWithLostCopy(/*retry_timeout=*/0), (std::pair<uint64_t, uint64_t>{0, 1}));
+  EXPECT_EQ(LoopAttemptWithLostCopy(/*crash_watchdog=*/false),
+            (std::pair<uint64_t, uint64_t>{0, 1}));
   // Failover arms it: the copy may have died with a crashed kernel, which
   // from the application's view leaves the revoke done.
-  EXPECT_EQ(LoopAttemptWithLostCopy(/*retry_timeout=*/150'000),
+  EXPECT_EQ(LoopAttemptWithLostCopy(/*crash_watchdog=*/true),
             (std::pair<uint64_t, uint64_t>{1, 0}));
 }
 

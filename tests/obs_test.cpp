@@ -450,7 +450,6 @@ TEST(ObsIntegration, TrafficTailExemplarsRetainSpanTrees) {
   config.warmup = 100;
   config.requests = 400;
   config.setup.trace.enabled = true;
-  config.tail_exemplars = 2;
   TrafficResult serial = RunTraffic(config);
   EXPECT_GT(serial.outcome.spans_recorded, 0u);
   EXPECT_EQ(serial.outcome.spans_dropped, 0u);

@@ -140,9 +140,9 @@ TEST(Registry, RunSetupFlagsNeedOnePlatformRun) {
   EXPECT_FALSE(Parse({"chaos", "--sweep=2", "--metrics-interval=5000"}).ok);
   EXPECT_TRUE(Parse({"chaos", "--sweep=2", "--threads=2"}).ok);
   EXPECT_FALSE(Parse({"traffic", "--saturate", "--metrics-out=m.json"}).ok);
-  // --tail-exemplars is a traffic parameter, not a global flag.
-  EXPECT_EQ(Parse({"traffic", "--tail-exemplars=3"}).params.U32("tail-exemplars"), 3u);
-  EXPECT_FALSE(Parse({"tar", "--tail-exemplars=3"}).ok);
+  // --pipeline is a traffic parameter, not a global flag.
+  EXPECT_EQ(Parse({"traffic", "--pipeline=3"}).params.U32("pipeline"), 3u);
+  EXPECT_FALSE(Parse({"tar", "--pipeline=3"}).ok);
 }
 
 TEST(Registry, GlobalFlagsParse) {

@@ -349,17 +349,6 @@ TEST(Experiment, SoloRunHasMakespanEqualRuntime) {
   EXPECT_NEAR(CyclesToMicros(result.makespan), result.mean_runtime_us, 1.0);
 }
 
-TEST(Experiment, M3ModeRunsWorkloads) {
-  AppRunConfig config;
-  config.app = "find";
-  config.kernels = 1;
-  config.services = 1;
-  config.instances = 4;
-  config.mode = KernelMode::kM3SingleKernel;
-  AppRunResult result = RunApp(config);
-  EXPECT_EQ(result.total_cap_ops, 4u * 3u);
-}
-
 TEST(Experiment, RunsAreDeterministic) {
   AppRunConfig config;
   config.app = "leveldb";

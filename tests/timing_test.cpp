@@ -9,74 +9,46 @@
 namespace semperos {
 namespace {
 
-struct OpTimes {
-  Cycles exchange = 0;
-  Cycles revoke = 0;
-};
+double Exchange(uint32_t kernels, KernelMode mode) {
+  return static_cast<double>(MeasureObtainRevoke(kernels, mode).exchange);
+}
 
-OpTimes Measure(uint32_t kernels, KernelMode mode) {
-  DriverRig rig = MakeDriverRig(kernels, 2, mode);
-  CapSel owner_sel = rig.Grant(0);
-  OpTimes times;
-  times.exchange = rig.TimedOp([&](std::function<void()> done) {
-    rig.client(1).env().Obtain(rig.vpe(0), owner_sel, [done](const SyscallReply& r) {
-      ASSERT_EQ(r.err, ErrCode::kOk);
-      done();
-    });
-  });
-  times.revoke = rig.TimedOp([&](std::function<void()> done) {
-    rig.client(0).env().Revoke(owner_sel, [done](const SyscallReply& r) {
-      ASSERT_EQ(r.err, ErrCode::kOk);
-      done();
-    });
-  });
-  return times;
+double Revoke(uint32_t kernels, KernelMode mode) {
+  return static_cast<double>(MeasureObtainRevoke(kernels, mode).revoke);
 }
 
 // Paper Table 3, reproduced within 1%.
 TEST(Table3, ExchangeLocalSemperOs) {
-  EXPECT_NEAR(static_cast<double>(Measure(1, KernelMode::kSemperOSMulti).exchange), 3597, 36);
+  EXPECT_NEAR(Exchange(1, KernelMode::kSemperOSMulti), 3597, 36);
 }
 
 TEST(Table3, ExchangeLocalM3) {
-  EXPECT_NEAR(static_cast<double>(Measure(1, KernelMode::kM3SingleKernel).exchange), 3250, 33);
+  EXPECT_NEAR(Exchange(1, KernelMode::kM3SingleKernel), 3250, 33);
 }
 
 TEST(Table3, ExchangeSpanning) {
-  EXPECT_NEAR(static_cast<double>(Measure(2, KernelMode::kSemperOSMulti).exchange), 6484, 65);
+  EXPECT_NEAR(Exchange(2, KernelMode::kSemperOSMulti), 6484, 65);
 }
 
 TEST(Table3, RevokeLocalSemperOs) {
-  EXPECT_NEAR(static_cast<double>(Measure(1, KernelMode::kSemperOSMulti).revoke), 1997, 20);
+  EXPECT_NEAR(Revoke(1, KernelMode::kSemperOSMulti), 1997, 20);
 }
 
 TEST(Table3, RevokeLocalM3) {
-  EXPECT_NEAR(static_cast<double>(Measure(1, KernelMode::kM3SingleKernel).revoke), 1423, 15);
+  EXPECT_NEAR(Revoke(1, KernelMode::kM3SingleKernel), 1423, 15);
 }
 
 TEST(Table3, RevokeSpanning) {
-  EXPECT_NEAR(static_cast<double>(Measure(2, KernelMode::kSemperOSMulti).revoke), 3876, 39);
+  EXPECT_NEAR(Revoke(2, KernelMode::kSemperOSMulti), 3876, 39);
 }
 
 TEST(Table3, DdlOverheadMatchesPaperPercentages) {
-  OpTimes semper = Measure(1, KernelMode::kSemperOSMulti);
-  OpTimes m3 = Measure(1, KernelMode::kM3SingleKernel);
+  ObtainRevokeTimes semper = MeasureObtainRevoke(1, KernelMode::kSemperOSMulti);
+  ObtainRevokeTimes m3 = MeasureObtainRevoke(1, KernelMode::kM3SingleKernel);
   double exchange_overhead = 100.0 * (double(semper.exchange) / double(m3.exchange) - 1.0);
   double revoke_overhead = 100.0 * (double(semper.revoke) / double(m3.revoke) - 1.0);
   EXPECT_NEAR(exchange_overhead, 10.7, 1.0);  // paper: +10.7%
   EXPECT_NEAR(revoke_overhead, 40.3, 1.5);    // paper: +40.3%
-}
-
-Cycles RevokeChain(uint32_t kernels, KernelMode mode, uint32_t length) {
-  DriverRig rig = MakeDriverRig(kernels, kernels == 1 ? 3 : 2, mode);
-  std::vector<size_t> hops = kernels == 1 ? std::vector<size_t>{1, 2} : std::vector<size_t>{0, 1};
-  CapSel root = rig.BuildChain(length, hops);
-  return rig.TimedOp([&](std::function<void()> done) {
-    rig.client(0).env().Revoke(root, [done](const SyscallReply& r) {
-      ASSERT_EQ(r.err, ErrCode::kOk);
-      done();
-    });
-  });
 }
 
 TEST(Figure4, LocalChainTwiceM3) {

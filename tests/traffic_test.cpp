@@ -54,8 +54,6 @@ TEST(Arrivals, SchedulesAreStrictlyIncreasing) {
        {ArrivalProcess::kPoisson, ArrivalProcess::kBursty, ArrivalProcess::kDiurnal}) {
     ArrivalSpec spec;
     spec.process = process;
-    spec.session_mean = 4'000'000;  // exercise churn gating too
-    spec.offline_mean = 1'000'000;
     std::vector<Cycles> schedule = Schedule(spec, 7, 0, 2, 10'000);
     ASSERT_EQ(schedule.size(), 10'000u);
     for (size_t i = 1; i < schedule.size(); ++i) {

@@ -5,7 +5,7 @@
 // serial-vs-parallel verification all come from the WorkloadSpec schemas:
 //
 //   semperos_sim postmark --kernels=32 --services=32 --instances=512
-//   semperos_sim tar --kernels=1 --services=1 --instances=1 --mode=m3
+//   semperos_sim tar --kernels=1 --services=1 --instances=1
 //   semperos_sim nginx --kernels=32 --services=32 --servers=128
 //   semperos_sim micro                        # Table-3 style op latencies
 //   semperos_sim failover --kernels=8         # crash-recovery workload
