@@ -12,6 +12,12 @@
 //  * FlatIndex<T>  — an open-addressed map from a 64-bit key to a record;
 //  * Ring<T>       — a FIFO that keeps its capacity.
 //
+// Each also has Trim(), which frees what it holds beyond its live content.
+// The pools hold the run's high-water, not boot's: the boot handshake puts
+// an IKC to every peer kernel in flight at once, a peak most runs never
+// reach again, so the kernels trim theirs once boot settled (Kernel::Trim,
+// called by Platform::Boot).
+//
 // Each instance belongs to one kernel, PE or service, which one shard of
 // the parallel engine owns, so none of them needs synchronization.
 #ifndef SEMPEROS_BASE_FLAT_H_
@@ -78,6 +84,19 @@ class RecordPool {
 
   size_t live() const { return live_; }
 
+  // Frees every parked record, and the slot tables too when none is live.
+  // New() allocates a fresh record for a slot whose record was freed.
+  void Trim() {
+    if (live_ == 0) {
+      std::vector<std::unique_ptr<T>>().swap(records_);
+      std::vector<uint32_t>().swap(free_);
+      return;
+    }
+    for (uint32_t slot : free_) {
+      records_[slot].reset();
+    }
+  }
+
  private:
   std::vector<std::unique_ptr<T>> records_;  // by slot; parked records stay
   std::vector<uint32_t> free_;               // slots ready for New()
@@ -87,7 +106,8 @@ class RecordPool {
 // Open-addressed map from a non-zero 64-bit key (a token, a DDL key) to a
 // record pointer. Linear probing over a power-of-two table kept at most
 // half full; Erase shifts the rest of the probe run back instead of leaving
-// tombstones, so probe runs stay short under churn. The table only grows.
+// tombstones, so probe runs stay short under churn. The table only grows,
+// until Trim() frees an empty one.
 //
 // ForEach visits entries in table order, which depends on the keys and the
 // insertion history but never on addresses: it is deterministic, yet not
@@ -157,6 +177,14 @@ class FlatIndex {
   size_t capacity() const { return slots_.size(); }
   size_t HomeSlot(uint64_t key) const { return Home(key); }
 
+  // Frees the table if it holds no entry; the next Insert starts over.
+  void Trim() {
+    if (size_ == 0) {
+      std::vector<Slot>().swap(slots_);
+      shift_ = 64;
+    }
+  }
+
   // Invokes fn(key, T*) for every entry, in table order. The callback must
   // not insert or erase.
   template <typename Fn>
@@ -203,8 +231,8 @@ class FlatIndex {
 };
 
 // FIFO queue over a power-of-two circular buffer. Growing doubles the
-// buffer; nothing ever shrinks it, so once the ring reached its peak length
-// pushes and pops never allocate. A popped slot is reset to T() at once,
+// buffer; only Trim() frees it, and only when the ring is empty, so once
+// the ring reached its peak length pushes and pops never allocate. A popped slot is reset to T() at once,
 // releasing whatever it referenced.
 template <typename T>
 class Ring {
@@ -233,6 +261,14 @@ class Ring {
   void clear() {
     while (!empty()) {
       pop_front();
+    }
+  }
+
+  // Frees the buffer if the ring is empty; the next push starts over.
+  void Trim() {
+    if (empty()) {
+      std::vector<T>().swap(buf_);
+      head_ = 0;
     }
   }
 

@@ -23,6 +23,7 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "base/log.h"
@@ -109,13 +110,36 @@ namespace semperos {
 // kernel (paper Figure 2, left). Boot-time assignments use Assign; runtime
 // reassignments (PE migration, failover) go through Apply, which versions
 // the table with an epoch so kernels can tell stale views from current ones.
+//
+// Copies share the mapping until one of them changes it (copy-on-write):
+// every kernel reads the platform's boot-time table, one slot per PE,
+// until a migration or failover reassigns a partition at that kernel. A
+// table writes only a mapping it allocated itself and that no copy shares,
+// so the copies that different shards of the parallel engine own need no
+// synchronization. The epochs are each copy's own.
 class MembershipTable {
  public:
-  MembershipTable() = default;
-  explicit MembershipTable(uint32_t pe_count) : kernel_of_(pe_count, kInvalidKernel) {}
+  MembershipTable() : MembershipTable(0) {}
+  explicit MembershipTable(uint32_t pe_count)
+      : kernel_of_(std::make_shared<std::vector<KernelId>>(pe_count, kInvalidKernel)),
+        owned_(true) {}
+
+  // A copy shares the source's mapping; neither writes it from then on.
+  MembershipTable(const MembershipTable& other)
+      : kernel_of_(other.kernel_of_), pe_epoch_(other.pe_epoch_), epoch_(other.epoch_) {
+    other.owned_ = false;
+  }
+  MembershipTable& operator=(const MembershipTable& other) {
+    if (this != &other) {
+      *this = MembershipTable(other);
+    }
+    return *this;
+  }
+  MembershipTable(MembershipTable&&) noexcept = default;
+  MembershipTable& operator=(MembershipTable&&) noexcept = default;
 
   // Boot-time wiring; does not touch the epochs (every kernel starts at 0).
-  void Assign(NodeId pe, KernelId kernel) { kernel_of_.at(pe) = kernel; }
+  void Assign(NodeId pe, KernelId kernel) { Mapping().at(pe) = kernel; }
 
   // Applies a reassignment learned from a peer kernel. Per-PE epochs gate
   // the mapping: back-to-back migrations of one PE broadcast from
@@ -127,7 +151,7 @@ class MembershipTable {
   // The table-wide epoch merges monotonically for observers.
   void Apply(NodeId pe, KernelId kernel, uint64_t epoch) {
     if (epoch > PeEpochs().at(pe)) {
-      kernel_of_[pe] = kernel;
+      Mapping()[pe] = kernel;
       pe_epoch_[pe] = epoch;
     }
     epoch_ = epoch > epoch_ ? epoch : epoch_;
@@ -136,22 +160,39 @@ class MembershipTable {
   uint64_t Epoch() const { return epoch_; }
   uint64_t PeEpoch(NodeId pe) const { return pe < pe_epoch_.size() ? pe_epoch_[pe] : 0; }
 
-  KernelId KernelOf(NodeId pe) const { return kernel_of_.at(pe); }
+  KernelId KernelOf(NodeId pe) const { return kernel_of_->at(pe); }
   KernelId KernelOfKey(DdlKey key) const { return KernelOf(key.pe()); }
 
-  uint32_t PeCount() const { return static_cast<uint32_t>(kernel_of_.size()); }
+  uint32_t PeCount() const { return static_cast<uint32_t>(kernel_of_->size()); }
+
+  // Whether this table and `other` read one shared mapping (for tests).
+  bool SharesMappingWith(const MembershipTable& other) const {
+    return kernel_of_ == other.kernel_of_;
+  }
 
  private:
+  // The mapping, for writing: copied first unless this table owns it.
+  std::vector<KernelId>& Mapping() {
+    if (!owned_) {
+      kernel_of_ = std::make_shared<std::vector<KernelId>>(*kernel_of_);
+      owned_ = true;
+    }
+    return *kernel_of_;
+  }
+
   // Lazily sized: tables built with Assign alone never see runtime
   // reassignments until Apply runs.
   std::vector<uint64_t>& PeEpochs() {
-    if (pe_epoch_.size() < kernel_of_.size()) {
-      pe_epoch_.resize(kernel_of_.size(), 0);
+    if (pe_epoch_.size() < kernel_of_->size()) {
+      pe_epoch_.resize(kernel_of_->size(), 0);
     }
     return pe_epoch_;
   }
 
-  std::vector<KernelId> kernel_of_;
+  std::shared_ptr<std::vector<KernelId>> kernel_of_;
+  // Whether this table allocated kernel_of_ and no copy shares it. Copying
+  // clears it on the source too.
+  mutable bool owned_ = false;
   std::vector<uint64_t> pe_epoch_;    // last epoch applied per partition
   uint64_t epoch_ = 0;
 };

@@ -194,6 +194,27 @@ void Kernel::FinishBoot(const std::vector<ProcessingElement*>& group_pes) {
   }
 }
 
+void Kernel::Trim() {
+  syscall_recs_.Trim();
+  obtain_recs_.Trim();
+  delegate_recs_.Trim();
+  parked_recs_.Trim();
+  ask_recs_.Trim();
+  ikc_recs_.Trim();
+  revoke_recs_.Trim();
+  countdown_recs_.Trim();
+  obtains_.Trim();
+  delegates_.Trim();
+  parked_delegates_.Trim();
+  asks_.Trim();
+  ikcs_.Trim();
+  revoke_tasks_.Trim();
+  for (PeerState& peer : peers_) {
+    peer.queue.Trim();
+  }
+  egress_.Trim();
+}
+
 void Kernel::AdminCreateVpe(NodeId node, bool is_service) {
   CHECK_EQ(config_.membership.KernelOf(node), config_.id);
   CHECK_LT(vpes_.size(), kMaxVpesPerKernel)
@@ -1831,7 +1852,7 @@ FtVerdict Kernel::ft_verdict(KernelId peer) const {
 }
 
 bool Kernel::FromKernel(const Message& msg) {
-  if (config_.pe_types.at(msg.src_node) == PeType::kKernel) {
+  if (config_.pe_types->at(msg.src_node) == PeType::kKernel) {
     return true;
   }
   // A user PE reaches a kernel channel only with a reply (its send
@@ -2138,7 +2159,8 @@ void Kernel::FtRecoveryStepDone() {
 }
 
 void Kernel::AdoptPe(NodeId pe) {
-  PeType type = pe < config_.pe_types.size() ? config_.pe_types[pe] : PeType::kUser;
+  const std::vector<PeType>& pe_types = *config_.pe_types;
+  PeType type = pe < pe_types.size() ? pe_types[pe] : PeType::kUser;
   if (type == PeType::kKernel || type == PeType::kMemory) {
     return;  // ownership-only takeover: nothing runs a VPE on those tiles
   }
@@ -2364,6 +2386,10 @@ void Kernel::SendIkc(KernelId peer, std::shared_ptr<IkcMsg> msg, IkcCallback cb)
 void Kernel::EnqueueIkc(KernelId peer, std::shared_ptr<IkcMsg> msg) {
   stats_.ikc_op_sent[static_cast<size_t>(msg->op)]++;
   PeerState& state = peers_[peer];
+  if (state.credits > 0 && state.queue.empty()) {
+    TransmitIkc(peer, std::move(msg));  // the queue allocates only for a wait
+    return;
+  }
   if (state.credits == 0) {
     // All four in-flight slots at the peer are taken (paper §4.1); the
     // request waits here instead of overflowing the peer's receive EP.
@@ -2413,17 +2439,21 @@ void Kernel::DispatchIkc(KernelId peer) {
   while (state.credits > 0 && !state.queue.empty()) {
     std::shared_ptr<IkcMsg> msg = std::move(state.queue.front());
     state.queue.pop_front();
-    state.credits--;
-    stats_.ikc_sent++;
-    NodeId peer_node = config_.kernel_nodes.at(peer);
-    // Peer receive EP: 8 + (sender % 8) — eight senders share one EP, four
-    // in-flight messages each: 8 EPs x 32 slots cover 64 kernels (§5.1).
-    EpId dst_ep = kEpKernel0 + (config_.id % kNumKernelEps);
-    EpId reply_ep = kEpKernel0 + (peer % kNumKernelEps);
-    Emit(pe_->sim()->Now(), [this, peer_node, dst_ep, reply_ep, msg = std::move(msg)] {
-      pe_->dtu().SendTo(peer_node, dst_ep, msg, reply_ep);
-    });
+    TransmitIkc(peer, std::move(msg));
   }
+}
+
+void Kernel::TransmitIkc(KernelId peer, std::shared_ptr<IkcMsg> msg) {
+  peers_[peer].credits--;
+  stats_.ikc_sent++;
+  NodeId peer_node = config_.kernel_nodes.at(peer);
+  // Peer receive EP: 8 + (sender % 8) — eight senders share one EP, four
+  // in-flight messages each: 8 EPs x 32 slots cover 64 kernels (§5.1).
+  EpId dst_ep = kEpKernel0 + (config_.id % kNumKernelEps);
+  EpId reply_ep = kEpKernel0 + (peer % kNumKernelEps);
+  Emit(pe_->sim()->Now(), [this, peer_node, dst_ep, reply_ep, msg = std::move(msg)] {
+    pe_->dtu().SendTo(peer_node, dst_ep, msg, reply_ep);
+  });
 }
 
 void Kernel::ReplyIkc(const Message& msg, std::shared_ptr<IkcReply> reply) {

@@ -253,7 +253,9 @@ class Kernel : public Program {
   struct Config {
     KernelId id = 0;
     TimingModel timing;
-    MembershipTable membership;          // PE -> kernel (replicated, static)
+    // PE -> kernel, replicated: every kernel's copy shares the platform's
+    // boot-time table until a migration or failover changes it here.
+    MembershipTable membership;
     std::vector<NodeId> kernel_nodes;    // kernel id -> kernel PE
     uint32_t max_inflight = 4;           // M_inflight per peer kernel
     // Extension (paper §5.2 future work): batch all REVOKE_REQs to the
@@ -263,7 +265,8 @@ class Kernel : public Program {
     // for a dead group's PEs; `on_failover` lets the platform mirror the
     // membership changes a quorum leader decrees mid-run.
     // node -> tile type; also tells kernel channels which senders are kernels.
-    std::vector<PeType> pe_types;
+    // Read-only, one list for the whole platform.
+    std::shared_ptr<const std::vector<PeType>> pe_types;
     // Invoked by a quorum leader with the decreed takeover plan, so the
     // platform mirrors exactly what the kernels applied (no recompute).
     std::function<void(KernelId dead, uint64_t epoch, const std::vector<TakeoverAssignment>&)>
@@ -378,6 +381,11 @@ class Kernel : public Program {
   // Called by the platform once all programs configured their endpoints;
   // downgrades every user DTU in the group (NoC-level isolation).
   void FinishBoot(const std::vector<ProcessingElement*>& group_pes);
+
+  // Frees the storage the boot handshake left behind: parked operation
+  // records, and the index tables and queues that hold nothing. The
+  // platform calls it once boot settled (base/flat.h).
+  void Trim();
 
  private:
   // ===== Pending distributed operations (suspended kernel threads) =====
@@ -653,14 +661,17 @@ class Kernel : public Program {
   // untrusted user PEs and must pass this before any routing lookup.
   bool KnownPe(VpeId pe) const { return pe < config_.membership.PeCount(); }
   void SendIkc(KernelId peer, std::shared_ptr<IkcMsg> msg, IkcCallback cb);
+  // Sends the peer's queued requests while it has credits.
   void DispatchIkc(KernelId peer);
+  // Spends one of the peer's credits on `msg` and sends it.
+  void TransmitIkc(KernelId peer, std::shared_ptr<IkcMsg> msg);
   // Sends `reply` to the request `msg`, under the request's token.
   void ReplyIkc(const Message& msg, std::shared_ptr<IkcReply> reply);
   // Charges `cost`, then answers the request `msg` with `err` alone.
   void AnswerIkc(Cycles cost, const Message& msg, ErrCode err);
   void BroadcastHello();
-  // Puts `msg` in the peer's flow-controlled FIFO and dispatches what the
-  // peer's credits allow.
+  // Sends `msg` at once if the peer has a credit and nothing waits for
+  // one; otherwise appends it to the peer's flow-controlled FIFO.
   void EnqueueIkc(KernelId peer, std::shared_ptr<IkcMsg> msg);
   // Relayed forward of a stale-epoch request: preserves the origin's
   // src_kernel/token and registers no pending entry (the final owner

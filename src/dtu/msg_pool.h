@@ -9,6 +9,12 @@
 // for the next message of the same type. Steady-state message churn then
 // allocates nothing; memory high-water marks at the peak in-flight count.
 //
+// The pools hold the run's high-water, not boot's. The boot handshake is
+// the one moment every kernel has an IKC in flight to every peer, far more
+// bodies than most runs ever have in flight again, so Platform::Boot()
+// calls TrimMsgPools() once it settled and the pools regrow to what the
+// run itself needs.
+//
 // Configure with -DSEMPEROS_DISABLE_POOLS=ON (CMake option) to fall back to
 // plain make_shared. The ASan/UBSan CI job builds that way so pooled blocks
 // cannot mask use-after-free or lifetime bugs: with recycling on, a stale
@@ -20,6 +26,7 @@
 #ifndef SEMPEROS_DTU_MSG_POOL_H_
 #define SEMPEROS_DTU_MSG_POOL_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <new>
@@ -41,13 +48,32 @@ namespace pool_internal {
 // so cross-shard body hand-off is already safe. The holder's destructor
 // releases parked blocks when a thread exits (engine worker pools come and
 // go with every parallel Platform; without it each run's peak in-flight
-// message memory would leak).
+// message memory would leak). Every holder of a thread is listed in
+// Holders(), so TrimMsgPools() can free them all.
+struct FreeListHolder;
+
+inline std::vector<FreeListHolder*>& Holders() {
+  static thread_local std::vector<FreeListHolder*> holders;
+  return holders;
+}
+
 struct FreeListHolder {
   std::vector<void*> blocks;
+
+  // Holders() is constructed within the first holder's constructor, so it
+  // outlives every holder of its thread.
+  FreeListHolder() { Holders().push_back(this); }
   ~FreeListHolder() {
+    Free();
+    std::vector<FreeListHolder*>& holders = Holders();
+    holders.erase(std::find(holders.begin(), holders.end(), this));
+  }
+
+  void Free() {
     for (void* p : blocks) {
       ::operator delete(p);
     }
+    std::vector<void*>().swap(blocks);
   }
 };
 
@@ -103,12 +129,22 @@ std::shared_ptr<T> NewMsg(Args&&... args) {
                                  std::forward<Args>(args)...);
 }
 
+// Frees every block parked in the calling thread's freelists. Bodies in
+// flight are untouched; they park again when released.
+inline void TrimMsgPools() {
+  for (pool_internal::FreeListHolder* holder : pool_internal::Holders()) {
+    holder->Free();
+  }
+}
+
 #else  // SEMPEROS_DISABLE_POOLS
 
 template <typename T, typename... Args>
 std::shared_ptr<T> NewMsg(Args&&... args) {
   return std::make_shared<T>(std::forward<Args>(args)...);
 }
+
+inline void TrimMsgPools() {}
 
 #endif  // SEMPEROS_DISABLE_POOLS
 

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "base/log.h"
+#include "dtu/msg_pool.h"
 
 namespace semperos {
 
@@ -207,10 +208,12 @@ Platform::Platform(PlatformConfig config) : config_(std::move(config)) {
     }
   }
 
-  pe_types_.reserve(plan.size());
+  auto pe_types = std::make_shared<std::vector<PeType>>();
+  pe_types->reserve(plan.size());
   for (const NodePlan& p : plan) {
-    pe_types_.push_back(p.type);
+    pe_types->push_back(p.type);
   }
+  pe_types_ = std::move(pe_types);
   failed_kernels_.assign(config_.kernels, 0);
 
   kernels_.resize(config_.kernels);
@@ -299,6 +302,14 @@ void Platform::Boot() {
     pes_[node]->Boot();
   }
   sim_.RunUntilIdle();
+
+  // The handshakes are over, and with them the one moment every kernel had
+  // an IKC in flight to every peer: free what they left parked, so pools
+  // grow back only to what the run needs.
+  for (Kernel* kernel : kernels_) {
+    kernel->Trim();
+  }
+  TrimMsgPools();
 
   // Stage 5: applications and load generators.
   for (NodeId node : user_nodes_) {

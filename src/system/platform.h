@@ -256,7 +256,8 @@ class Platform {
   std::vector<NodeId> loadgen_nodes_;
   std::vector<NodeId> mem_nodes_;
   MembershipTable membership_;
-  std::vector<PeType> pe_types_;         // node -> tile type (adoption)
+  // node -> tile type, shared with every kernel (adoption, kernel channels)
+  std::shared_ptr<const std::vector<PeType>> pe_types_;
   std::vector<uint8_t> failed_kernels_;  // quorum-retired kernels
   bool booted_ = false;
 };

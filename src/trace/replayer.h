@@ -27,7 +27,9 @@ class TraceRunner {
  public:
   using DoneFn = Callback<void()>;
 
-  explicit TraceRunner(Trace trace) : trace_(std::move(trace)) {}
+  // Keeps `trace` trimmed to fit: one runner per application instance
+  // holds its trace for the whole run.
+  explicit TraceRunner(Trace trace) : trace_(std::move(trace)) { trace_.ShrinkToFit(); }
 
   // Runs the trace from its first operation over the m3fs session `session`
   // of `env`, then fires `done`. The run stops at the first operation that

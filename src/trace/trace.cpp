@@ -65,6 +65,16 @@ void TracePaths::clear() {
   index_.clear();
 }
 
+void TracePaths::ShrinkToFit() {
+  bytes_.shrink_to_fit();
+  refs_.shrink_to_fit();
+}
+
+void Trace::ShrinkToFit() {
+  ops.shrink_to_fit();
+  paths.ShrinkToFit();
+}
+
 void Trace::AddPathOp(TraceOpKind kind, std::string_view path, uint64_t arg, uint32_t flags) {
   TraceOp op;
   op.kind = kind;

@@ -63,6 +63,8 @@ class TracePaths {
   std::string_view operator[](uint32_t index) const;
   size_t size() const { return refs_.size(); }
   void clear();
+  // Releases the capacity that interning left beyond the paths held.
+  void ShrinkToFit();
 
  private:
   static constexpr size_t kScanPaths = 128;
@@ -107,6 +109,10 @@ struct Trace {
 
   // The path `op` names.
   std::string_view Path(const TraceOp& op) const { return paths[op.path]; }
+
+  // Releases the capacity that building left in the op vector and the path
+  // table: a trace is built once and then only read.
+  void ShrinkToFit();
 
  private:
   void AddPathOp(TraceOpKind kind, std::string_view path, uint64_t arg, uint32_t flags = 0);

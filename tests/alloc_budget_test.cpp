@@ -15,7 +15,8 @@
 // The byte budgets hold the largest scale point (4,096 instances) in
 // check: copying a frozen m3fs image for a service, building one
 // instance's trace, and constructing and booting the platform (DTU
-// endpoints, per-kernel VPE tables). One more holds a VPE's selector table
+// endpoints, per-kernel VPE tables), both what that allocates and what it
+// still holds once boot returned. One more holds a VPE's selector table
 // to its live capabilities under derive/revoke churn.
 //
 // The per-event budgets, and the byte budgets that run a platform, are
@@ -23,6 +24,8 @@
 // SEMPEROS_DISABLE_POOLS (every closure and record is a fresh allocation by
 // design), SEMPEROS_TRACE (span recording) and SEMPEROS_THREADS (the
 // sharded engine's outboxes).
+#include <malloc.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -34,6 +37,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dtu/msg_pool.h"
 #include "fs/fs_image.h"
 #include "system/client.h"
 #include "system/experiment.h"
@@ -49,31 +53,35 @@ namespace {
 // Serial engine only: one thread allocates while counting is on.
 bool g_counting = false;
 uint64_t g_allocs = 0;
-uint64_t g_bytes = 0;
+uint64_t g_bytes = 0;  // bytes asked of operator new
+// Bytes held: the usable size of every block allocated minus that of every
+// block freed, while counting.
+int64_t g_held = 0;
 
-void* CountedAlloc(std::size_t n) {
+void* Counted(void* p, std::size_t n) {
+  if (p == nullptr) {
+    throw std::bad_alloc();
+  }
   if (g_counting) {
     ++g_allocs;
     g_bytes += n;
-  }
-  void* p = std::malloc(n == 0 ? 1 : n);
-  if (p == nullptr) {
-    throw std::bad_alloc();
+    g_held += static_cast<int64_t>(malloc_usable_size(p));
   }
   return p;
 }
 
+void* CountedAlloc(std::size_t n) { return Counted(std::malloc(n == 0 ? 1 : n), n); }
+
 void* CountedAlignedAlloc(std::size_t n, std::align_val_t align) {
-  if (g_counting) {
-    ++g_allocs;
-    g_bytes += n;
-  }
   std::size_t a = static_cast<std::size_t>(align);
-  void* p = std::aligned_alloc(a, (n + a - 1) / a * a);
-  if (p == nullptr) {
-    throw std::bad_alloc();
+  return Counted(std::aligned_alloc(a, (n + a - 1) / a * a), n);
+}
+
+void CountedFree(void* p) {
+  if (g_counting && p != nullptr) {
+    g_held -= static_cast<int64_t>(malloc_usable_size(p));
   }
-  return p;
+  std::free(p);
 }
 
 }  // namespace
@@ -82,14 +90,14 @@ void* operator new(std::size_t n) { return CountedAlloc(n); }
 void* operator new[](std::size_t n) { return CountedAlloc(n); }
 void* operator new(std::size_t n, std::align_val_t a) { return CountedAlignedAlloc(n, a); }
 void* operator new[](std::size_t n, std::align_val_t a) { return CountedAlignedAlloc(n, a); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete(void* p, std::align_val_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { CountedFree(p); }
 
 namespace semperos {
 namespace {
@@ -113,14 +121,20 @@ Count CountRun(Platform* platform) {
   return count;
 }
 
-// Bytes operator new handed out while `fn` ran.
+struct Bytes {
+  uint64_t allocated = 0;  // asked of operator new
+  int64_t held = 0;        // still held when the counted code returned
+};
+
+// Bytes operator new handed out, and bytes still held, when `fn` returned.
 template <typename Fn>
-uint64_t BytesAllocatedBy(Fn&& fn) {
+Bytes BytesOf(Fn&& fn) {
   g_bytes = 0;
+  g_held = 0;
   g_counting = true;
   fn();
   g_counting = false;
-  return g_bytes;
+  return Bytes{g_bytes, g_held};
 }
 
 bool SkipReason(std::string* why) {
@@ -226,13 +240,14 @@ Count RunAppsShape(uint32_t kernels, uint32_t services, uint32_t instances) {
 }
 
 // Budgets: allocations per event during RunToCompletion. On these shapes
-// the request path measured 0.0015 (nginx; 0.0018 while selector tables
-// kept a slot for every selector ever used), 0.015 (postmark spanning,
-// almost all of it m3fs image growth for the mail files) and 0.092 (apps:
+// the request path measured 0.0017 (nginx), 0.016 (postmark spanning,
+// almost all of it m3fs image growth for the mail files) and 0.096 (apps:
 // the per-instance session, file-record and selector-table setup of only
-// 64 short replays, and image growth) allocations per event. With
-// std::function continuations and node-based kernel and m3fs tables the
-// same shapes allocated 0.96, 1.04 and 1.16 per event.
+// 64 short replays, and image growth) allocations per event. That includes
+// the pools growing back to the run's peak after boot freed its leftovers;
+// while boot's stayed parked, the same shapes measured 0.0015, 0.015 and
+// 0.092. With std::function continuations and node-based kernel and m3fs
+// tables they allocated 0.96, 1.04 and 1.16 per event.
 
 TEST(AllocBudget, NginxLocal) {
   std::string why;
@@ -273,7 +288,7 @@ TEST(MemoryBudget, FrozenImageCopy) {
   PopulateImage(&image, "postmark", 4096);
   image.Freeze();
   std::optional<FsImage> copy;
-  uint64_t bytes = BytesAllocatedBy([&] { copy.emplace(image); });
+  uint64_t bytes = BytesOf([&] { copy.emplace(image); }).allocated;
   std::printf("  copy of a %zu-inode image: %llu bytes\n", image.inode_count(),
               static_cast<unsigned long long>(bytes));
   EXPECT_LE(bytes, 4096u);
@@ -286,7 +301,7 @@ TEST(MemoryBudget, FrozenImageCopy) {
 // to about 18 KiB.
 TEST(MemoryBudget, PostmarkTraceBuild) {
   Trace trace;
-  uint64_t bytes = BytesAllocatedBy([&] { trace = MakeTrace("postmark", 1234); });
+  uint64_t bytes = BytesOf([&] { trace = MakeTrace("postmark", 1234); }).allocated;
   std::printf("  %zu-op trace: %llu bytes\n", trace.ops.size(),
               static_cast<unsigned long long>(bytes));
   EXPECT_LT(bytes, 8u * 1024) << trace.ops.size() << " ops";
@@ -325,43 +340,70 @@ TEST(MemoryBudget, SelectorTableUnderDeriveRevokeChurn) {
   for (int i = 0; i < 100; ++i) {
     cycle();  // pools and rings reach their peak
   }
-  uint64_t bytes = BytesAllocatedBy([&] {
+  uint64_t bytes = BytesOf([&] {
     for (int i = 0; i < 10'000; ++i) {
       cycle();
     }
-  });
+  }).allocated;
   std::printf("  10,000 derive/revoke cycles: %llu bytes\n",
               static_cast<unsigned long long>(bytes));
   EXPECT_LT(bytes, 4096u);
   EXPECT_EQ(rig.kernel_of_client(0)->FindVpe(rig.vpe(0))->table.size(), 2u);
 }
 
-// Construction and boot of the largest scale point (64 kernels, 64 m3fs
-// PEs, 4,096 instances; no programs attached): 13.1 MB. Each PE's DTU
-// keeps its 16 endpoints inline, 32 bytes each, and each kernel's VPE
-// table indexes its own group only. With a heap vector of 96-byte
-// endpoints per DTU and a slot for every PE in every kernel's VPE table,
-// this allocated 20.3 MB. Boot's closures and spans are allocations of
-// their own with pools off or tracing on, so the budget runs on the
-// default build only.
-TEST(MemoryBudget, LargestPlatformConstructAndBoot) {
-  std::string why;
-  if (SkipReason(&why)) {
-    GTEST_SKIP() << why;
-  }
+// Construction and boot of the largest scale point: 64 kernels, 64 m3fs
+// PEs, 4,096 instances, no programs attached. Boot's closures and spans
+// are allocations of their own with pools off or tracing on, so these
+// budgets run on the default build only.
+Bytes ConstructAndBootLargestPlatform(std::optional<Platform>* platform) {
   PlatformConfig pc;
   pc.kernels = 64;
   pc.services = 64;
   pc.users = 4096;
   pc.threads = kForceSerialThreads;
-  std::optional<Platform> platform;
-  uint64_t bytes = BytesAllocatedBy([&] {
-    platform.emplace(pc);
-    platform->Boot();
+  // Message bodies parked by earlier tests are not this platform's: free
+  // them, so boot's own pool trim cannot count them as freed.
+  TrimMsgPools();
+  Bytes bytes = BytesOf([&] {
+    platform->emplace(pc);
+    (*platform)->Boot();
   });
-  std::printf("  %zu-PE platform: %llu bytes\n", platform->user_nodes().size(),
-              static_cast<unsigned long long>(bytes));
-  EXPECT_LT(bytes, 16'000'000u);
+  std::printf("  %zu-PE platform: %llu bytes allocated, %lld still held\n",
+              (*platform)->user_nodes().size(), static_cast<unsigned long long>(bytes.allocated),
+              static_cast<long long>(bytes.held));
+  return bytes;
+}
+
+// 11.2 MB. Each PE's DTU keeps its 16 endpoints inline, 32 bytes each, each
+// kernel's VPE table indexes its own group only, the kernels share the
+// platform's membership table and PE-type list, and an IKC that finds its
+// peer's credit free never touches the per-peer queue. With a heap vector
+// of 96-byte endpoints per DTU and a slot for every PE in every kernel's
+// VPE table this allocated 20.3 MB; with a membership table, a PE-type
+// list and eight queue slots per peer in every kernel, 13.1 MB.
+TEST(MemoryBudget, LargestPlatformConstructAndBoot) {
+  std::string why;
+  if (SkipReason(&why)) {
+    GTEST_SKIP() << why;
+  }
+  std::optional<Platform> platform;
+  Bytes bytes = ConstructAndBootLargestPlatform(&platform);
+  EXPECT_LT(bytes.allocated, 12'400'000u);
+}
+
+// What the platform holds once Boot() returned: 5.5 MB. Boot's handshakes
+// put an IKC to every peer in flight at once; when they settled, boot frees
+// the message bodies, operation records, index tables and rings they left
+// parked (Kernel::Trim, TrimMsgPools). Kept for the whole run, as they
+// were before, they and the per-kernel tables held 11.2 MB.
+TEST(MemoryBudget, LargestPlatformHeldAfterBoot) {
+  std::string why;
+  if (SkipReason(&why)) {
+    GTEST_SKIP() << why;
+  }
+  std::optional<Platform> platform;
+  Bytes bytes = ConstructAndBootLargestPlatform(&platform);
+  EXPECT_LT(bytes.held, 6'100'000);
 }
 
 }  // namespace

@@ -121,6 +121,62 @@ TEST(Membership, ApplyIgnoresStaleOutOfOrderUpdates) {
   EXPECT_EQ(table.Epoch(), 5u);
 }
 
+TEST(Membership, CopiesShareTheMappingUntilOneChangesIt) {
+  // Every kernel's table is a copy of the platform's boot-time table: the
+  // copies read one mapping, and a change to one copy stays in that copy.
+  MembershipTable source(8);
+  for (NodeId pe = 0; pe < 8; ++pe) {
+    source.Assign(pe, pe / 4);
+  }
+  MembershipTable a = source;
+  MembershipTable b = source;
+  EXPECT_TRUE(a.SharesMappingWith(source));
+  EXPECT_TRUE(b.SharesMappingWith(source));
+  for (NodeId pe = 0; pe < 8; ++pe) {
+    EXPECT_EQ(a.KernelOf(pe), source.KernelOf(pe));
+    EXPECT_EQ(b.KernelOf(pe), source.KernelOf(pe));
+  }
+
+  a.Apply(5, 0, 3);
+  EXPECT_FALSE(a.SharesMappingWith(source));
+  EXPECT_TRUE(b.SharesMappingWith(source));
+  EXPECT_EQ(a.KernelOf(5), 0u);
+  EXPECT_EQ(source.KernelOf(5), 1u);
+  EXPECT_EQ(b.KernelOf(5), 1u);
+  // Epochs are each copy's own.
+  EXPECT_EQ(a.Epoch(), 3u);
+  EXPECT_EQ(a.PeEpoch(5), 3u);
+  EXPECT_EQ(source.Epoch(), 0u);
+  EXPECT_EQ(source.PeEpoch(5), 0u);
+  EXPECT_EQ(b.Epoch(), 0u);
+
+  // The source's own writes copy too: a shares nothing with it any more,
+  // b still holds the boot-time mapping.
+  source.Assign(2, 1);
+  EXPECT_FALSE(source.SharesMappingWith(b));
+  EXPECT_EQ(source.KernelOf(2), 1u);
+  EXPECT_EQ(a.KernelOf(2), 0u);
+  EXPECT_EQ(b.KernelOf(2), 0u);
+
+  b.Apply(1, 1, 2);
+  b.Apply(1, 0, 1);  // stale: the per-PE epoch guard holds in the copy
+  EXPECT_EQ(b.KernelOf(1), 1u);
+  EXPECT_EQ(b.Epoch(), 2u);
+  EXPECT_EQ(a.KernelOf(1), 0u);
+  EXPECT_EQ(a.PeEpoch(1), 0u);
+  EXPECT_EQ(source.KernelOf(1), 0u);
+  EXPECT_EQ(a.Epoch(), 3u);
+
+  // A copy of a copy that changed shares that copy's mapping and epochs.
+  MembershipTable c = a;
+  EXPECT_TRUE(c.SharesMappingWith(a));
+  EXPECT_EQ(c.KernelOf(5), 0u);
+  EXPECT_EQ(c.PeEpoch(5), 3u);
+  c.Assign(5, 1);
+  EXPECT_EQ(a.KernelOf(5), 0u);
+  EXPECT_EQ(c.KernelOf(5), 1u);
+}
+
 TEST(Capability, ChildLinksAddAndRemove) {
   Capability cap(DdlKey::Make(1, 1, CapType::kMem, 1), CapType::kMem, 1, 5);
   DdlKey c1 = DdlKey::Make(2, 2, CapType::kMem, 2);

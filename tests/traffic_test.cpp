@@ -12,6 +12,8 @@
 //   - the saturation search is a pure function of its config.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -143,6 +145,100 @@ TEST(Histogram, MergeMatchesUnionAndFingerprint) {
   LatencyHistogram other;
   other.Record(1);
   EXPECT_NE(other.Fingerprint(), all.Fingerprint());
+}
+
+// A histogram stores the octaves between its smallest and largest sample.
+// These cases check it against nearest-rank percentiles over the sorted
+// samples (the upper edge of the sample's bucket, clamped to the maximum)
+// and against fingerprints of a histogram that stored every bucket from 0.
+
+LatencyHistogram HistogramOf(const std::vector<Cycles>& samples) {
+  LatencyHistogram h;
+  for (Cycles v : samples) {
+    h.Record(v);
+  }
+  return h;
+}
+
+void ExpectPercentilesOf(const LatencyHistogram& h, std::vector<Cycles> samples) {
+  std::sort(samples.begin(), samples.end());
+  ASSERT_EQ(h.count(), samples.size());
+  EXPECT_EQ(h.Percentile(0.0), samples.front());
+  const double n = static_cast<double>(samples.size());
+  for (double q : {0.001, 0.01, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0}) {
+    size_t rank = std::clamp<size_t>(static_cast<size_t>(std::ceil(q * n)), 1, samples.size());
+    Cycles upper = LatencyHistogram::BucketUpper(LatencyHistogram::BucketOf(samples[rank - 1]));
+    EXPECT_EQ(h.Percentile(q), std::min(upper, samples.back())) << "q " << q;
+  }
+}
+
+TEST(Histogram, RangeGrowsDownward) {
+  // The first sample is the largest: every later one widens the stored
+  // range below it.
+  std::vector<Cycles> samples{3'000'000};
+  for (uint64_t i = 1; i < 500; ++i) {
+    samples.push_back((i * 2'654'435'761u) % 2'000'000 + 100);
+  }
+  LatencyHistogram h = HistogramOf(samples);
+  ExpectPercentilesOf(h, samples);
+  EXPECT_EQ(h.max(), 3'000'000u);
+  EXPECT_EQ(h.Fingerprint(), 0x9039023400fd2099ull);
+}
+
+TEST(Histogram, MergeOfDisjointRanges) {
+  std::vector<Cycles> low, high;
+  for (uint64_t i = 0; i < 300; ++i) {
+    low.push_back(10 + i % 20);
+    high.push_back(1'000'000 + (i * 7'919) % 2'000'000);
+  }
+  std::vector<Cycles> all = low;
+  all.insert(all.end(), high.begin(), high.end());
+  LatencyHistogram low_then_high = HistogramOf(low);
+  low_then_high.Merge(HistogramOf(high));
+  LatencyHistogram high_then_low = HistogramOf(high);
+  high_then_low.Merge(HistogramOf(low));
+  LatencyHistogram direct = HistogramOf(all);
+  EXPECT_TRUE(low_then_high == direct);
+  EXPECT_TRUE(high_then_low == direct);
+  ExpectPercentilesOf(low_then_high, all);
+  ExpectPercentilesOf(high_then_low, all);
+  EXPECT_EQ(low_then_high.Fingerprint(), 0x6f3ffdddadcd4b50ull);
+  EXPECT_EQ(high_then_low.Fingerprint(), 0x6f3ffdddadcd4b50ull);
+  EXPECT_FALSE(HistogramOf(low) == direct);
+}
+
+TEST(Histogram, SampleOrderDoesNotMatter) {
+  std::vector<Cycles> samples;
+  for (uint64_t i = 0; i < 1'000; ++i) {
+    samples.push_back((i * 2'654'435'761u) % 900'000 + 40);
+  }
+  std::vector<Cycles> ascending = samples;
+  std::sort(ascending.begin(), ascending.end());
+  std::vector<Cycles> descending(ascending.rbegin(), ascending.rend());
+  LatencyHistogram shuffled = HistogramOf(samples);
+  LatencyHistogram up = HistogramOf(ascending);
+  LatencyHistogram down = HistogramOf(descending);
+  EXPECT_TRUE(shuffled == up);
+  EXPECT_TRUE(up == down);
+  EXPECT_TRUE(down == shuffled);
+  for (const LatencyHistogram* h : {&shuffled, &up, &down}) {
+    EXPECT_EQ(h->Fingerprint(), 0xbd37e94fe2d54452ull);
+    ExpectPercentilesOf(*h, samples);
+  }
+}
+
+TEST(Histogram, GeneratorSizedHistogramStaysSmall) {
+  // One load generator's measured requests on nginx_local: 800 latencies
+  // between 40 us and 1 ms, five octaves of counts.
+  const Cycles lo = MicrosToCycles(40.0);
+  const Cycles hi = MicrosToCycles(1'000.0);
+  LatencyHistogram h;
+  for (uint64_t i = 0; i < 800; ++i) {
+    h.Record(lo + (i * 2'654'435'761u) % (hi - lo + 1));
+  }
+  EXPECT_EQ(h.min(), lo);
+  EXPECT_LE(h.heap_bytes(), 2u * 1024);
+  EXPECT_GT(h.heap_bytes(), 0u);
 }
 
 // --- End-to-end harness determinism ---
