@@ -22,29 +22,14 @@
 namespace semperos {
 namespace {
 
-Cycles TreeRevoke(uint32_t children, bool batching) {
-  PlatformConfig pc;
-  pc.kernels = 13;
-  pc.users = children + 1;
-  pc.revoke_batching = batching;
-  DriverRig rig = MakeDriverRig(pc);
-  CapSel root = rig.BuildTree(children);
-  return rig.TimedOp([&](std::function<void()> done) {
-    rig.client(0).env().Revoke(root, [done](const SyscallReply& r) {
-      CHECK(r.err == ErrCode::kOk);
-      done();
-    });
-  });
-}
-
 void AblationBatching() {
   bench::Header("Ablation (a): revocation message batching",
                 "paper §5.2: \"we believe that this can be further improved by the use of "
                 "message batching\"");
   std::printf("%-10s %16s %16s %10s\n", "children", "unbatched [us]", "batched [us]", "speedup");
   for (uint32_t n : bench::Sweep<uint32_t>({16, 32, 64, 96, 128})) {
-    Cycles plain = TreeRevoke(n, false);
-    Cycles batched = TreeRevoke(n, true);
+    Cycles plain = RevokeTree(13, n, false);
+    Cycles batched = RevokeTree(13, n, true);
     std::printf("%-10u %16.2f %16.2f %9.2fx\n", n, CyclesToMicros(plain),
                 CyclesToMicros(batched), double(plain) / double(batched));
   }
@@ -85,13 +70,7 @@ Cycles SpanningChainRevoke(uint32_t inflight, uint32_t length) {
   pc.users = 2;
   pc.max_inflight = inflight;
   DriverRig rig = MakeDriverRig(pc);
-  CapSel root = rig.BuildChain(length, {0, 1});
-  return rig.TimedOp([&](std::function<void()> done) {
-    rig.client(0).env().Revoke(root, [done](const SyscallReply& r) {
-      CHECK(r.err == ErrCode::kOk);
-      done();
-    });
-  });
+  return rig.TimedRevoke(0, rig.BuildChain(length, {0, 1}));
 }
 
 void AblationInflight() {
@@ -221,7 +200,7 @@ BENCHMARK(BM_DdlCacheObtainStorm)->Arg(0)->Arg(1)->UseManualTime()->Iterations(1
 void BM_TreeRevokeBatched(benchmark::State& state) {
   bool batched = state.range(0) != 0;
   for (auto _ : state) {
-    bench::ReportSpan(state, TreeRevoke(96, batched));
+    bench::ReportSpan(state, RevokeTree(13, 96, batched));
   }
   state.SetLabel(batched ? "batched" : "unbatched");
 }

@@ -23,23 +23,6 @@
 namespace semperos {
 namespace {
 
-// Root VPE in kernel 0's group; `child_holders` VPEs spread over the
-// remaining kernels hold the copies.
-Cycles RevokeTree(uint32_t extra_kernels, uint32_t children) {
-  uint32_t kernels = 1 + extra_kernels;
-  // One holder VPE per child keeps the scenario of "many other
-  // applications". The platform distributes holders round-robin over all
-  // groups; with extra kernels most children live remotely.
-  DriverRig rig = MakeDriverRig(kernels, children + 1);
-  CapSel root = rig.BuildTree(children);
-  return rig.TimedOp([&](std::function<void()> done) {
-    rig.client(0).env().Revoke(root, [done](const SyscallReply& r) {
-      CHECK(r.err == ErrCode::kOk);
-      done();
-    });
-  });
-}
-
 std::vector<uint32_t> Breadths() {
   return bench::Sweep<uint32_t>({16, 32, 48, 64, 80, 96, 112, 128});
 }
@@ -60,7 +43,7 @@ void PrintFigure() {
   for (uint32_t n : breadths) {
     std::printf("%-8u", n);
     for (size_t i = 0; i < kExtraKernels.size(); ++i) {
-      Cycles t = RevokeTree(kExtraKernels[i], n);
+      Cycles t = RevokeTree(1 + kExtraKernels[i], n);
       series[i].push_back(CyclesToMicros(t));
       std::printf("   %12.2f", CyclesToMicros(t));
     }
@@ -81,7 +64,7 @@ void PrintFigure() {
 void BM_TreeRevokeLocal(benchmark::State& state) {
   uint32_t n = static_cast<uint32_t>(state.range(0));
   for (auto _ : state) {
-    bench::ReportSpan(state, RevokeTree(0, n));
+    bench::ReportSpan(state, RevokeTree(1, n));
   }
 }
 BENCHMARK(BM_TreeRevokeLocal)->Arg(32)->Arg(128)->UseManualTime()->Iterations(1)
@@ -90,7 +73,7 @@ BENCHMARK(BM_TreeRevokeLocal)->Arg(32)->Arg(128)->UseManualTime()->Iterations(1)
 void BM_TreeRevokeTwelveKernels(benchmark::State& state) {
   uint32_t n = static_cast<uint32_t>(state.range(0));
   for (auto _ : state) {
-    bench::ReportSpan(state, RevokeTree(12, n));
+    bench::ReportSpan(state, RevokeTree(13, n));
   }
 }
 BENCHMARK(BM_TreeRevokeTwelveKernels)->Arg(32)->Arg(128)->UseManualTime()->Iterations(1)

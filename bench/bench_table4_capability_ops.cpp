@@ -1,13 +1,7 @@
-// Table 4: number of capability operations for the selected applications.
-//
-//     Benchmark   Cap. ops   Cap. ops/s   Cap. ops   Cap. ops/s
-//     #instances      1           1          512         512
-//     tar             21       7,295       10,752      191,703
-//     untar           11       4,012        5,632      100,772
-//     find             3       1,310        1,536       27,096
-//     SQLite          24       5,987       12,288      207,072
-//     LevelDB         22       8,749       11,264      201,204
-//     PostMark        38      21,166       19,456      348,285
+// Table 4: number of capability operations for the selected applications,
+// for one instance and for 512 instances on 64 kernels and 64 filesystem
+// services. The paper's columns come from the workload catalogue
+// (src/workloads/workloads.cpp) and print next to the measured ones.
 //
 // "The capability operations per second are the average rate of capability
 // operations over the runtime. ... The capability operations per second for
@@ -24,20 +18,6 @@
 namespace semperos {
 namespace {
 
-struct PaperRow {
-  const char* name;
-  uint32_t ops1;
-  uint32_t ops_s1;
-  uint32_t ops512;
-  uint32_t ops_s512;
-};
-
-constexpr PaperRow kPaper[] = {
-    {"tar", 21, 7295, 10752, 191703},     {"untar", 11, 4012, 5632, 100772},
-    {"find", 3, 1310, 1536, 27096},       {"sqlite", 24, 5987, 12288, 207072},
-    {"leveldb", 22, 8749, 11264, 201204}, {"postmark", 38, 21166, 19456, 348285},
-};
-
 void PrintTable() {
   bench::Header("Table 4: Capability operations of the selected applications",
                 "Hille et al., SemperOS (ATC'19), Table 4");
@@ -45,7 +25,7 @@ void PrintTable() {
   uint32_t kernels = bench::FastMode() ? 16 : 64;
   std::printf("%-10s | %8s %10s | %9s %12s | paper(1 / 512 inst)\n", "Benchmark", "ops(1)",
               "ops/s(1)", "ops(n)", "ops/s(n)");
-  for (const PaperRow& row : kPaper) {
+  for (const AppWorkload& row : AppWorkloads()) {
     AppRunConfig solo_config;
     solo_config.app = row.name;
     solo_config.kernels = 1;
@@ -62,8 +42,8 @@ void PrintTable() {
 
     std::printf("%-10s | %8llu %10.0f | %9llu %12.0f | (%u @ %u/s ; %u @ %u/s)\n", row.name,
                 (unsigned long long)solo.total_cap_ops, solo.cap_ops_per_sec,
-                (unsigned long long)parallel.total_cap_ops, parallel.cap_ops_per_sec, row.ops1,
-                row.ops_s1, row.ops512, row.ops_s512);
+                (unsigned long long)parallel.total_cap_ops, parallel.cap_ops_per_sec, row.cap_ops,
+                row.cap_ops_per_sec, row.cap_ops_512, row.cap_ops_per_sec_512);
   }
   std::printf("\n  n = %u instances on %u kernels + %u services\n", many, kernels, kernels);
   bench::Footnote(
@@ -73,7 +53,7 @@ void PrintTable() {
 }
 
 void BM_CapOpsRate(benchmark::State& state) {
-  const PaperRow& row = kPaper[state.range(0)];
+  const AppWorkload& row = AppWorkloads()[state.range(0)];
   for (auto _ : state) {
     AppRunConfig config;
     config.app = row.name;
@@ -87,7 +67,8 @@ void BM_CapOpsRate(benchmark::State& state) {
   }
   state.SetLabel(row.name);
 }
-BENCHMARK(BM_CapOpsRate)->DenseRange(0, 5)->UseManualTime()->Iterations(1)
+BENCHMARK(BM_CapOpsRate)->DenseRange(0, static_cast<int>(AppWorkloads().size()) - 1)
+    ->UseManualTime()->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

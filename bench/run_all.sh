@@ -19,25 +19,11 @@ fi
 
 mkdir -p "${OUT_DIR}"
 
-BENCHES=(
-  bench_simcore
-  bench_table3_capops
-  bench_table4_capability_ops
-  bench_fig4_chain_revocation
-  bench_fig5_tree_revocation
-  bench_fig6_parallel_efficiency
-  bench_fig7_service_dependence
-  bench_fig8_kernel_dependence
-  bench_fig9_system_efficiency
-  bench_fig10_nginx
-  bench_migration
-  bench_failover
-  bench_ablation
-  bench_traffic
-)
-
+# One binary per bench/bench_*.cpp source (bench/CMakeLists.txt builds
+# each); a source whose binary is missing fails the run.
 failed=0
-for b in "${BENCHES[@]}"; do
+for src in "${REPO_ROOT}"/bench/bench_*.cpp; do
+  b="$(basename "${src}" .cpp)"
   bin="${BUILD_DIR}/bench/${b}"
   out="${OUT_DIR}/BENCH_${b#bench_}.json"
   if [[ ! -x "${bin}" ]]; then

@@ -31,6 +31,9 @@ constexpr Cycles kMetaCost = 600;
 constexpr Cycles kIoCostBase = 100;
 constexpr uint64_t kIoBytesPerCycle = 64;
 
+// Chance that an idle, live client acts in a round.
+constexpr double kOpRate = 0.7;
+
 // One storm client. In mixed mode it is a bare UserEnv the driver steers
 // from the round loop; in trace mode it interprets its workload trace as
 // the capability-operation stream the real m3fs path would issue (open =
@@ -535,7 +538,7 @@ StormResult RunStorm(const StormConfig& config) {
     // Drive the workload.
     for (uint32_t i = 0; i < n; ++i) {
       StormClient* client = clients[i];
-      if (client->busy || client->dead || !rng.NextBool(config.op_rate)) {
+      if (client->busy || client->dead || !rng.NextBool(kOpRate)) {
         continue;
       }
       if (config.workload != StormWorkload::kMixed) {
@@ -718,9 +721,6 @@ std::string ReproCommand(const StormConfig& config) {
      << " --migrations=" << config.max_migrations << " --churn=" << config.max_churn;
   if (!config.perturb_heartbeats) {
     os << " --hb-perturb=0";
-  }
-  if (config.op_rate != 0.7) {
-    os << " --op-rate=" << config.op_rate;
   }
   if (config.force_migration_during_revoke) {
     os << " --mig-revoke";

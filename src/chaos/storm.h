@@ -77,7 +77,6 @@ struct StormConfig {
   // Draw the detector's heartbeat period and timeout per armed burst,
   // around FtConfig's defaults; off: those defaults.
   bool perturb_heartbeats = true;
-  double op_rate = 0.7;            // per-client chance to act each round
 
   // Targeted adversarial schedules (deterministic preludes).
   bool force_migration_during_revoke = false;

@@ -87,18 +87,12 @@ const char* IkcOpName(IkcOp op) {
 
 Kernel::Kernel(Config config) : config_(std::move(config)), t_(config_.timing) {
   CHECK_LE(config_.kernel_nodes.size(), size_t{kMaxKernels});
-  peer_down_.assign(config_.kernel_nodes.size(), false);
   peers_.resize(config_.kernel_nodes.size());
   for (KernelId k = 0; k < config_.kernel_nodes.size(); ++k) {
     if (k != config_.id) {
       peers_[k].credits = config_.max_inflight;
     }
   }
-  hb_last_seen_.assign(config_.kernel_nodes.size(), 0);
-  ft_suspected_.assign(config_.kernel_nodes.size(), 0);
-  peer_failed_.assign(config_.kernel_nodes.size(), 0);
-  ft_refused_.assign(config_.kernel_nodes.size(), 0);
-  ft_vote_bits_.assign(config_.kernel_nodes.size(), 0);
 }
 
 uint32_t Kernel::ThreadPoolSize() const {
@@ -209,7 +203,7 @@ void Kernel::Trim() {
   asks_.Trim();
   ikcs_.Trim();
   revoke_tasks_.Trim();
-  for (PeerState& peer : peers_) {
+  for (Peer& peer : peers_) {
     peer.queue.Trim();
   }
   egress_.Trim();
@@ -1408,7 +1402,7 @@ bool Kernel::MaybeForwardIkc(const Message& msg) {
   // directly, cutting one NoC round trip per stale hop. A fire-and-forget
   // kRelayNotice tells the origin where its request went, so fault
   // tolerance still covers the re-keyed hop.
-  if (peer_failed_.at(owner) != 0) {
+  if (peers_.at(owner).failed) {
     // The current owner is quorum-confirmed dead: short-circuit with the
     // same kUnreachable a recovery abort at the origin would produce.
     // `msg` is relay-rewritten for multi-hop walks, so this reaches the
@@ -1433,7 +1427,7 @@ bool Kernel::MaybeForwardIkc(const Message& msg) {
   notice->relay_hops = fwd->relay_hops;
   bool self_notice = req.src_kernel == config_.id;
   Cycles cost = DdlDecodeCostVpe(part) + t_.ikc_send;
-  if (!self_notice && peer_failed_.at(req.src_kernel) == 0) {
+  if (!self_notice && !peers_.at(req.src_kernel).failed) {
     cost += t_.ikc_send;
   }
   Charge(cost);
@@ -1443,7 +1437,7 @@ bool Kernel::MaybeForwardIkc(const Message& msg) {
     // the partition is newer than the forwarder's): a kernel cannot IKC
     // itself, so apply the notice directly.
     ApplyRelayNotice(*notice);
-  } else if (peer_failed_.at(req.src_kernel) == 0) {
+  } else if (!peers_.at(req.src_kernel).failed) {
     SendIkc(req.src_kernel, notice, [](const IkcReply&) {});
   }
   return true;
@@ -1466,7 +1460,7 @@ void Kernel::ApplyRelayNotice(const IkcMsg& notice) {
   }
   pending.relay_hops = notice.relay_hops;
   pending.peer = notice.new_owner;
-  if (peer_failed_.at(notice.new_owner) != 0) {
+  if (peers_.at(notice.new_owner).failed) {
     // Re-keyed onto a kernel that already failed here: the relayed request
     // died with it. Complete the call exactly like a recovery abort; if
     // the request was in fact dispatched before the crash, the direct
@@ -1508,7 +1502,7 @@ void Kernel::AdminMigratePe(NodeId pe, KernelId dst, Callback<void(ErrCode)> don
     return;
   }
   if (v->migrating || dst == config_.id || dst >= config_.kernel_nodes.size() ||
-      peer_down_.at(dst) || peer_failed_.at(dst) != 0) {
+      peers_.at(dst).down || peers_.at(dst).failed) {
     if (done) {
       done(ErrCode::kInvalidArgs);
     }
@@ -1712,7 +1706,7 @@ void Kernel::FinishMigrateTransfer(uint64_t task_id, const IkcReply& reply) {
 
   // Settle round: broadcast the epoch so every kernel re-routes directly.
   for (KernelId peer = 0; peer < config_.kernel_nodes.size(); ++peer) {
-    if (peer == config_.id || peer_down_.at(peer)) {
+    if (peer == config_.id || peers_.at(peer).down) {
       continue;
     }
     task->outstanding++;
@@ -1832,20 +1826,20 @@ void Kernel::AdminStartFailureDetector(const FtConfig& ft) {
   ft_ = ft;
   ft_.enabled = true;
   Cycles now = pe_->sim()->Now();
-  for (KernelId p = 0; p < hb_last_seen_.size(); ++p) {
-    hb_last_seen_[p] = now;
+  for (Peer& peer : peers_) {
+    peer.hb_last_seen = now;
   }
   pe_->sim()->Schedule(ft_.heartbeat_period, [this] { HeartbeatTick(); });
 }
 
 FtVerdict Kernel::ft_verdict(KernelId peer) const {
-  if (peer_failed_.at(peer) != 0) {
+  if (peers_.at(peer).failed) {
     return FtVerdict::kFailed;
   }
-  if (ft_refused_.at(peer) != 0) {
+  if (peers_.at(peer).refused) {
     return FtVerdict::kNoQuorum;
   }
-  if (ft_suspected_.at(peer) != 0) {
+  if (peers_.at(peer).suspected) {
     return FtVerdict::kSuspected;
   }
   return FtVerdict::kAlive;
@@ -1882,7 +1876,7 @@ void Kernel::OnHeartbeat(EpId ep, const Message& msg) {
     return;
   }
   stats_.hb_acked++;
-  hb_last_seen_.at(hb->from) = pe_->sim()->Now();
+  peers_.at(hb->from).hb_last_seen = pe_->sim()->Now();
 }
 
 void Kernel::HeartbeatTick() {
@@ -1891,13 +1885,13 @@ void Kernel::HeartbeatTick() {
   }
   Cycles now = pe_->sim()->Now();
   for (KernelId p = 0; p < config_.kernel_nodes.size(); ++p) {
-    if (p == config_.id || peer_failed_[p] != 0 || peer_down_.at(p)) {
+    if (p == config_.id || peers_[p].failed || peers_[p].down) {
       continue;
     }
-    if (ft_suspected_[p] == 0 && now - hb_last_seen_[p] > ft_.heartbeat_timeout) {
+    if (!peers_[p].suspected && now - peers_[p].hb_last_seen > ft_.heartbeat_timeout) {
       RaiseSuspicion(p);
     }
-    if (ft_suspected_[p] != 0) {
+    if (peers_[p].suspected) {
       continue;  // no point pinging a peer we already consider silent
     }
     stats_.hb_sent++;
@@ -1913,10 +1907,10 @@ void Kernel::HeartbeatTick() {
 }
 
 void Kernel::RaiseSuspicion(KernelId peer) {
-  if (ft_suspected_.at(peer) != 0) {
+  if (peers_.at(peer).suspected) {
     return;
   }
-  ft_suspected_[peer] = 1;
+  peers_[peer].suspected = true;
   stats_.ft_suspicions++;
   Charge(t_.ft_suspect);
   LOG_INFO(kTag) << "kernel " << config_.id << " suspects kernel " << peer << " (silent for > "
@@ -1925,7 +1919,7 @@ void Kernel::RaiseSuspicion(KernelId peer) {
 
 KernelId Kernel::FtLeader() const {
   for (KernelId k = 0; k < config_.kernel_nodes.size(); ++k) {
-    if (ft_suspected_[k] == 0 && peer_failed_[k] == 0 && !peer_down_.at(k)) {
+    if (!peers_[k].suspected && !peers_[k].failed && !peers_[k].down) {
       return k;
     }
   }
@@ -1937,7 +1931,7 @@ void Kernel::SendSuspectVotes() {
   // leader's identity can shift while suspicion spreads, and the tally side
   // deduplicates by voter bit, so repetition is cheap and loss-tolerant.
   for (KernelId d = 0; d < config_.kernel_nodes.size(); ++d) {
-    if (ft_suspected_[d] == 0 || peer_failed_[d] != 0 || ft_refused_[d] != 0) {
+    if (!peers_[d].suspected || peers_[d].failed || peers_[d].refused) {
       continue;
     }
     KernelId leader = FtLeader();
@@ -1954,17 +1948,17 @@ void Kernel::SendSuspectVotes() {
 }
 
 void Kernel::RecordSuspectVote(KernelId dead, KernelId voter) {
-  if (dead >= peer_failed_.size() || peer_failed_[dead] != 0) {
+  if (dead >= peers_.size() || peers_[dead].failed) {
     return;  // verdict already applied
   }
   uint64_t bit = 1ull << voter;
-  if ((ft_vote_bits_[dead] & bit) == 0) {
-    ft_vote_bits_[dead] |= bit;
+  if ((peers_[dead].vote_bits & bit) == 0) {
+    peers_[dead].vote_bits |= bit;
     stats_.ft_votes++;
   }
   uint32_t total = static_cast<uint32_t>(config_.kernel_nodes.size());
   uint32_t quorum = total / 2 + 1;
-  uint32_t votes = static_cast<uint32_t>(std::popcount(ft_vote_bits_[dead]));
+  uint32_t votes = static_cast<uint32_t>(std::popcount(peers_[dead].vote_bits));
   if (votes >= quorum) {
     StartFailover(dead);
     return;
@@ -1973,23 +1967,28 @@ void Kernel::RecordSuspectVote(KernelId dead, KernelId voter) {
   // itself unreachable from here, no majority can ever be assembled —
   // a surviving minority must not guess (split-brain). Record the refusal
   // instead of recovering.
-  uint64_t covered = ft_vote_bits_[dead];
+  uint64_t covered = peers_[dead].vote_bits;
   for (KernelId k = 0; k < total; ++k) {
-    if (k == dead || ft_suspected_[k] != 0 || peer_failed_[k] != 0 || peer_down_.at(k)) {
+    if (k == dead || peers_[k].suspected || peers_[k].failed || peers_[k].down) {
       covered |= 1ull << k;
     }
   }
   uint64_t all = total >= 64 ? ~0ull : (1ull << total) - 1;
-  if (covered == all && ft_refused_[dead] == 0) {
-    ft_refused_[dead] = 1;
+  if (covered == all && !peers_[dead].refused) {
+    peers_[dead].refused = true;
     stats_.ft_refusals++;
     LOG_WARN(kTag) << "kernel " << config_.id << " refuses recovery of kernel " << dead << ": "
                    << votes << " votes < quorum " << quorum << " of " << total << " kernels";
   }
 }
 
+std::vector<TakeoverAssignment> Kernel::TakeoverPlan(KernelId dead) const {
+  return PlanTakeover(config_.membership, dead, static_cast<uint32_t>(peers_.size()),
+                      [this](KernelId k) { return peers_[k].failed; });
+}
+
 void Kernel::StartFailover(KernelId dead) {
-  if (peer_failed_.at(dead) != 0) {
+  if (peers_.at(dead).failed) {
     return;
   }
   // One new epoch covers every reassigned partition of the takeover plan;
@@ -2000,11 +1999,10 @@ void Kernel::StartFailover(KernelId dead) {
                  << " FAILED (quorum reached), recovery epoch " << epoch;
   // Snapshot the plan this decree stands for before recovery rewrites the
   // membership (afterwards no partition maps to `dead` any more).
-  std::vector<TakeoverAssignment> plan = PlanTakeover(
-      config_.membership, dead, static_cast<uint32_t>(config_.kernel_nodes.size()), peer_failed_);
+  std::vector<TakeoverAssignment> plan = TakeoverPlan(dead);
   RecoverFromFailure(dead, epoch);
   for (KernelId p = 0; p < config_.kernel_nodes.size(); ++p) {
-    if (p == config_.id || peer_failed_[p] != 0 || peer_down_.at(p)) {
+    if (p == config_.id || peers_[p].failed || peers_[p].down) {
       continue;
     }
     Charge(t_.ikc_send);
@@ -2020,12 +2018,13 @@ void Kernel::StartFailover(KernelId dead) {
 }
 
 void Kernel::RecoverFromFailure(KernelId dead, uint64_t epoch) {
-  if (dead >= peer_failed_.size() || peer_failed_[dead] != 0) {
+  if (dead >= peers_.size() || peers_[dead].failed) {
     return;  // idempotent: decree may race a local quorum decision
   }
-  peer_failed_[dead] = 1;
-  ft_suspected_[dead] = 1;
-  peer_down_.at(dead) = true;
+  Peer& peer = peers_[dead];
+  peer.failed = true;
+  peer.suspected = true;
+  peer.down = true;
   stats_.ft_failovers++;
   ft_verdict_at_ = pe_->sim()->Now();
   TraceCtx saved_trace = cur_trace_;
@@ -2052,8 +2051,7 @@ void Kernel::RecoverFromFailure(KernelId dead, uint64_t epoch) {
   // 1. DDL range takeover: every survivor computes the identical plan from
   // its replicated membership table, so no negotiation is needed — the
   // quorum leader only minted the epoch.
-  std::vector<TakeoverAssignment> plan = PlanTakeover(
-      config_.membership, dead, static_cast<uint32_t>(config_.kernel_nodes.size()), peer_failed_);
+  std::vector<TakeoverAssignment> plan = TakeoverPlan(dead);
   std::vector<uint8_t> dead_part(config_.membership.PeCount(), 0);
   Cycles cost = t_.ft_decree;
   for (const TakeoverAssignment& a : plan) {
@@ -2353,7 +2351,7 @@ void Kernel::SendIkc(KernelId peer, std::shared_ptr<IkcMsg> msg, IkcCallback cb)
   if (msg->token == 0) {
     msg->token = next_token_++;
   }
-  if (peer_failed_.at(peer) != 0) {
+  if (peers_.at(peer).failed) {
     // The peer is quorum-confirmed dead: fail fast with the same deferred
     // kUnreachable a recovery abort produces, instead of leaking a token
     // that waits on a reply that can never come.
@@ -2385,7 +2383,7 @@ void Kernel::SendIkc(KernelId peer, std::shared_ptr<IkcMsg> msg, IkcCallback cb)
 
 void Kernel::EnqueueIkc(KernelId peer, std::shared_ptr<IkcMsg> msg) {
   stats_.ikc_op_sent[static_cast<size_t>(msg->op)]++;
-  PeerState& state = peers_[peer];
+  Peer& state = peers_[peer];
   if (state.credits > 0 && state.queue.empty()) {
     TransmitIkc(peer, std::move(msg));  // the queue allocates only for a wait
     return;
@@ -2435,7 +2433,7 @@ Cycles Kernel::DdlDecodeCostVpe(VpeId vpe) {
 }
 
 void Kernel::DispatchIkc(KernelId peer) {
-  PeerState& state = peers_[peer];
+  Peer& state = peers_[peer];
   while (state.credits > 0 && !state.queue.empty()) {
     std::shared_ptr<IkcMsg> msg = std::move(state.queue.front());
     state.queue.pop_front();
@@ -2486,7 +2484,7 @@ void Kernel::OnIkc(EpId ep, const Message& msg) {
     if (const IkcCredit* credit = msg.As<IkcCredit>()) {
       // Flow control: the peer dispatched one of our requests; its receive
       // slot is free again, so another request may go out (§4.1).
-      PeerState& state = peers_[credit->from];
+      Peer& state = peers_[credit->from];
       state.credits++;
       CHECK_LE(state.credits, config_.max_inflight);
       DispatchIkc(credit->from);
@@ -2562,7 +2560,7 @@ void Kernel::DispatchIkcRequest(const Message& msg) {
     case IkcOp::kShutdown: {
       // The peer's group is going away: stop routing sessions to its
       // services and remember that it is down.
-      peer_down_.at(req->src_kernel) = true;
+      peers_.at(req->src_kernel).down = true;
       for (auto& [name, entries] : services_) {
         (void)name;
         std::erase_if(entries,

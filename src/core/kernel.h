@@ -487,10 +487,18 @@ class Kernel : public Program {
     uint32_t pool_slot = 0;
   };
 
-  // Per-peer-kernel flow control state (§4.1).
-  struct PeerState {
+  // Everything this kernel keeps about one peer kernel.
+  struct Peer {
+    // IKC flow control (§4.1).
     uint32_t credits = 0;
     Ring<std::shared_ptr<IkcMsg>> queue;
+    bool down = false;  // announced its shutdown: no further IKC traffic
+    // Failure detector (src/ft).
+    bool suspected = false;  // local heartbeat timeout expired
+    bool failed = false;     // quorum-confirmed dead
+    bool refused = false;    // verdict refused (no quorum)
+    Cycles hb_last_seen = 0;  // last heartbeat ack
+    uint64_t vote_bits = 0;   // bitmask of suspicion voters (<= 64 kernels)
   };
 
   // ===== Observability (src/obs) =====
@@ -634,6 +642,8 @@ class Kernel : public Program {
   // or complete coverage below it (refusal).
   void RecordSuspectVote(KernelId dead, KernelId voter);
   void StartFailover(KernelId dead);
+  // PlanTakeover of `dead`'s range over the peers not failed here.
+  std::vector<TakeoverAssignment> TakeoverPlan(KernelId dead) const;
   // Survivor-side recovery: apply the takeover plan under `epoch`, adopt
   // assigned PEs, prune edges into the dead range, revoke orphaned
   // subtrees, and unwedge pending IKCs to the dead kernel. Idempotent.
@@ -751,17 +761,10 @@ class Kernel : public Program {
   KernelStats stats_;
   bool booted_ = false;
   bool shutting_down_ = false;
-  // Peers that announced their shutdown; no further IKC traffic to them.
-  std::vector<bool> peer_down_;
 
   // ===== Fault-tolerance state (src/ft) =====
   bool dead_ = false;  // this kernel crashed (fault injection)
   FtConfig ft_;        // active detector parameters (enabled once armed)
-  std::vector<Cycles> hb_last_seen_;     // per peer: last heartbeat ack
-  std::vector<uint8_t> ft_suspected_;    // per peer: local timeout expired
-  std::vector<uint8_t> peer_failed_;     // per peer: quorum-confirmed dead
-  std::vector<uint8_t> ft_refused_;      // per peer: verdict refused (quorum)
-  std::vector<uint64_t> ft_vote_bits_;   // per peer: bitmask of voters (≤64)
   Cycles ft_verdict_at_ = 0;
   Cycles ft_recovered_at_ = 0;
   // Recoveries whose orphan-subtree revocations are still running;
@@ -811,7 +814,7 @@ class Kernel : public Program {
 
   // Indexed by kernel id (the self entry is unused) — SendIkc/DispatchIkc
   // touch this on every kernel-to-kernel message.
-  std::vector<PeerState> peers_;
+  std::vector<Peer> peers_;
   // Epoch-invalidated cache of hot remote-DDL lookups.
   DdlCache ddl_cache_;
   std::map<std::string, std::vector<ServiceEntry>> services_;

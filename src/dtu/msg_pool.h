@@ -13,7 +13,8 @@
 // the one moment every kernel has an IKC in flight to every peer, far more
 // bodies than most runs ever have in flight again, so Platform::Boot()
 // calls TrimMsgPools() once it settled and the pools regrow to what the
-// run itself needs.
+// run itself needs. A destroyed Platform trims them again once its members
+// released their bodies, so nothing a finished run used stays parked.
 //
 // Configure with -DSEMPEROS_DISABLE_POOLS=ON (CMake option) to fall back to
 // plain make_shared. The ASan/UBSan CI job builds that way so pooled blocks

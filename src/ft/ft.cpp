@@ -18,12 +18,11 @@ const char* FtVerdictName(FtVerdict v) {
 
 std::vector<TakeoverAssignment> PlanTakeover(const MembershipTable& membership, KernelId dead,
                                              uint32_t kernel_count,
-                                             const std::vector<uint8_t>& failed) {
+                                             const std::function<bool(KernelId)>& failed) {
   std::vector<KernelId> survivors;
   survivors.reserve(kernel_count);
   for (KernelId k = 0; k < kernel_count; ++k) {
-    bool lost = k == dead || (k < failed.size() && failed[k] != 0);
-    if (!lost) {
+    if (k != dead && !failed(k)) {
       survivors.push_back(k);
     }
   }

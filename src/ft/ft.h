@@ -36,6 +36,7 @@
 #define SEMPEROS_FT_FT_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "base/types.h"
@@ -94,11 +95,11 @@ struct TakeoverAssignment {
 // kernels in ascending id order. Every kernel (and the platform) computes
 // the identical plan from its replicated membership table, so the takeover
 // needs no negotiation — the quorum leader only has to mint the epoch.
-// `failed` marks kernels already lost (the dead kernel itself need not be
-// in it); they never adopt.
+// `failed(k)` is true for kernels already lost (the dead kernel itself need
+// not be); they never adopt.
 std::vector<TakeoverAssignment> PlanTakeover(const MembershipTable& membership, KernelId dead,
                                              uint32_t kernel_count,
-                                             const std::vector<uint8_t>& failed);
+                                             const std::function<bool(KernelId)>& failed);
 
 }  // namespace semperos
 

@@ -3,10 +3,11 @@
 namespace semperos {
 
 DriverRig MakeDriverRig(uint32_t kernels, uint32_t users, KernelMode mode) {
+  CHECK(mode != KernelMode::kM3SingleKernel || kernels == 1)
+      << "the M3 baseline runs exactly one kernel, not " << kernels;
   PlatformConfig pc;
   pc.kernels = kernels;
   pc.users = users;
-  pc.mode = mode;
   pc.timing = TimingModel::For(mode);
   return MakeDriverRig(pc);
 }
@@ -34,22 +35,29 @@ ObtainRevokeTimes MeasureObtainRevoke(uint32_t kernels, KernelMode mode) {
       done();
     });
   });
-  times.revoke = rig.TimedOp([&](std::function<void()> done) {
-    rig.client(0).env().Revoke(owner_sel, [done](const SyscallReply& r) {
-      CHECK(r.err == ErrCode::kOk) << "probe revoke failed: " << ErrName(r.err);
-      done();
-    });
-  });
+  times.revoke = rig.TimedRevoke(0, owner_sel);
   return times;
 }
 
 Cycles RevokeChain(uint32_t kernels, KernelMode mode, uint32_t length) {
   DriverRig rig = MakeDriverRig(kernels, kernels == 1 ? 3 : 2, mode);
   std::vector<size_t> hops = kernels == 1 ? std::vector<size_t>{1, 2} : std::vector<size_t>{0, 1};
-  CapSel root = rig.BuildChain(length, hops);
-  return rig.TimedOp([&](std::function<void()> done) {
-    rig.client(0).env().Revoke(root, [done](const SyscallReply& r) {
-      CHECK(r.err == ErrCode::kOk) << "chain revoke failed: " << ErrName(r.err);
+  return rig.TimedRevoke(0, rig.BuildChain(length, hops));
+}
+
+Cycles RevokeTree(uint32_t kernels, uint32_t children, bool revoke_batching) {
+  PlatformConfig pc;
+  pc.kernels = kernels;
+  pc.users = children + 1;
+  pc.revoke_batching = revoke_batching;
+  DriverRig rig = MakeDriverRig(pc);
+  return rig.TimedRevoke(0, rig.BuildTree(children));
+}
+
+Cycles DriverRig::TimedRevoke(size_t i, CapSel sel) {
+  return TimedOp([&](std::function<void()> done) {
+    client(i).env().Revoke(sel, [done](const SyscallReply& r) {
+      CHECK(r.err == ErrCode::kOk) << "timed revoke failed: " << ErrName(r.err);
       done();
     });
   });

@@ -4,7 +4,8 @@
 // Exposes the UserEnv of a user PE so a harness can issue capability
 // operations directly (obtain/delegate/revoke/activate), plus helpers that
 // build the capability topologies of the paper's microbenchmarks: chains
-// (Figure 4) and one-root trees (Figure 5).
+// (Figure 4) and one-root trees (Figure 5). The paper's calibration probes
+// (Table 3, Figures 4 and 5) live here too, one definition each.
 #ifndef SEMPEROS_SYSTEM_CLIENT_H_
 #define SEMPEROS_SYSTEM_CLIENT_H_
 
@@ -72,6 +73,9 @@ struct DriverRig {
     return end - start;
   }
 
+  // Client `i` revokes `sel`; returns the latency. CHECKs that it succeeds.
+  Cycles TimedRevoke(size_t i, CapSel sel);
+
   // Builds a delegation chain of `length` capabilities below client 0's
   // fresh capability, bouncing between the given client indices (all in one
   // group => local chain; alternating groups => the group-spanning chain of
@@ -85,7 +89,9 @@ struct DriverRig {
 };
 
 // Calibration rig: `users` clients on `kernels` kernels with the mode's
-// timing model; its users pin the paper's single-operation latencies.
+// timing model; its users pin the paper's single-operation latencies. The
+// one place a run picks the M3 baseline (Table 3), which runs exactly one
+// kernel: more CHECK-fails.
 DriverRig MakeDriverRig(uint32_t kernels, uint32_t users,
                         KernelMode mode = KernelMode::kSemperOSMulti);
 
@@ -107,6 +113,12 @@ ObtainRevokeTimes MeasureObtainRevoke(uint32_t kernels, KernelMode mode);
 // group; on two it bounces between the groups (one VPE each, like the
 // paper's two applications).
 Cycles RevokeChain(uint32_t kernels, KernelMode mode, uint32_t length);
+
+// Figure 5's probe: the time to revoke a one-root tree of `children`
+// activated copies, one holder VPE per child spread round-robin over all
+// `kernels` groups (kernel 0's group holds the root). The ablation compares
+// it with and without revocation batching.
+Cycles RevokeTree(uint32_t kernels, uint32_t children, bool revoke_batching = false);
 
 }  // namespace semperos
 

@@ -84,9 +84,6 @@ obs::TraceConfig ResolveTraceConfig(obs::TraceConfig requested) {
 Platform::Platform(PlatformConfig config) : config_(std::move(config)) {
   CHECK_GE(config_.kernels, 1u);
   CHECK_LE(config_.kernels, Kernel::kMaxKernels);
-  if (config_.mode == KernelMode::kM3SingleKernel) {
-    CHECK_EQ(config_.kernels, 1u) << "the M3 baseline runs exactly one kernel";
-  }
 
   uint32_t total =
       config_.kernels + config_.services + config_.users + config_.loadgens + config_.mem_tiles;
@@ -258,6 +255,8 @@ Platform::Platform(PlatformConfig config) : config_(std::move(config)) {
 }
 
 Platform::~Platform() = default;
+
+Platform::TrimPoolsLast::~TrimPoolsLast() { TrimMsgPools(); }
 
 Simulation* Platform::SimForNode(NodeId node) {
   if (!sim_.parallel()) {

@@ -59,7 +59,6 @@ struct PlatformConfig {
   uint32_t users = 0;
   uint32_t loadgens = 0;
   uint32_t mem_tiles = 1;
-  KernelMode mode = KernelMode::kSemperOSMulti;
   TimingModel timing = TimingModel::SemperOs();
   uint32_t max_inflight = 4;     // M_inflight (paper §5.1)
   bool revoke_batching = false;  // extension: batch REVOKE_REQs per peer
@@ -241,6 +240,14 @@ class Platform {
   static constexpr Cycles kUntilIdle = UINT64_MAX;
   uint64_t RunSampled(Cycles until, uint64_t max_events);
 
+  // Declared first, so destroyed last: once the members below released
+  // their message bodies (the PEs, the kernels, the closures still queued
+  // in sim_), frees what they parked in this thread's NewMsg pools, so a
+  // process that runs platforms one after another holds none in between.
+  struct TrimPoolsLast {
+    ~TrimPoolsLast();
+  };
+  TrimPoolsLast trim_pools_last_;
   PlatformConfig config_;
   SimHost sim_;
   std::vector<uint32_t> shard_of_node_;  // empty on the legacy path

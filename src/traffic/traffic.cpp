@@ -118,17 +118,6 @@ uint64_t ShareOf(uint64_t total, uint32_t index, uint32_t parts) {
   return total / parts + (index < total % parts ? 1 : 0);
 }
 
-Trace MakeRequestTrace(const std::string& request, uint32_t instance) {
-  if (request == "nginx") {
-    return MakeNginxRequestTrace();
-  }
-  if (request == "postmark") {
-    return MakePostmarkRequestTrace(instance);
-  }
-  CHECK(false) << "unknown traffic request shape " << request;
-  return Trace{};
-}
-
 }  // namespace
 
 TrafficResult RunTraffic(const TrafficConfig& config) {
@@ -147,27 +136,18 @@ TrafficResult RunTraffic(const TrafficConfig& config) {
   Platform platform(pc);
 
   uint64_t total = config.warmup + config.requests + config.cooldown;
+  const RequestShape& shape = FindRequestShape(config.request);
   FsImage image;
-  uint64_t growth = kGrowthHeadroom;
-  if (config.request == "nginx") {
-    PopulateNginxImage(&image);
-  } else if (config.request == "postmark") {
-    PopulatePostmarkRequestImage(&image, config.servers);
-    // Every postmark request creates (and unlinks) one mail file; image
-    // space is never reclaimed, so reserve a full write extent per request
-    // in case one service ends up owning every session.
-    growth += total * kFsExtentBytes;
-  } else {
-    CHECK(false) << "unknown traffic request shape " << config.request;
-  }
+  shape.populate(&image, config.servers);
   image.Freeze();  // services share the frozen base instead of deep-copying
+  uint64_t growth = kGrowthHeadroom + total * shape.growth_per_request;
   AttachServices(&platform, image, timing, image.bytes_used() + growth);
 
   for (uint32_t i = 0; i < config.servers; ++i) {
     NodeId node = platform.user_nodes().at(i);
     NodeId kernel_node = platform.kernel_node(platform.membership().KernelOf(node));
     platform.pe(node)->AttachProgram(
-        std::make_unique<NginxServer>(MakeRequestTrace(config.request, i), kernel_node, timing));
+        std::make_unique<NginxServer>(shape.build(i), kernel_node, timing));
   }
 
   std::vector<OpenLoopGen*> gens;

@@ -88,8 +88,9 @@ class OpenLoopGen : public Program {
 };
 
 struct TrafficConfig {
-  // Per-request server work: "nginx" (static document fetch, read-only) or
-  // "postmark" (mail transaction: create+write, read, unlink).
+  // Per-request server work: a RequestShape of the workload catalogue,
+  // "nginx" (static document fetch, read-only) or "postmark" (mail
+  // transaction: create+write, read, unlink).
   std::string request = "nginx";
   uint32_t kernels = 8;
   uint32_t services = 8;

@@ -3,7 +3,7 @@
 // only place that knows how to map CLI parameters onto the experiment
 // configs (AppRunConfig, NginxRunConfig, FailoverConfig, RebalanceConfig,
 // StormConfig, TrafficConfig) and how to fold the experiment results into
-// the structured WorkloadResult the CLI and bench binaries consume.
+// the structured WorkloadResult the CLI consumes.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -104,11 +104,12 @@ WorkloadResult RunAppDriver(const std::string& app, const WorkloadParams& p) {
 }
 
 void RegisterApps() {
-  for (const std::string& app : WorkloadNames()) {
+  for (const AppWorkload& workload : AppWorkloads()) {
+    std::string app = workload.name;
     WorkloadSpec spec;
     spec.name = app;
     spec.summary = Fmt("trace-replay app, %u cap ops per instance (Figures 6-9, Table 4)",
-                       ExpectedCapOps(app));
+                       workload.cap_ops);
     spec.supports_strict = true;
     spec.params = {Kernels("8"), Services("8"),
                    {"instances", ParamType::kU32, "64", "parallel app instances", {}}};
@@ -468,7 +469,6 @@ void RegisterChaos() {
        "max live migrations", {}},
       {"churn", ParamType::kU32, std::to_string(defaults.max_churn), "max client kills", {}},
       {"hb-perturb", ParamType::kBool, "1", "draw detector timing per burst", {}},
-      {"op-rate", ParamType::kF64, "0.7", "per-client chance to act each round", {}},
       {"mig-revoke", ParamType::kBool, "0", "force migration during a revoke", {}},
       {"double-kill", ParamType::kBool, "0", "break quorum: recovery must refuse", {}},
       {"inject-bug", ParamType::kBool, "0", "skip orphan revoke (auditor must catch)", {}},
@@ -548,9 +548,12 @@ void RegisterTraffic() {
                  "offered rate the system sustains within the p99 SLA"};
   spec.open_loop = true;
   spec.supports_strict = true;
+  std::vector<std::string> requests;
+  for (const RequestShape& shape : RequestShapes()) {
+    requests.push_back(shape.name);
+  }
   spec.params = {
-      {"request", ParamType::kString, "nginx", "per-request server work",
-       {"nginx", "postmark"}},
+      {"request", ParamType::kString, "nginx", "per-request server work", requests},
       Kernels("8"), Services("8"),
       {"servers", ParamType::kU32, "16", "server PEs (one generator each)", {}},
       {"process", ParamType::kString, "poisson", "arrival process",
@@ -635,7 +638,6 @@ StormConfig ChaosStormConfig(const WorkloadParams& p) {
   config.max_migrations = p.U32("migrations");
   config.max_churn = p.U32("churn");
   config.perturb_heartbeats = p.Bool("hb-perturb");
-  config.op_rate = p.F64("op-rate");
   config.force_migration_during_revoke = p.Bool("mig-revoke");
   config.force_double_kill = p.Bool("double-kill");
   config.bug_skip_orphan_revoke = p.Bool("inject-bug");

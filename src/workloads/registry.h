@@ -12,17 +12,19 @@
 // the catalogue, a typed parameter schema (defaults, help, enum choices),
 // optional semantic validation, and a driver returning a structured
 // WorkloadResult (human-readable notes + named numeric metrics + kernel and
-// engine counters). The CLI (ParseWorkloadCli/RunWorkloadCli), the --list
-// catalogue (FormatWorkloadList) and the bench binaries all consume the same
-// registry, and strict serial-vs-parallel verification is implemented once,
-// generically, over the metric list instead of per workload.
+// engine counters). The CLI (ParseWorkloadCli/RunWorkloadCli) and the --list
+// catalogue (FormatWorkloadList) consume the same registry, and strict
+// serial-vs-parallel verification is implemented once, generically, over the
+// metric list instead of per workload. The bench binaries call the runners
+// directly and borrow only WorkloadResult, which bench::Report turns into
+// benchmark counters.
 //
 // Workloads are selected by positional name (`semperos_sim traffic
 // --rate=...`). Selecting two different workloads in one invocation is an
 // error.
 //
 // Every driver that runs one platform maps the global flags onto one
-// RunSetup (system/run.h) and hands back that run's RunOutcome, so the
+// RunSetup (system/platform.h) and hands back that run's RunOutcome, so the
 // engine flags, the trace and timeline files, the span report and the
 // kernel/engine counters work the same way for every such workload.
 #ifndef SEMPEROS_WORKLOADS_REGISTRY_H_

@@ -32,8 +32,6 @@ Cycles Slice(Cycles total, uint32_t parts) { return total / parts; }
 
 Trace MakeTar(uint32_t instance) {
   Trace trace;
-  trace.app = "tar";
-  trace.expected_cap_ops = 21;
   std::string p = Prefix(instance);
   std::string archive = p + "/out/archive.tar";
   Cycles slice = Slice(kTarCompute, 12);
@@ -63,10 +61,16 @@ Trace MakeTar(uint32_t instance) {
   return trace;
 }
 
+void PopulateTar(FsImage* image, const std::string& p) {
+  image->AddDir(p + "/in");
+  image->AddDir(p + "/out");
+  for (int f = 0; f < 5; ++f) {
+    image->AddFile(p + "/in/f" + std::to_string(f), kTarInputs[f]);
+  }
+}
+
 Trace MakeUntar(uint32_t instance) {
   Trace trace;
-  trace.app = "untar";
-  trace.expected_cap_ops = 11;
   std::string p = Prefix(instance);
   std::string archive = p + "/in/archive.tar";
   std::string index = p + "/out/.index";
@@ -95,10 +99,14 @@ Trace MakeUntar(uint32_t instance) {
   return trace;
 }
 
+void PopulateUntar(FsImage* image, const std::string& p) {
+  image->AddDir(p + "/in");
+  image->AddDir(p + "/out");
+  image->AddFile(p + "/in/archive.tar", 4 * MiB);
+}
+
 Trace MakeFind(uint32_t instance) {
   Trace trace;
-  trace.app = "find";
-  trace.expected_cap_ops = 3;
   std::string p = Prefix(instance);
   std::string index = p + "/scan/.index";
   Cycles slice = Slice(kFindCompute, 4);
@@ -120,10 +128,16 @@ Trace MakeFind(uint32_t instance) {
   return trace;
 }
 
+void PopulateFind(FsImage* image, const std::string& p) {
+  image->AddDir(p + "/scan");
+  image->AddFile(p + "/scan/.index", 4 * KiB);
+  for (int e = 0; e < 80; ++e) {
+    image->AddFile(p + "/scan/e" + std::to_string(e), 1 * KiB);
+  }
+}
+
 Trace MakeSqlite(uint32_t instance) {
   Trace trace;
-  trace.app = "sqlite";
-  trace.expected_cap_ops = 24;
   std::string p = Prefix(instance);
   std::string db = p + "/db/main.db";
   Cycles slice = Slice(kSqliteCompute, 14);
@@ -161,10 +175,13 @@ Trace MakeSqlite(uint32_t instance) {
   return trace;
 }
 
+void PopulateSqlite(FsImage* image, const std::string& p) {
+  image->AddDir(p + "/db");
+  image->AddFile(p + "/db/main.db", 64 * KiB);
+}
+
 Trace MakeLevelDb(uint32_t instance) {
   Trace trace;
-  trace.app = "leveldb";
-  trace.expected_cap_ops = 22;
   std::string p = Prefix(instance);
   std::string dir = p + "/ldb";
   Cycles slice = Slice(kLevelDbCompute, 14);
@@ -210,10 +227,14 @@ Trace MakeLevelDb(uint32_t instance) {
   return trace;
 }
 
+void PopulateLevelDb(FsImage* image, const std::string& p) {
+  image->AddDir(p + "/ldb");
+  image->AddFile(p + "/ldb/CURRENT", 1 * KiB);
+  image->AddFile(p + "/ldb/MANIFEST-000001", 4 * KiB);
+}
+
 Trace MakePostmark(uint32_t instance) {
   Trace trace;
-  trace.app = "postmark";
-  trace.expected_cap_ops = 38;
   std::string p = Prefix(instance);
   std::string dir = p + "/mail";
   Cycles slice = Slice(kPostmarkCompute, 20);
@@ -255,123 +276,15 @@ Trace MakePostmark(uint32_t instance) {
   return trace;
 }
 
+void PopulatePostmark(FsImage* image, const std::string& p) {
+  image->AddDir(p + "/mail");
+  image->AddFile(p + "/mail/.index", 8 * KiB);
+  for (int m = 0; m < 6; ++m) {
+    image->AddFile(p + "/mail/m" + std::to_string(m), 8 * KiB);
+  }
+}
+
 }  // namespace
-
-const std::vector<std::string>& WorkloadNames() {
-  static const std::vector<std::string> kNames = {"tar",    "untar",   "find",
-                                                  "sqlite", "leveldb", "postmark"};
-  return kNames;
-}
-
-uint32_t ExpectedCapOps(const std::string& app) {
-  // Paper Table 4, single-instance column.
-  if (app == "tar") {
-    return 21;
-  }
-  if (app == "untar") {
-    return 11;
-  }
-  if (app == "find") {
-    return 3;
-  }
-  if (app == "sqlite") {
-    return 24;
-  }
-  if (app == "leveldb") {
-    return 22;
-  }
-  if (app == "postmark") {
-    return 38;
-  }
-  CHECK(false) << "unknown app " << app;
-  return 0;
-}
-
-double PaperSoloRuntimeUs(const std::string& app) {
-  // Table 4: runtime = cap ops / (cap ops per second), single instance.
-  if (app == "tar") {
-    return 21.0 / 7295 * 1e6;
-  }
-  if (app == "untar") {
-    return 11.0 / 4012 * 1e6;
-  }
-  if (app == "find") {
-    return 3.0 / 1310 * 1e6;
-  }
-  if (app == "sqlite") {
-    return 24.0 / 5987 * 1e6;
-  }
-  if (app == "leveldb") {
-    return 22.0 / 8749 * 1e6;
-  }
-  if (app == "postmark") {
-    return 38.0 / 21166 * 1e6;
-  }
-  CHECK(false) << "unknown app " << app;
-  return 0;
-}
-
-Trace MakeTrace(const std::string& app, uint32_t instance) {
-  if (app == "tar") {
-    return MakeTar(instance);
-  }
-  if (app == "untar") {
-    return MakeUntar(instance);
-  }
-  if (app == "find") {
-    return MakeFind(instance);
-  }
-  if (app == "sqlite") {
-    return MakeSqlite(instance);
-  }
-  if (app == "leveldb") {
-    return MakeLevelDb(instance);
-  }
-  if (app == "postmark") {
-    return MakePostmark(instance);
-  }
-  CHECK(false) << "unknown app " << app;
-  return Trace{};
-}
-
-void PopulateImage(FsImage* image, const std::string& app, uint32_t instances) {
-  for (uint32_t i = 0; i < instances; ++i) {
-    std::string p = Prefix(i);
-    image->AddDir(p);
-    if (app == "tar") {
-      image->AddDir(p + "/in");
-      image->AddDir(p + "/out");
-      for (int f = 0; f < 5; ++f) {
-        image->AddFile(p + "/in/f" + std::to_string(f), kTarInputs[f]);
-      }
-    } else if (app == "untar") {
-      image->AddDir(p + "/in");
-      image->AddDir(p + "/out");
-      image->AddFile(p + "/in/archive.tar", 4 * MiB);
-    } else if (app == "find") {
-      image->AddDir(p + "/scan");
-      image->AddFile(p + "/scan/.index", 4 * KiB);
-      for (int e = 0; e < 80; ++e) {
-        image->AddFile(p + "/scan/e" + std::to_string(e), 1 * KiB);
-      }
-    } else if (app == "sqlite") {
-      image->AddDir(p + "/db");
-      image->AddFile(p + "/db/main.db", 64 * KiB);
-    } else if (app == "leveldb") {
-      image->AddDir(p + "/ldb");
-      image->AddFile(p + "/ldb/CURRENT", 1 * KiB);
-      image->AddFile(p + "/ldb/MANIFEST-000001", 4 * KiB);
-    } else if (app == "postmark") {
-      image->AddDir(p + "/mail");
-      image->AddFile(p + "/mail/.index", 8 * KiB);
-      for (int m = 0; m < 6; ++m) {
-        image->AddFile(p + "/mail/m" + std::to_string(m), 8 * KiB);
-      }
-    } else {
-      CHECK(false) << "unknown app " << app;
-    }
-  }
-}
 
 void PopulateNginxImage(FsImage* image) {
   image->AddDir("/www");
@@ -423,6 +336,87 @@ void PopulatePostmarkRequestImage(FsImage* image, uint32_t servers) {
     std::string dir = "/mbox/s" + std::to_string(i);
     image->AddDir(dir);
     image->AddFile(dir + "/cur", 8 * KiB);
+  }
+}
+
+// ---- The catalogue ----
+
+namespace {
+
+// Table 4 columns: cap ops and cap ops/s of one instance, then of 512.
+constexpr AppWorkload kApps[] = {
+    {"tar", 21, 7295, 10752, 191703, MakeTar, PopulateTar},
+    {"untar", 11, 4012, 5632, 100772, MakeUntar, PopulateUntar},
+    {"find", 3, 1310, 1536, 27096, MakeFind, PopulateFind},
+    {"sqlite", 24, 5987, 12288, 207072, MakeSqlite, PopulateSqlite},
+    {"leveldb", 22, 8749, 11264, 201204, MakeLevelDb, PopulateLevelDb},
+    {"postmark", 38, 21166, 19456, 348285, MakePostmark, PopulatePostmark},
+};
+
+constexpr RequestShape kRequestShapes[] = {
+    {"nginx", [](uint32_t) { return MakeNginxRequestTrace(); },
+     [](FsImage* image, uint32_t) { PopulateNginxImage(image); }, 0},
+    // Every request creates (and unlinks) one mail file, and image space is
+    // never reclaimed: a full write extent per request, in case one service
+    // ends up owning every session.
+    {"postmark", MakePostmarkRequestTrace, PopulatePostmarkRequestImage, kFsExtentBytes},
+};
+
+template <typename Row, size_t N>
+const Row& Find(const Row (&rows)[N], const std::string& name, const char* what) {
+  for (const Row& row : rows) {
+    if (name == row.name) {
+      return row;
+    }
+  }
+  CHECK(false) << "unknown " << what << " " << name;
+  return rows[0];
+}
+
+const AppWorkload& FindApp(const std::string& name) { return Find(kApps, name, "app"); }
+
+}  // namespace
+
+std::span<const AppWorkload> AppWorkloads() { return kApps; }
+
+std::span<const RequestShape> RequestShapes() { return kRequestShapes; }
+
+const RequestShape& FindRequestShape(const std::string& name) {
+  return Find(kRequestShapes, name, "traffic request shape");
+}
+
+const std::vector<std::string>& WorkloadNames() {
+  static const std::vector<std::string> kNames = [] {
+    std::vector<std::string> names;
+    for (const AppWorkload& row : kApps) {
+      names.push_back(row.name);
+    }
+    return names;
+  }();
+  return kNames;
+}
+
+uint32_t ExpectedCapOps(const std::string& app) { return FindApp(app).cap_ops; }
+
+double PaperSoloRuntimeUs(const std::string& app) {
+  const AppWorkload& row = FindApp(app);
+  return static_cast<double>(row.cap_ops) / row.cap_ops_per_sec * 1e6;
+}
+
+Trace MakeTrace(const std::string& app, uint32_t instance) {
+  const AppWorkload& row = FindApp(app);
+  Trace trace = row.build(instance);
+  trace.app = row.name;
+  trace.expected_cap_ops = row.cap_ops;
+  return trace;
+}
+
+void PopulateImage(FsImage* image, const std::string& app, uint32_t instances) {
+  const AppWorkload& row = FindApp(app);
+  for (uint32_t i = 0; i < instances; ++i) {
+    std::string p = Prefix(i);
+    image->AddDir(p);
+    row.populate(image, p);
   }
 }
 

@@ -2,13 +2,14 @@
 //
 // The paper replays Linux system-call traces of seven applications. We
 // generate equivalent deterministic traces whose *capability-operation
-// counts match paper Table 4 exactly* (asserted in tests):
+// counts match paper Table 4 exactly* (asserted in tests), and whose
+// single-instance runtimes are calibrated (through kCompute phases standing
+// for application work and non-filesystem system calls) to the runtimes
+// implied by Table 4's single-instance cap-ops/s column.
 //
-//     tar 21, untar 11, find 3, SQLite 24, LevelDB 22, PostMark 38
-//
-// and whose single-instance runtimes are calibrated (through kCompute
-// phases standing for application work and non-filesystem system calls) to
-// the runtimes implied by Table 4's single-instance cap-ops/s column.
+// The catalogue below is the one place Table 4's counts and rates and the
+// open-loop request shapes are written down; every runner, driver, bench
+// and the CLI read them from it.
 //
 // Capability-operation arithmetic, with the 1 MiB m3fs extent size:
 //   session open                = 1 obtain
@@ -28,6 +29,7 @@
 #define SEMPEROS_WORKLOADS_WORKLOADS_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,7 +38,40 @@
 
 namespace semperos {
 
-// The six trace-replay applications of Figure 6 / Table 4.
+// ---- The catalogue ----
+
+// One trace-replay application of Figure 6 / Table 4, with Table 4's
+// capability operations and operations per second for one instance and for
+// 512 instances on 64 kernels + 64 services (paper §5.3.1).
+struct AppWorkload {
+  const char* name;
+  uint32_t cap_ops;  // one instance must trigger exactly these
+  uint32_t cap_ops_per_sec;
+  uint32_t cap_ops_512;
+  uint32_t cap_ops_per_sec_512;
+  // The operations of `instance`, below its own /i<N> prefix.
+  Trace (*build)(uint32_t instance);
+  // The files and directories one instance reads below `prefix`.
+  void (*populate)(FsImage* image, const std::string& prefix);
+};
+
+// One open-loop request shape of src/traffic: what a server does per request.
+struct RequestShape {
+  const char* name;
+  Trace (*build)(uint32_t server);
+  void (*populate)(FsImage* image, uint32_t servers);
+  // Image bytes one request may add; image space is never reclaimed.
+  uint64_t growth_per_request;
+};
+
+std::span<const AppWorkload> AppWorkloads();
+std::span<const RequestShape> RequestShapes();
+
+// ---- Lookups in the catalogue; each CHECK-fails on a name it does not list ----
+
+const RequestShape& FindRequestShape(const std::string& name);
+
+// The names of AppWorkloads(), in catalogue order.
 const std::vector<std::string>& WorkloadNames();
 
 // Capability operations one instance must trigger (paper Table 4).
@@ -46,7 +81,8 @@ uint32_t ExpectedCapOps(const std::string& app);
 // in microseconds. Used to calibrate the traces and verified in tests.
 double PaperSoloRuntimeUs(const std::string& app);
 
-// Builds the trace for `instance` (instances use disjoint /i<N> namespaces).
+// Builds the trace for `instance` (instances use disjoint /i<N> namespaces),
+// stamped with the app's name and Table 4 count.
 Trace MakeTrace(const std::string& app, uint32_t instance);
 
 // Adds the files/directories that `instances` instances of `app` need.

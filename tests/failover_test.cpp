@@ -333,7 +333,8 @@ TEST(FailoverTest, TakeoverPlanSplitsDeadRangeAtPartitionBoundaries) {
     m.Assign(pe, owner[pe]);
   }
   std::vector<uint8_t> failed(4, 0);
-  std::vector<TakeoverAssignment> plan = PlanTakeover(m, 2, 4, failed);
+  auto lost = [&failed](KernelId k) { return failed[k] != 0; };
+  std::vector<TakeoverAssignment> plan = PlanTakeover(m, 2, 4, lost);
   ASSERT_EQ(plan.size(), 4u);  // exactly the dead kernel's range
   // Ascending partition order, round-robin over survivors {0, 1, 3}.
   EXPECT_EQ(plan[0].pe, 1u);
@@ -347,7 +348,7 @@ TEST(FailoverTest, TakeoverPlanSplitsDeadRangeAtPartitionBoundaries) {
 
   // A previously failed kernel never adopts.
   failed[0] = 1;
-  plan = PlanTakeover(m, 2, 4, failed);
+  plan = PlanTakeover(m, 2, 4, lost);
   ASSERT_EQ(plan.size(), 4u);
   for (const TakeoverAssignment& a : plan) {
     EXPECT_NE(a.new_owner, 0u);

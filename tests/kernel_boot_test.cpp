@@ -117,7 +117,6 @@ TEST(Boot, M3ModeIsSingleKernel) {
   PlatformConfig pc;
   pc.kernels = 1;
   pc.users = 4;
-  pc.mode = KernelMode::kM3SingleKernel;
   pc.timing = TimingModel::M3();
   Platform platform(pc);
   platform.Boot();

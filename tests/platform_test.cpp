@@ -1,8 +1,9 @@
 // Platform layout and mesh-shape edge cases.
 #include <gtest/gtest.h>
 
-#include "system/platform.h"
 #include "noc/noc.h"
+#include "system/client.h"
+#include "system/platform.h"
 
 namespace semperos {
 namespace {
@@ -114,10 +115,7 @@ TEST(Layout, VpeLimitPerKernelEnforced) {
 }
 
 TEST(Layout, M3ModeRequiresOneKernel) {
-  PlatformConfig pc;
-  pc.kernels = 2;
-  pc.mode = KernelMode::kM3SingleKernel;
-  EXPECT_DEATH(Platform platform(pc), "one kernel");
+  EXPECT_DEATH(MakeDriverRig(2, 2, KernelMode::kM3SingleKernel), "one kernel");
 }
 
 TEST(Layout, KernelCapArchitectural) {

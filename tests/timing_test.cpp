@@ -77,34 +77,23 @@ TEST(Figure4, RevocationTimeLinearInChainLength) {
   EXPECT_NEAR(slope1, slope2, 0.15 * slope1);
 }
 
-Cycles RevokeTree(uint32_t extra_kernels, uint32_t children) {
-  DriverRig rig = MakeDriverRig(1 + extra_kernels, children + 1);
-  CapSel root = rig.BuildTree(children);
-  return rig.TimedOp([&](std::function<void()> done) {
-    rig.client(0).env().Revoke(root, [done](const SyscallReply& r) {
-      ASSERT_EQ(r.err, ErrCode::kOk);
-      done();
-    });
-  });
-}
-
 TEST(Figure5, BreakEvenNearEightyChildren) {
   // "break-even at 80 child capabilities, when comparing the local
   // revocation time with a parallel revocation with 12 kernels". Our
   // crossover falls between 32 and 112 children (close to the paper's 80;
   // the exact point is sensitive to per-message costs).
-  Cycles local32 = RevokeTree(0, 32);
-  Cycles par32 = RevokeTree(12, 32);
-  Cycles local112 = RevokeTree(0, 112);
-  Cycles par112 = RevokeTree(12, 112);
+  Cycles local32 = RevokeTree(1, 32);
+  Cycles par32 = RevokeTree(13, 32);
+  Cycles local112 = RevokeTree(1, 112);
+  Cycles par112 = RevokeTree(13, 112);
   EXPECT_GT(par32, local32) << "parallel revoke should not win below the break-even";
   EXPECT_LT(par112, local112) << "parallel revoke should win above the break-even";
 }
 
 TEST(Figure5, SingleRemoteKernelIsWorstCase) {
   // The 1+1 line lies above the local line: all messages, no parallelism.
-  Cycles local = RevokeTree(0, 64);
-  Cycles one_kernel = RevokeTree(1, 64);
+  Cycles local = RevokeTree(1, 64);
+  Cycles one_kernel = RevokeTree(2, 64);
   EXPECT_GT(one_kernel, local);
 }
 
