@@ -1,4 +1,5 @@
-// Ablations of the design choices DESIGN.md calls out.
+// Ablations of the reproduction's own design choices (docs/benchmarks.md,
+// "Ablations (a) and (e)", describes the gated rows).
 //
 // Not a paper figure — quantifies how the reproduction's knobs shape the
 // headline results:

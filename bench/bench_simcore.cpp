@@ -3,13 +3,14 @@
 //
 // Unlike every other bench binary, this one measures HOST time, not
 // simulated time: it tracks how fast the discrete-event engine executes
-// (events/sec through the near-future ring, the 4-ary heap behind it and
-// the InlineFn slab) and how fast the NoC+DTU stack moves messages
-// (messages/sec including pooled body allocation, tag dispatch and
-// per-link reservation). Every figure sweep is bounded by these two rates,
-// so regressions here show up as wall-clock regressions everywhere (see
-// docs/benchmarks.md, "Wall-clock vs modeled cycles"). BM_AppPostmarkSerial
-// adds the whole request path (kernels, asks, IKCs, m3fs) at a small shape.
+// (events/sec through the serial queue's fine and coarse rings, the 4-ary
+// heap behind them and the InlineFn slab) and how fast the NoC+DTU stack
+// moves messages (messages/sec including pooled body allocation, tag
+// dispatch and per-link reservation). Every figure sweep is bounded by
+// these two rates, so regressions here show up as wall-clock regressions
+// everywhere (see docs/benchmarks.md, "Wall-clock vs modeled cycles").
+// BM_AppPostmarkSerial adds the whole request path (kernels, asks, IKCs,
+// m3fs) at a small shape.
 //
 // Compare runs with:  tools/bench_compare.py OLD NEW --wallclock
 // (generous tolerance; host timing is noisy where simulated time is not).
@@ -65,10 +66,16 @@ void BM_EventChurn(benchmark::State& state) {
 }
 
 // The same churn with the workloads' delay mix: one reschedule in five
-// lands past the serial queue's near-future ring (Simulation::kRingCycles),
-// so those events take the heap and migrate back into the ring as the
-// clock closes in. The perfbench workloads send 13-25% of their events
-// that way; BM_EventChurn never leaves the ring.
+// lands 1-3 epochs (Simulation::kEpochCycles) ahead, so those events take
+// the serial queue's fine ring when due within the next epoch and its
+// coarse ring otherwise, and move into the fine ring as the clock closes
+// in. The perfbench workloads send 13-25% of their events at least an
+// epoch ahead; BM_EventChurn stays within a few cycles.
+//
+// With `kFarCycles` set past the coarse range, the same one in five takes
+// the overflow heap instead (BM_EventChurnHeap), which the workloads
+// almost never reach but which keeps its own wall-clock row.
+template <Cycles kFarCycles>
 struct FarChainEvent {
   Simulation* sim;
   uint64_t* remaining;
@@ -81,21 +88,22 @@ struct FarChainEvent {
     uint64_t n = --*remaining;
     Cycles delay = 1 + payload[n % 5];
     if (n % 5 == 0) {
-      // A pseudo-random point up to two ring widths past the ring.
-      delay = Simulation::kRingCycles + (n * 0x9e3779b97f4a7c15ull) % (2 * Simulation::kRingCycles);
+      // A pseudo-random point up to two epochs past kFarCycles.
+      delay = kFarCycles + (n * 0x9e3779b97f4a7c15ull) % (2 * Simulation::kEpochCycles);
     }
     sim->Schedule(delay, *this);
   }
 };
 
-void BM_EventChurnFar(benchmark::State& state) {
+template <Cycles kFarCycles>
+void EventChurnFar(benchmark::State& state) {
   constexpr uint64_t kEvents = 1'000'000;
   uint64_t total = 0;
   for (auto _ : state) {
     Simulation sim;
     uint64_t remaining = kEvents;
     for (int chain = 0; chain < 64; ++chain) {
-      sim.Schedule(static_cast<Cycles>(chain), FarChainEvent{&sim, &remaining});
+      sim.Schedule(static_cast<Cycles>(chain), FarChainEvent<kFarCycles>{&sim, &remaining});
     }
     sim.RunUntilIdle();
     benchmark::DoNotOptimize(sim.Now());
@@ -104,6 +112,16 @@ void BM_EventChurnFar(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(total));
   state.counters["events_per_sec"] =
       benchmark::Counter(static_cast<double>(total), benchmark::Counter::kIsRate);
+}
+
+void BM_EventChurnFar(benchmark::State& state) {
+  EventChurnFar<Simulation::kEpochCycles>(state);
+}
+
+// Past the coarse range: (kCoarseEpochs + 2) epochs from the start of the
+// current epoch is the heap's lower bound.
+void BM_EventChurnHeap(benchmark::State& state) {
+  EventChurnFar<(Simulation::kCoarseEpochs + 2) * Simulation::kEpochCycles>(state);
 }
 
 struct PingMsg : MsgBody {
@@ -156,6 +174,7 @@ void BM_MessageDelivery(benchmark::State& state) {
 
 BENCHMARK(BM_EventChurn)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EventChurnFar)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EventChurnHeap)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MessageDelivery)->Unit(benchmark::kMillisecond);
 
 // The request path on the wall clock: RunApp with PostMark at a small

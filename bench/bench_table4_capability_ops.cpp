@@ -49,7 +49,7 @@ void PrintTable() {
   bench::Footnote(
       "per-instance op counts and single-instance rates match the paper exactly; the "
       "512-instance rate is reported over the parallel makespan, which exceeds the paper's "
-      "value (see EXPERIMENTS.md on the paper-internal discrepancy between Table 4 and Fig. 6)");
+      "value");
 }
 
 void BM_CapOpsRate(benchmark::State& state) {

@@ -17,7 +17,7 @@ void UserEnv::SetupEps(bool is_service) {
   if (is_service) {
     // Slot count models the aggregate of per-send-gate credit carving: every
     // client holds one credit, so the total in-flight requests equal the
-    // number of clients (see DESIGN.md).
+    // number of clients.
     dtu.ConfigureRecv(user_ep::kServiceRecv, 4096,
                       [this](EpId, const Message& msg) { OnRequest(msg); });
   }

@@ -36,19 +36,28 @@ Dtu::Dtu(Simulation* sim, DtuFabric* fabric, NodeId node)
 }
 
 void Dtu::ConfigureSend(EpId ep, NodeId dst_node, EpId dst_ep, uint32_t credits, uint64_t label) {
-  CHECK(privileged_) << "send EP config on downgraded DTU " << node_;
+  if (!privileged_) {
+    Refuse();
+    return;
+  }
   CHECK_LT(ep, kNumEps);
   eps_[ep] = SendEp{dst_node, dst_ep, credits, credits, label};
 }
 
 void Dtu::ConfigureRecv(EpId ep, uint32_t slots, MsgHandler handler) {
-  CHECK(privileged_) << "recv EP config on downgraded DTU " << node_;
+  if (!privileged_) {
+    Refuse();
+    return;
+  }
   CHECK_LT(ep, kNumEps);
   eps_[ep] = RecvEp{slots, 0, std::move(handler)};
 }
 
 void Dtu::ConfigureMem(EpId ep, NodeId dst_node, uint64_t base, uint64_t size, MemPerms perms) {
-  CHECK(privileged_) << "mem EP config on downgraded DTU " << node_;
+  if (!privileged_) {
+    Refuse();
+    return;
+  }
   CHECK_LT(ep, kNumEps);
   eps_[ep] = MemEp{dst_node, perms, base, size};
 }
@@ -57,7 +66,10 @@ void Dtu::ConfigureMem(EpId ep, NodeId dst_node, uint64_t base, uint64_t size, M
 // Dtu*, so each one, done callback included, fits an event slot.
 void Dtu::ConfigureRemoteSend(NodeId target, EpId ep, NodeId dst_node, EpId dst_ep,
                               uint32_t credits, uint64_t label, Callback<void()> done) {
-  CHECK(privileged_) << "remote config from unprivileged DTU " << node_;
+  if (!privileged_) {
+    Refuse();
+    return;
+  }
   if (dead_) {
     stats_.msgs_lost_dead++;
     return;  // crashed kernel: the config packet never leaves (done never fires)
@@ -76,7 +88,10 @@ void Dtu::ConfigureRemoteSend(NodeId target, EpId ep, NodeId dst_node, EpId dst_
 
 void Dtu::ConfigureRemoteMem(NodeId target, EpId ep, NodeId dst_node, uint64_t base, uint64_t size,
                              MemPerms perms, Callback<void()> done) {
-  CHECK(privileged_) << "remote config from unprivileged DTU " << node_;
+  if (!privileged_) {
+    Refuse();
+    return;
+  }
   if (dead_) {
     stats_.msgs_lost_dead++;
     return;
@@ -93,7 +108,10 @@ void Dtu::ConfigureRemoteMem(NodeId target, EpId ep, NodeId dst_node, uint64_t b
 }
 
 void Dtu::InvalidateRemoteEp(NodeId target, EpId ep, Callback<void()> done) {
-  CHECK(privileged_) << "remote config from unprivileged DTU " << node_;
+  if (!privileged_) {
+    Refuse();
+    return;
+  }
   if (dead_) {
     stats_.msgs_lost_dead++;
     return;
@@ -133,7 +151,9 @@ Status Dtu::Send(EpId ep, MsgRef body, EpId reply_ep) {
 }
 
 Status Dtu::SendTo(NodeId dst_node, EpId dst_ep, MsgRef body, EpId reply_ep, uint64_t label) {
-  CHECK(privileged_) << "SendTo from unprivileged DTU " << node_;
+  if (!privileged_) {
+    return Refuse();
+  }
   // No DTU-level credit to return: the kernel's IKC credits cover this path.
   Status st = Transmit(dst_node, dst_ep, kNoReplyEp,
                        Header(kNoReplyEp, reply_ep, label, /*is_reply=*/false, std::move(body)));

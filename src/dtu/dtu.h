@@ -30,9 +30,11 @@
 // The program on a user PE is untrusted. A command it issues that names an
 // endpoint the DTU does not have, a reply endpoint it does not have, a
 // reply or ack with no received message to answer, a header naming a node
-// outside the mesh or an endpoint past kNumEps, or a deferred reply (only
-// kernels answer late) is refused (kInvalidArgs), changes nothing, and is
-// counted in DtuStats::cmds_refused.
+// outside the mesh or an endpoint past kNumEps, or a privileged command on
+// its downgraded DTU (endpoint configuration, local or remote, SendTo, and
+// a deferred reply: only kernels answer late) is refused (kInvalidArgs
+// where the command returns a Status), changes nothing, and is counted in
+// DtuStats::cmds_refused.
 #ifndef SEMPEROS_DTU_DTU_H_
 #define SEMPEROS_DTU_DTU_H_
 
@@ -119,8 +121,8 @@ class Dtu {
   NodeId node() const { return node_; }
   bool privileged() const { return privileged_; }
 
-  // Local (privileged) endpoint configuration. CHECK-fails on a downgraded
-  // DTU — the kernel must use ConfigureRemote* for user PEs.
+  // Local (privileged) endpoint configuration. Refused on a downgraded DTU
+  // — the kernel must use ConfigureRemote* for user PEs.
   void ConfigureSend(EpId ep, NodeId dst_node, EpId dst_ep, uint32_t credits,
                      uint64_t label = 0);
   void ConfigureRecv(EpId ep, uint32_t slots, MsgHandler handler);
@@ -142,6 +144,7 @@ class Dtu {
   // endpoint registers over the NoC. `done` (may be null) fires when the
   // config packet has been applied at the remote DTU; it travels inside the
   // packet's delivery closure and then moves into the completion event.
+  // Refused on a downgraded DTU (`done` never fires).
   void ConfigureRemoteSend(NodeId target, EpId ep, NodeId dst_node, EpId dst_ep, uint32_t credits,
                            uint64_t label, Callback<void()> done);
   void ConfigureRemoteMem(NodeId target, EpId ep, NodeId dst_node, uint64_t base, uint64_t size,
@@ -157,6 +160,7 @@ class Dtu {
   // Privileged raw send to an arbitrary (node, endpoint). Models the M3
   // kernel's ability to retarget its send endpoint per message; flow control
   // for this path lives in the kernel (IKC credits), not in the DTU.
+  // Refused on a downgraded DTU.
   Status SendTo(NodeId dst_node, EpId dst_ep, MsgRef body, EpId reply_ep = kNoReplyEp,
                 uint64_t label = 0);
 
@@ -181,7 +185,7 @@ class Dtu {
 
   // Remote memory access through a memory endpoint. Timing only — data is
   // not moved. Deliberately uncontended (paper §5.3.1 excludes memory
-  // contention; see DESIGN.md §2). `done` fires on completion; it is built
+  // contention). `done` fires on completion; it is built
   // once, in its event slot, and dropped if the access is refused.
   template <typename F>
   Status Read(EpId mem_ep, uint64_t offset, uint64_t bytes, F&& done) {

@@ -37,14 +37,55 @@ void Simulation::ParallelPush(Cycles when, uint32_t slot) {
   Push(entry);
 }
 
-void Simulation::AdvanceClock(Cycles t) {
-  now_ = t;
-  if (engine_ != nullptr) {
-    return;  // sharded queues keep every event in the heap
+uint32_t Simulation::GrowSlab() {
+  uint32_t slot = static_cast<uint32_t>(next_.size());
+  if ((slot & kChunkMask) == 0) {
+    chunks_.push_back(std::make_unique<InlineFn[]>(kChunkSlots));
   }
-  while (!heap_.empty() && heap_.front().when - t < kRingCycles) {
+  next_.push_back(kNil);
+  due_.push_back(0);
+  return slot;
+}
+
+void Simulation::HeapPush(Cycles when, uint32_t slot) {
+  Entry entry;
+  entry.when = when;
+  entry.icycle = now_;
+  entry.anchor = next_seq_++;
+  entry.lseq = entry.anchor;
+  entry.depth = 0;
+  entry.slot = slot;
+  Push(entry);
+}
+
+void Simulation::EnterEpoch(Cycles from) {
+  const Cycles epoch = Epoch(now_);
+  // The coarse ring held epochs [from + 2, from + 2 + C); the fine range is
+  // now [epoch, epoch + 2). Drain, earliest first, every coarse bucket that
+  // entered it: one bitmap search per drained bucket, one more to stop.
+  const uint32_t first = CoarseIndex(from + 2);
+  while (coarse_occupied_.Any()) {
+    uint32_t b = coarse_occupied_.NextFrom(first);
+    if (from + 2 + ((b - first) & kCoarseMask) >= epoch + 2) {
+      break;
+    }
+    coarse_occupied_.Clear(b);
+    const Bucket& list = coarse_[b].list;
+    for (uint32_t slot = list.head;;) {
+      uint32_t next = next_[slot];
+      FineAppend(due_[slot], slot);
+      if (slot == list.tail) {
+        break;
+      }
+      slot = next;
+    }
+  }
+  // Then the heap events whose epoch entered the coarse range, in heap
+  // order, into the buckets the drain just emptied (or the fine ring).
+  const Cycles start = now_ & ~kEpochMask;
+  while (!heap_.empty() && heap_.front().when - start < kCalendarCycles) {
     Entry entry = PopEntry();
-    RingAppend(entry.when, entry.slot);
+    Enqueue(entry.when, entry.slot);
   }
 }
 
@@ -55,7 +96,7 @@ void Simulation::RunOne(Cycles when) {
     if (when != now_) {
       AdvanceClock(when);
     }
-    slot = RingPopFront(static_cast<uint32_t>(when) & kRingMask);
+    slot = FinePopFront(static_cast<uint32_t>(when) & kFineMask);
   } else {
     Entry top = PopEntry();
     now_ = top.when;

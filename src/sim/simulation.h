@@ -1,8 +1,9 @@
 // Discrete-event simulation engine.
 //
 // This is the substrate that replaces the paper's gem5 full-system simulation
-// (see DESIGN.md §2). Time is a 64-bit cycle counter; events are closures
-// ordered by (time, insertion sequence) so that runs are fully deterministic.
+// (see docs/architecture.md, "Execution substrate"). Time is a 64-bit cycle
+// counter; events are closures ordered by (time, insertion sequence) so
+// that runs are fully deterministic.
 //
 // The engine is built for wall-clock throughput, because every benchmark
 // sweep pays its cost on every event (see docs/benchmarks.md, "Wall-clock vs
@@ -16,31 +17,58 @@
 // closure runs in place while the events it schedules grow the slab, and
 // one indirect call runs it and destroys it.
 //
-// Order. The serial queue is a calendar queue (Brown, CACM 1988) in front
-// of a heap:
-//  * the ring — kRingCycles (W) per-cycle FIFO buckets covering
-//    [now, now + W). An event due less than W cycles ahead is appended to
-//    its cycle's bucket in O(1). Buckets are intrusive lists linked through
-//    one per-slot `next` array and found through a two-level occupancy
-//    bitmap (a bit per bucket, a bit per 64-bucket word), so the next
-//    non-empty cycle is two count-trailing-zeros away;
-//  * the heap — an indexed 4-ary min-heap of 40-byte Entry keys over a
-//    flat vector, holding the events W or more cycles ahead;
-//  * migration — whenever now advances (the event pop, RunUntil's final
-//    advance, AdvanceTo, RunUntilIdle's trailing-horizon jump), the heap
-//    events now less than W ahead move to their buckets, before anything
-//    at the new cycle runs.
-// Each bucket holds its cycle's events in insertion order: a heap event
-// for cycle w was inserted at some time t0 <= w - W, a ring event for w at
-// some t1 > w - W, so the heap event came first, and it reached its bucket
-// on the advance that brought w within W, before anything could be
-// appended behind it. The current cycle's bucket is the same-cycle FIFO.
+// Order. The serial queue is a two-level calendar queue (Brown, CACM 1988)
+// in front of an overflow heap, with the levels of a hierarchical timing
+// wheel (Varghese & Lauck, SOSP 1987). Time is split into epochs of
+// kEpochCycles (E) cycles; ep(x) = x / E.
+//  * the fine ring: 2E one-cycle FIFO buckets covering the current and the
+//    next epoch, [E * ep(now), E * (ep(now) + 2)). An event due there is
+//    appended to its cycle's bucket in O(1). Buckets are intrusive lists
+//    linked through one per-slot `next` array and found through a
+//    two-level occupancy bitmap (a bit per bucket, a bit per 64-bucket
+//    word), so the next non-empty cycle is two count-trailing-zeros away;
+//  * the coarse ring: kCoarseEpochs (C) per-epoch FIFO buckets for the C
+//    epochs after those, about 1 ms ahead. They are linked through the same
+//    `next` array (an event sits in one list at a time) and have their own
+//    two-level bitmap. Each keeps its earliest due time, so NextEventWhen()
+//    stays O(1) when only coarse events are pending, and each event in one
+//    keeps its due time in a per-slot array, which draining the bucket
+//    needs;
+//  * the heap: an indexed 4-ary min-heap of 40-byte Entry keys over a flat
+//    vector, holding only the events beyond the coarse range.
+// The clock moves in one place, AdvanceClock (the event pop, RunUntil's
+// final advance, AdvanceTo, RunUntilIdle's trailing-horizon jump). When
+// the epoch changes it first drains, in list order, every coarse bucket
+// whose epoch entered the fine range into its cycles' fine buckets, then
+// moves the heap events whose epoch entered the coarse range to their
+// coarse bucket, or straight to their fine bucket after a long jump. Both
+// happen before anything at the new cycle runs.
 //
-// W = 2,048: on the perfbench workloads 75-87% of all pushes land inside
-// it. Rings from 1,024 to 8,192 cycles ran within run-to-run noise of
-// each other (docs/benchmarks.md, "Serial event core"), although the
-// heap's share of pushes fell from 25-31% to 3-7% across that range. The
-// smaller ring keeps its 16 KiB bucket array and 256-byte bitmap in L1.
+// So events run in exactly (when, insertion) order:
+//  * which level takes an event due at cycle w depends only on
+//    ep(w) - ep(now), and the fine limit and the coarse limit only grow.
+//    So for any w, every heap insertion happened before every coarse
+//    insertion, and every coarse insertion before every fine insertion,
+//    and all of w's pending events sit in one level at any time;
+//  * each level's bucket for w is emptied into the next level at the
+//    advance that brings w into that level's range, before anything can be
+//    appended behind it there. The target bucket is empty then: draining
+//    the coarse ring first frees the coarse buckets that the heap refills;
+//  * FIFO lists keep insertion order within a bucket, the heap pops equal
+//    times in insertion order, and the current cycle's fine bucket is the
+//    same-cycle FIFO.
+//
+// E = 2,048 and C = 1,024, from measurements on the perfbench workloads
+// (docs/benchmarks.md, "Serial event core"). Behind one 2,048-cycle ring
+// the heap took 13.5-24.8% of all serial pushes (seed 1); behind these two
+// rings it takes 0.62% on postmark_spanning, 0.007% on nginx_local and
+// none on apps_postmark: C epochs, about 1 ms at 2 GHz, hold nearly every
+// event scheduled past the fine ring. nginx_local's run_s fell to 0.87x,
+// faster in 10 of 10 alternating pairs. A prototype of this design with
+// E = 1,024 and C = 2,048 gained only 0.90x there, and a single ring
+// widened to 4,096 cycles 0.80-0.94x, against 0.69-0.87x for these
+// values. The rings and bitmaps take 48.6 KiB, plus 8 bytes of due time
+// per slab slot.
 //
 // A per-cycle timing wheel once lost to the plain heap here. It kept one
 // std::vector per cycle slot, so every push touched a separate heap block
@@ -80,10 +108,12 @@ struct ShardContext {
 
 class Simulation {
  public:
-  // Width W of the serial queue's near-future ring: an event due less than
-  // W cycles after Now() goes into its cycle's bucket, a later one into the
-  // heap (see the file comment for why 2,048).
-  static constexpr Cycles kRingCycles = 2048;
+  // The serial queue's levels (see the file comment for why these values):
+  // an epoch is kEpochCycles cycles; the fine ring holds the current and the
+  // next epoch cycle by cycle, the coarse ring the kCoarseEpochs epochs
+  // after those epoch by epoch, and the heap everything later.
+  static constexpr Cycles kEpochCycles = 2048;
+  static constexpr uint32_t kCoarseEpochs = 1024;
 
   Simulation() = default;
   Simulation(const Simulation&) = delete;
@@ -146,7 +176,9 @@ class Simulation {
   // `max_events` stopped the run with events due by `until` still pending.
   uint64_t RunUntil(Cycles until, uint64_t max_events = UINT64_MAX);
 
-  bool Idle() const { return occupied_words_ == 0 && heap_.empty(); }
+  bool Idle() const {
+    return (fine_occupied_.words | coarse_occupied_.words) == 0 && heap_.empty();
+  }
   uint64_t EventsRun() const { return events_run_; }
 
   // --- Parallel-engine support (sim/engine.h). The legacy single-queue
@@ -181,12 +213,17 @@ class Simulation {
     }
   }
 
-  // Earliest pending event time, or UINT64_MAX when idle. Every heap event
-  // lies at least a ring width past now_, so a non-empty ring holds it.
+  // Earliest pending event time, or UINT64_MAX when idle. Each level's
+  // events lie past every event of the level before it, so the first
+  // non-empty level holds it: the fine ring's first occupied cycle, else
+  // the earliest due time of the coarse ring's first occupied epoch.
   Cycles NextEventWhen() const {
-    if (occupied_words_ != 0) {
-      uint32_t from = static_cast<uint32_t>(now_) & kRingMask;
-      return now_ + ((NextOccupied(from) - from) & kRingMask);
+    if (fine_occupied_.Any()) {
+      uint32_t from = static_cast<uint32_t>(now_) & kFineMask;
+      return now_ + ((fine_occupied_.NextFrom(from) - from) & kFineMask);
+    }
+    if (coarse_occupied_.Any()) {
+      return coarse_[coarse_occupied_.NextFrom(CoarseIndex(Epoch(now_) + 2))].earliest;
     }
     return heap_.empty() ? UINT64_MAX : heap_.front().when;
   }
@@ -254,78 +291,143 @@ class Simulation {
   Entry PopEntry();
 
   // Files a freshly filled slot: sharded queues key it into the heap; the
-  // serial queue appends it to its cycle's ring bucket when that cycle is
-  // less than a ring width away, and heaps it otherwise.
+  // serial queue appends it to its fine or coarse bucket when `when` lies
+  // in that ring's range, and heaps it otherwise. AdvanceClock refiles heap
+  // events through here too, once they are within the coarse range.
   void Enqueue(Cycles when, uint32_t slot) {
     if (engine_ != nullptr) {
       // Sharded queue: events carry the engine's serial-order key
       // (insertion cycle, chain depth, lineage anchor — see Entry), which
       // a bucket cannot hold, so everything goes through the heap.
       ParallelPush(when, slot);
-    } else if (when - now_ < kRingCycles) {
-      RingAppend(when, slot);
+      return;
+    }
+    // Cycles past the start of the current epoch: the fine ring covers two
+    // epochs from there, the coarse ring the next kCoarseEpochs.
+    Cycles ahead = when - (now_ & ~kEpochMask);
+    if (ahead < kFineCycles) {
+      FineAppend(when, slot);
+    } else if (ahead < kCalendarCycles) {
+      CoarseAppend(when, slot);
     } else {
-      Entry entry;
-      entry.when = when;
-      entry.icycle = now_;
-      entry.anchor = next_seq_++;
-      entry.lseq = entry.anchor;
-      entry.depth = 0;
-      entry.slot = slot;
-      Push(entry);
+      HeapPush(when, slot);
     }
   }
 
-  // Appends `slot` to the FIFO bucket of cycle `when` (< now_ + ring width).
-  void RingAppend(Cycles when, uint32_t slot) {
-    uint32_t b = static_cast<uint32_t>(when) & kRingMask;
-    uint64_t bit = uint64_t{1} << (b & 63);
-    uint64_t& word = occupied_[b >> 6];
-    if ((word & bit) != 0) {
-      next_[ring_[b].tail] = slot;
-    } else {
-      ring_[b].head = slot;
-      word |= bit;
-      occupied_words_ |= uint64_t{1} << (b >> 6);
-    }
-    ring_[b].tail = slot;
-  }
+  // Two-level occupancy bitmap over a ring of N buckets: a bit per bucket,
+  // and a summary bit per 64-bucket word.
+  template <uint32_t N>
+  struct Occupancy {
+    static_assert(N % 64 == 0 && N / 64 <= 64, "one summary word covers the bitmap");
+    uint64_t words = 0;  // bit w: bits[w] != 0
+    uint64_t bits[N / 64] = {};
 
-  // Unlinks and returns the first slot of the (non-empty) bucket `b`.
-  uint32_t RingPopFront(uint32_t b) {
-    Bucket& bucket = ring_[b];
-    uint32_t slot = bucket.head;
-    if (slot == bucket.tail) {
-      uint64_t& word = occupied_[b >> 6];
+    bool Any() const { return words != 0; }
+    bool Has(uint32_t b) const { return ((bits[b >> 6] >> (b & 63)) & 1) != 0; }
+    void Set(uint32_t b) {
+      bits[b >> 6] |= uint64_t{1} << (b & 63);
+      words |= uint64_t{1} << (b >> 6);
+    }
+    void Clear(uint32_t b) {
+      uint64_t& word = bits[b >> 6];
       word &= ~(uint64_t{1} << (b & 63));
       if (word == 0) {
-        occupied_words_ &= ~(uint64_t{1} << (b >> 6));
+        words &= ~(uint64_t{1} << (b >> 6));
       }
+    }
+    // First occupied bucket at or after `from` in ring order. Any() must
+    // hold.
+    uint32_t NextFrom(uint32_t from) const {
+      uint32_t w = from >> 6;
+      uint64_t set = bits[w] & (~uint64_t{0} << (from & 63));
+      if (set == 0) {
+        // Later words first; wrapping round, the lowest occupied word
+        // (which may be `w` itself, below `from`) holds the next bucket.
+        uint64_t later = words & ((~uint64_t{0} << w) << 1);
+        w = static_cast<uint32_t>(std::countr_zero(later != 0 ? later : words));
+        set = bits[w];
+      }
+      return (w << 6) | static_cast<uint32_t>(std::countr_zero(set));
+    }
+  };
+
+  // A FIFO list of slots, linked through next_. Its head and tail are valid
+  // only while its occupancy bit is set.
+  struct Bucket {
+    uint32_t head;
+    uint32_t tail;
+  };
+  struct CoarseBucket {
+    Bucket list;
+    Cycles earliest;  // earliest due time in the list
+  };
+
+  // Appends `slot` to `list`, bucket `b` of `occupied`. Returns whether the
+  // list was empty.
+  template <uint32_t N>
+  bool Append(Occupancy<N>& occupied, Bucket& list, uint32_t b, uint32_t slot) {
+    bool was_empty = !occupied.Has(b);
+    if (was_empty) {
+      list.head = slot;
+      occupied.Set(b);
+    } else {
+      next_[list.tail] = slot;
+    }
+    list.tail = slot;
+    return was_empty;
+  }
+
+  static Cycles Epoch(Cycles t) { return t >> kEpochBits; }
+  static uint32_t CoarseIndex(Cycles epoch) { return static_cast<uint32_t>(epoch) & kCoarseMask; }
+
+  // Appends `slot` to the fine bucket of cycle `when` (in the fine range).
+  void FineAppend(Cycles when, uint32_t slot) {
+    uint32_t b = static_cast<uint32_t>(when) & kFineMask;
+    Append(fine_occupied_, fine_[b], b, slot);
+  }
+
+  // Appends `slot` to the coarse bucket of `when`'s epoch (in the coarse
+  // range) and records its due time.
+  void CoarseAppend(Cycles when, uint32_t slot) {
+    uint32_t b = CoarseIndex(Epoch(when));
+    CoarseBucket& bucket = coarse_[b];
+    due_[slot] = when;
+    if (Append(coarse_occupied_, bucket.list, b, slot) || when < bucket.earliest) {
+      bucket.earliest = when;
+    }
+  }
+
+  // Unlinks and returns the first slot of the (non-empty) fine bucket `b`.
+  uint32_t FinePopFront(uint32_t b) {
+    Bucket& bucket = fine_[b];
+    uint32_t slot = bucket.head;
+    if (slot == bucket.tail) {
+      fine_occupied_.Clear(b);
     } else {
       bucket.head = next_[slot];
     }
     return slot;
   }
 
-  // First occupied bucket at or after `from` in ring order, i.e. the
-  // earliest pending ring cycle. The ring must not be empty.
-  uint32_t NextOccupied(uint32_t from) const {
-    uint32_t w = from >> 6;
-    uint64_t bits = occupied_[w] & (~uint64_t{0} << (from & 63));
-    if (bits == 0) {
-      // Later words first; wrapping round, the lowest occupied word (which
-      // may be `w` itself, below `from`) holds the earliest cycle.
-      uint64_t later = occupied_words_ & ((~uint64_t{0} << w) << 1);
-      w = static_cast<uint32_t>(std::countr_zero(later != 0 ? later : occupied_words_));
-      bits = occupied_[w];
+  // Keys a serial event beyond the coarse range into the heap.
+  void HeapPush(Cycles when, uint32_t slot);
+
+  // Moves the clock forward to `t`; on the serial queue, entering a new
+  // epoch first moves events one level toward the fine ring (EnterEpoch).
+  void AdvanceClock(Cycles t) {
+    Cycles from = Epoch(now_);
+    now_ = t;
+    if (engine_ == nullptr && Epoch(t) != from) {
+      EnterEpoch(from);
     }
-    return (w << 6) | static_cast<uint32_t>(std::countr_zero(bits));
   }
 
-  // Moves the clock forward to `t` and, on the serial queue, migrates every
-  // heap event now less than a ring width away into its bucket — before
-  // anything at `t` runs, so each bucket keeps insertion order.
-  void AdvanceClock(Cycles t);
+  // The clock just left epoch `from` for Epoch(now_). Drains the coarse
+  // buckets whose epoch entered the fine range into their fine buckets,
+  // then refiles the heap events now within the coarse range — in that
+  // order, before anything at the new cycle runs, so every bucket keeps
+  // insertion order (see the file comment).
+  void EnterEpoch(Cycles from);
 
   // Runs the earliest pending event, due at `when` (== NextEventWhen()).
   void RunOne(Cycles when);
@@ -339,13 +441,10 @@ class Simulation {
       free_head_ = next_[slot];
       return slot;
     }
-    slot = static_cast<uint32_t>(next_.size());
-    if ((slot & kChunkMask) == 0) {
-      chunks_.push_back(std::make_unique<InlineFn[]>(kChunkSlots));
-    }
-    next_.push_back(kNil);
-    return slot;
+    return GrowSlab();
   }
+  // Appends a slot to the slab (and a chunk when the last one is full).
+  uint32_t GrowSlab();
 
   // Runs the callback in slot `slot` in place, then recycles the slot.
   void RunSlot(uint32_t slot) {
@@ -354,8 +453,14 @@ class Simulation {
     free_head_ = slot;
   }
 
-  static constexpr uint32_t kRingMask = static_cast<uint32_t>(kRingCycles - 1);
-  static_assert(kRingCycles / 64 <= 64, "one summary word covers the occupancy bitmap");
+  static_assert(std::has_single_bit(kEpochCycles) && std::has_single_bit(kCoarseEpochs));
+  static constexpr uint32_t kEpochBits = static_cast<uint32_t>(std::countr_zero(kEpochCycles));
+  static constexpr Cycles kEpochMask = kEpochCycles - 1;
+  static constexpr uint32_t kFineCycles = static_cast<uint32_t>(2 * kEpochCycles);
+  static constexpr uint32_t kFineMask = kFineCycles - 1;
+  static constexpr uint32_t kCoarseMask = kCoarseEpochs - 1;
+  // Cycles past the current epoch's start that the two rings cover.
+  static constexpr Cycles kCalendarCycles = kFineCycles + kCoarseEpochs * kEpochCycles;
   static constexpr uint32_t kNil = UINT32_MAX;
   // Slab chunk: 256 closures (28 KiB). Chunks never move, so a closure
   // runs in place while the events it schedules grow the slab.
@@ -373,21 +478,22 @@ class Simulation {
   Cycles horizon_ = 0;  // latest time any work (event or charge) reaches
   uint64_t next_seq_ = 0;
   uint64_t events_run_ = 0;
-  std::vector<Entry> heap_;  // serial: events W or more ahead; sharded: all
+  std::vector<Entry> heap_;  // serial: events past the coarse range; sharded: all
   std::vector<std::unique_ptr<InlineFn[]>> chunks_;  // callback slab
-  // Per slot: the next slot in its ring bucket, or in the free list.
+  // Per slot: the next slot in its bucket, or in the free list.
   std::vector<uint32_t> next_;
-  uint32_t free_head_ = kNil;          // most recently freed slot
-  // Near-future ring: bucket b holds the events due at the one cycle in
-  // [now_, now_ + kRingCycles) congruent to b, oldest insertion first.
-  // A bucket's head/tail are valid only while its occupancy bit is set.
-  struct Bucket {
-    uint32_t head;
-    uint32_t tail;
-  };
-  uint64_t occupied_words_ = 0;        // bit w: occupied_[w] != 0
-  uint64_t occupied_[kRingCycles / 64] = {};
-  Bucket ring_[kRingCycles] = {};
+  // Per slot: the due time of an event in a coarse bucket.
+  std::vector<Cycles> due_;
+  uint32_t free_head_ = kNil;  // most recently freed slot
+  // Fine ring: bucket b holds the events due at the one cycle of the current
+  // and the next epoch congruent to b, oldest insertion first.
+  Occupancy<kFineCycles> fine_occupied_;
+  Bucket fine_[kFineCycles] = {};
+  // Coarse ring: bucket b holds the events due in the one epoch of the
+  // kCoarseEpochs after the fine range congruent to b, oldest insertion
+  // first.
+  Occupancy<kCoarseEpochs> coarse_occupied_;
+  CoarseBucket coarse_[kCoarseEpochs] = {};
 };
 
 }  // namespace semperos

@@ -16,7 +16,7 @@ constexpr uint64_t kTarInputs[5] = {128 * KiB, 256 * KiB, 512 * KiB, 1024 * KiB,
 
 // Total compute budget per app (cycles), calibrated so single-instance
 // runtimes land on the values implied by paper Table 4 (see
-// PaperSoloRuntimeUs and EXPERIMENTS.md).
+// PaperSoloRuntimeUs).
 constexpr Cycles kTarCompute = 5'045'900;
 constexpr Cycles kUntarCompute = 5'115'800;
 constexpr Cycles kFindCompute = 4'394'400;

@@ -118,16 +118,38 @@ TEST_F(DtuTest, RepliesBypassSlotAccounting) {
   EXPECT_EQ(a_->stats().msgs_dropped, 0u);
 }
 
+// A downgraded DTU refuses the privileged commands: nothing leaves it, no
+// endpoint changes on either side, and each refusal is counted.
 TEST_F(DtuTest, SendToRequiresPrivilege) {
-  b_->ConfigureRecv(3, 4, [](EpId, const Message&) {});
+  int received = 0;
+  b_->ConfigureRecv(3, 4, [&](EpId, const Message&) { ++received; });
   a_->Downgrade();
-  EXPECT_DEATH(a_->SendTo(1, 3, std::make_shared<Payload>(1)), "SendTo");
+  EXPECT_EQ(a_->SendTo(1, 3, std::make_shared<Payload>(1)).code(), ErrCode::kInvalidArgs);
+  sim_.RunUntilIdle();
+  EXPECT_EQ(received, 0);
+  EXPECT_EQ(a_->stats().msgs_sent, 0u);
+  EXPECT_EQ(a_->stats().cmds_refused, 1u);
 }
 
-TEST_F(DtuTest, ConfigAfterDowngradeDies) {
+TEST_F(DtuTest, ConfigAfterDowngradeIsRefused) {
   a_->Downgrade();
-  EXPECT_DEATH(a_->ConfigureSend(0, 1, 3, 1), "downgraded");
-  EXPECT_DEATH(a_->ConfigureRecv(3, 4, nullptr), "downgraded");
+  a_->ConfigureSend(0, 1, 3, 1);
+  a_->ConfigureRecv(3, 4, nullptr);
+  a_->ConfigureMem(4, 1, 0, 64, MemPerms{true, true});
+  bool done = false;
+  a_->ConfigureRemoteSend(1, 2, 0, 7, 3, 0, [&] { done = true; });
+  a_->ConfigureRemoteMem(1, 4, 0, 0, 64, MemPerms{true, false}, [&] { done = true; });
+  b_->ConfigureRecv(5, 4, [](EpId, const Message&) {});
+  a_->InvalidateRemoteEp(1, 5, [&] { done = true; });
+  sim_.RunUntilIdle();
+  EXPECT_FALSE(done);
+  for (EpId ep : {0, 3, 4}) {
+    EXPECT_FALSE(a_->EpValid(ep)) << "endpoint " << ep;
+  }
+  EXPECT_FALSE(b_->EpValid(2));
+  EXPECT_FALSE(b_->EpValid(4));
+  EXPECT_EQ(b_->FreeSlots(5), 4u);
+  EXPECT_EQ(a_->stats().cmds_refused, 6u);
 }
 
 TEST_F(DtuTest, RemoteConfigInstallsEndpoint) {

@@ -301,6 +301,76 @@ TEST(Identity, DeferredReplyFromUserPeIsRefused) {
   ExpectCleanAudit(rig.p);
 }
 
+// A user program that issues every privileged DTU command from Start(),
+// after the kernel downgraded its DTU: it configures a send, a receive and
+// a memory endpoint of its own, rewrites and invalidates endpoints of a
+// victim PE, and sends to a kernel endpoint of its choosing.
+class Usurper : public Program {
+ public:
+  Usurper(NodeId kernel, NodeId victim) : kernel_(kernel), victim_(victim) {}
+
+  void Setup() override {}
+  void Start() override {
+    Dtu& dtu = pe_->dtu();
+    MemPerms rw{true, true};
+    dtu.ConfigureSend(user_ep::kSyscallSend, kernel_, Kernel::kEpSyscall0, 4);
+    dtu.ConfigureRecv(user_ep::kSyscallReply, 4, [](EpId, const Message&) {});
+    dtu.ConfigureMem(user_ep::kMem0, victim_, 0, 4096, rw);
+    dtu.ConfigureRemoteSend(victim_, user_ep::kSyscallSend, pe_->node(), user_ep::kSyscallReply,
+                            4, 0, [this] { ++applied; });
+    dtu.ConfigureRemoteMem(victim_, user_ep::kMem0, victim_, 0, 4096, rw, [this] { ++applied; });
+    dtu.InvalidateRemoteEp(victim_, user_ep::kSyscallReply, [this] { ++applied; });
+    send_to = dtu.SendTo(kernel_, Kernel::kEpSyscall0, NoopSyscall(), user_ep::kSyscallReply);
+  }
+
+  Status send_to;
+  int applied = 0;
+
+ private:
+  NodeId kernel_;
+  NodeId victim_;
+};
+
+// A downgraded DTU refuses every privileged command instead of ending the
+// run: nothing changes on either PE, each refusal is counted, and the
+// victim goes on to obtain from an honest owner.
+TEST(Identity, PrivilegedCommandsFromUserPeAreRefused) {
+  PlatformConfig pc;
+  pc.kernels = 1;
+  pc.users = 3;
+  Platform p(pc);
+  NodeId usurper_node = p.user_nodes()[0];
+  NodeId owner_node = p.user_nodes()[1];
+  NodeId victim_node = p.user_nodes()[2];
+  Usurper* usurper = Attach<Usurper>(p, usurper_node, p.kernel_node(0), victim_node);
+  Attach<DriverClient>(p, owner_node, p.kernel_node(0), pc.timing);
+  DriverClient* victim = Attach<DriverClient>(p, victim_node, p.kernel_node(0), pc.timing);
+  CapSel sel = p.kernel(0)->AdminGrantMem(owner_node, p.mem_nodes().at(0), 0, 4096, kPermRW);
+  p.Boot();
+  p.RunToCompletion();
+
+  Dtu& dtu = p.pe(usurper_node)->dtu();
+  EXPECT_FALSE(dtu.privileged());
+  EXPECT_EQ(usurper->send_to.code(), ErrCode::kInvalidArgs);
+  EXPECT_EQ(dtu.stats().cmds_refused, 7u);
+  EXPECT_EQ(dtu.stats().msgs_sent, 0u);
+  EXPECT_EQ(usurper->applied, 0);
+  for (EpId ep = 0; ep < Dtu::kNumEps; ++ep) {
+    EXPECT_FALSE(dtu.EpValid(ep)) << "endpoint " << ep;
+  }
+  Dtu& victim_dtu = p.pe(victim_node)->dtu();
+  EXPECT_EQ(victim_dtu.Credits(user_ep::kSyscallSend), 1u);
+  EXPECT_EQ(victim_dtu.FreeSlots(user_ep::kSyscallReply), 2u);
+  EXPECT_FALSE(victim_dtu.EpValid(user_ep::kMem0));
+  EXPECT_EQ(p.kernel(0)->stats().syscalls, 0u);
+
+  ErrCode got = ErrCode::kAborted;
+  victim->env().Obtain(owner_node, sel, [&got](const SyscallReply& r) { got = r.err; });
+  p.RunToCompletion();
+  EXPECT_EQ(got, ErrCode::kOk);
+  ExpectCleanAudit(p);
+}
+
 // A user program that mails itself messages over a loopback channel it
 // wires at boot, so it always holds messages to answer, and answers each
 // with a header of its choosing. Its forgeries strand no kernel operation.

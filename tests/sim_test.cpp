@@ -150,36 +150,39 @@ TEST(Executor, FifoOrderPreserved) {
 
 // --- Queue order against a brute-force reference -------------------------
 //
-// The serial queue files an event due less than kRingCycles ahead into a
-// per-cycle ring bucket and anything later into a heap, migrating heap
-// events into the ring as the clock advances. Seeded random schedules
-// drive the queue and a reference that picks the first pending event of a
-// stable sort by (when, insertion index); both must execute the same
-// (when, id) sequence and agree on Now(), Idle(), NextEventWhen() and
-// EventsRun() at every stop.
+// The serial queue files an event into a fine ring of one-cycle buckets
+// (the current and the next epoch), a coarse ring of one-epoch buckets
+// (the kCoarseEpochs epochs after those) or a heap (everything later), and
+// moves events one level toward the fine ring as the clock's epoch
+// advances. Seeded random schedules drive the queue and a reference that
+// picks the first pending event of a stable sort by (when, insertion
+// index); both must execute the same (when, id) sequence and agree on
+// Now(), Idle(), NextEventWhen() and EventsRun() at every stop.
 
-constexpr Cycles kW = Simulation::kRingCycles;
+constexpr Cycles kE = Simulation::kEpochCycles;
+constexpr Cycles kC = Simulation::kCoarseEpochs;
 
-// Delays straddling the ring/heap boundary and the ring's index wrap.
-Cycles BoundaryDelay(Rng& rng) {
-  const Cycles k = 2 + rng.NextBelow(3);
-  switch (rng.NextBelow(10)) {
+// Delays at every level boundary: the epoch edges (E, 2E) that bound the
+// fine ring, the ends of the coarse range ((C + 1)E, (C + 2)E), each +-1,
+// counted from now or from the start of the current epoch, plus anywhere
+// in the coarse range and far into the heap.
+Cycles BoundaryDelay(Rng& rng, Cycles now) {
+  constexpr Cycles kEdges[] = {kE, 2 * kE, (kC + 1) * kE, (kC + 2) * kE};
+  switch (rng.NextBelow(8)) {
     case 0:
       return 0;
     case 1:
-      return kW - 1;
-    case 2:
-      return kW;
+    case 2: {
+      // Edge + {-1, 0, 1}: as a delay, or as a point past the epoch start.
+      Cycles delay = kEdges[rng.NextBelow(4)] + rng.NextBelow(3) - 1;
+      return rng.NextBelow(2) == 0 ? delay : delay - now % kE;
+    }
     case 3:
-      return kW + 1;
+      return (2 + rng.NextBelow(kC)) * kE + rng.NextBelow(kE);  // coarse range
     case 4:
-      return k * kW - 1;
-    case 5:
-      return k * kW + 1;
-    case 6:
-      return 40 * kW + rng.NextBelow(kW);  // far beyond the ring
+      return (kC + 2 + rng.NextBelow(3 * kC)) * kE + rng.NextBelow(kE);  // heap
     default:
-      return rng.NextBelow(kW);
+      return rng.NextBelow(2 * kE);
   }
 }
 
@@ -198,17 +201,17 @@ struct Script {
 
   uint64_t NewId() { return next_id++; }
 
-  Step Run(uint64_t id) {
+  Step Run(uint64_t id, Cycles now) {
     Rng rng(seed * 0x9e3779b97f4a7c15ull + id);
     Step step;
     // Zero to two children, a third of them in the same cycle: chains of
     // same-cycle events compete with each other and with earlier arrivals.
     for (uint64_t n = rng.NextBelow(3); n > 0 && budget > 0; --n, --budget) {
-      Cycles delay = rng.NextBelow(3) == 0 ? 0 : BoundaryDelay(rng);
+      Cycles delay = rng.NextBelow(3) == 0 ? 0 : BoundaryDelay(rng, now);
       step.children.emplace_back(delay, NewId());
     }
     if (rng.NextBelow(8) == 0) {
-      step.note = 1 + rng.NextBelow(3 * kW);
+      step.note = 1 + rng.NextBelow(6 * kE);
     }
     return step;
   }
@@ -227,7 +230,7 @@ struct EngineSide {
 
   void Fire(uint64_t id) {
     fired.emplace_back(sim.Now(), id);
-    Script::Step step = script.Run(id);
+    Script::Step step = script.Run(id, sim.Now());
     for (const auto& [delay, child] : step.children) {
       Add(delay, child);
     }
@@ -272,7 +275,7 @@ struct ReferenceSide {
     now = ev.when;
     ++run;
     fired.emplace_back(now, ev.id);
-    Script::Step step = script.Run(ev.id);
+    Script::Step step = script.Run(ev.id, now);
     for (const auto& [delay, child] : step.children) {
       Add(delay, child);
     }
@@ -296,59 +299,136 @@ struct ReferenceSide {
   }
 };
 
-class QueueOrder : public ::testing::TestWithParam<uint64_t> {};
+// Both sides, and the check that they agree at a stop.
+struct Sides {
+  Sides(uint64_t seed, uint64_t budget)
+      : engine{Simulation(), Script{seed, budget}, {}}, ref{Script{seed, budget}, {}, {}} {}
 
-TEST_P(QueueOrder, MatchesStableSortAcrossRingAndHeap) {
-  const uint64_t seed = GetParam();
-  Rng rng(seed);
-  EngineSide engine{Simulation(), Script{seed, 4000}, {}};
-  ReferenceSide ref{Script{seed, 4000}, {}, {}};
-
-  auto expect_same = [&](const char* where) {
+  void Add(Cycles delay) {
+    uint64_t id = engine.script.NewId();
+    ref.script.NewId();
+    engine.Add(delay, id);
+    ref.Add(delay, id);
+  }
+  void RunUntil(Cycles until) {
+    engine.sim.RunUntil(until);
+    ref.RunUntil(until);
+  }
+  // Drains both sides, ending on a charge-only horizon `note` past now.
+  void RunUntilIdle(Cycles note) {
+    engine.sim.NoteTime(engine.sim.Now() + note);
+    ref.horizon = std::max(ref.horizon, ref.now + note);
+    engine.sim.RunUntilIdle();
+    ref.RunUntilIdle();
+  }
+  void ExpectSame(const char* where) {
     SCOPED_TRACE(where);
     ASSERT_EQ(engine.fired, ref.fired);
     EXPECT_EQ(engine.sim.Now(), ref.now);
     EXPECT_EQ(engine.sim.Idle(), ref.pending.empty());
     EXPECT_EQ(engine.sim.NextEventWhen(), ref.NextEventWhen());
     EXPECT_EQ(engine.sim.EventsRun(), ref.run);
-  };
-
-  // A cycle both sides keep targeting from the main thread as the clock
-  // closes in on it: the early insertions wait in the heap, the late ones
-  // go straight to its ring bucket, and insertion order must survive.
-  Cycles hot = 3 * kW;
-  for (int round = 0; round < 60; ++round) {
-    for (uint64_t n = 1 + rng.NextBelow(6); n > 0; --n) {
-      Cycles delay = BoundaryDelay(rng);
-      uint64_t id = engine.script.NewId();
-      ref.script.NewId();
-      engine.Add(delay, id);
-      ref.Add(delay, id);
-    }
-    if (hot < engine.sim.Now()) {
-      hot = engine.sim.Now() + 2 * kW + rng.NextBelow(kW);
-    }
-    uint64_t id = engine.script.NewId();
-    ref.script.NewId();
-    engine.Add(hot - engine.sim.Now(), id);
-    ref.Add(hot - ref.now, id);
-
-    // Stop at a random cycle: now, inside the ring, on its edge or past it.
-    Cycles until = engine.sim.Now() + (rng.NextBelow(4) == 0 ? rng.NextBelow(kW / 4)
-                                                              : BoundaryDelay(rng));
-    engine.sim.RunUntil(until);
-    ref.RunUntil(until);
-    expect_same("RunUntil");
   }
 
-  // Drain, ending on a trailing charge-only horizon past every event.
-  engine.sim.NoteTime(engine.sim.Now() + 50 * kW + 7);
-  ref.horizon = std::max(ref.horizon, ref.now + 50 * kW + 7);
-  engine.sim.RunUntilIdle();
-  ref.RunUntilIdle();
-  expect_same("RunUntilIdle");
-  EXPECT_TRUE(engine.sim.Idle());
-  EXPECT_GT(engine.fired.size(), 1000u);
+  EngineSide engine;
+  ReferenceSide ref;
+};
+
+class QueueOrder : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(QueueOrder, MatchesStableSortAcrossEveryLevel) {
+  const uint64_t seed = GetParam();
+  Rng rng(seed);
+  Sides sides(seed, 4000);
+  Simulation& sim = sides.engine.sim;
+
+  // A cycle both sides keep targeting from the main thread as the clock
+  // closes in on it: the early insertions wait in the heap, later ones in
+  // its coarse bucket, the last ones go straight to its fine bucket, and
+  // insertion order must survive every move.
+  Cycles hot = (kC + 4) * kE;
+  for (int round = 0; round < 80; ++round) {
+    for (uint64_t n = 1 + rng.NextBelow(6); n > 0; --n) {
+      sides.Add(BoundaryDelay(rng, sim.Now()));
+    }
+    if (hot < sim.Now()) {
+      hot = sim.Now() + (kC + 2 + rng.NextBelow(2)) * kE + rng.NextBelow(kE);
+    }
+    sides.Add(hot - sim.Now());
+
+    // Every tenth round drains both sides through an idle jump longer than
+    // C epochs to a charge-only horizon in mid-epoch.
+    if (round % 10 == 9) {
+      sides.RunUntilIdle((kC + 3 + rng.NextBelow(kC)) * kE + 1 + rng.NextBelow(kE - 1));
+      sides.ExpectSame("RunUntilIdle");
+      continue;
+    }
+    // Stop at a random cycle: now, short of the hot cycle, inside a ring,
+    // on a level's edge or past it.
+    Cycles until = sim.Now();
+    switch (rng.NextBelow(4)) {
+      case 0:
+        until += rng.NextBelow(kE / 4);
+        break;
+      case 1:
+        until = std::max(until, hot - rng.NextBelow(3 * kE));
+        break;
+      default:
+        until += BoundaryDelay(rng, sim.Now());
+    }
+    sides.RunUntil(until);
+    sides.ExpectSame("RunUntil");
+  }
+
+  sides.RunUntilIdle(50 * kE + 7);
+  sides.ExpectSame("final RunUntilIdle");
+  EXPECT_TRUE(sim.Idle());
+  EXPECT_GT(sides.engine.fired.size(), 1000u);
+}
+
+// Only the coarse ring holds events: NextEventWhen() is the earliest due
+// time of the first occupied epoch, also when a later insertion into that
+// epoch is due earlier than the first.
+TEST(QueueLevels, OnlyCoarseEventsPending) {
+  Sides sides(1, 0);
+  Simulation& sim = sides.engine.sim;
+  for (Cycles delay : {3 * kE + 100, 5 * kE, 3 * kE + 5, 3 * kE + 100, (kC + 1) * kE + 3}) {
+    sides.Add(delay);
+  }
+  sides.ExpectSame("scheduled");
+  EXPECT_EQ(sim.NextEventWhen(), 3 * kE + 5);
+  // Into epoch 1: the fine range reaches epoch 2, so epoch 3 stays coarse.
+  sides.RunUntil(kE + 10);
+  sides.ExpectSame("epoch 1");
+  EXPECT_EQ(sim.NextEventWhen(), 3 * kE + 5);
+  sides.RunUntil(3 * kE + 5);
+  sides.ExpectSame("first coarse event");
+  EXPECT_EQ(sides.engine.fired.size(), 1u);
+  sides.RunUntilIdle(0);
+  sides.ExpectSame("drained");
+}
+
+// Only the heap holds events: NextEventWhen() is its front, and a jump of
+// more than C epochs files its events straight into the fine ring or into
+// the coarse ring, behind nothing.
+TEST(QueueLevels, OnlyHeapEventsPending) {
+  Sides sides(1, 0);
+  Simulation& sim = sides.engine.sim;
+  for (Cycles delay : {(kC + 5) * kE, (kC + 2) * kE + 7, (kC + 2) * kE + 7, (3 * kC) * kE + 1}) {
+    sides.Add(delay);
+  }
+  sides.ExpectSame("scheduled");
+  EXPECT_EQ(sim.NextEventWhen(), (kC + 2) * kE + 7);
+  sides.RunUntil((kC + 2) * kE + 6);
+  sides.ExpectSame("jump past C epochs");
+  EXPECT_TRUE(sides.engine.fired.empty());
+  sides.Add(0);
+  sides.Add(1);
+  sides.RunUntil((kC + 3) * kE);
+  sides.ExpectSame("fine ring");
+  EXPECT_EQ(sides.engine.fired.size(), 4u);
+  sides.RunUntilIdle(kC * kE + 3);
+  sides.ExpectSame("drained");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueueOrder, ::testing::Range<uint64_t>(1, 17));
