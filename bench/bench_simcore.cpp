@@ -191,7 +191,6 @@ void BM_AppPostmarkSerial(benchmark::State& state) {
     config.kernels = 8;
     config.services = 8;
     config.instances = 256;
-    config.setup.threads = kForceSerialThreads;
     auto t0 = std::chrono::steady_clock::now();
     AppRunResult result = RunApp(config);
     seconds += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -210,7 +209,10 @@ BENCHMARK(BM_AppPostmarkSerial)->Unit(benchmark::kMillisecond);
 // report host throughput: events_per_sec and speedup_vs_1t. On a
 // single-core host the sweep degrades gracefully (speedup < 1: barrier
 // handshakes buy nothing without parallel hardware) — scaling numbers are
-// meaningful on >= 4-core machines; see docs/benchmarks.md.
+// meaningful on >= 4-core machines; see docs/benchmarks.md. With the
+// equivalence suite, this sweep is what RunSetup::threads exists for; both
+// go with the engine (ROADMAP, "The benchmark PR, then delete the sharded
+// parallel engine").
 void BM_ScalePointPostmark1024Threads(benchmark::State& state) {
   static uint64_t base_events = 0;   // 1-thread row pins the modeled outputs
   static uint64_t base_makespan = 0;
@@ -224,9 +226,7 @@ void BM_ScalePointPostmark1024Threads(benchmark::State& state) {
     config.kernels = 64;
     config.services = 64;
     config.instances = 1024;
-    // Row 1 pins the serial engine even under SEMPEROS_THREADS, so the
-    // sweep's speedup baseline is always the real serial throughput.
-    config.setup.threads = threads == 1 ? kForceSerialThreads : threads;
+    config.setup.threads = threads;  // row 1 is the serial engine
     auto t0 = std::chrono::steady_clock::now();
     AppRunResult result = RunApp(config);
     double wall = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();

@@ -10,8 +10,8 @@
 // Three poisson scale points; the last boots a 10129-PE mesh (64 kernels +
 // 64 services + 5000 servers + 5000 generators + memory tile) and injects
 // 1.04M requests — the "millions of users" regime. Everything reported here
-// is simulated time: bit-identical across reruns, machines and
-// SEMPEROS_THREADS settings, and gated by tools/bench_compare.py.
+// is simulated time: bit-identical across reruns and machines, and gated
+// by tools/bench_compare.py.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>

@@ -30,10 +30,6 @@ const char* ErrName(ErrCode code) {
       return "VPE migrating";
     case ErrCode::kNoCredits:
       return "no send credits";
-    case ErrCode::kNoSlot:
-      return "no receive slot";
-    case ErrCode::kNotPrivileged:
-      return "DTU not privileged";
     case ErrCode::kOutOfRange:
       return "out of range";
     case ErrCode::kAborted:

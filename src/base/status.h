@@ -23,8 +23,6 @@ enum class ErrCode : uint8_t {
   kVpeGone,         // peer VPE was killed during the operation
   kVpeMigrating,    // VPE is moving kernels; retry after the handoff settles
   kNoCredits,       // DTU send endpoint out of credits
-  kNoSlot,          // DTU receive endpoint out of message slots
-  kNotPrivileged,   // DTU configuration attempted by an unprivileged DTU
   kOutOfRange,      // offset beyond file / memory capability range
   kAborted,         // operation aborted (e.g. kernel shutdown)
   kUnreachable,     // no route / peer kernel unknown

@@ -731,9 +731,6 @@ std::string ReproCommand(const StormConfig& config) {
   if (config.bug_skip_orphan_revoke) {
     os << " --inject-bug";
   }
-  if (config.setup.threads != 1) {
-    os << " --threads=" << config.setup.threads;
-  }
   return os.str();
 }
 

@@ -2242,6 +2242,13 @@ void Kernel::CompleteIkc(PendingIkc* pending, const IkcReply& reply) {
 // ---------------------------------------------------------------------------
 
 void Kernel::SysActivate(SyscallRec* sc, const SyscallMsg& req) {
+  // A VPE binds capabilities to its memory endpoints only. The others
+  // carry its syscall, ask and service channels, and an id past the DTU's
+  // 16 names no endpoint at all.
+  if (req.ep < user_ep::kMem0 || req.ep - user_ep::kMem0 >= user_ep::kNumMemEps) {
+    AnswerSyscall(sc, ErrCode::kInvalidArgs);
+    return;
+  }
   Capability* cap = CallerCap(sc, req.sel, CapType::kNone);
   if (cap == nullptr) {
     return;

@@ -105,12 +105,14 @@ void UserEnv::ArmSyscallWatchdog(uint64_t token) {
 
 void UserEnv::OnSyscallReply(const Message& msg) {
   const SyscallReply* reply = msg.As<SyscallReply>();
-  CHECK(reply != nullptr);
+  if (reply == nullptr || (!syscall_pending_ && retry_timeout_ == 0)) {
+    DropUnexpected(user_ep::kSyscallReply, msg);
+    return;
+  }
   syscall_unreachable_ = false;  // any reply proves the channel works again
   if (!syscall_pending_) {
     // Duplicate reply: the watchdog re-sent a call whose original reply was
     // only delayed, not lost. The first answer won; drop the echo.
-    CHECK_GT(retry_timeout_, 0u) << "unexpected syscall reply";
     return;
   }
   last_syscall_activity_ = pe_->sim()->Now();
@@ -132,6 +134,13 @@ void UserEnv::OnSyscallReply(const Message& msg) {
   syscall_msg_ = nullptr;  // only retained for migration/crash retries
   if (cb) {
     cb.Fire(*reply);
+  }
+}
+
+void UserEnv::DropUnexpected(EpId ep, const Message& msg) {
+  unexpected_msgs_++;
+  if (!msg.is_reply) {
+    pe_->dtu().Ack(ep, msg);  // frees the slot it holds
   }
 }
 
@@ -212,7 +221,10 @@ void UserEnv::RegisterService(const std::string& name, SyscallCb cb) {
 // ---------------------------------------------------------------------------
 
 void UserEnv::OnAsk(const Message& msg) {
-  CHECK(msg.As<AskMsg>() != nullptr);
+  if (msg.is_reply || msg.As<AskMsg>() == nullptr) {
+    DropUnexpected(user_ep::kAsk, msg);
+    return;
+  }
   Work& work = work_.emplace_back();
   work.msg = msg;
   work.ask = true;
@@ -283,7 +295,10 @@ void UserEnv::Request(std::shared_ptr<MsgBody> body, MessageCb cb) {
 }
 
 void UserEnv::OnServiceReply(const Message& msg) {
-  CHECK(request_pending_);
+  if (!request_pending_) {
+    DropUnexpected(user_ep::kServiceReply, msg);
+    return;
+  }
   request_pending_ = false;
   MessageCb cb = std::move(request_cb_);
   if (cb) {

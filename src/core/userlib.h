@@ -109,6 +109,10 @@ class UserEnv {
 
   uint64_t syscalls_issued() const { return syscalls_issued_; }
   uint64_t syscall_retries() const { return syscall_retries_; }
+  // Messages dropped because this program did not ask for them: a reply
+  // with no call or request outstanding, or a body of the wrong kind. A
+  // program that names the wrong reply endpoint gets its answer here.
+  uint64_t unexpected_msgs() const { return unexpected_msgs_; }
 
   // Backoff before re-sending a syscall answered with kVpeMigrating. By the
   // time the retry goes out, the new kernel has usually retargeted this
@@ -136,6 +140,9 @@ class UserEnv {
   void OnAsk(const Message& msg);
   void OnServiceReply(const Message& msg);
   void OnRequest(const Message& msg);
+  // Counts `msg` in unexpected_msgs_ and acks it if it holds a slot of
+  // receive endpoint `ep`.
+  void DropUnexpected(EpId ep, const Message& msg);
   void PumpWork();
   // Answers the ask being served (the AskReplyFn handed to the handler).
   void ReplyAsk(AskReply reply_value);
@@ -159,6 +166,7 @@ class UserEnv {
   uint64_t next_token_ = 1;
   uint64_t syscalls_issued_ = 0;
   uint64_t syscall_retries_ = 0;
+  uint64_t unexpected_msgs_ = 0;
   bool syscall_pending_ = false;
   SyscallCb syscall_cb_;
   std::shared_ptr<SyscallMsg> syscall_msg_;  // kept for migration retries

@@ -75,11 +75,12 @@ void Dtu::ConfigureRemoteSend(NodeId target, EpId ep, NodeId dst_node, EpId dst_
     return;  // crashed kernel: the config packet never leaves (done never fires)
   }
   CHECK(fabric_->At(target) != nullptr);
+  CHECK_LT(ep, kNumEps);
   fabric_->noc()->Send(node_, target, kConfigPacketBytes,
                        [this, target, ep, send = SendEp{dst_node, dst_ep, credits, credits, label},
                         done = std::move(done)]() mutable {
                          // Privileged config bypasses the downgrade check.
-                         fabric_->At(target)->eps_.at(ep) = send;
+                         fabric_->At(target)->eps_[ep] = send;
                          if (done) {
                            sim_->Schedule(kConfigApplyCycles, std::move(done));
                          }
@@ -97,10 +98,11 @@ void Dtu::ConfigureRemoteMem(NodeId target, EpId ep, NodeId dst_node, uint64_t b
     return;
   }
   CHECK(fabric_->At(target) != nullptr);
+  CHECK_LT(ep, kNumEps);
   fabric_->noc()->Send(node_, target, kConfigPacketBytes,
                        [this, target, ep, mem = MemEp{dst_node, perms, base, size},
                         done = std::move(done)]() mutable {
-                         fabric_->At(target)->eps_.at(ep) = mem;
+                         fabric_->At(target)->eps_[ep] = mem;
                          if (done) {
                            sim_->Schedule(kConfigApplyCycles, std::move(done));
                          }
@@ -117,9 +119,10 @@ void Dtu::InvalidateRemoteEp(NodeId target, EpId ep, Callback<void()> done) {
     return;
   }
   CHECK(fabric_->At(target) != nullptr);
+  CHECK_LT(ep, kNumEps);
   fabric_->noc()->Send(node_, target, kConfigPacketBytes,
                        [this, target, ep, done = std::move(done)]() mutable {
-                         fabric_->At(target)->eps_.at(ep) = std::monostate{};
+                         fabric_->At(target)->eps_[ep] = std::monostate{};
                          if (done) {
                            sim_->Schedule(kConfigApplyCycles, std::move(done));
                          }
@@ -127,9 +130,12 @@ void Dtu::InvalidateRemoteEp(NodeId target, EpId ep, Callback<void()> done) {
 }
 
 Status Dtu::Send(EpId ep, MsgRef body, EpId reply_ep) {
-  // The reply comes back to reply_ep: an id this DTU does not have would
-  // only fail at delivery, on the replier's side.
-  if (ep >= kNumEps || !EpOrNone(reply_ep)) {
+  // The reply comes back to reply_ep: anything but one of this DTU's
+  // receive endpoints would only fail at delivery, where the reply is
+  // dropped.
+  if (ep >= kNumEps ||
+      (reply_ep != kNoReplyEp &&
+       (reply_ep >= kNumEps || !std::holds_alternative<RecvEp>(eps_[reply_ep])))) {
     return Refuse();
   }
   SendEp* e = std::get_if<SendEp>(&eps_[ep]);

@@ -28,13 +28,13 @@
 // routes by before anything leaves the PE.
 //
 // The program on a user PE is untrusted. A command it issues that names an
-// endpoint the DTU does not have, a reply endpoint it does not have, a
-// reply or ack with no received message to answer, a header naming a node
-// outside the mesh or an endpoint past kNumEps, or a privileged command on
-// its downgraded DTU (endpoint configuration, local or remote, SendTo, and
-// a deferred reply: only kernels answer late) is refused (kInvalidArgs
-// where the command returns a Status), changes nothing, and is counted in
-// DtuStats::cmds_refused.
+// endpoint the DTU does not have, a reply endpoint that is not one of its
+// receive endpoints, a reply or ack with no received message to answer, a
+// header naming a node outside the mesh or an endpoint past kNumEps, or a
+// privileged command on its downgraded DTU (endpoint configuration, local
+// or remote, SendTo, and a deferred reply: only kernels answer late) is
+// refused (kInvalidArgs where the command returns a Status), changes
+// nothing, and is counted in DtuStats::cmds_refused.
 #ifndef SEMPEROS_DTU_DTU_H_
 #define SEMPEROS_DTU_DTU_H_
 
@@ -91,10 +91,11 @@ struct DtuStats {
   uint64_t msgs_dropped = 0;  // arrived with no free slot (protocol bug!)
   uint64_t msgs_lost_dead = 0;  // swallowed by a killed node (fault injection)
   uint64_t sends_denied = 0;  // no credits / not a send endpoint
-  // Commands refused as malformed (see the file comment): an endpoint or
-  // reply-endpoint id past kNumEps, a reply or ack on an endpoint with no
-  // message to answer, a header that routes outside the mesh or past
-  // kNumEps, a deferred reply from a downgraded DTU.
+  // Commands refused as malformed (see the file comment): an endpoint id
+  // past kNumEps, a reply endpoint that is not a receive endpoint, a reply
+  // or ack on an endpoint with no message to answer, a header that routes
+  // outside the mesh or past kNumEps, a deferred reply from a downgraded
+  // DTU.
   uint64_t cmds_refused = 0;
   uint64_t mem_reads = 0;
   uint64_t mem_writes = 0;
@@ -153,8 +154,8 @@ class Dtu {
 
   // Sends a message through send endpoint `ep`. Consumes one credit; the
   // credit returns when the receiver replies (or acks with credit return).
-  // `reply_ep` is one of this DTU's endpoints or kNoReplyEp; anything else
-  // is refused.
+  // `reply_ep` is one of this DTU's receive endpoints or kNoReplyEp;
+  // anything else is refused.
   Status Send(EpId ep, MsgRef body, EpId reply_ep = kNoReplyEp);
 
   // Privileged raw send to an arbitrary (node, endpoint). Models the M3

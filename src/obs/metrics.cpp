@@ -5,7 +5,6 @@
 #include "base/log.h"
 #include "core/kernel.h"
 #include "core/protocol.h"
-#include "sim/engine.h"
 
 namespace semperos {
 namespace obs {
@@ -21,7 +20,7 @@ struct KernelField {
 // The registry: one row per scalar KernelStats field, in declaration order.
 // The static_assert below pins this table to the struct — adding a field
 // without a row here fails the build instead of silently vanishing from
-// --stats, strict comparison and the platform totals.
+// the statistics dump, the timeline and the platform totals.
 constexpr KernelField kKernelFields[] = {
     {"syscalls", MetricKind::kCounter, &KernelStats::syscalls},
     {"obtains", MetricKind::kCounter, &KernelStats::obtains},
@@ -116,25 +115,6 @@ void AccumulateKernelStats(KernelStats* into, const KernelStats& from) {
   }
   into->threads_in_use += from.threads_in_use;
   into->threads_in_use_max = std::max(into->threads_in_use_max, from.threads_in_use_max);
-}
-
-void ForEachEngineMetric(const EngineStats& s,
-                         const std::function<void(const MetricValue&)>& fn) {
-  // Pinned like KernelStats: seven scalar counters plus the per-shard vector.
-  static_assert(sizeof(EngineStats) ==
-                    7 * sizeof(uint64_t) + sizeof(std::vector<uint64_t>),
-                "EngineStats changed: update ForEachEngineMetric in obs/metrics.cpp");
-  fn({"windows", MetricKind::kCounter, s.windows});
-  fn({"fast_forwards", MetricKind::kCounter, s.fast_forwards});
-  fn({"solo_windows", MetricKind::kCounter, s.solo_windows});
-  fn({"handoffs", MetricKind::kCounter, s.handoffs});
-  fn({"handoff_sends", MetricKind::kCounter, s.handoff_sends});
-  fn({"handoff_schedules", MetricKind::kCounter, s.handoff_schedules});
-  fn({"driver_events", MetricKind::kCounter, s.driver_events});
-  for (size_t i = 0; i < s.shard_events.size(); ++i) {
-    std::string name = "shard_events." + std::to_string(i);
-    fn({name.c_str(), MetricKind::kCounter, s.shard_events[i]});
-  }
 }
 
 void MetricsTimeline::Sample(Cycles now, const KernelStats& totals) {

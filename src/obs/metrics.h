@@ -1,14 +1,12 @@
-// Typed metric registry + simulated-clock timeline (ISSUE 9 tentpole,
-// pillar 2).
+// Typed metric registry + simulated-clock timeline.
 //
-// Every KernelStats and EngineStats field registers here, by name, through
-// one descriptor table. Everything that emits or compares kernel counters —
-// the --stats dump, strict serial-vs-parallel verification, the platform's
-// cross-kernel summation — iterates the registry instead of hand-listing
-// fields, so a newly added counter can never be silently missing from
-// output (the per-IKC-type counters of the batching PR were exactly that
-// failure). A static_assert on sizeof(KernelStats) forces the table to be
-// extended whenever the struct grows.
+// Every KernelStats field registers here, by name, through one descriptor
+// table. Everything that emits kernel counters — the CLI's statistics
+// dump, the metrics timeline, the platform's cross-kernel summation —
+// iterates the registry instead of hand-listing fields, so a newly added
+// counter can never be silently missing from output (the per-IKC-type
+// counters once were). A static_assert on sizeof(KernelStats) forces the
+// table to be extended whenever the struct grows.
 //
 // The timeline samples the registry on the simulated clock: when armed, the
 // platform chunks its run loop at sample boundaries (RunUntil instead of
@@ -29,7 +27,6 @@
 namespace semperos {
 
 struct KernelStats;
-struct EngineStats;
 
 namespace obs {
 
@@ -59,11 +56,6 @@ size_t KernelMetricCount();
 // table (gauges take the max instead: a summed "threads_in_use_max" would
 // be meaningless). Replaces the hand-summed Platform::TotalKernelStats.
 void AccumulateKernelStats(KernelStats* into, const KernelStats& from);
-
-// Same registry treatment for the parallel engine's counters (per-shard
-// event loads expanded as "shard_events.N").
-void ForEachEngineMetric(const EngineStats& s,
-                         const std::function<void(const MetricValue&)>& fn);
 
 // ---- Simulated-clock timeline ----
 

@@ -15,8 +15,7 @@
 // bit-identical with tracing on or off ("zero modeled-cycle drift"). Span
 // contents are pure functions of modeled execution (cycle timestamps,
 // per-entity sequence numbers), so the merged span list — and its
-// fingerprint — is bit-identical across reruns and across SEMPEROS_THREADS
-// settings.
+// fingerprint — is bit-identical across reruns and engine thread counts.
 //
 // Parallel-engine safety: spans are appended to per-entity ring buffers.
 // An entity (a PE / node) executes on exactly one shard, and a shard runs

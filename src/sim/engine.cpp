@@ -84,7 +84,6 @@ void ParallelEngine::RunShardsOfWorker(uint32_t worker) {
 }
 
 void ParallelEngine::StartWindow(Cycles until) {
-  in_window_.store(true, std::memory_order_relaxed);
   // Solo-window fast path: most windows of a sparse phase have events on
   // only one or two shards. Waking the pool costs two syscall-laden
   // handshakes per window — far more than draining a couple of small heaps
@@ -105,7 +104,6 @@ void ParallelEngine::StartWindow(Cycles until) {
       }
     }
     ++stats_.solo_windows;
-    in_window_.store(false, std::memory_order_relaxed);
     return;
   }
   window_end_ = until;
@@ -126,7 +124,6 @@ void ParallelEngine::StartWindow(Cycles until) {
       cv_done_.wait(lk, [&] { return running_.load(std::memory_order_acquire) == 0; });
     }
   }
-  in_window_.store(false, std::memory_order_relaxed);
 }
 
 void ParallelEngine::RecordCrossSchedule(Simulation* target, Cycles when, InlineFn fn) {

@@ -31,11 +31,10 @@
 // insert directly. Link reservations therefore happen in the serial
 // engine's send order, and the merged application is independent of the
 // number of worker threads. Modeled results (cycle counts, NoC stats,
-// kernel counters, benchmark JSON) are bit-identical at any
-// --threads=N >= 2, and equal to the serial engine wherever the colliding
-// events' serial order is defined by the key — which the equivalence suite
-// verifies for every workload family, and `semperos_sim --strict` asserts
-// on any run.
+// kernel counters, benchmark JSON) are bit-identical at any thread count
+// >= 2, and equal to the serial engine wherever the colliding events'
+// serial order is defined by the key — which the equivalence suite
+// verifies for every workload family.
 //
 // Driver strand. Platform-level orchestration scheduled from outside the
 // shards (kernel kills, migration chains, monitor callbacks) runs on a
@@ -45,8 +44,9 @@
 // the whole platform — direct calls into any kernel behave exactly as in
 // the serial engine, including executor timing.
 //
-// --threads=1 never constructs this engine: the legacy single-queue path
-// is compiled-in unchanged, so committed modeled baselines remain valid.
+// PlatformConfig::threads (system/platform.h) is the only way in; at 1, the
+// default, this engine is never constructed and the serial single-queue
+// path runs unchanged, so committed modeled baselines remain valid.
 #ifndef SEMPEROS_SIM_ENGINE_H_
 #define SEMPEROS_SIM_ENGINE_H_
 
@@ -66,8 +66,11 @@ namespace semperos {
 
 class Noc;
 
-// Observability counters (satellite: engine observability). Aggregated by
-// the engine; printed by `semperos_sim --stats` and asserted in unit tests.
+// Observability counters, aggregated by the engine. Read by
+// perfbench/driver.cpp's --threads diagnostic (the engine.* per-layer
+// metrics) and asserted in the engine's tests; they go with the engine
+// after the benchmark PR (ROADMAP, "The benchmark PR, then delete the
+// sharded parallel engine").
 struct EngineStats {
   uint64_t windows = 0;            // lockstep windows executed (one barrier each)
   uint64_t handoffs = 0;           // cross-shard records merged (sends + schedules)
@@ -157,11 +160,6 @@ class ParallelEngine {
 
   // --- Called from Simulation / Noc on shard threads ---
 
-  // True while worker threads are inside a window (cross-shard access must
-  // be deferred). Outside windows the engine is quiescent and direct
-  // insertion into any queue is safe (boot, setup, driver events).
-  bool InWindow() const { return in_window_.load(std::memory_order_relaxed); }
-
   // Appends a cross-shard schedule record to the current thread's outbox.
   void RecordCrossSchedule(Simulation* target, Cycles when, InlineFn fn);
 
@@ -193,7 +191,6 @@ class ParallelEngine {
   void WorkerLoop(uint32_t worker);
   void RunShardsOfWorker(uint32_t worker);
   void StartWindow(Cycles until);
-  void FinishWindow();
 
   // Applies all outbox records with deterministic merged ordering.
   void ApplyRecords();
@@ -229,7 +226,6 @@ class ParallelEngine {
   uint32_t spin_budget_ = 0;
   bool shutdown_ = false;
   Cycles window_end_ = 0;
-  std::atomic<bool> in_window_{false};
   uint64_t global_vseq_ = 0;       // exclusive-context lineage anchors
   Cycles exclusive_icycle_ = 0;    // see ExclusiveICycle()
 

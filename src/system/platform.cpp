@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
-#include <thread>
 #include <utility>
 
 #include "base/log.h"
@@ -29,46 +27,12 @@ uint32_t CeilSqrt(uint32_t n) {
 
 }  // namespace
 
-uint32_t ResolveThreads(uint32_t requested) {
-  if (requested == kForceSerialThreads) {
-    return 1;  // pinned serial: strict baselines, sweep row 1, equivalence
-  }
-  // SEMPEROS_THREADS=N|auto switches any platform whose config left
-  // threads at the default: that is the --threads plumbing for the bench
-  // binaries (google-benchmark owns their argv) and lets the whole ctest
-  // suite run against the sharded engine (`SEMPEROS_THREADS=2 ctest`).
-  // An explicit PlatformConfig::threads != 1 always wins.
-  if (requested == 1) {
-    if (const char* env = std::getenv("SEMPEROS_THREADS")) {
-      if (*env != '\0') {
-        if (std::strcmp(env, "auto") == 0) {
-          requested = 0;
-        } else {
-          char* end = nullptr;
-          unsigned long parsed = std::strtoul(env, &end, 10);
-          // A typo must fail loudly, not silently select a different
-          // engine (strtoul's 0 would otherwise mean "auto").
-          CHECK(end != env && *end == '\0')
-              << "SEMPEROS_THREADS must be a number or 'auto', got '" << env << "'";
-          requested = static_cast<uint32_t>(parsed);
-        }
-      }
-    }
-  }
-  if (requested != 0) {
-    return requested;
-  }
-  uint32_t hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
-
 obs::TraceConfig ResolveTraceConfig(obs::TraceConfig requested) {
   if (requested.enabled) {
     return requested;  // explicit on: env-immune
   }
   // SEMPEROS_TRACE=0|1 switches any platform whose config left tracing
-  // off — the CI bit-identity job's plumbing, mirroring SEMPEROS_THREADS
-  // above.
+  // off — the CI bit-identity job's plumbing.
   if (const char* env = std::getenv("SEMPEROS_TRACE")) {
     if (*env != '\0') {
       char* end = nullptr;
@@ -95,10 +59,9 @@ Platform::Platform(PlatformConfig config) : config_(std::move(config)) {
   // --- Parallel engine (sim/engine.h): shard the mesh into contiguous
   // --- row-bands. The partition is a function of the platform shape only —
   // --- never of the thread count — so modeled results are identical at any
-  // --- --threads=N >= 2. threads == 1 keeps the exact legacy path.
-  uint32_t threads = ResolveThreads(config_.threads);
+  // --- threads >= 2. threads == 1 keeps the exact legacy path.
   uint32_t shard_count = std::min(kMaxShards, noc_config.height);
-  if (threads >= 2 && shard_count >= 2) {
+  if (config_.threads >= 2 && shard_count >= 2) {
     std::vector<std::unique_ptr<Simulation>> shards;
     shards.reserve(shard_count);
     for (uint32_t s = 0; s < shard_count; ++s) {
@@ -108,7 +71,7 @@ Platform::Platform(PlatformConfig config) : config_(std::move(config)) {
     // the remote endpoint-configuration continuation, whichever is sooner.
     Cycles lookahead =
         std::min<Cycles>(noc_->MinCrossNodeLatency(), Dtu::kConfigApplyCycles);
-    sim_.InitParallel(std::move(shards), lookahead, threads);
+    sim_.InitParallel(std::move(shards), lookahead, config_.threads);
 
     shard_of_node_.resize(noc_->NodeCount());
     std::vector<Simulation*> node_sims(noc_->NodeCount());
@@ -424,10 +387,6 @@ void RunSetup::ApplyTo(PlatformConfig* pc) const {
 void RunOutcome::Harvest(Platform* platform, const RunSetup& setup) {
   kernel_stats = platform->TotalKernelStats();
   noc = platform->noc().stats();
-  engine_parallel = platform->parallel();
-  if (engine_parallel) {
-    engine_stats = platform->engine_stats();
-  }
   if (obs::Tracer* tracer = platform->tracer(); tracer != nullptr) {
     spans_recorded = tracer->recorded();
     spans_dropped = tracer->dropped();

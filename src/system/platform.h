@@ -35,18 +35,6 @@
 
 namespace semperos {
 
-// Resolves a --threads=N|auto style request: 0 means "auto" (the host's
-// hardware concurrency), 1 the legacy serial engine, >= 2 the sharded
-// parallel engine (sim/engine.h). A request of 1 — the config default —
-// may be overridden by SEMPEROS_THREADS in the environment (the bench
-// binaries' --threads plumbing); kForceSerialThreads pins the serial
-// engine even then, for code that *compares against* it (strict-mode
-// baselines, the thread-scaling sweep's 1-thread row, the equivalence
-// suite).
-uint32_t ResolveThreads(uint32_t requested);
-
-inline constexpr uint32_t kForceSerialThreads = UINT32_MAX;
-
 // Resolves the tracing knob: an explicitly enabled TraceConfig always wins;
 // otherwise SEMPEROS_TRACE=1 in the environment turns tracing on (the CI
 // proof that gated benchmarks are bit-identical with the flight recorder
@@ -63,17 +51,19 @@ struct PlatformConfig {
   uint32_t max_inflight = 4;     // M_inflight (paper §5.1)
   bool revoke_batching = false;  // extension: batch REVOKE_REQs per peer
   NocConfig noc;                 // width/height are computed from the PE count
-  // Engine parallelism: 1 = the exact legacy single-queue path (default;
-  // committed modeled baselines are produced this way), 0 = auto (host
-  // cores), >= 2 = sharded parallel engine. The shard partition depends
-  // only on the platform shape, never on the thread count, so modeled
-  // results are identical for every threads >= 2 — and bit-identical to
-  // threads=1 on all supported workloads (asserted by the equivalence
-  // suite and `semperos_sim --strict`).
+  // Engine threads: 1 (the default) runs the serial engine, >= 2 the
+  // sharded parallel engine (sim/engine.h), whose shard partition depends
+  // only on the platform shape, so modeled results equal the serial
+  // engine's at any count. This field is the engine's only way in. Only
+  // perfbench/driver.cpp's --threads diagnostic, the engine's tests
+  // (tests/parallel_equivalence_test.cpp among them) and bench_simcore's
+  // thread sweep set it; it goes with the engine after the benchmark PR
+  // drops the driver's flag (ROADMAP, "The benchmark PR, then delete the
+  // sharded parallel engine").
   uint32_t threads = 1;
   // Observability (src/obs): span tracing is off by default (the disabled
   // cost is one pointer test per traced site); SEMPEROS_TRACE=1 flips any
-  // platform whose config left it off, mirroring the knobs above. The
+  // platform whose config left it off. The
   // metrics timeline samples every kernel counter each `timeline.interval`
   // simulated cycles (0 = disarmed). Both are observational only — the
   // executed event stream and all modeled results are bit-identical with
@@ -93,7 +83,9 @@ struct PlatformConfig {
 inline constexpr Cycles kDefaultTimelineInterval = 100'000;
 
 struct RunSetup {
-  uint32_t threads = 1;  // PlatformConfig::threads
+  // PlatformConfig::threads. Set only by the engine's tests and
+  // bench_simcore's thread sweep; goes with the engine (see there).
+  uint32_t threads = 1;
   obs::TraceConfig trace;
   obs::TimelineConfig timeline;
   std::string trace_out;    // Chrome trace_event JSON ("" = none)
@@ -111,8 +103,6 @@ class Platform;
 struct RunOutcome {
   KernelStats kernel_stats;  // summed over kernels
   NocStats noc;
-  bool engine_parallel = false;
-  EngineStats engine_stats;  // sharded engine only
   // Tracing (zero when off). The fingerprint is order-insensitive over the
   // canonical merge: bit-identical across reruns and thread counts.
   uint64_t spans_recorded = 0;
@@ -140,12 +130,15 @@ class Platform {
   SimHost& sim() { return sim_; }
   Noc& noc() { return *noc_; }
 
-  // True when the sharded parallel engine drives this platform.
+  // True when the sharded parallel engine drives this platform. This and
+  // engine_stats() are read by perfbench/driver.cpp's --threads diagnostic
+  // and the engine's tests; they go with the engine after the benchmark PR
+  // (ROADMAP, "The benchmark PR, then delete the sharded parallel engine").
   bool parallel() const { return sim_.parallel(); }
   // Engine observability counters (windows, handoffs, imbalance); CHECKs
   // on a serial platform.
   const EngineStats& engine_stats() {
-    CHECK(sim_.parallel()) << "engine_stats() needs --threads >= 2";
+    CHECK(sim_.parallel()) << "engine_stats() needs PlatformConfig::threads >= 2";
     return sim_.engine()->stats();
   }
 

@@ -64,7 +64,6 @@ std::string CheckNoOutputs(const WorkloadParams& p, const char* what) {
 // what they imply (an output path turns its recorder on).
 RunSetup RunSetupFrom(const WorkloadParams& p) {
   RunSetup setup;
-  setup.threads = p.U32("threads");  // the parser stores "auto" as 0
   setup.trace_out = p.Str("trace-out");
   setup.metrics_out = p.Str("metrics-out");
   setup.timeline.interval = p.U64("metrics-interval");
@@ -110,7 +109,6 @@ void RegisterApps() {
     spec.name = app;
     spec.summary = Fmt("trace-replay app, %u cap ops per instance (Figures 6-9, Table 4)",
                        workload.cap_ops);
-    spec.supports_strict = true;
     spec.params = {Kernels("8"), Services("8"),
                    {"instances", ParamType::kU32, "64", "parallel app instances", {}}};
     spec.validate = [](const WorkloadParams& p) {
@@ -127,7 +125,6 @@ void RegisterNginx() {
   WorkloadSpec spec;
   spec.name = "nginx";
   spec.summary = "closed-loop webserver benchmark (Figure 10)";
-  spec.supports_strict = true;
   spec.params = {Kernels("8"), Services("8"),
                  {"servers", ParamType::kU32, "32", "webserver PEs (one loadgen each)", {}}};
   spec.validate = [](const WorkloadParams& p) {
@@ -187,7 +184,6 @@ void RegisterFailover() {
   spec.detail = {"survivors detect (heartbeats + quorum), re-partition the dead DDL",
                  "range, revoke orphaned subtrees and adopt the PEs;",
                  "tune with --fail-kernel=<id>@<us>"};
-  spec.supports_strict = true;
   spec.params = {Kernels("8"),
                  {"instances", ParamType::kU32, "64", "clients (split across kernels)", {}},
                  {"fail-kernel", ParamType::kString, "1", "victim kernel: <id>[@<us>]", {}}};
@@ -277,7 +273,6 @@ void RegisterRebalance() {
   WorkloadSpec spec;
   spec.name = "rebalance";
   spec.summary = "elasticity workload: drain hot PEs to another kernel mid-run";
-  spec.supports_strict = true;
   spec.params = {Kernels("4"),
                  {"users", ParamType::kU32, "4", "clients per kernel", {}},
                  {"ops", ParamType::kU32, "30", "obtain+revoke pairs per client", {}},
@@ -547,7 +542,6 @@ void RegisterTraffic() {
                  "(no coordinated omission); --saturate searches for the highest",
                  "offered rate the system sustains within the p99 SLA"};
   spec.open_loop = true;
-  spec.supports_strict = true;
   std::vector<std::string> requests;
   for (const RequestShape& shape : RequestShapes()) {
     requests.push_back(shape.name);

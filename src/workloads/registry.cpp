@@ -237,36 +237,18 @@ WorkloadInvocation ParseWorkloadCli(const std::vector<std::string>& args) {
   for (const ParamSpec& param : spec.params) {
     invocation.params.Set(param.name, param.default_value);
   }
-  invocation.params.Set("threads", "1");
   invocation.params.Set("trace-out", "");
   invocation.params.Set("metrics-out", "");
   invocation.params.Set("metrics-interval", "0");
 
   // Pass 2: globals, then schema-validated workload flags.
   for (const std::string& arg : rest) {
-    if (arg == "--stats") {
-      invocation.stats = true;
-      continue;
-    }
-    if (arg == "--strict") {
-      invocation.strict = true;
-      continue;
-    }
     if (!spec.takes_run_setup) {
-      for (const char* flag : {"--threads", "--trace-out", "--metrics-out", "--metrics-interval"}) {
+      for (const char* flag : {"--trace-out", "--metrics-out", "--metrics-interval"}) {
         if (arg.rfind(flag, 0) == 0) {
           return Fail(Fmt("workload '%s' does not take %s", spec.name.c_str(), arg.c_str()));
         }
       }
-    }
-    if (arg.rfind("--threads=", 0) == 0) {
-      std::string value = arg.substr(10);
-      uint64_t n = 0;
-      if (value != "auto" && (!ParseU64(value, &n) || n > UINT32_MAX)) {
-        return Fail(Fmt("--threads=%s: expected a count or 'auto'", value.c_str()));
-      }
-      invocation.params.Set("threads", value == "auto" ? "0" : value);
-      continue;
     }
     if (arg.rfind("--trace-out=", 0) == 0) {
       invocation.params.Set("trace-out", arg.substr(12));
@@ -353,10 +335,6 @@ std::string FormatWorkloadList() {
     }
   }
   os << "global flags:\n";
-  os << "  --threads=N|auto  sharded parallel engine (1 = serial; results are\n";
-  os << "                    bit-identical at any thread count)\n";
-  os << "  --stats           print engine windows/handoffs/imbalance after the run\n";
-  os << "  --strict          run serial AND parallel, abort on any modeled mismatch\n";
   os << "  --trace-out=FILE  record causal spans, print the span report and write a\n";
   os << "                    Chrome/Perfetto trace_event JSON (tracing is\n";
   os << "                    observational only — modeled cycles never change)\n";
@@ -381,23 +359,6 @@ std::string FormatKernelStats(const KernelStats& s) {
     os << Fmt("  %-28s %12llu%s\n", m.name, (unsigned long long)m.value,
               m.kind == obs::MetricKind::kGauge ? "  (gauge)" : "");
   });
-  return os.str();
-}
-
-std::string FormatEngineStats(bool parallel, const EngineStats& s) {
-  std::ostringstream os;
-  if (!parallel) {
-    os << "engine statistics: serial engine (run with --threads>=2 for counters)\n";
-    return os.str();
-  }
-  // Same registry treatment as the kernel counters (per-shard event loads
-  // come through as shard_events.N), plus the derived imbalance ratio.
-  os << "engine statistics (sharded parallel engine):\n";
-  obs::ForEachEngineMetric(s, [&os](const obs::MetricValue& m) {
-    os << Fmt("  %-28s %12llu\n", m.name, (unsigned long long)m.value);
-  });
-  os << Fmt("  %-28s %11.2fx  (max/mean events over %zu shards)\n", "shard_imbalance",
-            s.ImbalanceRatio(), s.shard_events.size());
   return os.str();
 }
 
@@ -444,58 +405,9 @@ std::string FormatTraceReport(const RunOutcome& outcome) {
   return os.str();
 }
 
-namespace {
-
-// --strict: every modeled output of the parallel run must equal the serial
-// run bit for bit; any drift aborts the process with the failing field.
-void StrictCheck(bool ok, const std::string& field) {
-  CHECK(ok) << "--strict: parallel run diverged from serial on " << field;
-}
-
-void StrictCompareKernelStats(const KernelStats& a, const KernelStats& b) {
-  // Walk the metric registry so EVERY KernelStats field — including the
-  // per-IKC-op arrays — is under strict equality. Previously this was a
-  // hand-picked subset, which let a drifting counter hide if nobody
-  // remembered to list it here.
-  std::vector<obs::MetricValue> expected;
-  obs::ForEachKernelMetric(a, [&expected](const obs::MetricValue& m) { expected.push_back(m); });
-  size_t i = 0;
-  obs::ForEachKernelMetric(b, [&expected, &i](const obs::MetricValue& m) {
-    CHECK(i < expected.size());
-    StrictCheck(std::string(expected[i].name) == m.name, "kernel metric order");
-    StrictCheck(expected[i].value == m.value, std::string("kernel ") + m.name);
-    ++i;
-  });
-  StrictCheck(i == expected.size(), "kernel metric count");
-}
-
-}  // namespace
-
 int RunWorkloadCli(const WorkloadInvocation& invocation) {
   CHECK(invocation.ok && invocation.spec != nullptr);
-  const WorkloadSpec& spec = *invocation.spec;
-
-  WorkloadResult result = spec.run(invocation.params);
-
-  if (invocation.strict && spec.supports_strict &&
-      ResolveThreads(invocation.params.U32("threads")) != 1) {
-    // The serial re-run writes no files: they hold the run printed below.
-    WorkloadParams serial = invocation.params;
-    serial.Set("threads", std::to_string(kForceSerialThreads));
-    serial.Set("trace-out", "");
-    serial.Set("metrics-out", "");
-    WorkloadResult expected = spec.run(serial);
-    StrictCheck(expected.metrics.size() == result.metrics.size(), "metric count");
-    for (size_t i = 0; i < result.metrics.size(); ++i) {
-      StrictCheck(expected.metrics[i].name == result.metrics[i].name, "metric order");
-      StrictCheck(expected.metrics[i].value == result.metrics[i].value,
-                  result.metrics[i].name);
-    }
-    if (result.outcome && expected.outcome) {
-      StrictCompareKernelStats(expected.outcome->kernel_stats, result.outcome->kernel_stats);
-    }
-    std::printf("strict: parallel == serial verified (%s)\n", spec.name.c_str());
-  }
+  WorkloadResult result = invocation.spec->run(invocation.params);
 
   for (const std::string& note : result.notes) {
     std::printf("%s\n", note.c_str());
@@ -516,9 +428,6 @@ int RunWorkloadCli(const WorkloadInvocation& invocation) {
   }
   if (result.outcome) {
     std::printf("%s", FormatKernelStats(outcome.kernel_stats).c_str());
-  }
-  if (invocation.stats) {
-    std::printf("%s", FormatEngineStats(outcome.engine_parallel, outcome.engine_stats).c_str());
   }
   if (!outcome.write_error.empty()) {
     std::fprintf(stderr, "%s\n", outcome.write_error.c_str());

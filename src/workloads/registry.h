@@ -4,20 +4,18 @@
 // Before this interface existed, tools/semperos_sim.cpp hand-rolled a
 // ~20-branch flag chain and each experiment family (RunApp / RunNginx /
 // RunFailover / RunStorm / ...) grew its own ad-hoc CLI wiring; adding a
-// workload meant touching the parser, the usage text, the --list catalogue
-// and the strict-mode comparison by hand, and nothing stopped two
-// contradictory selections from silently running only one.
+// workload meant touching the parser, the usage text and the --list
+// catalogue by hand, and nothing stopped two contradictory selections from
+// silently running only one.
 //
 // A WorkloadSpec describes one workload: its name, a one-line summary for
 // the catalogue, a typed parameter schema (defaults, help, enum choices),
 // optional semantic validation, and a driver returning a structured
-// WorkloadResult (human-readable notes + named numeric metrics + kernel and
-// engine counters). The CLI (ParseWorkloadCli/RunWorkloadCli) and the --list
-// catalogue (FormatWorkloadList) consume the same registry, and strict
-// serial-vs-parallel verification is implemented once, generically, over the
-// metric list instead of per workload. The bench binaries call the runners
-// directly and borrow only WorkloadResult, which bench::Report turns into
-// benchmark counters.
+// WorkloadResult (human-readable notes + named numeric metrics + kernel
+// counters). The CLI (ParseWorkloadCli/RunWorkloadCli) and the --list
+// catalogue (FormatWorkloadList) consume the same registry. The bench
+// binaries call the runners directly and borrow only WorkloadResult, which
+// bench::Report turns into benchmark counters.
 //
 // Workloads are selected by positional name (`semperos_sim traffic
 // --rate=...`). Selecting two different workloads in one invocation is an
@@ -25,8 +23,8 @@
 //
 // Every driver that runs one platform maps the global flags onto one
 // RunSetup (system/platform.h) and hands back that run's RunOutcome, so the
-// engine flags, the trace and timeline files, the span report and the
-// kernel/engine counters work the same way for every such workload.
+// trace and timeline files, the span report and the kernel counters work
+// the same way for every such workload.
 #ifndef SEMPEROS_WORKLOADS_REGISTRY_H_
 #define SEMPEROS_WORKLOADS_REGISTRY_H_
 
@@ -73,9 +71,8 @@ struct WorkloadMetric {
   std::string unit;  // "" for counts/ratios
 };
 
-// Structured outcome of one workload run: what the CLI prints, what the
-// bench binaries turn into benchmark counters, and what strict mode
-// compares between the serial and parallel engines.
+// Structured outcome of one workload run: what the CLI prints and what the
+// bench binaries turn into benchmark counters.
 struct WorkloadResult {
   int exit_code = 0;
   std::vector<std::string> notes;       // human-readable summary lines
@@ -97,11 +94,7 @@ struct WorkloadSpec {
   std::string summary;  // one-liner for the --list catalogue
   std::vector<std::string> detail;  // extra catalogue lines (optional)
   bool open_loop = false;           // driver discipline, shown in --list
-  // Whether --strict (serial re-run + bit-exact metric comparison) applies.
-  // Workloads that are serial-only or have their own equivalence coverage
-  // (micro, chaos) opt out.
-  bool supports_strict = false;
-  // Whether the run-setup flags (--threads, --trace-out, --metrics-out,
+  // Whether the run-setup flags (--trace-out, --metrics-out,
   // --metrics-interval) apply. micro builds its own fixed platforms and
   // rejects them.
   bool takes_run_setup = true;
@@ -144,8 +137,6 @@ struct WorkloadInvocation {
   bool list = false;            // --list given: print the catalogue, exit 0
   const WorkloadSpec* spec = nullptr;
   WorkloadParams params;        // defaults merged, flag overrides applied
-  bool stats = false;           // --stats: print engine counters
-  bool strict = false;          // --strict: serial re-run must match exactly
 };
 
 // Parses argv[1..]: resolves the selected workload by positional name,
@@ -159,7 +150,6 @@ std::string FormatWorkloadList();
 // Shared result formatting (CLI + tools).
 std::string Fmt(const char* fmt, ...);
 std::string FormatKernelStats(const KernelStats& s);
-std::string FormatEngineStats(bool parallel, const EngineStats& s);
 // " kind=cycles ... self=cycles" over the kinds a path spends time in.
 std::string FormatCriticalPath(const obs::CriticalPath& path);
 // The span line (count, drops, fingerprint) and the trace report: spans
@@ -167,9 +157,8 @@ std::string FormatCriticalPath(const obs::CriticalPath& path);
 // the slowest critical paths.
 std::string FormatTraceReport(const RunOutcome& outcome);
 
-// Runs a parsed invocation end to end — including the generic strict-mode
-// serial re-run and comparison — printing notes, metrics and statistics.
-// Returns the process exit code.
+// Runs a parsed invocation end to end, printing notes, metrics and
+// statistics. Returns the process exit code.
 int RunWorkloadCli(const WorkloadInvocation& invocation);
 
 }  // namespace semperos

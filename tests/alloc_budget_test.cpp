@@ -23,8 +23,7 @@
 // The per-event budgets, and the byte budgets that run a platform, are
 // skipped where the count does not describe the default build:
 // SEMPEROS_DISABLE_POOLS (every closure and record is a fresh allocation by
-// design), SEMPEROS_TRACE (span recording) and SEMPEROS_THREADS (the
-// sharded engine's outboxes).
+// design) and SEMPEROS_TRACE (span recording).
 #include <malloc.h>
 
 #include <cstdint>
@@ -142,12 +141,10 @@ bool SkipReason(std::string* why) {
   *why = "SEMPEROS_DISABLE_POOLS: closures and records are fresh allocations by design";
   return true;
 #else
-  for (const char* var : {"SEMPEROS_TRACE", "SEMPEROS_THREADS"}) {
-    const char* value = std::getenv(var);
-    if (value != nullptr && *value != '\0') {
-      *why = std::string(var) + " is set: the count covers the untraced serial engine";
-      return true;
-    }
+  const char* trace = std::getenv("SEMPEROS_TRACE");
+  if (trace != nullptr && *trace != '\0') {
+    *why = "SEMPEROS_TRACE is set: the count covers the untraced serial engine";
+    return true;
   }
   return false;
 #endif
@@ -162,7 +159,6 @@ PlatformConfig ShapeConfig(uint32_t kernels, uint32_t services, uint32_t users, 
   pc.loadgens = open_loop ? users : 0;
   pc.mem_tiles = 1;
   pc.timing = timing;
-  pc.threads = kForceSerialThreads;
   return pc;
 }
 
@@ -317,7 +313,6 @@ TEST(MemoryBudget, SelectorTableUnderDeriveRevokeChurn) {
   PlatformConfig pc;
   pc.kernels = 1;
   pc.users = 1;
-  pc.threads = kForceSerialThreads;
   DriverRig rig = MakeDriverRig(pc);
   CapSel root = rig.Grant(0, 1 << 20);
   UserEnv& env = rig.client(0).env();
@@ -354,7 +349,6 @@ Bytes ConstructAndBootLargestPlatform(std::optional<Platform>* platform) {
   pc.kernels = 64;
   pc.services = 64;
   pc.users = 4096;
-  pc.threads = kForceSerialThreads;
   // Nothing earlier tests' platforms used is still parked in the message
   // pools (a destroyed platform frees it), so boot's own pool trim counts
   // only this platform's bodies as freed.

@@ -30,8 +30,8 @@ TEST(Status, EveryCodeHasAName) {
 
 TEST(Status, Equality) {
   EXPECT_EQ(Status::Ok(), Status());
-  EXPECT_EQ(Status(ErrCode::kNoSlot), Status(ErrCode::kNoSlot));
-  EXPECT_FALSE(Status(ErrCode::kNoSlot) == Status(ErrCode::kNoPerm));
+  EXPECT_EQ(Status(ErrCode::kNoCredits), Status(ErrCode::kNoCredits));
+  EXPECT_FALSE(Status(ErrCode::kNoCredits) == Status(ErrCode::kNoPerm));
 }
 
 TEST(Cycles, ConversionsAtTwoGHz) {

@@ -152,7 +152,6 @@ TEST(ChaosInjectedBug, SkippedOrphanRevocationIsCaughtAndShrinks) {
   EXPECT_EQ(invocation.spec->name, "chaos");
   StormConfig parsed = ChaosStormConfig(invocation.params);
   EXPECT_EQ(ReproCommand(parsed), ReproCommand(shrunk));
-  EXPECT_EQ(parsed.setup.threads, shrunk.setup.threads);
 }
 
 }  // namespace

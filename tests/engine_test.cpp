@@ -1,6 +1,6 @@
 // Unit tests for the sharded parallel engine (sim/engine.h): window
 // mechanics, deterministic cross-shard merging, driver-strand barriers, and
-// the observability counters printed by `semperos_sim --stats`.
+// the observability counters perfbench's --threads diagnostic reads.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -20,7 +20,7 @@ PlatformConfig SmallConfig(uint32_t threads) {
 }
 
 TEST(EngineTest, SerialPlatformHasNoEngine) {
-  Platform platform(SmallConfig(kForceSerialThreads));
+  Platform platform(SmallConfig(1));
   EXPECT_FALSE(platform.parallel());
 }
 

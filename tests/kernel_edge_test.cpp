@@ -167,11 +167,18 @@ MsgRef NoopSyscall() {
   return msg;
 }
 
+// The run drained with no message dropped and invariants I1-I6 intact.
+void ExpectCleanAudit(Platform& p) {
+  EXPECT_EQ(p.TotalDrops(), 0u);
+  AuditReport report = AuditPlatform(p);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
 // A user PE's DTU refuses commands that name an endpoint it does not have:
-// a syscall whose reply endpoint is past the DTU's 16 (the kernel's reply
-// would have nowhere to land), and a send, reply, read, write or ack on
-// such an endpoint. Nothing leaves the PE, no credit is spent, and the
-// next honest syscall is served.
+// a syscall whose reply endpoint is past the DTU's 16 or is the caller's
+// own send endpoint (the kernel's reply would have nowhere to land), and a
+// send, reply, read, write or ack on such an endpoint. Nothing leaves the
+// PE, no credit is spent, and the next honest syscall is served.
 TEST(Identity, EndpointIdsPastTheDtuAreRefused) {
   PlatformConfig pc;
   pc.kernels = 1;
@@ -183,6 +190,8 @@ TEST(Identity, EndpointIdsPastTheDtuAreRefused) {
   Dtu& dtu = p.pe(sender)->dtu();
 
   EXPECT_EQ(client->SendReplyingTo(NoopSyscall(), Dtu::kNumEps).code(), ErrCode::kInvalidArgs);
+  EXPECT_EQ(client->SendReplyingTo(NoopSyscall(), user_ep::kSyscallSend).code(),
+            ErrCode::kInvalidArgs);
   p.RunToCompletion();
   EXPECT_EQ(dtu.Send(Dtu::kNumEps, NoopSyscall(), user_ep::kSyscallReply).code(),
             ErrCode::kInvalidArgs);
@@ -190,7 +199,7 @@ TEST(Identity, EndpointIdsPastTheDtuAreRefused) {
   EXPECT_EQ(dtu.Read(Dtu::kNumEps, 0, 64, [] {}).code(), ErrCode::kInvalidArgs);
   EXPECT_EQ(dtu.Write(Dtu::kNumEps, 0, 64, [] {}).code(), ErrCode::kInvalidArgs);
   dtu.Ack(Dtu::kNumEps, Message{});
-  EXPECT_EQ(dtu.stats().cmds_refused, 6u);
+  EXPECT_EQ(dtu.stats().cmds_refused, 7u);
   EXPECT_EQ(dtu.Credits(user_ep::kSyscallSend), 1u);
   p.RunToCompletion();
   EXPECT_TRUE(client->replies.empty());
@@ -201,6 +210,36 @@ TEST(Identity, EndpointIdsPastTheDtuAreRefused) {
   ASSERT_EQ(client->replies.size(), 1u);
   EXPECT_EQ(client->replies[0], ErrCode::kOk);
   EXPECT_EQ(p.TotalDrops(), 0u);
+}
+
+// A syscall whose reply endpoint receives, but not syscall replies, gets
+// the kernel's answer there: on the ask endpoint, the service reply
+// endpoint, or the syscall reply endpoint with no call of UserEnv's
+// outstanding. UserEnv drops and counts each instead of failing, nothing
+// holds a slot or a credit afterwards, and its next syscall is served.
+TEST(Identity, MisroutedSyscallRepliesAreDropped) {
+  DriverRig rig = MakeDriverRig(1, 1);
+  UserEnv& env = rig.client(0).env();
+  Dtu& dtu = rig.p().pe(rig.vpe(0))->dtu();
+  uint64_t syscalls = rig.p().kernel(0)->stats().syscalls;
+  uint64_t dropped = 0;
+  for (EpId reply_ep : {user_ep::kAsk, user_ep::kServiceReply, user_ep::kSyscallReply}) {
+    ASSERT_TRUE(dtu.Send(user_ep::kSyscallSend, NoopSyscall(), reply_ep).ok()) << reply_ep;
+    rig.p().RunToCompletion();
+    EXPECT_EQ(env.unexpected_msgs(), ++dropped) << "reply endpoint " << reply_ep;
+    EXPECT_EQ(dtu.Credits(user_ep::kSyscallSend), 1u);
+  }
+  EXPECT_EQ(dtu.FreeSlots(user_ep::kAsk), 64u);
+  EXPECT_EQ(rig.p().kernel(0)->stats().syscalls, syscalls + 3);
+
+  auto noop = NewMsg<SyscallMsg>();
+  noop->op = SyscallOp::kNoop;
+  ErrCode got = ErrCode::kAborted;
+  env.Syscall(noop, [&got](const SyscallReply& r) { got = r.err; });
+  rig.p().RunToCompletion();
+  EXPECT_EQ(got, ErrCode::kOk);
+  EXPECT_EQ(env.unexpected_msgs(), dropped);
+  ExpectCleanAudit(rig.p());
 }
 
 // A second reply to one message, and an ack after it, find no message to
@@ -237,13 +276,6 @@ Message Rerouted(Message msg, NodeId src_node, EpId src_send_ep, EpId reply_ep) 
   msg.src_send_ep = src_send_ep;
   msg.reply_ep = reply_ep;
   return msg;
-}
-
-// The run drained with no message dropped and invariants I1-I6 intact.
-void ExpectCleanAudit(Platform& p) {
-  EXPECT_EQ(p.TotalDrops(), 0u);
-  AuditReport report = AuditPlatform(p);
-  EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
 // Reply and Ack route by the header the program hands back. A header that
@@ -742,6 +774,39 @@ TEST(Errors, ActivateVpeCapFails) {
   rig.client(0).env().Activate(1, user_ep::kMem0, [&](const SyscallReply& r) { got = r; });
   rig.p().RunToCompletion();
   EXPECT_EQ(got.err, ErrCode::kInvalidCapType);
+}
+
+// A VPE activates capabilities on its eight memory endpoints only. Activate
+// on an endpoint past the DTU's 16, or on the VPE's own syscall reply
+// endpoint, is answered kInvalidArgs before anything changes: no endpoint
+// is rewritten, the capability stays unactivated and nothing is dropped.
+// An honest Activate afterwards binds the capability.
+TEST(Errors, ActivateOutsideTheMemoryEndpointsIsRefused) {
+  DriverRig rig = MakeDriverRig(1, 1);
+  CapSel sel = rig.Grant(0, 4096);
+  Dtu& dtu = rig.p().pe(rig.vpe(0))->dtu();
+  Capability* cap = rig.kernel_of_client(0)->CapOf(rig.vpe(0), sel);
+  ASSERT_NE(cap, nullptr);
+  for (EpId ep : {EpId{Dtu::kNumEps}, user_ep::kSyscallReply}) {
+    ErrCode got = ErrCode::kAborted;
+    rig.client(0).env().Activate(sel, ep, [&got](const SyscallReply& r) { got = r.err; });
+    rig.p().RunToCompletion();
+    EXPECT_EQ(got, ErrCode::kInvalidArgs) << "endpoint " << ep;
+  }
+  EXPECT_FALSE(cap->activated());
+  EXPECT_EQ(dtu.FreeSlots(user_ep::kSyscallReply), 2u);
+  for (EpId ep = user_ep::kMem0; ep < user_ep::kMem0 + user_ep::kNumMemEps; ++ep) {
+    EXPECT_FALSE(dtu.EpValid(ep)) << "endpoint " << ep;
+  }
+  ExpectCleanAudit(rig.p());
+
+  ErrCode got = ErrCode::kAborted;
+  rig.client(0).env().Activate(sel, user_ep::kMem0, [&got](const SyscallReply& r) { got = r.err; });
+  rig.p().RunToCompletion();
+  EXPECT_EQ(got, ErrCode::kOk);
+  EXPECT_TRUE(cap->activated());
+  EXPECT_TRUE(dtu.EpValid(user_ep::kMem0));
+  ExpectCleanAudit(rig.p());
 }
 
 TEST(Errors, SequentialDoubleRevoke) {

@@ -9,7 +9,9 @@
 // orchestration runs at exact-time barriers; this suite is what holds
 // those mechanisms to the contract, across every workload family the repo
 // models: trace-replay apps, the closed-loop Nginx experiment, mid-run PE
-// migration, and kernel-crash failover.
+// migration, and kernel-crash failover. With bench_simcore's thread sweep it
+// is what RunSetup::threads exists for, and it goes with the engine
+// (ROADMAP, "The benchmark PR, then delete the sharded parallel engine").
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -107,13 +109,13 @@ TEST(ParallelEquivalence, PostmarkAppRun) {
   config.kernels = 4;
   config.services = 4;
   config.instances = 16;
-  config.setup.threads = kForceSerialThreads;  // baseline stays serial under SEMPEROS_THREADS
+  config.setup.threads = 1;
   AppRunResult serial = RunApp(config);
   for (uint32_t threads : kThreadCounts) {
     config.setup.threads = threads;
     AppRunResult parallel = RunApp(config);
     ExpectSameAppRun(serial, parallel,
-                     ("postmark --threads=" + std::to_string(threads)).c_str());
+                     ("postmark threads=" + std::to_string(threads)).c_str());
   }
 }
 
@@ -125,13 +127,13 @@ TEST(ParallelEquivalence, TarAppRunSpanning) {
   config.kernels = 8;
   config.services = 8;
   config.instances = 24;
-  config.setup.threads = kForceSerialThreads;
+  config.setup.threads = 1;
   AppRunResult serial = RunApp(config);
   for (uint32_t threads : kThreadCounts) {
     config.setup.threads = threads;
     AppRunResult parallel = RunApp(config);
     ExpectSameAppRun(serial, parallel,
-                     ("tar --threads=" + std::to_string(threads)).c_str());
+                     ("tar threads=" + std::to_string(threads)).c_str());
   }
 }
 
@@ -157,7 +159,7 @@ TEST(ParallelEquivalence, TraceFingerprintAcrossThreads) {
   config.services = 8;
   config.instances = 24;
   config.setup.trace.enabled = true;
-  config.setup.threads = kForceSerialThreads;
+  config.setup.threads = 1;
   AppRunResult serial = RunApp(config);
   EXPECT_GT(serial.outcome.spans_recorded, 0u);
   EXPECT_EQ(serial.outcome.spans_dropped, 0u);
@@ -165,7 +167,7 @@ TEST(ParallelEquivalence, TraceFingerprintAcrossThreads) {
   for (uint32_t threads : kThreadCounts) {
     config.setup.threads = threads;
     AppRunResult parallel = RunApp(config);
-    std::string what = "traced tar --threads=" + std::to_string(threads);
+    std::string what = "traced tar threads=" + std::to_string(threads);
     EXPECT_EQ(serial.outcome.spans_recorded, parallel.outcome.spans_recorded) << what;
     EXPECT_EQ(serial.makespan, parallel.makespan) << what;
     EXPECT_EQ(serial.events, parallel.events) << what;
@@ -190,14 +192,14 @@ TEST(ParallelEquivalence, NginxClosedLoop) {
   config.kernels = 4;
   config.services = 4;
   config.servers = 8;
-  config.setup.threads = kForceSerialThreads;
+  config.setup.threads = 1;
   NginxRunResult serial = RunNginx(config);
   for (uint32_t threads : kThreadCounts) {
     config.setup.threads = threads;
     NginxRunResult parallel = RunNginx(config);
-    EXPECT_EQ(serial.completed, parallel.completed) << "nginx --threads=" << threads;
+    EXPECT_EQ(serial.completed, parallel.completed) << "nginx threads=" << threads;
     EXPECT_DOUBLE_EQ(serial.requests_per_sec, parallel.requests_per_sec)
-        << "nginx --threads=" << threads;
+        << "nginx threads=" << threads;
   }
 }
 
@@ -209,12 +211,12 @@ TEST(ParallelEquivalence, RebalanceMigration) {
   config.users_per_kernel = 4;
   config.ops_per_client = 12;
   config.migrate_pes = 2;
-  config.setup.threads = kForceSerialThreads;
+  config.setup.threads = 1;
   RebalanceResult serial = RunRebalance(config);
   for (uint32_t threads : kThreadCounts) {
     config.setup.threads = threads;
     RebalanceResult parallel = RunRebalance(config);
-    std::string what = "rebalance --threads=" + std::to_string(threads);
+    std::string what = "rebalance threads=" + std::to_string(threads);
     EXPECT_EQ(serial.total_ops, parallel.total_ops) << what;
     EXPECT_EQ(serial.makespan, parallel.makespan) << what;
     EXPECT_EQ(serial.migrations_completed, parallel.migrations_completed) << what;
@@ -242,13 +244,13 @@ TEST(ParallelEquivalence, FailoverRecovery) {
   config.kernels = 4;
   config.users_per_kernel = 3;
   config.ops_per_client = 15;
-  config.setup.threads = kForceSerialThreads;
+  config.setup.threads = 1;
   FailoverResult serial = RunFailover(config);
   ASSERT_TRUE(serial.recovered);
   for (uint32_t threads : kThreadCounts) {
     config.setup.threads = threads;
     FailoverResult parallel = RunFailover(config);
-    std::string what = "failover --threads=" + std::to_string(threads);
+    std::string what = "failover threads=" + std::to_string(threads);
     EXPECT_EQ(serial.total_ops, parallel.total_ops) << what;
     EXPECT_EQ(serial.failed_ops, parallel.failed_ops) << what;
     EXPECT_EQ(serial.adopted_ops, parallel.adopted_ops) << what;
@@ -279,8 +281,8 @@ TEST(ParallelEquivalence, FailoverRecovery) {
 // --- Open-loop traffic harness (src/traffic) ---
 
 // The traffic benchmark gate assumes BENCH_traffic.json is bit-identical at
-// any SEMPEROS_THREADS; this pins that at the API level, including the full
-// latency-histogram contents (not just the derived percentiles).
+// any engine thread count; this pins that at the API level, including the
+// full latency-histogram contents (not just the derived percentiles).
 TEST(ParallelEquivalence, OpenLoopTraffic) {
   TrafficConfig config;
   config.kernels = 4;
@@ -291,12 +293,12 @@ TEST(ParallelEquivalence, OpenLoopTraffic) {
   config.warmup = 500;
   config.requests = 5'000;
   config.cooldown = 200;
-  config.setup.threads = kForceSerialThreads;
+  config.setup.threads = 1;
   TrafficResult serial = RunTraffic(config);
   for (uint32_t threads : kThreadCounts) {
     config.setup.threads = threads;
     TrafficResult parallel = RunTraffic(config);
-    std::string what = "traffic --threads=" + std::to_string(threads);
+    std::string what = "traffic threads=" + std::to_string(threads);
     EXPECT_EQ(serial.injected, parallel.injected) << what;
     EXPECT_EQ(serial.completed, parallel.completed) << what;
     EXPECT_EQ(serial.measured, parallel.measured) << what;
@@ -344,13 +346,13 @@ TEST(ParallelEquivalence, ChaosStormCorpus) {
       StormConfig config;
       std::string error;
       ASSERT_TRUE(ParseChaosLine(line, &config, &error)) << error;
-      config.setup.threads = kForceSerialThreads;
+      config.setup.threads = 1;
       StormResult serial = RunStorm(config);
       EXPECT_TRUE(serial.ok) << serial.audit.ToString();
       for (uint32_t threads : {2u, 4u}) {
         config.setup.threads = threads;
         StormResult parallel = RunStorm(config);
-        std::string what = line + " --threads=" + std::to_string(threads);
+        std::string what = line + " threads=" + std::to_string(threads);
         EXPECT_EQ(serial.ok, parallel.ok) << what;
         EXPECT_EQ(serial.rounds_run, parallel.rounds_run) << what;
         EXPECT_EQ(serial.audits_run, parallel.audits_run) << what;

@@ -1,6 +1,8 @@
 // Platform layout and mesh-shape edge cases.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "noc/noc.h"
 #include "system/client.h"
 #include "system/platform.h"
@@ -122,6 +124,19 @@ TEST(Layout, KernelCapArchitectural) {
   PlatformConfig pc;
   pc.kernels = 65;  // > 8 EPs x 32 slots / 4 in-flight
   EXPECT_DEATH(Platform platform(pc), "");
+}
+
+// The sharded engine is reached through PlatformConfig::threads only: the
+// retired SEMPEROS_THREADS override no longer shards a default platform,
+// even one whose mesh has enough rows to split.
+TEST(Engine, EnvironmentDoesNotSelectTheShardedEngine) {
+  PlatformConfig pc;
+  pc.users = 8;
+  ASSERT_EQ(setenv("SEMPEROS_THREADS", "2", /*overwrite=*/1), 0);
+  Platform platform(pc);
+  unsetenv("SEMPEROS_THREADS");
+  EXPECT_GE(platform.noc().config().height, 2u);
+  EXPECT_FALSE(platform.parallel());
 }
 
 }  // namespace

@@ -41,9 +41,9 @@ TEST_P(CapabilityFuzz, InvariantsHoldAfterRandomInterleavings) {
   DriverRig rig = MakeDriverRig(param.kernels, param.users);
   Platform& p = rig.p();
 
-  // One byte per client, not std::vector<bool>: syscall callbacks of
-  // different clients run on different engine shards under
-  // SEMPEROS_THREADS, and packed bits would share words between them.
+  // One byte per client, not std::vector<bool>: on the sharded engine,
+  // syscall callbacks of different clients run on different shards, and
+  // packed bits would share words between them.
   std::vector<uint8_t> busy(param.users, 0);
   std::vector<bool> dead(param.users, false);
   // Selectors each client has ever seen (some will be stale — the kernel

@@ -44,9 +44,11 @@ TEST(Registry, DefaultSelectionIsTar) {
 
 TEST(Registry, RetiredAliasesAreRejected) {
   // Workloads are selected by positional name only; the old selector flags
-  // fail with an error naming the token.
+  // fail with an error naming the token. So do the retired engine flags:
+  // the sharded engine is reached through PlatformConfig::threads only.
   for (const char* alias : {"--app=postmark", "--nginx", "--micro", "--failover", "--chaos",
-                            "--trace=ops.txt", "--fail-kernel=2@1500"}) {
+                            "--trace=ops.txt", "--fail-kernel=2@1500", "--threads=2",
+                            "--threads=auto", "--strict", "--stats"}) {
     WorkloadInvocation inv = Parse({alias});
     EXPECT_FALSE(inv.ok) << alias;
     EXPECT_NE(inv.error.find(alias), std::string::npos) << inv.error;
@@ -87,7 +89,6 @@ TEST(Registry, DefaultsAreMergedBeforeOverrides) {
   EXPECT_EQ(inv.params.Str("request"), "nginx");
   EXPECT_EQ(inv.params.U32("servers"), 16u);
   EXPECT_EQ(inv.params.U64("requests"), 20000u);
-  EXPECT_EQ(inv.params.U32("threads"), 1u);
 }
 
 TEST(Registry, UnknownFlagForWorkloadIsRejected) {
@@ -134,25 +135,13 @@ TEST(Registry, RunSetupFlagsNeedOnePlatformRun) {
   WorkloadInvocation micro = Parse({"micro", "--trace-out=t.json"});
   EXPECT_FALSE(micro.ok);
   EXPECT_NE(micro.error.find("--trace-out=t.json"), std::string::npos) << micro.error;
-  EXPECT_FALSE(Parse({"micro", "--threads=2"}).ok);
   EXPECT_FALSE(Parse({"micro", "--metrics-out=m.json"}).ok);
   EXPECT_FALSE(Parse({"chaos", "--sweep=2", "--trace-out=t.json"}).ok);
   EXPECT_FALSE(Parse({"chaos", "--sweep=2", "--metrics-interval=5000"}).ok);
-  EXPECT_TRUE(Parse({"chaos", "--sweep=2", "--threads=2"}).ok);
   EXPECT_FALSE(Parse({"traffic", "--saturate", "--metrics-out=m.json"}).ok);
   // --pipeline is a traffic parameter, not a global flag.
   EXPECT_EQ(Parse({"traffic", "--pipeline=3"}).params.U32("pipeline"), 3u);
   EXPECT_FALSE(Parse({"tar", "--pipeline=3"}).ok);
-}
-
-TEST(Registry, GlobalFlagsParse) {
-  WorkloadInvocation inv = Parse({"nginx", "--threads=auto", "--stats", "--strict"});
-  ASSERT_TRUE(inv.ok) << inv.error;
-  EXPECT_TRUE(inv.stats);
-  EXPECT_TRUE(inv.strict);
-  EXPECT_EQ(inv.params.U32("threads"), 0u);  // "auto" -> ResolveThreads picks
-  EXPECT_FALSE(Parse({"nginx", "--threads=some"}).ok);
-  EXPECT_TRUE(Parse({"--list"}).list);
 }
 
 // --- Registry surface ---
@@ -167,6 +156,7 @@ TEST(Registry, CatalogueListsEveryRegisteredWorkload) {
   // The harness registers through the same interface as everything else.
   EXPECT_NE(WorkloadRegistry::Global().Find("traffic"), nullptr);
   EXPECT_NE(catalogue.find("[open-loop]"), std::string::npos);
+  EXPECT_TRUE(Parse({"--list"}).list);
 }
 
 // A custom trace never aborts the simulator: an op on a file that is not

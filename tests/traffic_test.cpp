@@ -6,7 +6,7 @@
 //   - the latency histogram is exact below an octave, ~3%-bounded above,
 //     with nearest-rank percentile semantics, and merges losslessly;
 //   - RunTraffic is deterministic per seed (identical histograms across
-//     reruns) and bit-identical at any SEMPEROS_THREADS setting;
+//     reruns) and bit-identical at any engine thread count;
 //   - the warm-up/measurement-window discipline measures exactly the
 //     configured requests and drains every injected arrival;
 //   - the saturation search is a pure function of its config.
@@ -347,12 +347,12 @@ TEST(Traffic, SaturationReportsMeasuredRate) {
 
 TEST(Traffic, BitIdenticalAcrossThreadCounts) {
   TrafficConfig config = SmallConfig();
-  config.setup.threads = kForceSerialThreads;
+  config.setup.threads = 1;
   TrafficResult serial = RunTraffic(config);
   for (uint32_t threads : {2u, 4u}) {
     config.setup.threads = threads;
     TrafficResult parallel = RunTraffic(config);
-    std::string what = "traffic --threads=" + std::to_string(threads);
+    std::string what = "traffic threads=" + std::to_string(threads);
     EXPECT_EQ(serial.injected, parallel.injected) << what;
     EXPECT_EQ(serial.completed, parallel.completed) << what;
     EXPECT_EQ(serial.measured, parallel.measured) << what;

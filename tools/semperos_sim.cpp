@@ -1,8 +1,8 @@
 // semperos_sim — command-line front end for the SemperOS simulator.
 //
 // Workloads are selected by name from the workload registry
-// (src/workloads/registry.h); parameters, validation, --list and strict
-// serial-vs-parallel verification all come from the WorkloadSpec schemas:
+// (src/workloads/registry.h); parameters, validation and --list all come
+// from the WorkloadSpec schemas:
 //
 //   semperos_sim postmark --kernels=32 --services=32 --instances=512
 //   semperos_sim tar --kernels=1 --services=1 --instances=1
@@ -12,8 +12,6 @@
 //   semperos_sim traffic --rate=200000 --process=bursty   # open-loop harness
 //   semperos_sim traffic --saturate           # saturation-throughput search
 //   semperos_sim chaos --seed=7 --sweep=100   # seeded chaos storms
-//   semperos_sim ... --threads=auto --stats   # parallel engine + counters
-//   semperos_sim ... --threads=4 --strict     # assert parallel == serial
 //   semperos_sim failover --trace-out=t.json  # any one-platform run: span
 //                                             # report + Chrome trace file
 //   semperos_sim --list                       # the full workload catalogue
