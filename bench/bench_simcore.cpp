@@ -157,7 +157,7 @@ void BM_MessageDelivery(benchmark::State& state) {
     });
     b.ConfigureRecv(/*ep=*/0, 32, [&](EpId ep, const Message& msg) {
       CHECK(msg.As<PingMsg>() != nullptr);
-      CHECK(b.Reply(ep, msg, NewMsg<PingMsg>()).ok());
+      CHECK(b.Reply(ep, msg.slot, NewMsg<PingMsg>()).ok());
     });
     for (uint32_t i = 0; i < kPipeline; ++i) {
       ++sent;

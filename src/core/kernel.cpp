@@ -345,18 +345,12 @@ void Kernel::UnlinkChildAtParent(DdlKey parent, DdlKey child, bool orphan) {
 // ---------------------------------------------------------------------------
 
 void Kernel::OnSyscall(EpId ep, const Message& msg) {
-  if (msg.is_reply) {
-    // A reply a user PE aimed at the gate by rewriting a header: it holds
-    // no slot, and answering it would free one an honest caller holds.
-    stats_.user_msgs_dropped++;
-    return;
-  }
   const SyscallMsg* req = msg.As<SyscallMsg>();
   if (req == nullptr) {
     // Any other body on a syscall gate comes from an untrusted user PE:
     // free its slot, which returns the sender's credit, and answer nothing.
     stats_.user_msgs_dropped++;
-    pe_->dtu().Ack(ep, msg);
+    pe_->dtu().Ack(ep, msg.slot);
     return;
   }
   stats_.syscalls++;
@@ -440,7 +434,7 @@ void Kernel::ReplySyscall(SyscallRec* sc, ErrCode err, CapSel sel, const CapPayl
     // The caller died while the operation was in flight; just free the slot.
     // (Migrated-away VPEs are alive elsewhere and must still get their
     // kVpeMigrating answer, or their retry loop would hang.)
-    pe_->dtu().Ack(sc->recv_ep, sc->msg);
+    pe_->dtu().Ack(sc->recv_ep, sc->msg.slot);
     syscall_recs_.Delete(sc);
     return;
   }
@@ -456,7 +450,7 @@ void Kernel::ReplySyscall(SyscallRec* sc, ErrCode err, CapSel sel, const CapPayl
     reply->trace_parent = sc->span.span_id;
     tracer()->Close(sc->span, pe_->sim()->Now());
   }
-  pe_->dtu().Reply(sc->recv_ep, sc->msg, reply);
+  pe_->dtu().Reply(sc->recv_ep, sc->msg.slot, reply);
   syscall_recs_.Delete(sc);
 }
 
@@ -599,7 +593,7 @@ void Kernel::FinishObtain(ObtainOp* op, ErrCode err, DdlKey parent, const CapPay
     stats_.orphans_cleaned++;
     UnlinkChildAtParent(parent, op->child_key, /*orphan=*/true);
     ReleaseThread();
-    pe_->dtu().Ack(op->sc->recv_ep, op->sc->msg);
+    pe_->dtu().Ack(op->sc->recv_ep, op->sc->msg.slot);
     syscall_recs_.Delete(op->sc);
     obtain_recs_.Delete(op);
     return;
@@ -1845,29 +1839,14 @@ FtVerdict Kernel::ft_verdict(KernelId peer) const {
   return FtVerdict::kAlive;
 }
 
-bool Kernel::FromKernel(const Message& msg) {
-  if (config_.pe_types->at(msg.src_node) == PeType::kKernel) {
-    return true;
-  }
-  // A user PE reaches a kernel channel only with a reply (its send
-  // endpoints lead to syscall gates and services) whose header it rewrote;
-  // the DTU stamps the true sender. Replies hold no receive slot, so there
-  // is nothing to free.
-  stats_.user_msgs_dropped++;
-  return false;
-}
-
 void Kernel::OnHeartbeat(EpId ep, const Message& msg) {
-  if (!FromKernel(msg)) {
-    return;
-  }
   const HeartbeatMsg* hb = msg.As<HeartbeatMsg>();
   CHECK(hb != nullptr) << "non-heartbeat message on heartbeat EP";
   if (!msg.is_reply) {
     // Ping: free the slot and answer immediately. The reply needs no slot
     // (deferred-reply path) and no IKC credit, so even a kernel whose flow
     // window towards us is exhausted still proves its liveness.
-    pe_->dtu().Ack(ep, msg);
+    pe_->dtu().Ack(ep, msg.slot);
     Charge(t_.hb_process);
     auto ack = NewMsg<HeartbeatMsg>();
     ack->from = config_.id;
@@ -2484,9 +2463,6 @@ void Kernel::AnswerIkc(Cycles cost, const Message& msg, ErrCode err) {
 }
 
 void Kernel::OnIkc(EpId ep, const Message& msg) {
-  if (!FromKernel(msg)) {
-    return;
-  }
   if (msg.is_reply) {
     if (const IkcCredit* credit = msg.As<IkcCredit>()) {
       // Flow control: the peer dispatched one of our requests; its receive
@@ -2523,7 +2499,7 @@ void Kernel::OnIkc(EpId ep, const Message& msg) {
   // which keeps deep alternating revocation chains deadlock-free (§4.3.3).
   // The credit routes by the *wire* message — a relayed request's rewritten
   // reply address (below) must never redirect it.
-  pe_->dtu().Ack(ep, msg);
+  pe_->dtu().Ack(ep, msg.slot);
   auto credit = NewMsg<IkcCredit>();
   credit->from = config_.id;
   Emit(pe_->sim()->Now(), [this, msg, credit] { pe_->dtu().SendDeferredReply(msg, credit); });

@@ -122,10 +122,10 @@ struct KernelStats {
   uint64_t ddl_cache_hits = 0;        // remote-DDL lookups served by the cache
   uint64_t ddl_cache_misses = 0;      // remote-DDL lookups that paid the full decode
   // Untrusted user PEs: messages dropped without a reply — a body that is
-  // not a syscall, or a reply, on a syscall gate; an ask reply that is not
-  // an AskReply, names no pending ask, or comes from a PE that was not
-  // asked; anything on a kernel channel (IKC, heartbeat) that a non-kernel
-  // PE sent.
+  // not a syscall on a syscall gate; an ask reply that is not an AskReply,
+  // names no pending ask, or comes from a PE that was not asked. No other
+  // kernel endpoint hears from a user PE (docs/architecture.md, "How the
+  // kernel answers").
   uint64_t user_msgs_dropped = 0;
   // Per-IKC-type logical send/receive counts.
   uint64_t ikc_op_sent[kNumIkcOps] = {};
@@ -135,8 +135,8 @@ struct KernelStats {
 };
 
 // One system call in service at its kernel, from arrival to reply: the
-// syscall message (the reply goes to its sender) plus its open kSyscall
-// span. Operations that suspend on the call's behalf point here.
+// syscall message (the reply names its receive endpoint and slot) plus its
+// open kSyscall span. Operations that suspend on the call's behalf point here.
 struct SyscallRec {
   VpeId vpe = kInvalidVpe;
   EpId recv_ep = 0;
@@ -264,8 +264,7 @@ class Kernel : public Program {
     // Fault tolerance (src/ft): `pe_types` lets adopters rebuild VPE state
     // for a dead group's PEs; `on_failover` lets the platform mirror the
     // membership changes a quorum leader decrees mid-run.
-    // node -> tile type; also tells kernel channels which senders are kernels.
-    // Read-only, one list for the whole platform.
+    // node -> tile type. Read-only, one list for the whole platform.
     std::shared_ptr<const std::vector<PeType>> pe_types;
     // Invoked by a quorum leader with the decreed takeover plan, so the
     // platform mirrors exactly what the kernels applied (no recompute).
@@ -516,10 +515,6 @@ class Kernel : public Program {
   // ===== Message handlers =====
   void OnSyscall(EpId ep, const Message& msg);
   void OnIkc(EpId ep, const Message& msg);
-  // Kernel channels (IKC, heartbeat) take messages from kernel PEs only:
-  // returns false, after counting a user_msgs_dropped, if the DTU-stamped
-  // sender of `msg` is not a kernel.
-  bool FromKernel(const Message& msg);
   // The request dispatch half of OnIkc, also re-entered when a request
   // parked during a migration transfer is released. An IKC request is
   // answered from its message alone: the IkcMsg body names the token.

@@ -140,7 +140,7 @@ void UserEnv::OnSyscallReply(const Message& msg) {
 void UserEnv::DropUnexpected(EpId ep, const Message& msg) {
   unexpected_msgs_++;
   if (!msg.is_reply) {
-    pe_->dtu().Ack(ep, msg);  // frees the slot it holds
+    pe_->dtu().Ack(ep, msg.slot);  // frees the slot it holds
   }
 }
 
@@ -273,7 +273,7 @@ void UserEnv::ReplyAsk(AskReply reply_value) {
   reply->trace_parent = req->trace_parent;
   // Answering costs the party `ask_cost_` cycles on its own core.
   pe_->exec().Post(ask_cost_, [this, reply] {
-    pe_->dtu().Reply(user_ep::kAsk, serving_, reply);
+    pe_->dtu().Reply(user_ep::kAsk, serving_.slot, reply);
     SetTraceContext(0, 0);
     work_busy_ = false;
     PumpWork();
@@ -314,7 +314,7 @@ void UserEnv::OnRequest(const Message& msg) {
 }
 
 void UserEnv::ReplyRequest(const Message& msg, MsgRef body) {
-  pe_->dtu().Reply(user_ep::kServiceRecv, msg, std::move(body));
+  pe_->dtu().Reply(user_ep::kServiceRecv, msg.slot, std::move(body));
   SetTraceContext(0, 0);
   work_busy_ = false;
   PumpWork();

@@ -15,9 +15,6 @@ constexpr Cycles kConfigApplyCycles = Dtu::kConfigApplyCycles;
 // Fixed DRAM-style access latency charged per memory request.
 constexpr Cycles kMemAccessLatency = 60;
 
-// An endpoint id a header may route by: one a DTU has, or none.
-bool EpOrNone(EpId ep) { return ep < Dtu::kNumEps || ep == kNoReplyEp; }
-
 // A message header as a DTU command sets it; Transmit stamps the source.
 Message Header(EpId src_send_ep, EpId reply_ep, uint64_t label, bool is_reply, MsgRef body) {
   Message msg;
@@ -36,36 +33,42 @@ Dtu::Dtu(Simulation* sim, DtuFabric* fabric, NodeId node)
 }
 
 void Dtu::ConfigureSend(EpId ep, NodeId dst_node, EpId dst_ep, uint32_t credits, uint64_t label) {
-  if (!privileged_) {
-    Refuse();
-    return;
-  }
-  CHECK_LT(ep, kNumEps);
-  eps_[ep] = SendEp{dst_node, dst_ep, credits, credits, label};
+  ConfigureLocal(ep, SendEp{dst_node, dst_ep, credits, credits, label});
 }
 
 void Dtu::ConfigureRecv(EpId ep, uint32_t slots, MsgHandler handler) {
-  if (!privileged_) {
-    Refuse();
-    return;
-  }
-  CHECK_LT(ep, kNumEps);
-  eps_[ep] = RecvEp{slots, 0, std::move(handler)};
+  ConfigureLocal(ep, RecvEp{slots, 0, std::move(handler)});
 }
 
 void Dtu::ConfigureMem(EpId ep, NodeId dst_node, uint64_t base, uint64_t size, MemPerms perms) {
+  ConfigureLocal(ep, MemEp{dst_node, perms, base, size});
+}
+
+void Dtu::ConfigureLocal(EpId ep, Endpoint value) {
   if (!privileged_) {
     Refuse();
     return;
   }
-  CHECK_LT(ep, kNumEps);
-  eps_[ep] = MemEp{dst_node, perms, base, size};
+  CHECK_LT(ep, kNumEps);  // privileged callers only: no user PE reaches it
+  SetEp(ep, std::move(value));
 }
 
-// The delivery closures below capture the target's id rather than its
-// Dtu*, so each one, done callback included, fits an event slot.
-void Dtu::ConfigureRemoteSend(NodeId target, EpId ep, NodeId dst_node, EpId dst_ep,
-                              uint32_t credits, uint64_t label, Callback<void()> done) {
+void Dtu::SetEp(EpId ep, Endpoint value) {
+  if (std::holds_alternative<RecvEp>(eps_[ep])) {
+    for (uint32_t slot = 0; slot < filed_.size(); ++slot) {
+      if (filed_[slot].ep == ep) {
+        Release(ep, slot);
+      }
+    }
+  }
+  eps_[ep] = std::move(value);
+}
+
+// Only kernels get past the privilege check, with ids of their own
+// (SysActivate refuses a user PE's endpoint first): no user PE's command or
+// message content reaches these CHECKs. The closure fits an event slot.
+template <typename Reg>
+void Dtu::WriteRemoteEp(NodeId target, EpId ep, Reg reg, Callback<void()> done) {
   if (!privileged_) {
     Refuse();
     return;
@@ -77,56 +80,27 @@ void Dtu::ConfigureRemoteSend(NodeId target, EpId ep, NodeId dst_node, EpId dst_
   CHECK(fabric_->At(target) != nullptr);
   CHECK_LT(ep, kNumEps);
   fabric_->noc()->Send(node_, target, kConfigPacketBytes,
-                       [this, target, ep, send = SendEp{dst_node, dst_ep, credits, credits, label},
-                        done = std::move(done)]() mutable {
+                       [this, target, ep, reg, done = std::move(done)]() mutable {
                          // Privileged config bypasses the downgrade check.
-                         fabric_->At(target)->eps_[ep] = send;
+                         fabric_->At(target)->SetEp(ep, reg);
                          if (done) {
                            sim_->Schedule(kConfigApplyCycles, std::move(done));
                          }
                        });
+}
+
+void Dtu::ConfigureRemoteSend(NodeId target, EpId ep, NodeId dst_node, EpId dst_ep,
+                              uint32_t credits, uint64_t label, Callback<void()> done) {
+  WriteRemoteEp(target, ep, SendEp{dst_node, dst_ep, credits, credits, label}, std::move(done));
 }
 
 void Dtu::ConfigureRemoteMem(NodeId target, EpId ep, NodeId dst_node, uint64_t base, uint64_t size,
                              MemPerms perms, Callback<void()> done) {
-  if (!privileged_) {
-    Refuse();
-    return;
-  }
-  if (dead_) {
-    stats_.msgs_lost_dead++;
-    return;
-  }
-  CHECK(fabric_->At(target) != nullptr);
-  CHECK_LT(ep, kNumEps);
-  fabric_->noc()->Send(node_, target, kConfigPacketBytes,
-                       [this, target, ep, mem = MemEp{dst_node, perms, base, size},
-                        done = std::move(done)]() mutable {
-                         fabric_->At(target)->eps_[ep] = mem;
-                         if (done) {
-                           sim_->Schedule(kConfigApplyCycles, std::move(done));
-                         }
-                       });
+  WriteRemoteEp(target, ep, MemEp{dst_node, perms, base, size}, std::move(done));
 }
 
 void Dtu::InvalidateRemoteEp(NodeId target, EpId ep, Callback<void()> done) {
-  if (!privileged_) {
-    Refuse();
-    return;
-  }
-  if (dead_) {
-    stats_.msgs_lost_dead++;
-    return;
-  }
-  CHECK(fabric_->At(target) != nullptr);
-  CHECK_LT(ep, kNumEps);
-  fabric_->noc()->Send(node_, target, kConfigPacketBytes,
-                       [this, target, ep, done = std::move(done)]() mutable {
-                         fabric_->At(target)->eps_[ep] = std::monostate{};
-                         if (done) {
-                           sim_->Schedule(kConfigApplyCycles, std::move(done));
-                         }
-                       });
+  WriteRemoteEp(target, ep, std::monostate{}, std::move(done));
 }
 
 Status Dtu::Send(EpId ep, MsgRef body, EpId reply_ep) {
@@ -169,28 +143,29 @@ Status Dtu::SendTo(NodeId dst_node, EpId dst_ep, MsgRef body, EpId reply_ep, uin
   return st;
 }
 
-Dtu::RecvEp* Dtu::AnswerableRecv(EpId ep) {
-  RecvEp* e = ep < kNumEps ? std::get_if<RecvEp>(&eps_[ep]) : nullptr;
-  if (e == nullptr || e->occupied == 0) {
-    stats_.cmds_refused++;
-    return nullptr;
-  }
-  return e;
+const Dtu::Filed* Dtu::HeldOn(EpId ep, uint32_t slot) const {
+  // A free entry's ep is kNoReplyEp, which no receive endpoint is.
+  return ep < kNumEps && slot < filed_.size() && filed_[slot].ep == ep ? &filed_[slot] : nullptr;
 }
 
-// Reply and Ack route by the header the program hands back. A header that
-// Transmit refuses frees no slot, so the program can still answer.
-Status Dtu::Reply(EpId recv_ep, const Message& msg, MsgRef body) {
-  RecvEp* e = AnswerableRecv(recv_ep);
-  if (e == nullptr) {
-    return Status(ErrCode::kInvalidArgs);
+void Dtu::Release(EpId ep, uint32_t slot) {
+  std::get_if<RecvEp>(&eps_[ep])->occupied--;  // SetEp frees a replaced endpoint's slots
+  filed_[slot].ep = kNoReplyEp;
+  filed_[slot].src_node = free_slot_;
+  free_slot_ = slot;
+}
+
+// Reply and Ack route by the header Deliver filed, never by anything the
+// program hands back: a slot its endpoint does not hold is refused.
+Status Dtu::Reply(EpId recv_ep, uint32_t slot, MsgRef body) {
+  const Filed* f = HeldOn(recv_ep, slot);
+  if (f == nullptr) {
+    return Refuse();
   }
-  Status st = Transmit(msg.src_node, msg.reply_ep, msg.src_send_ep,
-                       Header(kNoReplyEp, kNoReplyEp, msg.label, /*is_reply=*/true,
+  Status st = Transmit(f->src_node, f->reply_ep, f->credit_ep,
+                       Header(kNoReplyEp, kNoReplyEp, f->label, /*is_reply=*/true,
                               std::move(body)));
-  if (st.code() != ErrCode::kInvalidArgs) {
-    e->occupied--;
-  }
+  Release(recv_ep, slot);
   return st;
 }
 
@@ -205,25 +180,26 @@ Status Dtu::SendDeferredReply(const Message& msg, MsgRef body) {
                   Header(kNoReplyEp, kNoReplyEp, msg.label, /*is_reply=*/true, std::move(body)));
 }
 
-void Dtu::Ack(EpId recv_ep, const Message& msg) {
-  RecvEp* e = AnswerableRecv(recv_ep);
-  if (e == nullptr) {
-    return;
+Status Dtu::Ack(EpId recv_ep, uint32_t slot) {
+  const Filed* f = HeldOn(recv_ep, slot);
+  if (f == nullptr) {
+    return Refuse();
   }
   // Return the credit to the sender with a tiny control packet.
-  if (msg.src_send_ep != kNoReplyEp &&
-      Transmit(msg.src_node, kNoReplyEp, msg.src_send_ep, Message{}).code() ==
-          ErrCode::kInvalidArgs) {
-    return;
-  }
-  e->occupied--;
+  Status st = f->credit_ep != kNoReplyEp
+                  ? Transmit(f->src_node, kNoReplyEp, f->credit_ep, Message{})
+                  : Status::Ok();
+  Release(recv_ep, slot);
+  return st;
 }
 
 Status Dtu::Transmit(NodeId dst_node, EpId dst_ep, EpId credit_ep, Message msg) {
-  Dtu* remote = dst_node < fabric_->noc()->NodeCount() ? fabric_->At(dst_node) : nullptr;
-  if (remote == nullptr || !EpOrNone(dst_ep) || !EpOrNone(credit_ep)) {
-    return Refuse();
-  }
+  // Ids come from send endpoint registers, kernel calls or filed headers
+  // (whose reply endpoint Send checked): no user PE reaches these CHECKs.
+  Dtu* remote = fabric_->At(dst_node);
+  CHECK(remote != nullptr) << "node " << dst_node << " has no DTU";
+  CHECK(dst_ep < kNumEps || dst_ep == kNoReplyEp) << "endpoint " << dst_ep;
+  CHECK(credit_ep < kNumEps || credit_ep == kNoReplyEp) << "credit endpoint " << credit_ep;
   if (dead_) {
     stats_.msgs_lost_dead++;
     return Status(ErrCode::kUnreachable);
@@ -244,7 +220,6 @@ Status Dtu::Transmit(NodeId dst_node, EpId dst_ep, EpId credit_ep, Message msg) 
 }
 
 void Dtu::Deliver(EpId ep, Message msg) {
-  CHECK_LT(ep, kNumEps);
   if (dead_) {
     // Fault injection: the node is powered off — arriving packets vanish
     // without touching slot accounting. Peers observe silence, which is
@@ -282,8 +257,19 @@ void Dtu::Deliver(EpId ep, Message msg) {
     return;
   }
   e->occupied++;
+  // File the routing header; the program answers by the slot id alone.
+  uint32_t slot = free_slot_;
+  if (slot == kNoSlot) {
+    slot = static_cast<uint32_t>(filed_.size());
+    filed_.emplace_back();
+  } else {
+    free_slot_ = filed_[slot].src_node;
+  }
+  filed_[slot] = Filed{ep, msg.src_node, msg.src_send_ep, msg.reply_ep, msg.label};
+  msg.slot = slot;
   stats_.msgs_received++;
   RecordTransit(msg);
+  // Only a privileged ConfigureRecv installs a receive endpoint.
   CHECK(e->handler) << "recv EP " << ep << " on node " << node_ << " has no handler";
   e->handler(ep, msg);
 }
@@ -306,7 +292,6 @@ void Dtu::RecordTransit(const Message& msg) {
 }
 
 void Dtu::ReturnCredit(EpId send_ep) {
-  CHECK_LT(send_ep, kNumEps);
   SendEp* e = std::get_if<SendEp>(&eps_[send_ep]);
   if (e == nullptr) {
     return;  // endpoint was reconfigured while the credit was in flight
@@ -354,6 +339,7 @@ Status Dtu::StartMemAccess(EpId mem_ep, uint64_t offset, uint64_t bytes, bool wr
   return Status::Ok();
 }
 
+// Not DTU commands: tests and failover's leak check pass ids of their own.
 uint32_t Dtu::Credits(EpId ep) const {
   CHECK_LT(ep, kNumEps);
   const SendEp* e = std::get_if<SendEp>(&eps_[ep]);

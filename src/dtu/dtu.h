@@ -23,18 +23,23 @@
 //
 // Every message packet leaves through one routine, Dtu::Transmit, which
 // stamps the source node, sizes the packet and hands the NoC one delivery
-// closure (return the sender's credit, then deliver). Reply and Ack route
-// by the header the program hands back, so Transmit checks every id it
-// routes by before anything leaves the PE.
+// closure (return the sender's credit, then deliver).
+//
+// A program answers a request by naming its receive endpoint and slot, as
+// on M3's DTU. Deliver files the routing header of every request it
+// accepts (sender node, credit endpoint, reply endpoint, label) in a table
+// the DTU owns, and Reply and Ack route by that filed header alone. Every
+// id Transmit routes by thus comes from the DTU's own registers, its own
+// table, or a privileged kernel.
 //
 // The program on a user PE is untrusted. A command it issues that names an
 // endpoint the DTU does not have, a reply endpoint that is not one of its
-// receive endpoints, a reply or ack with no received message to answer, a
-// header naming a node outside the mesh or an endpoint past kNumEps, or a
-// privileged command on its downgraded DTU (endpoint configuration, local
-// or remote, SendTo, and a deferred reply: only kernels answer late) is
-// refused (kInvalidArgs where the command returns a Status), changes
-// nothing, and is counted in DtuStats::cmds_refused.
+// receive endpoints, a slot its receive endpoint does not hold (never
+// filed, filed on another endpoint, or already answered), or a privileged
+// command on its downgraded DTU (endpoint configuration, local or remote,
+// SendTo, and a deferred reply: only kernels answer late) is refused
+// (kInvalidArgs where the command returns a Status), changes nothing, and
+// is counted in DtuStats::cmds_refused.
 #ifndef SEMPEROS_DTU_DTU_H_
 #define SEMPEROS_DTU_DTU_H_
 
@@ -93,9 +98,8 @@ struct DtuStats {
   uint64_t sends_denied = 0;  // no credits / not a send endpoint
   // Commands refused as malformed (see the file comment): an endpoint id
   // past kNumEps, a reply endpoint that is not a receive endpoint, a reply
-  // or ack on an endpoint with no message to answer, a header that routes
-  // outside the mesh or past kNumEps, a deferred reply from a downgraded
-  // DTU.
+  // or ack naming a slot its endpoint does not hold, a privileged command
+  // on a downgraded DTU.
   uint64_t cmds_refused = 0;
   uint64_t mem_reads = 0;
   uint64_t mem_writes = 0;
@@ -165,23 +169,24 @@ class Dtu {
   Status SendTo(NodeId dst_node, EpId dst_ep, MsgRef body, EpId reply_ep = kNoReplyEp,
                 uint64_t label = 0);
 
-  // Replies to a received message: frees the slot, returns the sender's
-  // credit, and delivers `body` to the sender's reply endpoint. Refused if
-  // `recv_ep` holds no received message (a second reply to one message) or
-  // if `msg`'s header does not route (see Transmit); the slot stays held.
-  Status Reply(EpId recv_ep, const Message& msg, MsgRef body);
+  // Replies to the request in `slot` (Message::slot) of receive endpoint
+  // `recv_ep`: frees the slot, returns the sender's credit, and delivers
+  // `body` to the reply endpoint the sender named. Refused, freeing
+  // nothing, unless `recv_ep` holds `slot`; an answered slot is no longer
+  // held.
+  Status Reply(EpId recv_ep, uint32_t slot, MsgRef body);
 
-  // Frees the slot of a received message without sending a payload back.
-  // Still returns the sender's credit (models M3's ACK). Ignored, and
-  // counted in cmds_refused, if `recv_ep` holds no received message or the
-  // header does not route.
-  void Ack(EpId recv_ep, const Message& msg);
+  // Frees `slot` of `recv_ep` without sending a payload back. Still returns
+  // the sender's credit (models M3's ACK). Refused like Reply.
+  Status Ack(EpId recv_ep, uint32_t slot);
 
   // Sends `body` as a reply-typed message to the sender of `msg` without
   // touching slot accounting. Used for deferred replies after the slot was
   // already freed with Ack() — the receiver reserved reply context when it
   // sent the request, so reply delivery never competes for request slots.
-  // Kernels only: a downgraded DTU is refused.
+  // Kernels only: a downgraded DTU is refused. The kernel keeps `msg`, so
+  // the header is the kernel's own (a relayed IKC rewrites it to the
+  // walk's origin).
   Status SendDeferredReply(const Message& msg, MsgRef body);
 
   // Remote memory access through a memory endpoint. Timing only — data is
@@ -227,20 +232,44 @@ class Dtu {
   using Endpoint = std::variant<std::monostate, SendEp, RecvEp, MemEp>;
   static_assert(sizeof(Endpoint) <= 32);
 
-  // The one wire path of every message packet. Refuses (kInvalidArgs) a
-  // `dst_node` outside the mesh or without a DTU, and a `dst_ep` or
-  // `credit_ep` that is neither below kNumEps nor kNoReplyEp; otherwise
-  // stamps `msg` and puts it on the NoC. At the destination the packet
-  // returns the credit of send endpoint `credit_ep`, then delivers `msg` to
-  // `dst_ep` (each step skipped for kNoReplyEp).
+  // The routing header of a request a receive endpoint holds, filed by
+  // Deliver under the request's slot id. While the entry is free, `ep` is
+  // kNoReplyEp and `src_node` links the next free slot id (kNoSlot ends
+  // the list).
+  struct Filed {
+    EpId ep = kNoReplyEp;  // receive endpoint holding the request
+    NodeId src_node = kInvalidNode;
+    EpId credit_ep = kNoReplyEp;  // sender's send endpoint
+    EpId reply_ep = kNoReplyEp;
+    uint64_t label = 0;
+  };
+
+  // The one wire path of every message packet: stamps `msg` and puts it on
+  // the NoC. At the destination the packet returns the credit of send
+  // endpoint `credit_ep`, then delivers `msg` to `dst_ep` (each step
+  // skipped for kNoReplyEp). Every id comes from this DTU's registers, its
+  // filed headers or a privileged kernel, so a bad one is a DTU or kernel
+  // bug and fails a CHECK.
   Status Transmit(NodeId dst_node, EpId dst_ep, EpId credit_ep, Message msg);
   // Called by a delivery closure when a packet arrives at this DTU. The ids
   // are checked by the sender's Transmit.
   void Deliver(EpId ep, Message msg);
   void ReturnCredit(EpId send_ep);
-  // The receive endpoint `ep` if it holds a message to answer, else null
-  // after counting the refused command.
-  RecvEp* AnswerableRecv(EpId ep);
+  // The header filed under `slot` if receive endpoint `ep` holds it, else
+  // null.
+  const Filed* HeldOn(EpId ep, uint32_t slot) const;
+  // Frees `slot`, which endpoint `ep` holds.
+  void Release(EpId ep, uint32_t slot);
+  // Privileged local configuration: refused on a downgraded DTU.
+  void ConfigureLocal(EpId ep, Endpoint value);
+  // Writes endpoint `ep`'s registers. The requests a receive endpoint held
+  // go with it, their slots freed unanswered, as a reconfigured M3
+  // endpoint drops its buffer.
+  void SetEp(EpId ep, Endpoint value);
+  // The privileged configuration packet: writes `reg` into endpoint `ep`
+  // of the DTU at `target`; `done` fires once it is applied.
+  template <typename Reg>
+  void WriteRemoteEp(NodeId target, EpId ep, Reg reg, Callback<void()> done);
   // Counts a malformed command and returns its refusal.
   Status Refuse() {
     stats_.cmds_refused++;
@@ -272,7 +301,11 @@ class Dtu {
   NodeId node_;
   bool privileged_ = true;
   bool dead_ = false;  // fault injection: node powered off (see Kill)
+  uint32_t free_slot_ = kNoSlot;  // head of the free list through filed_
   std::array<Endpoint, kNumEps> eps_;
+  // Headers of the requests this DTU holds, by slot id. Grows to the most
+  // it held at once, not to the slots its endpoints configured.
+  std::vector<Filed> filed_;
   DtuStats stats_;
 };
 

@@ -78,11 +78,17 @@ const T* MsgAs(const MsgRef& body) {
 // Endpoint id used when the sender expects no reply.
 inline constexpr EpId kNoReplyEp = 0xffffffffu;
 
-// A message as seen by the receiving program.
+// Message::slot of a message that holds no receive slot (a reply).
+inline constexpr uint32_t kNoSlot = 0xffffffffu;
+
+// A message as seen by the receiving program. A request is answered by its
+// receive endpoint and `slot` (Dtu::Reply, Dtu::Ack): the DTU routes the
+// answer by the copy of the header below that it filed at delivery.
 struct Message {
   NodeId src_node = kInvalidNode;  // PE the message came from
   EpId src_send_ep = 0;            // sender's send endpoint (credit return)
   EpId reply_ep = kNoReplyEp;      // receive endpoint at sender for replies
+  uint32_t slot = kNoSlot;         // receive slot a request holds
   uint64_t label = 0;              // receiver-assigned channel label
   bool is_reply = false;           // true if this is a reply message
   Cycles trace_sent = 0;           // obs: cycle the DTU put it on the wire

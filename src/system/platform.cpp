@@ -331,6 +331,8 @@ uint64_t Platform::RunToCompletion(uint64_t max_events) {
   uint64_t ran = timeline_ != nullptr ? RunSampled(kUntilIdle, max_events)
                                       : sim_.RunUntilIdle(max_events);
   CHECK(sim_.Idle()) << "simulation exceeded event budget";
+  // No user PE's command loses a message (it answers by slot, to the
+  // endpoint its requester named): only a DTU or kernel bug trips this.
   uint64_t drops = TotalDrops();
   CHECK_EQ(drops, 0u) << "DTU messages were lost — flow-control protocol violated";
   return ran;

@@ -66,7 +66,7 @@ void NginxServer::FinishRequest() {
     serve_span_ = obs::Span();
     env_->SetTraceContext(0, 0);
   }
-  pe_->dtu().Reply(kNginxServerRecvEp, current_, response);
+  pe_->dtu().Reply(kNginxServerRecvEp, current_.slot, response);
   current_ = Message();
   busy_ = false;
   Pump();

@@ -21,11 +21,12 @@ class DtuTest : public ::testing::Test {
   DtuTest() : noc_(&sim_, MakeConfig()), fabric_(&noc_) {
     a_ = std::make_unique<Dtu>(&sim_, &fabric_, 0);
     b_ = std::make_unique<Dtu>(&sim_, &fabric_, 1);
+    c_ = std::make_unique<Dtu>(&sim_, &fabric_, 2);
   }
 
   static NocConfig MakeConfig() {
     NocConfig config;
-    config.width = 2;
+    config.width = 3;
     config.height = 1;
     return config;
   }
@@ -35,6 +36,7 @@ class DtuTest : public ::testing::Test {
   DtuFabric fabric_;
   std::unique_ptr<Dtu> a_;
   std::unique_ptr<Dtu> b_;
+  std::unique_ptr<Dtu> c_;
 };
 
 TEST_F(DtuTest, SendDeliversToReceiveEndpoint) {
@@ -42,7 +44,7 @@ TEST_F(DtuTest, SendDeliversToReceiveEndpoint) {
   b_->ConfigureRecv(3, 4, [&](EpId ep, const Message& msg) {
     EXPECT_EQ(ep, 3u);
     received = msg.As<Payload>()->value;
-    b_->Ack(3, msg);
+    b_->Ack(3, msg.slot);
   });
   a_->ConfigureSend(0, 1, 3, 2);
   EXPECT_TRUE(a_->Send(0, std::make_shared<Payload>(42)).ok());
@@ -51,7 +53,7 @@ TEST_F(DtuTest, SendDeliversToReceiveEndpoint) {
 }
 
 TEST_F(DtuTest, SendConsumesCreditAckReturnsIt) {
-  b_->ConfigureRecv(3, 4, [&](EpId, const Message& msg) { b_->Ack(3, msg); });
+  b_->ConfigureRecv(3, 4, [&](EpId, const Message& msg) { b_->Ack(3, msg.slot); });
   a_->ConfigureSend(0, 1, 3, 1);
   EXPECT_EQ(a_->Credits(0), 1u);
   EXPECT_TRUE(a_->Send(0, std::make_shared<Payload>(1)).ok());
@@ -70,7 +72,7 @@ TEST_F(DtuTest, ReplyFreesSlotReturnsCreditAndDelivers) {
   });
   b_->ConfigureRecv(3, 1, [&](EpId, const Message& msg) {
     EXPECT_EQ(b_->FreeSlots(3), 0u);
-    b_->Reply(3, msg, std::make_shared<Payload>(7));
+    b_->Reply(3, msg.slot, std::make_shared<Payload>(7));
     EXPECT_EQ(b_->FreeSlots(3), 1u);
   });
   a_->ConfigureSend(0, 1, 3, 1);
@@ -111,11 +113,157 @@ TEST_F(DtuTest, RepliesBypassSlotAccounting) {
   sim_.RunUntilIdle();
   ASSERT_EQ(held.size(), 3u);
   for (const Message& m : held) {
-    b_->Reply(3, m, std::make_shared<Payload>(9));
+    b_->Reply(3, m.slot, std::make_shared<Payload>(9));
   }
   sim_.RunUntilIdle();
   EXPECT_EQ(replies, 3);
   EXPECT_EQ(a_->stats().msgs_dropped, 0u);
+}
+
+// A program answers by (receive endpoint, slot) alone. Every refused answer
+// below returns kInvalidArgs, is counted, and frees no slot and returns no
+// credit.
+
+TEST_F(DtuTest, AnswerOnSlotNeverHeldIsRefused) {
+  EXPECT_EQ(b_->Reply(3, 0, std::make_shared<Payload>(1)).code(), ErrCode::kInvalidArgs);
+  EXPECT_EQ(b_->Ack(3, 0).code(), ErrCode::kInvalidArgs);
+  std::vector<Message> held;
+  b_->ConfigureRecv(3, 4, [&](EpId, const Message& msg) { held.push_back(msg); });
+  a_->ConfigureSend(0, 1, 3, 2);
+  ASSERT_TRUE(a_->Send(0, std::make_shared<Payload>(1)).ok());
+  sim_.RunUntilIdle();
+  ASSERT_EQ(held.size(), 1u);
+  for (uint32_t slot : {held[0].slot + 1, kNoSlot}) {
+    EXPECT_EQ(b_->Reply(3, slot, std::make_shared<Payload>(2)).code(), ErrCode::kInvalidArgs);
+    EXPECT_EQ(b_->Ack(3, slot).code(), ErrCode::kInvalidArgs);
+  }
+  sim_.RunUntilIdle();
+  EXPECT_EQ(b_->stats().cmds_refused, 6u);
+  EXPECT_EQ(b_->stats().msgs_sent, 0u);
+  EXPECT_EQ(b_->FreeSlots(3), 3u);
+  EXPECT_EQ(a_->Credits(0), 1u);
+}
+
+TEST_F(DtuTest, SlotHeldOnAnotherEndpointIsRefused) {
+  std::vector<Message> held;
+  for (EpId ep : {3, 4}) {
+    b_->ConfigureRecv(ep, 2, [&](EpId, const Message& msg) { held.push_back(msg); });
+  }
+  a_->ConfigureSend(0, 1, 3, 1);
+  a_->ConfigureSend(1, 1, 4, 1);
+  ASSERT_TRUE(a_->Send(0, std::make_shared<Payload>(1)).ok());
+  ASSERT_TRUE(a_->Send(1, std::make_shared<Payload>(2)).ok());
+  sim_.RunUntilIdle();
+  ASSERT_EQ(held.size(), 2u);
+  uint32_t on3 = held[0].slot;
+  uint32_t on4 = held[1].slot;
+  EXPECT_EQ(b_->Reply(4, on3, std::make_shared<Payload>(3)).code(), ErrCode::kInvalidArgs);
+  EXPECT_EQ(b_->Ack(3, on4).code(), ErrCode::kInvalidArgs);
+  sim_.RunUntilIdle();
+  EXPECT_EQ(b_->stats().cmds_refused, 2u);
+  EXPECT_EQ(b_->FreeSlots(3), 1u);
+  EXPECT_EQ(b_->FreeSlots(4), 1u);
+  EXPECT_EQ(a_->Credits(0), 0u);
+  EXPECT_EQ(a_->Credits(1), 0u);
+
+  // Each slot still answers on its own endpoint.
+  EXPECT_TRUE(b_->Ack(3, on3).ok());
+  EXPECT_TRUE(b_->Ack(4, on4).ok());
+  sim_.RunUntilIdle();
+  EXPECT_EQ(a_->Credits(0), 1u);
+  EXPECT_EQ(a_->Credits(1), 1u);
+}
+
+// An answered slot is no longer held: a second reply or an ack to the same
+// message cannot free the slot of another message on the endpoint, or
+// return that message's credit.
+TEST_F(DtuTest, AnsweredSlotIsRefused) {
+  int replies = 0;
+  a_->ConfigureRecv(5, 2, [&](EpId, const Message&) { ++replies; });
+  std::vector<Message> held;
+  b_->ConfigureRecv(3, 4, [&](EpId, const Message& msg) { held.push_back(msg); });
+  a_->ConfigureSend(0, 1, 3, 2);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(a_->Send(0, std::make_shared<Payload>(i), /*reply_ep=*/5).ok());
+  }
+  sim_.RunUntilIdle();
+  ASSERT_EQ(held.size(), 2u);
+  EXPECT_TRUE(b_->Reply(3, held[0].slot, std::make_shared<Payload>(7)).ok());
+  sim_.RunUntilIdle();
+  EXPECT_EQ(b_->FreeSlots(3), 3u);
+  EXPECT_EQ(a_->Credits(0), 1u);
+
+  EXPECT_EQ(b_->Reply(3, held[0].slot, std::make_shared<Payload>(8)).code(),
+            ErrCode::kInvalidArgs);
+  EXPECT_EQ(b_->Ack(3, held[0].slot).code(), ErrCode::kInvalidArgs);
+  sim_.RunUntilIdle();
+  EXPECT_EQ(b_->stats().cmds_refused, 2u);
+  EXPECT_EQ(b_->FreeSlots(3), 3u);
+  EXPECT_EQ(a_->Credits(0), 1u);
+  EXPECT_EQ(replies, 1);
+
+  EXPECT_TRUE(b_->Reply(3, held[1].slot, std::make_shared<Payload>(9)).ok());
+  sim_.RunUntilIdle();
+  EXPECT_EQ(replies, 2);
+  EXPECT_EQ(b_->FreeSlots(3), 4u);
+  EXPECT_EQ(a_->Credits(0), 2u);
+}
+
+// A freed slot id goes to a later message. Answering it reaches that
+// message's sender, once; the earlier sender hears nothing more.
+TEST_F(DtuTest, RecycledSlotAnswersItsNewSenderOnce) {
+  int a_replies = 0;
+  int c_replies = 0;
+  a_->ConfigureRecv(5, 1, [&](EpId, const Message&) { ++a_replies; });
+  c_->ConfigureRecv(6, 1, [&](EpId, const Message&) { ++c_replies; });
+  std::vector<Message> held;
+  b_->ConfigureRecv(3, 4, [&](EpId, const Message& msg) { held.push_back(msg); });
+  a_->ConfigureSend(0, 1, 3, 1);
+  c_->ConfigureSend(2, 1, 3, 1);
+  ASSERT_TRUE(a_->Send(0, std::make_shared<Payload>(1), /*reply_ep=*/5).ok());
+  sim_.RunUntilIdle();
+  ASSERT_EQ(held.size(), 1u);
+  EXPECT_TRUE(b_->Reply(3, held[0].slot, std::make_shared<Payload>(2)).ok());
+  ASSERT_TRUE(c_->Send(2, std::make_shared<Payload>(3), /*reply_ep=*/6).ok());
+  sim_.RunUntilIdle();
+  ASSERT_EQ(held.size(), 2u);
+  ASSERT_EQ(held[1].slot, held[0].slot);
+  EXPECT_EQ(held[1].src_node, 2u);
+
+  EXPECT_TRUE(b_->Reply(3, held[1].slot, std::make_shared<Payload>(4)).ok());
+  EXPECT_EQ(b_->Reply(3, held[1].slot, std::make_shared<Payload>(5)).code(),
+            ErrCode::kInvalidArgs);
+  sim_.RunUntilIdle();
+  EXPECT_EQ(a_replies, 1);
+  EXPECT_EQ(c_replies, 1);
+  EXPECT_EQ(a_->Credits(0), 1u);
+  EXPECT_EQ(c_->Credits(2), 1u);
+  EXPECT_EQ(b_->FreeSlots(3), 4u);
+  EXPECT_EQ(b_->stats().cmds_refused, 1u);
+}
+
+// Reconfiguring a receive endpoint drops the requests it held, as on M3:
+// their slots answer nothing afterwards, and the new endpoint starts with
+// every slot free.
+TEST_F(DtuTest, ReconfiguredEndpointDropsItsSlots) {
+  std::vector<Message> held;
+  b_->ConfigureRecv(3, 2, [&](EpId, const Message& msg) { held.push_back(msg); });
+  a_->ConfigureSend(0, 1, 3, 2);
+  ASSERT_TRUE(a_->Send(0, std::make_shared<Payload>(1)).ok());
+  sim_.RunUntilIdle();
+  ASSERT_EQ(held.size(), 1u);
+  b_->ConfigureRecv(3, 2, [&](EpId, const Message& msg) { held.push_back(msg); });
+  EXPECT_EQ(b_->FreeSlots(3), 2u);
+  EXPECT_EQ(b_->Ack(3, held[0].slot).code(), ErrCode::kInvalidArgs);
+
+  ASSERT_TRUE(a_->Send(0, std::make_shared<Payload>(2)).ok());
+  sim_.RunUntilIdle();
+  ASSERT_EQ(held.size(), 2u);
+  EXPECT_TRUE(b_->Ack(3, held[1].slot).ok());
+  sim_.RunUntilIdle();
+  EXPECT_EQ(b_->FreeSlots(3), 2u);
+  EXPECT_EQ(a_->Credits(0), 1u);  // the dropped request's credit never returns
+  EXPECT_EQ(b_->stats().cmds_refused, 1u);
 }
 
 // A downgraded DTU refuses the privileged commands: nothing leaves it, no
@@ -206,7 +354,7 @@ TEST_F(DtuTest, LabelIsDeliveredWithMessage) {
   uint64_t label = 0;
   b_->ConfigureRecv(3, 4, [&](EpId, const Message& msg) {
     label = msg.label;
-    b_->Ack(3, msg);
+    b_->Ack(3, msg.slot);
   });
   a_->ConfigureSend(0, 1, 3, 1, /*label=*/0xBEEF);
   a_->Send(0, std::make_shared<Payload>(1));

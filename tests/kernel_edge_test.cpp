@@ -64,13 +64,10 @@ class RawParty : public Program {
     Status st = TryAnswer(i, std::move(body));
     ASSERT_TRUE(st.ok()) << st.name();
   }
-  Status TryAnswer(size_t i, MsgRef body) { return Reply(ask(i), std::move(body)); }
-  // Answers on the ask endpoint with any header: an ask's, or a rewritten
-  // copy of one.
-  Status Reply(const Message& header, MsgRef body) {
-    return pe_->dtu().Reply(user_ep::kAsk, header, std::move(body));
+  Status TryAnswer(size_t i, MsgRef body) {
+    return pe_->dtu().Reply(user_ep::kAsk, ask(i).slot, std::move(body));
   }
-  void Ack(const Message& header) { pe_->dtu().Ack(user_ep::kAsk, header); }
+  Status Ack(size_t i) { return pe_->dtu().Ack(user_ep::kAsk, ask(i).slot); }
   const Message& ask(size_t i) const { return asks_.at(i); }
   // The reply an honest party gives: share the capability asked about.
   MsgRef Honest(size_t i) const {
@@ -195,10 +192,10 @@ TEST(Identity, EndpointIdsPastTheDtuAreRefused) {
   p.RunToCompletion();
   EXPECT_EQ(dtu.Send(Dtu::kNumEps, NoopSyscall(), user_ep::kSyscallReply).code(),
             ErrCode::kInvalidArgs);
-  EXPECT_EQ(dtu.Reply(Dtu::kNumEps, Message{}, NoopSyscall()).code(), ErrCode::kInvalidArgs);
+  EXPECT_EQ(dtu.Reply(Dtu::kNumEps, 0, NoopSyscall()).code(), ErrCode::kInvalidArgs);
   EXPECT_EQ(dtu.Read(Dtu::kNumEps, 0, 64, [] {}).code(), ErrCode::kInvalidArgs);
   EXPECT_EQ(dtu.Write(Dtu::kNumEps, 0, 64, [] {}).code(), ErrCode::kInvalidArgs);
-  dtu.Ack(Dtu::kNumEps, Message{});
+  EXPECT_EQ(dtu.Ack(Dtu::kNumEps, 0).code(), ErrCode::kInvalidArgs);
   EXPECT_EQ(dtu.stats().cmds_refused, 7u);
   EXPECT_EQ(dtu.Credits(user_ep::kSyscallSend), 1u);
   p.RunToCompletion();
@@ -242,88 +239,90 @@ TEST(Identity, MisroutedSyscallRepliesAreDropped) {
   ExpectCleanAudit(rig.p());
 }
 
-// A second reply to one message, and an ack after it, find no message to
-// answer: both are refused and counted instead of failing the DTU's slot
-// accounting. The first answer completes the obtain, and the party goes on
-// serving asks.
+// An answered slot is no longer held. A party holding two asks that
+// answers the first twice, then acks it, is refused both times: the extra
+// answers cannot free the second ask's slot, so the party's honest answer
+// to the second ask still completes that obtain.
 TEST(Identity, SecondReplyToOneMessageIsRefused) {
   PartyRig rig;
   RawParty* party = rig.parties[0];
   Dtu& dtu = rig.p.pe(rig.p.user_nodes()[0])->dtu();
   rig.Obtain(0, 0);
-  ASSERT_EQ(party->asks(), 1u);
-  party->Answer(0, party->Honest(0));
-  EXPECT_EQ(party->TryAnswer(0, party->Honest(0)).code(), ErrCode::kInvalidArgs);
-  party->Ack(party->ask(0));
-  EXPECT_EQ(dtu.stats().cmds_refused, 2u);
-  EXPECT_EQ(dtu.FreeSlots(user_ep::kAsk), 4u);
-  rig.p.RunToCompletion();
-  EXPECT_EQ(rig.got[0], ErrCode::kOk);
-  EXPECT_EQ(rig.p.kernel(0)->stats().user_msgs_dropped, 0u);
-
   rig.Obtain(1, 0);
   ASSERT_EQ(party->asks(), 2u);
-  party->Answer(1, party->Honest(1));
-  rig.p.RunToCompletion();
-  EXPECT_EQ(rig.got[1], ErrCode::kOk);
-  EXPECT_EQ(rig.p.TotalDrops(), 0u);
-}
-
-// `msg` with the header fields Reply and Ack route by rewritten, as a
-// program may before handing a received message back to its DTU.
-Message Rerouted(Message msg, NodeId src_node, EpId src_send_ep, EpId reply_ep) {
-  msg.src_node = src_node;
-  msg.src_send_ep = src_send_ep;
-  msg.reply_ep = reply_ep;
-  return msg;
-}
-
-// Reply and Ack route by the header the program hands back. A header that
-// names an endpoint past the DTU's 16 or a node outside the mesh is
-// refused and frees no slot: the party's honest answer still completes the
-// obtain.
-TEST(Identity, OutOfRangeReplyHeadersAreRefused) {
-  PartyRig rig;
-  RawParty* party = rig.parties[0];
-  Dtu& dtu = rig.p.pe(rig.p.user_nodes()[0])->dtu();
-  rig.Obtain(0, 0);
-  ASSERT_EQ(party->asks(), 1u);
-  Message ask = party->ask(0);  // a copy: a later ask may move the party's list
-  NodeId kernel = ask.src_node;
-  NodeId past_mesh = rig.p.pe_count();
-  for (const Message& bad : {Rerouted(ask, kernel, 20, ask.reply_ep),
-                             Rerouted(ask, kernel, kNoReplyEp, 20),
-                             Rerouted(ask, past_mesh, kNoReplyEp, ask.reply_ep)}) {
-    EXPECT_EQ(party->Reply(bad, party->Honest(0)).code(), ErrCode::kInvalidArgs);
-  }
-  // An ack routes by the sender's node and credit endpoint only.
-  party->Ack(Rerouted(ask, kernel, 20, kNoReplyEp));
-  party->Ack(Rerouted(ask, past_mesh, 0, kNoReplyEp));
-  EXPECT_EQ(dtu.stats().cmds_refused, 5u);
-  EXPECT_EQ(dtu.FreeSlots(user_ep::kAsk), 3u);  // the ask still holds its slot
-  rig.p.RunToCompletion();
-  EXPECT_EQ(rig.got[0], ErrCode::kAborted);
-
   party->Answer(0, party->Honest(0));
+  EXPECT_EQ(party->TryAnswer(0, party->Honest(0)).code(), ErrCode::kInvalidArgs);
+  EXPECT_EQ(party->Ack(0).code(), ErrCode::kInvalidArgs);
+  EXPECT_EQ(dtu.stats().cmds_refused, 2u);
+  EXPECT_EQ(dtu.FreeSlots(user_ep::kAsk), 3u);  // the second ask holds its slot
   rig.p.RunToCompletion();
   EXPECT_EQ(rig.got[0], ErrCode::kOk);
+  EXPECT_EQ(rig.got[1], ErrCode::kAborted);  // kAborted: no reply yet
+
+  EXPECT_TRUE(party->TryAnswer(1, party->Honest(1)).ok());
+  rig.p.RunToCompletion();
+  EXPECT_EQ(rig.got[1], ErrCode::kOk);
+  EXPECT_EQ(rig.p.kernel(0)->PendingOps(), 0u);
+  EXPECT_EQ(rig.p.kernel(0)->stats().user_msgs_dropped, 0u);
   ExpectCleanAudit(rig.p);
 }
 
-// Only kernels answer late: a deferred reply from a user PE is refused,
-// whatever header it carries, and the ask stays with the party to answer.
+// A user PE answers by slot, and its DTU routes the answer by the header it
+// filed when the message arrived, so the answer lands on the endpoint the
+// original sender named. A party holding one ask names every slot id up to
+// past its table, and none, on each of its endpoints: all are refused but
+// the ask's own slot on the ask endpoint, and that one reply completes the
+// obtain at the kernel. No syscall gate sees anything.
+TEST(Identity, RepliesLandWhereTheSenderSaid) {
+  PartyRig rig;
+  RawParty* party = rig.parties[0];
+  Dtu& dtu = rig.p.pe(rig.p.user_nodes()[0])->dtu();
+  Kernel* kernel = rig.p.kernel(0);
+  rig.Obtain(0, 0);
+  ASSERT_EQ(party->asks(), 1u);
+  uint32_t held = party->ask(0).slot;
+  uint64_t syscalls = kernel->stats().syscalls;
+  std::vector<uint32_t> slots = {kNoSlot};
+  for (uint32_t slot = 0; slot <= Dtu::kDefaultSlots; ++slot) {
+    slots.push_back(slot);
+  }
+  uint64_t refused = 0;
+  for (EpId ep = 0; ep < Dtu::kNumEps; ++ep) {
+    for (uint32_t slot : slots) {
+      if (ep == user_ep::kAsk && slot == held) {
+        continue;
+      }
+      EXPECT_EQ(dtu.Reply(ep, slot, party->Honest(0)).code(), ErrCode::kInvalidArgs);
+      EXPECT_EQ(dtu.Ack(ep, slot).code(), ErrCode::kInvalidArgs);
+      refused += 2;
+    }
+  }
+  EXPECT_EQ(dtu.stats().cmds_refused, refused);
+  EXPECT_EQ(dtu.stats().msgs_sent, 0u);
+  EXPECT_EQ(dtu.FreeSlots(user_ep::kAsk), 3u);
+  rig.p.RunToCompletion();
+  EXPECT_EQ(rig.got[0], ErrCode::kAborted);
+
+  ASSERT_TRUE(party->TryAnswer(0, party->Honest(0)).ok());
+  rig.p.RunToCompletion();
+  EXPECT_EQ(rig.got[0], ErrCode::kOk);
+  EXPECT_EQ(kernel->stats().user_msgs_dropped, 0u);
+  EXPECT_EQ(kernel->stats().syscalls, syscalls);
+  EXPECT_EQ(kernel->PendingOps(), 0u);
+  ExpectCleanAudit(rig.p);
+}
+
+// Only kernels answer late: a deferred reply from a user PE is refused, and
+// the ask stays with the party to answer.
 TEST(Identity, DeferredReplyFromUserPeIsRefused) {
   PartyRig rig;
   RawParty* party = rig.parties[0];
   Dtu& dtu = rig.p.pe(rig.p.user_nodes()[0])->dtu();
   rig.Obtain(0, 0);
   ASSERT_EQ(party->asks(), 1u);
-  Message ask = party->ask(0);  // a copy: a later ask may move the party's list
-  EXPECT_EQ(dtu.SendDeferredReply(Rerouted(ask, ask.src_node, kNoReplyEp, 20), party->Honest(0))
-                .code(),
+  EXPECT_EQ(dtu.SendDeferredReply(party->ask(0), party->Honest(0)).code(),
             ErrCode::kInvalidArgs);
-  EXPECT_EQ(dtu.SendDeferredReply(ask, party->Honest(0)).code(), ErrCode::kInvalidArgs);
-  EXPECT_EQ(dtu.stats().cmds_refused, 2u);
+  EXPECT_EQ(dtu.stats().cmds_refused, 1u);
   rig.p.RunToCompletion();
   EXPECT_EQ(rig.got[0], ErrCode::kAborted);
 
@@ -401,160 +400,6 @@ TEST(Identity, PrivilegedCommandsFromUserPeAreRefused) {
   p.RunToCompletion();
   EXPECT_EQ(got, ErrCode::kOk);
   ExpectCleanAudit(p);
-}
-
-// A user program that mails itself messages over a loopback channel it
-// wires at boot, so it always holds messages to answer, and answers each
-// with a header of its choosing. Its forgeries strand no kernel operation.
-class Forger : public Program {
- public:
-  static constexpr EpId kLoopSend = 6;  // outside the user endpoint layout
-  static constexpr EpId kLoopRecv = 7;
-
-  void Setup() override {
-    Dtu& dtu = pe_->dtu();
-    dtu.ConfigureSend(kLoopSend, pe_->node(), kLoopRecv, Dtu::kDefaultSlots);
-    dtu.ConfigureRecv(kLoopRecv, Dtu::kDefaultSlots,
-                      [this](EpId, const Message& msg) { held_.push_back(msg); });
-  }
-  void Start() override {}
-
-  // Mails itself `n` messages; run the platform before answering them.
-  void Mail(uint32_t n) {
-    for (uint32_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(pe_->dtu().Send(kLoopSend, NoopSyscall()).ok());
-    }
-  }
-  // Answers one held message with `body`, rerouted to endpoint `ep` of
-  // `node`.
-  Status ReplyAs(NodeId node, EpId ep, MsgRef body) {
-    Message held = held_.back();
-    held_.pop_back();
-    return pe_->dtu().Reply(kLoopRecv, Rerouted(held, node, kNoReplyEp, ep), std::move(body));
-  }
-
- private:
-  std::vector<Message> held_;
-};
-
-// Two kernels: user PE 0 forges, PE 1 (kernel 0's group) owns a 4 KiB
-// memory capability and PE 2 (kernel 1's group) obtains it across kernels.
-// The owner answers asks itself unless it is a RawParty (`raw_owner`).
-struct ForgeRig {
-  explicit ForgeRig(bool raw_owner) : p(Config()) {
-    forger = Attach<Forger>(p, p.user_nodes()[0]);
-    owner_node = p.user_nodes()[1];
-    if (raw_owner) {
-      party = Attach<RawParty>(p, owner_node);
-    } else {
-      Attach<DriverClient>(p, owner_node, p.kernel_node(0), Config().timing);
-    }
-    client = Attach<DriverClient>(p, p.user_nodes()[2], p.kernel_node(1), Config().timing);
-    sel = p.kernel(0)->AdminGrantMem(owner_node, p.mem_nodes().at(0), 0, 4096, kPermRW);
-    p.Boot();
-  }
-  static PlatformConfig Config() {
-    PlatformConfig pc;
-    pc.kernels = 2;
-    pc.users = 3;
-    return pc;
-  }
-  void Obtain() {
-    client->env().Obtain(owner_node, sel, [this](const SyscallReply& r) { got = r.err; });
-  }
-
-  Platform p;
-  Forger* forger = nullptr;
-  NodeId owner_node = kInvalidNode;
-  RawParty* party = nullptr;
-  DriverClient* client = nullptr;
-  CapSel sel = kInvalidSel;
-  ErrCode got = ErrCode::kAborted;  // kAborted: no reply yet
-};
-
-// Kernel channels take messages from kernels only. A user PE that aims a
-// reply at kernel 1's IKC endpoint (a flow-control credit kernel 1 never
-// granted) or at its heartbeat endpoint (a body that is not a heartbeat,
-// or an ack that would vouch for kernel 0's liveness) is dropped and
-// counted, and kernel 1 still serves a spanning obtain.
-TEST(Identity, ForgedRepliesOnKernelChannelsAreDropped) {
-  auto credit = NewMsg<IkcCredit>();
-  credit->from = 0;
-  auto heartbeat = NewMsg<HeartbeatMsg>();
-  heartbeat->from = 0;
-  heartbeat->ack = true;
-  std::vector<std::pair<EpId, MsgRef>> forgeries = {{Kernel::kEpKernel0, credit},
-                                                    {Kernel::kEpHeartbeat, NewMsg<AskReply>()},
-                                                    {Kernel::kEpHeartbeat, heartbeat}};
-  for (const auto& [ep, body] : forgeries) {
-    ForgeRig rig(/*raw_owner=*/false);
-    rig.forger->Mail(1);
-    rig.p.RunToCompletion();
-    ASSERT_TRUE(rig.forger->ReplyAs(rig.p.kernel_node(1), ep, body).ok());
-    rig.p.RunToCompletion();
-    EXPECT_EQ(rig.p.kernel(1)->stats().user_msgs_dropped, 1u);
-    EXPECT_EQ(rig.p.kernel(1)->stats().hb_acked, 0u);
-
-    rig.Obtain();
-    rig.p.RunToCompletion();
-    EXPECT_EQ(rig.got, ErrCode::kOk);
-    ExpectCleanAudit(rig.p);
-  }
-}
-
-// A syscall gate takes requests only. A reply-typed syscall a user PE aims
-// at its own gate would hold no slot and skip the send credit, and serving
-// it would free the slot of an honest call on the same gate, which then
-// never got its answer. It is dropped, and the honest call is served.
-TEST(Identity, ReplyOnSyscallGateIsDropped) {
-  PlatformConfig pc;
-  pc.kernels = 1;
-  pc.users = 7;
-  Platform p(pc);
-  NodeId forger_node = p.user_nodes()[0];
-  NodeId honest = p.user_nodes()[6];
-  ASSERT_EQ(forger_node % Kernel::kNumSyscallEps, honest % Kernel::kNumSyscallEps);
-  Forger* forger = Attach<Forger>(p, forger_node);
-  RawSyscallClient* client = Attach<RawSyscallClient>(p, honest, p.kernel_node(0));
-  p.Boot();
-  forger->Mail(1);
-  p.RunToCompletion();
-
-  EpId gate = Kernel::kEpSyscall0 + (forger_node % Kernel::kNumSyscallEps);
-  ASSERT_TRUE(forger->ReplyAs(p.kernel_node(0), gate, NoopSyscall()).ok());
-  client->Send(NoopSyscall());
-  p.RunToCompletion();
-  ASSERT_EQ(client->replies.size(), 1u);
-  EXPECT_EQ(client->replies[0], ErrCode::kOk);
-  EXPECT_EQ(p.kernel(0)->stats().syscalls, 1u);
-  EXPECT_EQ(p.kernel(0)->stats().user_msgs_dropped, 1u);
-  ExpectCleanAudit(p);
-}
-
-// IKC tokens are sequential, so a user PE can name a pending one. A
-// forged IkcReply for every token kernel 1 can have issued is dropped, not
-// taken as the answer to its pending obtain, which the owner's own answer
-// then completes.
-TEST(Identity, ForgedIkcReplyCannotCompleteAnIkc) {
-  ForgeRig rig(/*raw_owner=*/true);
-  rig.Obtain();
-  rig.forger->Mail(Dtu::kDefaultSlots);
-  rig.p.RunToCompletion();
-  ASSERT_EQ(rig.party->asks(), 1u);
-  for (uint64_t token = 1; token <= Dtu::kDefaultSlots; ++token) {
-    auto reply = NewMsg<IkcReply>();
-    reply->token = token;
-    ASSERT_TRUE(rig.forger->ReplyAs(rig.p.kernel_node(1), Kernel::kEpKernel0, reply).ok());
-  }
-  rig.p.RunToCompletion();
-  EXPECT_EQ(rig.p.kernel(1)->stats().user_msgs_dropped, Dtu::kDefaultSlots);
-  EXPECT_EQ(rig.p.kernel(1)->stats().ikc_late_replies, 0u);
-  EXPECT_EQ(rig.got, ErrCode::kAborted);
-
-  rig.party->Answer(0, rig.party->Honest(0));
-  rig.p.RunToCompletion();
-  EXPECT_EQ(rig.got, ErrCode::kOk);
-  ExpectCleanAudit(rig.p);
 }
 
 // Untrusted user PEs: a body that is not a syscall on a syscall gate is
