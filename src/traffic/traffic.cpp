@@ -1,7 +1,9 @@
 #include "traffic/traffic.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <utility>
 
@@ -12,23 +14,56 @@
 
 namespace semperos {
 
+static_assert(std::endian::native == std::endian::little,
+              "OpenLoopGen stores and loads its gaps as little-endian words");
+
 OpenLoopGen::OpenLoopGen(NodeId server_node, std::vector<Cycles> schedule, uint64_t measure_from,
                          uint64_t measure_count, uint32_t pipeline)
     : server_node_(server_node),
-      schedule_(std::move(schedule)),
+      count_(schedule.size()),
       measure_from_(measure_from),
       measure_count_(measure_count),
       pipeline_(pipeline) {
   CHECK(pipeline_ > 0) << "open-loop generator needs at least one credit";
-  CHECK_LE(measure_from_ + measure_count_, schedule_.size());
+  CHECK_LE(measure_from_ + measure_count_, count_);
+  if (count_ == 0) {
+    return;
+  }
+  Cycles widest = 0;
+  for (size_t i = 1; i < count_; ++i) {
+    CHECK_LT(schedule[i - 1], schedule[i]) << "open-loop schedule not increasing at index " << i;
+    widest = std::max(widest, schedule[i] - schedule[i - 1]);
+  }
+  int bits = static_cast<int>(std::bit_width(widest));
+  width_ = static_cast<uint8_t>(std::max(1, (bits + 7) / 8));
+  mask_ = width_ == sizeof(Cycles) ? ~Cycles{0} : (Cycles{1} << (8 * width_)) - 1;
+  if (measure_count_ > 0) {
+    first_measured_ = schedule[measure_from_];
+    last_measured_ = schedule[measure_from_ + measure_count_ - 1];
+  }
+  // One 8-byte store per gap: its high bytes are zero, and the next gap's
+  // store overwrites them.
+  gaps_ = std::vector<uint8_t>((count_ - 1) * width_ + sizeof(Cycles));
+  for (size_t i = 1; i < count_; ++i) {
+    Cycles gap = schedule[i] - schedule[i - 1];
+    std::memcpy(gaps_.data() + (i - 1) * width_, &gap, sizeof(gap));
+  }
+  arrival_ = send_ = resp_ = Cursor{0, schedule[0]};
+}
+
+void OpenLoopGen::Advance(Cursor* cursor) const {
+  Cycles gap;
+  std::memcpy(&gap, gaps_.data() + cursor->offset, sizeof(gap));
+  cursor->at += gap & mask_;
+  cursor->offset += width_;
 }
 
 Cycles OpenLoopGen::first_measured_arrival() const {
-  return measure_count_ == 0 ? 0 : base_ + schedule_[measure_from_];
+  return measure_count_ == 0 ? 0 : base_ + first_measured_;
 }
 
 Cycles OpenLoopGen::last_measured_arrival() const {
-  return measure_count_ == 0 ? 0 : base_ + schedule_[measure_from_ + measure_count_ - 1];
+  return measure_count_ == 0 ? 0 : base_ + last_measured_;
 }
 
 void OpenLoopGen::Setup() {
@@ -36,14 +71,21 @@ void OpenLoopGen::Setup() {
   dtu.ConfigureSend(user_ep::kSyscallSend, server_node_, kNginxServerRecvEp,
                     /*credits=*/pipeline_);
   dtu.ConfigureRecv(user_ep::kSyscallReply, pipeline_, [this](EpId, const Message& msg) {
+    // One server, one FIFO path, serial server loop: an honest server
+    // answers in send order, so the completing request is simply the next
+    // index. A server PE is untrusted: any other answer is refused.
     const NginxResponseMsg* resp = msg.As<NginxResponseMsg>();
-    CHECK(resp != nullptr);
-    // One server, one FIFO path, serial server loop: responses come back in
-    // send order, so the completing request is simply the next index.
+    if (resp == nullptr || resp->seq != next_resp_ + 1) {
+      refused_responses_++;
+      return;
+    }
     uint64_t index = next_resp_++;
-    CHECK_EQ(resp->seq, index + 1) << "open-loop responses out of order";
-    Cycles arrival = base_ + schedule_[index];
+    Cycles arrival = base_ + resp_.at;
+    Advance(&resp_);
     Cycles now = pe_->sim()->Now();
+    // Only a library bug reaches this: the server answers only requests it
+    // was sent, so request `index` has left, and a request leaves only
+    // after its arrival.
     CHECK_GE(now, arrival);
     bool measured = index >= measure_from_ && index < measure_from_ + measure_count_;
     if (measured) {
@@ -70,11 +112,12 @@ void OpenLoopGen::Start() {
 }
 
 void OpenLoopGen::ScheduleNextArrival() {
-  if (next_arrival_ >= schedule_.size()) {
+  if (next_arrival_ >= count_) {
     return;
   }
-  pe_->sim()->ScheduleAt(base_ + schedule_[next_arrival_], [this] {
+  pe_->sim()->ScheduleAt(base_ + arrival_.at, [this] {
     next_arrival_++;
+    Advance(&arrival_);
     PumpSend();
     ScheduleNextArrival();
   });
@@ -86,8 +129,9 @@ void OpenLoopGen::PumpSend() {
   while (next_send_ < next_arrival_ && next_send_ - next_resp_ < pipeline_) {
     auto req = NewMsg<NginxRequestMsg>();
     req->seq = ++next_send_;  // seq is 1-based schedule index
+    Cycles arrival = base_ + send_.at;
+    Advance(&send_);
     if (obs::Tracer* tr = pe_->tracer(); tr != nullptr) {
-      Cycles arrival = base_ + schedule_[next_send_ - 1];
       Cycles now = pe_->sim()->Now();
       obs::Span root = tr->Open(pe_->node(), tr->NewTraceId(pe_->node()), /*parent=*/0, arrival,
                                 obs::SpanKind::kRequest);

@@ -4,12 +4,13 @@
 // The paper's evaluation is closed-loop: a fixed pool of clients each keep a
 // small pipeline outstanding, so injection slows down whenever the system
 // does and queueing delay is invisible (coordinated omission). This harness
-// is the open-loop counterpart: every generator precomputes a seeded arrival
-// schedule (traffic/arrivals.h) and injects requests at those simulated-clock
-// instants regardless of completions. Latency is measured from the scheduled
-// arrival — not the DTU send — so time spent waiting behind the generator's
-// own transport credits counts, which is what makes the tails honest under
-// overload.
+// is the open-loop counterpart: every generator is handed a seeded arrival
+// schedule (traffic/arrivals.h), keeps it as packed gaps between consecutive
+// arrivals (about 3 bytes a request), and injects requests at those
+// simulated-clock instants regardless of completions. Latency is measured
+// from the scheduled arrival — not the DTU send — so time spent waiting
+// behind the generator's own transport credits counts, which is what makes
+// the tails honest under overload.
 //
 // Measurement discipline: each generator's first `warmup` arrivals and last
 // `cooldown` arrivals bracket the measurement window; only responses to the
@@ -40,9 +41,11 @@ namespace semperos {
 class OpenLoopGen : public Program {
  public:
   // `schedule` is relative to the generator's Start() time and strictly
-  // increasing. Indices [measure_from, measure_from + measure_count) are the
-  // measurement window. `pipeline` is the DTU credit budget; arrivals beyond
-  // it queue client-side and their queueing time is part of the latency.
+  // increasing; a first arrival at 0 arrives at Start(). Indices
+  // [measure_from, measure_from + measure_count) are the measurement
+  // window. `pipeline` is the DTU credit budget; arrivals beyond it queue
+  // client-side and their queueing time is part of the latency. The
+  // generator keeps the schedule packed (below) and lets the vector go.
   OpenLoopGen(NodeId server_node, std::vector<Cycles> schedule, uint64_t measure_from,
               uint64_t measure_count, uint32_t pipeline);
 
@@ -51,6 +54,10 @@ class OpenLoopGen : public Program {
 
   uint64_t injected() const { return next_send_; }
   uint64_t completed() const { return next_resp_; }
+  // Answers dropped because the body is not an NginxResponseMsg or its seq
+  // is not the next one awaited: a server PE is untrusted. A refused answer
+  // completes nothing.
+  uint64_t refused_responses() const { return refused_responses_; }
   const LatencyHistogram& latency() const { return latency_; }
   // Observability (traced runs): trace id + latency per measured request,
   // in completion order. The exemplar selection in RunTraffic picks the
@@ -66,19 +73,42 @@ class OpenLoopGen : public Program {
   Cycles last_measured_completion() const { return last_measured_completion_; }
 
  private:
+  // A position in the packed schedule: one arrival's time and the byte
+  // offset of the gap to the next one.
+  struct Cursor {
+    size_t offset = 0;
+    Cycles at = 0;  // relative to base_
+  };
+
+  // Moves `cursor` to the next arrival: one unaligned 8-byte load and a
+  // mask. Past the last arrival it reads the zero padding and stays put.
+  void Advance(Cursor* cursor) const;
   void ScheduleNextArrival();
   void PumpSend();
 
   NodeId server_node_;
-  std::vector<Cycles> schedule_;
+  uint64_t count_;  // arrivals in the schedule
   uint64_t measure_from_;
   uint64_t measure_count_;
   uint32_t pipeline_;
+  // The schedule: the gap from each arrival to the next, `width_`
+  // little-endian bytes each (the width of the widest gap), then 8 bytes of
+  // zero padding, so that every read is in bounds.
+  std::vector<uint8_t> gaps_;
+  uint8_t width_ = 1;
+  Cycles mask_ = 0xff;
+  Cycles first_measured_ = 0;  // window edges, relative to base_
+  Cycles last_measured_ = 0;
 
   Cycles base_ = 0;           // sim time at Start()
   uint64_t next_arrival_ = 0;  // next schedule index to arrive
   uint64_t next_send_ = 0;     // next schedule index to put on the wire
   uint64_t next_resp_ = 0;     // next schedule index to complete (FIFO)
+  // Each sits on the arrival its counter names.
+  Cursor arrival_;
+  Cursor send_;
+  Cursor resp_;
+  uint64_t refused_responses_ = 0;
   Cycles last_measured_completion_ = 0;
   LatencyHistogram latency_;
   // Traced runs only: the open root span of every request on the wire, in

@@ -25,7 +25,12 @@ void NginxServer::Setup() {
 
 void NginxServer::Start() {
   env_->OpenSession("m3fs", [this](const SyscallReply& reply) {
-    CHECK(reply.err == ErrCode::kOk) << "nginx: session open failed";
+    if (reply.err != ErrCode::kOk) {
+      // A service PE is untrusted: its refusal stops this server, not the
+      // simulation.
+      error_ = reply.err;
+      return;
+    }
     session_sel_ = reply.sel;
     Pump();
   });
@@ -51,9 +56,12 @@ void NginxServer::Pump() {
 }
 
 void NginxServer::FinishRequest() {
-  CHECK(runner_.error() == ErrCode::kOk)
-      << "nginx: request trace op " << runner_.failed_op()
-      << " refused: " << ErrName(runner_.error());
+  if (runner_.error() != ErrCode::kOk) {
+    // m3fs or the kernel refused one of the request's operations: the
+    // server stops with the error, busy with the unanswered request.
+    error_ = runner_.error();
+    return;
+  }
   served_++;
   const NginxRequestMsg* req = current_.As<NginxRequestMsg>();
   auto response = NewMsg<NginxResponseMsg>();
@@ -80,8 +88,11 @@ void LoadGen::Setup() {
   dtu.ConfigureSend(user_ep::kSyscallSend, server_node_, kNginxServerRecvEp,
                     /*credits=*/pipeline_);
   dtu.ConfigureRecv(user_ep::kSyscallReply, pipeline_, [this](EpId, const Message& msg) {
-    const NginxResponseMsg* resp = msg.As<NginxResponseMsg>();
-    CHECK(resp != nullptr);
+    if (msg.As<NginxResponseMsg>() == nullptr) {
+      // A server PE is untrusted: a foreign answer is dropped.
+      refused_responses_++;
+      return;
+    }
     completed_++;
     SendOne();
   });

@@ -56,6 +56,9 @@ class NginxServer : public Program {
   void Start() override;
 
   uint64_t served() const { return served_; }
+  // kOk, or why the server stopped: m3fs refused its session or one of a
+  // request's operations. A stopped server answers nothing more.
+  ErrCode error() const { return error_; }
 
  private:
   // The server handles one request at a time: the request in service
@@ -80,6 +83,7 @@ class NginxServer : public Program {
   bool busy_ = false;
   Message current_;  // the request in service
   uint64_t served_ = 0;
+  ErrCode error_ = ErrCode::kOk;
   // Observability: the open serve span (traced requests only).
   obs::Span serve_span_;
 };
@@ -94,6 +98,9 @@ class LoadGen : public Program {
   void Start() override;
 
   uint64_t completed() const { return completed_; }
+  // Answers dropped because the body is not an NginxResponseMsg: a server
+  // PE is untrusted. A refused answer completes nothing and sends nothing.
+  uint64_t refused_responses() const { return refused_responses_; }
 
  private:
   void SendOne();
@@ -102,6 +109,7 @@ class LoadGen : public Program {
   uint32_t pipeline_;
   uint64_t next_seq_ = 1;
   uint64_t completed_ = 0;
+  uint64_t refused_responses_ = 0;
 };
 
 }  // namespace semperos

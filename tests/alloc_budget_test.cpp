@@ -17,8 +17,9 @@
 // instance's trace, and constructing and booting the platform (DTU
 // endpoints, per-kernel VPE tables), both what that allocates and what it
 // still holds once boot returned, and again after the first platform was
-// destroyed. One more holds a VPE's selector table to its live
-// capabilities under derive/revoke churn.
+// destroyed. Two more hold a VPE's selector table to its live
+// capabilities under derive/revoke churn, and a load generator's arrival
+// schedule to about 3 bytes a request.
 //
 // The per-event budgets, and the byte budgets that run a platform, are
 // skipped where the count does not describe the default build:
@@ -296,6 +297,27 @@ TEST(MemoryBudget, PostmarkTraceBuild) {
               static_cast<unsigned long long>(bytes));
   EXPECT_LT(bytes, 8u * 1024) << trace.ops.size() << " ops";
   EXPECT_EQ(trace.expected_cap_ops, 38u);
+}
+
+// A load generator keeps its arrival schedule as packed gaps, at the byte
+// width of its widest gap, and lets the vector go. nginx_local's first
+// generator (seed 1, 256 generators at 1.5M req/s, its share of 2,000 +
+// 200,000 requests) has 790 arrivals a mean 341k cycles apart, so every gap
+// fits 3 bytes. Holding the vector took 8 bytes an arrival.
+TEST(MemoryBudget, PackedArrivalSchedule) {
+  ArrivalSpec arrivals;
+  arrivals.rate_rps = 1'500'000;
+  const uint64_t kArrivals = 790;
+  std::optional<OpenLoopGen> gen;
+  int64_t held = BytesOf([&] {
+                   gen.emplace(/*server_node=*/0,
+                               BuildArrivalSchedule(arrivals, /*seed=*/1, /*generator=*/0,
+                                                    /*generators=*/256, kArrivals),
+                               /*measure_from=*/8, /*measure_count=*/782, /*pipeline=*/8);
+                 }).held;
+  std::printf("  %llu arrivals: %lld bytes held\n", static_cast<unsigned long long>(kArrivals),
+              static_cast<long long>(held));
+  EXPECT_LE(held, static_cast<int64_t>(4 * kArrivals));
 }
 
 // A VPE's selector table holds its live capabilities only. Selectors are

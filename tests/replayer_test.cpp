@@ -1,6 +1,10 @@
 // Trace format and replayer behaviour, plus the Nginx programs.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+
+#include "audit/cap_audit.h"
 #include "dtu/msg_pool.h"
 #include "fs/protocol.h"
 #include "fs/service.h"
@@ -242,6 +246,74 @@ TEST(Replayer, RefusedSessionOpenEndsTheRun) {
   EXPECT_EQ(r.syscalls, 1u);  // the session open
   EXPECT_GT(r.end, r.start);
   EXPECT_EQ(p.TotalDrops(), 0u);
+}
+
+PlatformConfig ServerConfig() {
+  PlatformConfig pc;
+  pc.kernels = 1;
+  pc.services = 1;
+  pc.users = 1;
+  pc.loadgens = 1;
+  return pc;
+}
+
+// One request server running `trace` against `service` as its m3fs, fed by
+// a closed-loop load generator with two requests outstanding, run to
+// completion on a platform of ServerConfig().
+struct ServerRun {
+  ErrCode error = ErrCode::kOk;
+  uint64_t served = 0;
+  uint64_t completed = 0;
+  uint64_t drops = 0;
+  bool audit_ok = false;
+};
+
+ServerRun RunServerAgainst(Platform* p, std::unique_ptr<Program> service, Trace trace) {
+  p->pe(p->service_nodes()[0])->AttachProgram(std::move(service));
+  NodeId node = p->user_nodes()[0];
+  auto server = std::make_unique<NginxServer>(std::move(trace), p->kernel_node(0),
+                                              ServerConfig().timing);
+  NginxServer* srv = server.get();
+  p->pe(node)->AttachProgram(std::move(server));
+  auto gen = std::make_unique<LoadGen>(node, /*pipeline=*/2);
+  LoadGen* lg = gen.get();
+  p->pe(p->loadgen_nodes()[0])->AttachProgram(std::move(gen));
+  p->Boot();
+  p->RunToCompletion();
+  return ServerRun{srv->error(), srv->served(), lg->completed(), p->TotalDrops(),
+                   AuditPlatform(*p).ok()};
+}
+
+// A service PE is untrusted: a refused session open stops the request
+// server with the service's error, not the simulation. Its requests stay
+// unanswered.
+TEST(Nginx, RefusedSessionStopsTheServer) {
+  Platform p(ServerConfig());
+  ServerRun run = RunServerAgainst(&p, std::make_unique<RefusingService>(p.kernel_node(0)),
+                                   MakeNginxRequestTrace());
+  EXPECT_EQ(run.error, ErrCode::kNoPerm);
+  EXPECT_EQ(run.served, 0u);
+  EXPECT_EQ(run.completed, 0u);
+  EXPECT_EQ(run.drops, 0u);
+  EXPECT_TRUE(run.audit_ok);
+}
+
+// A request operation m3fs refuses (here a stat answered with a body that
+// is not an FsReply) stops the server with the error.
+TEST(Nginx, RefusedRequestOperationStopsTheServer) {
+  Platform p(ServerConfig());
+  NodeId svc = p.service_nodes()[0];
+  CapSel mem = p.kernel_of(svc)->AdminGrantMem(svc, p.mem_nodes()[0], 0, 1 << 20, kPermRW);
+  Trace trace;
+  trace.app = "request";
+  trace.Stat("/f");
+  ServerRun run = RunServerAgainst(
+      &p, std::make_unique<WrongBodyService>(p.kernel_node(0), mem), std::move(trace));
+  EXPECT_EQ(run.error, ErrCode::kInvalidArgs);
+  EXPECT_EQ(run.served, 0u);
+  EXPECT_EQ(run.completed, 0u);
+  EXPECT_EQ(run.drops, 0u);
+  EXPECT_TRUE(run.audit_ok);
 }
 
 TEST(Nginx, RequestTraceShape) {

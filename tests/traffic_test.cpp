@@ -9,18 +9,26 @@
 //     reruns) and bit-identical at any engine thread count;
 //   - the warm-up/measurement-window discipline measures exactly the
 //     configured requests and drains every injected arrival;
-//   - the saturation search is a pure function of its config.
+//   - the saturation search is a pure function of its config;
+//   - a generator's packed schedule replays the absolute one exactly, and a
+//     generator drops what an untrusted server answers out of turn.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "audit/cap_audit.h"
+#include "dtu/msg_pool.h"
 #include "system/platform.h"
 #include "traffic/arrivals.h"
 #include "traffic/histogram.h"
 #include "traffic/traffic.h"
+#include "workloads/nginx.h"
 
 namespace semperos {
 namespace {
@@ -369,6 +377,228 @@ TEST(Traffic, BitIdenticalAcrossThreadCounts) {
     EXPECT_DOUBLE_EQ(serial.offered_rps, parallel.offered_rps) << what;
     EXPECT_DOUBLE_EQ(serial.throughput_rps, parallel.throughput_rps) << what;
   }
+}
+
+// --- Generators against a server under the test's control ---
+
+// Stands in for NginxServer. kEcho answers each request at once with its
+// seq; kReverse holds two requests and answers the second first; kForeign
+// answers with a body that is not an NginxResponseMsg. Answers carry the
+// request's trace, so a traced run records each answer's transit at the
+// generator.
+class TestServer : public Program {
+ public:
+  enum class Mode { kEcho, kReverse, kForeign };
+  explicit TestServer(Mode mode) : mode_(mode) {}
+
+  void Setup() override {
+    pe_->dtu().ConfigureRecv(kNginxServerRecvEp, 16, [this](EpId ep, const Message& msg) {
+      if (mode_ != Mode::kReverse) {
+        Answer(ep, msg);
+        return;
+      }
+      held_.push_back(msg);
+      if (held_.size() == 2) {
+        Answer(ep, held_[1]);
+        Answer(ep, held_[0]);
+        held_.clear();
+      }
+    });
+  }
+  void Start() override {}
+
+ private:
+  // `body` with the seq and trace of `req`.
+  template <typename T>
+  static MsgRef AnswerTo(std::shared_ptr<T> body, const NginxRequestMsg& req) {
+    body->seq = req.seq;
+    body->trace_id = req.trace_id;
+    body->trace_parent = req.trace_parent;
+    return body;
+  }
+
+  void Answer(EpId ep, const Message& msg) {
+    const NginxRequestMsg& req = *msg.As<NginxRequestMsg>();
+    MsgRef body = mode_ == Mode::kForeign ? AnswerTo(NewMsg<NginxRequestMsg>(), req)
+                                          : AnswerTo(NewMsg<NginxResponseMsg>(), req);
+    EXPECT_TRUE(pe_->dtu().Reply(ep, msg.slot, body).ok());
+  }
+
+  Mode mode_;
+  std::vector<Message> held_;
+};
+
+struct GeneratorRun {
+  Cycles base = 0;  // the generator's Start() time
+  NodeId server = kInvalidNode;
+  NodeId generator = kInvalidNode;
+  uint64_t injected = 0;
+  uint64_t completed = 0;
+  uint64_t refused = 0;
+  Cycles first_measured = 0;
+  Cycles last_measured = 0;
+  LatencyHistogram latency;
+  std::vector<OpenLoopGen::MeasuredTrace> measured;
+  std::vector<obs::Span> spans;  // traced runs: every span, merged
+  uint64_t drops = 0;
+  bool audit_ok = false;
+};
+
+// One OpenLoopGen with `schedule` and 8 credits against one TestServer, run
+// to completion.
+GeneratorRun RunGenerator(TestServer::Mode mode, std::vector<Cycles> schedule,
+                          uint64_t measure_from, uint64_t measure_count, bool traced) {
+  PlatformConfig pc;
+  pc.users = 1;
+  pc.loadgens = 1;
+  pc.trace.enabled = traced;
+  Platform p(pc);
+  GeneratorRun run;
+  run.server = p.user_nodes()[0];
+  run.generator = p.loadgen_nodes()[0];
+  p.pe(run.server)->AttachProgram(std::make_unique<TestServer>(mode));
+  auto owned = std::make_unique<OpenLoopGen>(run.server, std::move(schedule), measure_from,
+                                             measure_count, /*pipeline=*/8);
+  OpenLoopGen* gen = owned.get();
+  p.pe(run.generator)->AttachProgram(std::move(owned));
+  p.Boot();
+  run.base = p.sim().Now();
+  p.RunToCompletion();
+  run.injected = gen->injected();
+  run.completed = gen->completed();
+  run.refused = gen->refused_responses();
+  run.first_measured = gen->first_measured_arrival();
+  run.last_measured = gen->last_measured_arrival();
+  run.latency = gen->latency();
+  run.measured = gen->measured_traces();
+  if (traced) {
+    run.spans = p.tracer()->Merged();
+  }
+  run.drops = p.TotalDrops();
+  run.audit_ok = AuditPlatform(p).ok();
+  return run;
+}
+
+// Gaps that need 1, 2, ..., 8 bytes.
+constexpr Cycles kWideGaps[] = {1,
+                                300,
+                                70'000,
+                                Cycles{1} << 25,
+                                Cycles{1} << 33,
+                                Cycles{1} << 41,
+                                Cycles{1} << 49,
+                                Cycles{1} << 57};
+
+// A generator packs its gaps at the width of its widest one. For each width
+// the schedule starts at cycle 0 and takes the gaps up to that width twice
+// over; at 8 bytes it holds every gap above. The window leaves out the
+// first and the last arrival. The echo server answers at once and 8 credits
+// cover every request in flight, so each request leaves at its arrival.
+TEST(PackedSchedule, EveryWidthReplaysTheAbsoluteSchedule) {
+  for (size_t width = 1; width <= std::size(kWideGaps); ++width) {
+    std::vector<Cycles> schedule{0};
+    for (int pass = 0; pass < 2; ++pass) {
+      for (size_t g = 0; g < width; ++g) {
+        schedule.push_back(schedule.back() + kWideGaps[g]);
+      }
+    }
+    const uint64_t from = 1;
+    const uint64_t count = schedule.size() - 2;
+    const std::string what = "width " + std::to_string(width);
+    GeneratorRun plain = RunGenerator(TestServer::Mode::kEcho, schedule, from, count, false);
+    GeneratorRun traced = RunGenerator(TestServer::Mode::kEcho, schedule, from, count, true);
+    for (const GeneratorRun* run : {&plain, &traced}) {
+      EXPECT_EQ(run->injected, schedule.size()) << what;
+      EXPECT_EQ(run->completed, schedule.size()) << what;
+      EXPECT_EQ(run->refused, 0u) << what;
+      EXPECT_EQ(run->first_measured, run->base + schedule[from]) << what;
+      EXPECT_EQ(run->last_measured, run->base + schedule[from + count - 1]) << what;
+      EXPECT_EQ(run->drops, 0u) << what;
+      EXPECT_TRUE(run->audit_ok) << what;
+    }
+    ASSERT_EQ(plain.base, traced.base) << what;
+
+    // The traced run: each request's root span opens at its scheduled
+    // arrival, and it went on the wire then (its transit to the server
+    // starts there, and no queue span exists). The answer's transit to the
+    // generator ends at the completion, which closes the root.
+    std::vector<obs::Span> roots;
+    std::map<uint64_t, Cycles> sent, answered;
+    for (const obs::Span& span : traced.spans) {
+      if (span.kind == obs::SpanKind::kRequest && span.entity == traced.generator) {
+        roots.push_back(span);
+      } else if (span.kind == obs::SpanKind::kTransit && span.entity == traced.server) {
+        sent[span.trace_id] = span.start;
+      } else if (span.kind == obs::SpanKind::kTransit && span.entity == traced.generator) {
+        answered[span.trace_id] = span.end;
+      }
+      EXPECT_NE(span.kind, obs::SpanKind::kQueue) << what;
+    }
+    ASSERT_EQ(roots.size(), schedule.size()) << what;
+    LatencyHistogram expected;
+    std::map<uint64_t, Cycles> expected_by_trace;
+    for (size_t i = 0; i < roots.size(); ++i) {
+      const Cycles arrival = traced.base + schedule[i];
+      EXPECT_EQ(roots[i].start, arrival) << what << " request " << i;
+      EXPECT_EQ(sent.at(roots[i].trace_id), arrival) << what << " request " << i;
+      EXPECT_EQ(answered.at(roots[i].trace_id), roots[i].end) << what << " request " << i;
+      if (i >= from && i < from + count) {
+        expected.Record(roots[i].end - arrival);
+        expected_by_trace[roots[i].trace_id] = roots[i].end - arrival;
+      }
+    }
+    // Every recorded latency is the completion less the absolute arrival,
+    // traced or not.
+    EXPECT_TRUE(plain.latency == expected) << what;
+    EXPECT_TRUE(traced.latency == expected) << what;
+    ASSERT_EQ(traced.measured.size(), count) << what;
+    for (const OpenLoopGen::MeasuredTrace& m : traced.measured) {
+      EXPECT_EQ(m.latency, expected_by_trace.at(m.trace_id)) << what;
+    }
+  }
+}
+
+// A server PE is untrusted. Answering its two held requests in reverse
+// order, it sends the answer to the second while the first is awaited: the
+// generator drops it, completes the first, and the run ends cleanly.
+TEST(UntrustedServer, OpenLoopGenRefusesAnAnswerOutOfTurn) {
+  GeneratorRun run = RunGenerator(TestServer::Mode::kReverse, {0, 1'000}, 0, 2, false);
+  EXPECT_EQ(run.injected, 2u);
+  EXPECT_EQ(run.refused, 1u);
+  EXPECT_EQ(run.completed, 1u);
+  EXPECT_EQ(run.latency.count(), 1u);
+  EXPECT_EQ(run.drops, 0u);
+  EXPECT_TRUE(run.audit_ok);
+}
+
+TEST(UntrustedServer, OpenLoopGenRefusesAForeignBody) {
+  GeneratorRun run = RunGenerator(TestServer::Mode::kForeign, {0, 1'000, 2'000}, 0, 3, false);
+  EXPECT_EQ(run.injected, 3u);
+  EXPECT_EQ(run.refused, 3u);
+  EXPECT_EQ(run.completed, 0u);
+  EXPECT_EQ(run.latency.count(), 0u);
+  EXPECT_EQ(run.drops, 0u);
+  EXPECT_TRUE(run.audit_ok);
+}
+
+// The closed-loop LoadGen drops a foreign answer, and sends nothing in its
+// place, so the run drains.
+TEST(UntrustedServer, LoadGenRefusesAForeignBody) {
+  PlatformConfig pc;
+  pc.users = 1;
+  pc.loadgens = 1;
+  Platform p(pc);
+  NodeId server = p.user_nodes()[0];
+  p.pe(server)->AttachProgram(std::make_unique<TestServer>(TestServer::Mode::kForeign));
+  auto owned = std::make_unique<LoadGen>(server, /*pipeline=*/2);
+  LoadGen* gen = owned.get();
+  p.pe(p.loadgen_nodes()[0])->AttachProgram(std::move(owned));
+  p.Boot();
+  p.RunToCompletion();
+  EXPECT_EQ(gen->refused_responses(), 2u);
+  EXPECT_EQ(gen->completed(), 0u);
+  EXPECT_EQ(p.TotalDrops(), 0u);
+  EXPECT_TRUE(AuditPlatform(p).ok());
 }
 
 }  // namespace
