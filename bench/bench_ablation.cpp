@@ -93,7 +93,7 @@ void AblationContention() {
     PlatformConfig pc;
     pc.kernels = 8;
     pc.users = 64;
-    pc.noc.model_contention = contention;
+    pc.noc_contention = contention;
     DriverRig rig = MakeDriverRig(pc);
     // 64 concurrent spanning obtains from one hot owner.
     CapSel owner_sel = rig.Grant(0);

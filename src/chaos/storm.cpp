@@ -470,7 +470,7 @@ StormResult RunStorm(const StormConfig& config) {
       (r.err == ErrCode::kOk ? revoker->ops_ok : revoker->ops_failed)++;
       revoker->busy = false;
     });
-    p.RunUntil(p.sim().Now() + rng.NextInRange(50, 900));
+    p.sim().RunUntil(p.sim().Now() + rng.NextInRange(50, 900));
     if (stable_vpe(b)) {
       start_migration(p.user_nodes()[b]);
     }
@@ -605,7 +605,7 @@ StormResult RunStorm(const StormConfig& config) {
 
     // Let a random amount of simulated time pass so everything above
     // interleaves at many different points.
-    p.RunUntil(p.sim().Now() + 200 + rng.NextBelow(3000));
+    p.sim().RunUntil(p.sim().Now() + 200 + rng.NextBelow(3000));
     result.rounds_run = round + 1;
 
     if ((round + 1) % config.settle_every == 0 || round + 1 == config.rounds) {

@@ -9,7 +9,6 @@ namespace semperos {
 Noc::Noc(Simulation* sim, const NocConfig& config) : sim_(sim), config_(config) {
   CHECK_GT(config_.width, 0u);
   CHECK_GT(config_.height, 0u);
-  CHECK_GT(config_.link_bytes_per_cycle, 0u);
   // Four directed links per node (not all used at the mesh edge).
   link_free_at_.assign(static_cast<size_t>(NodeCount()) * 4, 0);
   stats_slots_.resize(1);
@@ -18,8 +17,6 @@ Noc::Noc(Simulation* sim, const NocConfig& config) : sim_(sim), config_(config) 
 void Noc::AttachEngine(ParallelEngine* engine, std::vector<Simulation*> node_sims) {
   CHECK(engine != nullptr);
   CHECK_EQ(node_sims.size(), NodeCount());
-  CHECK_GE(MinCrossNodeLatency(), 1u)
-      << "parallel mode needs a nonzero NoC lookahead (router+wire+min_packet)";
   engine_ = engine;
   node_sims_ = std::move(node_sims);
   stats_slots_.assign(engine->shard_count() + 1, NocStats{});
@@ -42,15 +39,15 @@ uint32_t Noc::LinkIndex(NodeId node, int dir) const {
 
 Cycles Noc::UnloadedLatency(NodeId src, NodeId dst, uint32_t bytes) const {
   uint32_t hops = Hops(src, dst);
-  Cycles serialization = bytes / config_.link_bytes_per_cycle;
-  if (serialization < config_.min_packet_cycles) {
-    serialization = config_.min_packet_cycles;
+  Cycles serialization = bytes / kLinkBytesPerCycle;
+  if (serialization < kMinPacketCycles) {
+    serialization = kMinPacketCycles;
   }
-  return hops * (config_.router_latency + config_.wire_latency) + serialization;
+  return hops * (kRouterLatency + kWireLatency) + serialization;
 }
 
 Cycles Noc::ReserveLink(uint32_t link, Cycles t, Cycles serialization, Cycles* queueing) {
-  Cycles arrive = t + config_.router_latency + config_.wire_latency;
+  Cycles arrive = t + kRouterLatency + kWireLatency;
   Cycles start = arrive;
   if (link_free_at_[link] > start) {
     *queueing += link_free_at_[link] - start;
@@ -81,16 +78,16 @@ NocStats Noc::stats() const {
 }
 
 Cycles Noc::RouteAndReserve(NodeId src, NodeId dst, uint32_t bytes, Cycles now, NocStats* stats) {
-  Cycles serialization = bytes / config_.link_bytes_per_cycle;
-  if (serialization < config_.min_packet_cycles) {
-    serialization = config_.min_packet_cycles;
+  Cycles serialization = bytes / kLinkBytesPerCycle;
+  if (serialization < kMinPacketCycles) {
+    serialization = kMinPacketCycles;
   }
 
   Cycles queueing = 0;
   Cycles t = now;
   if (src == dst) {
     // Loopback through the local router only.
-    t += config_.router_latency;
+    t += kRouterLatency;
   } else if (config_.model_contention) {
     // Dimension-ordered routing, X first then Y — deterministic, so message
     // order between any pair of nodes is preserved. The packet head advances

@@ -11,7 +11,8 @@
 //     bookkeeping, below) can only delay a later packet behind an earlier
 //     one, never reorder them.
 //  2. *Latency grows with distance and load*: delivery time is
-//        hops * router_latency + serialization(link occupancy) + wire time,
+//        hops * (kRouterLatency + kWireLatency) + serialization (link
+//        occupancy, at least kMinPacketCycles),
 //     where each traversed link is a serial resource. Rather than simulating
 //     per-hop flit events, a packet reserves every link on its path in order;
 //     this keeps the event count at one per message while still producing
@@ -26,8 +27,8 @@
 // order (the recording events' execution keys — see Simulation::Entry) and
 // schedules each delivery into the destination node's shard queue. Loopback packets (src == dst) touch no
 // links and deliver into the sending shard's own queue, so they stay inline.
-// The NoC's minimum cross-node latency — router + wire + min_packet_cycles —
-// is the engine's conservative synchronization lookahead.
+// The NoC's minimum cross-node latency, kMinCrossNodeLatency, is the
+// engine's conservative synchronization lookahead.
 #ifndef SEMPEROS_NOC_NOC_H_
 #define SEMPEROS_NOC_NOC_H_
 
@@ -47,10 +48,6 @@ class ParallelEngine;
 struct NocConfig {
   uint32_t width = 8;            // mesh columns
   uint32_t height = 8;           // mesh rows
-  Cycles router_latency = 3;     // cycles per hop through a router
-  Cycles wire_latency = 1;       // cycles per hop on the wire
-  uint32_t link_bytes_per_cycle = 16;  // 128-bit links
-  Cycles min_packet_cycles = 4;  // serialization floor (header flit)
   bool model_contention = true;  // per-link FIFO queueing on/off
 };
 
@@ -64,6 +61,14 @@ struct NocStats {
 
 class Noc {
  public:
+  // Link timing. No experiment varies it.
+  static constexpr Cycles kRouterLatency = 3;        // cycles per hop through a router
+  static constexpr Cycles kWireLatency = 1;          // cycles per hop on the wire
+  static constexpr uint32_t kLinkBytesPerCycle = 16;  // 128-bit links
+  static constexpr Cycles kMinPacketCycles = 4;      // serialization floor (header flit)
+  // No packet reaches another node sooner: the parallel engine's lookahead.
+  static constexpr Cycles kMinCrossNodeLatency = kRouterLatency + kWireLatency + kMinPacketCycles;
+
   Noc(Simulation* sim, const NocConfig& config);
 
   // Switches the NoC to sharded operation: `node_sims[n]` is the queue that
@@ -108,12 +113,6 @@ class Noc {
 
   // Latency a packet would see on an unloaded network (for calibration).
   Cycles UnloadedLatency(NodeId src, NodeId dst, uint32_t bytes) const;
-
-  // The conservative parallel lookahead this config guarantees: no packet
-  // can reach another node in fewer cycles than this.
-  Cycles MinCrossNodeLatency() const {
-    return config_.router_latency + config_.wire_latency + config_.min_packet_cycles;
-  }
 
   // Aggregated counters (sums the per-context slots in sharded mode; call
   // from the main thread or an engine-exclusive context).

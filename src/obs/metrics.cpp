@@ -157,8 +157,8 @@ bool MetricsTimeline::WriteJson(const std::string& path) const {
     std::fputs("]", f);
   }
   std::fputs("\n]}\n", f);
-  std::fclose(f);
-  return true;
+  bool written = std::ferror(f) == 0;
+  return std::fclose(f) == 0 && written;  // a full disk may show only at the flush
 }
 
 }  // namespace obs

@@ -9,11 +9,11 @@
 // table to be extended whenever the struct grows.
 //
 // The timeline samples the registry on the simulated clock: when armed, the
-// platform chunks its run loop at sample boundaries (RunUntil instead of
-// RunUntilIdle) and records a row of every counter per boundary. Sampling
-// happens between chunks on the driving thread — no events are injected, so
-// the executed event stream is identical with the timeline on or off (the
-// final clock merely lands on a sample boundary).
+// platform records a row of every counter for each interval boundary the
+// serial queue's clock moves past (its tick, sim/simulation.h), after every
+// event due by that boundary, and one more row at the run's end. The tick
+// injects no events, so the executed event stream and the final clock are
+// identical with the timeline on or off.
 #ifndef SEMPEROS_OBS_METRICS_H_
 #define SEMPEROS_OBS_METRICS_H_
 
@@ -75,7 +75,6 @@ class MetricsTimeline {
  public:
   explicit MetricsTimeline(TimelineConfig config) : config_(config) {}
 
-  const TimelineConfig& config() const { return config_; }
   void Sample(Cycles now, const KernelStats& totals);
   const std::vector<TimelineSample>& samples() const { return samples_; }
 
@@ -83,7 +82,8 @@ class MetricsTimeline {
   static std::vector<std::string> Names();
 
   // {"interval": N, "names": [...], "samples": [[t, v...], ...]} — the
-  // schema docs/observability.md documents. Returns false on I/O failure.
+  // schema docs/observability.md documents. Returns false when the file
+  // cannot be opened, written or closed.
   bool WriteJson(const std::string& path) const;
 
  private:

@@ -312,8 +312,8 @@ bool Tracer::WriteChromeTrace(const std::string& path) {
   std::fprintf(f, "\n],\"otherData\":{\"spans\":%llu,\"dropped\":%llu}}\n",
                static_cast<unsigned long long>(spans.size()),
                static_cast<unsigned long long>(dropped()));
-  std::fclose(f);
-  return true;
+  bool written = std::ferror(f) == 0;
+  return std::fclose(f) == 0 && written;  // a full disk may show only at the flush
 }
 
 }  // namespace obs

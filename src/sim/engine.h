@@ -11,7 +11,7 @@
 //
 // Conservative synchronization (Chandy–Misra–Bryant lookahead). The NoC
 // guarantees every cross-node message costs at least
-//     router_latency + wire_latency + min_packet_cycles
+//     Noc::kMinCrossNodeLatency (router + wire + minimum packet)
 // cycles between send and delivery, and every cross-shard continuation
 // (remote endpoint configuration) at least kConfigApplyCycles. The minimum
 // of these is the engine's lookahead L: an event executing at time t can
@@ -291,9 +291,8 @@ class SimHost {
                               : engine_->RunUntilIdle(max_events);
   }
 
-  uint64_t RunUntil(Cycles until, uint64_t max_events = UINT64_MAX) {
-    return engine_ == nullptr ? legacy_.RunUntil(until, max_events)
-                              : engine_->RunUntil(until, max_events);
+  uint64_t RunUntil(Cycles until) {
+    return engine_ == nullptr ? legacy_.RunUntil(until) : engine_->RunUntil(until);
   }
 
   bool Idle() const { return engine_ == nullptr ? legacy_.Idle() : engine_->Idle(); }

@@ -89,6 +89,21 @@ void Simulation::EnterEpoch(Cycles from) {
   }
 }
 
+void Simulation::SetTick(Cycles interval, Callback<void(Cycles)> tick) {
+  CHECK(engine_ == nullptr && now_ == 0 && interval > 0)
+      << "arm a nonzero tick on a serial queue before its clock moves";
+  tick_ = std::move(tick);
+  tick_interval_ = interval;
+  next_tick_ = 0;
+}
+
+void Simulation::Tick(Cycles t) {
+  do {
+    tick_(next_tick_);
+    next_tick_ += tick_interval_;
+  } while (t > next_tick_);
+}
+
 void Simulation::RunOne(Cycles when) {
   CHECK_GE(when, now_) << "event inserted into the queue's past";
   uint32_t slot;
@@ -177,14 +192,12 @@ uint64_t Simulation::RunUntilIdle(uint64_t max_events) {
   return ran;
 }
 
-uint64_t Simulation::RunUntil(Cycles until, uint64_t max_events) {
+uint64_t Simulation::RunUntil(Cycles until) {
   uint64_t ran = 0;
-  for (Cycles when; ran < max_events && !Idle() && (when = NextEventWhen()) <= until; ++ran) {
+  for (Cycles when; !Idle() && (when = NextEventWhen()) <= until; ++ran) {
     RunOne(when);
   }
-  // Land on `until` unless the budget ran out with events still due by
-  // then (the clock never passes a pending event).
-  if (now_ < until && NextEventWhen() > until) {
+  if (now_ < until) {
     AdvanceClock(until);
   }
   events_run_ += ran;

@@ -44,6 +44,9 @@
 // coarse bucket, or straight to their fine bucket after a long jump. Both
 // happen before anything at the new cycle runs.
 //
+// AdvanceClock is also where the observation tick (SetTick) fires, before
+// the clock moves: an unarmed queue pays one compare per clock advance.
+//
 // So events run in exactly (when, insertion) order:
 //  * which level takes an event due at cycle w depends only on
 //    ep(w) - ep(now), and the fine limit and the coarse limit only grow.
@@ -172,14 +175,20 @@ class Simulation {
   uint64_t RunUntilIdle(uint64_t max_events = UINT64_MAX);
 
   // Runs events with time <= `until`. Pending later events stay queued.
-  // Advances Now() to `until` even if the queue drains earlier — unless
-  // `max_events` stopped the run with events due by `until` still pending.
-  uint64_t RunUntil(Cycles until, uint64_t max_events = UINT64_MAX);
+  // Advances Now() to `until` even if the queue drains earlier.
+  uint64_t RunUntil(Cycles until);
 
   bool Idle() const {
     return (fine_occupied_.words | coarse_occupied_.words) == 0 && heap_.empty();
   }
   uint64_t EventsRun() const { return events_run_; }
+
+  // Arms the observation tick before the clock moves: `tick` is called with
+  // each multiple of `interval` the clock moves past, in order, after every
+  // event due by that boundary and before any later one (Now() still reads
+  // the last event's time). A tick schedules nothing, so the events, their
+  // order and the clock are those of an unobserved queue. Serial only.
+  void SetTick(Cycles interval, Callback<void(Cycles)> tick);
 
   // --- Parallel-engine support (sim/engine.h). The legacy single-queue
   // --- engine never calls these; engine_ stays null and every hot path
@@ -412,9 +421,13 @@ class Simulation {
   // Keys a serial event beyond the coarse range into the heap.
   void HeapPush(Cycles when, uint32_t slot);
 
-  // Moves the clock forward to `t`; on the serial queue, entering a new
-  // epoch first moves events one level toward the fine ring (EnterEpoch).
+  // Moves the clock forward to `t`, first calling the tick for every
+  // boundary before `t`; on the serial queue, entering a new epoch first
+  // moves events one level toward the fine ring (EnterEpoch).
   void AdvanceClock(Cycles t) {
+    if (t > next_tick_) {
+      Tick(t);
+    }
     Cycles from = Epoch(now_);
     now_ = t;
     if (engine_ == nullptr && Epoch(t) != from) {
@@ -428,6 +441,9 @@ class Simulation {
   // order, before anything at the new cycle runs, so every bucket keeps
   // insertion order (see the file comment).
   void EnterEpoch(Cycles from);
+
+  // Calls the tick for every boundary before `t` (> next_tick_).
+  void Tick(Cycles t);
 
   // Runs the earliest pending event, due at `when` (== NextEventWhen()).
   void RunOne(Cycles when);
@@ -476,6 +492,7 @@ class Simulation {
   uint64_t next_lseq_ = 0;            // per-queue insertion counter (tiebreak)
   Cycles now_ = 0;
   Cycles horizon_ = 0;  // latest time any work (event or charge) reaches
+  Cycles next_tick_ = UINT64_MAX;  // next boundary to report; UINT64_MAX: none
   uint64_t next_seq_ = 0;
   uint64_t events_run_ = 0;
   std::vector<Entry> heap_;  // serial: events past the coarse range; sharded: all
@@ -494,6 +511,9 @@ class Simulation {
   // first.
   Occupancy<kCoarseEpochs> coarse_occupied_;
   CoarseBucket coarse_[kCoarseEpochs] = {};
+  // Cold, read only when a boundary is passed, so kept behind the hot state.
+  Callback<void(Cycles)> tick_;
+  Cycles tick_interval_ = 0;
 };
 
 }  // namespace semperos

@@ -149,9 +149,9 @@ NginxRunResult RunNginx(const NginxRunConfig& config) {
   };
 
   // Fixed windows, not a run to completion: the servers never go idle.
-  platform.RunUntil(platform.sim().Now() + config.warmup);
+  platform.sim().RunUntil(platform.sim().Now() + config.warmup);
   uint64_t at_warm = total_completed();
-  platform.RunUntil(platform.sim().Now() + config.window);
+  platform.sim().RunUntil(platform.sim().Now() + config.window);
   uint64_t at_end = total_completed();
   CHECK_EQ(platform.TotalDrops(), 0u);
 

@@ -51,7 +51,8 @@ Platform::Platform(PlatformConfig config) : config_(std::move(config)) {
 
   uint32_t total =
       config_.kernels + config_.services + config_.users + config_.loadgens + config_.mem_tiles;
-  NocConfig noc_config = config_.noc;
+  NocConfig noc_config;
+  noc_config.model_contention = config_.noc_contention;
   noc_config.width = CeilSqrt(total);
   noc_config.height = (total + noc_config.width - 1) / noc_config.width;
   noc_ = std::make_unique<Noc>(sim_.legacy(), noc_config);
@@ -69,8 +70,7 @@ Platform::Platform(PlatformConfig config) : config_(std::move(config)) {
     }
     // The conservative lookahead: the cheapest cross-node NoC delivery, or
     // the remote endpoint-configuration continuation, whichever is sooner.
-    Cycles lookahead =
-        std::min<Cycles>(noc_->MinCrossNodeLatency(), Dtu::kConfigApplyCycles);
+    Cycles lookahead = std::min<Cycles>(Noc::kMinCrossNodeLatency, Dtu::kConfigApplyCycles);
     sim_.InitParallel(std::move(shards), lookahead, config_.threads);
 
     shard_of_node_.resize(noc_->NodeCount());
@@ -95,9 +95,6 @@ Platform::Platform(PlatformConfig config) : config_(std::move(config)) {
   if (trace_config.enabled) {
     tracer_ = std::make_unique<obs::Tracer>(noc_->NodeCount(), trace_config);
     fabric_->set_tracer(tracer_.get());
-  }
-  if (config_.timeline.enabled()) {
-    timeline_ = std::make_unique<obs::MetricsTimeline>(config_.timeline);
   }
 
   // --- Layout: contiguous groups, one kernel each (paper §3.1) ---
@@ -215,6 +212,16 @@ Platform::Platform(PlatformConfig config) : config_(std::move(config)) {
   for (NodeId node : loadgen_nodes_) {
     kernel_of(node)->AdminCreateVpe(node, /*is_service=*/false);
   }
+
+  // The timeline samples as the serial queue's clock passes each interval
+  // boundary; it never stops a run, so it cannot move where a run ends.
+  if (config_.timeline.enabled()) {
+    CHECK_LT(config_.threads, 2u) << "the metrics timeline observes the serial engine only";
+    timeline_ = std::make_unique<obs::MetricsTimeline>(config_.timeline);
+    sim_.legacy()->SetTick(config_.timeline.interval, [this](Cycles boundary) {
+      timeline_->Sample(boundary, TotalKernelStats());
+    });
+  }
 }
 
 Platform::~Platform() = default;
@@ -328,31 +335,12 @@ void Platform::StartFailureDetector(FtConfig ft) {
 }
 
 uint64_t Platform::RunToCompletion(uint64_t max_events) {
-  uint64_t ran = timeline_ != nullptr ? RunSampled(kUntilIdle, max_events)
-                                      : sim_.RunUntilIdle(max_events);
+  uint64_t ran = sim_.RunUntilIdle(max_events);
   CHECK(sim_.Idle()) << "simulation exceeded event budget";
   // No user PE's command loses a message (it answers by slot, to the
   // endpoint its requester named): only a DTU or kernel bug trips this.
   uint64_t drops = TotalDrops();
   CHECK_EQ(drops, 0u) << "DTU messages were lost — flow-control protocol violated";
-  return ran;
-}
-
-uint64_t Platform::RunUntil(Cycles until) {
-  return timeline_ != nullptr ? RunSampled(until, UINT64_MAX) : sim_.RunUntil(until);
-}
-
-uint64_t Platform::RunSampled(Cycles until, uint64_t max_events) {
-  // Counters are read on this (the driving) thread, between chunks.
-  const Cycles interval = timeline_->config().interval;
-  if (timeline_->samples().empty()) {
-    timeline_->Sample(sim_.Now(), TotalKernelStats());
-  }
-  uint64_t ran = 0;
-  while (sim_.Now() < until && !(until == kUntilIdle && sim_.Idle()) && ran < max_events) {
-    ran += sim_.RunUntil(std::min(until, sim_.Now() + interval), max_events - ran);
-    timeline_->Sample(sim_.Now(), TotalKernelStats());
-  }
   return ran;
 }
 
@@ -398,10 +386,11 @@ void RunOutcome::Harvest(Platform* platform, const RunSetup& setup) {
       write_error = "cannot write trace file " + setup.trace_out;
     }
   }
-  obs::MetricsTimeline* timeline = platform->timeline();
-  if (timeline != nullptr && !setup.metrics_out.empty() &&
-      !timeline->WriteJson(setup.metrics_out)) {
-    write_error = "cannot write metrics timeline " + setup.metrics_out;
+  if (obs::MetricsTimeline* timeline = platform->timeline(); timeline != nullptr) {
+    timeline->Sample(platform->sim().Now(), kernel_stats);  // the end: final counters
+    if (!setup.metrics_out.empty() && !timeline->WriteJson(setup.metrics_out)) {
+      write_error = "cannot write metrics timeline " + setup.metrics_out;
+    }
   }
 }
 

@@ -50,7 +50,7 @@ struct PlatformConfig {
   TimingModel timing = TimingModel::SemperOs();
   uint32_t max_inflight = 4;     // M_inflight (paper §5.1)
   bool revoke_batching = false;  // extension: batch REVOKE_REQs per peer
-  NocConfig noc;                 // width/height are computed from the PE count
+  bool noc_contention = true;    // NoC per-link queueing (NocConfig::model_contention)
   // Engine threads: 1 (the default) runs the serial engine, >= 2 the
   // sharded parallel engine (sim/engine.h), whose shard partition depends
   // only on the platform shape, so modeled results equal the serial
@@ -63,10 +63,10 @@ struct PlatformConfig {
   uint32_t threads = 1;
   // Observability (src/obs): span tracing is off by default (the disabled
   // cost is one pointer test per traced site); SEMPEROS_TRACE=1 flips any
-  // platform whose config left it off. The
-  // metrics timeline samples every kernel counter each `timeline.interval`
-  // simulated cycles (0 = disarmed). Both are observational only — the
-  // executed event stream and all modeled results are bit-identical with
+  // platform whose config left it off. The metrics timeline samples every
+  // kernel counter each `timeline.interval` simulated cycles (0 = disarmed;
+  // serial engine only). Both are observational only: the executed event
+  // stream, the final clock and all modeled results are bit-identical with
   // them on or off.
   obs::TraceConfig trace;
   obs::TimelineConfig timeline;
@@ -197,14 +197,9 @@ class Platform {
 
   // Runs the simulation until no events remain and checks hardware
   // invariants (no dropped messages anywhere). Returns events executed.
-  // With the metrics timeline armed the run is chunked at sample
-  // boundaries (see RunSampled) and ends on one.
+  // A fixed window is sim().RunUntil; the timeline, when armed, samples
+  // either without moving the clock.
   uint64_t RunToCompletion(uint64_t max_events = 2'000'000'000ull);
-
-  // Runs every event due by `until` (absolute cycles) and leaves the clock
-  // there — SimHost::RunUntil, with the timeline sampled when armed.
-  // Returns events executed.
-  uint64_t RunUntil(Cycles until);
 
   // Sums a kernel statistic across kernels.
   KernelStats TotalKernelStats() const;
@@ -218,20 +213,14 @@ class Platform {
   // The shared flight recorder, attached to every PE and the DTU fabric at
   // construction. Null when tracing is disabled (and not env-forced).
   obs::Tracer* tracer() { return tracer_.get(); }
-  // The sampled counter timeline; null when disarmed.
+  // The counter timeline: a row per interval boundary the serial clock
+  // passed (the queue's tick, sim/simulation.h), and one at the end that
+  // RunOutcome::Harvest appends. Null when disarmed.
   obs::MetricsTimeline* timeline() { return timeline_.get(); }
 
  private:
   // Queue owning node `n`'s events: the legacy queue, or its shard's.
   Simulation* SimForNode(NodeId node);
-
-  // The timeline branch of both run calls: runs whole sample intervals up
-  // to `until` (kUntilIdle: until no events remain) and samples every
-  // kernel counter after each. Sample() never schedules anything, so the
-  // executed events are exactly those of the unchunked run; a run to idle
-  // merely ends on a sample boundary.
-  static constexpr Cycles kUntilIdle = UINT64_MAX;
-  uint64_t RunSampled(Cycles until, uint64_t max_events);
 
   // Declared first, so destroyed last: once the members below released
   // their message bodies (the PEs, the kernels, the closures still queued

@@ -123,6 +123,29 @@ std::string CheckValue(const ParamSpec& spec, const std::string& value) {
   return "";
 }
 
+// The run-setup flags (RunSetup, system/platform.h). Register adds them to
+// every spec with takes_run_setup; the catalogue lists them once.
+const std::vector<ParamSpec>& RunSetupParams() {
+  static const std::vector<ParamSpec>* params = new std::vector<ParamSpec>{
+      {"trace-out", ParamType::kString, "", "print the span report, write spans as JSON", {}},
+      {"metrics-out", ParamType::kString, "", "write kernel counters over time as JSON", {}},
+      {"metrics-interval", ParamType::kU64, "0", "cycles per row, with --metrics-out", {}},
+  };
+  return *params;
+}
+
+// "--name=TYPE", or "--name=a|b" for a choice.
+std::string FlagUsage(const ParamSpec& param) {
+  std::string usage = Fmt("--%s=", param.name.c_str());
+  if (param.choices.empty()) {
+    return usage + ParamTypeName(param.type);
+  }
+  for (size_t i = 0; i < param.choices.size(); ++i) {
+    usage += (i == 0 ? "" : "|") + param.choices[i];
+  }
+  return usage;
+}
+
 }  // namespace
 
 const std::string& WorkloadParams::Str(const std::string& name) const {
@@ -174,6 +197,9 @@ void WorkloadRegistry::Register(WorkloadSpec spec) {
   CHECK(!spec.name.empty()) << "workload spec needs a name";
   CHECK(spec.run != nullptr) << "workload '" << spec.name << "' has no driver";
   CHECK(Find(spec.name) == nullptr) << "duplicate workload '" << spec.name << "'";
+  if (spec.takes_run_setup) {
+    spec.params.insert(spec.params.end(), RunSetupParams().begin(), RunSetupParams().end());
+  }
   specs_.push_back(std::move(spec));
 }
 
@@ -233,47 +259,19 @@ WorkloadInvocation ParseWorkloadCli(const std::vector<std::string>& args) {
   }
   const WorkloadSpec& spec = *invocation.spec;
 
-  // Merge schema defaults, then the global defaults every driver can read.
+  // Merge schema defaults.
   for (const ParamSpec& param : spec.params) {
     invocation.params.Set(param.name, param.default_value);
   }
-  invocation.params.Set("trace-out", "");
-  invocation.params.Set("metrics-out", "");
-  invocation.params.Set("metrics-interval", "0");
 
-  // Pass 2: globals, then schema-validated workload flags.
+  // Pass 2: schema-validated flags.
   for (const std::string& arg : rest) {
-    if (!spec.takes_run_setup) {
-      for (const char* flag : {"--trace-out", "--metrics-out", "--metrics-interval"}) {
-        if (arg.rfind(flag, 0) == 0) {
-          return Fail(Fmt("workload '%s' does not take %s", spec.name.c_str(), arg.c_str()));
-        }
-      }
-    }
-    if (arg.rfind("--trace-out=", 0) == 0) {
-      invocation.params.Set("trace-out", arg.substr(12));
-      continue;
-    }
-    if (arg.rfind("--metrics-out=", 0) == 0) {
-      invocation.params.Set("metrics-out", arg.substr(14));
-      continue;
-    }
-    if (arg.rfind("--metrics-interval=", 0) == 0) {
-      std::string value = arg.substr(19);
-      uint64_t n = 0;
-      if (!ParseU64(value, &n)) {
-        return Fail(Fmt("--metrics-interval=%s: expected a cycle count", value.c_str()));
-      }
-      invocation.params.Set("metrics-interval", value);
-      continue;
-    }
     if (arg.rfind("--", 0) != 0) {
       return Fail(Fmt("unexpected argument '%s'", arg.c_str()));
     }
     std::string body = arg.substr(2);
     size_t eq = body.find('=');
     std::string key = body.substr(0, eq == std::string::npos ? body.size() : eq);
-    std::string value = eq == std::string::npos ? "" : body.substr(eq + 1);
     const ParamSpec* param = nullptr;
     for (const ParamSpec& candidate : spec.params) {
       if (candidate.name == key) {
@@ -285,13 +283,11 @@ WorkloadInvocation ParseWorkloadCli(const std::vector<std::string>& args) {
       return Fail(Fmt("workload '%s' does not take %s (see --list)", spec.name.c_str(),
                       arg.c_str()));
     }
-    if (eq == std::string::npos) {
-      if (param->type != ParamType::kBool) {
-        return Fail(Fmt("--%s needs a value (--%s=%s)", key.c_str(), key.c_str(),
-                        ParamTypeName(param->type)));
-      }
-      value = "1";
+    if (eq == std::string::npos && param->type != ParamType::kBool) {
+      return Fail(Fmt("--%s needs a value (--%s=%s)", key.c_str(), key.c_str(),
+                      ParamTypeName(param->type)));
     }
+    std::string value = eq == std::string::npos ? "1" : body.substr(eq + 1);
     std::string error = CheckValue(*param, value);
     if (!error.empty()) {
       return Fail(std::move(error));
@@ -299,11 +295,15 @@ WorkloadInvocation ParseWorkloadCli(const std::vector<std::string>& args) {
     invocation.params.Set(key, value);
   }
 
-  if (!list && spec.validate) {
-    std::string error = spec.validate(invocation.params);
-    if (!error.empty()) {
-      return Fail(std::move(error));
-    }
+  std::string error;
+  if (spec.takes_run_setup && invocation.params.U64("metrics-interval") != 0 &&
+      invocation.params.Str("metrics-out").empty()) {
+    error = "--metrics-interval needs --metrics-out: the timeline is written nowhere else";
+  } else if (!list && spec.validate) {
+    error = spec.validate(invocation.params);
+  }
+  if (!error.empty()) {
+    return Fail(std::move(error));
   }
   invocation.ok = true;
   return invocation;
@@ -318,30 +318,20 @@ std::string FormatWorkloadList() {
     for (const std::string& line : spec.detail) {
       os << "             " << line << "\n";
     }
-    if (!spec.params.empty()) {
-      os << "            ";
-      for (const ParamSpec& param : spec.params) {
-        if (!param.choices.empty()) {
-          std::string all;
-          for (const std::string& choice : param.choices) {
-            all += all.empty() ? choice : "|" + choice;
-          }
-          os << " --" << param.name << "=" << all;
-        } else {
-          os << " --" << param.name << "=" << ParamTypeName(param.type);
-        }
-      }
-      os << "\n";
+    // Register appended the run-setup flags; they are listed once, below.
+    size_t own = spec.params.size() - (spec.takes_run_setup ? RunSetupParams().size() : 0);
+    std::string flags;
+    for (size_t i = 0; i < own; ++i) {
+      flags += Fmt(" %s", FlagUsage(spec.params[i]).c_str());
+    }
+    if (!flags.empty()) {
+      os << "            " << flags << "\n";
     }
   }
-  os << "global flags:\n";
-  os << "  --trace-out=FILE  record causal spans, print the span report and write a\n";
-  os << "                    Chrome/Perfetto trace_event JSON (tracing is\n";
-  os << "                    observational only — modeled cycles never change)\n";
-  os << "  --metrics-out=FILE --metrics-interval=CYCLES\n";
-  os << "                    sample the kernel metric registry on the simulated\n";
-  os << "                    clock (default every 100000 cycles) and write a\n";
-  os << "                    metrics timeline JSON\n";
+  os << "global flags (one-platform runs; observational only, modeled cycles never change):\n";
+  for (const ParamSpec& param : RunSetupParams()) {
+    os << Fmt("  %-22s %s\n", FlagUsage(param).c_str(), param.help.c_str());
+  }
   return os.str();
 }
 

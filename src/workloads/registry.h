@@ -95,8 +95,8 @@ struct WorkloadSpec {
   std::vector<std::string> detail;  // extra catalogue lines (optional)
   bool open_loop = false;           // driver discipline, shown in --list
   // Whether the run-setup flags (--trace-out, --metrics-out,
-  // --metrics-interval) apply. micro builds its own fixed platforms and
-  // rejects them.
+  // --metrics-interval) apply: Register appends their shared ParamSpecs to
+  // `params`. micro builds its own fixed platforms and rejects them.
   bool takes_run_setup = true;
   std::vector<ParamSpec> params;
   // Optional semantic validation (ranges, cross-field constraints); returns

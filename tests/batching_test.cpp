@@ -191,7 +191,7 @@ TEST(BatchingBehaviour, BatchSkipsDeletedKeyAndWaitsForMarkedOne) {
     b_gone = k1->CapOf(rig.vpe(b), b_copy) == nullptr;
     Capability* c_cap = k1->CapOf(rig.vpe(c), c_copy);
     c_marked = c_cap != nullptr && c_cap->marked();
-    rig.p().RunUntil(rig.p().sim().Now() + 1);
+    rig.p().sim().RunUntil(rig.p().sim().Now() + 1);
   }
   ASSERT_EQ(k1->stats().ikc_op_received[batch_op], 1u);
   EXPECT_TRUE(b_gone);

@@ -491,7 +491,7 @@ TEST(KillVpe, WaitsForCapabilityMidRevoke) {
   // Run until the root is marked: its revocation now walks the chain.
   rig.client(victim).env().Revoke(root, [](const SyscallReply&) {});
   for (int step = 0; step < 1000 && !k0->CapOf(rig.vpe(victim), root)->marked(); ++step) {
-    rig.p().RunUntil(rig.p().sim().Now() + 10);
+    rig.p().sim().RunUntil(rig.p().sim().Now() + 10);
   }
   ASSERT_TRUE(k0->CapOf(rig.vpe(victim), root)->marked());
 

@@ -16,6 +16,7 @@
 #include "chaos/storm.h"
 #include "obs/metrics.h"
 #include "system/experiment.h"
+#include "traffic/traffic.h"
 #include "workloads/rebalance.h"
 
 namespace semperos {
@@ -118,6 +119,21 @@ RunDigest DigestStorm(const RunSetup& setup) {
           r.outcome};
 }
 
+RunDigest DigestTraffic(const RunSetup& setup) {
+  TrafficConfig config;
+  config.kernels = 2;
+  config.services = 2;
+  config.servers = 4;
+  config.warmup = 50;
+  config.requests = 400;
+  config.setup = setup;
+  TrafficResult r = RunTraffic(config);
+  return {r.events,
+          {static_cast<double>(r.makespan), static_cast<double>(r.completed),
+           static_cast<double>(r.window_drain), r.p99_us},
+          r.outcome};
+}
+
 // Complete ("X") events in a written Chrome trace file: one per span.
 uint64_t TraceFileEvents(const std::string& path) {
   std::ifstream in(path);
@@ -132,29 +148,38 @@ uint64_t TraceFileEvents(const std::string& path) {
   return n;
 }
 
-TEST(Determinism, TracedRunsAreDriftFreeAndFingerprintStable) {
-  // Tracing is observational only: every modeled output of a traced run
-  // must be bit-identical to the untraced run (zero modeled-cycle drift),
-  // and the span-tree fingerprint must be bit-identical across reruns.
-  // Each runner takes the trace path through its run setup and writes one
-  // event per recorded span.
+TEST(Determinism, ObservedRunsAreDriftFreeAndFingerprintStable) {
+  // Observation is free: every modeled output of a traced run, and of a run
+  // that writes a metrics timeline, must be bit-identical to the unobserved
+  // run (zero modeled-cycle drift, the same end), and the span-tree
+  // fingerprint must be bit-identical across reruns. Each runner takes the
+  // output paths through its run setup and writes one trace event per
+  // recorded span.
   struct Input {
     const char* name;
     RunDigest (*run)(const RunSetup&);
   };
   for (const Input& input : {Input{"postmark", DigestApp}, Input{"failover", DigestFailover},
-                             Input{"rebalance", DigestRebalance}, Input{"storm", DigestStorm}}) {
+                             Input{"rebalance", DigestRebalance}, Input{"storm", DigestStorm},
+                             Input{"traffic", DigestTraffic}}) {
     SCOPED_TRACE(input.name);
     RunSetup traced;
     traced.trace_out = testing::TempDir() + "determinism_" + input.name + ".json";
+    RunSetup sampled;
+    sampled.metrics_out = testing::TempDir() + "determinism_" + input.name + "_metrics.json";
     RunDigest untraced = input.run(RunSetup());
     RunDigest a = input.run(traced);
     RunDigest b = input.run(traced);
+    RunDigest m = input.run(sampled);
 
-    EXPECT_EQ(untraced.events, a.events);
-    EXPECT_EQ(untraced.modeled, a.modeled);
-    ExpectSameStats(untraced.outcome.kernel_stats, a.outcome.kernel_stats);
-    ExpectSameNoc(untraced.outcome.noc, a.outcome.noc);
+    for (const RunDigest* observed : {&a, &m}) {
+      EXPECT_EQ(untraced.events, observed->events);
+      EXPECT_EQ(untraced.modeled, observed->modeled);
+      ExpectSameStats(untraced.outcome.kernel_stats, observed->outcome.kernel_stats);
+      ExpectSameNoc(untraced.outcome.noc, observed->outcome.noc);
+    }
+    EXPECT_TRUE(m.outcome.write_error.empty()) << m.outcome.write_error;
+    std::remove(sampled.metrics_out.c_str());
 
     EXPECT_GT(a.outcome.spans_recorded, 0u);
     EXPECT_EQ(a.outcome.spans_dropped, 0u);

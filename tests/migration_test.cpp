@@ -555,7 +555,7 @@ std::pair<uint64_t, uint64_t> LoopAttemptWithLostCopy(bool crash_watchdog) {
   size_t baseline = kernel->caps().size();
   while (kernel->caps().size() == baseline) {
     CHECK_LT(platform.sim().Now(), 1'000'000u) << "the obtain never completed";
-    platform.RunUntil(platform.sim().Now() + 1);
+    platform.sim().RunUntil(platform.sim().Now() + 1);
   }
   kernel->AdminKillVpe(owner_pe, nullptr);
   platform.RunToCompletion();

@@ -56,7 +56,7 @@ TEST(Noc, LoopbackUsesLocalRouterOnly) {
   Cycles delivered = 0;
   noc.Send(3, 3, 64, [&] { delivered = sim.Now(); });
   sim.RunUntilIdle();
-  EXPECT_EQ(delivered, SmallMesh().router_latency);
+  EXPECT_EQ(delivered, Noc::kRouterLatency);
 }
 
 // The protocol precondition of paper §4.3.1: messages between a pair of
@@ -134,8 +134,8 @@ TEST(Noc, SerializationFloor) {
   Noc noc(&sim, SmallMesh());
   // Tiny packets still pay the header-flit floor.
   Cycles lat_small = noc.UnloadedLatency(0, 1, 1);
-  Cycles lat_floor = noc.UnloadedLatency(0, 1, SmallMesh().min_packet_cycles *
-                                                   SmallMesh().link_bytes_per_cycle);
+  Cycles lat_floor =
+      noc.UnloadedLatency(0, 1, Noc::kMinPacketCycles * Noc::kLinkBytesPerCycle);
   EXPECT_EQ(lat_small, lat_floor);
 }
 

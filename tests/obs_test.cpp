@@ -14,8 +14,12 @@
 //  - pipelined relay hops stay parent-linked into the request trees that
 //    ride in them,
 //  - the whole-run trace report equals the per-trace walk, and an output
-//    path alone turns its recorder on.
+//    path alone turns its recorder on,
+//  - the metrics timeline has a row per interval boundary the clock passed
+//    and a last row at the run's end holding the final counters.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -347,11 +351,56 @@ TEST(ObsIntegration, OutputPathAloneTurnsItsRecorderOn) {
   EXPECT_EQ(metrics_text.str().rfind("{\"interval\":100000,", 0), 0u) << metrics_text.str();
   std::remove(app.setup.metrics_out.c_str());
 
-  // A file that cannot be written is reported, not fatal.
-  app.setup.metrics_out = testing::TempDir() + "no-such-dir/metrics.json";
-  a = RunApp(app);
-  EXPECT_NE(a.outcome.write_error.find(app.setup.metrics_out), std::string::npos)
-      << a.outcome.write_error;
+  // A file that cannot be written is reported, not fatal: one that cannot
+  // be opened, and one on a full device, whose writes fail.
+  std::vector<std::string> unwritable = {testing::TempDir() + "no-such-dir/out.json"};
+  if (access("/dev/full", W_OK) == 0) {
+    unwritable.push_back("/dev/full");
+  }
+  for (const std::string& path : unwritable) {
+    app.setup = RunSetup();
+    app.setup.metrics_out = path;
+    a = RunApp(app);
+    EXPECT_EQ(a.outcome.write_error, "cannot write metrics timeline " + path);
+    app.setup = RunSetup();
+    app.setup.trace_out = path;
+    a = RunApp(app);
+    EXPECT_EQ(a.outcome.write_error, "cannot write trace file " + path);
+  }
+}
+
+// The timeline has a row for each interval boundary the clock moved past,
+// sampled without stopping the run, and a last row at the run's end that
+// holds the final counters.
+TEST(ObsIntegration, TimelineRowsAreBoundariesThenTheEnd) {
+  constexpr Cycles kInterval = 3'000;
+  PlatformConfig pc;
+  pc.kernels = 4;
+  pc.users = 4;
+  pc.timeline.interval = kInterval;
+  DriverRig rig = MakeDriverRig(pc);
+  CapSel root = rig.Grant(0);
+  VpeId owner = rig.vpe(0);
+  rig.TimedOp([&rig, owner, root](std::function<void()> done) {
+    rig.client(3).env().Obtain(owner, root, [done](const SyscallReply&) { done(); });
+  });
+  Platform& p = rig.p();
+  const Cycles end = p.sim().Now();
+  RunOutcome outcome;
+  outcome.Harvest(&p, RunSetup());
+
+  const std::vector<obs::TimelineSample>& rows = p.timeline()->samples();
+  ASSERT_EQ(rows.size(), (end - 1) / kInterval + 2);
+  for (size_t i = 0; i + 1 < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].t, i * kInterval);
+  }
+  EXPECT_EQ(rows.back().t, end);
+  std::vector<uint64_t> final_counters;
+  obs::ForEachKernelMetric(outcome.kernel_stats, [&](const obs::MetricValue& m) {
+    final_counters.push_back(m.value);
+  });
+  EXPECT_EQ(rows.back().values, final_counters);
+  EXPECT_NE(rows.front().values, final_counters);
 }
 
 // Migration mid-obtain: stale-epoch requests travel as pipelined relays.

@@ -139,6 +139,12 @@ TEST(Registry, RunSetupFlagsNeedOnePlatformRun) {
   EXPECT_FALSE(Parse({"chaos", "--sweep=2", "--trace-out=t.json"}).ok);
   EXPECT_FALSE(Parse({"chaos", "--sweep=2", "--metrics-interval=5000"}).ok);
   EXPECT_FALSE(Parse({"traffic", "--saturate", "--metrics-out=m.json"}).ok);
+  // An interval alone would arm a timeline that nothing writes.
+  WorkloadInvocation interval_alone = Parse({"traffic", "--metrics-interval=5000"});
+  EXPECT_FALSE(interval_alone.ok);
+  EXPECT_NE(interval_alone.error.find("needs --metrics-out"), std::string::npos)
+      << interval_alone.error;
+  EXPECT_FALSE(Parse({"traffic", "--metrics-out=m.json", "--metrics-interval=soon"}).ok);
   // --pipeline is a traffic parameter, not a global flag.
   EXPECT_EQ(Parse({"traffic", "--pipeline=3"}).params.U32("pipeline"), 3u);
   EXPECT_FALSE(Parse({"tar", "--pipeline=3"}).ok);

@@ -363,7 +363,7 @@ TEST(Nginx, ServerRunsEveryTraceOp) {
   LoadGen* lg = gen.get();
   p.pe(p.loadgen_nodes()[0])->AttachProgram(std::move(gen));
   p.Boot();
-  p.RunUntil(p.sim().Now() + 2'000'000);
+  p.sim().RunUntil(p.sim().Now() + 2'000'000);
 
   EXPECT_GE(srv->served(), 3u);
   EXPECT_GE(lg->completed() + 1, srv->served());

@@ -223,6 +223,12 @@ struct EngineSide {
   Simulation sim;
   Script script;
   Trace fired;
+  // Each tick: (boundary, events fired when it ran).
+  std::vector<std::pair<Cycles, size_t>> ticks;
+
+  void ArmTick(Cycles interval) {
+    sim.SetTick(interval, [this](Cycles boundary) { ticks.emplace_back(boundary, fired.size()); });
+  }
 
   void Add(Cycles delay, uint64_t id) {
     sim.Schedule(delay, [this, id] { Fire(id); });
@@ -302,7 +308,7 @@ struct ReferenceSide {
 // Both sides, and the check that they agree at a stop.
 struct Sides {
   Sides(uint64_t seed, uint64_t budget)
-      : engine{Simulation(), Script{seed, budget}, {}}, ref{Script{seed, budget}, {}, {}} {}
+      : engine{Simulation(), Script{seed, budget}, {}, {}}, ref{Script{seed, budget}, {}, {}} {}
 
   void Add(Cycles delay) {
     uint64_t id = engine.script.NewId();
@@ -334,13 +340,37 @@ struct Sides {
   ReferenceSide ref;
 };
 
+// The tick of an armed side: every multiple of `interval` before Now()
+// ticked once, in order, after every event due by it and before any later
+// one.
+void ExpectTicks(const EngineSide& side, Cycles interval) {
+  const Cycles now = side.sim.Now();
+  ASSERT_EQ(side.ticks.size(), now == 0 ? 0 : (now - 1) / interval + 1);
+  for (size_t i = 0; i < side.ticks.size(); ++i) {
+    const auto [boundary, seen] = side.ticks[i];
+    ASSERT_EQ(boundary, i * interval);
+    ASSERT_LE(seen, side.fired.size());
+    if (seen > 0) {
+      ASSERT_LE(side.fired[seen - 1].first, boundary) << "tick " << i << " came too early";
+    }
+    if (seen < side.fired.size()) {
+      ASSERT_GT(side.fired[seen].first, boundary) << "tick " << i << " came too late";
+    }
+  }
+}
+
 class QueueOrder : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(QueueOrder, MatchesStableSortAcrossEveryLevel) {
-  const uint64_t seed = GetParam();
+// Drives seeded random schedules through both sides. With `tick` > 0 the
+// engine side is observed by a tick of that interval, which must not change
+// what it runs or when, and must see every boundary at the right point.
+void ExpectQueueMatchesStableSort(uint64_t seed, Cycles tick) {
   Rng rng(seed);
   Sides sides(seed, 4000);
   Simulation& sim = sides.engine.sim;
+  if (tick != 0) {
+    sides.engine.ArmTick(tick);
+  }
 
   // A cycle both sides keep targeting from the main thread as the clock
   // closes in on it: the early insertions wait in the heap, later ones in
@@ -384,6 +414,21 @@ TEST_P(QueueOrder, MatchesStableSortAcrossEveryLevel) {
   sides.ExpectSame("final RunUntilIdle");
   EXPECT_TRUE(sim.Idle());
   EXPECT_GT(sides.engine.fired.size(), 1000u);
+  if (tick != 0) {
+    ExpectTicks(sides.engine, tick);
+  }
+}
+
+TEST_P(QueueOrder, MatchesStableSortAcrossEveryLevel) {
+  ExpectQueueMatchesStableSort(GetParam(), 0);
+}
+
+// Ticks at the scale of the fine ring, the coarse ring and the heap: the
+// boundaries fall between events of every level and inside idle jumps.
+TEST_P(QueueOrder, TickedQueueRunsTheSameEventsAtTheSameTimes) {
+  const uint64_t seed = GetParam();
+  const Cycles intervals[] = {kE / 3 + seed, 3 * kE + seed, (kC + 1) * kE + seed};
+  ExpectQueueMatchesStableSort(seed, intervals[seed % 3]);
 }
 
 // Only the coarse ring holds events: NextEventWhen() is the earliest due
@@ -429,6 +474,46 @@ TEST(QueueLevels, OnlyHeapEventsPending) {
   EXPECT_EQ(sides.engine.fired.size(), 4u);
   sides.RunUntilIdle(kC * kE + 3);
   sides.ExpectSame("drained");
+}
+
+// One event on each level, ticked every epoch: the boundaries before the
+// fine event, between it and the coarse one, and the kC + 2 the jump to the
+// heap event passes at once each tick once, in order.
+TEST(QueueTick, FiresOncePerBoundaryFromEveryLevel) {
+  Sides sides(1, 0);
+  sides.engine.ArmTick(kE);
+  for (Cycles delay : {kE / 2, 3 * kE + 5, (kC + 5) * kE + 1}) {
+    sides.Add(delay);
+  }
+  sides.RunUntilIdle(0);
+  sides.ExpectSame("drained");
+  ExpectTicks(sides.engine, kE);
+  EXPECT_EQ(sides.engine.ticks.size(), kC + 6);
+}
+
+// RunUntil's landing and RunUntilIdle's horizon jump tick like an event
+// pop, and a boundary the clock lands on ticks only once the clock leaves
+// it: an event due there still runs first.
+TEST(QueueTick, LandingsAndIdleJumps) {
+  Simulation sim;
+  std::vector<Cycles> ticks;
+  int events = 0;
+  std::vector<int> seen;
+  sim.SetTick(100, [&](Cycles boundary) {
+    ticks.push_back(boundary);
+    seen.push_back(events);
+  });
+  sim.RunUntil(250);  // an idle jump past three boundaries
+  EXPECT_EQ(ticks, (std::vector<Cycles>{0, 100, 200}));
+  sim.RunUntil(300);  // lands on a boundary without passing it
+  EXPECT_EQ(ticks.size(), 3u);
+  sim.ScheduleAt(300, [&] { ++events; });
+  sim.NoteTime(850);
+  sim.RunUntilIdle();  // the event, then the horizon jump
+  EXPECT_EQ(events, 1);
+  EXPECT_EQ(sim.Now(), 850u);
+  EXPECT_EQ(ticks, (std::vector<Cycles>{0, 100, 200, 300, 400, 500, 600, 700, 800}));
+  EXPECT_EQ(seen, (std::vector<int>{0, 0, 0, 1, 1, 1, 1, 1, 1}));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueueOrder, ::testing::Range<uint64_t>(1, 17));

@@ -15,11 +15,35 @@
 //   semperos_sim failover --trace-out=t.json  # any one-platform run: span
 //                                             # report + Chrome trace file
 //   semperos_sim --list                       # the full workload catalogue
+//
+// After a run it prints its own peak resident set to stderr
+// ("host peak RSS: N MB"), so a memory trend measures the simulator alone,
+// not the process that started it.
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "workloads/registry.h"
+
+namespace {
+
+// This process's peak resident set (VmHWM) in MB, read the way
+// perfbench/driver.cpp's PeakRssMb reads it; 0 without /proc.
+double PeakRssMb() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) {
+    return 0;
+  }
+  char line[256];
+  unsigned long long kib = 0;
+  while (std::fgets(line, sizeof(line), f) != nullptr &&
+         std::sscanf(line, "VmHWM: %llu kB", &kib) != 1) {
+  }
+  std::fclose(f);
+  return static_cast<double>(kib) / 1024.0;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   semperos::RegisterBuiltinWorkloads();
@@ -36,5 +60,7 @@ int main(int argc, char** argv) {
     std::printf("%s", semperos::FormatWorkloadList().c_str());
     return 0;
   }
-  return semperos::RunWorkloadCli(invocation);
+  int code = semperos::RunWorkloadCli(invocation);
+  std::fprintf(stderr, "host peak RSS: %.2f MB\n", PeakRssMb());
+  return code;
 }
