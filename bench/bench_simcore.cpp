@@ -3,14 +3,14 @@
 //
 // Unlike every other bench binary, this one measures HOST time, not
 // simulated time: it tracks how fast the discrete-event engine executes
-// (events/sec through the serial queue's fine and coarse rings, the 4-ary
+// (events/sec through the queue's fine and coarse rings, the 4-ary
 // heap behind them and the InlineFn slab) and how fast the NoC+DTU stack
 // moves messages (messages/sec including pooled body allocation, tag
 // dispatch and per-link reservation). Every figure sweep is bounded by
 // these two rates, so regressions here show up as wall-clock regressions
 // everywhere (see docs/benchmarks.md, "Wall-clock vs modeled cycles").
-// BM_AppPostmarkSerial adds the whole request path (kernels, asks, IKCs,
-// m3fs) at a small shape.
+// BM_AppPostmarkSerial and BM_AppPostmark1024 add the whole request
+// path (kernels, asks, IKCs, m3fs) at a small shape and at the largest.
 //
 // Compare runs with:  tools/bench_compare.py OLD NEW --wallclock
 // (generous tolerance; host timing is noisy where simulated time is not).
@@ -177,20 +177,19 @@ BENCHMARK(BM_EventChurnFar)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EventChurnHeap)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MessageDelivery)->Unit(benchmark::kMillisecond);
 
-// The request path on the wall clock: RunApp with PostMark at a small
-// serial shape (8 kernels, 8 services, 256 instances), so syscalls, asks,
-// IKCs, endpoint configuration and m3fs service work all count, not only
-// the event core. events_per_sec divides the run's events by RunApp's wall
-// time, platform construction and boot included.
-void BM_AppPostmarkSerial(benchmark::State& state) {
+// The request path on the wall clock: RunApp with PostMark, so syscalls,
+// asks, IKCs, endpoint configuration and m3fs service work all count, not
+// only the event core. events_per_sec divides the run's events by RunApp's
+// wall time, platform construction and boot included.
+void AppPostmark(benchmark::State& state, uint32_t kernels, uint32_t instances) {
   uint64_t events = 0;
   double seconds = 0;
   for (auto _ : state) {
     AppRunConfig config;
     config.app = "postmark";
-    config.kernels = 8;
-    config.services = 8;
-    config.instances = 256;
+    config.kernels = kernels;
+    config.services = kernels;
+    config.instances = instances;
     auto t0 = std::chrono::steady_clock::now();
     AppRunResult result = RunApp(config);
     seconds += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -199,61 +198,15 @@ void BM_AppPostmarkSerial(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(events));
   state.counters["events_per_sec"] = static_cast<double>(events) / seconds;
 }
+
+// A small shape: 8 kernels, 8 services, 256 instances.
+void BM_AppPostmarkSerial(benchmark::State& state) { AppPostmark(state, 8, 256); }
 BENCHMARK(BM_AppPostmarkSerial)->Unit(benchmark::kMillisecond);
 
-// Thread-scaling sweep: the 1024-instance/64-kernel PostMark scale point
-// (1153 PEs, full fidelity — the workload that saturates one host core on
-// the serial engine) on the sharded parallel engine at 1/2/4/8 worker
-// threads. Modeled results are bit-identical across the whole sweep (the
-// run CHECKs events and makespan against the 1-thread row); the counters
-// report host throughput: events_per_sec and speedup_vs_1t. On a
-// single-core host the sweep degrades gracefully (speedup < 1: barrier
-// handshakes buy nothing without parallel hardware) — scaling numbers are
-// meaningful on >= 4-core machines; see docs/benchmarks.md. With the
-// equivalence suite, this sweep is what RunSetup::threads exists for; both
-// go with the engine (ROADMAP, "The benchmark PR, then delete the sharded
-// parallel engine").
-void BM_ScalePointPostmark1024Threads(benchmark::State& state) {
-  static uint64_t base_events = 0;   // 1-thread row pins the modeled outputs
-  static uint64_t base_makespan = 0;
-  static double base_eps = 0;        // 1-thread events/sec (speedup baseline)
-  const uint32_t threads = static_cast<uint32_t>(state.range(0));
-  uint64_t events = 0;
-  double eps = 0;
-  for (auto _ : state) {
-    AppRunConfig config;
-    config.app = "postmark";
-    config.kernels = 64;
-    config.services = 64;
-    config.instances = 1024;
-    config.setup.threads = threads;  // row 1 is the serial engine
-    auto t0 = std::chrono::steady_clock::now();
-    AppRunResult result = RunApp(config);
-    double wall = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    events = result.events;
-    eps = static_cast<double>(result.events) / wall;
-    if (threads == 1) {
-      base_events = result.events;
-      base_makespan = result.makespan;
-      base_eps = eps;
-    } else if (base_events != 0) {
-      // The engine's contract, enforced on every sweep run: sharding must
-      // not change the model. (base_events == 0 means a --benchmark_filter
-      // skipped the 1-thread row; nothing to compare against then.)
-      CHECK_EQ(result.events, base_events) << "threads=" << threads;
-      CHECK_EQ(result.makespan, base_makespan) << "threads=" << threads;
-    }
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(events));
-  state.counters["events_per_sec"] = eps;
-  if (base_eps > 0) {
-    state.counters["speedup_vs_1t"] = eps / base_eps;
-  }
-}
-BENCHMARK(BM_ScalePointPostmark1024Threads)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
+// The 1024-instance/64-kernel scale point (1153 PEs, full fidelity), run
+// once: the largest app run this binary times.
+void BM_AppPostmark1024(benchmark::State& state) { AppPostmark(state, 64, 1024); }
+BENCHMARK(BM_AppPostmark1024)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace semperos

@@ -17,9 +17,6 @@
 // an IKC to every peer kernel in flight at once, a peak most runs never
 // reach again, so the kernels trim theirs once boot settled (Kernel::Trim,
 // called by Platform::Boot).
-//
-// Each instance belongs to one kernel, PE or service, which one shard of
-// the parallel engine owns, so none of them needs synchronization.
 #ifndef SEMPEROS_BASE_FLAT_H_
 #define SEMPEROS_BASE_FLAT_H_
 

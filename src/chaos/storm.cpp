@@ -41,11 +41,6 @@ constexpr double kOpRate = 0.7;
 // revoke per handed extent) — but, unlike the strict TraceReplayer, it
 // tolerates errors the way a crash-tolerant application would: a failed
 // operation abandons the file and the trace moves on.
-//
-// Every field below is mutated either by the driver between simulation
-// slices or by this client's own callbacks (which run on its PE's shard) —
-// never by another client — so the sharded engine sees no cross-thread
-// writes and storms stay bit-identical at any thread count.
 class StormClient : public Program {
  public:
   StormClient(NodeId kernel_node, const TimingModel& timing, bool arm_retry)
@@ -62,7 +57,7 @@ class StormClient : public Program {
 
   UserEnv& env() { return *env_; }
 
-  // Driver-visible state (see the class comment for why this is shard-safe).
+  // Driver-visible state.
   bool busy = false;
   bool dead = false;
   uint64_t ops_ok = 0;

@@ -42,8 +42,7 @@
 //
 // Everything is driven by one explicitly seeded Rng, and the driver only
 // acts at exact-time barriers between simulation slices — so a storm is
-// bit-identical across reruns AND across engine thread counts (asserted by
-// the parallel equivalence suite).
+// bit-identical across reruns.
 #ifndef SEMPEROS_CHAOS_STORM_H_
 #define SEMPEROS_CHAOS_STORM_H_
 
@@ -107,7 +106,7 @@ struct StormResult {
 
   // Modeled-result fingerprint for the determinism/equivalence guard.
   Cycles end_time = 0;
-  uint64_t events = 0;  // engine total, boot included
+  uint64_t events = 0;  // events run, boot included
   RunOutcome outcome;
 
   std::string Summary() const;  // one-paragraph human-readable outcome

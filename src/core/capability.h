@@ -64,13 +64,14 @@ class Capability {
     task_ = task;
   }
 
-  // DTU endpoint this capability was activated on (invalidated on revoke).
-  bool activated() const { return activated_; }
-  EpId activated_ep() const { return activated_ep_; }
+  // The memory endpoints this capability was activated on, bit i for
+  // user_ep::kMem0 + i; a revoke invalidates every one of them.
+  uint8_t activated_eps() const { return activated_eps_; }
   void SetActivated(EpId ep) {
-    activated_ = true;
-    activated_ep_ = ep;
+    CHECK(ep >= user_ep::kMem0 && ep - user_ep::kMem0 < user_ep::kNumMemEps) << "endpoint " << ep;
+    activated_eps_ |= static_cast<uint8_t>(1u << (ep - user_ep::kMem0));
   }
+  void set_activated_eps(uint8_t eps) { activated_eps_ = eps; }
 
  private:
   DdlKey key_;
@@ -81,8 +82,8 @@ class Capability {
   std::vector<DdlKey> children_;
   CapPayload payload_;
   RevokeTask* task_ = nullptr;
-  bool activated_ = false;
-  EpId activated_ep_ = 0;
+  uint8_t activated_eps_ = 0;
+  static_assert(user_ep::kNumMemEps <= 8, "one bit per memory endpoint");
 
  public:
   // CapSpace storage (RecordPool): the slot this record occupies, the

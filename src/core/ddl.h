@@ -115,8 +115,8 @@ namespace semperos {
 // every kernel reads the platform's boot-time table, one slot per PE,
 // until a migration or failover reassigns a partition at that kernel. A
 // table writes only a mapping it allocated itself and that no copy shares,
-// so the copies that different shards of the parallel engine own need no
-// synchronization. The epochs are each copy's own.
+// so a write at one kernel never shows at another. The epochs are each
+// copy's own.
 class MembershipTable {
  public:
   MembershipTable() : MembershipTable(0) {}

@@ -270,8 +270,8 @@ std::string Kernel::DumpCaps() const {
       if (cap->marked()) {
         os << " MARKED";
       }
-      if (cap->activated()) {
-        os << " ep" << cap->activated_ep();
+      for (uint8_t eps = cap->activated_eps(); eps != 0; eps &= eps - 1) {
+        os << " ep" << user_ep::kMem0 + std::countr_zero(eps);
       }
       os << "\n";
     });
@@ -1119,16 +1119,16 @@ Cycles Kernel::SweepPass(DdlKey key, RevokeTask* task) {
     ask->session = cap->payload().session;
     AskParty(cap->payload().dst_node, ask, [](const AskReply&) {});
   }
-  if (cap->activated()) {
-    // Enforce the revocation: invalidate the DTU endpoint this capability
-    // was bound to (NoC-level isolation makes this sufficient).
+  VpeState* holder = vpes_.Find(cap->holder());
+  // Enforce the revocation: invalidate every DTU endpoint this capability
+  // was bound to (NoC-level isolation makes this sufficient).
+  for (uint8_t eps = cap->activated_eps(); eps != 0; eps &= eps - 1) {
     cost += t_.ep_invalidate;
-    VpeState* h = vpes_.Find(cap->holder());
-    if (h != nullptr) {
-      pe_->dtu().InvalidateRemoteEp(h->node, cap->activated_ep(), nullptr);
+    if (holder != nullptr) {
+      EpId ep = user_ep::kMem0 + static_cast<EpId>(std::countr_zero(eps));
+      pe_->dtu().InvalidateRemoteEp(holder->node, ep, nullptr);
     }
   }
-  VpeState* holder = vpes_.Find(cap->holder());
   if (holder != nullptr) {
     holder->table.Erase(cap->sel());
   }
@@ -1569,8 +1569,7 @@ void Kernel::StartMigrateTransfer(uint64_t task_id) {
     record.parent = cap->parent();
     record.children = cap->children();
     record.payload = cap->payload();
-    record.activated = cap->activated();
-    record.activated_ep = cap->activated_ep();
+    record.activated_eps = cap->activated_eps();
     payload->caps.push_back(std::move(record));
   });
   stats_.caps_migrated += payload->caps.size();
@@ -1622,9 +1621,7 @@ void Kernel::OnMigrateVpe(const Message& msg, const IkcMsg& req) {
     for (DdlKey child : record.children) {
       cap->AddChild(child);
     }
-    if (record.activated) {
-      cap->SetActivated(record.activated_ep);
-    }
+    cap->set_activated_eps(record.activated_eps);
     v->table.Set(record.sel, record.key);
   }
   // Keep allocating collision-free object ids in the moved partition.

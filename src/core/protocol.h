@@ -51,8 +51,7 @@ struct MigratedCap {
   DdlKey parent;
   std::vector<DdlKey> children;
   CapPayload payload;
-  bool activated = false;
-  EpId activated_ep = 0;
+  uint8_t activated_eps = 0;  // Capability::activated_eps()
 };
 
 // Everything the destination kernel needs to take over a PE: the VPE's

@@ -10,8 +10,10 @@ namespace semperos {
 namespace {
 // Wire size of an endpoint-configuration packet (a few register writes).
 constexpr uint32_t kConfigPacketBytes = 32;
-// See Dtu::kConfigApplyCycles (dtu.h) — shared with the parallel engine.
-constexpr Cycles kConfigApplyCycles = Dtu::kConfigApplyCycles;
+// Extra cycles a remote DTU needs to apply a configuration packet: the
+// `done` continuation of a ConfigureRemote* call runs this long after
+// delivery.
+constexpr Cycles kConfigApplyCycles = 8;
 // Fixed DRAM-style access latency charged per memory request.
 constexpr Cycles kMemAccessLatency = 60;
 

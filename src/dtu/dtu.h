@@ -110,11 +110,6 @@ class Dtu {
  public:
   static constexpr uint32_t kNumEps = 16;        // paper §5.1
   static constexpr uint32_t kDefaultSlots = 32;  // paper §5.1
-  // Extra cycles a remote DTU needs to apply a configuration packet. Public
-  // because it is also a cross-shard lookahead bound for the parallel
-  // engine: the `done` continuation of a ConfigureRemote* call is scheduled
-  // this many cycles after delivery, back on the caller's shard.
-  static constexpr Cycles kConfigApplyCycles = 8;
 
   // A receive endpoint's handler. Every library handler captures only its
   // owner (`this`), which 8 bytes hold in place; a larger capture (a test's
@@ -278,8 +273,7 @@ class Dtu {
 
   // Observability hooks. Stamp: record when a traced message hits the wire;
   // RecordTransit: close the wire-transit span at delivery, on the receiving
-  // entity (race-free under the parallel engine — delivery runs on the
-  // destination's shard). Both are no-ops without an attached tracer.
+  // entity. Both are no-ops without an attached tracer.
   void StampTrace(Message& msg) const;
   void RecordTransit(const Message& msg);
 

@@ -22,8 +22,8 @@
 // reference to a reused block reads plausible live data; with it off, the
 // sanitizer sees the free.
 //
-// Freelists are thread_local: under the sharded engine (sim/engine.h)
-// worker threads allocate and free concurrently; see FreeList() below.
+// Freelists are thread_local, so platforms run on different threads of one
+// process share no pool; see FreeList() below.
 #ifndef SEMPEROS_DTU_MSG_POOL_H_
 #define SEMPEROS_DTU_MSG_POOL_H_
 
@@ -42,15 +42,11 @@ namespace pool_internal {
 
 // One freelist per block type U (the control-block-plus-object type
 // allocate_shared rebinds to), so every entry has exactly sizeof(U) bytes.
-// thread_local: under the sharded engine (sim/engine.h) every worker thread
-// allocates and frees messages concurrently; per-thread freelists keep the
-// pool lock-free. A body allocated on one shard and freed on another simply
-// parks in the freeing thread's list — refcounting on shared_ptr is atomic,
-// so cross-shard body hand-off is already safe. The holder's destructor
-// releases parked blocks when a thread exits (engine worker pools come and
-// go with every parallel Platform; without it each run's peak in-flight
-// message memory would leak). Every holder of a thread is listed in
-// Holders(), so TrimMsgPools() can free them all.
+// thread_local: independent runs on different threads of one process each
+// allocate and free from their own thread's lists, without locks. The
+// holder's destructor releases parked blocks when a thread exits; without
+// it each thread's peak in-flight message memory would leak. Every holder
+// of a thread is listed in Holders(), so TrimMsgPools() can free them all.
 struct FreeListHolder;
 
 inline std::vector<FreeListHolder*>& Holders() {

@@ -1,9 +1,5 @@
 #include "noc/noc.h"
 
-#include <utility>
-
-#include "sim/engine.h"
-
 namespace semperos {
 
 Noc::Noc(Simulation* sim, const NocConfig& config) : sim_(sim), config_(config) {
@@ -11,16 +7,6 @@ Noc::Noc(Simulation* sim, const NocConfig& config) : sim_(sim), config_(config) 
   CHECK_GT(config_.height, 0u);
   // Four directed links per node (not all used at the mesh edge).
   link_free_at_.assign(static_cast<size_t>(NodeCount()) * 4, 0);
-  stats_slots_.resize(1);
-}
-
-void Noc::AttachEngine(ParallelEngine* engine, std::vector<Simulation*> node_sims) {
-  CHECK(engine != nullptr);
-  CHECK_EQ(node_sims.size(), NodeCount());
-  engine_ = engine;
-  node_sims_ = std::move(node_sims);
-  stats_slots_.assign(engine->shard_count() + 1, NocStats{});
-  engine->BindNoc(this);
 }
 
 uint32_t Noc::Hops(NodeId src, NodeId dst) const {
@@ -57,27 +43,8 @@ Cycles Noc::ReserveLink(uint32_t link, Cycles t, Cycles serialization, Cycles* q
   return start;
 }
 
-NocStats& Noc::StatsSlot() {
-  if (node_sims_.empty()) {
-    return stats_slots_[0];
-  }
-  Simulation* cur = ShardContext::current;
-  return cur != nullptr ? stats_slots_[cur->shard_index()] : stats_slots_.back();
-}
-
-NocStats Noc::stats() const {
-  NocStats total;
-  for (const NocStats& s : stats_slots_) {
-    total.packets += s.packets;
-    total.total_bytes += s.total_bytes;
-    total.total_hops += s.total_hops;
-    total.total_latency += s.total_latency;
-    total.total_queueing += s.total_queueing;
-  }
-  return total;
-}
-
-Cycles Noc::RouteAndReserve(NodeId src, NodeId dst, uint32_t bytes, Cycles now, NocStats* stats) {
+Cycles Noc::RouteAndReserve(NodeId src, NodeId dst, uint32_t bytes) {
+  const Cycles now = sim_->Now();
   Cycles serialization = bytes / kLinkBytesPerCycle;
   if (serialization < kMinPacketCycles) {
     serialization = kMinPacketCycles;
@@ -116,36 +83,12 @@ Cycles Noc::RouteAndReserve(NodeId src, NodeId dst, uint32_t bytes, Cycles now, 
     t = now + UnloadedLatency(src, dst, bytes);
   }
 
-  stats->packets++;
-  stats->total_bytes += bytes;
-  stats->total_hops += Hops(src, dst);
-  stats->total_latency += t - now;
-  stats->total_queueing += queueing;
+  stats_.packets++;
+  stats_.total_bytes += bytes;
+  stats_.total_hops += Hops(src, dst);
+  stats_.total_latency += t - now;
+  stats_.total_queueing += queueing;
   return t;
-}
-
-void Noc::DeferSend(NodeId src, NodeId dst, uint32_t bytes, InlineFn deliver) {
-  engine_->RecordSend(src, dst, bytes, std::move(deliver));
-}
-
-Cycles Noc::RouteNow(NodeId src, NodeId dst, uint32_t bytes) {
-  Cycles now;
-  if (node_sims_.empty()) {
-    now = sim_->Now();
-  } else if (ShardContext::current != nullptr) {
-    now = ShardContext::current->Now();  // loopback inside a window
-  } else {
-    now = engine_->Now();  // engine-exclusive context (boot, driver events)
-  }
-  return RouteAndReserve(src, dst, bytes, now, &StatsSlot());
-}
-
-void Noc::ApplyDeferredSend(NodeId src, NodeId dst, uint32_t bytes, Cycles now, Cycles not_before,
-                            InlineFn deliver) {
-  Cycles t = RouteAndReserve(src, dst, bytes, now, &stats_slots_.back());
-  CHECK_GE(t, not_before) << "deferred delivery violates the NoC lookahead window (src=" << src
-                          << " dst=" << dst << ")";
-  SimFor(dst)->ScheduleAt(t, std::move(deliver));
 }
 
 }  // namespace semperos

@@ -15,13 +15,11 @@
 // bit-identical with tracing on or off ("zero modeled-cycle drift"). Span
 // contents are pure functions of modeled execution (cycle timestamps,
 // per-entity sequence numbers), so the merged span list — and its
-// fingerprint — is bit-identical across reruns and engine thread counts.
+// fingerprint — is bit-identical across reruns.
 //
-// Parallel-engine safety: spans are appended to per-entity ring buffers.
-// An entity (a PE / node) executes on exactly one shard, and a shard runs
-// on one thread per window, so appends are unsynchronized yet race-free.
-// The rings are merged once, after the run, in canonical event-key order
-// (start cycle, entity, span id). A full ring drops the span and counts the
+// Storage: spans are appended to per-entity (PE / node) ring buffers,
+// merged once, after the run, in canonical event-key order (start cycle,
+// entity, span id). A full ring drops the span and counts the
 // drop — never fatal, never a reallocation on the hot path.
 //
 // Disabled cost: everything is gated on a Tracer* being attached to the
@@ -130,9 +128,8 @@ class Tracer {
   // Ends an opened span at `end` and records it.
   void Close(Span span, Cycles end);
 
-  // Appends a completed span to `span.entity`'s ring. Must be called from
-  // the shard executing that entity's events. Drops (and counts) when the
-  // ring is full.
+  // Appends a completed span to `span.entity`'s ring. Drops (and counts)
+  // when the ring is full.
   void Record(const Span& span);
 
   // Total spans dropped to full rings, across entities.
@@ -146,8 +143,7 @@ class Tracer {
   const std::vector<Span>& Merged();
 
   // FNV-1a over every field of every merged span, in canonical order. The
-  // determinism suites assert this is bit-identical across reruns and
-  // thread counts.
+  // determinism suites assert this is bit-identical across reruns.
   uint64_t Fingerprint();
 
   // All merged spans belonging to `trace_id`, in canonical order.

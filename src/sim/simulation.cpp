@@ -2,40 +2,7 @@
 
 #include <utility>
 
-#include "sim/engine.h"
-
 namespace semperos {
-
-thread_local Simulation* ShardContext::current = nullptr;
-
-void Simulation::CrossScheduleAt(Cycles when, InlineFn fn) {
-  engine_->RecordCrossSchedule(this, when, std::move(fn));
-}
-
-void Simulation::ParallelPush(Cycles when, uint32_t slot) {
-  Entry entry;
-  entry.when = when;
-  entry.slot = slot;
-  entry.lseq = next_lseq_++;
-  if (ShardContext::current == this) {
-    // In-window insertion into the executing shard's own queue (anything
-    // cross-shard was deferred in ScheduleAt): inherit the executing
-    // event's lineage anchor; count chain depth for same-cycle children.
-    entry.icycle = now_;
-    entry.anchor = current_anchor_;
-    entry.depth = when == now_ ? current_depth_ + 1 : 0;
-    CHECK_LT(entry.depth, UINT32_MAX);
-  } else {
-    // Engine-exclusive context (boot, driver events, barrier-merged
-    // records): mint a fresh anchor from the global counter — these
-    // insertions happen in single-threaded order, so the counter is
-    // exactly their serial insertion order.
-    entry.icycle = engine_->ExclusiveICycle();
-    entry.anchor = engine_->AllocExclusiveVseq();
-    entry.depth = 0;
-  }
-  Push(entry);
-}
 
 uint32_t Simulation::GrowSlab() {
   uint32_t slot = static_cast<uint32_t>(next_.size());
@@ -45,17 +12,6 @@ uint32_t Simulation::GrowSlab() {
   next_.push_back(kNil);
   due_.push_back(0);
   return slot;
-}
-
-void Simulation::HeapPush(Cycles when, uint32_t slot) {
-  Entry entry;
-  entry.when = when;
-  entry.icycle = now_;
-  entry.anchor = next_seq_++;
-  entry.lseq = entry.anchor;
-  entry.depth = 0;
-  entry.slot = slot;
-  Push(entry);
 }
 
 void Simulation::EnterEpoch(Cycles from) {
@@ -90,8 +46,7 @@ void Simulation::EnterEpoch(Cycles from) {
 }
 
 void Simulation::SetTick(Cycles interval, Callback<void(Cycles)> tick) {
-  CHECK(engine_ == nullptr && now_ == 0 && interval > 0)
-      << "arm a nonzero tick on a serial queue before its clock moves";
+  CHECK(now_ == 0 && interval > 0) << "arm a nonzero tick before the clock moves";
   tick_ = std::move(tick);
   tick_interval_ = interval;
   next_tick_ = 0;
@@ -106,30 +61,10 @@ void Simulation::Tick(Cycles t) {
 
 void Simulation::RunOne(Cycles when) {
   CHECK_GE(when, now_) << "event inserted into the queue's past";
-  uint32_t slot;
-  if (engine_ == nullptr) {
-    if (when != now_) {
-      AdvanceClock(when);
-    }
-    slot = FinePopFront(static_cast<uint32_t>(when) & kFineMask);
-  } else {
-    Entry top = PopEntry();
-    now_ = top.when;
-    current_icycle_ = top.icycle;
-    current_anchor_ = top.anchor;
-    current_depth_ = top.depth;
-    slot = top.slot;
+  if (when != now_) {
+    AdvanceClock(when);
   }
-  RunSlot(slot);
-}
-
-uint64_t Simulation::RunWindow(Cycles until) {
-  uint64_t ran = 0;
-  for (Cycles when; !Idle() && (when = NextEventWhen()) < until; ++ran) {
-    RunOne(when);
-  }
-  events_run_ += ran;
-  return ran;
+  RunSlot(FinePopFront(static_cast<uint32_t>(when) & kFineMask));
 }
 
 void Simulation::Push(Entry entry) {

@@ -34,10 +34,11 @@
 //    stays O(1) when only coarse events are pending, and each event in one
 //    keeps its due time in a per-slot array, which draining the bucket
 //    needs;
-//  * the heap: an indexed 4-ary min-heap of 40-byte Entry keys over a flat
-//    vector, holding only the events beyond the coarse range.
+//  * the heap: an indexed 4-ary min-heap of 24-byte Entry keys (due time,
+//    insertion counter, slot) over a flat vector, holding only the events
+//    beyond the coarse range.
 // The clock moves in one place, AdvanceClock (the event pop, RunUntil's
-// final advance, AdvanceTo, RunUntilIdle's trailing-horizon jump). When
+// final advance, RunUntilIdle's trailing-horizon jump). When
 // the epoch changes it first drains, in list order, every coarse bucket
 // whose epoch entered the fine range into its cycles' fine buckets, then
 // moves the heap events whose epoch entered the coarse range to their
@@ -79,10 +80,6 @@
 // bitmap to skip empty slots. Here a bucket is two indices in one flat
 // array, the closures stay in the slab, and a push touches the bucket,
 // one bitmap word and the slot's `next` entry.
-//
-// Sharded queues (sim/engine.h): the parallel engine's shards and its
-// driver strand keep every event in the heap, since their events carry
-// the engine's five-field order key, which a bucket cannot hold.
 #ifndef SEMPEROS_SIM_SIMULATION_H_
 #define SEMPEROS_SIM_SIMULATION_H_
 
@@ -97,17 +94,6 @@
 #include "sim/inline_fn.h"
 
 namespace semperos {
-
-class ParallelEngine;
-class Simulation;
-
-// Which event queue the calling thread is currently draining. Null on the
-// main thread and in all engine-exclusive phases (boot, barriers, driver
-// events), where direct insertion into any queue is safe. Set by the
-// parallel engine's workers around window execution (sim/engine.h).
-struct ShardContext {
-  static thread_local Simulation* current;
-};
 
 class Simulation {
  public:
@@ -125,18 +111,9 @@ class Simulation {
   // Current simulated time in cycles.
   Cycles Now() const { return now_; }
 
-  // Schedules fn to run `delay` cycles from now. "Now" is the executing
-  // shard's clock when another shard's queue is targeted mid-window — in
-  // that case this queue's own clock must not even be *read* (its owner
-  // thread is advancing it concurrently). The legacy single-queue engine
-  // has engine_ == nullptr and never takes that branch.
+  // Schedules fn to run `delay` cycles from now.
   template <typename F>
   void Schedule(Cycles delay, F&& fn) {
-    if (engine_ != nullptr && ShardContext::current != nullptr &&
-        ShardContext::current != this) {
-      CrossScheduleAt(ShardContext::current->Now() + delay, std::forward<F>(fn));
-      return;
-    }
     ScheduleAt(now_ + delay, std::forward<F>(fn));
   }
 
@@ -151,19 +128,10 @@ class Simulation {
     horizon_ = when > horizon_ ? when : horizon_;
   }
 
-  // Schedules fn at an absolute time (must not be in the past). When the
-  // simulation is a shard of the parallel engine and the calling thread is
-  // mid-window on a *different* shard, the insertion is deferred to the
-  // shard's outbox and applied in deterministic merged order at the next
-  // window barrier (sim/engine.h); the legacy path pays one null check.
-  // The callable is built once, in its slab slot.
+  // Schedules fn at an absolute time (must not be in the past). The
+  // callable is built once, in its slab slot.
   template <typename F>
   void ScheduleAt(Cycles when, F&& fn) {
-    if (engine_ != nullptr && ShardContext::current != nullptr &&
-        ShardContext::current != this) {
-      CrossScheduleAt(when, std::forward<F>(fn));
-      return;
-    }
     NoteTime(when);
     uint32_t slot = AllocSlot();
     SlotFn(slot).Emplace(std::forward<F>(fn));
@@ -187,40 +155,8 @@ class Simulation {
   // each multiple of `interval` the clock moves past, in order, after every
   // event due by that boundary and before any later one (Now() still reads
   // the last event's time). A tick schedules nothing, so the events, their
-  // order and the clock are those of an unobserved queue. Serial only.
+  // order and the clock are those of an unobserved queue.
   void SetTick(Cycles interval, Callback<void(Cycles)> tick);
-
-  // --- Parallel-engine support (sim/engine.h). The legacy single-queue
-  // --- engine never calls these; engine_ stays null and every hot path
-  // --- behaves exactly as before.
-
-  // Marks this queue as shard `index` of `engine`. Cross-shard ScheduleAt
-  // calls are deferred to the engine's outboxes from then on.
-  void BindEngine(ParallelEngine* engine, uint32_t index) {
-    CHECK(Idle()) << "bind the engine before scheduling anything";
-    engine_ = engine;
-    shard_index_ = index;
-  }
-  uint32_t shard_index() const { return shard_index_; }
-
-  // Order key of the event currently executing on this queue (stamps
-  // cross-shard records so the barrier merge replays serial send order).
-  Cycles current_event_icycle() const { return current_icycle_; }
-  uint64_t current_event_anchor() const { return current_anchor_; }
-  uint32_t current_event_depth() const { return current_depth_; }
-
-  // Runs every event with when < until (exclusive); Now() is left on the
-  // last executed event, never advanced artificially. Window building block.
-  uint64_t RunWindow(Cycles until);
-
-  // Advances the clock without running anything (no-op if t <= Now()).
-  // Used to quiesce shards at exact-time driver barriers and to land every
-  // queue on the common final cycle.
-  void AdvanceTo(Cycles t) {
-    if (t > now_) {
-      AdvanceClock(t);
-    }
-  }
 
   // Earliest pending event time, or UINT64_MAX when idle. Each level's
   // events lie past every event of the level before it, so the first
@@ -237,60 +173,18 @@ class Simulation {
     return heap_.empty() ? UINT64_MAX : heap_.front().when;
   }
 
-  // Latest time any work (event or pure charge) reaches on this queue.
-  Cycles WorkHorizon() const { return horizon_ > now_ ? horizon_ : now_; }
-
  private:
-  // Out-of-line cross-shard deferral and sharded-key insertion (keep
-  // engine.h out of this header).
-  void CrossScheduleAt(Cycles when, InlineFn fn);
-  void ParallelPush(Cycles when, uint32_t slot);
-
+  // A heap event: its due time, then the insertion counter, which breaks
+  // ties between equal due times in insertion order.
   struct Entry {
     Cycles when;
-    // Serial order key for same-`when` events: the serial engine breaks
-    // such ties by its global insertion counter, and the sharded engine
-    // reproduces that order with (icycle, depth, anchor, lseq):
-    //  * icycle — the cycle the insertion happened at: serial's counter is
-    //    monotone in time, so an event inserted during an earlier cycle
-    //    always has the smaller seq;
-    //  * depth — same-cycle chains (an event at cycle c scheduling at c):
-    //    the serial engine's bucket for c is a FIFO, which runs competing
-    //    chains in generation waves, so the chain link count orders them;
-    //  * anchor — the lineage id: engine-exclusive insertions (boot,
-    //    driver events, barrier-merged records) mint one from the global
-    //    counter in single-threaded order — exactly their serial insertion
-    //    order — and every in-window insertion inherits the executing
-    //    event's anchor, so competing same-cycle insertions on different
-    //    shards order by their nearest exclusive ancestors, which the
-    //    serial engine executed in exactly that order;
-    //  * lseq — queue-local insertion counter: lineages never span shards
-    //    (cross-shard effects re-anchor at the barrier), so any remaining
-    //    tie is within one shard, where insertion order is serial order.
-    // On the legacy path icycle/anchor/lseq all follow the one insertion
-    // counter and depth is 0: the order is exactly the historical
-    // (when, seq).
-    Cycles icycle;
-    uint64_t anchor;
-    uint64_t lseq;
-    uint32_t depth;
+    uint64_t seq;
     uint32_t slot;  // slab slot of the callback
   };
+  static_assert(sizeof(Entry) == 24, "a heap key is a due time, a counter and a slot");
 
   static bool Before(const Entry& a, const Entry& b) {
-    if (a.when != b.when) {
-      return a.when < b.when;
-    }
-    if (a.icycle != b.icycle) {
-      return a.icycle < b.icycle;
-    }
-    if (a.depth != b.depth) {
-      return a.depth < b.depth;
-    }
-    if (a.anchor != b.anchor) {
-      return a.anchor < b.anchor;
-    }
-    return a.lseq < b.lseq;
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
   }
 
   // 4-ary heap primitives. Children of node i are 4i+1..4i+4. Insertion and
@@ -299,18 +193,11 @@ class Simulation {
   void Push(Entry entry);
   Entry PopEntry();
 
-  // Files a freshly filled slot: sharded queues key it into the heap; the
-  // serial queue appends it to its fine or coarse bucket when `when` lies
-  // in that ring's range, and heaps it otherwise. AdvanceClock refiles heap
-  // events through here too, once they are within the coarse range.
+  // Files a freshly filled slot: appends it to its fine or coarse bucket
+  // when `when` lies in that ring's range, and heaps it otherwise.
+  // AdvanceClock refiles heap events through here too, once they are
+  // within the coarse range.
   void Enqueue(Cycles when, uint32_t slot) {
-    if (engine_ != nullptr) {
-      // Sharded queue: events carry the engine's serial-order key
-      // (insertion cycle, chain depth, lineage anchor — see Entry), which
-      // a bucket cannot hold, so everything goes through the heap.
-      ParallelPush(when, slot);
-      return;
-    }
     // Cycles past the start of the current epoch: the fine ring covers two
     // epochs from there, the coarse ring the next kCoarseEpochs.
     Cycles ahead = when - (now_ & ~kEpochMask);
@@ -418,19 +305,19 @@ class Simulation {
     return slot;
   }
 
-  // Keys a serial event beyond the coarse range into the heap.
-  void HeapPush(Cycles when, uint32_t slot);
+  // Keys an event beyond the coarse range into the heap.
+  void HeapPush(Cycles when, uint32_t slot) { Push(Entry{when, next_seq_++, slot}); }
 
   // Moves the clock forward to `t`, first calling the tick for every
-  // boundary before `t`; on the serial queue, entering a new epoch first
-  // moves events one level toward the fine ring (EnterEpoch).
+  // boundary before `t`; entering a new epoch first moves events one level
+  // toward the fine ring (EnterEpoch).
   void AdvanceClock(Cycles t) {
     if (t > next_tick_) {
       Tick(t);
     }
     Cycles from = Epoch(now_);
     now_ = t;
-    if (engine_ == nullptr && Epoch(t) != from) {
+    if (Epoch(t) != from) {
       EnterEpoch(from);
     }
   }
@@ -484,18 +371,12 @@ class Simulation {
   static constexpr uint32_t kChunkSlots = 1u << kChunkBits;
   static constexpr uint32_t kChunkMask = kChunkSlots - 1;
 
-  ParallelEngine* engine_ = nullptr;  // null on the legacy single-queue path
-  uint32_t shard_index_ = 0;
-  Cycles current_icycle_ = 0;         // order key of the executing event...
-  uint64_t current_anchor_ = 0;       // ...its lineage anchor...
-  uint32_t current_depth_ = 0;        // ...and same-cycle chain depth
-  uint64_t next_lseq_ = 0;            // per-queue insertion counter (tiebreak)
   Cycles now_ = 0;
   Cycles horizon_ = 0;  // latest time any work (event or charge) reaches
   Cycles next_tick_ = UINT64_MAX;  // next boundary to report; UINT64_MAX: none
   uint64_t next_seq_ = 0;
   uint64_t events_run_ = 0;
-  std::vector<Entry> heap_;  // serial: events past the coarse range; sharded: all
+  std::vector<Entry> heap_;  // events past the coarse range
   std::vector<std::unique_ptr<InlineFn[]>> chunks_;  // callback slab
   // Per slot: the next slot in its bucket, or in the free list.
   std::vector<uint32_t> next_;

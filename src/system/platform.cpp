@@ -1,6 +1,5 @@
 #include "system/platform.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <utility>
@@ -11,11 +10,6 @@
 namespace semperos {
 
 namespace {
-
-// Shard-count ceiling for the parallel engine: eight row-bands saturate the
-// barrier-to-work ratio on the platform sizes we model; beyond that the
-// merged outboxes dominate.
-constexpr uint32_t kMaxShards = 8;
 
 uint32_t CeilSqrt(uint32_t n) {
   uint32_t r = static_cast<uint32_t>(std::sqrt(static_cast<double>(n)));
@@ -55,35 +49,7 @@ Platform::Platform(PlatformConfig config) : config_(std::move(config)) {
   noc_config.model_contention = config_.noc_contention;
   noc_config.width = CeilSqrt(total);
   noc_config.height = (total + noc_config.width - 1) / noc_config.width;
-  noc_ = std::make_unique<Noc>(sim_.legacy(), noc_config);
-
-  // --- Parallel engine (sim/engine.h): shard the mesh into contiguous
-  // --- row-bands. The partition is a function of the platform shape only —
-  // --- never of the thread count — so modeled results are identical at any
-  // --- threads >= 2. threads == 1 keeps the exact legacy path.
-  uint32_t shard_count = std::min(kMaxShards, noc_config.height);
-  if (config_.threads >= 2 && shard_count >= 2) {
-    std::vector<std::unique_ptr<Simulation>> shards;
-    shards.reserve(shard_count);
-    for (uint32_t s = 0; s < shard_count; ++s) {
-      shards.push_back(std::make_unique<Simulation>());
-    }
-    // The conservative lookahead: the cheapest cross-node NoC delivery, or
-    // the remote endpoint-configuration continuation, whichever is sooner.
-    Cycles lookahead = std::min<Cycles>(Noc::kMinCrossNodeLatency, Dtu::kConfigApplyCycles);
-    sim_.InitParallel(std::move(shards), lookahead, config_.threads);
-
-    shard_of_node_.resize(noc_->NodeCount());
-    std::vector<Simulation*> node_sims(noc_->NodeCount());
-    for (NodeId node = 0; node < noc_->NodeCount(); ++node) {
-      uint32_t row = node / noc_config.width;
-      uint32_t shard = static_cast<uint32_t>(
-          (static_cast<uint64_t>(row) * shard_count) / noc_config.height);
-      shard_of_node_[node] = shard;
-      node_sims[node] = sim_.engine()->shard(shard);
-    }
-    noc_->AttachEngine(sim_.engine(), std::move(node_sims));
-  }
+  noc_ = std::make_unique<Noc>(&sim_, noc_config);
 
   fabric_ = std::make_unique<DtuFabric>(noc_.get());
   membership_ = MembershipTable(noc_->NodeCount());
@@ -142,8 +108,8 @@ Platform::Platform(PlatformConfig config) : config_(std::move(config)) {
   // --- Instantiate PEs and kernels ---
   pes_.reserve(plan.size());
   for (NodeId node = 0; node < plan.size(); ++node) {
-    pes_.push_back(std::make_unique<ProcessingElement>(SimForNode(node), fabric_.get(), node,
-                                                       plan[node].type));
+    pes_.push_back(
+        std::make_unique<ProcessingElement>(&sim_, fabric_.get(), node, plan[node].type));
     pes_.back()->set_tracer(tracer_.get());
     switch (plan[node].type) {
       case PeType::kUser:
@@ -213,12 +179,11 @@ Platform::Platform(PlatformConfig config) : config_(std::move(config)) {
     kernel_of(node)->AdminCreateVpe(node, /*is_service=*/false);
   }
 
-  // The timeline samples as the serial queue's clock passes each interval
+  // The timeline samples as the queue's clock passes each interval
   // boundary; it never stops a run, so it cannot move where a run ends.
   if (config_.timeline.enabled()) {
-    CHECK_LT(config_.threads, 2u) << "the metrics timeline observes the serial engine only";
     timeline_ = std::make_unique<obs::MetricsTimeline>(config_.timeline);
-    sim_.legacy()->SetTick(config_.timeline.interval, [this](Cycles boundary) {
+    sim_.SetTick(config_.timeline.interval, [this](Cycles boundary) {
       timeline_->Sample(boundary, TotalKernelStats());
     });
   }
@@ -227,13 +192,6 @@ Platform::Platform(PlatformConfig config) : config_(std::move(config)) {
 Platform::~Platform() = default;
 
 Platform::TrimPoolsLast::~TrimPoolsLast() { TrimMsgPools(); }
-
-Simulation* Platform::SimForNode(NodeId node) {
-  if (!sim_.parallel()) {
-    return sim_.legacy();
-  }
-  return sim_.engine()->shard(shard_of_node_.at(node));
-}
 
 void Platform::Boot() {
   CHECK(!booted_);
@@ -363,7 +321,6 @@ uint64_t Platform::TotalDrops() const {
 }
 
 void RunSetup::ApplyTo(PlatformConfig* pc) const {
-  pc->threads = threads;
   pc->trace = trace;
   if (!trace_out.empty()) {
     pc->trace.enabled = true;
@@ -383,13 +340,13 @@ void RunOutcome::Harvest(Platform* platform, const RunSetup& setup) {
     trace_fingerprint = tracer->Fingerprint();
     trace_report = tracer->Report();
     if (!setup.trace_out.empty() && !tracer->WriteChromeTrace(setup.trace_out)) {
-      write_error = "cannot write trace file " + setup.trace_out;
+      write_errors.push_back("cannot write trace file " + setup.trace_out);
     }
   }
   if (obs::MetricsTimeline* timeline = platform->timeline(); timeline != nullptr) {
     timeline->Sample(platform->sim().Now(), kernel_stats);  // the end: final counters
     if (!setup.metrics_out.empty() && !timeline->WriteJson(setup.metrics_out)) {
-      write_error = "cannot write metrics timeline " + setup.metrics_out;
+      write_errors.push_back("cannot write metrics timeline " + setup.metrics_out);
     }
   }
 }

@@ -30,7 +30,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pe/pe.h"
-#include "sim/engine.h"
 #include "sim/simulation.h"
 
 namespace semperos {
@@ -40,6 +39,20 @@ namespace semperos {
 // proof that gated benchmarks are bit-identical with the flight recorder
 // armed — no binary rebuild, no flag plumbing through google-benchmark).
 obs::TraceConfig ResolveTraceConfig(obs::TraceConfig requested);
+
+// Inert names that perfbench/driver.cpp still compiles against, left from
+// the sharded parallel engine (deleted): this struct,
+// PlatformConfig::threads (read by nothing), Platform::parallel() (always
+// false) and Platform::engine_stats() (always zero). Every platform runs on
+// the one event queue, so the driver's --threads=4 run reproduces serial
+// exactly. The benchmark change that drops the driver's --threads flag and
+// its engine.* metrics deletes all four.
+struct EngineStats {
+  uint64_t windows = 0;
+  uint64_t solo_windows = 0;
+  uint64_t handoffs = 0;
+  double ImbalanceRatio() const { return 0.0; }
+};
 
 struct PlatformConfig {
   uint32_t kernels = 1;
@@ -51,23 +64,14 @@ struct PlatformConfig {
   uint32_t max_inflight = 4;     // M_inflight (paper §5.1)
   bool revoke_batching = false;  // extension: batch REVOKE_REQs per peer
   bool noc_contention = true;    // NoC per-link queueing (NocConfig::model_contention)
-  // Engine threads: 1 (the default) runs the serial engine, >= 2 the
-  // sharded parallel engine (sim/engine.h), whose shard partition depends
-  // only on the platform shape, so modeled results equal the serial
-  // engine's at any count. This field is the engine's only way in. Only
-  // perfbench/driver.cpp's --threads diagnostic, the engine's tests
-  // (tests/parallel_equivalence_test.cpp among them) and bench_simcore's
-  // thread sweep set it; it goes with the engine after the benchmark PR
-  // drops the driver's flag (ROADMAP, "The benchmark PR, then delete the
-  // sharded parallel engine").
-  uint32_t threads = 1;
+  uint32_t threads = 1;          // inert: see EngineStats
   // Observability (src/obs): span tracing is off by default (the disabled
   // cost is one pointer test per traced site); SEMPEROS_TRACE=1 flips any
   // platform whose config left it off. The metrics timeline samples every
-  // kernel counter each `timeline.interval` simulated cycles (0 = disarmed;
-  // serial engine only). Both are observational only: the executed event
-  // stream, the final clock and all modeled results are bit-identical with
-  // them on or off.
+  // kernel counter each `timeline.interval` simulated cycles (0 =
+  // disarmed). Both are observational only: the executed event stream, the
+  // final clock and all modeled results are bit-identical with them on or
+  // off.
   obs::TraceConfig trace;
   obs::TimelineConfig timeline;
 };
@@ -83,9 +87,6 @@ struct PlatformConfig {
 inline constexpr Cycles kDefaultTimelineInterval = 100'000;
 
 struct RunSetup {
-  // PlatformConfig::threads. Set only by the engine's tests and
-  // bench_simcore's thread sweep; goes with the engine (see there).
-  uint32_t threads = 1;
   obs::TraceConfig trace;
   obs::TimelineConfig timeline;
   std::string trace_out;    // Chrome trace_event JSON ("" = none)
@@ -104,12 +105,13 @@ struct RunOutcome {
   KernelStats kernel_stats;  // summed over kernels
   NocStats noc;
   // Tracing (zero when off). The fingerprint is order-insensitive over the
-  // canonical merge: bit-identical across reruns and thread counts.
+  // canonical merge: bit-identical across reruns.
   uint64_t spans_recorded = 0;
   uint64_t spans_dropped = 0;
   uint64_t trace_fingerprint = 0;
   obs::TraceReport trace_report;
-  std::string write_error;  // names the file that could not be written
+  // One line per file that could not be written, in the order written.
+  std::vector<std::string> write_errors;
 
   bool traced() const { return spans_recorded + spans_dropped > 0; }
 
@@ -127,19 +129,14 @@ class Platform {
   Platform(const Platform&) = delete;
   Platform& operator=(const Platform&) = delete;
 
-  SimHost& sim() { return sim_; }
+  Simulation& sim() { return sim_; }
   Noc& noc() { return *noc_; }
 
-  // True when the sharded parallel engine drives this platform. This and
-  // engine_stats() are read by perfbench/driver.cpp's --threads diagnostic
-  // and the engine's tests; they go with the engine after the benchmark PR
-  // (ROADMAP, "The benchmark PR, then delete the sharded parallel engine").
-  bool parallel() const { return sim_.parallel(); }
-  // Engine observability counters (windows, handoffs, imbalance); CHECKs
-  // on a serial platform.
-  const EngineStats& engine_stats() {
-    CHECK(sim_.parallel()) << "engine_stats() needs PlatformConfig::threads >= 2";
-    return sim_.engine()->stats();
+  // Inert: see EngineStats.
+  bool parallel() const { return false; }
+  const EngineStats& engine_stats() const {
+    static const EngineStats kNone;
+    return kNone;
   }
 
   uint32_t kernel_count() const { return config_.kernels; }
@@ -213,15 +210,12 @@ class Platform {
   // The shared flight recorder, attached to every PE and the DTU fabric at
   // construction. Null when tracing is disabled (and not env-forced).
   obs::Tracer* tracer() { return tracer_.get(); }
-  // The counter timeline: a row per interval boundary the serial clock
-  // passed (the queue's tick, sim/simulation.h), and one at the end that
+  // The counter timeline: a row per interval boundary the clock passed (the
+  // queue's tick, sim/simulation.h), and one at the end that
   // RunOutcome::Harvest appends. Null when disarmed.
   obs::MetricsTimeline* timeline() { return timeline_.get(); }
 
  private:
-  // Queue owning node `n`'s events: the legacy queue, or its shard's.
-  Simulation* SimForNode(NodeId node);
-
   // Declared first, so destroyed last: once the members below released
   // their message bodies (the PEs, the kernels, the closures still queued
   // in sim_), frees what they parked in this thread's NewMsg pools, so a
@@ -231,8 +225,7 @@ class Platform {
   };
   TrimPoolsLast trim_pools_last_;
   PlatformConfig config_;
-  SimHost sim_;
-  std::vector<uint32_t> shard_of_node_;  // empty on the legacy path
+  Simulation sim_;
   std::unique_ptr<Noc> noc_;
   std::unique_ptr<DtuFabric> fabric_;
   std::unique_ptr<obs::Tracer> tracer_;

@@ -6,9 +6,8 @@
 // what makes tail percentiles honest under overload (closed-loop drivers
 // self-throttle and hide the queue). BuildArrivalSchedule() is a pure
 // function of (spec, seed, generator index), so the same seed always yields
-// the same schedule no matter how many engine threads replay it, and the
-// determinism tests can compare schedules directly without booting a
-// platform.
+// the same schedule, and the determinism tests can compare schedules
+// directly without booting a platform.
 //
 // Portability note: schedules feed event *order*, so a one-ulp difference
 // would cascade into different modeled results across compilers. All
@@ -50,7 +49,7 @@ struct ArrivalSpec {
 // per-generator Poisson stream at rate_rps / generators, so superposing all
 // generators yields the aggregate process. Each generator derives an
 // independent stream from (seed, generator), making the result independent
-// of platform shape or engine threading by construction.
+// of platform shape by construction.
 std::vector<Cycles> BuildArrivalSchedule(const ArrivalSpec& spec, uint64_t seed,
                                          uint32_t generator, uint32_t generators,
                                          uint64_t count);

@@ -7,8 +7,8 @@
 // power-of-two octave is split into 2^kSubBits linear sub-buckets, bounding
 // the relative quantization error by 2^-kSubBits (~3% at the default 5
 // bits) at any magnitude. Everything is integer arithmetic on integer
-// cycle counts, so histograms are bit-identical across reruns, thread
-// counts and compilers — the equivalence suite compares them directly.
+// cycle counts, so histograms are bit-identical across reruns and
+// compilers — the determinism tests compare them directly.
 //
 // Percentile definition (docs/benchmarks.md, "Open-loop methodology"):
 // Percentile(q) is the upper edge of the bucket holding the nearest-rank

@@ -16,9 +16,9 @@
 // `cooldown` arrivals bracket the measurement window; only responses to the
 // measured indices are recorded into the latency histogram. Windows are
 // defined by arrival *index*, not by time, so a run is a finite schedule that
-// drains to completion and the same requests are measured at every engine
-// thread count — results are bit-identical across thread counts and reruns
-// (tests/traffic_test.cpp pins this).
+// drains to completion and the same requests are measured on every rerun —
+// results are bit-identical across reruns (tests/traffic_test.cpp pins
+// this).
 #ifndef SEMPEROS_TRAFFIC_TRAFFIC_H_
 #define SEMPEROS_TRAFFIC_TRAFFIC_H_
 

@@ -72,10 +72,9 @@ class LoopClient : public Program {
   uint64_t retries() const { return env_->syscall_retries(); }
   const std::vector<CapSel>& seed_sels() const { return seed_sels_; }
   const std::vector<EpId>& seed_eps() const { return seed_eps_; }
-  // Completion timestamps stay client-local: under the sharded engine the
-  // clients run on different worker threads, so a shared vector would race.
-  // LoopRig::Tally merges them after the run (every consumer is
-  // order-insensitive: window counts and a max).
+  // Completion timestamps stay client-local; LoopRig::Tally merges them
+  // after the run (every consumer is order-insensitive: window counts and a
+  // max).
   const std::vector<Cycles>& completions() const { return completions_; }
 
  private:
@@ -113,7 +112,7 @@ struct LoopResult {
   // Leak check: capabilities left beyond the per-client baseline (one self
   // capability + one granted root each). Must be 0.
   uint64_t leaked_caps = 0;
-  uint64_t events = 0;  // engine total, boot included
+  uint64_t events = 0;  // events run, boot included
   RunOutcome outcome;
 };
 

@@ -14,12 +14,17 @@
 namespace semperos {
 
 std::string Fmt(const char* fmt, ...) {
-  char buffer[512];
   va_list args;
   va_start(args, fmt);
-  std::vsnprintf(buffer, sizeof(buffer), fmt, args);
+  va_list again;
+  va_copy(again, args);
+  int size = std::vsnprintf(nullptr, 0, fmt, args);
   va_end(args);
-  return buffer;
+  CHECK_GE(size, 0) << "bad format string: " << fmt;
+  std::string text(static_cast<size_t>(size), '\0');
+  std::vsnprintf(text.data(), text.size() + 1, fmt, again);
+  va_end(again);
+  return text;
 }
 
 namespace {
@@ -419,11 +424,10 @@ int RunWorkloadCli(const WorkloadInvocation& invocation) {
   if (result.outcome) {
     std::printf("%s", FormatKernelStats(outcome.kernel_stats).c_str());
   }
-  if (!outcome.write_error.empty()) {
-    std::fprintf(stderr, "%s\n", outcome.write_error.c_str());
-    return 1;
+  for (const std::string& error : outcome.write_errors) {
+    std::fprintf(stderr, "%s\n", error.c_str());
   }
-  return result.exit_code;
+  return outcome.write_errors.empty() ? result.exit_code : 1;
 }
 
 }  // namespace semperos

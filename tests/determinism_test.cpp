@@ -178,14 +178,14 @@ TEST(Determinism, ObservedRunsAreDriftFreeAndFingerprintStable) {
       ExpectSameStats(untraced.outcome.kernel_stats, observed->outcome.kernel_stats);
       ExpectSameNoc(untraced.outcome.noc, observed->outcome.noc);
     }
-    EXPECT_TRUE(m.outcome.write_error.empty()) << m.outcome.write_error;
+    EXPECT_EQ(m.outcome.write_errors, std::vector<std::string>());
     std::remove(sampled.metrics_out.c_str());
 
     EXPECT_GT(a.outcome.spans_recorded, 0u);
     EXPECT_EQ(a.outcome.spans_dropped, 0u);
     EXPECT_EQ(a.outcome.spans_recorded, b.outcome.spans_recorded);
     EXPECT_EQ(a.outcome.trace_fingerprint, b.outcome.trace_fingerprint);
-    EXPECT_TRUE(b.outcome.write_error.empty()) << b.outcome.write_error;
+    EXPECT_EQ(b.outcome.write_errors, std::vector<std::string>());
     EXPECT_EQ(TraceFileEvents(traced.trace_out), b.outcome.spans_recorded);
     std::remove(traced.trace_out.c_str());
     // SEMPEROS_TRACE=1 (the CI bit-identity job) arms the control run too —

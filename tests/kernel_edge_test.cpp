@@ -638,7 +638,7 @@ TEST(Errors, ActivateOutsideTheMemoryEndpointsIsRefused) {
     rig.p().RunToCompletion();
     EXPECT_EQ(got, ErrCode::kInvalidArgs) << "endpoint " << ep;
   }
-  EXPECT_FALSE(cap->activated());
+  EXPECT_EQ(cap->activated_eps(), 0u);
   EXPECT_EQ(dtu.FreeSlots(user_ep::kSyscallReply), 2u);
   for (EpId ep = user_ep::kMem0; ep < user_ep::kMem0 + user_ep::kNumMemEps; ++ep) {
     EXPECT_FALSE(dtu.EpValid(ep)) << "endpoint " << ep;
@@ -649,9 +649,84 @@ TEST(Errors, ActivateOutsideTheMemoryEndpointsIsRefused) {
   rig.client(0).env().Activate(sel, user_ep::kMem0, [&got](const SyscallReply& r) { got = r.err; });
   rig.p().RunToCompletion();
   EXPECT_EQ(got, ErrCode::kOk);
-  EXPECT_TRUE(cap->activated());
+  EXPECT_EQ(cap->activated_eps(), 1u);  // kMem0
   EXPECT_TRUE(dtu.EpValid(user_ep::kMem0));
   ExpectCleanAudit(rig.p());
+}
+
+// --- A revoke removes access through every endpoint (Figure 5) ---
+
+// Client `i` activates its capability `sel` on kMem0 and on kMem0 + 1.
+void ActivateTwice(DriverRig& rig, size_t i, CapSel sel) {
+  for (EpId ep : {user_ep::kMem0, user_ep::kMem0 + 1}) {
+    ErrCode got = ErrCode::kAborted;
+    rig.client(i).env().Activate(sel, ep, [&got](const SyscallReply& r) { got = r.err; });
+    rig.p().RunToCompletion();
+    ASSERT_EQ(got, ErrCode::kOk) << "endpoint " << ep;
+    ASSERT_TRUE(rig.p().pe(rig.vpe(i))->dtu().EpValid(ep)) << "endpoint " << ep;
+  }
+}
+
+// Client `i` revokes `sel`; the revoke must succeed.
+void RevokeOk(DriverRig& rig, size_t i, CapSel sel) {
+  ErrCode got = ErrCode::kAborted;
+  rig.client(i).env().Revoke(sel, [&got](const SyscallReply& r) { got = r.err; });
+  rig.p().RunToCompletion();
+  EXPECT_EQ(got, ErrCode::kOk);
+}
+
+// No memory endpoint of client `i` is valid, a read through each one is
+// refused, and the audit is clean.
+void ExpectNoMemoryAccess(DriverRig& rig, size_t i) {
+  Dtu& dtu = rig.p().pe(rig.vpe(i))->dtu();
+  for (EpId ep = user_ep::kMem0; ep < user_ep::kMem0 + user_ep::kNumMemEps; ++ep) {
+    EXPECT_FALSE(dtu.EpValid(ep)) << "endpoint " << ep;
+    EXPECT_FALSE(dtu.Read(ep, 0, 64, [] {}).ok()) << "endpoint " << ep;
+  }
+  rig.p().RunToCompletion();
+  ExpectCleanAudit(rig.p());
+}
+
+// A copy delegated across kernels and activated on two endpoints loses
+// both when the owner revokes the root.
+TEST(RevokeAccess, DelegatedCopyActivatedTwice) {
+  DriverRig rig = MakeDriverRig(2, 2);
+  CapSel root = rig.Grant(0, 4096);
+  ErrCode delegated = ErrCode::kAborted;
+  rig.client(0).env().Delegate(root, rig.vpe(1),
+                               [&delegated](const SyscallReply& r) { delegated = r.err; });
+  rig.p().RunToCompletion();
+  ASSERT_EQ(delegated, ErrCode::kOk);
+  CapSel copy = rig.kernel_of_client(1)->FindVpe(rig.vpe(1))->table.LastSel();
+  ActivateTwice(rig, 1, copy);
+  EXPECT_EQ(rig.kernel_of_client(1)->CapOf(rig.vpe(1), copy)->activated_eps(), 0b11u);
+
+  RevokeOk(rig, 0, root);
+  EXPECT_EQ(rig.kernel_of_client(1)->CapOf(rig.vpe(1), copy), nullptr);
+  ExpectNoMemoryAccess(rig, 1);
+}
+
+// A holder that activates its own capability on two endpoints and revokes
+// it loses both.
+TEST(RevokeAccess, OwnCapabilityActivatedTwice) {
+  DriverRig rig = MakeDriverRig(1, 1);
+  CapSel sel = rig.Grant(0, 4096);
+  ActivateTwice(rig, 0, sel);
+  RevokeOk(rig, 0, sel);
+  ExpectNoMemoryAccess(rig, 0);
+}
+
+// Migration carries every endpoint binding: the holder moves to another
+// kernel, which then revokes both endpoints.
+TEST(RevokeAccess, MigratedHolderActivatedTwice) {
+  DriverRig rig = MakeDriverRig(2, 2);
+  CapSel sel = rig.Grant(0, 4096);
+  ActivateTwice(rig, 0, sel);
+  rig.Migrate(rig.vpe(0), 1);
+  ASSERT_EQ(rig.p().membership().KernelOf(rig.vpe(0)), 1u);
+  EXPECT_EQ(rig.p().kernel(1)->CapOf(rig.vpe(0), sel)->activated_eps(), 0b11u);
+  RevokeOk(rig, 0, sel);
+  ExpectNoMemoryAccess(rig, 0);
 }
 
 TEST(Errors, SequentialDoubleRevoke) {

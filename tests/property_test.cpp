@@ -41,10 +41,7 @@ TEST_P(CapabilityFuzz, InvariantsHoldAfterRandomInterleavings) {
   DriverRig rig = MakeDriverRig(param.kernels, param.users);
   Platform& p = rig.p();
 
-  // One byte per client, not std::vector<bool>: on the sharded engine,
-  // syscall callbacks of different clients run on different shards, and
-  // packed bits would share words between them.
-  std::vector<uint8_t> busy(param.users, 0);
+  std::vector<bool> busy(param.users, false);
   std::vector<bool> dead(param.users, false);
   // Selectors each client has ever seen (some will be stale — the kernel
   // must answer those with clean errors, never crash or corrupt state).
@@ -65,8 +62,8 @@ TEST_P(CapabilityFuzz, InvariantsHoldAfterRandomInterleavings) {
       }
       CapSel sel = sels[i][rng.NextBelow(sels[i].size())];
       CapSel peer_sel = sels[peer][rng.NextBelow(sels[peer].size())];
-      busy[i] = 1;
-      auto release = [&busy, i](const SyscallReply&) { busy[i] = 0; };
+      busy[i] = true;
+      auto release = [&busy, i](const SyscallReply&) { busy[i] = false; };
       switch (rng.NextBelow(4)) {
         case 0:
           rig.client(i).env().Obtain(rig.vpe(peer), peer_sel,
@@ -74,7 +71,7 @@ TEST_P(CapabilityFuzz, InvariantsHoldAfterRandomInterleavings) {
                                        if (r.err == ErrCode::kOk) {
                                          sels[i].push_back(r.sel);
                                        }
-                                       busy[i] = 0;
+                                       busy[i] = false;
                                      });
           break;
         case 1:
@@ -89,7 +86,7 @@ TEST_P(CapabilityFuzz, InvariantsHoldAfterRandomInterleavings) {
                                           if (r.err == ErrCode::kOk) {
                                             sels[i].push_back(r.sel);
                                           }
-                                          busy[i] = 0;
+                                          busy[i] = false;
                                         });
           break;
       }

@@ -44,8 +44,7 @@ TEST(Registry, DefaultSelectionIsTar) {
 
 TEST(Registry, RetiredAliasesAreRejected) {
   // Workloads are selected by positional name only; the old selector flags
-  // fail with an error naming the token. So do the retired engine flags:
-  // the sharded engine is reached through PlatformConfig::threads only.
+  // fail with an error naming the token. So do the retired engine flags.
   for (const char* alias : {"--app=postmark", "--nginx", "--micro", "--failover", "--chaos",
                             "--trace=ops.txt", "--fail-kernel=2@1500", "--threads=2",
                             "--threads=auto", "--strict", "--stats"}) {
@@ -95,6 +94,16 @@ TEST(Registry, UnknownFlagForWorkloadIsRejected) {
   WorkloadInvocation inv = Parse({"micro", "--servers=4"});
   EXPECT_FALSE(inv.ok);
   EXPECT_NE(inv.error.find("does not take --servers"), std::string::npos) << inv.error;
+}
+
+// A message quotes a long argument whole: a 600-character path comes back
+// in full, and the message still ends with its hint.
+TEST(Registry, LongArgumentIsQuotedWhole) {
+  std::string arg = "--trace-out=/tmp/" + std::string(600, 'a');
+  WorkloadInvocation inv = Parse({"micro", arg});
+  EXPECT_FALSE(inv.ok);
+  EXPECT_NE(inv.error.find(arg), std::string::npos) << inv.error;
+  EXPECT_TRUE(inv.error.ends_with("(see --list)")) << inv.error;
 }
 
 TEST(Registry, ChoiceParamsAreEnforced) {

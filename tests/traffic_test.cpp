@@ -6,7 +6,7 @@
 //   - the latency histogram is exact below an octave, ~3%-bounded above,
 //     with nearest-rank percentile semantics, and merges losslessly;
 //   - RunTraffic is deterministic per seed (identical histograms across
-//     reruns) and bit-identical at any engine thread count;
+//     reruns);
 //   - the warm-up/measurement-window discipline measures exactly the
 //     configured requests and drains every injected arrival;
 //   - the saturation search is a pure function of its config;
@@ -349,34 +349,6 @@ TEST(Traffic, SaturationReportsMeasuredRate) {
   EXPECT_GT(r.saturation_rps, 0.0);
   EXPECT_TRUE(matched) << "saturation_rps " << r.saturation_rps
                        << " is no sustained probe's offered_rps";
-}
-
-// --- Thread-count equivalence (the bench gate's core assumption) ---
-
-TEST(Traffic, BitIdenticalAcrossThreadCounts) {
-  TrafficConfig config = SmallConfig();
-  config.setup.threads = 1;
-  TrafficResult serial = RunTraffic(config);
-  for (uint32_t threads : {2u, 4u}) {
-    config.setup.threads = threads;
-    TrafficResult parallel = RunTraffic(config);
-    std::string what = "traffic threads=" + std::to_string(threads);
-    EXPECT_EQ(serial.injected, parallel.injected) << what;
-    EXPECT_EQ(serial.completed, parallel.completed) << what;
-    EXPECT_EQ(serial.measured, parallel.measured) << what;
-    EXPECT_EQ(serial.events, parallel.events) << what;
-    EXPECT_EQ(serial.makespan, parallel.makespan) << what;
-    EXPECT_EQ(serial.window_open, parallel.window_open) << what;
-    EXPECT_EQ(serial.window_close, parallel.window_close) << what;
-    EXPECT_EQ(serial.window_drain, parallel.window_drain) << what;
-    EXPECT_TRUE(serial.latency == parallel.latency) << what;
-    EXPECT_EQ(serial.latency.Fingerprint(), parallel.latency.Fingerprint()) << what;
-    EXPECT_DOUBLE_EQ(serial.p50_us, parallel.p50_us) << what;
-    EXPECT_DOUBLE_EQ(serial.p99_us, parallel.p99_us) << what;
-    EXPECT_DOUBLE_EQ(serial.p999_us, parallel.p999_us) << what;
-    EXPECT_DOUBLE_EQ(serial.offered_rps, parallel.offered_rps) << what;
-    EXPECT_DOUBLE_EQ(serial.throughput_rps, parallel.throughput_rps) << what;
-  }
 }
 
 // --- Generators against a server under the test's control ---
