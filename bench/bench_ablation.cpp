@@ -1,14 +1,10 @@
 // Ablations of the reproduction's own design choices (docs/benchmarks.md,
-// "Ablations (a) and (e)", describes the gated rows).
+// "Ablations", describes them; its letters skip the retired (a), (c), (d)).
 //
 // Not a paper figure — quantifies how the reproduction's knobs shape the
 // headline results:
-//  (a) revocation message batching (the paper's own §5.2 future-work idea)
-//      against Figure 5's tree revocation;
 //  (b) the DDL-decode cost that separates SemperOS from the M3 baseline
 //      (Table 3's +10.7% / +40.3% columns);
-//  (c) the per-peer in-flight window M_inflight of §4.1;
-//  (d) NoC link contention modelling;
 //  (e) the epoch-invalidated remote-DDL cache against the Figure 8
 //      observation that kernels are "mostly handling capability
 //      operations".
@@ -22,20 +18,6 @@
 
 namespace semperos {
 namespace {
-
-void AblationBatching() {
-  bench::Header("Ablation (a): revocation message batching",
-                "paper §5.2: \"we believe that this can be further improved by the use of "
-                "message batching\"");
-  std::printf("%-10s %16s %16s %10s\n", "children", "unbatched [us]", "batched [us]", "speedup");
-  for (uint32_t n : bench::Sweep<uint32_t>({16, 32, 64, 96, 128})) {
-    Cycles plain = RevokeTree(13, n, false);
-    Cycles batched = RevokeTree(13, n, true);
-    std::printf("%-10u %16.2f %16.2f %9.2fx\n", n, CyclesToMicros(plain),
-                CyclesToMicros(batched), double(plain) / double(batched));
-  }
-  bench::Footnote("batching sends one request per peer kernel instead of one per child");
-}
 
 Cycles LocalExchange(Cycles ddl_decode) {
   PlatformConfig pc;
@@ -63,53 +45,6 @@ void AblationDdl() {
                 100.0 * (double(t) / double(m3) - 1.0));
   }
   bench::Footnote("115 cycles x 3 decodes reproduces the paper's +10.7%");
-}
-
-Cycles SpanningChainRevoke(uint32_t inflight, uint32_t length) {
-  PlatformConfig pc;
-  pc.kernels = 2;
-  pc.users = 2;
-  pc.max_inflight = inflight;
-  DriverRig rig = MakeDriverRig(pc);
-  return rig.TimedRevoke(0, rig.BuildChain(length, {0, 1}));
-}
-
-void AblationInflight() {
-  bench::Header("Ablation (c): in-flight window per peer kernel (M_inflight)",
-                "paper §4.1: \"we limit the number of in-flight messages to four\"");
-  std::printf("%-12s %26s\n", "M_inflight", "spanning chain(40) [us]");
-  for (uint32_t w : {1u, 2u, 4u, 8u}) {
-    Cycles t = SpanningChainRevoke(w, 40);
-    std::printf("%-12u %26.2f\n", w, CyclesToMicros(t));
-  }
-  bench::Footnote("credits return at dispatch, so the window barely gates nested revocations; "
-                  "it exists to bound receive-slot usage (64-kernel limit)");
-}
-
-void AblationContention() {
-  bench::Header("Ablation (d): NoC link-contention model",
-                "per-link FIFO queueing vs unloaded latencies");
-  for (bool contention : {true, false}) {
-    PlatformConfig pc;
-    pc.kernels = 8;
-    pc.users = 64;
-    pc.noc_contention = contention;
-    DriverRig rig = MakeDriverRig(pc);
-    // 64 concurrent spanning obtains from one hot owner.
-    CapSel owner_sel = rig.Grant(0);
-    int done = 0;
-    Cycles t0 = rig.p().sim().Now();
-    for (size_t i = 1; i < 64; ++i) {
-      rig.client(i).env().Obtain(rig.vpe(0), owner_sel, [&done](const SyscallReply& r) {
-        CHECK(r.err == ErrCode::kOk);
-        done++;
-      });
-    }
-    rig.p().RunToCompletion();
-    std::printf("  contention=%s: 63 concurrent obtains drained in %.2f us (queueing %llu cyc)\n",
-                contention ? "on " : "off", CyclesToMicros(rig.p().sim().Now() - t0),
-                (unsigned long long)rig.p().noc().stats().total_queueing);
-  }
 }
 
 // The cross-kernel hot-owner storm: every remote client obtains the same
@@ -198,17 +133,7 @@ void BM_DdlCacheObtainStorm(benchmark::State& state) {
 BENCHMARK(BM_DdlCacheObtainStorm)->Arg(0)->Arg(1)->UseManualTime()->Iterations(1)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_TreeRevokeBatched(benchmark::State& state) {
-  bool batched = state.range(0) != 0;
-  for (auto _ : state) {
-    bench::ReportSpan(state, RevokeTree(13, 96, batched));
-  }
-  state.SetLabel(batched ? "batched" : "unbatched");
-}
-BENCHMARK(BM_TreeRevokeBatched)->Arg(0)->Arg(1)->UseManualTime()->Iterations(1)
-    ->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 }  // namespace semperos
 
-SEMPEROS_BENCH_MAIN(semperos::AblationBatching, semperos::AblationDdl, semperos::AblationInflight, semperos::AblationContention, semperos::AblationDdlCache)
+SEMPEROS_BENCH_MAIN(semperos::AblationDdl, semperos::AblationDdlCache)

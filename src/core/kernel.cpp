@@ -65,8 +65,6 @@ const char* IkcOpName(IkcOp op) {
       return "delegate_ack";
     case IkcOp::kRevokeReq:
       return "revoke_req";
-    case IkcOp::kRevokeBatchReq:
-      return "revoke_batch_req";
     case IkcOp::kOrphanNotify:
       return "orphan_notify";
     case IkcOp::kChildDrop:
@@ -90,7 +88,7 @@ Kernel::Kernel(Config config) : config_(std::move(config)), t_(config_.timing) {
   peers_.resize(config_.kernel_nodes.size());
   for (KernelId k = 0; k < config_.kernel_nodes.size(); ++k) {
     if (k != config_.id) {
-      peers_[k].credits = config_.max_inflight;
+      peers_[k].credits = kMaxInflight;
     }
   }
 }
@@ -98,7 +96,7 @@ Kernel::Kernel(Config config) : config_(std::move(config)), t_(config_.timing) {
 uint32_t Kernel::ThreadPoolSize() const {
   // Eq. 1: V_group + K_max * M_inflight.
   return static_cast<uint32_t>(vpes_.size()) +
-         static_cast<uint32_t>(config_.kernel_nodes.size()) * config_.max_inflight;
+         static_cast<uint32_t>(config_.kernel_nodes.size()) * kMaxInflight;
 }
 
 void Kernel::AcquireThread() {
@@ -1027,9 +1025,11 @@ Cycles Kernel::MarkPass(Capability* cap, RevokeTask* task) {
 }
 
 Cycles Kernel::FlushRevokeRequests(RevokeTask* task) {
-  // Group by owning kernel, ascending, keeping discovery order within each
-  // kernel (a stable insertion sort: the lists are short, and it sorts in
-  // place without a scratch buffer).
+  // "the kernel managing the root capability sends out one message for
+  // each child capability" (paper §5.2), grouped by owning kernel in
+  // ascending order, keeping discovery order within each kernel (a stable
+  // insertion sort: the lists are short, and it sorts in place without a
+  // scratch buffer).
   std::vector<RevokeTask::RemoteChild>& children = task->remote_children;
   for (size_t i = 1; i < children.size(); ++i) {
     for (size_t j = i; j > 0 && children[j - 1].kernel > children[j].kernel; --j) {
@@ -1038,45 +1038,16 @@ Cycles Kernel::FlushRevokeRequests(RevokeTask* task) {
   }
   Cycles cost = 0;
   uint64_t id = task->id;
-  for (size_t begin = 0; begin < children.size();) {
-    KernelId peer = children[begin].kernel;
-    size_t end = begin;
-    while (end < children.size() && children[end].kernel == peer) {
-      ++end;
-    }
-    if (config_.revoke_batching) {
-      // One message per peer kernel carrying every child key (§5.2 future
-      // work); the peer replies once when its whole share is gone.
-      size_t count = end - begin;
-      task->outstanding++;
-      stats_.ikc_batches_sent++;
-      stats_.ikc_batched_ops += count;
-      cost += t_.ikc_send + static_cast<Cycles>(count) * 30;
-      auto msg = NewMsg<IkcMsg>();
-      msg->op = IkcOp::kRevokeBatchReq;
-      for (size_t i = begin; i < end; ++i) {
-        msg->caps.push_back(children[i].key);
-      }
-      SendIkc(peer, msg, [this, id](const IkcReply&) {
-        Charge(t_.ikc_reply_handle);
-        RevokeDependencyDone(id);
-      });
-    } else {
-      // "the kernel managing the root capability sends out one message for
-      // each child capability" (paper §5.2).
-      for (size_t i = begin; i < end; ++i) {
-        task->outstanding++;
-        cost += t_.ikc_send;
-        auto msg = NewMsg<IkcMsg>();
-        msg->op = IkcOp::kRevokeReq;
-        msg->cap = children[i].key;
-        SendIkc(peer, msg, [this, id](const IkcReply&) {
-          Charge(t_.ikc_reply_handle);
-          RevokeDependencyDone(id);
-        });
-      }
-    }
-    begin = end;
+  for (const RevokeTask::RemoteChild& child : children) {
+    task->outstanding++;
+    cost += t_.ikc_send;
+    auto msg = NewMsg<IkcMsg>();
+    msg->op = IkcOp::kRevokeReq;
+    msg->cap = child.key;
+    SendIkc(child.kernel, msg, [this, id](const IkcReply&) {
+      Charge(t_.ikc_reply_handle);
+      RevokeDependencyDone(id);
+    });
   }
   children.clear();
   return cost;
@@ -1189,20 +1160,11 @@ void Kernel::SysRevoke(SyscallRec* sc, const SyscallMsg& req) {
   CheckRevokeComplete(task);
 }
 
-void Kernel::OnRevokeReq(const Message& msg) {
+void Kernel::OnRevokeReq(const Message& msg, const IkcMsg& req) {
   // As in Algorithm 1, the handler holds its thread only for the marking
   // pass and is NOT paused while waiting for remote replies; completion is
   // driven by the reply counters. This keeps deep alternating chains
   // deadlock-free (§4.3.3).
-  const IkcMsg& req = *msg.As<IkcMsg>();
-  if (req.op == IkcOp::kRevokeBatchReq) {
-    ProcessRevokeBatch(msg, req);
-  } else {
-    ProcessRevokeReq(msg, req);
-  }
-}
-
-void Kernel::ProcessRevokeReq(const Message& msg, const IkcMsg& req) {
   Capability* cap = caps_.Find(req.cap);
   if (cap == nullptr) {
     // Already revoked by an overlapping operation — the subtree is gone.
@@ -1218,43 +1180,6 @@ void Kernel::ProcessRevokeReq(const Message& msg, const IkcMsg& req) {
   }
   Charge(t_.ikc_dispatch + StartRevoke(cap, /*unlink=*/false, std::move(answer)));
   CheckRevokeComplete(cap->task());
-}
-
-void Kernel::ProcessRevokeBatch(const Message& msg, const IkcMsg& req) {
-  // Batched variant: revoke every key, reply once when all of them —
-  // including their remote subtrees — are gone. Each key is its own task
-  // feeding one countdown; their local sweeps run before the batch's
-  // marking cost is charged.
-  Countdown* batch = NewCountdown([this, msg] { AnswerIkc(t_.ikc_send, msg, ErrCode::kOk); });
-  Cycles cost = t_.ikc_dispatch;
-  for (DdlKey key : req.caps) {
-    Capability* cap = caps_.Find(key);
-    KernelId owner = KernelOf(key);
-    if (cap == nullptr && owner == config_.id) {
-      continue;  // already gone with an overlapping revocation
-    }
-    batch->pending++;
-    if (cap == nullptr) {
-      // This key's partition migrated away after the batch was assembled:
-      // relay a single REVOKE_REQ to the current owner and fold its
-      // completion into the batch countdown.
-      stats_.ikc_forwarded++;
-      auto fwd = NewMsg<IkcMsg>();
-      fwd->op = IkcOp::kRevokeReq;
-      fwd->cap = key;
-      cost += DdlDecodeCost(key) + t_.ikc_send;
-      SendIkc(owner, fwd, [this, batch](const IkcReply&) { Arrive(batch); });
-    } else if (cap->marked()) {
-      cap->task()->on_complete.emplace_back([this, batch] { Arrive(batch); });
-    } else {
-      cost += StartRevoke(cap, /*unlink=*/false, [this, batch] {
-        Finish(t_.revoke_finish, [this, batch] { Arrive(batch); });
-      });
-      CheckRevokeComplete(cap->task());
-    }
-  }
-  Charge(cost);
-  Arrive(batch);
 }
 
 // ---------------------------------------------------------------------------
@@ -1354,7 +1279,7 @@ NodeId Kernel::RoutingPartition(const IkcMsg& req) {
       return req.parent.pe();
     default:
       // Not capability-targeted (hello, shutdown, announce, migration
-      // control traffic) — or per-key routed (revoke batches).
+      // control traffic).
       return kInvalidNode;
   }
 }
@@ -1369,13 +1294,7 @@ bool Kernel::MaybeForwardIkc(const Message& msg) {
     if (task->phase != MigrateTask::Phase::kTransfer) {
       continue;
     }
-    bool hit = part == task->pe;
-    if (req.op == IkcOp::kRevokeBatchReq) {
-      for (DdlKey key : req.caps) {
-        hit = hit || key.pe() == task->pe;
-      }
-    }
-    if (hit) {
+    if (part == task->pe) {
       task->parked.push_back(msg);
       return true;
     }
@@ -2218,43 +2137,30 @@ void Kernel::CompleteIkc(PendingIkc* pending, const IkcReply& reply) {
 // ---------------------------------------------------------------------------
 
 void Kernel::SysActivate(SyscallRec* sc, const SyscallMsg& req) {
-  // A VPE binds capabilities to its memory endpoints only. The others
-  // carry its syscall, ask and service channels, and an id past the DTU's
-  // 16 names no endpoint at all.
+  // A VPE binds memory capabilities to its memory endpoints only. The other
+  // endpoints carry its syscall, ask and service channels, and an id past
+  // the DTU's 16 names no endpoint at all. A session needs no activation:
+  // opening it configured the client's one-credit kServiceSend, and the
+  // service sizes its receive slots by one credit per client.
   if (req.ep < user_ep::kMem0 || req.ep - user_ep::kMem0 >= user_ep::kNumMemEps) {
     AnswerSyscall(sc, ErrCode::kInvalidArgs);
     return;
   }
-  Capability* cap = CallerCap(sc, req.sel, CapType::kNone);
+  Capability* cap = CallerCap(sc, req.sel, CapType::kMem);
   if (cap == nullptr) {
     return;
   }
   NodeId node = vpes_.At(sc->vpe).node;
   stats_.activates++;
   Charge(t_.syscall_dispatch + t_.exchange_validate + t_.ddl_decode + t_.ep_config);
-
-  if (cap->type() == CapType::kMem) {
-    cap->SetActivated(req.ep);
-    const CapPayload& p = cap->payload();
-    MemPerms perms{(p.perms & kPermR) != 0, (p.perms & kPermW) != 0};
-    pe_->dtu().ConfigureRemoteMem(node, req.ep, p.mem_node, p.mem_base, p.mem_size, perms,
-                                  [this, sc] {
-                                    Finish(t_.syscall_reply,
-                                           [this, sc] { ReplySyscall(sc, ErrCode::kOk); });
-                                  });
-    return;
-  }
-  if (cap->type() == CapType::kSession || cap->type() == CapType::kSendGate) {
-    cap->SetActivated(req.ep);
-    const CapPayload& p = cap->payload();
-    pe_->dtu().ConfigureRemoteSend(node, req.ep, p.dst_node, p.dst_ep, /*credits=*/1,
-                                   /*label=*/p.session, [this, sc] {
-                                     Finish(t_.syscall_reply,
-                                            [this, sc] { ReplySyscall(sc, ErrCode::kOk); });
-                                   });
-    return;
-  }
-  Finish(t_.syscall_reply, [this, sc] { ReplySyscall(sc, ErrCode::kInvalidCapType); });
+  cap->SetActivated(req.ep);
+  const CapPayload& p = cap->payload();
+  MemPerms perms{(p.perms & kPermR) != 0, (p.perms & kPermW) != 0};
+  pe_->dtu().ConfigureRemoteMem(node, req.ep, p.mem_node, p.mem_base, p.mem_size, perms,
+                                [this, sc] {
+                                  Finish(t_.syscall_reply,
+                                         [this, sc] { ReplySyscall(sc, ErrCode::kOk); });
+                                });
 }
 
 void Kernel::SysDeriveMem(SyscallRec* sc, const SyscallMsg& req) {
@@ -2466,7 +2372,7 @@ void Kernel::OnIkc(EpId ep, const Message& msg) {
       // slot is free again, so another request may go out (§4.1).
       Peer& state = peers_[credit->from];
       state.credits++;
-      CHECK_LE(state.credits, config_.max_inflight);
+      CHECK_LE(state.credits, kMaxInflight);
       DispatchIkc(credit->from);
       return;
     }
@@ -2602,10 +2508,8 @@ void Kernel::DispatchIkcRequest(const Message& msg) {
       break;
     }
     case IkcOp::kRevokeReq:
-    case IkcOp::kRevokeBatchReq: {
-      OnRevokeReq(msg);
+      OnRevokeReq(msg, *req);
       break;
-    }
     case IkcOp::kOrphanNotify: {
       Capability* parent = caps_.Find(req->parent);
       if (parent != nullptr) {

@@ -34,7 +34,7 @@
 //    so Eq. 1 bounds the request path's records; revocation tasks follow
 //    the capability trees. The pools grow to the peak live count once and
 //    then recycle, and the request path allocates nothing in steady state;
-//  * kernel-to-kernel flow control (§4.1): at most `max_inflight` (4)
+//  * kernel-to-kernel flow control (§4.1): at most `kMaxInflight` (4)
 //    request messages per peer kernel are in flight; excess requests queue
 //    at the sender so DTU receive slots can never overflow;
 //  * PE migration (beyond the paper, which kept the membership table
@@ -114,9 +114,12 @@ struct KernelStats {
   uint64_t ft_orphan_roots = 0;     // orphaned subtrees revoked at recovery
   uint64_t ft_edges_pruned = 0;     // tree edges into the dead range dropped
   uint64_t ft_ikcs_aborted = 0;     // pending IKCs to a dead kernel unwedged
-  // Multi-op IKCs, pipelined stale-epoch relays and the remote-DDL cache.
-  uint64_t ikc_batches_sent = 0;      // kRevokeBatchReq requests sent
-  uint64_t ikc_batched_ops = 0;       // child keys those requests carried
+  // Always 0: every IKC carries one operation (a revocation sends one
+  // REVOKE_REQ per remote child, paper §5.2). Kept because the repository
+  // benchmark (perfbench/driver.cpp) reads them.
+  uint64_t ikc_batches_sent = 0;
+  uint64_t ikc_batched_ops = 0;
+  // Pipelined stale-epoch relays and the remote-DDL cache.
   uint64_t ikc_relays_pipelined = 0;  // stale requests relayed onward to the owner
   uint64_t ikc_late_replies = 0;      // replies whose token matched no pending IKC
   uint64_t ddl_cache_hits = 0;        // remote-DDL lookups served by the cache
@@ -170,8 +173,7 @@ struct RevokeTask {
   std::vector<InlineFn> on_complete;
   // Remote children discovered by the marking pass with their owning
   // kernel, in discovery order; flushed grouped by kernel in ascending
-  // kernel order, as one request per child, or one per peer when
-  // revocation batching is enabled.
+  // kernel order, one REVOKE_REQ per child.
   struct RemoteChild {
     KernelId kernel = kInvalidKernel;
     DdlKey key;
@@ -237,7 +239,7 @@ class Kernel : public Program {
   // failure detector's heartbeats (outside the credit-based IKC flow, so a
   // dead peer cannot wedge detection), EPs 2..7 receive system calls
   // (6 x 32 slots = 192 VPEs max per kernel), EPs 8..15 receive
-  // inter-kernel calls (8 x 32 slots; 4 in flight per peer => 64 kernels
+  // inter-kernel calls (8 x 32 slots; kMaxInflight per peer => 64 kernels
   // max).
   static constexpr EpId kEpAskReply = 0;
   static constexpr EpId kEpHeartbeat = 1;
@@ -247,6 +249,10 @@ class Kernel : public Program {
   static constexpr uint32_t kNumKernelEps = 8;
   static constexpr uint32_t kMaxVpesPerKernel = kNumSyscallEps * 32;
   static constexpr uint32_t kMaxKernels = 64;
+  // M_inflight (§4.1): request messages in flight per peer kernel. The
+  // receive-slot arithmetic above assumes it, and Eq. 1 sizes the thread
+  // pool by it.
+  static constexpr uint32_t kMaxInflight = 4;
   static constexpr uint32_t kServiceAskInflight = 64;  // kernel -> party ask window
   static constexpr uint32_t kMaxQuiescePolls = 1'000'000;  // migration quiesce bound
 
@@ -257,10 +263,6 @@ class Kernel : public Program {
     // boot-time table until a migration or failover changes it here.
     MembershipTable membership;
     std::vector<NodeId> kernel_nodes;    // kernel id -> kernel PE
-    uint32_t max_inflight = 4;           // M_inflight per peer kernel
-    // Extension (paper §5.2 future work): batch all REVOKE_REQs to the
-    // same peer kernel into one message instead of one per child.
-    bool revoke_batching = false;
     // Fault tolerance (src/ft): `pe_types` lets adopters rebuild VPE state
     // for a dead group's PEs; `on_failover` lets the platform mirror the
     // membership changes a quorum leader decrees mid-run.
@@ -434,10 +436,9 @@ class Kernel : public Program {
   };
 
   // A completion that waits for several others: a VPE kill and a failover
-  // recovery for their revocations, a revoke batch for its keys, a
-  // shutdown for its kills and the peers' acknowledgements. `pending`
-  // counts the open waits plus one the opener drops (Arrive) once it
-  // registered them all.
+  // recovery for their revocations, a shutdown for its kills and the
+  // peers' acknowledgements. `pending` counts the open waits plus one the
+  // opener drops (Arrive) once it registered them all.
   struct Countdown {
     uint32_t pending = 1;
     InlineFn done;
@@ -577,27 +578,25 @@ class Kernel : public Program {
   void UnlinkChildAtParent(DdlKey parent, DdlKey child, bool orphan);
 
   // ===== Revocation (Algorithm 1) =====
-  // The one start of every revocation (revoke syscall, REVOKE_REQ, revoke
-  // batch, VPE kill, failover orphan): creates the task for the unmarked
-  // `cap` with its completion `done`, runs the marking pass and sends the
-  // REVOKE_REQs it collected. Returns that cost; the caller charges it and
-  // then calls CheckRevokeComplete(cap->task()). With `unlink` the root
-  // leaves its parent's children once the subtree is gone.
+  // The one start of every revocation (revoke syscall, REVOKE_REQ, VPE
+  // kill, failover orphan): creates the task for the unmarked `cap` with
+  // its completion `done`, runs the marking pass and sends the REVOKE_REQs
+  // it collected. Returns that cost; the caller charges it and then calls
+  // CheckRevokeComplete(cap->task()). With `unlink` the root leaves its
+  // parent's children once the subtree is gone.
   Cycles StartRevoke(Capability* cap, bool unlink, InlineFn done);
   // Phase 1: returns the extra kernel-cycle cost of the marking pass.
   Cycles MarkPass(Capability* cap, RevokeTask* task);
-  // Sends the REVOKE_REQs collected by the marking pass (per child, or per
-  // peer kernel with batching). Returns the send cost.
+  // Sends one REVOKE_REQ per remote child the marking pass collected.
+  // Returns the send cost.
   Cycles FlushRevokeRequests(RevokeTask* task);
   // VPE kill and failover orphan recovery: revokes the subtree of every
   // root still present, each at the revoke entry cost, and runs `done`
   // once all of them are gone. Returns the number of revocations started.
   uint32_t RevokeRoots(const std::vector<DdlKey>& roots, bool unlink, InlineFn done);
-  // A REVOKE_REQ or revoke batch arrived: runs the single or the batch
-  // handler in the trace context its dispatch set.
-  void OnRevokeReq(const Message& msg);
-  void ProcessRevokeReq(const Message& msg, const IkcMsg& req);
-  void ProcessRevokeBatch(const Message& msg, const IkcMsg& req);
+  // A REVOKE_REQ arrived: revokes the named child's subtree, or waits for
+  // the revocation already covering it, and answers once it is gone.
+  void OnRevokeReq(const Message& msg, const IkcMsg& req);
   void RevokeDependencyDone(uint64_t task_id);
   void CheckRevokeComplete(RevokeTask* task);
   // Phase 2: deletes this task's marked subtree; returns its cost.

@@ -194,11 +194,7 @@ enum class IkcOp : uint8_t {
   kObtainReq,
   kDelegateReq,
   kDelegateAck,   // second leg of the two-way handshake (paper §4.3.2)
-  kRevokeReq,
-  // Extension (paper §5.2 future work: "we believe that this can be
-  // further improved by the use of message batching"): one request carries
-  // every child capability a peer kernel must revoke.
-  kRevokeBatchReq,
+  kRevokeReq,     // one per remote child capability (paper §5.2)
   kOrphanNotify,  // obtainer died: remove orphaned child (paper §4.3.2)
   kChildDrop,     // revoked cap had a live remote parent: unlink it
   // Extension (beyond the paper, which kept membership static): dynamic
@@ -237,7 +233,6 @@ struct IkcMsg : MsgBody {
   uint64_t token = 0;
 
   DdlKey cap;            // capability the operation targets (owner's key)
-  std::vector<DdlKey> caps;  // kRevokeBatchReq: all keys for this peer
   DdlKey child;          // proposed/affected child key
   DdlKey parent;         // parent key (kChildDrop)
   VpeId vpe = kInvalidVpe;   // requesting client VPE
@@ -264,7 +259,7 @@ struct IkcMsg : MsgBody {
 
   uint32_t WireSize() const override {
     size_t migrate_bytes = migrate == nullptr ? 0 : 48 + migrate->caps.size() * 64;
-    return static_cast<uint32_t>(112 + caps.size() * sizeof(uint64_t) + migrate_bytes);
+    return static_cast<uint32_t>(112 + migrate_bytes);
   }
 };
 

@@ -55,7 +55,7 @@ Cycles Noc::RouteAndReserve(NodeId src, NodeId dst, uint32_t bytes) {
   if (src == dst) {
     // Loopback through the local router only.
     t += kRouterLatency;
-  } else if (config_.model_contention) {
+  } else {
     // Dimension-ordered routing, X first then Y — deterministic, so message
     // order between any pair of nodes is preserved. The packet head advances
     // hop by hop; each traversed link is reserved inline for the packet's
@@ -79,8 +79,6 @@ Cycles Noc::RouteAndReserve(NodeId src, NodeId dst, uint32_t bytes) {
       cur = y * config_.width + x;
     }
     t += serialization;  // tail of the packet drains over the last link
-  } else {
-    t = now + UnloadedLatency(src, dst, bytes);
   }
 
   stats_.packets++;

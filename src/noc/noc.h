@@ -31,9 +31,8 @@
 namespace semperos {
 
 struct NocConfig {
-  uint32_t width = 8;            // mesh columns
-  uint32_t height = 8;           // mesh rows
-  bool model_contention = true;  // per-link FIFO queueing on/off
+  uint32_t width = 8;   // mesh columns
+  uint32_t height = 8;  // mesh rows
 };
 
 struct NocStats {
@@ -72,7 +71,8 @@ class Noc {
     return t;
   }
 
-  // Latency a packet would see on an unloaded network (for calibration).
+  // Latency a packet would see on an unloaded network (DTU memory timing,
+  // calibration).
   Cycles UnloadedLatency(NodeId src, NodeId dst, uint32_t bytes) const;
 
   const NocStats& stats() const { return stats_; }

@@ -45,12 +45,8 @@ Cycles RevokeChain(uint32_t kernels, KernelMode mode, uint32_t length) {
   return rig.TimedRevoke(0, rig.BuildChain(length, hops));
 }
 
-Cycles RevokeTree(uint32_t kernels, uint32_t children, bool revoke_batching) {
-  PlatformConfig pc;
-  pc.kernels = kernels;
-  pc.users = children + 1;
-  pc.revoke_batching = revoke_batching;
-  DriverRig rig = MakeDriverRig(pc);
+Cycles RevokeTree(uint32_t kernels, uint32_t children) {
+  DriverRig rig = MakeDriverRig(kernels, children + 1);
   return rig.TimedRevoke(0, rig.BuildTree(children));
 }
 

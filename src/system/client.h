@@ -96,7 +96,7 @@ DriverRig MakeDriverRig(uint32_t kernels, uint32_t users,
                         KernelMode mode = KernelMode::kSemperOSMulti);
 
 // Full-control variant: `pc.users` clients on a custom platform config
-// (flow-control window, timing model, revocation batching, ...).
+// (timing model, memory tiles, tracing, ...).
 DriverRig MakeDriverRig(PlatformConfig pc);
 
 // Table 3's probe (paper §5.2): client 1 obtains client 0's fresh
@@ -116,9 +116,8 @@ Cycles RevokeChain(uint32_t kernels, KernelMode mode, uint32_t length);
 
 // Figure 5's probe: the time to revoke a one-root tree of `children`
 // activated copies, one holder VPE per child spread round-robin over all
-// `kernels` groups (kernel 0's group holds the root). The ablation compares
-// it with and without revocation batching.
-Cycles RevokeTree(uint32_t kernels, uint32_t children, bool revoke_batching = false);
+// `kernels` groups (kernel 0's group holds the root).
+Cycles RevokeTree(uint32_t kernels, uint32_t children);
 
 }  // namespace semperos
 

@@ -46,7 +46,6 @@ Platform::Platform(PlatformConfig config) : config_(std::move(config)) {
   uint32_t total =
       config_.kernels + config_.services + config_.users + config_.loadgens + config_.mem_tiles;
   NocConfig noc_config;
-  noc_config.model_contention = config_.noc_contention;
   noc_config.width = CeilSqrt(total);
   noc_config.height = (total + noc_config.width - 1) / noc_config.width;
   noc_ = std::make_unique<Noc>(&sim_, noc_config);
@@ -146,8 +145,6 @@ Platform::Platform(PlatformConfig config) : config_(std::move(config)) {
     kc.timing = config_.timing;
     kc.membership = membership_;
     kc.kernel_nodes = kernel_nodes_;
-    kc.max_inflight = config_.max_inflight;
-    kc.revoke_batching = config_.revoke_batching;
     kc.pe_types = pe_types_;
     // Quorum leaders report decreed takeovers so the platform's own
     // membership copy (and kernel_of()) mirrors exactly what the kernels

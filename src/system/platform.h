@@ -61,10 +61,7 @@ struct PlatformConfig {
   uint32_t loadgens = 0;
   uint32_t mem_tiles = 1;
   TimingModel timing = TimingModel::SemperOs();
-  uint32_t max_inflight = 4;     // M_inflight (paper §5.1)
-  bool revoke_batching = false;  // extension: batch REVOKE_REQs per peer
-  bool noc_contention = true;    // NoC per-link queueing (NocConfig::model_contention)
-  uint32_t threads = 1;          // inert: see EngineStats
+  uint32_t threads = 1;  // inert: see EngineStats
   // Observability (src/obs): span tracing is off by default (the disabled
   // cost is one pointer test per traced site); SEMPEROS_TRACE=1 flips any
   // platform whose config left it off. The metrics timeline samples every

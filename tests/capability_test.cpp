@@ -405,6 +405,114 @@ TEST(Revoke, PingPongChainNoDeadlock) {
   EXPECT_EQ(total_before - total_after, 21u);  // root + 20 chain links
 }
 
+TEST(Revoke, TreeRevokeDeletesEverything) {
+  DriverRig rig = MakeDriverRig(5, 17);
+  CapSel root = rig.BuildTree(16);
+  size_t before = 0;
+  for (KernelId k = 0; k < 5; ++k) {
+    before += rig.p().kernel(k)->caps().size();
+  }
+  bool acked = false;
+  rig.client(0).env().Revoke(root, [&](const SyscallReply& r) {
+    EXPECT_EQ(r.err, ErrCode::kOk);
+    acked = true;
+  });
+  rig.p().RunToCompletion();
+  EXPECT_TRUE(acked);
+  size_t after = 0;
+  for (KernelId k = 0; k < 5; ++k) {
+    after += rig.p().kernel(k)->caps().size();
+    EXPECT_EQ(rig.p().kernel(k)->PendingOps(), 0u);
+  }
+  EXPECT_EQ(before - after, 17u);  // root + 16 children
+  EXPECT_EQ(rig.p().TotalDrops(), 0u);
+}
+
+TEST(Revoke, ChainRevokeCompletes) {
+  DriverRig rig = MakeDriverRig(2, 2);
+  CapSel root = rig.BuildChain(12, {0, 1});
+  bool acked = false;
+  rig.client(0).env().Revoke(root, [&](const SyscallReply& r) {
+    EXPECT_EQ(r.err, ErrCode::kOk);
+    acked = true;
+  });
+  rig.p().RunToCompletion();
+  EXPECT_TRUE(acked);
+}
+
+// "the kernel managing the root capability sends out one message for each
+// child capability" (paper §5.2): revoking a tree sends one REVOKE_REQ per
+// child outside the root's group, and no other IKC.
+TEST(Revoke, OneRequestPerRemoteChild) {
+  DriverRig rig = MakeDriverRig(5, 33);
+  CapSel root = rig.BuildTree(32);
+  uint64_t remote_children = 0;
+  for (size_t i = 1; i <= 32; ++i) {
+    if (rig.kernel_of_client(i) != rig.kernel_of_client(0)) {
+      remote_children++;
+    }
+  }
+  ASSERT_EQ(remote_children, 26u);  // clients 1..32 round-robin over 5 groups
+  const size_t revoke_op = static_cast<size_t>(IkcOp::kRevokeReq);
+  KernelStats before = rig.p().TotalKernelStats();
+  bool acked = false;
+  rig.client(0).env().Revoke(root, [&](const SyscallReply& r) {
+    EXPECT_EQ(r.err, ErrCode::kOk);
+    acked = true;
+  });
+  rig.p().RunToCompletion();
+  ASSERT_TRUE(acked);
+  KernelStats after = rig.p().TotalKernelStats();
+  EXPECT_EQ(rig.kernel_of_client(0)->stats().ikc_op_sent[revoke_op], remote_children);
+  EXPECT_EQ(after.ikc_op_sent[revoke_op] - before.ikc_op_sent[revoke_op], remote_children);
+  EXPECT_EQ(after.ikc_op_received[revoke_op] - before.ikc_op_received[revoke_op],
+            remote_children);
+  EXPECT_EQ(after.spanning_revokes - before.spanning_revokes, remote_children);
+  EXPECT_EQ(after.ikc_sent - before.ikc_sent, remote_children);
+}
+
+TEST(Revoke, OverlappingRevokesStayComplete) {
+  // The "Incomplete" guarantee: concurrent revokes on overlapping subtrees
+  // both ack only after full deletion.
+  DriverRig rig = MakeDriverRig(3, 9);
+  CapSel root = rig.Grant(0);
+  // root -> a (K1), a -> b (K2).
+  size_t a = 3;  // some client on another kernel
+  while (rig.kernel_of_client(a) == rig.kernel_of_client(0)) {
+    ++a;
+  }
+  rig.client(0).env().Delegate(root, rig.vpe(a), [](const SyscallReply& r) {
+    ASSERT_EQ(r.err, ErrCode::kOk);
+  });
+  rig.p().RunToCompletion();
+  Kernel* ka = rig.kernel_of_client(a);
+  CapSel a_sel = ka->FindVpe(rig.vpe(a))->table.LastSel();
+  size_t b = a + 1;
+  while (b < 9 && (rig.kernel_of_client(b) == rig.kernel_of_client(a) ||
+                   rig.kernel_of_client(b) == rig.kernel_of_client(0))) {
+    ++b;
+  }
+  ASSERT_LT(b, 9u);
+  rig.client(a).env().Delegate(a_sel, rig.vpe(b), [](const SyscallReply& r) {
+    ASSERT_EQ(r.err, ErrCode::kOk);
+  });
+  rig.p().RunToCompletion();
+
+  int acks = 0;
+  rig.client(0).env().Revoke(root, [&](const SyscallReply& r) {
+    EXPECT_EQ(r.err, ErrCode::kOk);
+    acks++;
+  });
+  rig.client(a).env().Revoke(a_sel, [&](const SyscallReply& r) {
+    EXPECT_EQ(r.err, ErrCode::kOk);
+    acks++;
+    // Completed means complete: nothing of a's subtree remains anywhere.
+    EXPECT_EQ(rig.kernel_of_client(a)->CapOf(rig.vpe(a), a_sel), nullptr);
+  });
+  rig.p().RunToCompletion();
+  EXPECT_EQ(acks, 2);
+}
+
 TEST(Threads, PoolBoundRespected) {
   // Eq. 1 sizing is enforced with a CHECK inside the kernel; surviving a
   // burst of concurrent syscalls from every VPE proves the accounting.

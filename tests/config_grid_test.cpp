@@ -1,7 +1,6 @@
 // Workload x system-configuration grid: every application must run
 // correctly (exact capability-operation counts, zero message loss, clean
-// kernel state) across kernel/service mixes, including the M3 baseline and
-// the batching extension.
+// kernel state) across kernel/service mixes.
 #include <gtest/gtest.h>
 
 #include <sstream>

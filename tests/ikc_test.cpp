@@ -44,10 +44,10 @@ TEST(IkcFlowControl, CreditsNeverExceedWindow) {
 TEST(IkcFlowControl, SlotArithmeticSupportsMaxKernels) {
   // 8 receive EPs x 32 slots with 4 in flight per peer supports 64 kernels
   // (paper §5.1): 63 peers spread over 8 EPs -> at most 8 peers/EP, each
-  // holding at most 4 slots between delivery and dispatch.
+  // holding at most kMaxInflight slots between delivery and dispatch.
   EXPECT_EQ(Kernel::kNumKernelEps * Dtu::kDefaultSlots,
-            (Kernel::kMaxKernels - 1 + Kernel::kNumKernelEps - 1) / Kernel::kNumKernelEps * 4 *
-                Kernel::kNumKernelEps);
+            (Kernel::kMaxKernels - 1 + Kernel::kNumKernelEps - 1) / Kernel::kNumKernelEps *
+                Kernel::kMaxInflight * Kernel::kNumKernelEps);
 }
 
 TEST(IkcOrdering, RepliesNeverOvertakeWithinAPair) {

@@ -107,10 +107,10 @@ TEST(Boot, ThreadPoolSizedPerEquationOne) {
   PlatformConfig pc;
   pc.kernels = 4;
   pc.users = 12;
-  pc.max_inflight = 4;
   Platform platform(pc);
   // V_group + K_max * M_inflight (Eq. 1): 3 VPEs + 4 kernels * 4.
-  EXPECT_EQ(platform.kernel(0)->ThreadPoolSize(), 3u + 4u * 4u);
+  EXPECT_EQ(Kernel::kMaxInflight, 4u);
+  EXPECT_EQ(platform.kernel(0)->ThreadPoolSize(), 3u + 4u * Kernel::kMaxInflight);
 }
 
 TEST(Boot, M3ModeIsSingleKernel) {

@@ -103,21 +103,6 @@ TEST(Noc, ContentionDelaysPackets) {
   EXPECT_GT(noc.stats().total_queueing, 0u);
 }
 
-TEST(Noc, ContentionCanBeDisabled) {
-  Simulation sim;
-  NocConfig config = SmallMesh();
-  config.model_contention = false;
-  Noc noc(&sim, config);
-  for (int i = 0; i < 16; ++i) {
-    noc.Send(0, 3, 4096, [] {});
-  }
-  Cycles delivered = 0;
-  noc.Send(0, 3, 4096, [&] { delivered = sim.Now(); });
-  sim.RunUntilIdle();
-  EXPECT_EQ(delivered, noc.UnloadedLatency(0, 3, 4096));
-  EXPECT_EQ(noc.stats().total_queueing, 0u);
-}
-
 TEST(Noc, StatsAccumulate) {
   Simulation sim;
   Noc noc(&sim, SmallMesh());

@@ -364,5 +364,21 @@ TEST(Rejections, NonFsMessageOnSessionChannel) {
   ExpectServiceHealthy(rig);
 }
 
+// Activate binds memory capabilities only. A client reaches its service
+// through the one-credit send endpoint that opening the session configured,
+// and the service sizes its receive slots by one credit per client; a
+// session activated on a memory endpoint would be a second credit.
+TEST(Rejections, ActivatingASessionIsInvalidCapType) {
+  RawRig rig = MakeRawRig();
+  ASSERT_NE(rig.service, nullptr);
+  CapSel session = rig.OpenSession(0);
+  SyscallReply got = rig.Syscall(
+      [&](auto cb) { rig.clients[0]->env().Activate(session, user_ep::kMem0, cb); });
+  EXPECT_EQ(got.err, ErrCode::kInvalidCapType);
+  const Dtu& dtu = rig.platform->pe(rig.platform->user_nodes()[0])->dtu();
+  EXPECT_FALSE(dtu.EpValid(user_ep::kMem0));
+  ExpectServiceHealthy(rig);
+}
+
 }  // namespace
 }  // namespace semperos
