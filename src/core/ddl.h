@@ -34,13 +34,14 @@ namespace semperos {
 // Kinds of kernel objects / capabilities addressable through the DDL.
 enum class CapType : uint8_t {
   kNone = 0,
-  kVpe,       // control over a VPE
-  kMem,       // byte-granular memory range
-  kSendGate,  // right to send to a receive endpoint
-  kRecvGate,  // a receive endpoint
-  kService,   // a registered service (m3fs instance)
-  kSession,   // a client's connection to a service
-  kKernel,    // kernel-to-kernel control objects
+  kVpe,           // control over a VPE
+  kMem,           // byte-granular memory range
+  // A type's value is part of its DdlKeys: 3 stays unused, so no key
+  // changes.
+  kRecvGate = 4,  // a receive endpoint
+  kService,       // a registered service (m3fs instance)
+  kSession,       // a client's connection to a service
+  kKernel,        // kernel-to-kernel control objects
 };
 
 const char* CapTypeName(CapType type);

@@ -33,8 +33,6 @@ const char* CapTypeName(CapType type) {
       return "vpe";
     case CapType::kMem:
       return "mem";
-    case CapType::kSendGate:
-      return "sgate";
     case CapType::kRecvGate:
       return "rgate";
     case CapType::kService:

@@ -1,6 +1,7 @@
 #include "fs/fs_image.h"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 #include <utility>
 
@@ -29,23 +30,60 @@ FsImage::PathRef FsImage::Ref(std::string_view path) {
   return PathRef{path, std::hash<std::string_view>{}(path)};
 }
 
+std::string_view FsImage::Base::Path(size_t i) const {
+  uint32_t begin = i == 0 ? 0 : entries[i - 1].end;
+  return std::string_view(paths).substr(begin, entries[i].end - begin);
+}
+
+const Inode* FsImage::Base::Find(const PathRef& ref) const {
+  size_t mask = index.size() - 1;
+  uint32_t hash = static_cast<uint32_t>(ref.hash);
+  for (size_t slot = ref.hash & mask; index[slot] != 0; slot = (slot + 1) & mask) {
+    uint32_t i = index[slot] - 1;
+    if (entries[i].hash == hash && Path(i) == ref.path) {
+      return &entries[i].inode;
+    }
+  }
+  return nullptr;
+}
+
 void FsImage::Freeze() {
-  auto merged = std::make_shared<PathMap>();
-  merged->reserve(live_);
+  auto merged = std::make_shared<Base>();
+  merged->entries.reserve(live_);
+  auto add = [&merged](std::string_view path, size_t hash, const Inode& inode) {
+    merged->paths.append(path);
+    CHECK_LE(merged->paths.size(), UINT32_MAX) << "image path table full";
+    merged->entries.push_back(Base::Entry{inode, static_cast<uint32_t>(merged->paths.size()),
+                                          static_cast<uint32_t>(hash)});
+  };
   if (base_ != nullptr) {
-    for (const auto& [key, inode] : *base_) {
+    for (size_t i = 0; i < base_->entries.size(); ++i) {
       // Promoted and tombstoned entries are settled by the overlay.
-      if (!overlay_.contains(PathRef{key.path, key.hash})) {
-        merged->emplace(key, inode);
+      std::string_view path = base_->Path(i);
+      if (!overlay_.contains(Ref(path))) {
+        add(path, base_->entries[i].hash, base_->entries[i].inode);
       }
     }
   }
   for (const auto& [key, inode] : overlay_) {
     if (inode.ino != kTombstone) {
-      merged->emplace(key, inode);
+      add(key.path, key.hash, inode);
     }
   }
-  CHECK_EQ(merged->size(), live_);
+  CHECK_EQ(merged->entries.size(), live_);
+  merged->paths.shrink_to_fit();
+  // The index has fewer than 2^32 slots, so an entry's 32 hash bits place
+  // it where a probe with the full hash looks.
+  std::vector<uint32_t>& index = merged->index;
+  index.assign(std::bit_ceil(std::max<size_t>(2 * live_, 2)), 0);
+  size_t mask = index.size() - 1;
+  for (uint32_t i = 0; i < merged->entries.size(); ++i) {
+    size_t slot = merged->entries[i].hash & mask;
+    while (index[slot] != 0) {
+      slot = (slot + 1) & mask;
+    }
+    index[slot] = i + 1;
+  }
   base_ = std::move(merged);
   // A fresh map: clear() would keep the bucket array, and every copy of
   // this image would allocate one of its own.
@@ -53,11 +91,7 @@ void FsImage::Freeze() {
 }
 
 const Inode* FsImage::FindInBase(const PathRef& ref) const {
-  if (base_ == nullptr) {
-    return nullptr;
-  }
-  auto it = base_->find(ref);
-  return it == base_->end() ? nullptr : &it->second;
+  return base_ == nullptr ? nullptr : base_->Find(ref);
 }
 
 const Inode* FsImage::Find(const PathRef& ref) const {
@@ -150,9 +184,10 @@ uint32_t FsImage::CountEntries(std::string_view dir) const {
     }
   }
   if (base_ != nullptr) {
-    for (const auto& [key, inode] : *base_) {
+    for (size_t i = 0; i < base_->entries.size(); ++i) {
       // Promoted entries were counted through the overlay.
-      if (direct_child(key.path) && !overlay_.contains(PathRef{key.path, key.hash})) {
+      std::string_view path = base_->Path(i);
+      if (direct_child(path) && !overlay_.contains(Ref(path))) {
         ++n;
       }
     }

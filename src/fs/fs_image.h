@@ -16,8 +16,14 @@
 // overlay that owns no bucket array, so it allocates nothing that grows
 // with the image; copies diverge through their overlays, which is
 // observationally identical to a deep copy. Inodes promote into the
-// overlay on first mutable access; unlinking a base entry leaves a
-// tombstone in the overlay.
+// overlay on first mutable access (LookupMutable, Open), never on Lookup;
+// unlinking a base entry leaves a tombstone in the overlay.
+//
+// The base is one flat table: an entry vector, one string of path bytes and
+// a power-of-two index of entry numbers, at most half full. The 36,865
+// inodes of 4,096 PostMark instances take 2.77 MB there, against 3.65 MB as
+// a node map. The overlay stays a node map, so a mutable inode keeps its
+// address while files come and go.
 //
 // Every call hashes its path once and probes the overlay, then the base,
 // with that hash; keys keep their hash, so inserts and rehashes reuse it.
@@ -30,6 +36,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "base/log.h"
 #include "base/status.h"
@@ -65,6 +72,8 @@ class FsImage {
   // considered written. Returns the inode.
   const Inode* AddFile(std::string_view path, uint64_t size, uint64_t reserve = 0);
 
+  // The inode at `path`, in the overlay or in the shared base; nullptr if
+  // the path is missing. Copies nothing.
   const Inode* Lookup(std::string_view path) const;
   // Pointers returned here stay valid across later image operations until
   // the path is unlinked: they always point into the overlay (node-based).
@@ -120,11 +129,27 @@ class FsImage {
       return a.hash == b.hash && std::string_view(a.path) == std::string_view(b.path);
     }
   };
-  // The one map type of the base and of the overlay.
   using PathMap = std::unordered_map<PathKey, Inode, KeyHash, KeyEq>;
   // An overlay inode with this number is a tombstone: the base entry of
   // that path is unlinked. Inode numbers start at 1.
   static constexpr uint64_t kTombstone = 0;
+
+  // The frozen base (see above). Entry i's path is
+  // paths[entries[i - 1].end, entries[i].end).
+  struct Base {
+    struct Entry {
+      Inode inode;
+      uint32_t end;
+      uint32_t hash;  // the path hash's low bits, compared before the bytes
+    };
+    std::vector<Entry> entries;
+    std::string paths;
+    // Slots of entry number + 1 (0: empty).
+    std::vector<uint32_t> index;
+
+    std::string_view Path(size_t i) const;
+    const Inode* Find(const PathRef& ref) const;
+  };
 
   static PathRef Ref(std::string_view path);
   const Inode* Find(const PathRef& ref) const;
@@ -136,8 +161,8 @@ class FsImage {
   // A new file inode at the end of the image log.
   Inode NewFile(uint64_t size, uint64_t reserve);
 
-  std::shared_ptr<const PathMap> base_;  // frozen snapshot, shared by copies
-  PathMap overlay_;                      // local additions, promotions, tombstones
+  std::shared_ptr<const Base> base_;  // frozen snapshot, shared by copies
+  PathMap overlay_;                   // local additions, promotions, tombstones
   size_t live_ = 0;                   // current inode count
   uint64_t next_ino_ = 1;
   uint64_t next_offset_ = 0;

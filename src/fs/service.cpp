@@ -136,10 +136,11 @@ void FsService::RejectOutOfRange(Cycles cost) {
   });
 }
 
-void FsService::DeriveExtent(Inode* inode, uint64_t offset, bool write, ExtentCb cb) {
+void FsService::DeriveExtent(const Inode* inode, Inode* writable, uint64_t offset, ExtentCb cb) {
   uint64_t extent_start = offset / kFsExtentBytes * kFsExtentBytes;
+  bool write = writable != nullptr;
   if (write) {
-    image_.Grow(inode, extent_start + kFsExtentBytes);
+    image_.Grow(writable, extent_start + kFsExtentBytes);
   }
   uint64_t limit = write ? inode->reserved : inode->size;
   // The handlers checked ExtentInRange, and asks and requests are served
@@ -164,7 +165,9 @@ void FsService::HandleOpen(Session* session, const FsRequest& req) {
   // A new file is empty, so only a writer creates one, and only where the
   // region holds its first extent (checked on a file not yet placed). A
   // refused create is out of range, and the image must stay as it was.
-  Inode* inode = image_.Open(req.path, create && write && ExtentInRange(Inode{}, 0, true));
+  Inode* writable =
+      write ? image_.Open(req.path, create && ExtentInRange(Inode{}, 0, true)) : nullptr;
+  const Inode* inode = write ? writable : image_.Lookup(req.path);
   if (inode == nullptr && create && image_.Lookup(FsImage::ParentOf(req.path)) != nullptr) {
     RejectOutOfRange(t_.svc_open);
     return;
@@ -190,8 +193,8 @@ void FsService::HandleOpen(Session* session, const FsRequest& req) {
   fs_stats_.opens++;
   uint64_t size = inode->size;
   uint64_t session_id = session->id;
-  env_->Compute(t_.svc_open, [this, inode, write, fid, size, session_id] {
-    DeriveExtent(inode, 0, write, [this, fid, size, session_id](CapSel sel, uint64_t) {
+  env_->Compute(t_.svc_open, [this, inode, writable, fid, size, session_id] {
+    DeriveExtent(inode, writable, 0, [this, fid, size, session_id](CapSel sel, uint64_t) {
       Session* live_session = SessionOf(session_id);
       CHECK(live_session != nullptr);
       OpenFile* opened = live_session->Find(fid);
@@ -218,14 +221,15 @@ void FsService::HandleNextExtent(Session* session, const FsRequest& req) {
     AnswerAsk(std::move(r));
     return;
   }
-  Inode* inode = image_.LookupMutable(file->path);
+  bool write = (file->flags & kOpenWrite) != 0;
+  Inode* writable = write ? image_.LookupMutable(file->path) : nullptr;
+  const Inode* inode = write ? writable : image_.Lookup(file->path);
   if (inode == nullptr) {
     AskReply r;
     r.err = ErrCode::kNoSuchFile;
     AnswerAsk(std::move(r));
     return;
   }
-  bool write = (file->flags & kOpenWrite) != 0;
   if (!ExtentInRange(*inode, req.offset, write)) {
     RejectOutOfRange(t_.svc_exchange);
     return;
@@ -233,23 +237,24 @@ void FsService::HandleNextExtent(Session* session, const FsRequest& req) {
   uint64_t fid = req.fid;
   uint64_t offset = req.offset;
   uint64_t session_id = session->id;
-  env_->Compute(t_.svc_exchange, [this, inode, offset, write, fid, session_id] {
-    DeriveExtent(inode, offset, write, [this, fid, session_id](CapSel sel, uint64_t extent_len) {
-      Session* live_session = SessionOf(session_id);
-      CHECK(live_session != nullptr);
-      OpenFile* live_file = live_session->Find(fid);
-      CHECK(live_file != nullptr);
-      live_file->handed.push_back(sel);
-      auto fs_reply = NewMsg<FsReply>();
-      fs_reply->err = ErrCode::kOk;
-      fs_reply->fid = fid;
-      fs_reply->size = extent_len;
-      AskReply r;
-      r.err = ErrCode::kOk;
-      r.share_sel = sel;
-      r.payload = fs_reply;
-      AnswerAsk(std::move(r));
-    });
+  env_->Compute(t_.svc_exchange, [this, inode, writable, offset, fid, session_id] {
+    DeriveExtent(inode, writable, offset,
+                 [this, fid, session_id](CapSel sel, uint64_t extent_len) {
+                   Session* live_session = SessionOf(session_id);
+                   CHECK(live_session != nullptr);
+                   OpenFile* live_file = live_session->Find(fid);
+                   CHECK(live_file != nullptr);
+                   live_file->handed.push_back(sel);
+                   auto fs_reply = NewMsg<FsReply>();
+                   fs_reply->err = ErrCode::kOk;
+                   fs_reply->fid = fid;
+                   fs_reply->size = extent_len;
+                   AskReply r;
+                   r.err = ErrCode::kOk;
+                   r.share_sel = sel;
+                   r.payload = fs_reply;
+                   AnswerAsk(std::move(r));
+                 });
   });
 }
 
@@ -353,13 +358,17 @@ void FsService::MetaStat(Session* session, const FsRequest& req, const Message& 
 void FsService::MetaMkdir(Session* session, const FsRequest& req, const Message& msg) {
   (void)session;
   fs_stats_.metas++;
-  bool exists = image_.Lookup(req.path) != nullptr;
-  if (!exists) {
+  // A directory needs its parent, as a created file does: a mkdir under a
+  // missing one changes nothing and is answered kNoSuchFile.
+  ErrCode err = ErrCode::kOk;
+  if (image_.Lookup(req.path) != nullptr) {
+    err = ErrCode::kExists;
+  } else if (image_.Lookup(FsImage::ParentOf(req.path)) == nullptr) {
+    err = ErrCode::kNoSuchFile;
+  } else {
     image_.AddDir(req.path);
   }
-  env_->Compute(t_.svc_meta, [this, msg, exists] {
-    ReplyMeta(msg, exists ? ErrCode::kExists : ErrCode::kOk);
-  });
+  env_->Compute(t_.svc_meta, [this, msg, err] { ReplyMeta(msg, err); });
 }
 
 void FsService::MetaUnlink(Session* session, const FsRequest& req, const Message& msg) {

@@ -141,10 +141,16 @@ class FsService : public Program {
   // Answers the ask being served with kOutOfRange after `cost` cycles.
   void RejectOutOfRange(Cycles cost);
   // Derives the extent capability covering byte `offset` of `inode` (in
-  // range, see above) and returns (via cb) the new selector. Grows the
-  // file for writes.
+  // range, see above) and returns (via cb) the new selector. A write passes
+  // the inode as `writable` too and grows it first. A read passes nullptr:
+  // a read-only open or extent request takes its inode from
+  // FsImage::Lookup, so it copies no base inode into the overlay. That
+  // const pointer stays valid until the ask is answered for two reasons:
+  // the frozen base is immutable and shared, and the service serves asks
+  // and requests one at a time, so nothing unlinks or promotes the path in
+  // between.
   using ExtentCb = Callback<void(CapSel, uint64_t extent_len)>;
-  void DeriveExtent(Inode* inode, uint64_t offset, bool write, ExtentCb cb);
+  void DeriveExtent(const Inode* inode, Inode* writable, uint64_t offset, ExtentCb cb);
 
   // Revokes revoking_[idx..] sequentially, then answers revoke_msg_.
   void RevokeHanded(size_t idx);

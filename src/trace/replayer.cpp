@@ -18,6 +18,7 @@ void TraceRunner::Run(UserEnv* env, CapSel session, DoneFn done) {
   env_ = env;
   session_ = session;
   done_ = std::move(done);
+  op_pos_ = 0;
   op_index_ = 0;
   cap_ops_ = 0;
   error_ = ErrCode::kOk;
@@ -47,48 +48,48 @@ const FsReply* TraceRunner::FsAnswer(const MsgRef& body) {
 }
 
 void TraceRunner::NextOp() {
-  if (op_index_ >= trace_.ops.size()) {
+  if (!trace_.Next(&op_pos_, &op_)) {
     Finish(ErrCode::kOk);
     return;
   }
-  const TraceOp& op = trace_.ops[op_index_++];
-  switch (op.kind) {
+  ++op_index_;
+  switch (op_.kind) {
     case TraceOpKind::kOpen:
-      DoOpen(op);
+      DoOpen();
       return;
     case TraceOpKind::kRead:
-      DoIo(op, /*write=*/false);
+      DoIo(/*write=*/false);
       return;
     case TraceOpKind::kWrite:
-      DoIo(op, /*write=*/true);
+      DoIo(/*write=*/true);
       return;
     case TraceOpKind::kSeek: {
-      OpenFile* file = FindFile(op.path);
+      OpenFile* file = FindFile(op_.path);
       if (file == nullptr) {
         Finish(ErrCode::kInvalidArgs);
         return;
       }
-      file->cursor = op.offset();
+      file->cursor = op_.offset();
       NextOp();
       return;
     }
     case TraceOpKind::kClose:
-      DoClose(op);
+      DoClose();
       return;
     case TraceOpKind::kStat:
-      DoMeta(op, FsOp::kStat);
+      DoMeta(FsOp::kStat);
       return;
     case TraceOpKind::kMkdir:
-      DoMeta(op, FsOp::kMkdir);
+      DoMeta(FsOp::kMkdir);
       return;
     case TraceOpKind::kUnlink:
-      DoMeta(op, FsOp::kUnlink);
+      DoMeta(FsOp::kUnlink);
       return;
     case TraceOpKind::kReadDir:
-      DoMeta(op, FsOp::kReadDir);
+      DoMeta(FsOp::kReadDir);
       return;
     case TraceOpKind::kCompute:
-      env_->Compute(op.compute(), [this] { NextOp(); });
+      env_->Compute(op_.compute(), [this] { NextOp(); });
       return;
   }
 }
@@ -102,21 +103,20 @@ TraceRunner::OpenFile* TraceRunner::FindFile(uint32_t path) {
   return nullptr;
 }
 
-void TraceRunner::DoOpen(const TraceOp& op) {
+void TraceRunner::DoOpen() {
   // A PE has 8 memory endpoints (user_ep::kMem0..+7) and each open file
   // binds one, so a VPE keeps at most 8 files open; the built-in traces
   // stay well below that.
-  if (FindFile(op.path) != nullptr ||
+  if (FindFile(op_.path) != nullptr ||
       std::countr_one(mem_eps_in_use_) >= static_cast<int>(user_ep::kNumMemEps)) {
     Finish(ErrCode::kInvalidArgs);
     return;
   }
   auto req = NewMsg<FsRequest>();
   req->op = FsOp::kOpen;
-  req->path = trace_.Path(op);
-  req->flags = op.flags;
-  const TraceOp* open = &op;  // trace_ outlives the call
-  env_->Exchange(session_, req, [this, open](const SyscallReply& reply) {
+  req->path = trace_.Path(op_);
+  req->flags = op_.flags;
+  env_->Exchange(session_, req, [this](const SyscallReply& reply) {
     if (Refused(reply.err)) {
       return;
     }
@@ -130,10 +130,10 @@ void TraceRunner::DoOpen(const TraceOp& op) {
     OpenFile* file = spare != files_.end() ? &*spare : &files_.emplace_back();
     int ep = std::countr_one(mem_eps_in_use_);
     mem_eps_in_use_ |= static_cast<uint8_t>(1u << ep);
-    file->path = open->path;
+    file->path = op_.path;
     file->in_use = true;
     file->fid = fs->fid;
-    file->flags = open->flags;
+    file->flags = op_.flags;
     file->extent_sel = reply.sel;
     file->mem_ep = user_ep::kMem0 + static_cast<EpId>(ep);
     file->extent_start = 0;
@@ -169,8 +169,8 @@ void TraceRunner::FetchExtent(uint64_t offset) {
   });
 }
 
-void TraceRunner::DoIo(const TraceOp& op, bool write) {
-  OpenFile* file = FindFile(op.path);
+void TraceRunner::DoIo(bool write) {
+  OpenFile* file = FindFile(op_.path);
   if (file == nullptr) {
     Finish(ErrCode::kInvalidArgs);
     return;
@@ -181,7 +181,7 @@ void TraceRunner::DoIo(const TraceOp& op, bool write) {
   }
   io_file_ = static_cast<size_t>(file - files_.data());
   io_write_ = write;
-  io_remaining_ = op.bytes();
+  io_remaining_ = op_.bytes();
   IoChunk();
 }
 
@@ -212,8 +212,8 @@ void TraceRunner::IoChunk() {
   }
 }
 
-void TraceRunner::DoClose(const TraceOp& op) {
-  OpenFile* file = FindFile(op.path);
+void TraceRunner::DoClose() {
+  OpenFile* file = FindFile(op_.path);
   if (file == nullptr) {
     Finish(ErrCode::kInvalidArgs);
     return;
@@ -235,15 +235,14 @@ void TraceRunner::DoClose(const TraceOp& op) {
   });
 }
 
-void TraceRunner::DoMeta(const TraceOp& op, FsOp fs_op) {
+void TraceRunner::DoMeta(FsOp fs_op) {
   auto req = NewMsg<FsRequest>();
   req->op = fs_op;
-  req->path = trace_.Path(op);
+  req->path = trace_.Path(op_);
   bool unlink = fs_op == FsOp::kUnlink;
-  const TraceOp* meta = &op;  // trace_ outlives the call
   // A meta error (a stat of a missing file, a mkdir of an existing one) is
   // an answer, not a refusal: the trace goes on.
-  env_->Request(req, [this, unlink, meta](const Message& msg) {
+  env_->Request(req, [this, unlink](const Message& msg) {
     const FsReply* fs = FsAnswer(msg.body);
     if (fs == nullptr) {
       return;
@@ -252,7 +251,7 @@ void TraceRunner::DoMeta(const TraceOp& op, FsOp fs_op) {
       // Unlink-while-open revoked this file's handed capabilities, so its
       // next I/O asks m3fs for an extent of a file that is gone.
       cap_ops_ += fs->revoked;
-      if (OpenFile* file = FindFile(meta->path)) {
+      if (OpenFile* file = FindFile(op_.path)) {
         file->extent_len = 0;
       }
     }
@@ -294,7 +293,7 @@ void TraceReplayer::Finish() {
     result_.failed_op = runner_.failed_op();
     return;
   }
-  LOG_DEBUG(kTag) << "vpe " << pe_->node() << " finished " << runner_.trace().app << " in "
+  LOG_DEBUG(kTag) << "vpe " << pe_->node() << " finished " << runner_.app() << " in "
                   << CyclesToMicros(result_.runtime()) << "us, " << result_.cap_ops
                   << " cap ops";
 }

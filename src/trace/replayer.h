@@ -4,14 +4,16 @@
 // TraceRunner replays one Trace against m3fs over one session: it performs
 // the trace operations in order (a VPE is single-threaded, paper §2.2),
 // counts the capability-modifying operations they cause and then fires a
-// completion. TraceReplayer is an application: it opens a session, runs its
-// trace once and reports its runtime — the quantity behind the
-// parallel-efficiency figures (paper §5.3.1). The Nginx server
+// completion. It holds the trace packed (trace/trace.h) and decodes one
+// operation at a time. TraceReplayer is an application: it opens a
+// session, runs its trace once and reports its runtime — the quantity
+// behind the parallel-efficiency figures (paper §5.3.1). The Nginx server
 // (workloads/nginx.h) runs its request trace once per request (§5.3.3).
 #ifndef SEMPEROS_TRACE_REPLAYER_H_
 #define SEMPEROS_TRACE_REPLAYER_H_
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -27,9 +29,9 @@ class TraceRunner {
  public:
   using DoneFn = Callback<void()>;
 
-  // Keeps `trace` trimmed to fit: one runner per application instance
-  // holds its trace for the whole run.
-  explicit TraceRunner(Trace trace) : trace_(std::move(trace)) { trace_.ShrinkToFit(); }
+  // Consumes `trace` and keeps it packed: one runner per application
+  // instance holds its trace for the whole run.
+  explicit TraceRunner(Trace trace) : app_(std::move(trace.app)), trace_(trace) {}
 
   // Runs the trace from its first operation over the m3fs session `session`
   // of `env`, then fires `done`. The run stops at the first operation that
@@ -38,7 +40,7 @@ class TraceRunner {
   // and error() says why.
   void Run(UserEnv* env, CapSel session, DoneFn done);
 
-  const Trace& trace() const { return trace_; }
+  const std::string& app() const { return app_; }
   // Capability-modifying operations the last run caused: extent obtains
   // plus the capabilities m3fs revoked on close and unlink.
   uint32_t cap_ops() const { return cap_ops_; }
@@ -51,7 +53,7 @@ class TraceRunner {
   // continuations capture only `this`. Files are flat: closed records stay
   // in files_ for reuse.
   struct OpenFile {
-    uint32_t path = 0;  // index into trace_.paths
+    uint32_t path = 0;  // index into the trace's paths
     bool in_use = false;
     uint64_t fid = 0;
     uint32_t flags = 0;
@@ -64,6 +66,7 @@ class TraceRunner {
 
   // The open file named by path index `path`, or nullptr.
   OpenFile* FindFile(uint32_t path);
+  // Decodes the next op into op_ and starts it.
   void NextOp();
   // Ends the run with `err`.
   void Finish(ErrCode err);
@@ -73,17 +76,19 @@ class TraceRunner {
   // kInvalidArgs: a service PE is untrusted, and a body that is not an
   // FsReply is refused like any other bad answer.
   const FsReply* FsAnswer(const MsgRef& body);
-  void DoOpen(const TraceOp& op);
-  void DoIo(const TraceOp& op, bool write);
+  // Each runs op_.
+  void DoOpen();
+  void DoIo(bool write);
   // Moves the I/O in progress (io_*) forward by one chunk.
   void IoChunk();
   // Obtains and activates the extent of the I/O file covering `offset`,
   // then continues the I/O.
   void FetchExtent(uint64_t offset);
-  void DoClose(const TraceOp& op);
-  void DoMeta(const TraceOp& op, FsOp fs_op);
+  void DoClose();
+  void DoMeta(FsOp fs_op);
 
-  Trace trace_;
+  std::string app_;
+  PackedTrace trace_;
   UserEnv* env_ = nullptr;
   CapSel session_ = kInvalidSel;
   DoneFn done_;
@@ -92,6 +97,10 @@ class TraceRunner {
   size_t io_file_ = 0;
   bool io_write_ = false;
   uint64_t io_remaining_ = 0;
+  // The op in progress, the stream position of the next one, and the number
+  // of ops started.
+  TraceOp op_;
+  size_t op_pos_ = 0;
   size_t op_index_ = 0;
   uint32_t cap_ops_ = 0;
   ErrCode error_ = ErrCode::kOk;

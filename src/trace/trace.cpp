@@ -1,10 +1,27 @@
 #include "trace/trace.h"
 
+#include <bit>
+#include <cstring>
 #include <functional>
 
 #include "base/log.h"
 
 namespace semperos {
+
+namespace {
+
+size_t VarintSize(uint64_t v) { return (static_cast<size_t>(std::bit_width(v | 1)) + 6) / 7; }
+
+uint8_t* PutVarint(uint8_t* out, uint64_t v) {
+  while (v >= 0x80) {
+    *out++ = static_cast<uint8_t>(v | 0x80);
+    v >>= 7;
+  }
+  *out++ = static_cast<uint8_t>(v);
+  return out;
+}
+
+}  // namespace
 
 TraceOp TraceOp::Compute(Cycles cycles) {
   TraceOp op;
@@ -65,16 +82,6 @@ void TracePaths::clear() {
   index_.clear();
 }
 
-void TracePaths::ShrinkToFit() {
-  bytes_.shrink_to_fit();
-  refs_.shrink_to_fit();
-}
-
-void Trace::ShrinkToFit() {
-  ops.shrink_to_fit();
-  paths.ShrinkToFit();
-}
-
 void Trace::AddPathOp(TraceOpKind kind, std::string_view path, uint64_t arg, uint32_t flags) {
   TraceOp op;
   op.kind = kind;
@@ -101,5 +108,53 @@ void Trace::Stat(std::string_view path) { AddPathOp(TraceOpKind::kStat, path, 0)
 void Trace::Mkdir(std::string_view path) { AddPathOp(TraceOpKind::kMkdir, path, 0); }
 void Trace::Unlink(std::string_view path) { AddPathOp(TraceOpKind::kUnlink, path, 0); }
 void Trace::ReadDir(std::string_view path) { AddPathOp(TraceOpKind::kReadDir, path, 0); }
+
+PackedTrace::PackedTrace(const Trace& trace)
+    : path_count_(static_cast<uint32_t>(trace.paths.size())) {
+  // Sizes the block, then fills it: one allocation of exactly the bytes
+  // the trace packs to.
+  size_t path_bytes = 0;
+  for (uint32_t i = 0; i < path_count_; ++i) {
+    path_bytes += trace.paths[i].size();
+  }
+  ops_begin_ = path_count_ * sizeof(uint32_t) + path_bytes;
+  size_ = ops_begin_;
+  for (const TraceOp& op : trace.ops) {
+    size_ += 1 + VarintSize(op.path) + VarintSize(op.arg);
+  }
+  if (size_ == 0) {
+    return;
+  }
+  block_ = std::make_unique_for_overwrite<uint8_t[]>(size_);
+  uint8_t* ends = block_.get();
+  uint8_t* bytes = ends + path_count_ * sizeof(uint32_t);
+  uint32_t end = 0;
+  for (uint32_t i = 0; i < path_count_; ++i) {
+    std::string_view path = trace.paths[i];
+    std::memcpy(bytes + end, path.data(), path.size());
+    end += static_cast<uint32_t>(path.size());  // TracePaths holds < 2^32 bytes
+    std::memcpy(ends + i * sizeof(uint32_t), &end, sizeof(end));
+  }
+  uint8_t* out = block_.get() + ops_begin_;
+  for (const TraceOp& op : trace.ops) {
+    CHECK_LT(op.flags, 16u) << "open flags past four bits";
+    *out++ = static_cast<uint8_t>(static_cast<uint8_t>(op.kind) | op.flags << 4);
+    out = PutVarint(out, op.path);
+    out = PutVarint(out, op.arg);
+  }
+}
+
+std::string_view PackedTrace::Path(uint32_t index) const {
+  CHECK_LT(index, path_count_);
+  const uint8_t* ends = block_.get();
+  uint32_t begin = 0;
+  uint32_t end = 0;
+  if (index > 0) {
+    std::memcpy(&begin, ends + (index - 1) * sizeof(uint32_t), sizeof(begin));
+  }
+  std::memcpy(&end, ends + index * sizeof(uint32_t), sizeof(end));
+  const char* bytes = reinterpret_cast<const char*>(ends + path_count_ * sizeof(uint32_t));
+  return std::string_view(bytes + begin, end - begin);
+}
 
 }  // namespace semperos

@@ -13,13 +13,14 @@
 // or record that starts allocating per event fails here as its own test.
 //
 // The byte budgets hold the largest scale point (4,096 instances) in
-// check: copying a frozen m3fs image for a service, building one
-// instance's trace, and constructing and booting the platform (DTU
-// endpoints, per-kernel VPE tables), both what that allocates and what it
-// still holds once boot returned, and again after the first platform was
-// destroyed. Two more hold a VPE's selector table to its live
-// capabilities under derive/revoke churn, and a load generator's arrival
-// schedule to about 3 bytes a request.
+// check: the frozen m3fs image and a service's copy of it, one instance's
+// trace as built and 4,096 replayers holding theirs packed, and
+// constructing and booting the platform (DTU endpoints, per-kernel VPE
+// tables), both what that allocates and what it still holds once boot
+// returned, and again after the first platform was destroyed. Two more
+// hold a VPE's selector table to its live capabilities under
+// derive/revoke churn, and a load generator's arrival schedule to about 3
+// bytes a request.
 //
 // The per-event budgets, and the byte budgets that run a platform, are
 // skipped where the count does not describe the default build:
@@ -285,6 +286,45 @@ TEST(MemoryBudget, FrozenImageCopy) {
   EXPECT_LE(bytes, 4096u);
   EXPECT_EQ(copy->inode_count(), image.inode_count());
   EXPECT_EQ(copy->bytes_used(), image.bytes_used());
+}
+
+// The frozen base of the 4,096-instance PostMark image: 36,865 inodes in
+// one entry table, one string of path bytes and an index at most half
+// full, 2.77 MB. As a node map, with a heap block per inode and per path
+// longer than the small-string buffer, it held 3.65 MB.
+TEST(MemoryBudget, FrozenImageBase) {
+  std::optional<FsImage> image;
+  int64_t held = BytesOf([&] {
+                   image.emplace();
+                   PopulateImage(&*image, "postmark", 4096);
+                   image->Freeze();
+                 }).held;
+  std::printf("  frozen %zu-inode image: %lld bytes held\n", image->inode_count(),
+              static_cast<long long>(held));
+  EXPECT_EQ(image->inode_count(), 36'865u);
+  EXPECT_LT(held, 3'200'000);
+}
+
+// 4,096 PostMark replayers built as the benchmark builds them: each
+// instance's 81-op trace behind a start-jitter compute op. A replayer holds
+// its trace packed: 891 bytes a replayer, the replayer included. Holding
+// the Trace (16-byte ops and a path table) took 2,023.
+TEST(MemoryBudget, PostmarkReplayers) {
+  const uint32_t kInstances = 4096;
+  const TimingModel timing = TimingModel::For(KernelMode::kSemperOSMulti);
+  std::vector<std::unique_ptr<TraceReplayer>> replayers;
+  replayers.reserve(kInstances);
+  int64_t held = BytesOf([&] {
+                   for (uint32_t i = 0; i < kInstances; ++i) {
+                     Trace trace = MakeTrace("postmark", i);
+                     trace.ops.insert(trace.ops.begin(), TraceOp::Compute(1 + i % 4000));
+                     replayers.push_back(
+                         std::make_unique<TraceReplayer>(std::move(trace), 0, timing));
+                   }
+                 }).held;
+  std::printf("  %u replayers: %lld bytes held, %lld each\n", kInstances,
+              static_cast<long long>(held), static_cast<long long>(held / kInstances));
+  EXPECT_LT(held, 1'400 * static_cast<int64_t>(kInstances));
 }
 
 // One PostMark instance's trace: 81 operations on 13 paths. With 72-byte

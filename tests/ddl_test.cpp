@@ -265,8 +265,8 @@ TEST(DdlCache, OverflowClearsWholesale) {
 }
 
 TEST(CapTypeName, AllNamed) {
-  for (auto type : {CapType::kNone, CapType::kVpe, CapType::kMem, CapType::kSendGate,
-                    CapType::kRecvGate, CapType::kService, CapType::kSession, CapType::kKernel}) {
+  for (auto type : {CapType::kNone, CapType::kVpe, CapType::kMem, CapType::kRecvGate,
+                    CapType::kService, CapType::kSession, CapType::kKernel}) {
     EXPECT_STRNE(CapTypeName(type), "?");
   }
 }

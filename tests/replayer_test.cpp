@@ -1,7 +1,9 @@
 // Trace format and replayer behaviour, plus the Nginx programs.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "audit/cap_audit.h"
@@ -42,6 +44,66 @@ TEST(TraceOps, BuildersFillFields) {
   EXPECT_EQ(trace.ops.back().kind, TraceOpKind::kUnlink);
   trace.ReadDir("/x");
   EXPECT_EQ(trace.ops.back().kind, TraceOpKind::kReadDir);
+}
+
+// `trace` packs to a block that decodes to its ops and paths exactly.
+void ExpectPacksExactly(const Trace& trace) {
+  PackedTrace packed(trace);
+  ASSERT_EQ(packed.path_count(), trace.paths.size());
+  for (uint32_t i = 0; i < trace.paths.size(); ++i) {
+    EXPECT_EQ(packed.Path(i), trace.paths[i]) << "path " << i;
+  }
+  size_t pos = 0;
+  size_t n = 0;
+  TraceOp op;
+  while (packed.Next(&pos, &op)) {
+    ASSERT_LT(n, trace.ops.size());
+    const TraceOp& want = trace.ops[n];
+    EXPECT_EQ(op.kind, want.kind) << "op " << n;
+    EXPECT_EQ(op.flags, want.flags) << "op " << n;
+    EXPECT_EQ(op.path, want.path) << "op " << n;
+    EXPECT_EQ(op.arg, want.arg) << "op " << n;
+    ++n;
+  }
+  EXPECT_EQ(n, trace.ops.size());
+  EXPECT_FALSE(packed.Next(&pos, &op));  // the end stays the end
+}
+
+TEST(PackedTrace, DecodesEveryKindFlagAndArgument) {
+  constexpr uint64_t kBound = (uint64_t{1} << 48) - 1;  // kTraceTotalLimit - 1
+  Trace trace;
+  for (uint32_t flags : {kOpenRead, kOpenWrite, kOpenRead | kOpenWrite, kOpenCreate,
+                         kOpenWrite | kOpenCreate, kOpenRead | kOpenWrite | kOpenCreate}) {
+    trace.Open("/d/f" + std::to_string(flags), flags);
+  }
+  for (uint64_t arg : {uint64_t{0}, uint64_t{127}, uint64_t{128}, kBound, UINT64_MAX}) {
+    trace.Read("/d/f1", arg);
+    trace.Write("/d/f2", arg);
+    trace.Seek("/d/f3", arg);
+    trace.Compute(arg);
+  }
+  trace.Close("/d/f1");
+  trace.Stat("/d/f2");
+  trace.Mkdir("/d/sub");
+  trace.Unlink("/d/f4");
+  trace.ReadDir("/d");
+  ExpectPacksExactly(trace);
+}
+
+// A parsed trace may name any number of paths: indices past 127 take a
+// second varint byte, and past kScanPaths the path table indexes itself.
+TEST(PackedTrace, ManyPathsTheEmptyTraceAndPostmark) {
+  Trace many;
+  for (int i = 0; i < 300; ++i) {
+    std::string path = "/many/" + std::to_string(i);
+    many.Open(path, kOpenRead);
+    many.Read(path, static_cast<uint64_t>(i) << 20);
+    many.Close(path);
+  }
+  ASSERT_EQ(many.paths.size(), 300u);
+  ExpectPacksExactly(many);
+  ExpectPacksExactly(Trace());
+  ExpectPacksExactly(MakeTrace("postmark", 4095));
 }
 
 struct Rig {

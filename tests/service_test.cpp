@@ -191,6 +191,7 @@ TEST(LargeFiles, SixteenExtentRoundTrip) {
 // One m3fs service and two bare clients that speak to it through UserEnv.
 struct RawRig {
   std::unique_ptr<Platform> platform;
+  FsImage image;  // the frozen template the service copied
   FsService* service = nullptr;
   std::vector<DriverClient*> clients;
 
@@ -212,6 +213,18 @@ struct RawRig {
   SyscallReply Exchange(size_t client, CapSel session, std::shared_ptr<FsRequest> req) {
     return Syscall([&](auto cb) { clients[client]->env().Exchange(session, req, cb); });
   }
+  // Sends `req` on the client's session channel, runs the platform to
+  // completion and returns the answer's error (kAborted if none came).
+  ErrCode Request(size_t client, std::shared_ptr<FsRequest> req) {
+    ErrCode err = ErrCode::kAborted;
+    clients[client]->env().Request(req, [&err](const Message& msg) {
+      const FsReply* reply = msg.As<FsReply>();
+      ASSERT_NE(reply, nullptr);
+      err = reply->err;
+    });
+    platform->RunToCompletion();
+    return err;
+  }
 };
 
 RawRig MakeRawRig() {
@@ -222,9 +235,9 @@ RawRig MakeRawRig() {
   RawRig rig;
   rig.platform = std::make_unique<Platform>(pc);
   Platform& p = *rig.platform;
-  FsImage image = TinyImage(1);  // /i0/f, 4 KiB
-  image.Freeze();
-  AttachServices(&p, image, pc.timing, image.bytes_used() + kGrowthHeadroom);
+  rig.image = TinyImage(1);  // /i0/f, 4 KiB
+  rig.image.Freeze();
+  AttachServices(&p, rig.image, pc.timing, rig.image.bytes_used() + kGrowthHeadroom);
   rig.service = dynamic_cast<FsService*>(p.pe(p.service_nodes()[0])->program());
   for (NodeId node : p.user_nodes()) {
     auto client = std::make_unique<DriverClient>(p.kernel_node(p.membership().KernelOf(node)),
@@ -284,6 +297,27 @@ TEST(Rejections, CreateUnderMissingParentIsNoSuchFile) {
   EXPECT_EQ(rig.service->stats().out_of_range, 0u);
   EXPECT_EQ(rig.service->image().Lookup("/nodir/new"), nullptr);
   EXPECT_EQ(rig.service->image().inode_count(), inodes);
+  ExpectServiceHealthy(rig);
+}
+
+TEST(Rejections, MkdirUnderMissingParentIsNoSuchFile) {
+  RawRig rig = MakeRawRig();
+  ASSERT_NE(rig.service, nullptr);
+  rig.OpenSession(0);
+  size_t inodes = rig.service->image().inode_count();
+  auto mkdir = [](const std::string& path) {
+    auto req = NewMsg<FsRequest>();
+    req->op = FsOp::kMkdir;
+    req->path = path;
+    return req;
+  };
+  EXPECT_EQ(rig.Request(0, mkdir("/missing/dir")), ErrCode::kNoSuchFile);
+  EXPECT_EQ(rig.service->image().Lookup("/missing/dir"), nullptr);
+  EXPECT_EQ(rig.service->image().inode_count(), inodes);
+  // Under an existing parent the same request creates the directory once.
+  EXPECT_EQ(rig.Request(0, mkdir("/i0/dir")), ErrCode::kOk);
+  EXPECT_EQ(rig.Request(0, mkdir("/i0/dir")), ErrCode::kExists);
+  EXPECT_EQ(rig.service->image().inode_count(), inodes + 1);
   ExpectServiceHealthy(rig);
 }
 
@@ -362,6 +396,35 @@ TEST(Rejections, NonFsMessageOnSessionChannel) {
   EXPECT_EQ(err, ErrCode::kInvalidArgs);
   EXPECT_EQ(rig.service->stats().malformed, 1u);
   ExpectServiceHealthy(rig);
+}
+
+// A read-only open, and a next-extent request on the file it opened, leave
+// the inode in the frozen base every copy of the template shares: the
+// service's lookup returns the very inode a fresh copy returns. A write open
+// copies it into the service's own overlay.
+TEST(ImageSharing, ReadOnlyOpenLeavesTheInodeInTheSharedBase) {
+  RawRig rig = MakeRawRig();
+  ASSERT_NE(rig.service, nullptr);
+  const FsImage fresh = rig.image;
+  const Inode* shared = fresh.Lookup("/i0/f");
+  ASSERT_NE(shared, nullptr);
+  CapSel session = rig.OpenSession(0);
+  SyscallReply open = rig.Exchange(0, session, OpenRequest("/i0/f", kOpenRead));
+  ASSERT_EQ(open.err, ErrCode::kOk);
+  const FsReply* opened = MsgAs<FsReply>(open.payload);
+  ASSERT_NE(opened, nullptr);
+  auto next = NewMsg<FsRequest>();
+  next->op = FsOp::kNextExtent;
+  next->fid = opened->fid;
+  next->offset = 0;
+  ASSERT_EQ(rig.Exchange(0, session, next).err, ErrCode::kOk);
+  EXPECT_EQ(rig.service->stats().extents_handed, 2u);
+  EXPECT_EQ(rig.service->image().Lookup("/i0/f"), shared);
+
+  SyscallReply write = rig.Exchange(0, session, OpenRequest("/i0/f", kOpenWrite));
+  ASSERT_EQ(write.err, ErrCode::kOk);
+  EXPECT_NE(rig.service->image().Lookup("/i0/f"), shared);
+  EXPECT_EQ(fresh.Lookup("/i0/f"), shared);
 }
 
 // Activate binds memory capabilities only. A client reaches its service
